@@ -86,7 +86,7 @@ pub fn build_sharded(env: &Env, shards: usize) -> ShardedDatabase {
         .expect("TPC-H routing is key-aligned");
     db.create_view(ol_shard_def())
         .expect("orderkey-aligned view materializes");
-    db.parallel_shards = shards > 1;
+    db.set_policy(MaintenancePolicy::with_threads(shards));
     db
 }
 

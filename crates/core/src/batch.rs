@@ -10,9 +10,9 @@
 //!    and factors shared leading subplans — the `ΔT` scan and common
 //!    leftmost join prefixes — into a trie, so shared work executes once and
 //!    fans its rows out into the per-view remainders,
-//! 3. applies the per-view deltas on a worker pool capped by
-//!    `MaintenancePolicy::parallel.threads`, catching panics at the job
-//!    boundary and surfacing them as [`CoreError::MaintenancePanic`].
+//! 3. applies the per-view deltas on the workspace pool
+//!    ([`ojv_exec::run_pool`]) capped by `MaintenancePolicy::parallel.threads`;
+//!    a panic at the job boundary surfaces as [`CoreError::MaintenancePanic`].
 //!
 //! Sharing is safe because primary-delta evaluation reads only the catalog
 //! and the update's rows — never a view store — so evaluating all primaries
@@ -27,14 +27,13 @@
 //! From depth 1 on, a prefix with two or more interested parties (child
 //! branches or views ending there) is materialized once and fanned out.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ojv_algebra::{fingerprint_expr, Expr, SpineStep, TableId, TableSet};
 use ojv_exec::{
-    apply_spine_step, eval_expr, eval_expr_buf, DeltaInput, ExecCtx, ExecStats, ParallelSpec,
-    ViewLayout,
+    apply_spine_step, eval_expr, eval_expr_buf, run_pool, DeltaInput, ExecCtx, ExecStats,
+    ParallelSpec, ViewLayout,
 };
 use ojv_rel::{FxHashMap, Relation, Row, RowBuf};
 use ojv_storage::{Catalog, Update};
@@ -68,15 +67,14 @@ struct Job {
 /// already been applied to the catalog. Returns one report per non-noop
 /// view, in registration order (views first, then aggregated views).
 ///
-/// `threads` caps the worker pool; `1` runs the jobs inline on the calling
-/// thread.
+/// `policy.parallel.threads` caps the worker pool; `1` runs the jobs inline
+/// on the calling thread.
 pub fn maintain_batch(
     views: &mut [MaterializedView],
     agg_views: &mut [MaterializedAggView],
     catalog: &Catalog,
     update: &Update,
     policy: &MaintenancePolicy,
-    threads: usize,
 ) -> Result<Vec<MaintenanceReport>> {
     let cfg = PlanConfig::of(policy);
 
@@ -136,11 +134,11 @@ pub fn maintain_batch(
     let mut view_slots: Vec<Option<&mut MaterializedView>> = views.iter_mut().map(Some).collect();
     let mut agg_slots: Vec<Option<&mut MaterializedAggView>> =
         agg_views.iter_mut().map(Some).collect();
+    let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
     let works: Vec<Work<'_>> = jobs
         .into_iter()
         .enumerate()
         .map(|(k, job)| Work {
-            idx: k,
             name: job.name,
             analysis: job.analysis,
             compiled: job.compiled,
@@ -158,74 +156,14 @@ pub fn maintain_batch(
         })
         .collect();
 
-    let p = threads.max(1).min(works.len());
-    let mut results: Vec<(usize, Result<MaintenanceReport>)> = if p <= 1 {
-        works
-            .into_iter()
-            .map(|w| {
-                let s = &stats[w.idx];
-                run_job(w, catalog, update, policy, s)
-            })
-            .collect()
-    } else {
-        let mut buckets: Vec<Vec<Work<'_>>> = (0..p).map(|_| Vec::new()).collect();
-        for (k, w) in works.into_iter().enumerate() {
-            buckets[k % p].push(w);
-        }
-        let stats = &stats;
-        // Happens-before edges mirroring the morsel pool in `ojv-exec`:
-        // spawn edge into every bucket worker, join edge back to the batch
-        // driver before it merges the per-bucket result vectors.
-        crate::trace::publish("core.batch.spawn");
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .enumerate()
-                .map(|(b, bucket)| {
-                    scope.spawn(move || {
-                        if crate::trace::active() {
-                            crate::trace::register_thread(&format!("batch-worker-{b}"));
-                        }
-                        crate::trace::observe("core.batch.spawn");
-                        let out = bucket
-                            .into_iter()
-                            .map(|w| {
-                                let s = &stats[w.idx];
-                                run_job(w, catalog, update, policy, s)
-                            })
-                            .collect::<Vec<_>>();
-                        crate::trace::publish("core.batch.join");
-                        out
-                    })
-                })
-                .collect();
-            let merged: Vec<_> = handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    // Per-job panics are caught inside run_job; a panic here
-                    // is in the pool plumbing itself. Surface it instead of
-                    // poisoning the caller.
-                    Err(p) => vec![(
-                        usize::MAX,
-                        Err(CoreError::MaintenancePanic {
-                            view: "<batch worker>".to_string(),
-                            detail: panic_detail(p.as_ref()),
-                        }),
-                    )],
-                })
-                .collect();
-            // All workers are joined: pull their published clocks, then
-            // stamp the merge buffer as a main-thread write.
-            crate::trace::observe("core.batch.join");
-            crate::trace::on_write("core.batch.merge");
-            merged
-        })
-    };
-    results.sort_by_key(|(i, _)| *i);
+    // One broken view cannot take down its siblings: the pool catches a
+    // panic at the job boundary and the other jobs still complete.
+    let results = run_pool("core.batch", policy.parallel.threads, works, |k, w| {
+        run_job(w, catalog, update, policy, &stats[k])
+    });
     let mut reports = Vec::with_capacity(results.len());
-    for (_, r) in results {
-        reports.push(r?);
+    for (result, view) in results.into_iter().zip(names) {
+        reports.push(result.map_err(|detail| CoreError::MaintenancePanic { view, detail })??);
     }
     Ok(reports)
 }
@@ -237,7 +175,6 @@ enum WorkTarget<'a> {
 }
 
 struct Work<'a> {
-    idx: usize,
     name: String,
     analysis: ViewAnalysis,
     compiled: Arc<CompiledMaintenancePlan>,
@@ -250,93 +187,65 @@ struct Work<'a> {
     shared_with: usize,
 }
 
-/// Render a caught panic payload for error surfacing. Shared with the
-/// change-feed fan-out pool (`ojv-feed`), which catches worker panics at the
-/// same per-job boundary this module does.
-pub fn panic_detail(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Run one job: evaluate the primary (unless phase 2 already shared it),
-/// then apply primary and secondary deltas to the view. Panics are caught at
-/// this boundary so one broken view cannot take down its siblings' threads.
+/// then apply primary and secondary deltas to the view.
 fn run_job(
     mut work: Work<'_>,
     catalog: &Catalog,
     update: &Update,
     policy: &MaintenancePolicy,
     stats: &ExecStats,
-) -> (usize, Result<MaintenanceReport>) {
-    let idx = work.idx;
-    let name = work.name.clone();
-    let result = catch_unwind(AssertUnwindSafe(|| -> Result<MaintenanceReport> {
-        #[cfg(test)]
-        test_panic::maybe_panic(&work.name);
-        let mut report = MaintenanceReport {
-            view: work.name.clone(),
-            table: update.table.clone(),
-            update_rows: update.rows.len(),
-            ..Default::default()
-        };
-        let delta = DeltaInput {
-            table: work.compiled.table,
-            rows: &update.rows,
-        };
-        let exec = ExecCtx::with_delta(catalog, &work.analysis.layout, delta)
-            .with_parallel(policy.parallel)
-            .with_stats(stats);
-        let (primary, compute) = match work.primary.take() {
-            Some(p) => (p, work.shared_compute),
-            None => {
-                let start = Instant::now();
-                let rows = match &work.compiled.plan {
-                    None => Vec::new(),
-                    Some(plan) => eval_expr(&exec, plan)?,
-                };
-                (Arc::new(rows), start.elapsed())
-            }
-        };
-        match &mut work.target {
-            WorkTarget::View(v) => crate::maintain::apply_with_primary(
-                v,
-                &exec,
-                update,
-                policy,
-                &work.analysis,
-                &work.compiled,
-                &primary,
-                &mut report,
-            )?,
-            WorkTarget::Agg(v) => v.apply_with_primary(
-                &exec,
-                update,
-                &work.analysis,
-                &work.compiled,
-                &primary,
-                &mut report,
-            )?,
+) -> Result<MaintenanceReport> {
+    #[cfg(test)]
+    test_panic::maybe_panic(&work.name);
+    let mut report = MaintenanceReport {
+        view: work.name.clone(),
+        table: update.table.clone(),
+        update_rows: update.rows.len(),
+        ..Default::default()
+    };
+    let delta = DeltaInput {
+        table: work.compiled.table,
+        rows: &update.rows,
+    };
+    let exec = ExecCtx::with_delta(catalog, &work.analysis.layout, delta)
+        .with_parallel(policy.parallel)
+        .with_stats(stats);
+    let (primary, compute) = match work.primary.take() {
+        Some(p) => (p, work.shared_compute),
+        None => {
+            let start = Instant::now();
+            let rows = match &work.compiled.plan {
+                None => Vec::new(),
+                Some(plan) => eval_expr(&exec, plan)?,
+            };
+            (Arc::new(rows), start.elapsed())
         }
-        report.primary_compute = compute;
-        report.shared_with = work.shared_with;
-        report.exec = stats.snapshot();
-        Ok(report)
-    }));
-    match result {
-        Ok(r) => (idx, r),
-        Err(p) => (
-            idx,
-            Err(CoreError::MaintenancePanic {
-                view: name,
-                detail: panic_detail(p.as_ref()),
-            }),
-        ),
+    };
+    match &mut work.target {
+        WorkTarget::View(v) => crate::maintain::apply_with_primary(
+            v,
+            &exec,
+            update,
+            policy,
+            &work.analysis,
+            &work.compiled,
+            &primary,
+            &mut report,
+        )?,
+        WorkTarget::Agg(v) => v.apply_with_primary(
+            &exec,
+            update,
+            &work.analysis,
+            &work.compiled,
+            &primary,
+            &mut report,
+        )?,
     }
+    report.primary_compute = compute;
+    report.shared_with = work.shared_with;
+    report.exec = stats.snapshot();
+    Ok(report)
 }
 
 /// Output of the shared-prefix evaluation, indexed by job.
@@ -684,21 +593,33 @@ fn render_shared_nodes(node: &TrieNode, s: &mut String) {
     }
 }
 
-/// Test-only panic injection: arming makes any job maintaining a view named
-/// `panic_me` panic inside the worker, exercising the catch-and-surface
-/// path.
+/// Test-only panic injection: while armed, any job maintaining a view named
+/// `panic_me` panics inside the worker, exercising the catch-and-surface
+/// path. The flag is process-wide, so arming also takes a gate: tests that
+/// arm run one at a time.
 #[cfg(test)]
 pub(crate) mod test_panic {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Mutex, MutexGuard};
 
     static ARMED: AtomicBool = AtomicBool::new(false);
+    static GATE: Mutex<()> = Mutex::new(());
 
-    pub fn arm() {
-        ARMED.store(true, Ordering::SeqCst);
+    /// Armed until dropped.
+    pub struct Armed {
+        _gate: MutexGuard<'static, ()>,
     }
 
-    pub fn disarm() {
-        ARMED.store(false, Ordering::SeqCst);
+    pub fn arm() -> Armed {
+        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+        ARMED.store(true, Ordering::SeqCst);
+        Armed { _gate }
+    }
+
+    impl Drop for Armed {
+        fn drop(&mut self) {
+            ARMED.store(false, Ordering::SeqCst);
+        }
     }
 
     pub fn maybe_panic(view: &str) {
@@ -802,13 +723,12 @@ mod tests {
             let mut c = example1_catalog();
             populate_example1(&mut c, 8, 9);
             let mut db = Database::new(c);
-            db.parallel_maintenance = threads > 1;
             db.policy = MaintenancePolicy::with_threads(threads);
             db.create_view(oj_view_def().with_name("ok_view")).unwrap();
             db.create_view(oj_view_def().with_name("panic_me")).unwrap();
-            test_panic::arm();
+            let armed = test_panic::arm();
             let err = db.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)]);
-            test_panic::disarm();
+            drop(armed);
             match err {
                 Err(CoreError::MaintenancePanic { view, detail }) => {
                     assert_eq!(view, "panic_me");
@@ -825,7 +745,6 @@ mod tests {
     fn bounded_pool_matches_serial() {
         let mut serial = db_with_views(5, true);
         let mut pooled = db_with_views(5, true);
-        pooled.parallel_maintenance = true;
         pooled.policy = MaintenancePolicy {
             share_plans: true,
             ..MaintenancePolicy::with_threads(2)

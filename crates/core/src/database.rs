@@ -1,6 +1,15 @@
-//! A small façade owning the catalog and all materialized views: every
-//! update flows through it, constraints are enforced, and all registered
-//! views are maintained incrementally.
+//! The shard unit — and, used alone, the unsharded in-memory engine.
+//!
+//! A `Database` owns one catalog, the views materialized over it and their
+//! snapshot registry, and exposes the three shard-local commit stages every
+//! engine composes: **apply** ([`Database::apply_insert`] /
+//! [`Database::apply_delete`]: constraints enforced, `ΔT` returned),
+//! **maintain** (`maintain_views_only`: the paper's primary + secondary
+//! delta procedure over every registered view) and **publish**
+//! (`publish_commit`: journals → snapshot registry → commit observer, at one
+//! LSN). [`Database::insert`] / [`Database::delete`] / [`Database::update`]
+//! run them back to back under a dense local LSN;
+//! [`crate::shard::ShardedDatabase`] runs the same stages across N of these.
 
 use ojv_durability::Lsn;
 use ojv_rel::{Datum, Row};
@@ -37,12 +46,11 @@ pub struct Database {
     /// Per-view `(name, inserts, deletes)` of the last commit's journaled
     /// delta, for `explain_batch`'s `delta` lines. Only touched views appear.
     last_deltas: Vec<(String, usize, usize)>,
-    /// Maintenance policy applied to every view on every update.
+    /// Maintenance policy applied to every view on every update. Independent
+    /// views are maintained on up to `policy.parallel.threads` pool workers
+    /// (views never share mutable state — each owns its store and the catalog
+    /// is read-only during maintenance — so this is a pure fan-out).
     pub policy: MaintenancePolicy,
-    /// Maintain independent views on separate threads. Views never share
-    /// mutable state (each owns its store; the catalog is read-only during
-    /// maintenance), so this is a pure fan-out.
-    pub parallel_maintenance: bool,
 }
 
 impl Clone for Database {
@@ -68,7 +76,6 @@ impl Clone for Database {
             observer: None,
             last_deltas: self.last_deltas.clone(),
             policy: self.policy,
-            parallel_maintenance: self.parallel_maintenance,
         }
     }
 }
@@ -84,7 +91,6 @@ impl Database {
             observer: None,
             last_deltas: Vec::new(),
             policy: MaintenancePolicy::default(),
-            parallel_maintenance: false,
         }
     }
 
@@ -92,30 +98,29 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access for the durable layer's recovery replay,
-    /// which re-applies logged updates without re-running maintenance
-    /// bookkeeping through the public `insert`/`delete` wrappers.
+    /// Mutable catalog access, for tests that run DDL under live views.
+    #[cfg(test)]
     pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }
 
     /// Create and materialize an outer-join view.
     pub fn create_view(&mut self, def: ViewDef) -> Result<&MaterializedView> {
-        if self.views.iter().any(|v| v.name() == def.name())
-            || self.agg_views.iter().any(|v| v.name() == def.name())
+        self.check_name_free(def.name())?;
+        let view = MaterializedView::create(&self.catalog, def)?;
+        self.install_view(view)?;
+        Ok(self.views.last().expect("just installed"))
+    }
+
+    fn check_name_free(&self, name: &str) -> Result<()> {
+        if self.views.iter().any(|v| v.name() == name)
+            || self.agg_views.iter().any(|v| v.name() == name)
         {
             return Err(CoreError::DuplicateView {
-                view: def.name().to_string(),
+                view: name.to_string(),
             });
         }
-        let mut view = MaterializedView::create(&self.catalog, def)?;
-        // Compile (and statically verify) the maintenance plans once, at
-        // creation time, so the update hot path only hits the cache.
-        view.warm_plans(&self.catalog, &self.policy)?;
-        view.enable_journal();
-        self.snapshots.register(&view, self.commit_lsn)?;
-        self.views.push(view);
-        Ok(self.views.last().expect("just pushed"))
+        Ok(())
     }
 
     /// Create a view from a SQL `SELECT` statement (see [`crate::parser`])
@@ -148,11 +153,7 @@ impl Database {
 
     /// Create and materialize an aggregated outer-join view.
     pub fn create_agg_view(&mut self, def: AggViewDef) -> Result<&MaterializedAggView> {
-        if self.views.iter().any(|v| v.name() == def.name)
-            || self.agg_views.iter().any(|v| v.name() == def.name)
-        {
-            return Err(CoreError::DuplicateView { view: def.name });
-        }
+        self.check_name_free(&def.name)?;
         let mut view = MaterializedAggView::create(&self.catalog, def)?;
         view.warm_plans(&self.catalog, &self.policy)?;
         self.agg_views.push(view);
@@ -199,10 +200,10 @@ impl Database {
         self.maintain_update(&update)
     }
 
-    /// Apply an insert to the catalog only — no view maintenance — and
-    /// return the applied delta. The durable layer uses this to log the
-    /// delta to the WAL *before* maintenance runs, so a crash mid-maintain
-    /// replays the whole batch.
+    /// The apply stage: insert into the catalog only — no view maintenance —
+    /// and return the applied delta. Split from maintenance so a durable
+    /// engine can log the delta *before* maintenance runs (a crash
+    /// mid-maintain then replays the whole batch).
     pub fn apply_insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Update> {
         Ok(self.catalog.insert(table, rows)?)
     }
@@ -214,46 +215,57 @@ impl Database {
 
     /// Maintain every registered view for an update that has already been
     /// applied to the catalog (via [`Database::apply_insert`] /
-    /// [`Database::apply_delete`] or recovery replay). Returns one report
-    /// per non-noop view. The commit is numbered `commit_lsn + 1`; the
-    /// durable layer assigns WAL LSNs via [`Database::maintain_update_at`]
-    /// instead.
+    /// [`Database::apply_delete`]) and publish the resulting view deltas as
+    /// one atomic commit numbered `commit_lsn + 1`. Returns one report per
+    /// non-noop view.
     pub fn maintain_update(&mut self, update: &Update) -> Result<Vec<MaintenanceReport>> {
-        self.maintain_update_at(update, self.commit_lsn + 1)
+        self.maintain_and_publish(update, false)
     }
 
-    /// Maintain every registered view and publish the resulting view deltas
-    /// to the snapshot registry as one atomic commit at `lsn` (a WAL LSN
-    /// under the durable layer). Journals are drained and published even
-    /// when maintenance errors, so the registry's tips always track the
-    /// working stores.
-    pub fn maintain_update_at(
+    /// Maintain, then publish — even when maintenance errored, so the
+    /// registry's tips always track the working stores.
+    fn maintain_and_publish(
         &mut self,
         update: &Update,
-        lsn: Lsn,
+        decomposed: bool,
     ) -> Result<Vec<MaintenanceReport>> {
-        let result = self.maintain_all(update);
-        let published = self.publish_commit(lsn);
+        let result = self.maintain_views_only(update, decomposed);
+        let published = self.publish_commit(self.commit_lsn + 1);
         let reports = result?;
         published?;
         Ok(reports)
     }
 
-    /// The worker half of [`Database::maintain_update_at`]: run maintenance
-    /// for every view *without* publishing to the snapshot registry. The
-    /// sharded facade fans this out per shard (each shard owns its stores,
-    /// so the fan-out shares nothing) and publishes every shard afterwards
-    /// — on the coordinator thread — via [`Database::publish_commit`].
+    /// The maintain stage: run the maintenance procedure for every view
+    /// *without* publishing to the snapshot registry. `decomposed` marks
+    /// `update` as one half of an SQL `UPDATE` (delete + insert, §3): the §6
+    /// FK shortcuts are off for the pair. The bit travels with the commit —
+    /// the effective policy is a local `Copy`, the stored one is never
+    /// touched. The sharded engine fans this out per shard (each shard owns
+    /// its stores, so the fan-out shares nothing) and publishes every shard
+    /// afterwards — on the coordinator thread — via
+    /// [`Database::publish_commit`].
     pub(crate) fn maintain_views_only(
         &mut self,
         update: &Update,
+        decomposed: bool,
     ) -> Result<Vec<MaintenanceReport>> {
-        self.maintain_all(update)
+        let effective = MaintenancePolicy {
+            update_decomposition: self.policy.update_decomposition || decomposed,
+            ..self.policy
+        };
+        crate::batch::maintain_batch(
+            &mut self.views,
+            &mut self.agg_views,
+            &self.catalog,
+            update,
+            &effective,
+        )
     }
 
-    /// The coordinator half of [`Database::maintain_update_at`]: drain the
-    /// view journals and publish them to the snapshot registry as one
-    /// atomic commit at `lsn`. Journals are drained and published even when
+    /// The publish stage: drain the view journals and publish them to the
+    /// snapshot registry as one atomic commit at `lsn`, then notify the
+    /// commit observer. Journals are drained and published even when
     /// maintenance errored, so the registry's tips always track the working
     /// stores. Safe to call with nothing journaled — an empty commit just
     /// advances the registry to `lsn` (how untouched shards join a group
@@ -302,16 +314,12 @@ impl Database {
         &self.last_deltas
     }
 
-    /// Register an already-materialized view (recovery restores view stores
-    /// from a checkpoint instead of re-evaluating the definition).
+    /// Register a materialized view — freshly created, or restored from a
+    /// checkpoint by recovery (which does not re-evaluate the definition).
     pub(crate) fn install_view(&mut self, mut view: MaterializedView) -> Result<()> {
-        if self.views.iter().any(|v| v.name() == view.name())
-            || self.agg_views.iter().any(|v| v.name() == view.name())
-        {
-            return Err(CoreError::DuplicateView {
-                view: view.name().to_string(),
-            });
-        }
+        self.check_name_free(view.name())?;
+        // Compile (and statically verify) the maintenance plans once, here,
+        // so the update hot path only hits the cache.
         view.warm_plans(&self.catalog, &self.policy)?;
         view.enable_journal();
         self.snapshots.register(&view, self.commit_lsn)?;
@@ -363,15 +371,11 @@ impl Database {
         keys: &[Vec<Datum>],
         new_rows: Vec<Row>,
     ) -> Result<Vec<MaintenanceReport>> {
-        let saved = self.policy;
-        self.policy.update_decomposition = true;
-        let result = (|| {
-            let mut reports = self.delete(table, keys)?;
-            reports.extend(self.insert(table, new_rows)?);
-            Ok(reports)
-        })();
-        self.policy = saved;
-        result
+        let del = self.apply_delete(table, keys)?;
+        let mut reports = self.maintain_and_publish(&del, true)?;
+        let ins = self.apply_insert(table, new_rows)?;
+        reports.extend(self.maintain_and_publish(&ins, true)?);
+        Ok(reports)
     }
 
     /// Render the batched physical maintenance plan the engine would run for
@@ -412,22 +416,6 @@ impl Database {
         }
         rendered.push_str(&format!("  snapshot lsn={}\n", self.commit_lsn));
         Ok(rendered)
-    }
-
-    fn maintain_all(&mut self, update: &Update) -> Result<Vec<MaintenanceReport>> {
-        let threads = if self.parallel_maintenance {
-            self.policy.parallel.threads.max(1)
-        } else {
-            1
-        };
-        crate::batch::maintain_batch(
-            &mut self.views,
-            &mut self.agg_views,
-            &self.catalog,
-            update,
-            &self.policy,
-            threads,
-        )
     }
 }
 
@@ -517,7 +505,7 @@ mod tests {
             db.view("oj_view").unwrap(),
             db.catalog()
         ));
-        // Policy restored afterwards.
+        // The stored policy is never touched.
         assert!(!db.policy.update_decomposition);
     }
 
@@ -555,7 +543,6 @@ mod tests {
     fn parallel_maintenance_matches_sequential() {
         let mut seq = db();
         let mut par = db();
-        par.parallel_maintenance = true;
         par.policy = MaintenancePolicy::with_threads(4);
         for d in [&mut seq, &mut par] {
             d.create_view(oj_view_def()).unwrap();

@@ -1,737 +1,203 @@
-//! Durable maintenance: a [`Database`] fronted by a write-ahead log and
-//! periodic checkpoints, with crash recovery replayed through the
-//! *incremental* maintenance engine.
+//! Durable maintenance: one [`Durable<L>`] engine over a
+//! [`ShardedDatabase`], generic over the on-disk log topology `L`.
 //!
 //! # Protocol
 //!
-//! Every base-table change flows through [`DurableDatabase::insert`] /
-//! [`DurableDatabase::delete`] / [`DurableDatabase::update`]:
+//! Every base-table change — [`Durable::insert`], [`Durable::delete`],
+//! [`Durable::update`] — is one call of the commit pipeline
+//! ([`ShardedDatabase::commit_with`]) with the log stage supplied here:
 //!
-//! 1. the batch is validated and applied to the in-memory catalog
-//!    ([`Database::apply_insert`] — constraints enforced, delta computed),
-//! 2. the applied delta is appended to the WAL as a [`REC_UPDATE`] record
-//!    and flushed per [`ojv_durability::FsyncPolicy`],
-//! 3. eager views are maintained incrementally and deferred views enqueue
-//!    the delta.
+//! 1. the batch is validated and applied to the in-memory catalog(s)
+//!    (constraints enforced, per-shard deltas computed),
+//! 2. the applied deltas are handed to [`CommitLog::append`], which frames
+//!    them as [`REC_UPDATE`] records and returns the commit LSN once they
+//!    are as durable as the topology's fsync policy promises,
+//! 3. views are maintained incrementally and every shard's snapshot
+//!    registry publishes at that LSN — a snapshot LSN *is* a log position.
 //!
 //! A crash after step 2 therefore loses nothing: recovery replays the
-//! logged delta through the same `maintain` path the live system uses, so
-//! the recovered stores are *byte-identical* to an uncrashed twin — not
-//! merely set-equal. A crash between 1 and 2 loses only RAM state that was
-//! never acknowledged as durable. If step 2 *fails* (I/O error, framing
-//! limit), RAM is ahead of the log and recovery could never reproduce it:
-//! the database **poisons** itself — every later durable operation,
-//! including `checkpoint`, returns [`CoreError::Poisoned`] — so the
-//! diverged image can neither grow nor be snapshotted; reopening from the
-//! log lands on the last consistent state.
+//! logged delta through the same maintenance stage the live system uses
+//! (`replay_update`), so the recovered stores are *byte-identical* to an
+//! uncrashed twin — not merely set-equal. A crash between 1 and 2 loses only
+//! RAM state that was never acknowledged as durable. If step 2 *fails* (I/O
+//! error, framing limit), RAM is ahead of the log and recovery could never
+//! reproduce it: the database **poisons** itself — every later durable
+//! operation, including `checkpoint`, returns [`CoreError::Poisoned`] — so
+//! the diverged image can neither grow nor be snapshotted; reopening from
+//! the log lands on the last consistent state. Maintenance failures after
+//! step 2 do not poison: the deltas are durable, and recovery replays
+//! maintenance from them.
 //!
-//! Recovery also guards against the log having been cut *below* the
-//! checkpoint's LSN (a corrupt record in a segment that survived pruning):
-//! the WAL then resumes at `checkpoint_lsn + 1` via [`Wal::begin_after`]
-//! instead of re-issuing LSNs the replay filter would silently skip.
+//! # Topologies
 //!
-//! [`DurableDatabase::checkpoint`] serializes the catalog and every view
-//! store (rows in heap order plus the canonical count-index snapshot) to an
-//! atomic snapshot stamped with the WAL high-water LSN, then prunes WAL
-//! segments and older checkpoints. DDL ([`DurableDatabase::create_view`],
-//! [`DurableDatabase::create_deferred_view`]) checkpoints immediately —
-//! view definitions live in snapshots, not the log.
+//! Two [`CommitLog`]s exist because two on-disk layouts really differ:
 //!
-//! # Deferred views
+//! * [`WalLog`] — one stream in one directory, fsync per
+//!   [`ojv_durability::FsyncPolicy`]; owns the deferred-view queues, their
+//!   watermarks and the [`crate::wal_log::REC_REFRESH`] marker.
+//!   [`DurableDatabase`] is `Durable<WalLog<V>>` over an adopted single
+//!   shard.
+//! * [`GroupLog`] — one stream per shard plus a coordinator stream whose
+//!   [`crate::group_log::REC_GROUP`] record is the commit point (K touched
+//!   shards cost K+1 fsyncs). [`ShardedDurableDatabase`] is
+//!   `Durable<GroupLog<V>>`.
 //!
-//! A deferred view's *pending queue* is never checkpointed. Its snapshot
-//! carries a **refresh watermark**: the LSN of the last update reflected in
-//! the view's store. Recovery re-enqueues every logged update with
-//! `lsn > watermark`, and replays [`REC_REFRESH`] markers by re-running the
-//! deterministic [`DeferredView::refresh`] — so a refresh that was durable
-//! before the crash is durable after it, and one that was not is simply
-//! re-done from the queue. Replaying the same WAL tail twice (the
-//! idempotence the watermark buys) cannot double-apply a batch.
+//! Their recovery halves (`open`) are genuinely different procedures and
+//! live with the topologies; everything else — usability check, poisoning,
+//! record framing and replay, DDL-then-checkpoint, the commit itself — is
+//! written once, below.
 
-use ojv_durability::{
-    is_checkpoint_file, is_segment_file, prune_checkpoints, read_latest_checkpoint,
-    write_checkpoint, DurabilityError, Lsn, Vfs, Wal, WalOptions, WalRecord,
-};
-use ojv_rel::{key_of, put_row, put_str, put_u32, put_u64, ByteReader, Datum, RelError, Row};
-use ojv_storage::{
-    decode_catalog, decode_update, encode_catalog, encode_update, Catalog, Update, UpdateOp,
-};
+use ojv_durability::{Lsn, Vfs, Wal, WalOptions, WalRecord, WalScan};
+use ojv_rel::{key_of, ByteReader, Datum, Row};
+use ojv_storage::{decode_update, encode_update, Update, UpdateOp};
 
 use crate::database::Database;
-use crate::deferred::DeferredView;
 use crate::error::{CoreError, Result};
 use crate::maintain::MaintenanceReport;
-use crate::materialize::MaterializedView;
-use crate::policy::MaintenancePolicy;
-use crate::view_def::{NamedAtom, ViewDef, ViewExpr};
-use ojv_algebra::{CmpOp, JoinKind};
+use crate::shard::{ShardedDatabase, TableOp};
+use crate::view_def::ViewDef;
+
+pub use crate::group_log::GroupLog;
+pub use crate::wal_log::{RecoveryReport, WalLog};
 
 /// WAL record kind: one applied base-table update batch.
 /// Payload: `[u8 flags][encoded Update]` (see [`ojv_storage::encode_update`]).
 pub const REC_UPDATE: u8 = 1;
-
-/// WAL record kind: a deferred view completed a refresh.
-/// Payload: `[str view name][u64 up_to_lsn]`.
-pub const REC_REFRESH: u8 = 2;
 
 /// `REC_UPDATE` flag bit: this batch is half of an SQL `UPDATE`
 /// decomposition, so replay must disable the §6 FK fast paths exactly as
 /// the original run did.
 const FLAG_UPDATE_DECOMPOSITION: u8 = 1;
 
-fn codec_err(detail: impl Into<String>) -> CoreError {
-    CoreError::Rel(RelError::Codec {
-        detail: detail.into(),
-    })
+/// The payload of a [`REC_UPDATE`] record for one applied delta.
+pub(crate) fn update_record(update: &Update, decomposed: bool) -> Result<Vec<u8>> {
+    let body = encode_update(update)?;
+    let flags = if decomposed {
+        FLAG_UPDATE_DECOMPOSITION
+    } else {
+        0
+    };
+    let mut payload = Vec::with_capacity(1 + body.len());
+    payload.push(flags);
+    payload.extend_from_slice(&body);
+    Ok(payload)
 }
 
-fn fit_u32(n: usize, what: &str) -> Result<u32> {
-    u32::try_from(n).map_err(|_| codec_err(format!("{what} of {n} exceeds u32 framing")))
+/// Decode a [`REC_UPDATE`] payload against `shard`'s schema:
+/// `(delta, decomposed)`.
+pub(crate) fn decode_update_record(shard: &Database, rec: &WalRecord) -> Result<(Update, bool)> {
+    let mut r = ByteReader::new(&rec.payload);
+    let flags = r.u8("update flags").map_err(CoreError::Rel)?;
+    let update = decode_update(rec.payload.get(1..).unwrap_or(&[]), shard.catalog())?;
+    Ok((update, flags & FLAG_UPDATE_DECOMPOSITION != 0))
 }
 
-// ---------------------------------------------------------------------------
-// View definition codec
-// ---------------------------------------------------------------------------
-
-fn cmp_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn cmp_from_tag(tag: u8) -> Result<CmpOp> {
-    Ok(match tag {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        other => return Err(codec_err(format!("unknown comparison tag {other}"))),
-    })
-}
-
-fn join_tag(kind: JoinKind) -> u8 {
-    match kind {
-        JoinKind::Inner => 0,
-        JoinKind::LeftOuter => 1,
-        JoinKind::RightOuter => 2,
-        JoinKind::FullOuter => 3,
-        JoinKind::LeftSemi => 4,
-        JoinKind::LeftAnti => 5,
-    }
-}
-
-fn join_from_tag(tag: u8) -> Result<JoinKind> {
-    Ok(match tag {
-        0 => JoinKind::Inner,
-        1 => JoinKind::LeftOuter,
-        2 => JoinKind::RightOuter,
-        3 => JoinKind::FullOuter,
-        4 => JoinKind::LeftSemi,
-        5 => JoinKind::LeftAnti,
-        other => return Err(codec_err(format!("unknown join-kind tag {other}"))),
-    })
-}
-
-fn put_atom(buf: &mut Vec<u8>, atom: &NamedAtom) -> Result<()> {
-    match atom {
-        NamedAtom::Cols { left, op, right } => {
-            buf.push(0);
-            put_str(buf, &left.0)?;
-            put_str(buf, &left.1)?;
-            buf.push(cmp_tag(*op));
-            put_str(buf, &right.0)?;
-            put_str(buf, &right.1)?;
+/// Replay one logged delta against the shard that logged it: re-apply it to
+/// the catalog and re-run view maintenance exactly as the original commit
+/// did (decomposition flag included). Publishing is the caller's: the two
+/// topologies stamp recovered commits differently.
+pub(crate) fn replay_update(shard: &mut Database, update: &Update, decomposed: bool) -> Result<()> {
+    match update.op {
+        UpdateOp::Insert => {
+            shard.apply_insert(&update.table, update.rows.rows().to_vec())?;
         }
-        NamedAtom::Const { col, op, value } => {
-            buf.push(1);
-            put_str(buf, &col.0)?;
-            put_str(buf, &col.1)?;
-            buf.push(cmp_tag(*op));
-            ojv_rel::put_datum(buf, value)?;
-        }
-        NamedAtom::Between { col, lo, hi } => {
-            buf.push(2);
-            put_str(buf, &col.0)?;
-            put_str(buf, &col.1)?;
-            ojv_rel::put_datum(buf, lo)?;
-            ojv_rel::put_datum(buf, hi)?;
+        UpdateOp::Delete => {
+            let key_cols = shard.catalog().table(&update.table)?.key_cols().to_vec();
+            let keys: Vec<Vec<Datum>> = update
+                .rows
+                .rows()
+                .iter()
+                .map(|row| key_of(row, &key_cols))
+                .collect();
+            shard.apply_delete(&update.table, &keys)?;
         }
     }
+    shard.maintain_views_only(update, decomposed)?;
     Ok(())
 }
 
-fn read_atom(r: &mut ByteReader<'_>) -> Result<NamedAtom> {
-    let tag = r.u8("atom tag")?;
-    Ok(match tag {
-        0 => {
-            let lt = r.str("atom left table")?.to_string();
-            let lc = r.str("atom left column")?.to_string();
-            let op = cmp_from_tag(r.u8("atom cmp")?)?;
-            let rt = r.str("atom right table")?.to_string();
-            let rc = r.str("atom right column")?.to_string();
-            NamedAtom::Cols {
-                left: (lt, lc),
-                op,
-                right: (rt, rc),
-            }
-        }
-        1 => {
-            let t = r.str("atom table")?.to_string();
-            let c = r.str("atom column")?.to_string();
-            let op = cmp_from_tag(r.u8("atom cmp")?)?;
-            let value = r.datum()?;
-            NamedAtom::Const {
-                col: (t, c),
-                op,
-                value,
-            }
-        }
-        2 => {
-            let t = r.str("atom table")?.to_string();
-            let c = r.str("atom column")?.to_string();
-            let lo = r.datum()?;
-            let hi = r.datum()?;
-            NamedAtom::Between {
-                col: (t, c),
-                lo,
-                hi,
-            }
-        }
-        other => return Err(codec_err(format!("unknown atom tag {other}"))),
-    })
-}
-
-fn put_atoms(buf: &mut Vec<u8>, atoms: &[NamedAtom]) -> Result<()> {
-    put_u32(buf, fit_u32(atoms.len(), "atom count")?);
-    for a in atoms {
-        put_atom(buf, a)?;
-    }
-    Ok(())
-}
-
-fn read_atoms(r: &mut ByteReader<'_>) -> Result<Vec<NamedAtom>> {
-    let n = r.u32("atom count")? as usize; // lint:allow(cast) — u32 widens into usize
-    let mut out = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        out.push(read_atom(r)?);
-    }
-    Ok(out)
-}
-
-fn put_expr(buf: &mut Vec<u8>, expr: &ViewExpr) -> Result<()> {
-    match expr {
-        ViewExpr::Table(name) => {
-            buf.push(0);
-            put_str(buf, name)?;
-        }
-        ViewExpr::Select(atoms, input) => {
-            buf.push(1);
-            put_atoms(buf, atoms)?;
-            put_expr(buf, input)?;
-        }
-        ViewExpr::Join(kind, on, left, right) => {
-            buf.push(2);
-            buf.push(join_tag(*kind));
-            put_atoms(buf, on)?;
-            put_expr(buf, left)?;
-            put_expr(buf, right)?;
-        }
-    }
-    Ok(())
-}
-
-fn read_expr(r: &mut ByteReader<'_>) -> Result<ViewExpr> {
-    let tag = r.u8("expr tag")?;
-    Ok(match tag {
-        0 => ViewExpr::Table(r.str("table name")?.to_string()),
-        1 => {
-            let atoms = read_atoms(r)?;
-            let input = read_expr(r)?;
-            ViewExpr::Select(atoms, Box::new(input))
-        }
-        2 => {
-            let kind = join_from_tag(r.u8("join kind")?)?;
-            let on = read_atoms(r)?;
-            let left = read_expr(r)?;
-            let right = read_expr(r)?;
-            ViewExpr::Join(kind, on, Box::new(left), Box::new(right))
-        }
-        other => return Err(codec_err(format!("unknown expr tag {other}"))),
-    })
-}
-
-/// Encode a view definition (name, SPOJ tree, optional projection).
-pub fn encode_view_def(def: &ViewDef) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    put_str(&mut buf, def.name())?;
-    put_expr(&mut buf, def.expr())?;
-    match def.projection() {
-        None => buf.push(0),
-        Some(cols) => {
-            buf.push(1);
-            put_u32(&mut buf, fit_u32(cols.len(), "projection count")?);
-            for (t, c) in cols {
-                put_str(&mut buf, t)?;
-                put_str(&mut buf, c)?;
-            }
-        }
-    }
-    Ok(buf)
-}
-
-/// Decode a view definition, requiring the buffer be fully consumed.
-pub fn decode_view_def(data: &[u8]) -> Result<ViewDef> {
-    let mut r = ByteReader::new(data);
-    let name = r.str("view name")?.to_string();
-    let expr = read_expr(&mut r)?;
-    let mut def = ViewDef::new(&name, expr);
-    if r.u8("projection flag")? != 0 {
-        let n = r.u32("projection count")? as usize; // lint:allow(cast) — u32 widens into usize
-        let mut cols = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            let t = r.str("projection table")?.to_string();
-            let c = r.str("projection column")?.to_string();
-            cols.push((t, c));
-        }
-        def = def.with_projection(cols.iter().map(|(t, c)| (t.as_str(), c.as_str())).collect());
-    }
-    if !r.is_empty() {
-        return Err(codec_err(format!(
-            "{} trailing bytes after view definition",
-            r.remaining()
-        )));
-    }
-    Ok(def)
-}
-
-// ---------------------------------------------------------------------------
-// State snapshot codec (checkpoint payload)
-// ---------------------------------------------------------------------------
-
-type IndexSnapshot = Vec<(Vec<usize>, Vec<(Vec<Datum>, usize)>)>;
-
-struct ViewSection {
-    def: ViewDef,
-    rows: Vec<Row>,
-    indexes: IndexSnapshot,
-}
-
-fn put_view_section(buf: &mut Vec<u8>, view: &MaterializedView) -> Result<()> {
-    let def_bytes = encode_view_def(view.def())?;
-    put_u32(buf, fit_u32(def_bytes.len(), "view def length")?);
-    buf.extend_from_slice(&def_bytes);
-    let rows = view.wide_rows();
-    put_u32(buf, fit_u32(rows.len(), "view row count")?);
-    for row in rows {
-        put_row(buf, row)?;
-    }
-    // The count indexes are *derivable* from the rows, but they are part of
-    // the state the acceptance tests compare byte-for-byte, so they are in
-    // the snapshot — restore rebuilds them and cross-checks (below).
-    let indexes = view.store().count_index_snapshot();
-    put_u32(buf, fit_u32(indexes.len(), "index count")?);
-    for (cols, entries) in &indexes {
-        put_u32(buf, fit_u32(cols.len(), "index column count")?);
-        for &c in cols {
-            put_u32(buf, fit_u32(c, "index column")?);
-        }
-        put_u32(buf, fit_u32(entries.len(), "index entry count")?);
-        for (key, count) in entries {
-            put_row(buf, key)?;
-            let count = u64::try_from(*count).map_err(|_| codec_err("count exceeds u64"))?;
-            put_u64(buf, count);
-        }
-    }
-    Ok(())
-}
-
-fn read_view_section(r: &mut ByteReader<'_>) -> Result<ViewSection> {
-    let def_len = r.u32("view def length")? as usize; // lint:allow(cast) — u32 widens into usize
-    let def = decode_view_def(r.bytes(def_len, "view def")?)?;
-    let n_rows = r.u32("view row count")? as usize; // lint:allow(cast) — u32 widens into usize
-    let mut rows = Vec::with_capacity(n_rows.min(r.remaining()));
-    for _ in 0..n_rows {
-        rows.push(r.row()?);
-    }
-    let n_idx = r.u32("index count")? as usize; // lint:allow(cast) — u32 widens into usize
-    let mut indexes = Vec::with_capacity(n_idx.min(r.remaining()));
-    for _ in 0..n_idx {
-        let n_cols = r.u32("index column count")? as usize; // lint:allow(cast) — u32 widens into usize
-        let mut cols = Vec::with_capacity(n_cols.min(r.remaining()));
-        for _ in 0..n_cols {
-            cols.push(r.u32("index column")? as usize); // lint:allow(cast) — u32 widens into usize
-        }
-        let n_entries = r.u32("index entry count")? as usize; // lint:allow(cast) — u32 widens into usize
-        let mut entries = Vec::with_capacity(n_entries.min(r.remaining()));
-        for _ in 0..n_entries {
-            let key = r.row()?;
-            let count = usize::try_from(r.u64("index count value")?)
-                .map_err(|_| codec_err("index count exceeds usize"))?;
-            entries.push((key, count));
-        }
-        indexes.push((cols, entries));
-    }
-    Ok(ViewSection { def, rows, indexes })
-}
-
-struct DecodedState {
-    catalog: Catalog,
-    views: Vec<ViewSection>,
-    deferred: Vec<(ViewSection, Lsn)>,
-}
-
-fn encode_state(db: &Database, deferred: &[DurableDeferred]) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    let cat = encode_catalog(db.catalog())?;
-    put_u32(&mut buf, fit_u32(cat.len(), "catalog length")?);
-    buf.extend_from_slice(&cat);
-    let views: Vec<&MaterializedView> = db.views().collect();
-    put_u32(&mut buf, fit_u32(views.len(), "view count")?);
-    for v in views {
-        put_view_section(&mut buf, v)?;
-    }
-    put_u32(&mut buf, fit_u32(deferred.len(), "deferred view count")?);
-    for d in deferred {
-        put_view_section(&mut buf, d.dv.view())?;
-        put_u64(&mut buf, d.watermark);
-    }
-    Ok(buf)
-}
-
-fn decode_state(data: &[u8]) -> Result<DecodedState> {
-    let mut r = ByteReader::new(data);
-    let cat_len = r.u32("catalog length")? as usize; // lint:allow(cast) — u32 widens into usize
-    let catalog = decode_catalog(r.bytes(cat_len, "catalog")?)?;
-    let n_views = r.u32("view count")? as usize; // lint:allow(cast) — u32 widens into usize
-    let mut views = Vec::with_capacity(n_views.min(r.remaining()));
-    for _ in 0..n_views {
-        views.push(read_view_section(&mut r)?);
-    }
-    let n_def = r.u32("deferred view count")? as usize; // lint:allow(cast) — u32 widens into usize
-    let mut deferred = Vec::with_capacity(n_def.min(r.remaining()));
-    for _ in 0..n_def {
-        let section = read_view_section(&mut r)?;
-        let watermark = r.u64("refresh watermark")?;
-        deferred.push((section, watermark));
-    }
-    if !r.is_empty() {
-        return Err(codec_err(format!(
-            "{} trailing bytes after state snapshot",
-            r.remaining()
-        )));
-    }
-    Ok(DecodedState {
-        catalog,
-        views,
-        deferred,
-    })
-}
-
-/// Encode one shard's full state (catalog + eager views) as a checkpoint
-/// payload — the sharded durable layer writes one of these per shard, in
-/// the exact format [`DurableDatabase`] uses (deferred section empty).
-pub(crate) fn encode_shard_state(db: &Database) -> Result<Vec<u8>> {
-    encode_state(db, &[])
-}
-
-/// Rebuild one shard from a checkpoint payload written by
-/// [`encode_shard_state`]: restore the catalog and views, anchor the
-/// snapshot-LSN clock at `lsn`.
-pub(crate) fn restore_shard_state(
-    data: &[u8],
-    policy: MaintenancePolicy,
-    lsn: Lsn,
-) -> Result<Database> {
-    let state = decode_state(data)?;
-    if !state.deferred.is_empty() {
-        return Err(CoreError::Durability(DurabilityError::Corrupt {
-            file: "checkpoint".to_string(),
-            detail: "shard checkpoints cannot carry deferred views".to_string(),
-        }));
-    }
-    let mut db = Database::new(state.catalog);
-    db.policy = policy;
-    db.set_commit_lsn(lsn);
-    for section in state.views {
-        let view = restore_view(db.catalog(), section)?;
-        db.install_view(view)?;
-    }
-    Ok(db)
-}
-
-/// Rebuild a view from a snapshot section and cross-check the rebuilt count
-/// indexes against the checkpointed ones (a cheap end-to-end integrity
-/// check: rows and indexes were serialized independently).
-fn restore_view(catalog: &Catalog, section: ViewSection) -> Result<MaterializedView> {
-    let view = MaterializedView::restore(catalog, section.def, section.rows)?;
-    if view.store().count_index_snapshot() != section.indexes {
-        return Err(CoreError::Durability(DurabilityError::Corrupt {
-            file: "checkpoint".to_string(),
-            detail: format!(
-                "count indexes of view {} do not match its checkpointed rows",
-                view.name()
-            ),
-        }));
-    }
-    Ok(view)
-}
-
-// ---------------------------------------------------------------------------
-// DurableDatabase
-// ---------------------------------------------------------------------------
-
-struct DurableDeferred {
-    dv: DeferredView,
-    /// LSN of the newest WAL record reflected in the view's store (set by
-    /// refresh / view creation). Pending entries are exactly the logged
-    /// updates with a greater LSN.
-    watermark: Lsn,
-}
-
-/// What recovery found and did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// High-water LSN of the checkpoint the state was loaded from.
-    pub checkpoint_lsn: Lsn,
-    /// `REC_UPDATE` records re-applied to the catalog and eager views.
-    pub replayed_updates: usize,
-    /// Update batches re-enqueued onto deferred views' pending queues.
-    pub reenqueued: usize,
-    /// `REC_REFRESH` markers replayed through [`DeferredView::refresh`].
-    pub replayed_refreshes: usize,
-    /// Newest LSN in the recovered log (0 if the log was empty).
-    pub last_lsn: Lsn,
-    /// Why the WAL tail was cut, when a torn/corrupt record was found.
-    pub wal_truncated: Option<String>,
-}
-
-/// A [`Database`] whose updates survive crashes: WAL + checkpoints + replay.
+/// Open the WAL stream whose newest checkpoint is stamped `ckpt_lsn`.
 ///
-/// Generic over the [`Vfs`] so tests drive it against
-/// [`ojv_durability::MemVfs`] (and the testkit's fault injector) while
-/// production uses [`ojv_durability::DiskVfs`].
-pub struct DurableDatabase<V: Vfs> {
-    vfs: V,
-    wal: Wal,
-    db: Database,
-    deferred: Vec<DurableDeferred>,
-    checkpoint_lsn: Lsn,
+/// A corrupt record *below* the checkpoint LSN can cut the scan short (its
+/// segment survives pruning while, say, a deferred watermark is older).
+/// Appending at an already-checkpointed LSN would create records the
+/// `lsn > ckpt_lsn` replay filter silently skips on the next open —
+/// acknowledged data lost. The checkpoint vouches for every LSN at or below
+/// its own, so the log resumes past it; surviving earlier records stay on
+/// disk for deferred-queue rebuilds.
+pub(crate) fn open_wal_after<V: Vfs>(
+    vfs: &mut V,
+    opts: WalOptions,
+    ckpt_lsn: Lsn,
+) -> Result<(Wal, WalScan)> {
+    let (mut wal, scan) = Wal::open(vfs, opts, ckpt_lsn + 1)?;
+    if wal.next_lsn() <= ckpt_lsn {
+        wal.begin_after(vfs, ckpt_lsn + 1)?;
+    }
+    Ok((wal, scan))
+}
+
+/// The log stage of the commit pipeline — what differs between the on-disk
+/// topologies, and nothing else.
+///
+/// # Contract
+///
+/// `append` receives the per-shard deltas of one commit half **after** they
+/// were applied in memory (`updates[s]` is shard `s`'s delta, `None` for an
+/// untouched shard). Before it returns `Ok(lsn)`:
+///
+/// * every delta is framed with [`update_record`] and appended to the
+///   stream that owns its shard, and whatever fsyncs the topology's policy
+///   promises have completed — a crash after the return loses nothing the
+///   policy covers;
+/// * `lsn` is the commit's position on the topology's one global clock,
+///   strictly above every LSN returned before; the caller publishes every
+///   shard's snapshot registry at exactly this LSN;
+/// * recovery of the files as they are at the return replays the commit
+///   whole or (if the policy left it unsynced) not at all — never a part.
+///
+/// Any `Err` leaves RAM ahead of the log: the caller **poisons** the
+/// engine. The same holds for a failed `checkpoint` right after DDL (the
+/// new view exists only in RAM); a failed *routine* `checkpoint` or `sync`
+/// changes no in-memory state and is simply returned.
+pub trait CommitLog {
+    /// Make one applied commit half durable and return its commit LSN.
+    fn append(&mut self, updates: &[Option<Update>], decomposed: bool) -> Result<Lsn>;
+
+    /// Serialize `db`'s full state at the current log head, then prune what
+    /// no recovery can need any more. Returns the checkpoint's LSN.
+    fn checkpoint(&mut self, db: &ShardedDatabase) -> Result<Lsn>;
+
+    /// Flush every stream to stable storage.
+    fn sync(&mut self) -> Result<()>;
+}
+
+/// A [`ShardedDatabase`] whose commits survive crashes: log + checkpoints +
+/// replay through the incremental engine (see module docs).
+///
+/// The log topologies are generic over the [`ojv_durability::Vfs`], so
+/// tests drive them against [`ojv_durability::MemVfs`] (and the testkit's
+/// fault injector) while production uses [`ojv_durability::DiskVfs`].
+pub struct Durable<L: CommitLog> {
+    pub(crate) db: ShardedDatabase,
+    pub(crate) log: L,
     /// Set when a durable write failed after an in-memory mutation: RAM is
     /// ahead of the log, so further durable operations are refused (see
     /// [`CoreError::Poisoned`]).
-    poisoned: Option<String>,
+    pub(crate) poisoned: Option<String>,
 }
 
-impl<V: Vfs> DurableDatabase<V> {
-    /// Initialize a fresh durable database in an empty directory: writes the
-    /// first WAL segment and a checkpoint of the starting catalog.
-    ///
-    /// Fails if the directory already holds WAL segments or checkpoints —
-    /// overwriting the first segment of an existing database while leaving
-    /// its later segments and snapshots in place would create a
-    /// mixed-generation directory a later [`DurableDatabase::open`] could
-    /// misread. Use `open` for existing directories.
-    pub fn create(mut vfs: V, catalog: Catalog, policy: MaintenancePolicy) -> Result<Self> {
-        if let Some(name) = vfs
-            .list()?
-            .into_iter()
-            .find(|n| is_segment_file(n) || is_checkpoint_file(n))
-        {
-            return Err(CoreError::Durability(DurabilityError::Corrupt {
-                file: name,
-                detail: "directory already holds a durable database; open() it instead of \
-                         create()-ing over it"
-                    .to_string(),
-            }));
-        }
-        let opts = WalOptions {
-            policy: policy.fsync,
-            ..WalOptions::default()
-        };
-        let wal = Wal::create(&mut vfs, opts, 1)?;
-        let mut db = Database::new(catalog);
-        db.policy = policy;
-        let mut this = DurableDatabase {
-            vfs,
-            wal,
-            db,
-            deferred: Vec::new(),
-            checkpoint_lsn: 0,
-            poisoned: None,
-        };
-        this.checkpoint()?;
-        Ok(this)
-    }
+/// The single-stream durable engine: one adopted shard, one WAL.
+pub type DurableDatabase<V> = Durable<WalLog<V>>;
 
-    /// Open an existing durable database: load the latest valid checkpoint,
-    /// scan the WAL tail (stopping at the first torn or corrupt record),
-    /// and replay the tail through the incremental maintenance engine.
-    ///
-    /// `policy` must match the one the log was written under for the replay
-    /// to reproduce the original plans (the results are identical under any
-    /// policy; the *reports* and costs differ).
-    pub fn open(mut vfs: V, policy: MaintenancePolicy) -> Result<(Self, RecoveryReport)> {
-        let ckpt = read_latest_checkpoint(&mut vfs)?.ok_or_else(|| {
-            CoreError::Durability(DurabilityError::Corrupt {
-                file: "checkpoint".to_string(),
-                detail: "no valid checkpoint found (directory never initialized?)".to_string(),
-            })
-        })?;
-        let state = decode_state(&ckpt.payload)?;
-        let opts = WalOptions {
-            policy: policy.fsync,
-            ..WalOptions::default()
-        };
-        let (mut wal, scan) = Wal::open(&mut vfs, opts, ckpt.lsn + 1)?;
-        if wal.next_lsn() <= ckpt.lsn {
-            // A corrupt record *below* the checkpoint LSN cut the scan short
-            // (its segment survives pruning while any deferred watermark is
-            // older). Appending at an already-checkpointed LSN would create
-            // records the `lsn > ckpt_lsn` replay filter silently skips on
-            // the next open — acknowledged data lost. The checkpoint vouches
-            // for every LSN at or below its own, so resume the log past it;
-            // surviving earlier records stay on disk for deferred-queue
-            // rebuilds.
-            wal.begin_after(&mut vfs, ckpt.lsn + 1)?;
-        }
+/// The sharded durable engine: per-shard WALs under a group-commit
+/// coordinator.
+pub type ShardedDurableDatabase<V> = Durable<GroupLog<V>>;
 
-        let mut db = Database::new(state.catalog);
-        db.policy = policy;
-        // Anchor the snapshot-LSN clock at the checkpoint before installing
-        // views, so restored chains register at the checkpoint LSN and
-        // replayed batches land on the same LSNs the original run produced.
-        db.set_commit_lsn(ckpt.lsn);
-        for section in state.views {
-            let view = restore_view(db.catalog(), section)?;
-            db.install_view(view)?;
-        }
-        let mut deferred = Vec::with_capacity(state.deferred.len());
-        for (section, watermark) in state.deferred {
-            let view = restore_view(db.catalog(), section)?;
-            deferred.push(DurableDeferred {
-                dv: DeferredView::new(view),
-                watermark,
-            });
-        }
-
-        let mut report = RecoveryReport {
-            checkpoint_lsn: ckpt.lsn,
-            replayed_updates: 0,
-            reenqueued: 0,
-            replayed_refreshes: 0,
-            last_lsn: wal.last_lsn(),
-            wal_truncated: scan.truncated.map(|t| t.reason),
-        };
-        for rec in &scan.records {
-            Self::replay_record(&mut db, &mut deferred, ckpt.lsn, rec, &mut report)?;
-        }
-
-        Ok((
-            DurableDatabase {
-                vfs,
-                wal,
-                db,
-                deferred,
-                checkpoint_lsn: ckpt.lsn,
-                poisoned: None,
-            },
-            report,
-        ))
-    }
-
-    fn replay_record(
-        db: &mut Database,
-        deferred: &mut [DurableDeferred],
-        ckpt_lsn: Lsn,
-        rec: &WalRecord,
-        report: &mut RecoveryReport,
-    ) -> Result<()> {
-        match rec.kind {
-            REC_UPDATE => {
-                let mut r = ByteReader::new(&rec.payload);
-                let flags = r.u8("update flags").map_err(CoreError::Rel)?;
-                let update = decode_update(rec.payload.get(1..).unwrap_or(&[]), db.catalog())?;
-                if rec.lsn > ckpt_lsn {
-                    // Not reflected in the checkpoint: re-apply to the
-                    // catalog and re-run eager maintenance, exactly as the
-                    // original call did.
-                    match update.op {
-                        UpdateOp::Insert => {
-                            db.catalog_mut()
-                                .insert(&update.table, update.rows.rows().to_vec())?;
-                        }
-                        UpdateOp::Delete => {
-                            let key_cols = db.catalog().table(&update.table)?.key_cols().to_vec();
-                            let keys: Vec<Vec<Datum>> = update
-                                .rows
-                                .rows()
-                                .iter()
-                                .map(|row| key_of(row, &key_cols))
-                                .collect();
-                            db.catalog_mut().delete(&update.table, &keys)?;
-                        }
-                    }
-                    let saved = db.policy;
-                    if flags & FLAG_UPDATE_DECOMPOSITION != 0 {
-                        db.policy.update_decomposition = true;
-                    }
-                    let maintained = db.maintain_update_at(&update, rec.lsn);
-                    db.policy = saved;
-                    maintained?;
-                    report.replayed_updates += 1;
-                }
-                // Regardless of the checkpoint: batches newer than a
-                // deferred view's refresh watermark belong on its queue
-                // (queues are rebuilt from the log, never checkpointed).
-                for d in deferred.iter_mut() {
-                    if rec.lsn > d.watermark {
-                        let before = d.dv.pending_len();
-                        d.dv.enqueue(&update);
-                        report.reenqueued += d.dv.pending_len() - before;
-                    }
-                }
-            }
-            REC_REFRESH => {
-                let mut r = ByteReader::new(&rec.payload);
-                let name = r
-                    .str("refresh view name")
-                    .map_err(CoreError::Rel)?
-                    .to_string();
-                let up_to = r.u64("refresh up-to lsn").map_err(CoreError::Rel)?;
-                if rec.lsn > ckpt_lsn {
-                    let policy = db.policy;
-                    let d = deferred
-                        .iter_mut()
-                        .find(|d| d.dv.view().name() == name)
-                        .ok_or(CoreError::UnknownView { view: name })?;
-                    // Deterministic re-run: the queue holds exactly the
-                    // batches the original refresh consumed, and the catalog
-                    // is in the state it was in at the marker's position.
-                    d.dv.refresh(db.catalog(), &policy)?;
-                    d.watermark = up_to;
-                    report.replayed_refreshes += 1;
-                }
-            }
-            other => {
-                return Err(CoreError::Durability(DurabilityError::Corrupt {
-                    file: "wal".to_string(),
-                    detail: format!("unknown WAL record kind {other} at lsn {}", rec.lsn),
-                }))
-            }
-        }
-        Ok(())
-    }
-
+impl<L: CommitLog> Durable<L> {
     /// Refuse the operation if an earlier durable-write failure left RAM
     /// ahead of the log.
-    fn check_usable(&self) -> Result<()> {
+    pub(crate) fn check_usable(&self) -> Result<()> {
         match &self.poisoned {
             Some(detail) => Err(CoreError::Poisoned {
                 detail: detail.clone(),
@@ -744,626 +210,87 @@ impl<V: Vfs> DurableDatabase<V> {
     /// live state can no longer be reproduced by recovery (and later logged
     /// deltas would be computed against a catalog replay never sees), so
     /// every subsequent durable operation — including `checkpoint`, which
-    /// would persist the diverged state — is rejected from here on.
-    fn poison(&mut self, during: &str, err: CoreError) -> CoreError {
-        if self.poisoned.is_none() {
-            self.poisoned = Some(format!("{during} failed: {err}"));
+    /// would persist the diverged state — is rejected from here on. Takes
+    /// the flag, not `self`, so the log stage can poison while the pipeline
+    /// holds the database.
+    pub(crate) fn poison(poisoned: &mut Option<String>, during: &str, err: CoreError) -> CoreError {
+        if poisoned.is_none() {
+            *poisoned = Some(format!("{during} failed: {err}"));
         }
         err
     }
 
-    /// Append an applied update batch to the WAL. The catalog mutation has
-    /// already happened by the time this runs, so any failure here poisons
-    /// the database.
-    fn log_update(&mut self, update: &Update, flags: u8) -> Result<Lsn> {
-        let result = (|| {
-            let body = encode_update(update)?;
-            let mut payload = Vec::with_capacity(1 + body.len());
-            payload.push(flags);
-            payload.extend_from_slice(&body);
-            Ok(self.wal.append(&mut self.vfs, REC_UPDATE, &payload)?)
-        })();
-        result.map_err(|e| self.poison("WAL append of an applied update", e))
+    /// The one durable commit: the shared pipeline with this engine's log
+    /// as its log stage. The in-memory mutation has already happened by the
+    /// time the log runs, so a log failure poisons.
+    fn commit(&mut self, op: TableOp<'_>) -> Result<Vec<MaintenanceReport>> {
+        self.check_usable()?;
+        let (log, poisoned) = (&mut self.log, &mut self.poisoned);
+        self.db.commit_with(op, |updates, decomposed| {
+            log.append(updates, decomposed)
+                .map_err(|e| Self::poison(poisoned, "log append of an applied update", e))
+        })
     }
 
-    fn enqueue_deferred(&mut self, update: &Update) {
-        for d in &mut self.deferred {
-            d.dv.enqueue(update);
-        }
-    }
-
-    /// Durable insert: apply to the catalog, log, maintain eager views,
-    /// enqueue on deferred views.
+    /// Durable insert: apply, log, maintain, publish at the log's LSN.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
-        self.check_usable()?;
-        let update = self.db.apply_insert(table, rows)?;
-        let lsn = self.log_update(&update, 0)?;
-        let reports = self.db.maintain_update_at(&update, lsn)?;
-        self.enqueue_deferred(&update);
-        Ok(reports)
+        self.commit(TableOp::Insert { table, rows })
     }
 
-    /// Durable delete by unique key (see [`DurableDatabase::insert`]).
+    /// Durable delete by unique key (see [`Durable::insert`]).
     pub fn delete(&mut self, table: &str, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
-        self.check_usable()?;
-        let update = self.db.apply_delete(table, keys)?;
-        let lsn = self.log_update(&update, 0)?;
-        let reports = self.db.maintain_update_at(&update, lsn)?;
-        self.enqueue_deferred(&update);
-        Ok(reports)
+        self.commit(TableOp::Delete { table, keys })
     }
 
-    /// Durable SQL-style `UPDATE` (delete + insert, logged with the
-    /// decomposition flag so replay also disables the §6 fast paths).
+    /// Durable SQL-style `UPDATE`: delete + insert, two commits, both logged
+    /// with the decomposition flag so replay also disables the §6 fast
+    /// paths.
     pub fn update(
         &mut self,
         table: &str,
         keys: &[Vec<Datum>],
         new_rows: Vec<Row>,
     ) -> Result<Vec<MaintenanceReport>> {
-        self.check_usable()?;
-        let saved = self.db.policy;
-        self.db.policy.update_decomposition = true;
-        let result = (|| {
-            let del = self.db.apply_delete(table, keys)?;
-            let del_lsn = self.log_update(&del, FLAG_UPDATE_DECOMPOSITION)?;
-            let mut reports = self.db.maintain_update_at(&del, del_lsn)?;
-            self.enqueue_deferred(&del);
-            let ins = self.db.apply_insert(table, new_rows)?;
-            let ins_lsn = self.log_update(&ins, FLAG_UPDATE_DECOMPOSITION)?;
-            reports.extend(self.db.maintain_update_at(&ins, ins_lsn)?);
-            self.enqueue_deferred(&ins);
-            Ok(reports)
-        })();
-        self.db.policy = saved;
-        result
+        self.commit(TableOp::Update {
+            table,
+            keys,
+            rows: new_rows,
+        })
     }
 
-    /// Create an eagerly-maintained view and checkpoint (definitions live
-    /// in snapshots, not the log).
+    /// Create an eagerly-maintained view (on every shard, routing-aligned)
+    /// and checkpoint immediately — view definitions live in checkpoints,
+    /// not in the log.
     pub fn create_view(&mut self, def: ViewDef) -> Result<()> {
         self.check_usable()?;
         self.db.create_view(def)?;
+        self.checkpoint_after_ddl()
+    }
+
+    /// DDL changed RAM only; if its checkpoint fails, no recovery can see
+    /// the new view — poison.
+    pub(crate) fn checkpoint_after_ddl(&mut self) -> Result<()> {
         self.checkpoint()
-            .map_err(|e| self.poison("checkpoint after view creation", e))?;
-        Ok(())
+            .map(drop)
+            .map_err(|e| Self::poison(&mut self.poisoned, "checkpoint after view creation", e))
     }
 
-    /// Create a deferred view, watermarked at the current log position, and
-    /// checkpoint.
-    pub fn create_deferred_view(&mut self, def: ViewDef) -> Result<()> {
-        self.check_usable()?;
-        if self.db.view(def.name()).is_some()
-            || self
-                .deferred
-                .iter()
-                .any(|d| d.dv.view().name() == def.name())
-        {
-            return Err(CoreError::DuplicateView {
-                view: def.name().to_string(),
-            });
-        }
-        let view = MaterializedView::create(self.db.catalog(), def)?;
-        self.deferred.push(DurableDeferred {
-            dv: DeferredView::new(view),
-            watermark: self.wal.last_lsn(),
-        });
-        self.checkpoint()
-            .map_err(|e| self.poison("checkpoint after view creation", e))?;
-        Ok(())
-    }
-
-    /// Refresh a deferred view and log the completion marker: after this
-    /// returns, a crash-and-recover re-runs the refresh from the same queue
-    /// instead of losing it, and a *second* recovery cannot apply the
-    /// consumed batches again (watermark idempotence).
-    pub fn refresh(&mut self, view: &str) -> Result<Vec<MaintenanceReport>> {
-        self.check_usable()?;
-        let policy = self.db.policy;
-        let d = self
-            .deferred
-            .iter_mut()
-            .find(|d| d.dv.view().name() == view)
-            .ok_or_else(|| CoreError::UnknownView {
-                view: view.to_string(),
-            })?;
-        let reports = d.dv.refresh(self.db.catalog(), &policy)?;
-        let up_to = self.wal.last_lsn();
-        let mut payload = Vec::new();
-        put_str(&mut payload, view)?;
-        put_u64(&mut payload, up_to);
-        // The refresh above already consumed the pending queue and mutated
-        // the store; if the completion marker cannot be logged, the stale
-        // watermark must never reach a checkpoint (recovery would re-apply
-        // the consumed batches on top of the refreshed rows) — poison.
-        self.wal
-            .append(&mut self.vfs, REC_REFRESH, &payload)
-            .map_err(|e| self.poison("WAL append of a refresh marker", CoreError::Durability(e)))?;
-        // Re-borrow: the append above needed `&mut self.vfs`.
-        if let Some(d) = self
-            .deferred
-            .iter_mut()
-            .find(|d| d.dv.view().name() == view)
-        {
-            d.watermark = up_to;
-        }
-        Ok(reports)
-    }
-
-    /// Write a checkpoint of the full in-memory state, then prune WAL
-    /// segments and checkpoints that no recovery can need: records at or
-    /// below both the checkpoint LSN and every deferred watermark.
+    /// Write a checkpoint of the full in-memory state, then prune log
+    /// segments and checkpoints that no recovery can need.
     pub fn checkpoint(&mut self) -> Result<Lsn> {
         self.check_usable()?;
-        self.wal.sync(&mut self.vfs)?;
-        let lsn = self.wal.last_lsn();
-        let payload = encode_state(&self.db, &self.deferred)?;
-        write_checkpoint(&mut self.vfs, lsn, &payload)?;
-        self.checkpoint_lsn = lsn;
-        let floor = self
-            .deferred
-            .iter()
-            .map(|d| d.watermark)
-            .fold(lsn, Lsn::min);
-        self.wal.prune_below(&mut self.vfs, floor + 1)?;
-        prune_checkpoints(&mut self.vfs, lsn)?;
-        Ok(lsn)
+        self.log.checkpoint(&self.db)
     }
 
-    /// Flush every outstanding WAL record to stable storage (useful under
+    /// Flush every outstanding log record to stable storage (useful under
     /// [`ojv_durability::FsyncPolicy::EveryN`] before an intentional stop).
     pub fn sync(&mut self) -> Result<()> {
-        Ok(self.wal.sync(&mut self.vfs)?)
-    }
-
-    /// Canonical encoding of the full in-memory state (catalog, eager view
-    /// stores and count indexes, deferred stores and watermarks). Two
-    /// databases with byte-equal `state_bytes` hold identical state — the
-    /// crash tests compare a recovered database against its uncrashed twin
-    /// with exactly this.
-    pub fn state_bytes(&self) -> Result<Vec<u8>> {
-        encode_state(&self.db, &self.deferred)
-    }
-
-    /// The wrapped in-memory database (catalog and eager views).
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// Attach a commit observer to the wrapped database (see
-    /// [`Database::attach_commit_observer`]). Under the durable layer the
-    /// observer sees *WAL* LSNs, so a change-feed cursor is a durable
-    /// position: after a crash and recovery, re-subscribing from the last
-    /// drained LSN resumes exactly where the feed left off.
-    pub fn attach_commit_observer(
-        &mut self,
-        obs: std::sync::Arc<dyn crate::snapshot::CommitObserver>,
-    ) {
-        self.db.attach_commit_observer(obs);
-    }
-
-    /// Detach the commit observer, if any.
-    pub fn detach_commit_observer(&mut self) {
-        self.db.detach_commit_observer();
-    }
-
-    /// The shared snapshot registry of the wrapped database. Snapshot LSNs
-    /// are WAL LSNs here: a pin at LSN `n` is the view state as of durable
-    /// LSN `n`.
-    pub fn snapshots(&self) -> &crate::snapshot::SnapshotRegistry {
-        self.db.snapshots()
-    }
-
-    /// Pin a consistent snapshot of every eager view at the newest durable
-    /// LSN.
-    pub fn snapshot(&self) -> Result<crate::snapshot::Snapshot> {
-        self.db.snapshot()
-    }
-
-    /// Pin a consistent snapshot as of durable LSN `lsn`.
-    pub fn snapshot_at(&self, lsn: Lsn) -> Result<crate::snapshot::Snapshot> {
-        self.db.snapshot_at(lsn)
-    }
-
-    /// An eager view by name.
-    pub fn view(&self, name: &str) -> Option<&MaterializedView> {
-        self.db.view(name)
-    }
-
-    /// A deferred view by name (possibly stale; see
-    /// [`DurableDatabase::refresh`]).
-    pub fn deferred_view(&self, name: &str) -> Option<&DeferredView> {
-        self.deferred
-            .iter()
-            .find(|d| d.dv.view().name() == name)
-            .map(|d| &d.dv)
-    }
-
-    /// Refresh watermark of a deferred view.
-    pub fn watermark(&self, name: &str) -> Option<Lsn> {
-        self.deferred
-            .iter()
-            .find(|d| d.dv.view().name() == name)
-            .map(|d| d.watermark)
-    }
-
-    /// Newest LSN in the log.
-    pub fn last_lsn(&self) -> Lsn {
-        self.wal.last_lsn()
-    }
-
-    /// High-water LSN of the newest checkpoint.
-    pub fn checkpoint_lsn(&self) -> Lsn {
-        self.checkpoint_lsn
+        self.log.sync()
     }
 
     /// Why the database refuses durable operations, if a durable write
     /// failed after an in-memory mutation (see [`CoreError::Poisoned`]).
     pub fn poison_reason(&self) -> Option<&str> {
         self.poisoned.as_deref()
-    }
-
-    /// The underlying virtual filesystem (tests inspect files directly).
-    pub fn vfs(&self) -> &V {
-        &self.vfs
-    }
-
-    /// Consume the database, returning the filesystem — the fault-injection
-    /// tests "crash" by dropping the database and keeping only the bytes.
-    pub fn into_vfs(self) -> V {
-        self.vfs
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fixtures::*;
-    use ojv_durability::{FsyncPolicy, MemVfs};
-
-    fn policy() -> MaintenancePolicy {
-        MaintenancePolicy::default()
-    }
-
-    fn seeded() -> Catalog {
-        let mut c = example1_catalog();
-        populate_example1(&mut c, 6, 9);
-        c
-    }
-
-    #[test]
-    fn view_def_codec_round_trip() {
-        let defs = [
-            oj_view_def(),
-            oj_view_def().with_projection(vec![("part", "p_partkey"), ("orders", "o_orderkey")]),
-            ViewDef::new(
-                "sel",
-                ViewExpr::select(
-                    vec![
-                        crate::view_def::col_cmp("part", "p_partkey", CmpOp::Lt, 100i64),
-                        crate::view_def::col_between("part", "p_retailprice", 1.0, 9.0),
-                    ],
-                    ViewExpr::table("part"),
-                ),
-            ),
-        ];
-        for def in defs {
-            let bytes = encode_view_def(&def).unwrap();
-            assert_eq!(decode_view_def(&bytes).unwrap(), def);
-        }
-        assert!(decode_view_def(&[]).is_err());
-    }
-
-    #[test]
-    fn create_insert_reopen_is_byte_identical() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        d.delete("lineitem", &[vec![Datum::Int(3), Datum::Int(1)]])
-            .unwrap();
-        let expected = d.state_bytes().unwrap();
-        let vfs = d.into_vfs(); // crash: keep only the (synced) bytes
-
-        let (r, report) = DurableDatabase::open(vfs, policy()).unwrap();
-        assert_eq!(r.state_bytes().unwrap(), expected);
-        assert_eq!(report.replayed_updates, 2);
-        assert!(report.wal_truncated.is_none());
-    }
-
-    #[test]
-    fn checkpoint_bounds_replay() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        d.checkpoint().unwrap();
-        d.insert("lineitem", vec![lineitem_row(6, 9, 5, 1, 2.0)])
-            .unwrap();
-        let expected = d.state_bytes().unwrap();
-        let (r, report) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(report.replayed_updates, 1, "only the post-checkpoint batch");
-        assert_eq!(r.state_bytes().unwrap(), expected);
-    }
-
-    #[test]
-    fn update_decomposition_flag_survives_replay() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_view(oj_view_def()).unwrap();
-        d.update(
-            "lineitem",
-            &[vec![Datum::Int(2), Datum::Int(1)]],
-            vec![lineitem_row(2, 1, 3, 99, 1.0)],
-        )
-        .unwrap();
-        let expected = d.state_bytes().unwrap();
-        let (r, report) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(report.replayed_updates, 2);
-        assert_eq!(r.state_bytes().unwrap(), expected);
-        assert!(crate::maintain::verify_against_recompute(
-            r.view("oj_view").unwrap(),
-            r.database().catalog()
-        ));
-    }
-
-    #[test]
-    fn deferred_queue_rebuilds_from_wal() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_deferred_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        d.insert("lineitem", vec![lineitem_row(6, 9, 5, 1, 2.0)])
-            .unwrap();
-        assert_eq!(d.deferred_view("oj_view").unwrap().pending_len(), 2);
-        let expected = d.state_bytes().unwrap();
-
-        let (r, report) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        // Pending queues are not checkpointed: both batches re-enqueue.
-        assert_eq!(report.reenqueued, 2);
-        assert_eq!(r.deferred_view("oj_view").unwrap().pending_len(), 2);
-        assert_eq!(r.state_bytes().unwrap(), expected);
-    }
-
-    #[test]
-    fn refresh_watermark_is_idempotent_across_recoveries() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_deferred_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        d.refresh("oj_view").unwrap();
-        let expected = d.state_bytes().unwrap();
-
-        // First recovery: the refresh marker replays the (re-enqueued)
-        // batch; the result matches the pre-crash state.
-        let (r1, rep1) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(rep1.replayed_refreshes, 1);
-        assert!(r1.deferred_view("oj_view").unwrap().is_fresh());
-        assert_eq!(r1.state_bytes().unwrap(), expected);
-
-        // Second recovery over the *same* log: the watermark prevents the
-        // consumed batch from being applied twice.
-        let (r2, rep2) = DurableDatabase::open(r1.into_vfs(), policy()).unwrap();
-        assert_eq!(rep2.replayed_refreshes, 1);
-        assert_eq!(r2.state_bytes().unwrap(), expected);
-        assert!(crate::maintain::verify_against_recompute(
-            r2.deferred_view("oj_view").unwrap().view(),
-            r2.database().catalog()
-        ));
-    }
-
-    #[test]
-    fn checkpoint_after_refresh_skips_marker_replay() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_deferred_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        d.refresh("oj_view").unwrap();
-        d.checkpoint().unwrap();
-        let expected = d.state_bytes().unwrap();
-        let (r, report) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(report.replayed_refreshes, 0, "marker is pre-checkpoint");
-        assert_eq!(report.reenqueued, 0, "batch is below the watermark");
-        assert_eq!(r.state_bytes().unwrap(), expected);
-    }
-
-    /// Flip one bit in the payload of the last record of the newest WAL
-    /// segment (rewriting the file durably, as media corruption would).
-    fn corrupt_newest_segment_tail(vfs: &mut MemVfs) {
-        let segment = vfs
-            .list()
-            .unwrap()
-            .into_iter()
-            .filter(|n| ojv_durability::is_segment_file(n))
-            .max()
-            .expect("a live WAL segment");
-        let mut data = vfs.read(&segment).unwrap();
-        let last = data.len() - 1;
-        data[last] ^= 0x40;
-        vfs.create(&segment).unwrap();
-        vfs.append(&segment, &data).unwrap();
-        vfs.sync(&segment).unwrap();
-    }
-
-    #[test]
-    fn wal_truncated_below_checkpoint_resumes_past_it() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        d.checkpoint().unwrap();
-        let expected = d.state_bytes().unwrap();
-        let ckpt_lsn = d.checkpoint_lsn();
-        assert_eq!(d.last_lsn(), ckpt_lsn, "log tail is below the checkpoint");
-        let mut vfs = d.into_vfs();
-        // Corrupt the record at the checkpoint LSN itself: the scan cuts the
-        // log to *below* the checkpoint.
-        corrupt_newest_segment_tail(&mut vfs);
-
-        let (mut r, report) = DurableDatabase::open(vfs, policy()).unwrap();
-        assert!(report.wal_truncated.is_some());
-        assert_eq!(report.replayed_updates, 0);
-        // The checkpoint vouches for the lost record; state is intact and
-        // the log resumed past the checkpoint, not inside it.
-        assert_eq!(r.state_bytes().unwrap(), expected);
-        assert_eq!(r.last_lsn(), ckpt_lsn);
-
-        // The regression: a post-recovery write must get an LSN above the
-        // checkpoint, so the *next* recovery replays it instead of silently
-        // skipping it.
-        r.insert("lineitem", vec![lineitem_row(6, 9, 5, 1, 2.0)])
-            .unwrap();
-        assert!(r.last_lsn() > ckpt_lsn);
-        let expected2 = r.state_bytes().unwrap();
-        let (r2, rep2) = DurableDatabase::open(r.into_vfs(), policy()).unwrap();
-        assert_eq!(rep2.replayed_updates, 1, "post-recovery write must replay");
-        assert_eq!(r2.state_bytes().unwrap(), expected2);
-    }
-
-    #[test]
-    fn create_refuses_existing_database_directory() {
-        let d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        let vfs = d.into_vfs();
-        assert!(matches!(
-            DurableDatabase::create(vfs, seeded(), policy()),
-            Err(CoreError::Durability(DurabilityError::Corrupt { .. }))
-        ));
-    }
-
-    /// [`MemVfs`] wrapper whose `append` fails while the shared switch is
-    /// on — the injection point for write-path poisoning tests.
-    struct FlakyVfs {
-        inner: MemVfs,
-        fail_appends: std::rc::Rc<std::cell::Cell<bool>>,
-    }
-
-    impl FlakyVfs {
-        fn new() -> (Self, std::rc::Rc<std::cell::Cell<bool>>) {
-            let fail = std::rc::Rc::new(std::cell::Cell::new(false));
-            (
-                FlakyVfs {
-                    inner: MemVfs::new(),
-                    fail_appends: fail.clone(),
-                },
-                fail,
-            )
-        }
-    }
-
-    type VfsResult<T> = std::result::Result<T, DurabilityError>;
-
-    impl Vfs for FlakyVfs {
-        fn list(&self) -> VfsResult<Vec<String>> {
-            self.inner.list()
-        }
-        fn len(&self, name: &str) -> VfsResult<u64> {
-            self.inner.len(name)
-        }
-        fn read(&self, name: &str) -> VfsResult<Vec<u8>> {
-            self.inner.read(name)
-        }
-        fn create(&mut self, name: &str) -> VfsResult<()> {
-            self.inner.create(name)
-        }
-        fn append(&mut self, name: &str, data: &[u8]) -> VfsResult<()> {
-            if self.fail_appends.get() {
-                return Err(DurabilityError::io("append", name, "injected failure"));
-            }
-            self.inner.append(name, data)
-        }
-        fn sync(&mut self, name: &str) -> VfsResult<()> {
-            self.inner.sync(name)
-        }
-        fn truncate(&mut self, name: &str, len: u64) -> VfsResult<()> {
-            self.inner.truncate(name, len)
-        }
-        fn delete(&mut self, name: &str) -> VfsResult<()> {
-            self.inner.delete(name)
-        }
-        fn rename(&mut self, from: &str, to: &str) -> VfsResult<()> {
-            self.inner.rename(from, to)
-        }
-    }
-
-    #[test]
-    fn failed_update_append_poisons_the_database() {
-        let (vfs, fail) = FlakyVfs::new();
-        let mut d = DurableDatabase::create(vfs, seeded(), policy()).unwrap();
-        d.create_view(oj_view_def()).unwrap();
-        let pre_failure = d.state_bytes().unwrap();
-
-        fail.set(true);
-        let err = d
-            .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Durability(_)), "{err}");
-        assert!(d.poison_reason().is_some());
-
-        // Even with I/O healthy again, the in-memory image is ahead of the
-        // log: every durable operation — above all `checkpoint`, which
-        // would persist the divergence — must be refused.
-        fail.set(false);
-        assert!(matches!(
-            d.insert("lineitem", vec![lineitem_row(6, 9, 5, 1, 2.0)]),
-            Err(CoreError::Poisoned { .. })
-        ));
-        assert!(matches!(
-            d.delete("lineitem", &[vec![Datum::Int(2), Datum::Int(1)]]),
-            Err(CoreError::Poisoned { .. })
-        ));
-        assert!(matches!(d.checkpoint(), Err(CoreError::Poisoned { .. })));
-        assert!(matches!(
-            d.refresh("anything"),
-            Err(CoreError::Poisoned { .. })
-        ));
-
-        // Reopening from the log lands on the last consistent state: the
-        // half-applied insert never happened.
-        let (r, _) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(r.state_bytes().unwrap(), pre_failure);
-    }
-
-    #[test]
-    fn failed_refresh_marker_append_poisons_the_database() {
-        let (vfs, fail) = FlakyVfs::new();
-        let mut d = DurableDatabase::create(vfs, seeded(), policy()).unwrap();
-        d.create_deferred_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        let pre_refresh = d.state_bytes().unwrap();
-
-        fail.set(true);
-        assert!(d.refresh("oj_view").is_err());
-        fail.set(false);
-        // The store was refreshed but the watermark marker never made the
-        // log: checkpointing now would make recovery double-apply the
-        // consumed batch, so the database must refuse.
-        assert!(matches!(d.checkpoint(), Err(CoreError::Poisoned { .. })));
-
-        // Recovery rewinds to the pre-refresh state, batch still pending.
-        let (r, _) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(r.state_bytes().unwrap(), pre_refresh);
-        assert_eq!(r.deferred_view("oj_view").unwrap().pending_len(), 1);
-    }
-
-    #[test]
-    fn open_without_checkpoint_is_an_error() {
-        assert!(matches!(
-            DurableDatabase::open(MemVfs::new(), policy()),
-            Err(CoreError::Durability(DurabilityError::Corrupt { .. }))
-        ));
-    }
-
-    #[test]
-    fn fsync_never_relies_on_explicit_sync() {
-        let mut p = policy();
-        p.fsync = FsyncPolicy::Never;
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), p).unwrap();
-        d.create_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        let expected = d.state_bytes().unwrap();
-        d.sync().unwrap();
-        let (r, _) = DurableDatabase::open(d.into_vfs(), p).unwrap();
-        assert_eq!(r.state_bytes().unwrap(), expected);
     }
 }

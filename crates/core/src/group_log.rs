@@ -1,5 +1,5 @@
-//! Durable sharding: per-shard WAL streams under a group-commit
-//! coordinator.
+//! [`GroupLog`]: per-shard WAL streams under a group-commit coordinator,
+//! and the [`ShardedDurableDatabase`] instantiation of [`Durable`] over it.
 //!
 //! # Log topology
 //!
@@ -44,29 +44,22 @@ use ojv_durability::{
     prune_checkpoints, read_latest_checkpoint, write_checkpoint, DurabilityError, FsyncPolicy, Lsn,
     Vfs, Wal, WalOptions, WalRecord,
 };
-use ojv_rel::{put_u32, put_u64, ByteReader, Datum, Row};
-use ojv_storage::{decode_update, encode_update, Catalog, Update, UpdateOp};
+use ojv_rel::{put_u32, put_u64, ByteReader};
+use ojv_storage::{Catalog, Update};
 
-use crate::durable::{encode_shard_state, restore_shard_state, REC_UPDATE};
+use crate::checkpoint_state::{codec_err, encode_state, fit_u32, restore_state};
+use crate::database::Database;
+use crate::durable::{
+    decode_update_record, open_wal_after, replay_update, update_record, CommitLog, Durable,
+    ShardedDurableDatabase, REC_UPDATE,
+};
 use crate::error::{CoreError, Result};
-use crate::maintain::MaintenanceReport;
 use crate::policy::MaintenancePolicy;
 use crate::shard::{RoutingSpec, ShardedDatabase, ShardedSnapshot};
-use crate::view_def::ViewDef;
 
 /// Coordinator WAL record kind: one group commit.
 /// Payload: `[u32 shard_count][u64 local last-LSN per shard]`.
 pub const REC_GROUP: u8 = 3;
-
-/// `REC_UPDATE` flag bit mirrored from the single-node durable layer: this
-/// shard batch is half of an SQL `UPDATE` decomposition.
-const FLAG_UPDATE_DECOMPOSITION: u8 = 1;
-
-fn codec_err(detail: impl Into<String>) -> CoreError {
-    CoreError::Rel(ojv_rel::RelError::Codec {
-        detail: detail.into(),
-    })
-}
 
 fn corrupt(file: impl Into<String>, detail: impl Into<String>) -> CoreError {
     CoreError::Durability(DurabilityError::Corrupt {
@@ -81,8 +74,7 @@ fn corrupt(file: impl Into<String>, detail: impl Into<String>) -> CoreError {
 
 fn encode_group(floors: &[Lsn]) -> Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(4 + 8 * floors.len());
-    let n = u32::try_from(floors.len()).map_err(|_| codec_err("shard count exceeds u32"))?;
-    put_u32(&mut buf, n);
+    put_u32(&mut buf, fit_u32(floors.len(), "shard count")?);
     for &f in floors {
         put_u64(&mut buf, f);
     }
@@ -114,18 +106,15 @@ fn decode_group(rec: &WalRecord, shards: usize) -> Result<Vec<Lsn>> {
 fn encode_coord_state(enforce: bool, floors: &[Lsn], routing: &RoutingSpec) -> Result<Vec<u8>> {
     let mut buf = Vec::new();
     buf.push(u8::from(enforce));
-    let n = u32::try_from(floors.len()).map_err(|_| codec_err("shard count exceeds u32"))?;
-    put_u32(&mut buf, n);
+    put_u32(&mut buf, fit_u32(floors.len(), "shard count")?);
     for &f in floors {
         put_u64(&mut buf, f);
     }
     let entries: Vec<(&str, &[String])> = routing.entries().collect();
-    let n = u32::try_from(entries.len()).map_err(|_| codec_err("table count exceeds u32"))?;
-    put_u32(&mut buf, n);
+    put_u32(&mut buf, fit_u32(entries.len(), "table count")?);
     for (table, cols) in entries {
         ojv_rel::put_str(&mut buf, table).map_err(CoreError::Rel)?;
-        let n = u32::try_from(cols.len()).map_err(|_| codec_err("column count exceeds u32"))?;
-        put_u32(&mut buf, n);
+        put_u32(&mut buf, fit_u32(cols.len(), "column count")?);
         for c in cols {
             ojv_rel::put_str(&mut buf, c).map_err(CoreError::Rel)?;
         }
@@ -163,7 +152,7 @@ fn decode_coord_state(data: &[u8]) -> Result<(bool, Vec<Lsn>, RoutingSpec)> {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedDurableDatabase
+// GroupLog
 // ---------------------------------------------------------------------------
 
 /// One shard's private log: its directory and WAL stream.
@@ -189,18 +178,87 @@ pub struct ShardedRecoveryReport {
     pub truncated: Vec<Option<String>>,
 }
 
-/// A [`ShardedDatabase`] whose commits survive crashes: per-shard WALs,
-/// group-commit coordinator, per-shard checkpoints (see module docs).
-pub struct ShardedDurableDatabase<V: Vfs> {
-    db: ShardedDatabase,
+/// K shard streams plus the coordinator stream (see module docs).
+pub struct GroupLog<V: Vfs> {
     shards: Vec<ShardLog<V>>,
     coord_vfs: V,
     coord_wal: Wal,
-    policy: MaintenancePolicy,
-    /// Set when a durable write failed after an in-memory mutation — RAM is
-    /// ahead of the group-committed log, so every later durable operation
-    /// is refused (mirrors [`crate::durable::DurableDatabase`] poisoning).
-    poisoned: Option<String>,
+}
+
+/// Shard appends never fsync themselves: durability comes from the
+/// group-commit barrier.
+fn shard_wal_options() -> WalOptions {
+    WalOptions {
+        policy: FsyncPolicy::Never,
+        ..WalOptions::default()
+    }
+}
+
+fn coord_wal_options(policy: &MaintenancePolicy) -> WalOptions {
+    WalOptions {
+        policy: policy.fsync,
+        ..WalOptions::default()
+    }
+}
+
+/// Checkpoint one shard at its log head: the head-stamped snapshot covers
+/// every LSN the stream has issued, so everything below it can be pruned.
+fn checkpoint_shard<V: Vfs>(log: &mut ShardLog<V>, shard: &Database) -> Result<Lsn> {
+    log.wal.sync(&mut log.vfs)?;
+    let head = log.wal.last_lsn();
+    write_checkpoint(&mut log.vfs, head, &encode_state(shard, &[])?)?;
+    log.wal.prune_below(&mut log.vfs, head + 1)?;
+    prune_checkpoints(&mut log.vfs, head)?;
+    Ok(head)
+}
+
+impl<V: Vfs> CommitLog for GroupLog<V> {
+    /// The group-commit barrier: buffered appends to the owner shards' WALs,
+    /// one fsync per touched shard, then the coordinator's group record —
+    /// the commit point, whose LSN is the global commit LSN.
+    fn append(&mut self, updates: &[Option<Update>], decomposed: bool) -> Result<Lsn> {
+        for (log, up) in self.shards.iter_mut().zip(updates) {
+            let Some(up) = up else { continue };
+            let payload = update_record(up, decomposed)?;
+            log.wal.append(&mut log.vfs, REC_UPDATE, &payload)?;
+        }
+        for (log, up) in self.shards.iter_mut().zip(updates) {
+            if up.is_some() {
+                log.wal.sync(&mut log.vfs)?;
+            }
+        }
+        // The group record names every shard's log head (touched or not).
+        let floors: Vec<Lsn> = self.shards.iter().map(|l| l.wal.last_lsn()).collect();
+        let payload = encode_group(&floors)?;
+        Ok(self
+            .coord_wal
+            .append(&mut self.coord_vfs, REC_GROUP, &payload)?)
+    }
+
+    /// Checkpoint every shard and the coordinator, then prune the logs:
+    /// each shard's state is serialized at its current log head, and the
+    /// coordinator checkpoint pins the matching floor vector.
+    fn checkpoint(&mut self, db: &ShardedDatabase) -> Result<Lsn> {
+        let mut floors = Vec::with_capacity(self.shards.len());
+        for (log, shard) in self.shards.iter_mut().zip(db.shards()) {
+            floors.push(checkpoint_shard(log, shard)?);
+        }
+        self.coord_wal.sync(&mut self.coord_vfs)?;
+        let lsn = self.coord_wal.last_lsn();
+        let payload = encode_coord_state(db.enforce_constraints, &floors, &db.routing_spec())?;
+        write_checkpoint(&mut self.coord_vfs, lsn, &payload)?;
+        self.coord_wal.prune_below(&mut self.coord_vfs, lsn + 1)?;
+        prune_checkpoints(&mut self.coord_vfs, lsn)?;
+        Ok(lsn)
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        for log in &mut self.shards {
+            log.wal.sync(&mut log.vfs)?;
+        }
+        self.coord_wal.sync(&mut self.coord_vfs)?;
+        Ok(())
+    }
 }
 
 impl<V: Vfs> ShardedDurableDatabase<V> {
@@ -215,47 +273,31 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
         routing: RoutingSpec,
         policy: MaintenancePolicy,
     ) -> Result<Self> {
-        let db = ShardedDatabase::new(template, shard_vfs.len(), routing.clone())?;
+        let mut db = ShardedDatabase::new(template, shard_vfs.len(), routing.clone())?;
+        db.set_policy(policy);
         let mut shards = Vec::with_capacity(shard_vfs.len());
-        for (mut vfs, shard_db) in shard_vfs.into_iter().zip(db.shards()) {
-            // Shard appends never fsync themselves: durability comes from
-            // the group-commit barrier below.
-            let wal = Wal::create(
-                &mut vfs,
-                WalOptions {
-                    policy: FsyncPolicy::Never,
-                    ..WalOptions::default()
-                },
-                1,
-            )?;
-            write_checkpoint(&mut vfs, 0, &encode_shard_state(shard_db)?)?;
+        for (mut vfs, shard) in shard_vfs.into_iter().zip(db.shards()) {
+            let wal = Wal::create(&mut vfs, shard_wal_options(), 1)?;
+            write_checkpoint(&mut vfs, 0, &encode_state(shard, &[])?)?;
             shards.push(ShardLog { vfs, wal });
         }
         let mut coord_vfs = coord_vfs;
-        let coord_wal = Wal::create(
-            &mut coord_vfs,
-            WalOptions {
-                policy: policy.fsync,
-                ..WalOptions::default()
-            },
-            1,
-        )?;
+        let coord_wal = Wal::create(&mut coord_vfs, coord_wal_options(&policy), 1)?;
         let floors = vec![0; shards.len()];
         write_checkpoint(
             &mut coord_vfs,
             0,
             &encode_coord_state(db.enforce_constraints, &floors, &routing)?,
         )?;
-        let mut this = ShardedDurableDatabase {
+        Ok(Durable {
             db,
-            shards,
-            coord_vfs,
-            coord_wal,
-            policy,
+            log: GroupLog {
+                shards,
+                coord_vfs,
+                coord_wal,
+            },
             poisoned: None,
-        };
-        this.db.set_policy(policy);
-        Ok(this)
+        })
     }
 
     /// Open an existing sharded durable database, converging every shard on
@@ -283,20 +325,8 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
                 ),
             ));
         }
-        let (mut coord_wal, coord_scan) = Wal::open(
-            &mut coord_vfs,
-            WalOptions {
-                policy: policy.fsync,
-                ..WalOptions::default()
-            },
-            ckpt.lsn + 1,
-        )?;
-        if coord_wal.next_lsn() <= ckpt.lsn {
-            // Same guard as the single-node layer: a corrupt record below
-            // the checkpoint LSN must not make the log re-issue LSNs the
-            // replay filter would skip.
-            coord_wal.begin_after(&mut coord_vfs, ckpt.lsn + 1)?;
-        }
+        let (coord_wal, coord_scan) =
+            open_wal_after(&mut coord_vfs, coord_wal_options(&policy), ckpt.lsn)?;
         // Fold the group records into the final floor: the newest durable
         // group record defines both the global commit LSN and each shard's
         // local replay ceiling.
@@ -334,18 +364,14 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
             // the snapshot registry runs on the *global* commit clock —
             // anchor the restored chains at 0 and publish once at the group
             // floor below; pins below the floor die with the crash anyway.
-            let mut db = restore_shard_state(&ckpt.payload, policy, 0)?;
-            let (mut wal, scan) = Wal::open(
-                &mut vfs,
-                WalOptions {
-                    policy: FsyncPolicy::Never,
-                    ..WalOptions::default()
-                },
-                ckpt.lsn + 1,
-            )?;
-            if wal.next_lsn() <= ckpt.lsn {
-                wal.begin_after(&mut vfs, ckpt.lsn + 1)?;
+            let (mut db, deferred) = restore_state(&ckpt.payload, policy, 0)?;
+            if !deferred.is_empty() {
+                return Err(corrupt(
+                    "checkpoint",
+                    "shard checkpoints cannot carry deferred views",
+                ));
             }
+            let (wal, scan) = open_wal_after(&mut vfs, shard_wal_options(), ckpt.lsn)?;
             report.truncated.push(scan.truncated.map(|t| t.reason));
             // Replay this shard's committed tail: records in
             // (checkpoint, floor]. Anything above the floor was never group
@@ -369,7 +395,14 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
                     ));
                 }
                 next_expected += 1;
-                Self::replay_shard_record(&mut db, rec)?;
+                if rec.kind != REC_UPDATE {
+                    return Err(corrupt(
+                        &label,
+                        format!("unknown record kind {} at lsn {}", rec.kind, rec.lsn),
+                    ));
+                }
+                let (update, decomposed) = decode_update_record(&db, rec)?;
+                replay_update(&mut db, &update, decomposed)?;
                 report.replayed_updates += 1;
             }
             if next_expected <= floor {
@@ -387,19 +420,16 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
                 db.publish_commit(group_lsn)?;
             }
             db.set_commit_lsn(group_lsn);
+            let mut log = ShardLog { vfs, wal };
             if discarded > 0 {
                 // Bury the uncommitted records: a fresh checkpoint stamped
                 // at the log head covers their LSNs with the *committed*
                 // state, so no later recovery can replay them.
-                wal.sync(&mut vfs)?;
-                let head = wal.last_lsn();
-                write_checkpoint(&mut vfs, head, &encode_shard_state(&db)?)?;
-                wal.prune_below(&mut vfs, head + 1)?;
-                prune_checkpoints(&mut vfs, head)?;
+                checkpoint_shard(&mut log, &db)?;
             }
             report.discarded_records += discarded;
             shard_dbs.push(db);
-            shard_logs.push(ShardLog { vfs, wal });
+            shard_logs.push(log);
         }
         report
             .truncated
@@ -407,199 +437,17 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
 
         let db = ShardedDatabase::from_recovered(shard_dbs, &routing, enforce, group_lsn)?;
         Ok((
-            ShardedDurableDatabase {
+            Durable {
                 db,
-                shards: shard_logs,
-                coord_vfs,
-                coord_wal,
-                policy,
+                log: GroupLog {
+                    shards: shard_logs,
+                    coord_vfs,
+                    coord_wal,
+                },
                 poisoned: None,
             },
             report,
         ))
-    }
-
-    fn replay_shard_record(db: &mut crate::database::Database, rec: &WalRecord) -> Result<()> {
-        if rec.kind != REC_UPDATE {
-            return Err(corrupt(
-                "shard wal",
-                format!("unknown record kind {} at lsn {}", rec.kind, rec.lsn),
-            ));
-        }
-        let mut r = ByteReader::new(&rec.payload);
-        let flags = r.u8("update flags").map_err(CoreError::Rel)?;
-        let update = decode_update(rec.payload.get(1..).unwrap_or(&[]), db.catalog())?;
-        match update.op {
-            UpdateOp::Insert => {
-                db.catalog_mut()
-                    .insert(&update.table, update.rows.rows().to_vec())?;
-            }
-            UpdateOp::Delete => {
-                let key_cols = db.catalog().table(&update.table)?.key_cols().to_vec();
-                let keys: Vec<Vec<Datum>> = update
-                    .rows
-                    .rows()
-                    .iter()
-                    .map(|row| ojv_rel::key_of(row, &key_cols))
-                    .collect();
-                db.catalog_mut().delete(&update.table, &keys)?;
-            }
-        }
-        let saved = db.policy;
-        if flags & FLAG_UPDATE_DECOMPOSITION != 0 {
-            db.policy.update_decomposition = true;
-        }
-        let maintained = db.maintain_views_only(&update);
-        db.policy = saved;
-        maintained?;
-        Ok(())
-    }
-
-    fn check_usable(&self) -> Result<()> {
-        match &self.poisoned {
-            Some(detail) => Err(CoreError::Poisoned {
-                detail: detail.clone(),
-            }),
-            None => Ok(()),
-        }
-    }
-
-    fn poison(&mut self, during: &str, err: CoreError) -> CoreError {
-        if self.poisoned.is_none() {
-            self.poisoned = Some(format!("{during} failed: {err}"));
-        }
-        err
-    }
-
-    /// The group-commit barrier: log the routed per-shard deltas, fsync the
-    /// touched shard WALs, make the group record durable, then maintain and
-    /// publish every shard at the group record's LSN.
-    fn group_commit(
-        &mut self,
-        updates: &[Option<Update>],
-        flags: u8,
-    ) -> Result<Vec<MaintenanceReport>> {
-        // 1. Buffered appends to the owner shards' WALs (no fsync). The
-        // catalog mutation has already happened, so failures poison.
-        let logged = (|| -> Result<()> {
-            for (log, up) in self.shards.iter_mut().zip(updates) {
-                let Some(up) = up else { continue };
-                let body = encode_update(up)?;
-                let mut payload = Vec::with_capacity(1 + body.len());
-                payload.push(flags);
-                payload.extend_from_slice(&body);
-                log.wal.append(&mut log.vfs, REC_UPDATE, &payload)?;
-            }
-            Ok(())
-        })();
-        logged.map_err(|e| self.poison("shard WAL append of an applied update", e))?;
-        // 2 + 3. The cross-shard fsync barrier, then the commit point. The
-        // group record names every shard's log head (touched or not).
-        let committed = (|| -> Result<Lsn> {
-            for (log, up) in self.shards.iter_mut().zip(updates) {
-                if up.is_some() {
-                    log.wal.sync(&mut log.vfs)?;
-                }
-            }
-            let floors: Vec<Lsn> = self.shards.iter().map(|l| l.wal.last_lsn()).collect();
-            let payload = encode_group(&floors)?;
-            Ok(self
-                .coord_wal
-                .append(&mut self.coord_vfs, REC_GROUP, &payload)?)
-        })();
-        let lsn = committed.map_err(|e| self.poison("group-commit barrier", e))?;
-        // 4. Maintain + publish at the global commit LSN. Maintenance
-        // failures do not poison: the deltas are durable, and recovery
-        // replays maintenance from them.
-        self.db.maintain_and_publish_at(updates, lsn)
-    }
-
-    /// Durable insert: route + apply, group-commit, maintain (see
-    /// [`ShardedDatabase::insert`] for the constraint semantics).
-    pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
-        self.check_usable()?;
-        let updates = self.db.apply_insert_routed(table, rows)?;
-        self.group_commit(&updates, 0)
-    }
-
-    /// Durable delete by unique key.
-    pub fn delete(&mut self, table: &str, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
-        self.check_usable()?;
-        let updates = self.db.apply_delete_routed(table, keys)?;
-        self.group_commit(&updates, 0)
-    }
-
-    /// Durable SQL-style `UPDATE` (delete + insert, two group commits, both
-    /// logged with the decomposition flag so replay disables the §6 fast
-    /// paths exactly as the original run did).
-    pub fn update(
-        &mut self,
-        table: &str,
-        keys: &[Vec<Datum>],
-        new_rows: Vec<Row>,
-    ) -> Result<Vec<MaintenanceReport>> {
-        self.check_usable()?;
-        let saved = self.policy;
-        let mut decomposed = self.policy;
-        decomposed.update_decomposition = true;
-        self.db.set_policy(decomposed);
-        let result = (|| {
-            let del = self.db.apply_delete_routed(table, keys)?;
-            let mut reports = self.group_commit(&del, FLAG_UPDATE_DECOMPOSITION)?;
-            let ins = self.db.apply_insert_routed(table, new_rows)?;
-            reports.extend(self.group_commit(&ins, FLAG_UPDATE_DECOMPOSITION)?);
-            Ok(reports)
-        })();
-        self.db.set_policy(saved);
-        result
-    }
-
-    /// Create a routing-aligned view on every shard and checkpoint
-    /// immediately — view definitions live in shard checkpoints, not logs.
-    pub fn create_view(&mut self, def: ViewDef) -> Result<()> {
-        self.check_usable()?;
-        self.db.create_view(def)?;
-        self.checkpoint()
-            .map_err(|e| self.poison("checkpoint after view creation", e))?;
-        Ok(())
-    }
-
-    /// Checkpoint every shard and the coordinator, then prune the logs:
-    /// each shard's state is serialized at its current log head, and the
-    /// coordinator checkpoint pins the matching floor vector.
-    pub fn checkpoint(&mut self) -> Result<Lsn> {
-        self.check_usable()?;
-        let mut floors = Vec::with_capacity(self.shards.len());
-        for (log, shard_db) in self.shards.iter_mut().zip(self.db.shards()) {
-            log.wal.sync(&mut log.vfs)?;
-            let head = log.wal.last_lsn();
-            write_checkpoint(&mut log.vfs, head, &encode_shard_state(shard_db)?)?;
-            log.wal.prune_below(&mut log.vfs, head + 1)?;
-            prune_checkpoints(&mut log.vfs, head)?;
-            floors.push(head);
-        }
-        self.coord_wal.sync(&mut self.coord_vfs)?;
-        let lsn = self.coord_wal.last_lsn();
-        let payload =
-            encode_coord_state(self.db.enforce_constraints, &floors, &self.routing_spec())?;
-        write_checkpoint(&mut self.coord_vfs, lsn, &payload)?;
-        self.coord_wal.prune_below(&mut self.coord_vfs, lsn + 1)?;
-        prune_checkpoints(&mut self.coord_vfs, lsn)?;
-        Ok(lsn)
-    }
-
-    fn routing_spec(&self) -> RoutingSpec {
-        self.db.routing_spec()
-    }
-
-    /// Flush every stream to stable storage (useful under
-    /// [`FsyncPolicy::EveryN`] before an intentional stop).
-    pub fn sync(&mut self) -> Result<()> {
-        for log in &mut self.shards {
-            log.wal.sync(&mut log.vfs)?;
-        }
-        self.coord_wal.sync(&mut self.coord_vfs)?;
-        Ok(())
     }
 
     /// The wrapped in-memory façade.
@@ -625,24 +473,18 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
         self.db.commit_lsn()
     }
 
-    /// Why durable operations are refused, if a durable write failed after
-    /// an in-memory mutation.
-    pub fn poison_reason(&self) -> Option<&str> {
-        self.poisoned.as_deref()
-    }
-
     /// Tear the database apart into its filesystems (`N` shard directories
     /// + coordinator) — crash tests keep only the bytes.
     pub fn into_vfs(self) -> (Vec<V>, V) {
         (
-            self.shards.into_iter().map(|l| l.vfs).collect(),
-            self.coord_vfs,
+            self.log.shards.into_iter().map(|l| l.vfs).collect(),
+            self.log.coord_vfs,
         )
     }
 
     /// Per-shard VFS access for fault inspection.
     pub fn shard_vfs(&self, shard: usize) -> &V {
-        &self.shards[shard].vfs
+        &self.log.shards[shard].vfs
     }
 }
 
@@ -650,8 +492,9 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
 mod tests {
     use super::*;
     use crate::fixtures::*;
-    use crate::view_def::{col_eq, ViewExpr};
+    use crate::view_def::{col_eq, ViewDef, ViewExpr};
     use ojv_durability::MemVfs;
+    use ojv_rel::Datum;
 
     fn routing() -> RoutingSpec {
         RoutingSpec::new()
@@ -727,10 +570,9 @@ mod tests {
         // between barrier steps 2 and 3).
         let row = lineitem_row(5, 8, 1, 1, 7.0);
         let ups = d.db.apply_insert_routed("lineitem", vec![row]).unwrap();
-        for (log, up) in d.shards.iter_mut().zip(&ups) {
+        for (log, up) in d.log.shards.iter_mut().zip(&ups) {
             let Some(up) = up else { continue };
-            let mut payload = vec![0u8];
-            payload.extend_from_slice(&encode_update(up).unwrap());
+            let payload = update_record(up, false).unwrap();
             log.wal.append(&mut log.vfs, REC_UPDATE, &payload).unwrap();
             log.wal.sync(&mut log.vfs).unwrap();
         }

@@ -16,11 +16,22 @@
 //! * [`agg_view`] — aggregated outer-join views (§3.3),
 //! * [`baseline`] — Griffin–Kumar-style change propagation and full
 //!   recompute, for the paper's experimental comparison,
-//! * [`database`] — a small façade tying the catalog and views together,
 //! * [`snapshot`] — LSN-versioned view images: consistent snapshot reads
 //!   concurrent with maintenance, with epoch-based reclamation,
-//! * [`durable`] — WAL + checkpoints + crash recovery replayed through the
-//!   incremental engine.
+//! * [`deferred`] — lazily refreshed views over a pending-update queue,
+//!
+//! and the one commit pipeline every engine is composed from:
+//!
+//! * [`database`] — the shard unit (catalog + views + registry: apply →
+//!   maintain → publish) and, alone, the unsharded in-memory engine,
+//! * [`shard`] — `ShardedDatabase`: validate → route → fan-out → group
+//!   publish over N shard units, taking the log stage as a parameter,
+//! * [`durable`] — `Durable<L: CommitLog>`: poisoning, `REC_UPDATE` framing
+//!   and replay, DDL-then-checkpoint and the durable commit, written once,
+//! * [`wal_log`] / [`group_log`] — the two on-disk topologies behind
+//!   `CommitLog` (one stream; K shard streams + coordinator) with their
+//!   `create`/`open`,
+//! * [`checkpoint_state`] — the checkpoint payload codecs.
 //!
 //! # Quick start
 //!
@@ -48,6 +59,7 @@ pub mod agg_view;
 pub mod analyze;
 pub mod baseline;
 pub mod batch;
+pub mod checkpoint_state;
 pub mod compile;
 pub mod database;
 pub mod deferred;
@@ -55,19 +67,19 @@ pub mod durable;
 pub mod error;
 pub mod explain;
 pub mod fixtures;
+pub mod group_log;
 pub mod maintain;
 pub mod materialize;
 pub mod parser;
 pub mod policy;
 pub mod secondary;
 pub mod shard;
-pub mod shard_durable;
 pub mod snapshot;
 pub mod sql;
 pub mod term_delta;
 mod trace;
 pub mod view_def;
-pub mod view_match;
+pub mod wal_log;
 
 /// The commonly used types, for `use ojv_core::prelude::*`.
 pub mod prelude {
@@ -76,21 +88,21 @@ pub mod prelude {
     pub use crate::compile::{compile_count, CompiledMaintenancePlan, PlanCache, PlanConfig};
     pub use crate::database::Database;
     pub use crate::deferred::DeferredView;
-    pub use crate::durable::{DurableDatabase, RecoveryReport};
+    pub use crate::durable::{DurableDatabase, ShardedDurableDatabase};
     pub use crate::error::{CoreError, Result};
     pub use crate::explain::{explain_plan, render_exec_stats};
+    pub use crate::group_log::ShardedRecoveryReport;
     pub use crate::maintain::{maintain, verify_against_recompute, MaintenanceReport};
     pub use crate::materialize::MaterializedView;
     pub use crate::parser::parse_view;
     pub use crate::policy::{MaintenancePolicy, SecondaryStrategy};
     pub use crate::shard::{RoutingSpec, ShardedDatabase, ShardedSnapshot};
-    pub use crate::shard_durable::{ShardedDurableDatabase, ShardedRecoveryReport};
     pub use crate::snapshot::{
         delta_counts, CommitObserver, FanoutStats, Snapshot, SnapshotRegistry, SnapshotStats,
         SnapshotView, ViewOp,
     };
     pub use crate::view_def::{col_between, col_cmp, col_eq, NamedAtom, ViewDef, ViewExpr};
-    pub use crate::view_match::{execute_match, match_view, ViewMatch};
+    pub use crate::wal_log::RecoveryReport;
     pub use ojv_algebra::{CmpOp, JoinKind};
     pub use ojv_durability::{DiskVfs, FsyncPolicy, MemVfs, Vfs};
     pub use ojv_exec::{ExecStatsSnapshot, ParallelSpec};

@@ -1,4 +1,8 @@
-//! `ShardedDatabase`: hash-partitioned engine façade.
+//! `ShardedDatabase`: the hash-partitioned engine, and the one owner of the
+//! cross-shard commit stages — validate → route → apply → (log) → maintain
+//! fan-out → group publish ([`ShardedDatabase::commit_with`]). The durable
+//! engines ([`crate::durable::Durable`]) run the same function and only
+//! supply the log stage.
 //!
 //! The engine is partitioned into N independent [`Database`] shards, each
 //! owning a hash partition of every base table and every view. Routing is
@@ -18,8 +22,9 @@
 //!   entirely within the delta's owner shard.
 //!
 //! An update routes its delta batch to owner shards, fans maintenance out
-//! (optionally on scoped worker threads — each shard owns its stores, so
-//! workers share nothing and take no locks), and then the **coordinator**
+//! (on up to `policy.parallel.threads` pool workers — each shard owns its
+//! stores, so workers share nothing and take no locks), and then the
+//! **coordinator**
 //! thread publishes every shard's snapshot registry at one global commit
 //! LSN — untouched shards publish an empty commit — so cross-shard snapshot
 //! reads are atomic: [`ShardedDatabase::snapshot`] pins all shards at the
@@ -35,9 +40,11 @@
 use std::collections::BTreeMap;
 
 use ojv_durability::Lsn;
+use ojv_exec::run_pool;
 use ojv_rel::{key_of, put_row, put_str, put_u32, put_u64, Datum, FxHashSet, Relation, Row};
 use ojv_storage::{Catalog, ShardId, ShardRouter, StorageError, Update};
 
+use crate::checkpoint_state::fit_u32;
 use crate::database::Database;
 use crate::error::{CoreError, Result};
 use crate::maintain::MaintenanceReport;
@@ -146,24 +153,45 @@ fn resolve_routing(
     Ok(resolved)
 }
 
+/// One user operation on one base table — the unit the commit pipeline
+/// runs. An SQL `UPDATE` is a delete followed by an insert (paper §3) whose
+/// two halves are flagged *decomposed*: the flag rides with each half
+/// through the log record into maintenance, where it switches the §6 FK
+/// shortcuts off for the pair.
+pub(crate) enum TableOp<'a> {
+    Insert {
+        table: &'a str,
+        rows: Vec<Row>,
+    },
+    Delete {
+        table: &'a str,
+        keys: &'a [Vec<Datum>],
+    },
+    Update {
+        table: &'a str,
+        keys: &'a [Vec<Datum>],
+        rows: Vec<Row>,
+    },
+}
+
 /// The hash-partitioned engine façade (see module docs).
 #[derive(Debug)]
 pub struct ShardedDatabase {
     shards: Vec<Database>,
     router: ShardRouter,
-    routing: BTreeMap<String, TableRouting>,
+    /// Resolved routing per table. `None` when the façade adopted one
+    /// existing database as its only shard ([`ShardedDatabase::adopt`]):
+    /// that shard owns every row, so there is nothing to declare or to
+    /// align, and its own catalog keeps enforcing constraints.
+    routing: Option<BTreeMap<String, TableRouting>>,
     /// Names of created views, in creation order.
     views: Vec<String>,
     /// Global commit LSN — every shard's registry is published at this.
     commit_lsn: Lsn,
     /// Enforce FK constraints across shards (mirrors
-    /// [`Catalog::enforce_constraints`]; per-shard catalogs always run with
-    /// enforcement off because the façade checks globally).
+    /// [`Catalog::enforce_constraints`]; partitioned shard catalogs always
+    /// run with enforcement off because the façade checks globally).
     pub enforce_constraints: bool,
-    /// Fan per-shard maintenance out on scoped worker threads. Results are
-    /// merged in shard order either way, so this never changes any state —
-    /// the differential suites run both settings.
-    pub parallel_shards: bool,
 }
 
 impl ShardedDatabase {
@@ -230,12 +258,27 @@ impl ShardedDatabase {
         Ok(ShardedDatabase {
             shards: shard_dbs,
             router,
-            routing: resolved,
+            routing: Some(resolved),
             views: Vec::new(),
             commit_lsn: 0,
             enforce_constraints: template.enforce_constraints,
-            parallel_shards: false,
         })
+    }
+
+    /// The N = 1 engine over an existing database: `shard` becomes shard 0
+    /// as it is — catalog, views and registry move in, no row is copied.
+    /// Its catalog's own `enforce_constraints` stays in charge (the façade's
+    /// flag is off, so FK checks run in exactly one place), and no routing
+    /// is declared: one shard owns everything.
+    pub(crate) fn adopt(shard: Database) -> Self {
+        ShardedDatabase {
+            router: ShardRouter::new(1),
+            routing: None,
+            views: shard.views().map(|v| v.name().to_string()).collect(),
+            commit_lsn: shard.commit_lsn(),
+            enforce_constraints: false,
+            shards: vec![shard],
+        }
     }
 
     /// Reassemble a façade from recovered per-shard databases (the durable
@@ -258,11 +301,10 @@ impl ShardedDatabase {
         Ok(ShardedDatabase {
             shards,
             router,
-            routing: resolved,
+            routing: Some(resolved),
             views,
             commit_lsn,
             enforce_constraints,
-            parallel_shards: false,
         })
     }
 
@@ -274,7 +316,7 @@ impl ShardedDatabase {
     /// (table-name order) — the durable layer persists these.
     pub fn routing_spec(&self) -> RoutingSpec {
         let mut spec = RoutingSpec::new();
-        for (table, tr) in &self.routing {
+        for (table, tr) in self.routing.iter().flatten() {
             let cols: Vec<&str> = tr.col_names.iter().map(String::as_str).collect();
             spec = spec.table(table, &cols);
         }
@@ -292,10 +334,23 @@ impl ShardedDatabase {
         self.shards.iter()
     }
 
+    /// The adopted shard of an N = 1 engine (see [`ShardedDatabase::adopt`]).
+    pub(crate) fn only_shard(&self) -> &Database {
+        debug_assert!(self.routing.is_none() && self.shards.len() == 1);
+        &self.shards[0]
+    }
+
+    pub(crate) fn only_shard_mut(&mut self) -> &mut Database {
+        debug_assert!(self.routing.is_none() && self.shards.len() == 1);
+        &mut self.shards[0]
+    }
+
     /// The owner shard of a `table` row.
     pub fn shard_of_row(&self, table: &str, row: &[Datum]) -> Result<ShardId> {
-        let tr = self.table_routing(table)?;
-        Ok(self.router.route(row, &tr.cols))
+        match self.table_routing(table)? {
+            Some(tr) => Ok(self.router.route(row, &tr.cols)),
+            None => Ok(ShardId::new(0)),
+        }
     }
 
     /// Global commit LSN — every shard's registry has published up to this.
@@ -310,8 +365,13 @@ impl ShardedDatabase {
         }
     }
 
-    fn table_routing(&self, table: &str) -> Result<&TableRouting> {
-        self.routing.get(table).ok_or_else(|| {
+    /// `table`'s routing; `None` on an adopted single shard, which routes
+    /// nothing.
+    fn table_routing(&self, table: &str) -> Result<Option<&TableRouting>> {
+        let Some(routing) = &self.routing else {
+            return Ok(None);
+        };
+        routing.get(table).map(Some).ok_or_else(|| {
             CoreError::Storage(StorageError::UnknownTable {
                 name: table.to_string(),
             })
@@ -394,20 +454,97 @@ impl ShardedDatabase {
     /// rows route to their owner shards, per-shard maintenance runs, and
     /// all shards publish at one global commit LSN.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
-        let updates = self.apply_insert_routed(table, rows)?;
-        self.maintain_and_publish(&updates)
+        self.commit(TableOp::Insert { table, rows })
+    }
+
+    /// Delete rows by unique key (checked and routed like
+    /// [`ShardedDatabase::insert`]).
+    pub fn delete(&mut self, table: &str, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
+        self.commit(TableOp::Delete { table, keys })
+    }
+
+    /// SQL-style `UPDATE` (delete + insert, §3): the §6 FK fast paths are
+    /// disabled for the pair, exactly like [`Database::update`]. Commits
+    /// twice (one global LSN per half).
+    pub fn update(
+        &mut self,
+        table: &str,
+        keys: &[Vec<Datum>],
+        new_rows: Vec<Row>,
+    ) -> Result<Vec<MaintenanceReport>> {
+        self.commit(TableOp::Update {
+            table,
+            keys,
+            rows: new_rows,
+        })
+    }
+
+    /// In-memory commit: the pipeline with no log stage — every half takes
+    /// the next dense LSN.
+    fn commit(&mut self, op: TableOp<'_>) -> Result<Vec<MaintenanceReport>> {
+        let mut next = self.commit_lsn;
+        self.commit_with(op, |_, _| {
+            next += 1;
+            Ok(next)
+        })
+    }
+
+    /// The commit pipeline, written once. `op` runs as one half (insert,
+    /// delete) or two (`UPDATE`: delete then insert, both *decomposed*); per
+    /// half:
+    ///
+    /// 1. **validate · route · apply** — the batch is checked globally and
+    ///    applied to its owner shards, all or nothing; a refused batch
+    ///    changes nothing and never reaches the log;
+    /// 2. **log** — `log(applied per-shard deltas, decomposed)` returns the
+    ///    half's commit LSN: the next dense number in memory, the LSN at
+    ///    which the deltas became durable under a [`crate::durable::Durable`];
+    /// 3. **maintain** — per-shard view maintenance on the pool;
+    /// 4. **publish · observe** — every shard's registry (and observer)
+    ///    advances to that one LSN on this thread.
+    ///
+    /// A log failure returns before stage 3 with base tables already
+    /// changed; what that means is the log owner's business (the durable
+    /// layer poisons itself).
+    pub(crate) fn commit_with(
+        &mut self,
+        op: TableOp<'_>,
+        mut log: impl FnMut(&[Option<Update>], bool) -> Result<Lsn>,
+    ) -> Result<Vec<MaintenanceReport>> {
+        let (table, keys, rows, decomposed) = match op {
+            TableOp::Insert { table, rows } => (table, None, Some(rows), false),
+            TableOp::Delete { table, keys } => (table, Some(keys), None, false),
+            TableOp::Update { table, keys, rows } => (table, Some(keys), Some(rows), true),
+        };
+        let mut reports = Vec::new();
+        if let Some(keys) = keys {
+            let updates = self.apply_delete_routed(table, keys)?;
+            let lsn = log(&updates, decomposed)?;
+            reports.extend(self.maintain_and_publish_at(&updates, decomposed, lsn)?);
+        }
+        if let Some(rows) = rows {
+            let updates = self.apply_insert_routed(table, rows)?;
+            let lsn = log(&updates, decomposed)?;
+            reports.extend(self.maintain_and_publish_at(&updates, decomposed, lsn)?);
+        }
+        Ok(reports)
     }
 
     /// Validate, route, and apply an insert batch to its owner shards
-    /// *without* maintaining views — the durable layer logs the returned
-    /// per-shard deltas before maintenance runs (WAL protocol). One entry
-    /// per shard, `None` for untouched shards.
+    /// *without* maintaining views. One entry per shard, `None` for
+    /// untouched shards.
     pub(crate) fn apply_insert_routed(
         &mut self,
         table: &str,
         rows: Vec<Row>,
     ) -> Result<Vec<Option<Update>>> {
-        let tr = self.table_routing(table)?.clone();
+        let Some(tr) = self.table_routing(table)?.cloned() else {
+            // One adopted shard: `Catalog::insert` is itself all-or-nothing
+            // and checks row shape, null and duplicate keys and — under the
+            // catalog's own flag — FK parents before it applies anything, so
+            // the global pre-validation below would only repeat it.
+            return Ok(vec![Some(self.shards[0].apply_insert(table, rows)?)]);
+        };
         let schema = self.shards[0].catalog().table(table)?.schema().clone();
         let key_cols = self.shards[0].catalog().table(table)?.key_cols().to_vec();
         // Canonicalize before anything else so validation, routing, and the
@@ -460,13 +597,6 @@ impl ShardedDatabase {
         Ok(updates)
     }
 
-    /// Delete rows by unique key (checked and routed like
-    /// [`ShardedDatabase::insert`]).
-    pub fn delete(&mut self, table: &str, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
-        let updates = self.apply_delete_routed(table, keys)?;
-        self.maintain_and_publish(&updates)
-    }
-
     /// Validate, route, and apply a delete batch to its owner shards
     /// *without* maintaining views (see
     /// [`ShardedDatabase::apply_insert_routed`]).
@@ -475,7 +605,11 @@ impl ShardedDatabase {
         table: &str,
         keys: &[Vec<Datum>],
     ) -> Result<Vec<Option<Update>>> {
-        let tr = self.table_routing(table)?.clone();
+        let Some(tr) = self.table_routing(table)?.cloned() else {
+            // One adopted shard: `Catalog::delete` checks FK restrict (under
+            // its own flag) and key existence itself, all-or-nothing.
+            return Ok(vec![Some(self.shards[0].apply_delete(table, keys)?)]);
+        };
         // Global pre-validation: every key must exist on its owner shard,
         // and no child row anywhere may still reference a deleted parent.
         let mut owners = Vec::with_capacity(keys.len());
@@ -523,90 +657,27 @@ impl ShardedDatabase {
         Ok(updates)
     }
 
-    /// SQL-style `UPDATE` (delete + insert, §3): the §6 FK fast paths are
-    /// disabled for the pair, exactly like [`Database::update`]. Commits
-    /// twice (one global LSN per half).
-    pub fn update(
-        &mut self,
-        table: &str,
-        keys: &[Vec<Datum>],
-        new_rows: Vec<Row>,
-    ) -> Result<Vec<MaintenanceReport>> {
-        let saved: Vec<MaintenancePolicy> = self.shards.iter().map(|s| s.policy).collect();
-        for s in &mut self.shards {
-            s.policy.update_decomposition = true;
-        }
-        let result = (|| {
-            let mut reports = self.delete(table, keys)?;
-            reports.extend(self.insert(table, new_rows)?);
-            Ok(reports)
-        })();
-        for (s, p) in self.shards.iter_mut().zip(saved) {
-            s.policy = p;
-        }
-        result
-    }
-
     /// Run per-shard maintenance for the routed updates and publish every
-    /// shard's registry at one global commit LSN. Untouched shards publish
-    /// an empty commit, so all registries advance in lockstep and
-    /// [`ShardedDatabase::snapshot`] can pin them at the same LSN.
-    fn maintain_and_publish(
+    /// shard's registry at the global commit LSN `lsn`. Untouched shards
+    /// publish an empty commit, so all registries advance in lockstep and
+    /// [`ShardedDatabase::snapshot`] can pin them at the same LSN — also
+    /// when a shard's maintenance failed or its worker panicked: the error
+    /// is returned only after every shard has published.
+    fn maintain_and_publish_at(
         &mut self,
         updates: &[Option<Update>],
-    ) -> Result<Vec<MaintenanceReport>> {
-        self.maintain_and_publish_at(updates, self.commit_lsn + 1)
-    }
-
-    /// [`ShardedDatabase::maintain_and_publish`] at an explicit global LSN —
-    /// the durable layer stamps commits with coordinator WAL LSNs.
-    pub(crate) fn maintain_and_publish_at(
-        &mut self,
-        updates: &[Option<Update>],
+        decomposed: bool,
         lsn: Lsn,
     ) -> Result<Vec<MaintenanceReport>> {
-        let results: Vec<Option<Result<Vec<MaintenanceReport>>>> = if self.parallel_shards {
-            // Shards own their stores outright: workers share nothing and
-            // acquire no locks (registry publication stays on this thread,
-            // below). Bounded by the shard count; each worker's own
-            // maintenance fans out further on the batch pool when the
-            // shard's policy asks for it.
-            crate::trace::publish("core.shard.spawn");
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(updates)
-                    .enumerate()
-                    .map(|(i, (db, up))| {
-                        scope.spawn(move || {
-                            if crate::trace::active() {
-                                crate::trace::register_thread(&format!("shard-worker-{i}"));
-                            }
-                            crate::trace::observe("core.shard.spawn");
-                            let out = up.as_ref().map(|u| db.maintain_views_only(u));
-                            crate::trace::publish("core.shard.join");
-                            out
-                        })
-                    })
-                    .collect();
-                let joined: Vec<_> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard maintenance worker panicked"))
-                    .collect();
-                // All workers joined: pull their published clocks before the
-                // coordinator publishes registries and merges reports here.
-                crate::trace::observe("core.shard.join");
-                crate::trace::on_write("core.shard.merge");
-                joined
-            })
-        } else {
-            self.shards
-                .iter_mut()
-                .zip(updates)
-                .map(|(db, up)| up.as_ref().map(|u| db.maintain_views_only(u)))
-                .collect()
-        };
+        // Shards own their stores outright: workers share nothing and
+        // acquire no locks (registry publication stays on this thread,
+        // below). Each worker's own maintenance fans out further on the
+        // same pool when the shard's policy asks for it.
+        let threads = self.shards[0].policy.parallel.threads;
+        let routed: Vec<_> = self.shards.iter_mut().zip(updates).collect();
+        let results = run_pool("core.shard", threads, routed, |_, (db, up)| {
+            up.as_ref().map(|u| db.maintain_views_only(u, decomposed))
+        });
         // Coordinator-side group publish: every shard commits at `lsn`.
         let mut publish_err = None;
         for db in &mut self.shards {
@@ -617,8 +688,14 @@ impl ShardedDatabase {
         self.commit_lsn = lsn;
         // Deterministic shard-order merge of the per-shard reports.
         let mut reports = Vec::new();
-        for r in results.into_iter().flatten() {
-            reports.extend(r?);
+        for (shard, result) in results.into_iter().enumerate() {
+            let maintained = result.map_err(|detail| CoreError::MaintenancePanic {
+                view: format!("<shard {shard}>"),
+                detail,
+            })?;
+            if let Some(shard_reports) = maintained {
+                reports.extend(shard_reports?);
+            }
         }
         match publish_err {
             Some(e) => Err(e),
@@ -676,12 +753,6 @@ impl ShardedDatabase {
     /// with the same logical content are byte-equal regardless of shard
     /// count — N-shard == 1-shard == recomputed twin.
     pub fn state_bytes(&self) -> Result<Vec<u8>> {
-        let fit = |n: usize, what: &str| -> Result<u32> {
-            u32::try_from(n).map_err(|_| CoreError::InvalidView {
-                view: "<sharding>".to_string(),
-                detail: format!("{what} of {n} exceeds u32 framing"),
-            })
-        };
         let mut buf = Vec::new();
         put_u64(&mut buf, self.commit_lsn);
         // Base tables, sorted by name, rows merged + sorted canonically.
@@ -691,7 +762,7 @@ impl ShardedDatabase {
             .map(|t| t.name().to_string())
             .collect();
         table_names.sort_unstable();
-        put_u32(&mut buf, fit(table_names.len(), "table count")?);
+        put_u32(&mut buf, fit_u32(table_names.len(), "table count")?);
         for name in &table_names {
             put_str(&mut buf, name).map_err(CoreError::Rel)?;
             let mut encoded: Vec<Vec<u8>> = Vec::new();
@@ -703,7 +774,7 @@ impl ShardedDatabase {
                 }
             }
             encoded.sort_unstable();
-            put_u32(&mut buf, fit(encoded.len(), "row count")?);
+            put_u32(&mut buf, fit_u32(encoded.len(), "row count")?);
             for e in encoded {
                 buf.extend_from_slice(&e);
             }
@@ -711,7 +782,7 @@ impl ShardedDatabase {
         // Views, sorted by name.
         let mut view_names = self.views.clone();
         view_names.sort_unstable();
-        put_u32(&mut buf, fit(view_names.len(), "view count")?);
+        put_u32(&mut buf, fit_u32(view_names.len(), "view count")?);
         for name in &view_names {
             put_str(&mut buf, name).map_err(CoreError::Rel)?;
             let stores: Vec<&crate::materialize::ViewStore> = self
@@ -732,6 +803,9 @@ impl ShardedDatabase {
     /// table's routing columns must be pairwise connected to the first
     /// table's through the view's equijoin atoms.
     fn check_alignment(&self, def: &ViewDef) -> Result<()> {
+        if self.routing.is_none() {
+            return Ok(()); // one shard owns every row: nothing can cross
+        }
         let tables = def.expr().tables();
         let mut atoms = Vec::new();
         collect_eq_atoms(def.expr(), &mut atoms);
@@ -739,10 +813,11 @@ impl ShardedDatabase {
         for (a, b) in &atoms {
             uf.union(a, b);
         }
+        let unrouted = "partitioned façades resolve routing for every table";
         let first = &tables[0];
-        let first_routing = self.table_routing(first)?;
+        let first_routing = self.table_routing(first)?.expect(unrouted);
         for t in tables.iter().skip(1) {
-            let tr = self.table_routing(t)?;
+            let tr = self.table_routing(t)?.expect(unrouted);
             if tr.col_names.len() != first_routing.col_names.len() {
                 return Err(misaligned(
                     def.name(),
@@ -787,12 +862,6 @@ fn encode_merged_stores(
     buf: &mut Vec<u8>,
     stores: &[&crate::materialize::ViewStore],
 ) -> Result<()> {
-    let fit = |n: usize, what: &str| -> Result<u32> {
-        u32::try_from(n).map_err(|_| CoreError::InvalidView {
-            view: "<sharding>".to_string(),
-            detail: format!("{what} of {n} exceeds u32 framing"),
-        })
-    };
     let mut encoded: Vec<Vec<u8>> = Vec::new();
     for store in stores {
         for row in store.rows() {
@@ -802,13 +871,13 @@ fn encode_merged_stores(
         }
     }
     encoded.sort_unstable();
-    put_u32(buf, fit(encoded.len(), "view row count")?);
+    put_u32(buf, fit_u32(encoded.len(), "view row count")?);
     for e in encoded {
         buf.extend_from_slice(&e);
     }
     // Merge count indexes by column set, in the first store's order.
     let first_snapshot = stores[0].count_index_snapshot();
-    put_u32(buf, fit(first_snapshot.len(), "index count")?);
+    put_u32(buf, fit_u32(first_snapshot.len(), "index count")?);
     for (cols, _) in &first_snapshot {
         let mut merged: BTreeMap<Vec<Datum>, usize> = BTreeMap::new();
         for store in stores {
@@ -820,11 +889,11 @@ fn encode_merged_stores(
                 }
             }
         }
-        put_u32(buf, fit(cols.len(), "index column count")?);
+        put_u32(buf, fit_u32(cols.len(), "index column count")?);
         for &c in cols {
-            put_u32(buf, fit(c, "index column")?);
+            put_u32(buf, fit_u32(c, "index column")?);
         }
-        put_u32(buf, fit(merged.len(), "index entry count")?);
+        put_u32(buf, fit_u32(merged.len(), "index entry count")?);
         for (key, count) in merged {
             put_row(buf, &key).map_err(CoreError::Rel)?;
             put_u64(buf, count as u64); // lint:allow(cast) — usize widens into u64 on 64-bit
@@ -873,11 +942,7 @@ impl ShardedSnapshot {
             .map(|p| p.views().map(|v| v.name()).collect())
             .unwrap_or_default();
         names.sort_unstable();
-        let n = u32::try_from(names.len()).map_err(|_| CoreError::InvalidView {
-            view: "<sharded-snapshot>".to_string(),
-            detail: "view count exceeds u32 framing".to_string(),
-        })?;
-        put_u32(&mut buf, n);
+        put_u32(&mut buf, fit_u32(names.len(), "view count")?);
         for name in names {
             put_str(&mut buf, name).map_err(CoreError::Rel)?;
             let stores: Vec<&crate::materialize::ViewStore> = self
@@ -1035,7 +1100,7 @@ mod tests {
         for n in [2usize, 3, 8] {
             let mut one = sharded(1);
             let mut many = sharded(n);
-            many.parallel_shards = true;
+            many.set_policy(MaintenancePolicy::with_threads(n));
             for (ok, ln) in [(3i64, 7i64), (5, 7), (6, 8)] {
                 let row = lineitem_row(ok, ln, 2, 4, 42.0);
                 one.insert("lineitem", vec![row.clone()]).unwrap();
@@ -1178,6 +1243,38 @@ mod tests {
         );
     }
 
+    /// One panic policy: a worker panic under the threaded fan-out is an
+    /// error, not an unwind through the façade — every shard's registry
+    /// still publishes at the one global LSN, a cross-shard snapshot still
+    /// pins, and the engine keeps committing.
+    #[test]
+    fn worker_panic_is_an_error_and_every_shard_still_publishes() {
+        let mut db = sharded(4);
+        db.create_view(ol_view_def().with_name("panic_me")).unwrap();
+        db.set_policy(MaintenancePolicy::with_threads(4));
+        let rows =
+            |ln: i64| -> Vec<Row> { (1..=8).map(|ok| lineitem_row(ok, ln, 2, 4, 1.0)).collect() };
+        let before = db.commit_lsn();
+        let armed = crate::batch::test_panic::arm();
+        let err = db.insert("lineitem", rows(70));
+        drop(armed);
+        match err {
+            Err(CoreError::MaintenancePanic { view, detail }) => {
+                assert_eq!(view, "panic_me");
+                assert!(detail.contains("injected"), "{detail}");
+            }
+            other => panic!("expected MaintenancePanic, got {other:?}"),
+        }
+        let lsn = db.commit_lsn();
+        assert_eq!(lsn, before + 1);
+        assert!(db.shards().all(|s| s.commit_lsn() == lsn));
+        let snap = db.snapshot().unwrap();
+        assert!(snap.parts().iter().all(|p| p.lsn() == lsn));
+        drop(snap);
+        db.insert("lineitem", rows(71)).unwrap();
+        assert!(db.shards().all(|s| s.commit_lsn() == lsn + 1));
+    }
+
     #[test]
     fn updates_route_and_decompose() {
         let mut one = sharded(1);
@@ -1191,7 +1288,7 @@ mod tests {
             .unwrap();
         }
         assert_eq!(one.state_bytes().unwrap(), many.state_bytes().unwrap());
-        // Policy restored afterwards.
+        // The stored policies are never touched.
         assert!(many.shards().all(|s| !s.policy.update_decomposition));
     }
 }

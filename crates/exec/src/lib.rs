@@ -31,7 +31,9 @@ pub use hashtbl::{KeyHashTable, KeySet};
 pub use layout::{TableSlot, ViewLayout};
 pub use morsel::{morsel_ranges, ParallelSpec};
 pub use ops::filter::filter_project_into;
-pub use parallel::{map_morsels, map_parts, ExecEnv, ExecStats, ExecStatsSnapshot};
+pub use parallel::{
+    map_morsels, map_parts, panic_detail, run_pool, ExecEnv, ExecStats, ExecStatsSnapshot,
+};
 pub use run::{
     apply_spine_step, eval_expr, eval_expr_buf, join_buf_expr, join_rows_expr, null_if_buf,
     DeltaInput, ExecCtx,

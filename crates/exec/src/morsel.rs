@@ -2,10 +2,9 @@
 //! process as independent work units.
 //!
 //! A *morsel* is a contiguous range of input row indices. Parallel operators
-//! claim morsels from a shared counter (work-stealing granularity without a
-//! queue) and merge per-morsel outputs **in morsel order**, which makes every
-//! parallel operator bit-identical to its serial counterpart regardless of
-//! thread count or scheduling.
+//! deal morsels round-robin to the pool's workers and merge per-morsel outputs
+//! **in morsel order**, which makes every parallel operator bit-identical to
+//! its serial counterpart regardless of thread count or scheduling.
 
 use std::ops::Range;
 

@@ -1,14 +1,20 @@
 //! Morsel-parallel driver and per-operator counters.
 //!
 //! [`map_morsels`] is the single scheduling primitive every parallel operator
-//! uses: workers claim morsels from an atomic counter, and per-morsel results
+//! uses: morsels are dealt round-robin to the workers, and per-morsel results
 //! are returned **in morsel order**, so concatenating them reproduces the
 //! serial output exactly. [`map_parts`] is the same idea for work that is
 //! naturally indexed by partition (hash-partitioned dedup, per-mask
 //! subsumption) rather than by row range.
+//!
+//! Both run on [`run_pool`], the one bounded scoped-thread pool of the
+//! workspace: batched view maintenance, the shard fan-out and the change-feed
+//! fan-out use it too, so there is one place that spawns threads, one
+//! panic→error policy and one set of happens-before edges.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::layout::ViewLayout;
@@ -16,8 +22,7 @@ use crate::morsel::{morsel_ranges, ParallelSpec};
 
 /// Run `work` over every morsel of `0..len`, returning results in morsel
 /// order. Serial (caller thread, in-order) when the spec says so or there is
-/// at most one morsel; otherwise `spec.threads` scoped workers claim morsels
-/// from a shared counter.
+/// at most one morsel; otherwise on up to `spec.threads` pool workers.
 pub fn map_morsels<T, F>(spec: ParallelSpec, len: usize, work: F) -> Vec<T>
 where
     T: Send,
@@ -27,7 +32,7 @@ where
     if !spec.is_parallel_for(len) || ranges.len() <= 1 {
         return ranges.into_iter().map(work).collect();
     }
-    run_indexed(spec, ranges.len(), |i| work(ranges[i].clone()))
+    run_infallible(spec, ranges, work)
 }
 
 /// Run `work(p)` for every partition index `p in 0..nparts`, returning
@@ -42,58 +47,125 @@ where
     if spec.threads <= 1 || nparts <= 1 {
         return (0..nparts).map(work).collect();
     }
-    run_indexed(spec, nparts, work)
+    run_infallible(spec, (0..nparts).collect(), work)
 }
 
-fn run_indexed<T, F>(spec: ParallelSpec, n: usize, work: F) -> Vec<T>
+/// [`run_pool`] for the operators, which keep infallible signatures: a
+/// worker panic the pool caught is re-raised here, on the calling thread,
+/// where the maintenance layer's per-job boundary turns it into an error.
+fn run_infallible<I, T, F>(spec: ParallelSpec, items: Vec<I>, work: F) -> Vec<T>
 where
+    I: Send,
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(I) -> T + Sync,
 {
-    let next = AtomicUsize::new(0);
-    let workers = spec.threads.min(n).max(1);
-    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(n);
-    // Happens-before edge: everything the caller did before spawning the
-    // morsel pool is visible to every worker (spawn edge), and everything a
-    // worker did is visible to the caller after the joins (join edge). The
-    // merge buffer itself is a traced cell so the detector can prove the
-    // workers' results are only touched by the main thread post-join.
-    crate::trace::publish("exec.morsel.spawn");
+    run_pool("exec.morsel", spec.threads, items, |_, item| work(item))
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|detail| resume_unwind(Box::new(detail))))
+        .collect()
+}
+
+/// Render a caught panic payload for error surfacing.
+pub fn panic_detail(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The workspace's one worker pool: run `work(k, item)` for every item on
+/// at most `threads` scoped workers and return one result per item **in
+/// item order**.
+///
+/// * Bounded: `min(threads, items.len())` workers; item `k` goes to worker
+///   `k % workers`. With one worker everything runs inline on the calling
+///   thread, under the same per-item semantics.
+/// * One panic policy: a panic inside `work` is caught at the item boundary
+///   and becomes `Err(detail)` for that item only; every other item still
+///   completes. Callers map the detail onto their own error type.
+/// * Workers take no locks; results travel back through the join. The
+///   happens-before edges are `{label}.spawn` (caller → every worker),
+///   `{label}.join` (every worker → caller) and the `{label}.merge@<caller>`
+///   write the caller performs once all workers are joined.
+pub fn run_pool<I, T, F>(
+    label: &str,
+    threads: usize,
+    items: Vec<I>,
+    work: F,
+) -> Vec<Result<T, String>>
+where
+    I: Send,
+    T: Send,
+    F: Fn(usize, I) -> T + Sync,
+{
+    let guarded = |k: usize, item: I| {
+        catch_unwind(AssertUnwindSafe(|| work(k, item))).map_err(|p| panic_detail(p.as_ref()))
+    };
+    let n = items.len();
+    let workers = threads.min(n);
+    if workers <= 1 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(k, item)| guarded(k, item))
+            .collect();
+    }
+    let mut buckets: Vec<Vec<(usize, I)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (k, item) in items.into_iter().enumerate() {
+        buckets[k % workers].push((k, item));
+    }
+    let (spawn, join) = (format!("{label}.spawn"), format!("{label}.join"));
+    let mut slots: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
+    // A worker that dies outside an item (only the trace shim can panic
+    // there) takes its unreported items with it; they surface as errors.
+    let mut lost = String::from("pool worker exited without reporting");
+    crate::trace::publish(&spawn);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let next = &next;
-                let work = &work;
+        let handles: Vec<_> = buckets
+            .into_iter()
+            .enumerate()
+            .map(|(w, bucket)| {
+                let (guarded, spawn, join) = (&guarded, &spawn, &join);
                 s.spawn(move || {
                     if crate::trace::active() {
-                        crate::trace::register_thread(&format!("morsel-worker-{w}"));
+                        crate::trace::register_thread(&format!("{label}-worker-{w}"));
                     }
-                    crate::trace::observe("exec.morsel.spawn");
-                    let mut local = Vec::new();
-                    loop {
-                        // Morsel claim counter: uniqueness is all that
-                        // matters; results are ordered by the in-order
-                        // merge after scope join.
-                        // concheck:allow(atomic-ordering)
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, work(i)));
-                    }
-                    crate::trace::publish("exec.morsel.join");
-                    local
+                    crate::trace::observe(spawn);
+                    let out: Vec<(usize, Result<T, String>)> = bucket
+                        .into_iter()
+                        .map(|(k, item)| (k, guarded(k, item)))
+                        .collect();
+                    crate::trace::publish(join);
+                    out
                 })
             })
             .collect();
         for h in handles {
-            indexed.extend(h.join().expect("morsel worker panicked"));
+            match h.join() {
+                Ok(out) => {
+                    for (k, r) in out {
+                        slots[k] = Some(r);
+                    }
+                }
+                Err(p) => lost = panic_detail(p.as_ref()),
+            }
         }
-        crate::trace::observe("exec.morsel.join");
+        // All workers joined: pull their published clocks before the caller
+        // touches the merged results.
+        crate::trace::observe(&join);
     });
-    crate::trace::on_write("exec.morsel.merge");
-    indexed.sort_unstable_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, t)| t).collect()
+    // The merge buffer is this call's own. Pools of one label can run side by
+    // side (a batch pool per shard worker), so the cell is named after the
+    // calling thread: distinct buffers, distinct cells.
+    let caller = std::thread::current().id();
+    crate::trace::on_write(&format!("{label}.merge@{caller:?}"));
+    slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|| Err(lost.clone())))
+        .collect()
 }
 
 /// Counters for one physical operator, shareable by `&` across workers.
@@ -263,6 +335,49 @@ mod tests {
             let out = map_parts(spec, 5, |p| p * 2);
             assert_eq!(out, vec![0, 2, 4, 6, 8]);
         }
+    }
+
+    /// The pool's contract: a panic on item k is `Err` for k only, every
+    /// other item completes, and results stay in item order — inline and
+    /// threaded alike.
+    #[test]
+    fn run_pool_isolates_a_panicking_item() {
+        const N: usize = 11;
+        const K: usize = 4;
+        for threads in [1usize, 2, 8] {
+            let out = run_pool("test.pool", threads, (0..N).collect(), |k, item: usize| {
+                assert_eq!(k, item, "item index travels with the item");
+                if item == K {
+                    panic!("boom on {item}");
+                }
+                item * 10
+            });
+            assert_eq!(out.len(), N, "threads={threads}");
+            for (k, r) in out.iter().enumerate() {
+                if k == K {
+                    let detail = r.as_ref().unwrap_err();
+                    assert!(detail.contains("boom on 4"), "threads={threads}: {detail}");
+                } else {
+                    assert_eq!(r.as_ref().unwrap(), &(k * 10), "threads={threads}");
+                }
+            }
+        }
+    }
+
+    /// Operators are infallible: the morsel wrapper re-raises a caught
+    /// worker panic on the calling thread instead of swallowing it.
+    #[test]
+    fn map_parts_reraises_a_worker_panic_on_the_caller() {
+        let caught = catch_unwind(|| {
+            map_parts(ParallelSpec::threads(4), 6, |p| {
+                if p == 3 {
+                    panic!("partition 3 broke");
+                }
+                p
+            })
+        });
+        let detail = panic_detail(caught.unwrap_err().as_ref());
+        assert!(detail.contains("partition 3 broke"), "{detail}");
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //! view, yielding `(pre, post)` pairs. A row inserted and deleted inside one
 //! batch nets to nothing; an UPDATE decomposes into its delete/insert
 //! halves only when a projected column actually changed. Netted events fan
-//! out to filter groups on a bounded worker pool (the same shape as batched
-//! maintenance's pool: bucketed jobs, `std::thread::scope`, per-job
-//! `catch_unwind`). Workers touch no locks — a panic is caught at the job
-//! boundary, sibling groups still publish, and the affected group's
-//! subscribers lapse to a snapshot rebase.
+//! out to filter groups on the workspace's bounded worker pool
+//! ([`ojv_exec::run_pool`], the one batched maintenance uses). Workers touch
+//! no locks — a panic is caught at the job boundary, sibling groups still
+//! publish, and the affected group's subscribers lapse to a snapshot rebase.
 //!
 //! Delivery is pull-based: each evaluation leaf retains a bounded ring of
 //! recent `Arc<UpdateSet>`s; a subscriber's [`Subscription::drain`] returns
@@ -38,7 +37,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -300,73 +298,39 @@ fn push_insert(set: &mut UpdateSet, key: &[Datum], row: &[Datum], proj: &[usize]
     }
 }
 
-fn run_job(job: Job, lsn: Lsn) -> JobResult {
-    let leaf_idxs: Vec<usize> = job.leaves.iter().map(|(li, _)| *li).collect();
-    let (view_idx, group_idx) = (job.view_idx, job.group_idx);
-    let view = Arc::clone(&job.view);
-    let outcome = catch_unwind(AssertUnwindSafe(|| eval_group(&job, lsn))).map_err(|p| {
-        FeedError::FanoutPanic {
-            view: view.to_string(),
-            detail: ojv_core::batch::panic_detail(p.as_ref()),
-        }
-    });
-    JobResult {
-        view_idx,
-        group_idx,
-        leaf_idxs,
-        outcome,
-    }
-}
-
-/// Run jobs on a bounded pool (same shape as batched maintenance's pool:
-/// round-robin buckets, scoped threads, per-job `catch_unwind`). Workers
-/// call only [`run_job`] — no locks are taken on worker threads.
+/// Run jobs on the workspace pool ([`ojv_exec::run_pool`]: bounded, results
+/// in job order, a panic caught per job). Workers call only [`eval_group`]
+/// — no locks are taken on worker threads. A panicking group becomes a
+/// failed [`JobResult`]; its siblings still publish.
 fn run_jobs(jobs: Vec<Job>, lsn: Lsn, threads: usize) -> Vec<JobResult> {
-    let p = threads.max(1).min(jobs.len().max(1));
-    if p <= 1 || jobs.len() <= 1 {
-        return jobs.into_iter().map(|j| run_job(j, lsn)).collect();
-    }
-    let mut buckets: Vec<Vec<Job>> = (0..p).map(|_| Vec::new()).collect();
-    for (k, job) in jobs.into_iter().enumerate() {
-        buckets[k % p].push(job);
-    }
-    crate::trace::publish("feed.fanout.spawn");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(b, bucket)| {
-                scope.spawn(move || {
-                    if crate::trace::active() {
-                        crate::trace::register_thread(&format!("feed-fanout-{b}"));
-                    }
-                    crate::trace::observe("feed.fanout.spawn");
-                    let out: Vec<JobResult> = bucket.into_iter().map(|j| run_job(j, lsn)).collect();
-                    crate::trace::publish("feed.fanout.join");
-                    out
-                })
-            })
-            .collect();
-        let mut merged = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok(results) => merged.extend(results),
-                // Unreachable in practice (every job body is caught), but a
-                // worker-thread panic must not poison the hub.
-                Err(p) => merged.push(JobResult {
-                    view_idx: usize::MAX,
-                    group_idx: usize::MAX,
-                    leaf_idxs: Vec::new(),
-                    outcome: Err(FeedError::FanoutPanic {
-                        view: "<fan-out worker>".to_string(),
-                        detail: ojv_core::batch::panic_detail(p.as_ref()),
-                    }),
+    let slots: Vec<(usize, usize, Vec<usize>, Arc<str>)> = jobs
+        .iter()
+        .map(|job| {
+            let leaf_idxs = job.leaves.iter().map(|(li, _)| *li).collect();
+            (
+                job.view_idx,
+                job.group_idx,
+                leaf_idxs,
+                Arc::clone(&job.view),
+            )
+        })
+        .collect();
+    let outcomes = ojv_exec::run_pool("feed.fanout", threads, jobs, |_, job| eval_group(&job, lsn));
+    slots
+        .into_iter()
+        .zip(outcomes)
+        .map(
+            |((view_idx, group_idx, leaf_idxs, view), outcome)| JobResult {
+                view_idx,
+                group_idx,
+                leaf_idxs,
+                outcome: outcome.map_err(|detail| FeedError::FanoutPanic {
+                    view: view.to_string(),
+                    detail,
                 }),
-            }
-        }
-        crate::trace::observe("feed.fanout.join");
-        merged
-    })
+            },
+        )
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -796,13 +760,6 @@ impl FeedHub {
         crate::trace::on_write("feed.hub.state");
         let cap = g.max_retained;
         for res in batch.results {
-            if res.view_idx == usize::MAX {
-                // Pool-level failure with no leaf attribution.
-                if let Err(e) = res.outcome {
-                    g.last_error = Some(e);
-                }
-                continue;
-            }
             match res.outcome {
                 Ok(sets) => {
                     for (li, set) in sets {

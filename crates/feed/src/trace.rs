@@ -5,26 +5,14 @@
 //! inlined no-ops, so the default build carries zero instrumentation cost.
 
 #[cfg(any(test, feature = "concheck"))]
-pub(crate) use ojv_testkit::race::{
-    active, lock_acquired, lock_released, observe, on_read, on_write, publish, register_thread,
-};
+pub(crate) use ojv_testkit::race::{lock_acquired, lock_released, on_read, on_write};
 
 #[cfg(not(any(test, feature = "concheck")))]
 mod noop {
     #[inline(always)]
-    pub(crate) fn active() -> bool {
-        false
-    }
-    #[inline(always)]
     pub(crate) fn on_read(_cell: &str) {}
     #[inline(always)]
     pub(crate) fn on_write(_cell: &str) {}
-    #[inline(always)]
-    pub(crate) fn publish(_chan: &str) {}
-    #[inline(always)]
-    pub(crate) fn observe(_chan: &str) {}
-    #[inline(always)]
-    pub(crate) fn register_thread(_name: &str) {}
     #[inline(always)]
     pub(crate) fn lock_acquired(_label: &str) {}
     #[inline(always)]

@@ -76,11 +76,11 @@ pub const LINTS: [LintDef; 12] = [
     },
     LintDef {
         id: "shard-routing-confined",
-        scope: "everywhere but crates/storage/src/shard.rs, crates/core/src/shard{,_durable}.rs",
+        scope: "everywhere but crates/storage/src/shard.rs, crates/core/src/shard.rs",
         desc: "no direct ShardId/ShardRouter construction or route_* calls outside the \
-               router's module and core's shard facade — a second routing decision point \
-               can disagree with the facade's and send a row's maintenance to the wrong \
-               shard",
+               router's module and core's shard engine (the durable layer above it names \
+               no router) — a second routing decision point can disagree with the engine's \
+               and send a row's maintenance to the wrong shard",
     },
     LintDef {
         id: "unsafe-code",
@@ -182,13 +182,12 @@ fn applies(lint: &str, path: &str) -> bool {
         // blow-up the hub exists to avoid).
         "feed-eval-confined" => !path.starts_with("crates/feed/src/"),
         // Routing is decided in exactly two places: the router's own module
-        // and the core facade that owns the shards. Any other call site
-        // could hash differently (or construct a ShardId out of thin air)
-        // and route a row's maintenance to a shard that does not own it.
+        // and the core engine that owns the shards. Any other call site —
+        // the durable layer above the engine included — could hash
+        // differently (or construct a ShardId out of thin air) and route a
+        // row's maintenance to a shard that does not own it.
         "shard-routing-confined" => {
-            path != "crates/storage/src/shard.rs"
-                && path != "crates/core/src/shard.rs"
-                && path != "crates/core/src/shard_durable.rs"
+            path != "crates/storage/src/shard.rs" && path != "crates/core/src/shard.rs"
         }
         // Seed discipline applies to every scanned file, test or not.
         "sched-seed-logged" => true,
@@ -648,14 +647,15 @@ mod tests {
         let v2 = scan_file("crates/core/src/durable.rs", routes);
         assert_eq!(v2.len(), 4);
         assert!(v2.iter().all(|x| x.lint == "shard-routing-confined"));
-        // The router's module and core's shard facade are the sanctioned homes.
-        for path in [
-            "crates/storage/src/shard.rs",
-            "crates/core/src/shard.rs",
-            "crates/core/src/shard_durable.rs",
-        ] {
+        // The router's module and core's shard engine are the sanctioned homes…
+        for path in ["crates/storage/src/shard.rs", "crates/core/src/shard.rs"] {
             assert!(scan_file(path, ctor).is_empty(), "{path}");
             assert!(scan_file(path, routes).is_empty(), "{path}");
+        }
+        // …and the durable layer above it is not one of them.
+        for path in ["crates/core/src/group_log.rs", "crates/core/src/wal_log.rs"] {
+            assert_eq!(scan_file(path, ctor).len(), 1, "{path}");
+            assert_eq!(scan_file(path, routes).len(), 4, "{path}");
         }
         // In-file test modules may route directly.
         let tested = "#[cfg(test)]\nmod tests {\n    fn f() { let _ = ShardId::new(0); }\n}\n";
@@ -670,23 +670,26 @@ mod tests {
         assert!(scan_file("crates/core/src/database.rs", other).is_empty());
     }
 
-    /// A seeded routing violation under tests/ fails the gate — integration
-    /// suites must go through the facade too.
+    /// A seeded routing violation fails the gate under tests/ — integration
+    /// suites must go through the engine too — and in the durable layer,
+    /// which sits above the engine and is outside the lint's scope of
+    /// sanctioned files.
     #[test]
     fn seeded_shard_routing_violation_fails_the_gate() {
         let root = std::env::temp_dir().join(format!("xtask-lint-shard-{}", std::process::id()));
-        let dir = root.join("tests");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("seeded.rs"),
-            "fn f() { let r = ShardRouter::new(2); let _ = r.route_key(&key); }\n",
-        )
-        .unwrap();
+        let seeded = "fn f() { let r = ShardRouter::new(2); let _ = r.route_key(&key); }\n";
+        for dir in ["tests", "crates/core/src"] {
+            fs::create_dir_all(root.join(dir)).unwrap();
+        }
+        fs::write(root.join("tests/seeded.rs"), seeded).unwrap();
+        fs::write(root.join("crates/core/src/group_log.rs"), seeded).unwrap();
         let v = run(&root).unwrap();
         fs::remove_dir_all(&root).unwrap();
-        assert_eq!(v.len(), 2);
+        assert_eq!(v.len(), 4);
         assert!(v.iter().all(|x| x.lint == "shard-routing-confined"));
-        assert_eq!(v[0].file, "tests/seeded.rs");
+        let files: Vec<&str> = v.iter().map(|x| x.file.as_str()).collect();
+        assert!(files.contains(&"tests/seeded.rs"), "{files:?}");
+        assert!(files.contains(&"crates/core/src/group_log.rs"), "{files:?}");
     }
 
     /// A seeded feed-eval violation fails the gate like the older lints.

@@ -56,7 +56,7 @@ fn lint_list_is_sorted_and_scoped() {
         ("sched-seed-logged", "all scanned files"),
         (
             "shard-routing-confined",
-            "everywhere but crates/storage/src/shard.rs, crates/core/src/shard{,_durable}.rs",
+            "everywhere but crates/storage/src/shard.rs, crates/core/src/shard.rs",
         ),
         ("unsafe-code", "everywhere but crates/rel/src/alloc.rs"),
         ("vec-vec-datum", "crates/exec/src/"),

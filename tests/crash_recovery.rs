@@ -16,15 +16,24 @@
 //! idempotent (a second open over the recovered filesystem is a byte-level
 //! no-op).
 //!
+//! The file closes with the **poison contract**, held for both durable
+//! engines by one generic helper over `Durable<L: CommitLog>`: a log append
+//! that fails after the batch was applied in memory poisons the engine, and
+//! reopening its files lands on the last consistent state.
+//!
 //! The fast subset runs in plain `cargo test -q`; the exhaustive matrix and
 //! the ~200-case seeded fault-injection sweep are `#[ignore]`d and run in CI
 //! via `--ignored` (see `ci/check.sh`).
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use ojv::core::durable::{CommitLog, Durable};
 use ojv::durability::wal::{scan_segment, SEGMENT_HEADER_LEN};
 use ojv::prelude::*;
 use ojv::storage::encode_catalog;
 use ojv_core::fixtures;
-use ojv_testkit::{fault_spec, FaultFile, Rng, Strategy};
+use ojv_testkit::{fault_spec, FaultFile, FaultSpec, Rng, Strategy};
 
 const EAGER: &str = "oj_view";
 const DEFERRED: &str = "oj_dv";
@@ -428,4 +437,168 @@ fn recovery_fuzz_smoke() {
 #[ignore = "200-case recovery fuzz sweep; run via --ignored in CI"]
 fn recovery_fuzz_sweep() {
     fuzz_sweep(200, 0xC4A5_11E5);
+}
+
+// ---------------------------------------------------------------------------
+// Poison contract: a durable write that fails after the in-memory mutation.
+// ---------------------------------------------------------------------------
+
+fn faulty() -> (FaultFile, Arc<AtomicBool>) {
+    let ff = FaultFile::new(MemVfs::new(), FaultSpec::none());
+    let fail = ff.append_failures();
+    (ff, fail)
+}
+
+/// The contract, for either log topology: with `fail` on, the log append of
+/// an already-applied insert fails — the call returns the I/O error and the
+/// engine poisons itself. From then on, also with I/O healthy again, the
+/// in-memory image is ahead of the log, so every durable operation — above
+/// all `checkpoint`, which would persist the divergence — is refused.
+fn assert_failed_append_poisons<L: CommitLog>(d: &mut Durable<L>, fail: &AtomicBool) {
+    assert!(d.poison_reason().is_none());
+    fail.store(true, Ordering::SeqCst);
+    let err = d
+        .insert("lineitem", vec![fixtures::lineitem_row(3, 1, 2, 4, 42.0)])
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Durability(_)), "{err}");
+    assert!(d.poison_reason().is_some());
+
+    fail.store(false, Ordering::SeqCst);
+    assert!(matches!(
+        d.insert("lineitem", vec![fixtures::lineitem_row(6, 9, 5, 1, 2.0)]),
+        Err(CoreError::Poisoned { .. })
+    ));
+    assert!(matches!(
+        d.delete("lineitem", &[vec![Datum::Int(2), Datum::Int(1)]]),
+        Err(CoreError::Poisoned { .. })
+    ));
+    assert!(matches!(
+        d.update(
+            "lineitem",
+            &[vec![Datum::Int(2), Datum::Int(1)]],
+            vec![fixtures::lineitem_row(2, 1, 3, 99, 1.0)]
+        ),
+        Err(CoreError::Poisoned { .. })
+    ));
+    assert!(matches!(
+        d.create_view(ViewDef::new("late", ol_view().expr().clone())),
+        Err(CoreError::Poisoned { .. })
+    ));
+    assert!(matches!(d.checkpoint(), Err(CoreError::Poisoned { .. })));
+}
+
+#[test]
+fn failed_update_append_poisons_the_database() {
+    let (vfs, fail) = faulty();
+    let mut d = DurableDatabase::create(vfs, populated_catalog(), policy()).unwrap();
+    d.create_view(fixtures::oj_view_def()).unwrap();
+    let pre_failure = d.state_bytes().unwrap();
+
+    assert_failed_append_poisons(&mut d, &fail);
+    assert!(matches!(
+        d.refresh("anything"),
+        Err(CoreError::Poisoned { .. })
+    ));
+
+    // Reopening from the log lands on the last consistent state: the
+    // half-applied insert never happened.
+    let (r, _) = DurableDatabase::open(d.into_vfs().crash(), policy()).unwrap();
+    assert_eq!(r.state_bytes().unwrap(), pre_failure);
+}
+
+#[test]
+fn failed_refresh_marker_append_poisons_the_database() {
+    let (vfs, fail) = faulty();
+    let mut d = DurableDatabase::create(vfs, populated_catalog(), policy()).unwrap();
+    d.create_deferred_view(fixtures::oj_view_def()).unwrap();
+    d.insert("lineitem", vec![fixtures::lineitem_row(3, 1, 2, 4, 42.0)])
+        .unwrap();
+    let pre_refresh = d.state_bytes().unwrap();
+
+    fail.store(true, Ordering::SeqCst);
+    assert!(d.refresh("oj_view").is_err());
+    fail.store(false, Ordering::SeqCst);
+    // The store was refreshed but the watermark marker never made the
+    // log: checkpointing now would make recovery double-apply the
+    // consumed batch, so the database must refuse.
+    assert!(matches!(d.checkpoint(), Err(CoreError::Poisoned { .. })));
+
+    // Recovery rewinds to the pre-refresh state, batch still pending.
+    let (r, _) = DurableDatabase::open(d.into_vfs().crash(), policy()).unwrap();
+    assert_eq!(r.state_bytes().unwrap(), pre_refresh);
+    assert_eq!(r.deferred_view("oj_view").unwrap().pending_len(), 1);
+}
+
+fn orderkey_routing() -> RoutingSpec {
+    RoutingSpec::new()
+        .table("part", &["p_partkey"])
+        .table("orders", &["o_orderkey"])
+        .table("lineitem", &["l_orderkey"])
+}
+
+/// `orders ⟕ lineitem` on the order key: alignable under
+/// [`orderkey_routing`] at any shard count.
+fn ol_view() -> ViewDef {
+    ViewDef::new(
+        "ol_view",
+        ViewExpr::left_outer(
+            vec![col_eq("orders", "o_orderkey", "lineitem", "l_orderkey")],
+            ViewExpr::table("orders"),
+            ViewExpr::table("lineitem"),
+        ),
+    )
+}
+
+/// The sharded engine under the same contract, once per kind of stream that
+/// can fail: the owner shard's append, or — the touched shard stream already
+/// appended *and fsynced* — the coordinator's group record. Either way the
+/// commit never happened: reopening converges on the pre-failure group floor.
+#[test]
+fn failed_group_commit_poisons_the_sharded_database() {
+    const N: usize = 3;
+    for coordinator_fails in [false, true] {
+        let (shard_vfs, shard_fail): (Vec<_>, Vec<_>) = (0..N).map(|_| faulty()).unzip();
+        let (coord_vfs, coord_fail) = faulty();
+        let mut d = ShardedDurableDatabase::create(
+            shard_vfs,
+            coord_vfs,
+            &populated_catalog(),
+            orderkey_routing(),
+            policy(),
+        )
+        .unwrap();
+        d.create_view(ol_view()).unwrap();
+        d.insert("lineitem", vec![fixtures::lineitem_row(5, 7, 1, 1, 7.0)])
+            .unwrap();
+        let pre_failure = d.state_bytes().unwrap();
+        let floor = d.commit_lsn();
+
+        // The contract's insert is lineitem (3, 1): fail its owner shard's
+        // stream, or let the shards through and fail the coordinator.
+        let owner = d
+            .database()
+            .shard_of_row("lineitem", &fixtures::lineitem_row(3, 1, 2, 4, 42.0))
+            .unwrap();
+        let fail = if coordinator_fails {
+            &coord_fail
+        } else {
+            &shard_fail[owner.index()]
+        };
+        assert_failed_append_poisons(&mut d, fail);
+
+        let (shards, coord) = d.into_vfs();
+        let (r, report) = ShardedDurableDatabase::open(
+            shards.into_iter().map(FaultFile::crash).collect(),
+            coord.crash(),
+            policy(),
+        )
+        .unwrap();
+        assert_eq!(report.group_lsn, floor);
+        assert_eq!(
+            report.discarded_records,
+            usize::from(coordinator_fails),
+            "only a synced shard record without its group record is discarded"
+        );
+        assert_eq!(r.state_bytes().unwrap(), pre_failure);
+    }
 }

@@ -8,6 +8,10 @@
 //!    shard's view verifies against its own recompute, and constraint
 //!    rejections (duplicate keys, FK restricts) are identical at every
 //!    shard count. Failing sequences shrink toward shorter, simpler ones.
+//!    Two durable twins ride the same script — [`DurableDatabase`] and a
+//!    1-shard [`ShardedDurableDatabase`], both on [`MemVfs`]: same verdicts
+//!    op by op, same view contents, and after drop-and-`open` each equals
+//!    its uncrashed self.
 //!
 //! 2. **Group-commit floor convergence** — for every subset of shards whose
 //!    WALs made it to stable storage before a crash (the coordinator's
@@ -88,6 +92,25 @@ fn sharded(n: usize) -> ShardedDatabase {
         db.create_view(def).unwrap();
     }
     db
+}
+
+/// The durable twins of the differential property, views created.
+fn durable_twins() -> (DurableDatabase<MemVfs>, ShardedDurableDatabase<MemVfs>) {
+    let policy = MaintenancePolicy::default();
+    let mut wal = DurableDatabase::create(MemVfs::new(), schema(), policy).unwrap();
+    let mut group = ShardedDurableDatabase::create(
+        vec![MemVfs::new()],
+        MemVfs::new(),
+        &schema(),
+        routing(),
+        policy,
+    )
+    .unwrap();
+    for def in views() {
+        wal.create_view(def.clone()).unwrap();
+        group.create_view(def).unwrap();
+    }
+    (wal, group)
 }
 
 /// One randomized facade operation. Indices pick from the driver's mirror
@@ -200,7 +223,8 @@ property! {
         ops in vec_of(op_strategy(), 1..14),
     ) {
         let mut dbs: Vec<ShardedDatabase> = SHARD_COUNTS.iter().map(|&n| sharded(n)).collect();
-        dbs[3].parallel_shards = true; // the 8-shard twin uses scoped threads
+        dbs[3].set_policy(MaintenancePolicy::with_threads(8)); // the 8-shard twin uses pool threads
+        let (mut wal, mut group) = durable_twins();
 
         // Driver-side mirror of live rows, advanced only when ops succeed.
         let mut parents: Vec<i64> = Vec::new();
@@ -259,17 +283,22 @@ property! {
             };
 
             // Apply to every twin; all must agree on success vs rejection.
-            let mut verdicts: Vec<bool> = Vec::new();
-            for db in dbs.iter_mut() {
-                let ok = match &call {
-                    Call::Insert(t, row) => db.insert(t, vec![row.clone()]).is_ok(),
-                    Call::Delete(t, key) => db.delete(t, std::slice::from_ref(key)).is_ok(),
-                    Call::Update(t, key, row) => {
-                        db.update(t, std::slice::from_ref(key), vec![row.clone()]).is_ok()
+            // The three engine types share no trait; a macro makes the one
+            // call on each.
+            macro_rules! verdict {
+                ($db:expr) => {
+                    match &call {
+                        Call::Insert(t, row) => $db.insert(t, vec![row.clone()]).is_ok(),
+                        Call::Delete(t, key) => $db.delete(t, std::slice::from_ref(key)).is_ok(),
+                        Call::Update(t, key, row) => $db
+                            .update(t, std::slice::from_ref(key), vec![row.clone()])
+                            .is_ok(),
                     }
                 };
-                verdicts.push(ok);
             }
+            let mut verdicts: Vec<bool> = dbs.iter_mut().map(|db| verdict!(db)).collect();
+            verdicts.push(verdict!(wal));
+            verdicts.push(verdict!(group));
             assert!(
                 verdicts.iter().all(|&v| v == verdicts[0]),
                 "twins disagree on op outcome: {verdicts:?} for {op:?} (seed={seed})"
@@ -320,6 +349,49 @@ property! {
                 }
             }
         }
+
+        // The durable twins: same view contents as the in-memory 1-shard
+        // twin, views == recompute, and — dropped and reopened from their
+        // files — each recovers to exactly its uncrashed self.
+        for def in views() {
+            let v = wal.view(def.name()).unwrap();
+            assert!(
+                v.output().unwrap().bag_eq(&dbs[0].output(def.name()).unwrap()),
+                "DurableDatabase view {} diverged from the in-memory twin (seed={seed})",
+                def.name()
+            );
+            assert!(
+                ojv::core::maintain::verify_against_recompute(v, wal.database().catalog()),
+                "DurableDatabase view {} diverged from recompute (seed={seed})",
+                def.name()
+            );
+        }
+        let uncrashed = wal.state_bytes().unwrap();
+        let (recovered, _) =
+            DurableDatabase::open(wal.into_vfs().crash(), MaintenancePolicy::default()).unwrap();
+        assert_eq!(
+            recovered.state_bytes().unwrap(),
+            uncrashed,
+            "recovered DurableDatabase differs from its uncrashed self (seed={seed})"
+        );
+
+        assert_eq!(
+            group.state_bytes().unwrap(),
+            reference,
+            "1-shard ShardedDurableDatabase diverged from the in-memory twin (seed={seed})"
+        );
+        let (shards, coord) = group.into_vfs();
+        let (recovered, _) = ShardedDurableDatabase::open(
+            shards.iter().map(MemVfs::crash).collect(),
+            coord.crash(),
+            MaintenancePolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            recovered.state_bytes().unwrap(),
+            reference,
+            "recovered ShardedDurableDatabase differs from its uncrashed self (seed={seed})"
+        );
     }
 }
 
@@ -501,7 +573,7 @@ fn parallel_shard_merge_is_race_free() {
 
     let detector = race::install("parallel_shard_merge");
     let mut db = sharded(8);
-    db.parallel_shards = true;
+    db.set_policy(MaintenancePolicy::with_threads(8));
     for round in 0..4i64 {
         let parents: Vec<Row> = (0..8)
             .map(|i| vec![Datum::Int(round * 8 + i), Datum::Int(i)])
