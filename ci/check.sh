@@ -25,6 +25,13 @@ cargo build --offline --release --workspace
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
+# These two also run in the debug sweep above; the optimized run is the
+# meaningful one — the skew gate compares two timed runs whose shared
+# constant work shrinks under optimization, and the allocation pins must
+# hold for the code that ships.
+echo "==> base-table apply gates in release: allocation pins + key-skew ratio"
+cargo test --offline --release -q --test alloc_apply --test skew_gate
+
 echo "==> crash-recovery matrix + 200-case fuzz sweep (fixed seed)"
 cargo test --offline -q --test crash_recovery -- --ignored
 

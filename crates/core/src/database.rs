@@ -98,8 +98,8 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access, for tests that run DDL under live views.
-    #[cfg(test)]
+    /// Mutable catalog access: the sharded engine applies batches it has
+    /// validated on every shard first; tests run DDL under live views.
     pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }

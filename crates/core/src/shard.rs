@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 
 use ojv_durability::Lsn;
 use ojv_exec::run_pool;
-use ojv_rel::{key_of, put_row, put_str, put_u32, put_u64, Datum, FxHashSet, Relation, Row};
+use ojv_rel::{put_row, put_str, put_u32, put_u64, Datum, Relation, Row};
 use ojv_storage::{Catalog, ShardId, ShardRouter, StorageError, Update};
 
 use crate::checkpoint_state::fit_u32;
@@ -533,128 +533,104 @@ impl ShardedDatabase {
     /// Validate, route, and apply an insert batch to its owner shards
     /// *without* maintaining views. One entry per shard, `None` for
     /// untouched shards.
+    ///
+    /// Validation is total before the first mutation: every owner shard's
+    /// [`Catalog::validate_insert`] (row shape, null and duplicate keys —
+    /// equal keys route alike, so a shard sees all of a key's copies) and
+    /// then the cross-shard FK parent probes run for *all* shards before
+    /// any shard applies, after which applying cannot fail. A refused
+    /// batch leaves every shard bit-identical.
     pub(crate) fn apply_insert_routed(
         &mut self,
         table: &str,
         rows: Vec<Row>,
     ) -> Result<Vec<Option<Update>>> {
-        let Some(tr) = self.table_routing(table)?.cloned() else {
-            // One adopted shard: `Catalog::insert` is itself all-or-nothing
-            // and checks row shape, null and duplicate keys and — under the
-            // catalog's own flag — FK parents before it applies anything, so
-            // the global pre-validation below would only repeat it.
+        let Some(tr) = self.table_routing(table)? else {
+            // One adopted shard: its catalog validates the whole batch —
+            // FK parents included, under its own flag — before applying.
             return Ok(vec![Some(self.shards[0].apply_insert(table, rows)?)]);
         };
-        let schema = self.shards[0].catalog().table(table)?.schema().clone();
-        let key_cols = self.shards[0].catalog().table(table)?.key_cols().to_vec();
-        // Canonicalize before anything else so validation, routing, and the
-        // per-shard applied deltas all see the stored representation.
-        let mut rows = rows;
-        for row in &mut rows {
-            schema.canonicalize_row(row);
-        }
-        // Global pre-validation: the per-shard appliers below must not fail,
-        // or shards applied earlier would keep their half of the batch.
-        let mut batch_keys: FxHashSet<Vec<Datum>> = FxHashSet::default();
-        for row in &rows {
-            schema.check_row(row).map_err(StorageError::Rel)?;
-            let key = key_of(row, &key_cols);
-            if key.iter().any(Datum::is_null) {
-                return Err(CoreError::Storage(StorageError::NullInKey {
-                    table: table.to_string(),
-                }));
-            }
-            let owner = self.router.route(row, &tr.cols);
-            if self.shards[owner.index()]
-                .catalog()
-                .table(table)?
-                .contains_key(&key)
-                || !batch_keys.insert(key.clone())
-            {
-                return Err(CoreError::Storage(StorageError::DuplicateKey {
-                    table: table.to_string(),
-                    key: ojv_rel::row_display(&key),
-                }));
-            }
-        }
-        if self.enforce_constraints {
-            self.check_fk_parents(table, &rows)?;
-        }
-        // Route and apply per owner shard.
         let mut parts: Vec<Vec<Row>> = vec![Vec::new(); self.shards.len()];
         for row in rows {
-            let owner = self.router.route(&row, &tr.cols);
-            parts[owner.index()].push(row);
+            parts[self.route_or_first(&row, &tr.cols).index()].push(row);
         }
-        let mut updates: Vec<Option<Update>> = Vec::with_capacity(self.shards.len());
-        for (db, part) in self.shards.iter_mut().zip(parts) {
-            updates.push(if part.is_empty() {
+        let mut batches = Vec::with_capacity(self.shards.len());
+        for (db, part) in self.shards.iter().zip(parts) {
+            batches.push(if part.is_empty() {
                 None
             } else {
-                Some(db.apply_insert(table, part)?)
+                Some(db.catalog().validate_insert(table, part)?)
             });
         }
-        Ok(updates)
+        if self.enforce_constraints {
+            for batch in batches.iter().flatten() {
+                self.check_fk_parents(table, batch.rows())?;
+            }
+        }
+        Ok(self
+            .shards
+            .iter_mut()
+            .zip(batches)
+            .map(|(db, batch)| batch.map(|b| db.catalog_mut().apply_insert(b)))
+            .collect())
     }
 
     /// Validate, route, and apply a delete batch to its owner shards
     /// *without* maintaining views (see
-    /// [`ShardedDatabase::apply_insert_routed`]).
+    /// [`ShardedDatabase::apply_insert_routed`]): every owner shard's
+    /// [`Catalog::validate_delete`] (missing keys, keys repeated inside the
+    /// batch) and the cross-shard restrict probes run before any shard
+    /// applies.
     pub(crate) fn apply_delete_routed(
         &mut self,
         table: &str,
         keys: &[Vec<Datum>],
     ) -> Result<Vec<Option<Update>>> {
-        let Some(tr) = self.table_routing(table)?.cloned() else {
-            // One adopted shard: `Catalog::delete` checks FK restrict (under
-            // its own flag) and key existence itself, all-or-nothing.
+        let Some(tr) = self.table_routing(table)? else {
+            // One adopted shard: its catalog validates the whole batch —
+            // restrict included, under its own flag — before applying.
             return Ok(vec![Some(self.shards[0].apply_delete(table, keys)?)]);
         };
-        // Global pre-validation: every key must exist on its owner shard,
-        // and no child row anywhere may still reference a deleted parent.
-        let mut owners = Vec::with_capacity(keys.len());
+        let mut parts: Vec<Vec<&[Datum]>> = vec![Vec::new(); self.shards.len()];
         for key in keys {
-            let routed: Vec<Datum> = tr.key_pos.iter().map(|&p| key[p].clone()).collect();
-            let owner = self.router.route_key(&routed);
-            if !self.shards[owner.index()]
-                .catalog()
-                .table(table)?
-                .contains_key(key)
-            {
-                return Err(CoreError::Storage(StorageError::KeyNotFound {
-                    table: table.to_string(),
-                    key: ojv_rel::row_display(key),
-                }));
-            }
-            if self.enforce_constraints {
+            parts[self.route_or_first(key, &tr.key_pos).index()].push(key);
+        }
+        let mut batches = Vec::with_capacity(self.shards.len());
+        for (db, part) in self.shards.iter().zip(&parts) {
+            batches.push(if part.is_empty() {
+                None
+            } else {
+                Some(db.catalog().validate_delete(table, part)?)
+            });
+        }
+        if self.enforce_constraints {
+            // No child row anywhere may still reference a deleted parent.
+            for key in keys {
                 for s in &self.shards {
                     if let Some(fk) = s.catalog().fk_restricting(table, key)? {
-                        return Err(CoreError::Storage(StorageError::ForeignKeyViolation {
-                            constraint: fk.name.clone(),
-                            detail: format!(
-                                "rows in {} still reference {table} key {}",
-                                fk.child,
-                                ojv_rel::row_display(key)
-                            ),
-                        }));
+                        return Err(CoreError::Storage(fk.restricts(key)));
                     }
                 }
             }
-            owners.push(owner);
         }
-        let mut parts: Vec<Vec<Vec<Datum>>> = vec![Vec::new(); self.shards.len()];
-        for (key, owner) in keys.iter().zip(owners) {
-            parts[owner.index()].push(key.clone());
+        Ok(self
+            .shards
+            .iter_mut()
+            .zip(batches)
+            .map(|(db, batch)| batch.map(|b| db.catalog_mut().apply_delete(b)))
+            .collect())
+    }
+
+    /// Owner shard of a row (or delete key) by its routing columns. A row
+    /// too short to carry them goes to shard 0, whose validator refuses it
+    /// for its shape — routing never indexes out of bounds, and the shape
+    /// check stays in one place.
+    fn route_or_first(&self, row: &[Datum], cols: &[usize]) -> ShardId {
+        if cols.iter().all(|&c| c < row.len()) {
+            self.router.route(row, cols)
+        } else {
+            ShardId::new(0)
         }
-        let mut updates: Vec<Option<Update>> = Vec::with_capacity(self.shards.len());
-        for (db, part) in self.shards.iter_mut().zip(parts) {
-            updates.push(if part.is_empty() {
-                None
-            } else {
-                Some(db.apply_delete(table, &part)?)
-            });
-        }
-        Ok(updates)
     }
 
     /// Run per-shard maintenance for the routed updates and publish every
@@ -703,28 +679,24 @@ impl ShardedDatabase {
         }
     }
 
+    /// The cross-shard half of insert validation: a parent may live on any
+    /// shard, so every shard's unique index is probed — in place, no key is
+    /// built — for each non-null foreign key value.
     fn check_fk_parents(&self, table: &str, rows: &[Row]) -> Result<()> {
         let catalog = self.shards[0].catalog();
         for fk in catalog.fks_from(table) {
             for row in rows {
-                let fkv = key_of(row, &fk.child_cols);
-                if fkv.iter().any(Datum::is_null) {
-                    continue; // SQL semantics: null FK values are not checked
+                // SQL semantics: null FK values are not checked.
+                if fk.child_cols.iter().any(|&c| row[c].is_null()) {
+                    continue;
                 }
                 let exists = self.shards.iter().any(|s| {
                     s.catalog()
                         .table(&fk.parent)
-                        .is_ok_and(|t| t.contains_key(&fkv))
+                        .is_ok_and(|t| t.contains_key_of(row, &fk.child_cols))
                 });
                 if !exists {
-                    return Err(CoreError::Storage(StorageError::ForeignKeyViolation {
-                        constraint: fk.name.clone(),
-                        detail: format!(
-                            "no {} row with key {}",
-                            fk.parent,
-                            ojv_rel::row_display(&fkv)
-                        ),
-                    }));
+                    return Err(CoreError::Storage(fk.parent_missing(row)));
                 }
             }
         }

@@ -29,8 +29,9 @@ pub struct ForeignKey {
 
 /// The set of base tables and constraints.
 ///
-/// All updates flow through [`Catalog::insert`]/[`Catalog::delete`], which enforce constraints
-/// and returns the applied delta (`ΔT`) for view maintenance.
+/// All updates flow through [`Catalog::insert`]/[`Catalog::delete`] — or their two
+/// halves, `validate_*` then `apply_*` — which enforce constraints and
+/// return the applied delta (`ΔT`) for view maintenance.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: Vec<Table>,
@@ -192,10 +193,11 @@ impl Catalog {
     /// Does deleting `parent` key `key` violate a foreign key *against the
     /// rows of this catalog*? Returns the first violated constraint.
     ///
-    /// This is the read half of [`Catalog::delete`]'s restrict check,
-    /// exposed for the sharded facade: children need not be colocated with
-    /// the parent they reference, so the facade broadcasts this probe to
-    /// every shard before routing the delete to the parent's owner.
+    /// This is the read half of [`Catalog::validate_delete`]'s restrict
+    /// check, exposed for the sharded facade: children need not be
+    /// colocated with the parent they reference, so the facade broadcasts
+    /// this probe to every shard before routing the delete to the parent's
+    /// owner.
     pub fn fk_restricting(
         &self,
         parent: &str,
@@ -210,112 +212,161 @@ impl Catalog {
         Ok(None)
     }
 
-    /// Insert a batch of rows, enforcing unique keys and FK parent existence.
+    /// Check a whole insert batch against this catalog, changing nothing:
+    /// row shape, null and duplicate keys (against the table and inside the
+    /// batch) and, when constraints are enforced, that every non-null
+    /// foreign key value has its parent row.
     ///
-    /// All-or-nothing: validation runs before any row is applied. Returns the
-    /// applied delta.
-    pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Update, StorageError> {
+    /// Rows are canonicalized (numeric-widened datums take the heap's stored
+    /// representation) so the applied delta — and hence the WAL record —
+    /// matches the stored row byte for byte. The returned batch is the only
+    /// way into [`Catalog::apply_insert`], which therefore cannot fail; it
+    /// is valid for as long as the catalog is not changed in between.
+    pub fn validate_insert(
+        &self,
+        table: &str,
+        mut rows: Vec<Row>,
+    ) -> Result<ValidInsert, StorageError> {
         let tidx = self.index_of(table)?;
-        // Canonicalize numeric-widened datums up front so the applied delta
-        // (and hence the WAL record) matches the columnar heap's stored
-        // representation byte for byte.
-        let mut rows = rows;
-        {
-            let schema = self.tables[tidx].schema().clone();
-            for row in &mut rows {
-                schema.canonicalize_row(row);
-            }
+        let t = &self.tables[tidx];
+        for row in &mut rows {
+            t.schema().canonicalize_row(row);
         }
+        t.validate_insert(&rows)?;
         if self.enforce_constraints {
-            // FK parent check: the parent may be satisfied by existing rows
-            // or by rows earlier in this same batch (self-referencing batches
-            // to the parent table are handled by batch-local key sets).
-            for fk in self.fks.iter().filter(|fk| fk.child == table) {
+            for fk in self.fks_from(table) {
                 let parent = self.table(&fk.parent)?;
                 for row in &rows {
-                    let fkv = key_of(row, &fk.child_cols);
-                    if fkv.iter().any(|d| d.is_null()) {
-                        // SQL semantics: null FK values are not checked.
+                    // SQL semantics: null FK values are not checked.
+                    if fk.child_cols.iter().any(|&c| row[c].is_null())
+                        || parent.contains_key_of(row, &fk.child_cols)
+                    {
                         continue;
                     }
-                    if !parent.contains_key(&fkv) {
-                        return Err(StorageError::ForeignKeyViolation {
-                            constraint: fk.name.clone(),
-                            detail: format!(
-                                "no {} row with key {}",
-                                fk.parent,
-                                ojv_rel::row_display(&fkv)
-                            ),
-                        });
+                    return Err(fk.parent_missing(row));
+                }
+            }
+        }
+        Ok(ValidInsert { table: tidx, rows })
+    }
+
+    /// Check a whole delete batch against this catalog, changing nothing:
+    /// every key names a stored row, none repeats inside the batch and, when
+    /// constraints are enforced, no child row still references a deleted
+    /// parent (restrict). The returned batch is the only way into
+    /// [`Catalog::apply_delete`]; it is valid for as long as the catalog is
+    /// not changed in between.
+    pub fn validate_delete<'k, K: AsRef<[Datum]>>(
+        &self,
+        table: &str,
+        keys: &'k [K],
+    ) -> Result<ValidDelete<'k, K>, StorageError> {
+        let tidx = self.index_of(table)?;
+        self.tables[tidx].validate_delete(keys)?;
+        if self.enforce_constraints {
+            for fk in self.fks_to(table) {
+                let child = self.table(&fk.child)?;
+                for key in keys {
+                    if child.count_secondary(fk.child_index, key.as_ref()) > 0 {
+                        return Err(fk.restricts(key.as_ref()));
                     }
                 }
             }
         }
-        let t = &mut self.tables[tidx];
-        let schema = t.schema().clone();
-        let mut applied: Vec<Row> = Vec::with_capacity(rows.len());
-        for row in rows {
-            match t.insert(row.clone()) {
-                Ok(()) => applied.push(row),
-                Err(e) => {
-                    // Roll back rows applied so far to keep all-or-nothing.
-                    for r in &applied {
-                        let key = key_of(r, t.key_cols());
-                        t.delete(&key).expect("rollback of just-inserted row");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(Update {
-            table: table.to_string(),
+        Ok(ValidDelete { table: tidx, keys })
+    }
+
+    /// Append a validated insert batch and return the applied delta. The
+    /// caller's rows move into the delta; nothing is cloned per row.
+    pub fn apply_insert(&mut self, batch: ValidInsert) -> Update {
+        let t = &mut self.tables[batch.table];
+        t.append(&batch.rows);
+        Update {
+            table: t.name().to_string(),
             op: UpdateOp::Insert,
-            rows: Relation::new(schema, applied),
-        })
+            rows: Relation::new(t.schema().clone(), batch.rows),
+        }
+    }
+
+    /// Remove a validated delete batch and return the applied delta.
+    pub fn apply_delete<K: AsRef<[Datum]>>(&mut self, batch: ValidDelete<'_, K>) -> Update {
+        let t = &mut self.tables[batch.table];
+        let deleted = batch.keys.iter().map(|k| t.remove(k.as_ref())).collect();
+        Update {
+            table: t.name().to_string(),
+            op: UpdateOp::Delete,
+            rows: Relation::new(t.schema().clone(), deleted),
+        }
+    }
+
+    /// Insert a batch of rows, enforcing unique keys and FK parent existence.
+    ///
+    /// All-or-nothing: [`Catalog::validate_insert`] checks the whole batch
+    /// before the first row is applied, so a refused batch leaves the
+    /// catalog bit-identical. Returns the applied delta.
+    pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Update, StorageError> {
+        let batch = self.validate_insert(table, rows)?;
+        Ok(self.apply_insert(batch))
     }
 
     /// Delete a batch of rows by unique key, enforcing FK restrict (no
-    /// children may reference a deleted parent). Returns the applied delta.
+    /// children may reference a deleted parent). All-or-nothing like
+    /// [`Catalog::insert`]. Returns the applied delta.
     pub fn delete(&mut self, table: &str, keys: &[Vec<Datum>]) -> Result<Update, StorageError> {
-        let tidx = self.index_of(table)?;
-        if self.enforce_constraints {
-            for fk in self.fks.iter().filter(|fk| fk.parent == table) {
-                let child = self.table(&fk.child)?;
-                for key in keys {
-                    if child.count_secondary(fk.child_index, key) > 0 {
-                        return Err(StorageError::ForeignKeyViolation {
-                            constraint: fk.name.clone(),
-                            detail: format!(
-                                "rows in {} still reference {} key {}",
-                                fk.child,
-                                table,
-                                ojv_rel::row_display(key)
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        let t = &mut self.tables[tidx];
-        let schema = t.schema().clone();
-        let mut deleted = Vec::with_capacity(keys.len());
-        for key in keys {
-            match t.delete(key) {
-                Ok(row) => deleted.push(row),
-                Err(e) => {
-                    for r in &deleted {
-                        t.insert(r.clone()).expect("rollback of just-deleted row");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(Update {
-            table: table.to_string(),
-            op: UpdateOp::Delete,
-            rows: Relation::new(schema, deleted),
-        })
+        let batch = self.validate_delete(table, keys)?;
+        Ok(self.apply_delete(batch))
     }
+}
+
+impl ForeignKey {
+    /// The violation raised when child row `row` is inserted while no parent
+    /// row carries its foreign key value.
+    pub fn parent_missing(&self, row: &[Datum]) -> StorageError {
+        StorageError::ForeignKeyViolation {
+            constraint: self.name.clone(),
+            detail: format!(
+                "no {} row with key {}",
+                self.parent,
+                ojv_rel::row_display(&key_of(row, &self.child_cols))
+            ),
+        }
+    }
+
+    /// The restrict violation raised when `key` of the parent table is
+    /// deleted while child rows still reference it.
+    pub fn restricts(&self, key: &[Datum]) -> StorageError {
+        StorageError::ForeignKeyViolation {
+            constraint: self.name.clone(),
+            detail: format!(
+                "rows in {} still reference {} key {}",
+                self.child,
+                self.parent,
+                ojv_rel::row_display(key)
+            ),
+        }
+    }
+}
+
+/// An insert batch [`Catalog::validate_insert`] accepted: canonicalized rows
+/// that [`Catalog::apply_insert`] can append without failing.
+#[derive(Debug)]
+pub struct ValidInsert {
+    table: usize,
+    rows: Vec<Row>,
+}
+
+impl ValidInsert {
+    /// The canonicalized rows of the batch.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+}
+
+/// A delete batch [`Catalog::validate_delete`] accepted.
+#[derive(Debug)]
+pub struct ValidDelete<'k, K> {
+    table: usize,
+    keys: &'k [K],
 }
 
 #[cfg(test)]
@@ -390,6 +441,77 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(c.table("parent").unwrap().len(), 1);
         assert!(c.table("parent").unwrap().get(&[Datum::Int(2)]).is_none());
+    }
+
+    /// ROADMAP item 1a: a refused delete used to roll back by re-inserting
+    /// the already-deleted rows at the heap tail, reordering the table.
+    #[test]
+    fn refused_delete_leaves_heap_order_untouched() {
+        let mut c = catalog();
+        let rows = (1..=6)
+            .map(|i| vec![Datum::Int(i), Datum::Int(0)])
+            .collect();
+        c.insert("parent", rows).unwrap();
+        let before: Vec<Row> = c.table("parent").unwrap().iter_rows().collect();
+        let k = |i: i64| vec![Datum::Int(i)];
+        // Missing key after two good ones; then one key twice.
+        for keys in [vec![k(1), k(2), k(99)], vec![k(3), k(4), k(3)]] {
+            let err = c.delete("parent", &keys).unwrap_err();
+            assert!(matches!(err, StorageError::KeyNotFound { .. }), "{err}");
+            let after: Vec<Row> = c.table("parent").unwrap().iter_rows().collect();
+            assert_eq!(after, before);
+        }
+    }
+
+    #[test]
+    fn refused_insert_with_fk_violation_mid_batch_changes_nothing() {
+        let mut c = catalog();
+        c.insert("parent", vec![vec![Datum::Int(1), Datum::Int(0)]])
+            .unwrap();
+        let err = c
+            .insert(
+                "child",
+                vec![
+                    vec![Datum::Int(10), Datum::Int(1)],
+                    vec![Datum::Int(11), Datum::Int(99)], // no such parent
+                    vec![Datum::Int(12), Datum::Int(1)],
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, StorageError::ForeignKeyViolation { .. }));
+        assert!(c.table("child").unwrap().is_empty());
+    }
+
+    #[test]
+    fn validated_batches_apply_without_cloning_rows() {
+        let mut c = catalog();
+        let s: std::sync::Arc<str> = "payload".into();
+        c.create_table(
+            "t",
+            vec![
+                Column::new("t", "k", DataType::Int, false),
+                Column::new("t", "s", DataType::Str, true),
+            ],
+            &["k"],
+        )
+        .unwrap();
+        let batch = c
+            .validate_insert("t", vec![vec![Datum::Int(1), Datum::Str(s.clone())]])
+            .unwrap();
+        assert!(
+            c.table("t").unwrap().is_empty(),
+            "validation applies nothing"
+        );
+        let up = c.apply_insert(batch);
+        // The caller's row moved into the delta: same `Arc`, no copy.
+        match &up.rows.rows()[0][1] {
+            Datum::Str(moved) => assert!(std::sync::Arc::ptr_eq(moved, &s)),
+            other => panic!("expected a string, got {other:?}"),
+        }
+        let keys = [[Datum::Int(1)]];
+        let batch = c.validate_delete("t", &keys).unwrap();
+        assert_eq!(c.apply_delete(batch).rows.len(), 1);
+        assert!(c.table("t").unwrap().is_empty());
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //! dedupes by column set, so each FK lands on the same index id it had
 //! before the snapshot.
 
-use ojv_rel::{put_row, put_str, put_u32, ByteReader, Column, DataType, RelError, Relation};
+use ojv_rel::{put_row, put_str, put_u32, ByteReader, Column, DataType, RelError, Relation, Row};
 
 use crate::catalog::Catalog;
 use crate::delta::{Update, UpdateOp};
 use crate::error::StorageError;
+use crate::heap::SEG_ROWS;
 
 fn dt_tag(ty: DataType) -> u8 {
     match ty {
@@ -229,10 +230,18 @@ pub fn decode_catalog(data: &[u8]) -> Result<Catalog, StorageError> {
         }
 
         let n_rows = r.u32("row count").map_err(rd)? as usize; // lint:allow(cast) — u32 widens into usize
+
+        // One segment's worth at a time: the rows go through the same
+        // validate-then-append batch path as live inserts without the
+        // whole table ever being materialized row-wise.
         let table = catalog.table_mut(&name)?;
-        for _ in 0..n_rows {
-            let row = r.row().map_err(rd)?;
-            table.insert(row)?;
+        let mut chunk: Vec<Row> = Vec::new();
+        for i in 0..n_rows {
+            chunk.push(r.row().map_err(rd)?);
+            if chunk.len() == SEG_ROWS || i + 1 == n_rows {
+                table.insert_batch(&chunk)?;
+                chunk.clear();
+            }
         }
     }
 

@@ -15,7 +15,9 @@
 //!   `Vec` realloc would;
 //! * string columns intern through a per-heap pool: low-cardinality TPC-H
 //!   columns (return flags, ship modes, priorities) collapse to one
-//!   `Arc<str>` per distinct value.
+//!   `Arc<str>` per distinct value. The pool forgets strings no row holds
+//!   any more (an amortized sweep, see [`StrPool`]), so it stays within a
+//!   constant factor of the live distinct strings.
 //!
 //! Rows are addressed by dense position (`0..len`), exactly like the old
 //! heap; deletion is swap-remove. Readers get a [`RowRef`] — position +
@@ -136,6 +138,106 @@ impl Segment {
             self.nulls[off / 64] &= !mask;
         }
     }
+
+    /// Append column `ci` of every row in `run` at offsets `off..`: the
+    /// type dispatch happens once per run, not once per datum. Slots past
+    /// the segment's length always carry a clear null bit, so only nulls
+    /// touch the bitmap.
+    fn append_run<R: AsRef<[Datum]>>(
+        &mut self,
+        run: &[R],
+        ci: usize,
+        off: usize,
+        pool: &mut StrPool,
+        empty: &Arc<str>,
+    ) {
+        fn extend<R: AsRef<[Datum]>, T: Clone>(
+            v: &mut Vec<T>,
+            nulls: &mut [u64; WORDS_PER_SEG],
+            (run, ci, off): (&[R], usize, usize),
+            null_slot: T,
+            mut value: impl FnMut(&Datum) -> Option<T>,
+        ) {
+            v.reserve(run.len());
+            for (k, row) in run.iter().enumerate() {
+                let datum = &row.as_ref()[ci];
+                match value(datum) {
+                    Some(x) => v.push(x),
+                    None if datum.is_null() => {
+                        nulls[(off + k) / 64] |= 1 << ((off + k) % 64);
+                        v.push(null_slot.clone());
+                    }
+                    None => {
+                        unreachable!("datum {datum:?} in the wrong column (schema was checked)")
+                    }
+                }
+            }
+        }
+        let at = (run, ci, off);
+        match &mut self.data {
+            ColumnData::Bool(v) => extend(v, &mut self.nulls, at, false, |d| match d {
+                Datum::Bool(b) => Some(*b),
+                _ => None,
+            }),
+            ColumnData::Int(v) => extend(v, &mut self.nulls, at, 0, |d| match d {
+                Datum::Int(i) => Some(*i),
+                _ => None,
+            }),
+            // Numeric widening: schemas admit Int datums in Float columns;
+            // store the canonical float (see module docs).
+            ColumnData::Float(v) => extend(v, &mut self.nulls, at, 0.0, |d| match d {
+                Datum::Float(f) => Some(*f),
+                Datum::Int(i) => Some(*i as f64),
+                _ => None,
+            }),
+            ColumnData::Str(v) => extend(v, &mut self.nulls, at, empty.clone(), |d| match d {
+                Datum::Str(s) => Some(pool.intern(s)),
+                _ => None,
+            }),
+            ColumnData::Date(v) => extend(v, &mut self.nulls, at, 0, |d| match d {
+                Datum::Date(x) => Some(*x),
+                _ => None,
+            }),
+        }
+    }
+}
+
+/// The per-heap string intern pool.
+///
+/// A string leaves the pool once no row (and no reader still holding a
+/// materialized copy) references it: when the pool has doubled since the
+/// last sweep, entries whose only owner is the pool itself are dropped.
+/// The sweep is O(pool) and runs once per doubling, so interning stays
+/// amortized O(1) and the pool never exceeds twice the strings that were
+/// live at the last sweep (plus the floor below).
+#[derive(Debug, Clone)]
+struct StrPool {
+    set: FxHashSet<Arc<str>>,
+    sweep_at: usize,
+}
+
+/// Pools this small are not worth sweeping.
+const MIN_SWEEP: usize = 1024;
+
+impl StrPool {
+    fn new() -> StrPool {
+        StrPool {
+            set: FxHashSet::default(),
+            sweep_at: MIN_SWEEP,
+        }
+    }
+
+    fn intern(&mut self, s: &Arc<str>) -> Arc<str> {
+        if let Some(existing) = self.set.get(s.as_ref()) {
+            return existing.clone();
+        }
+        if self.set.len() >= self.sweep_at {
+            self.set.retain(|held| Arc::strong_count(held) > 1);
+            self.sweep_at = (self.set.len() * 2).max(MIN_SWEEP);
+        }
+        self.set.insert(s.clone());
+        s.clone()
+    }
 }
 
 /// One column: its declared type and the segment chain.
@@ -152,7 +254,7 @@ pub struct ColumnHeap {
     cols: Vec<Column>,
     len: usize,
     /// Intern pool for string values across all string columns.
-    interner: FxHashSet<Arc<str>>,
+    pool: StrPool,
     /// Shared empty string used as the slot default for null strings.
     empty: Arc<str>,
 }
@@ -171,7 +273,7 @@ impl ColumnHeap {
             schema,
             cols,
             len: 0,
-            interner: FxHashSet::default(),
+            pool: StrPool::new(),
             empty: Arc::from(""),
         }
     }
@@ -194,57 +296,34 @@ impl ColumnHeap {
         self.cols.len()
     }
 
-    fn intern(&mut self, s: &Arc<str>) -> Arc<str> {
-        if let Some(existing) = self.interner.get(s.as_ref()) {
-            existing.clone()
-        } else {
-            self.interner.insert(s.clone());
-            s.clone()
-        }
-    }
-
     /// Append one row. The caller (the table) has already checked the row
     /// against the schema; a type mismatch here is a storage bug.
     pub fn push_row(&mut self, row: &[Datum]) {
-        debug_assert_eq!(row.len(), self.cols.len(), "row arity mismatch");
-        let off = self.len % SEG_ROWS;
-        let empty = self.empty.clone();
-        for (ci, datum) in row.iter().enumerate() {
-            // Interning needs `&mut self.interner` while the column is also
-            // borrowed, so resolve the stored string before touching segments.
-            let interned: Option<Arc<str>> = match datum {
-                Datum::Str(s) => Some(self.intern(s)),
-                _ => None,
-            };
-            let col = &mut self.cols[ci];
-            if off == 0 {
-                col.segs.push(Segment::new(col.ty));
-            }
-            let seg = col.segs.last_mut().expect("segment just ensured");
-            seg.set_null(off, datum.is_null());
-            match (&mut seg.data, datum) {
-                (ColumnData::Bool(v), Datum::Bool(b)) => v.push(*b),
-                (ColumnData::Bool(v), Datum::Null) => v.push(false),
-                (ColumnData::Int(v), Datum::Int(i)) => v.push(*i),
-                (ColumnData::Int(v), Datum::Null) => v.push(0),
-                (ColumnData::Float(v), Datum::Float(f)) => v.push(*f),
-                // Numeric widening: schemas admit Int datums in Float
-                // columns; store the canonical float (see module docs).
-                (ColumnData::Float(v), Datum::Int(i)) => v.push(*i as f64),
-                (ColumnData::Float(v), Datum::Null) => v.push(0.0),
-                (ColumnData::Str(v), Datum::Str(_)) => {
-                    v.push(interned.expect("interned above"));
+        self.append_rows(&[row]);
+    }
+
+    /// Append a batch of schema-checked rows column at a time: per column,
+    /// one segment lookup and one type dispatch per run of rows that lands
+    /// in the same segment.
+    pub fn append_rows<R: AsRef<[Datum]>>(&mut self, rows: &[R]) {
+        debug_assert!(
+            rows.iter().all(|r| r.as_ref().len() == self.cols.len()),
+            "row arity mismatch"
+        );
+        for (ci, col) in self.cols.iter_mut().enumerate() {
+            let mut done = 0;
+            while done < rows.len() {
+                let off = (self.len + done) % SEG_ROWS;
+                if off == 0 {
+                    col.segs.push(Segment::new(col.ty));
                 }
-                (ColumnData::Str(v), Datum::Null) => v.push(empty.clone()),
-                (ColumnData::Date(v), Datum::Date(d)) => v.push(*d),
-                (ColumnData::Date(v), Datum::Null) => v.push(0),
-                (data, datum) => unreachable!(
-                    "datum {datum:?} in {:?} column (schema was checked)",
-                    std::mem::discriminant(data)
-                ),
+                let run = &rows[done..rows.len().min(done + SEG_ROWS - off)];
+                let seg = col.segs.last_mut().expect("segment just ensured");
+                seg.append_run(run, ci, off, &mut self.pool, &self.empty);
+                done += run.len();
             }
         }
-        self.len += 1;
+        self.len += rows.len();
     }
 
     /// Remove the row at `pos` by moving the last row into its place
@@ -374,7 +453,7 @@ impl ColumnHeap {
                 total += seg.data.heap_bytes() + WORDS_PER_SEG * 8;
             }
         }
-        for s in &self.interner {
+        for s in &self.pool.set {
             total += s.len() + std::mem::size_of::<Arc<str>>();
         }
         total
@@ -531,13 +610,87 @@ mod tests {
         for i in 0..100 {
             h.push_row(&row(i, Some("repeated")));
         }
-        assert_eq!(h.interner.len(), 1);
+        assert_eq!(h.pool.set.len(), 1);
         match (h.datum_ref(0, 2), h.datum_ref(99, 2)) {
             (DatumRef::Str(a), DatumRef::Str(b)) => {
                 assert!(std::ptr::eq(a, b), "interned strings share storage");
             }
             other => panic!("expected strings, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn batch_append_equals_row_at_a_time() {
+        // Batches that start mid-segment, span a whole segment and carry
+        // nulls in every column kind must read back like single pushes.
+        let rows: Vec<Row> = (0..(SEG_ROWS as i64 * 2 + 100))
+            .map(|i| {
+                let mut r = row(
+                    i,
+                    (i % 3 != 0).then_some(if i % 2 == 0 { "a" } else { "b" }),
+                );
+                if i % 7 == 0 {
+                    r[1] = Datum::Null;
+                    r[3] = Datum::Null;
+                    r[4] = Datum::Null;
+                } else if i % 5 == 0 {
+                    r[1] = Datum::Int(i); // widened into the Float column
+                }
+                r
+            })
+            .collect();
+        let mut one = ColumnHeap::new(schema());
+        for r in &rows {
+            one.push_row(r);
+        }
+        let mut batched = ColumnHeap::new(schema());
+        let mut rest = rows.as_slice();
+        for n in [10, SEG_ROWS - 3, 1, SEG_ROWS + 50, usize::MAX] {
+            let (head, tail) = rest.split_at(n.min(rest.len()));
+            batched.append_rows(head);
+            rest = tail;
+        }
+        assert_eq!(batched.len(), rows.len());
+        // A swap-removed tail slot must not leave a stale null bit behind.
+        for h in [&mut one, &mut batched] {
+            h.swap_remove(0);
+            h.append_rows(&[row(-1, Some("tail"))]);
+        }
+        for pos in 0..one.len() {
+            assert_eq!(batched.row(pos), one.row(pos), "row {pos}");
+        }
+    }
+
+    #[test]
+    fn intern_pool_forgets_deleted_strings() {
+        // A stationary table of unique strings: the pool must track the
+        // live set, not every string ever stored.
+        let mut h = ColumnHeap::new(schema());
+        let live = MIN_SWEEP;
+        let mut next = 0i64;
+        let mut after_round_10 = 0;
+        for round in 0..200 {
+            let batch: Vec<Row> = (0..live)
+                .map(|_| {
+                    next += 1;
+                    row(next, Some(&format!("unique comment number {next}")))
+                })
+                .collect();
+            h.append_rows(&batch);
+            drop(batch);
+            while h.len() > live {
+                h.swap_remove(0);
+            }
+            if round == 10 {
+                after_round_10 = h.approx_bytes();
+            }
+        }
+        assert!(
+            h.approx_bytes() <= 2 * after_round_10,
+            "pool grew from {after_round_10} to {} bytes over 190 stationary rounds",
+            h.approx_bytes()
+        );
+        assert!(h.pool.set.len() <= 4 * live, "{} pooled", h.pool.set.len());
     }
 
     #[test]

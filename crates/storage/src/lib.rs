@@ -22,13 +22,14 @@ pub mod codec;
 pub mod delta;
 pub mod error;
 pub mod heap;
+mod index;
 pub mod shard;
 pub mod table;
 
-pub use catalog::{Catalog, ForeignKey};
+pub use catalog::{Catalog, ForeignKey, ValidDelete, ValidInsert};
 pub use codec::{decode_catalog, decode_update, encode_catalog, encode_update};
 pub use delta::{Update, UpdateOp};
 pub use error::StorageError;
 pub use heap::{ColumnHeap, RowRef, SEG_ROWS};
 pub use shard::{ShardId, ShardRouter};
-pub use table::{IndexRef, Table};
+pub use table::{IndexLookup, IndexRef, SecondaryLookup, Table};

@@ -1,43 +1,161 @@
 //! Heap tables with a unique-key hash index and secondary indexes.
+//!
+//! The indexes own no keys. Each is a [`PosTable`] of `key hash → heap
+//! position` (unique) or `key hash → bucket of positions` (secondary); a
+//! probe hashes the key columns in place and verifies hash-matched
+//! candidates against the [`ColumnHeap`] row they point at, so the only
+//! copy of a key is the one in the column pages.
 
-use ojv_rel::{key_of, Datum, FxHashMap, Relation, Row, SchemaRef};
+use ojv_rel::{fx_hash_one, fx_set_with_capacity, key_eq_rows, key_hash, key_hash_with};
+use ojv_rel::{Datum, DatumRef, Relation, Row, SchemaRef};
 
 use crate::error::StorageError;
 use crate::heap::{ColumnHeap, RowRef};
+use crate::index::{idx, pos32, PosTable};
+
+/// Do `heap`'s row `pos` and the probe agree on `cols`? `probe(k)` is the
+/// probe's value for `cols[k]` (plain `Eq`, as the hash tables use — *not*
+/// SQL null semantics; `Int`/`Float` compare by value).
+#[inline]
+fn row_has_key<'a>(
+    heap: &ColumnHeap,
+    pos: u32,
+    cols: &[usize],
+    probe: impl Fn(usize) -> DatumRef<'a>,
+) -> bool {
+    cols.iter()
+        .enumerate()
+        .all(|(k, &c)| heap.datum_ref(idx(pos), c) == probe(k))
+}
 
 /// A secondary (non-unique) hash index over a column subset.
+///
+/// Rows sharing a key form a *bucket* — the heap positions in the order
+/// [`Table::lookup_secondary`] yields them: appended on insert,
+/// `swap_remove`d on delete, rewritten in place when the heap's own
+/// swap-remove moves a row. That order feeds view heap order and therefore
+/// `state_bytes()`, so it is part of the contract. Every row carries a
+/// back-pointer `(bucket, offset)` into its bucket, which makes both the
+/// removal and the fix-up O(1) whatever the key's frequency.
 #[derive(Debug, Clone, Default)]
 struct SecondaryIndex {
     cols: Vec<usize>,
-    map: FxHashMap<Vec<Datum>, Vec<usize>>,
+    /// Key hash → bucket id, verified against the bucket's first row.
+    heads: PosTable,
+    buckets: Vec<Vec<u32>>,
+    /// Ids of emptied buckets, reused (with their capacity) by new keys.
+    free: Vec<u32>,
+    /// Heap position → (bucket id, offset in that bucket). Invariant:
+    /// `buckets[b][i] == pos` iff `back[pos] == (b, i)`, and
+    /// `back.len()` is the heap length.
+    back: Vec<(u32, u32)>,
 }
 
 impl SecondaryIndex {
-    fn insert(&mut self, row: &[Datum], pos: usize) {
-        self.map
-            .entry(key_of(row, &self.cols))
-            .or_default()
-            .push(pos);
+    fn bucket<'a>(
+        &self,
+        heap: &ColumnHeap,
+        hash: u64,
+        probe: impl Fn(usize) -> DatumRef<'a>,
+    ) -> Option<u32> {
+        self.heads.find(hash, |b| {
+            row_has_key(heap, self.buckets[idx(b)][0], &self.cols, &probe)
+        })
     }
 
-    fn remove(&mut self, row: &[Datum], pos: usize) {
-        let key = key_of(row, &self.cols);
-        if let Some(v) = self.map.get_mut(&key) {
-            if let Some(i) = v.iter().position(|&p| p == pos) {
-                v.swap_remove(i);
-            }
-            if v.is_empty() {
-                self.map.remove(&key);
-            }
+    /// Bucket of an owned probe key (in index column order).
+    fn bucket_of_key(&self, heap: &ColumnHeap, key: &[Datum]) -> Option<&[u32]> {
+        if key.len() != self.cols.len() {
+            return None;
         }
+        self.bucket(heap, fx_hash_one(key), |k| key[k].as_ref())
+            .map(|b| self.buckets[idx(b)].as_slice())
     }
 
-    fn reposition(&mut self, row: &[Datum], from: usize, to: usize) {
-        let key = key_of(row, &self.cols);
-        if let Some(v) = self.map.get_mut(&key) {
-            if let Some(i) = v.iter().position(|&p| p == from) {
-                v[i] = to;
+    /// Index the row the heap just received at `pos` (the next position);
+    /// `get(c)` reads its column `c`.
+    fn insert<'a>(&mut self, heap: &ColumnHeap, pos: usize, get: impl Fn(usize) -> DatumRef<'a>) {
+        debug_assert_eq!(
+            pos,
+            self.back.len(),
+            "secondary index out of step with the heap"
+        );
+        let hash = key_hash_with(&self.cols, &get);
+        let b = match self.bucket(heap, hash, |k| get(self.cols[k])) {
+            Some(b) => b,
+            None => {
+                let b = self.free.pop().unwrap_or_else(|| {
+                    self.buckets.push(Vec::new());
+                    pos32(self.buckets.len() - 1)
+                });
+                self.heads.insert(hash, b);
+                b
             }
+        };
+        let bucket = &mut self.buckets[idx(b)];
+        self.back.push((b, pos32(bucket.len())));
+        bucket.push(pos32(pos));
+    }
+
+    /// Unindex row `pos` and follow the heap's swap-remove: the last row
+    /// is about to move into `pos`, so its bucket entry and back-pointer
+    /// are rewritten in place. Must run while `pos` is still in the heap.
+    fn remove(&mut self, heap: &ColumnHeap, pos: usize) {
+        let (b, i) = self.back[pos];
+        let bucket = &mut self.buckets[idx(b)];
+        bucket.swap_remove(idx(i));
+        if let Some(&moved) = bucket.get(idx(i)) {
+            self.back[idx(moved)].1 = i;
+        } else if bucket.is_empty() {
+            let hash = key_hash_with(&self.cols, |c| heap.datum_ref(pos, c));
+            self.heads.remove(hash, b);
+            self.free.push(b);
+        }
+        let last = self.back.len() - 1;
+        if pos != last {
+            let (lb, li) = self.back[last];
+            self.buckets[idx(lb)][idx(li)] = pos32(pos);
+            self.back[pos] = (lb, li);
+        }
+        self.back.pop();
+    }
+}
+
+/// Rows matching a key on a secondary index, in bucket order.
+#[derive(Debug, Clone)]
+pub struct SecondaryLookup<'a> {
+    heap: &'a ColumnHeap,
+    positions: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for SecondaryLookup<'a> {
+    type Item = RowRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<RowRef<'a>> {
+        self.positions.next().map(|&p| self.heap.row_ref(idx(p)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.positions.size_hint()
+    }
+}
+
+/// Rows matching a key on either kind of index ([`Table::index_lookup`]).
+#[derive(Debug, Clone)]
+pub enum IndexLookup<'a> {
+    Unique(std::option::IntoIter<RowRef<'a>>),
+    Secondary(SecondaryLookup<'a>),
+}
+
+impl<'a> Iterator for IndexLookup<'a> {
+    type Item = RowRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<RowRef<'a>> {
+        match self {
+            IndexLookup::Unique(it) => it.next(),
+            IndexLookup::Secondary(it) => it.next(),
         }
     }
 }
@@ -65,9 +183,8 @@ pub struct Table {
     schema: SchemaRef,
     key_cols: Vec<usize>,
     heap: ColumnHeap,
-    /// unique key -> position in the heap. Lookups borrow (`&[Datum]`), and
-    /// the deterministic fx hasher keeps probes cheap on the delta hot path.
-    unique: FxHashMap<Vec<Datum>, usize>,
+    /// Unique-key hash → heap position, verified against the heap row.
+    unique: PosTable,
     secondary: Vec<SecondaryIndex>,
 }
 
@@ -99,7 +216,7 @@ impl Table {
             schema: schema.clone(),
             key_cols,
             heap: ColumnHeap::new(schema),
-            unique: FxHashMap::default(),
+            unique: PosTable::default(),
             secondary: Vec::new(),
         })
     }
@@ -168,16 +285,14 @@ impl Table {
         if let Some(existing) = self.secondary.iter().position(|idx| idx.cols == cols) {
             return existing;
         }
-        let mut idx = SecondaryIndex {
+        let mut index = SecondaryIndex {
             cols,
-            map: FxHashMap::default(),
+            ..SecondaryIndex::default()
         };
-        let mut scratch = vec![Datum::Null; self.schema.len()];
         for pos in 0..self.heap.len() {
-            self.heap.copy_row_into(pos, &mut scratch);
-            idx.insert(&scratch, pos);
+            index.insert(&self.heap, pos, |c| self.heap.datum_ref(pos, c));
         }
-        self.secondary.push(idx);
+        self.secondary.push(index);
         self.secondary.len() - 1
     }
 
@@ -187,9 +302,29 @@ impl Table {
         self.secondary.iter().map(|idx| idx.cols.clone()).collect()
     }
 
+    /// Heap position of the row whose unique key hashes to `hash` and equals
+    /// the probe, `probe(k)` being the probe's value for key column `k`.
+    #[inline]
+    fn stored<'a>(&self, hash: u64, probe: impl Fn(usize) -> DatumRef<'a>) -> Option<u32> {
+        self.unique.find(hash, |pos| {
+            row_has_key(&self.heap, pos, &self.key_cols, &probe)
+        })
+    }
+
+    /// Key hash and heap position of the row whose unique key is `key`.
+    #[inline]
+    fn locate(&self, key: &[Datum]) -> Option<(u64, u32)> {
+        if key.len() != self.key_cols.len() {
+            return None;
+        }
+        let hash = fx_hash_one(key);
+        self.stored(hash, |k| key[k].as_ref())
+            .map(|pos| (hash, pos))
+    }
+
     /// Look up a row by unique key.
     pub fn get(&self, key: &[Datum]) -> Option<RowRef<'_>> {
-        self.unique.get(key).map(|&pos| self.heap.row_ref(pos))
+        self.locate(key).map(|(_, pos)| self.heap.row_ref(idx(pos)))
     }
 
     /// Find an index (unique or secondary) covering exactly the column set
@@ -218,41 +353,49 @@ impl Table {
     }
 
     /// Rows matching `key` (already in index column order) on `index`.
-    pub fn index_lookup<'a>(
-        &'a self,
-        index: IndexRef,
-        key: &[Datum],
-    ) -> Box<dyn Iterator<Item = RowRef<'a>> + 'a> {
+    #[inline]
+    pub fn index_lookup<'a>(&'a self, index: IndexRef, key: &[Datum]) -> IndexLookup<'a> {
         match index {
-            IndexRef::Unique => Box::new(self.get(key).into_iter()),
-            IndexRef::Secondary(i) => Box::new(self.lookup_secondary(i, key)),
+            IndexRef::Unique => IndexLookup::Unique(self.get(key).into_iter()),
+            IndexRef::Secondary(i) => IndexLookup::Secondary(self.lookup_secondary(i, key)),
         }
     }
 
     /// True iff a row with this unique key exists.
     pub fn contains_key(&self, key: &[Datum]) -> bool {
-        self.unique.contains_key(key)
+        self.locate(key).is_some()
     }
 
-    /// Rows matching `key` on secondary index `idx`.
-    pub fn lookup_secondary(&self, idx: usize, key: &[Datum]) -> impl Iterator<Item = RowRef<'_>> {
-        self.secondary[idx]
-            .map
-            .get(key)
-            .into_iter()
-            .flatten()
-            .map(move |&pos| self.heap.row_ref(pos))
+    /// True iff a row exists whose unique key equals `row`'s values at
+    /// `cols` (aligned with the key columns) — the FK parent probe, hashed
+    /// in place with no key built.
+    pub fn contains_key_of(&self, row: &[Datum], cols: &[usize]) -> bool {
+        debug_assert_eq!(cols.len(), self.key_cols.len());
+        self.stored(key_hash(row, cols), |k| row[cols[k]].as_ref())
+            .is_some()
+    }
+
+    /// Rows matching `key` on secondary index `idx`, in bucket order.
+    #[inline]
+    pub fn lookup_secondary(&self, idx: usize, key: &[Datum]) -> SecondaryLookup<'_> {
+        let bucket = self.secondary[idx].bucket_of_key(&self.heap, key);
+        SecondaryLookup {
+            heap: &self.heap,
+            positions: bucket.unwrap_or_default().iter(),
+        }
     }
 
     /// Number of rows matching `key` on secondary index `idx`.
     pub fn count_secondary(&self, idx: usize, key: &[Datum]) -> usize {
-        self.secondary[idx].map.get(key).map_or(0, |v| v.len())
+        self.secondary[idx]
+            .bucket_of_key(&self.heap, key)
+            .map_or(0, <[u32]>::len)
     }
 
     /// Number of distinct keys in secondary index `idx` — the basis for
     /// fan-out estimates (`rows / distinct`).
     pub fn secondary_distinct(&self, idx: usize) -> usize {
-        self.secondary[idx].map.len()
+        self.secondary[idx].heads.len()
     }
 
     /// Estimated rows per probe of an index: 1 for the unique index, the
@@ -267,63 +410,126 @@ impl Table {
         }
     }
 
+    /// Check a whole insert batch before anything is applied: row shape,
+    /// null key values, and duplicate keys against the table **and inside
+    /// the batch**. After `Ok`, `append` of the same rows cannot fail.
+    pub(crate) fn validate_insert(&self, rows: &[Row]) -> Result<(), StorageError> {
+        let key_cols = &self.key_cols;
+        // Keys of the batch so far, as `hash → row number`.
+        let mut batch = PosTable::default();
+        batch.reserve(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            self.schema.check_row(row)?;
+            if key_cols.iter().any(|&c| row[c].is_null()) {
+                return Err(StorageError::NullInKey {
+                    table: self.name.clone(),
+                });
+            }
+            let hash = key_hash(row, key_cols);
+            let stored = self.stored(hash, |k| row[key_cols[k]].as_ref());
+            let earlier = batch.find(hash, |j| {
+                key_eq_rows(&rows[idx(j)], key_cols, row, key_cols)
+            });
+            if stored.is_some() || earlier.is_some() {
+                return Err(StorageError::DuplicateKey {
+                    table: self.name.clone(),
+                    key: ojv_rel::row_display(&ojv_rel::key_of(row, key_cols)),
+                });
+            }
+            batch.insert(hash, pos32(i));
+        }
+        Ok(())
+    }
+
+    /// Append rows already accepted by `validate_insert`: the heap takes
+    /// the batch column at a time, then each index in turn.
+    pub(crate) fn append(&mut self, rows: &[Row]) {
+        let base = self.heap.len();
+        self.heap.append_rows(rows);
+        self.unique.reserve(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            self.unique
+                .insert(key_hash(row, &self.key_cols), pos32(base + i));
+        }
+        for index in &mut self.secondary {
+            index.back.reserve(rows.len());
+            for (i, row) in rows.iter().enumerate() {
+                index.insert(&self.heap, base + i, |c| row[c].as_ref());
+            }
+        }
+    }
+
+    /// Insert a batch of rows, all or nothing: the whole batch is validated
+    /// before the first row is applied.
+    pub fn insert_batch(&mut self, rows: &[Row]) -> Result<(), StorageError> {
+        self.validate_insert(rows)?;
+        self.append(rows);
+        Ok(())
+    }
+
     /// Insert one row, enforcing schema and key uniqueness.
     pub fn insert(&mut self, row: Row) -> Result<(), StorageError> {
-        self.schema.check_row(&row)?;
-        let key = key_of(&row, &self.key_cols);
-        if key.iter().any(|d| d.is_null()) {
-            return Err(StorageError::NullInKey {
-                table: self.name.clone(),
-            });
+        self.insert_batch(std::slice::from_ref(&row))
+    }
+
+    /// Check a whole delete batch before anything is applied: every key
+    /// must name a stored row, and none may repeat inside the batch (the
+    /// second occurrence would not be found once the first is applied).
+    /// After `Ok`, `remove` of the same keys in order cannot fail.
+    pub(crate) fn validate_delete<K: AsRef<[Datum]>>(
+        &self,
+        keys: &[K],
+    ) -> Result<(), StorageError> {
+        // Two keys are the same key iff they resolve to the same position.
+        let mut seen = fx_set_with_capacity(keys.len());
+        for key in keys {
+            let key = key.as_ref();
+            match self.locate(key) {
+                Some((_, pos)) if seen.insert(pos) => {}
+                _ => {
+                    return Err(StorageError::KeyNotFound {
+                        table: self.name.clone(),
+                        key: ojv_rel::row_display(key),
+                    })
+                }
+            }
         }
-        if self.unique.contains_key(&key) {
-            return Err(StorageError::DuplicateKey {
-                table: self.name.clone(),
-                key: ojv_rel::row_display(&key),
-            });
-        }
-        let pos = self.heap.len();
-        for idx in &mut self.secondary {
-            idx.insert(&row, pos);
-        }
-        self.unique.insert(key, pos);
-        self.heap.push_row(&row);
         Ok(())
+    }
+
+    /// Remove the row with unique key `key`, already accepted by
+    /// `validate_delete`, and return it. Swap-remove: the heap's last row
+    /// moves into the vacated position and is re-hashed in place to repoint
+    /// its unique-index entry.
+    pub(crate) fn remove(&mut self, key: &[Datum]) -> Row {
+        let (hash, pos) = self.locate(key).expect("delete key was validated");
+        let at = idx(pos);
+        let row = self.heap.row(at);
+        for index in &mut self.secondary {
+            index.remove(&self.heap, at);
+        }
+        self.unique.remove(hash, pos);
+        let last = self.heap.len() - 1;
+        self.heap.swap_remove(at);
+        if at != last {
+            let moved = key_hash_with(&self.key_cols, |c| self.heap.datum_ref(at, c));
+            self.unique.replace(moved, pos32(last), pos);
+        }
+        row
     }
 
     /// Delete the row with the given unique key, returning it.
     pub fn delete(&mut self, key: &[Datum]) -> Result<Row, StorageError> {
-        let pos = self
-            .unique
-            .remove(key)
-            .ok_or_else(|| StorageError::KeyNotFound {
-                table: self.name.clone(),
-                key: ojv_rel::row_display(key),
-            })?;
-        let row = self.heap.row(pos);
-        for idx in &mut self.secondary {
-            idx.remove(&row, pos);
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap_remove(pos);
-        // Fix up indexes for the row that moved into `pos` (if any).
-        if pos < self.heap.len() {
-            let moved = self.heap.row(pos);
-            let moved_key = key_of(&moved, &self.key_cols);
-            self.unique.insert(moved_key, pos);
-            for idx in &mut self.secondary {
-                idx.reposition(&moved, last, pos);
-            }
-        }
-        Ok(row)
+        self.validate_delete(&[key])?;
+        Ok(self.remove(key))
     }
 
     /// Delete all rows matching `pred`, returning them.
     pub fn delete_where(&mut self, pred: impl Fn(&Row) -> bool) -> Vec<Row> {
-        let keys: Vec<Vec<Datum>> = self
+        let keys: Vec<Row> = self
             .iter_rows()
             .filter(|r| pred(r))
-            .map(|r| key_of(&r, &self.key_cols))
+            .map(|r| ojv_rel::key_of(&r, &self.key_cols))
             .collect();
         keys.iter()
             .map(|k| self.delete(k).expect("key collected from live rows"))
@@ -431,6 +637,116 @@ mod tests {
         }
         let idx = t.add_secondary_index(vec![1]);
         assert_eq!(t.count_secondary(idx, &[Datum::Int(1)]), 3);
+    }
+
+    /// `Int(2^53)` and `Int(2^53 + 1)` hash alike (ints hash through their
+    /// f64 bits) but are different keys: two slots with one hash, told
+    /// apart by verifying against the heap row.
+    #[test]
+    fn equal_hashes_of_distinct_keys_are_resolved_by_verification() {
+        let (a, b) = (1i64 << 53, (1i64 << 53) + 1);
+        assert_eq!(
+            ojv_rel::fx_hash_one(&[Datum::Int(a)][..]),
+            ojv_rel::fx_hash_one(&[Datum::Int(b)][..])
+        );
+        let mut t = table();
+        let idx = t.add_secondary_index(vec![1]);
+        t.insert_batch(&[row(a, a, "a"), row(b, b, "b"), row(7, a, "c")])
+            .unwrap();
+        assert_eq!(t.get(&[Datum::Int(a)]).unwrap().datum(2), Datum::str("a"));
+        assert_eq!(t.get(&[Datum::Int(b)]).unwrap().datum(2), Datum::str("b"));
+        assert_eq!(t.count_secondary(idx, &[Datum::Int(a)]), 2);
+        assert_eq!(t.count_secondary(idx, &[Datum::Int(b)]), 1);
+        assert_eq!(t.secondary_distinct(idx), 2);
+        // The colliding key is not a duplicate; the same key is.
+        assert!(matches!(
+            t.insert(row(a, 0, "dup")),
+            Err(StorageError::DuplicateKey { .. })
+        ));
+        t.delete(&[Datum::Int(a)]).unwrap();
+        assert!(t.get(&[Datum::Int(a)]).is_none());
+        assert_eq!(t.get(&[Datum::Int(b)]).unwrap().datum(2), Datum::str("b"));
+        assert_eq!(t.count_secondary(idx, &[Datum::Int(a)]), 1);
+        t.delete(&[Datum::Int(b)]).unwrap();
+        assert_eq!(t.count_secondary(idx, &[Datum::Int(b)]), 0);
+        assert_eq!(t.secondary_distinct(idx), 1);
+    }
+
+    #[test]
+    fn float_probe_finds_the_equal_int_key() {
+        let mut t = table();
+        let idx = t.add_secondary_index(vec![1]);
+        t.insert(row(3, 10, "x")).unwrap();
+        assert!(t.contains_key(&[Datum::Float(3.0)]));
+        assert!(!t.contains_key(&[Datum::Float(3.5)]));
+        assert_eq!(t.count_secondary(idx, &[Datum::Float(10.0)]), 1);
+        assert!(t.contains_key_of(&[Datum::Null, Datum::Float(3.0)], &[1]));
+        // Wrong arity never matches (and never indexes out of bounds).
+        assert!(t.get(&[]).is_none());
+        assert!(t.get(&[Datum::Int(3), Datum::Int(10)]).is_none());
+        assert_eq!(t.count_secondary(idx, &[]), 0);
+    }
+
+    /// The candidate order of a bucket is push on insert, `swap_remove` on
+    /// delete, in-place rewrite when the heap moves a row.
+    #[test]
+    fn secondary_lookup_order_is_push_swap_remove_reposition() {
+        let mut t = table();
+        let idx = t.add_secondary_index(vec![1]);
+        for i in 0..6 {
+            t.insert(row(i, 0, "x")).unwrap();
+        }
+        t.insert(row(6, 1, "y")).unwrap();
+        let ids = |t: &Table| -> Vec<i64> {
+            t.lookup_secondary(idx, &[Datum::Int(0)])
+                .map(|r| r.datum(0).as_int().unwrap())
+                .collect()
+        };
+        assert_eq!(ids(&t), vec![0, 1, 2, 3, 4, 5]);
+        // Bucket entry 1 is swap-removed (5 takes its place); the heap moves
+        // row 6 — another bucket's — into position 1.
+        t.delete(&[Datum::Int(1)]).unwrap();
+        assert_eq!(ids(&t), vec![0, 5, 2, 3, 4]);
+        // Victim and mover share the bucket: 4 takes 0's bucket slot, then
+        // the heap's last row (5) moves to position 0 in place.
+        t.delete(&[Datum::Int(0)]).unwrap();
+        assert_eq!(ids(&t), vec![4, 5, 2, 3]);
+        let heap_ids: Vec<i64> = t
+            .iter_refs()
+            .map(|r| r.datum(0).as_int().unwrap())
+            .collect();
+        assert_eq!(heap_ids, vec![5, 6, 2, 3, 4]);
+    }
+
+    #[test]
+    fn refused_batches_change_nothing() {
+        let mut t = table();
+        let idx = t.add_secondary_index(vec![1]);
+        for i in 0..5 {
+            t.insert(row(i, i % 2, "x")).unwrap();
+        }
+        let before: Vec<Row> = t.iter_rows().collect();
+        // Duplicate inside the batch, duplicate against the table, bad shape.
+        for bad in [
+            vec![row(10, 0, "a"), row(11, 0, "b"), row(10, 1, "c")],
+            vec![row(10, 0, "a"), row(3, 0, "b")],
+            vec![row(10, 0, "a"), vec![Datum::Int(11)]],
+        ] {
+            assert!(t.insert_batch(&bad).is_err());
+            assert_eq!(t.iter_rows().collect::<Vec<_>>(), before);
+            assert!(t.get(&[Datum::Int(10)]).is_none());
+            assert_eq!(t.count_secondary(idx, &[Datum::Int(0)]), 3);
+        }
+        // Missing key mid-batch, and one key twice.
+        let k = |i: i64| vec![Datum::Int(i)];
+        for bad in [vec![k(1), k(99), k(2)], vec![k(1), k(2), k(1)]] {
+            assert!(matches!(
+                t.validate_delete(&bad),
+                Err(StorageError::KeyNotFound { .. })
+            ));
+        }
+        assert!(t.validate_delete(&[k(1), k(2)]).is_ok());
+        assert_eq!(t.iter_rows().collect::<Vec<_>>(), before);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct LintDef {
 }
 
 /// All lints, sorted by id — the order `--list` prints them.
-pub const LINTS: [LintDef; 12] = [
+pub const LINTS: [LintDef; 13] = [
     LintDef {
         id: "cast",
         scope: "crates/durability/src/",
@@ -55,6 +55,13 @@ pub const LINTS: [LintDef; 12] = [
         desc: "no lock types (Mutex/RwLock/Condvar) in the executor outside parallel.rs — \
                operators share state via &-references and atomics only, so no operator can \
                block a morsel worker",
+    },
+    LintDef {
+        id: "owned-key-index",
+        scope: "crates/storage/src/",
+        desc: "no FxHashMap<Vec<Datum>, _> in crates/storage — base-table indexes store \
+               hash -> position and verify against the ColumnHeap row, so no key is owned \
+               beside the heap (the storage twin of vec-vec-datum)",
     },
     LintDef {
         id: "panic-hot-path",
@@ -125,6 +132,9 @@ impl std::fmt::Display for Violation {
 fn applies(lint: &str, path: &str) -> bool {
     match lint {
         "vec-vec-datum" => path.starts_with("crates/exec/src/"),
+        // An index keyed by owned keys stores every key a second time beside
+        // the columnar heap and allocates one per row on the apply path.
+        "owned-key-index" => path.starts_with("crates/storage/src/"),
         "default-hasher" => {
             path.starts_with("crates/exec/src/") || path.starts_with("crates/storage/src/")
         }
@@ -227,6 +237,11 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
         let line = tok.line;
         if applies("vec-vec-datum", &path) && seq(i, &["Vec", "<", "Vec", "<", "Datum", ">", ">"]) {
             record("vec-vec-datum", line, &mut out);
+        }
+        if applies("owned-key-index", &path)
+            && seq(i, &["FxHashMap", "<", "Vec", "<", "Datum", ">"])
+        {
+            record("owned-key-index", line, &mut out);
         }
         if applies("default-hasher", &path)
             && (tok.text == "HashMap" || tok.text == "HashSet")
@@ -409,6 +424,40 @@ mod tests {
         let v = scan_file("crates/exec/src/foo.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].lint, "vec-vec-datum");
+    }
+
+    #[test]
+    fn owned_key_index_detected_in_storage_only() {
+        let src = "struct T { unique: FxHashMap<Vec<Datum>, usize> }\n";
+        let v = scan_file("crates/storage/src/table.rs", src);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].lint, "owned-key-index");
+        // Whitespace and a multi-valued payload do not hide it.
+        let spaced = "fn f() { let m: FxHashMap< Vec <Datum>, Vec<usize>> = make(); }\n";
+        assert_eq!(scan_file("crates/storage/src/foo.rs", spaced).len(), 1);
+        // The view store's key index (ROADMAP item 4) is out of scope.
+        assert!(scan_file("crates/core/src/materialize.rs", src).is_empty());
+        // Maps keyed by anything else are fine.
+        let by_name = "struct C { by_name: FxHashMap<String, usize> }\n";
+        assert!(scan_file("crates/storage/src/catalog.rs", by_name).is_empty());
+    }
+
+    /// A seeded owned-key index in storage fails the gate.
+    #[test]
+    fn seeded_owned_key_index_fails_the_gate() {
+        let root = std::env::temp_dir().join(format!("xtask-lint-okey-{}", std::process::id()));
+        let dir = root.join("crates/storage/src");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("seeded.rs"),
+            "struct Idx { map: FxHashMap<Vec<Datum>, Vec<usize>> }\n",
+        )
+        .unwrap();
+        let v = run(&root).unwrap();
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].lint, "owned-key-index");
+        assert_eq!(v[0].file, "crates/storage/src/seeded.rs");
     }
 
     #[test]

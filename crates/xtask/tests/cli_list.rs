@@ -45,6 +45,7 @@ fn lint_list_is_sorted_and_scoped() {
             "mutex-in-exec-hot-path",
             "crates/exec/src/ except parallel.rs",
         ),
+        ("owned-key-index", "crates/storage/src/"),
         (
             "panic-hot-path",
             "crates/exec/src/{eval,ops/join,ops/dedup}.rs",

@@ -1,0 +1,125 @@
+//! Allocation discipline of base-table apply and index probes.
+//!
+//! Installs the counting global allocator and pins what the borrowed-key
+//! storage indexes promise: a probe builds no key and boxes no iterator,
+//! and applying a batch allocates per *batch* (plus the one owned row each
+//! deleted key must hand back), not per row, per key, or per index.
+
+use ojv::prelude::*;
+use ojv::storage::IndexRef;
+use ojv::tpch::{create_tpch_catalog, TpchGen};
+use ojv_testkit::{alloc_snapshot, CountingAlloc};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const SF: f64 = 0.002;
+const BATCH: usize = 1000;
+const ATTEMPTS: usize = 5;
+
+/// What one validate-then-append insert may allocate whatever the batch
+/// size, beyond one vector per column when the batch opens a new heap
+/// segment (at most once: `BATCH < SEG_ROWS`): the delta's table name, the
+/// in-batch duplicate-key slots, and the odd amortized growth of a flat
+/// index vector (none once warm).
+const INSERT_ALLOCS: u64 = 8;
+/// The same for a delete, on top of the one owned row per key it returns.
+const DELETE_ALLOCS: u64 = 8;
+
+fn tpch() -> Catalog {
+    let mut catalog = create_tpch_catalog().unwrap();
+    TpchGen::new(SF, 42).populate(&mut catalog).unwrap();
+    catalog
+}
+
+/// Minimum allocation counts of an insert of `BATCH` fresh lineitems and
+/// of the matching delete, over a few rounds of the same batch. The
+/// counters are process-global, so a stray allocation from libtest's own
+/// threads can leak into one window; it cannot *remove* allocations the
+/// apply path performs every time, so the minimum is the honest cost (the
+/// `min_alloc_count` discipline of `crates/exec/tests/alloc_discipline.rs`).
+fn apply_allocs(catalog: &mut Catalog) -> (u64, u64) {
+    let rows = TpchGen::new(SF, 42).lineitem_insert_batch(BATCH, 1);
+    assert_eq!(rows.len(), BATCH);
+    let keys: Vec<Vec<Datum>> = rows
+        .iter()
+        .map(|r| vec![r[0].clone(), r[1].clone()])
+        .collect();
+    // The batches move into the catalog: clone them outside the windows.
+    let mut batches = vec![rows; ATTEMPTS];
+    let (mut insert, mut delete) = (u64::MAX, u64::MAX);
+    while let Some(batch) = batches.pop() {
+        let before = alloc_snapshot();
+        let inserted = catalog.insert("lineitem", batch).unwrap();
+        let mid = alloc_snapshot();
+        let deleted = catalog.delete("lineitem", &keys).unwrap();
+        let after = alloc_snapshot();
+        insert = insert.min(mid.since(&before).count);
+        delete = delete.min(after.since(&mid).count);
+        assert_eq!(inserted.rows.len(), BATCH);
+        assert_eq!(deleted.rows.len(), BATCH);
+    }
+    (insert, delete)
+}
+
+/// Everything in one test function: the counters are process-global, so
+/// concurrently running tests would pollute each other's deltas.
+#[test]
+fn probes_and_batch_apply_allocate_per_batch_not_per_row() {
+    let mut catalog = tpch();
+    assert!(
+        alloc_snapshot().count > 0,
+        "counting allocator must be installed for this test to mean anything"
+    );
+
+    // (i) 10k non-matching probes of a unique and of a secondary index:
+    //     hash in place, verify nothing, return a concrete iterator.
+    let orders = catalog.table("orders").unwrap();
+    let lineitem = catalog.table("lineitem").unwrap();
+    let (by_order, _) = lineitem.index_on(&[0]).expect("FK index on l_orderkey");
+    assert!(matches!(by_order, IndexRef::Secondary(_)));
+    let mut found = 0usize;
+    let before = alloc_snapshot();
+    for k in 0..10_000i64 {
+        let key = [Datum::Int(-1 - k)];
+        found += orders.index_lookup(IndexRef::Unique, &key).count();
+        found += lineitem.index_lookup(by_order, &key).count();
+    }
+    let probes = alloc_snapshot().since(&before).count;
+    assert_eq!(found, 0, "probe keys are disjoint from the data");
+    assert_eq!(
+        probes, 0,
+        "non-matching index probes must not touch the heap"
+    );
+
+    // (ii) A 1 000-row lineitem insert and the matching delete.
+    let insert_pin = INSERT_ALLOCS + lineitem.schema().len() as u64;
+    let (insert, delete) = apply_allocs(&mut catalog);
+    println!("lineitem x{BATCH}: insert {insert} allocations, delete {delete}");
+    assert!(
+        insert <= insert_pin,
+        "insert of {BATCH} rows allocated {insert} times (pinned: {insert_pin})"
+    );
+    assert!(
+        delete <= BATCH as u64 + DELETE_ALLOCS,
+        "delete of {BATCH} keys allocated {delete} times (pinned: one row each + {DELETE_ALLOCS})"
+    );
+
+    // The pins hold with three more secondary indexes on the table — of
+    // low (7 ship modes), middling (50 quantities) and high (ship dates)
+    // cardinality: no index owns a key or allocates per row.
+    let t = catalog.table_mut("lineitem").unwrap();
+    let before_indexes = t.secondary_col_sets().len();
+    for col in ["l_shipmode", "l_quantity", "l_shipdate"] {
+        let c = t.schema().index_of("lineitem", col).unwrap();
+        t.add_secondary_index(vec![c]);
+    }
+    assert_eq!(t.secondary_col_sets().len(), before_indexes + 3);
+    let (insert7, delete7) = apply_allocs(&mut catalog);
+    println!("with 3 more indexes: insert {insert7} allocations, delete {delete7}");
+    assert!(
+        insert7 <= insert_pin && delete7 <= BATCH as u64 + DELETE_ALLOCS,
+        "allocations grew with the number of secondary indexes: \
+         insert {insert} -> {insert7}, delete {delete} -> {delete7}"
+    );
+}

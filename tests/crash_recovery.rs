@@ -439,6 +439,52 @@ fn recovery_fuzz_sweep() {
     fuzz_sweep(200, 0xC4A5_11E5);
 }
 
+/// A refused operation logs nothing, so it must change nothing: otherwise
+/// the live image and the image recovery rebuilds from the log drift apart
+/// with no fault injected. Reproduced before validation became total — a
+/// multi-key delete with a missing key rolled its applied prefix back by
+/// re-inserting at the heap tail, reordering the live table only.
+#[test]
+fn refused_ops_leave_recovery_identical_to_live() {
+    let mut d = build(MemVfs::new());
+    let i = Datum::Int;
+    let pristine = d.state_bytes().unwrap();
+
+    // Existing keys first, then one that is not there / one repeated.
+    let missing = [vec![i(1), i(1)], vec![i(2), i(1)], vec![i(77), i(7)]];
+    assert!(d.delete("lineitem", &missing).is_err());
+    let repeated = [vec![i(2), i(2)], vec![i(4), i(1)], vec![i(2), i(2)]];
+    assert!(d.delete("lineitem", &repeated).is_err());
+    // A duplicate key inside the batch, and an FK violation mid-batch.
+    let dup = vec![
+        fixtures::lineitem_row(3, 1, 2, 4, 42.0),
+        fixtures::lineitem_row(3, 1, 5, 1, 1.0),
+    ];
+    assert!(d.insert("lineitem", dup).is_err());
+    let orphan = vec![
+        fixtures::lineitem_row(3, 1, 2, 4, 42.0),
+        fixtures::lineitem_row(999, 1, 2, 4, 42.0),
+        fixtures::lineitem_row(3, 2, 2, 4, 42.0),
+    ];
+    assert!(d.insert("lineitem", orphan).is_err());
+    assert!(
+        d.state_bytes().unwrap() == pristine,
+        "refused operations changed the live state"
+    );
+    assert_eq!(d.last_lsn(), 0, "refused operations must not reach the log");
+
+    // One good commit, then crash and recover.
+    d.insert("lineitem", vec![fixtures::lineitem_row(3, 1, 2, 4, 42.0)])
+        .unwrap();
+    let live = d.state_bytes().unwrap();
+    let (recovered, report) = DurableDatabase::open(d.into_vfs().crash(), policy()).unwrap();
+    assert_eq!(report.last_lsn, 1);
+    assert!(
+        recovered.state_bytes().unwrap() == live,
+        "recovered state differs from the live state it crashed from"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Poison contract: a durable write that fails after the in-memory mutation.
 // ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@
 //!    sequence driven through [`ShardedDatabase`] at shard counts 1, 2, 3,
 //!    and 8 ends in byte-identical [`ShardedDatabase::state_bytes`], every
 //!    shard's view verifies against its own recompute, and constraint
-//!    rejections (duplicate keys, FK restricts) are identical at every
-//!    shard count. Failing sequences shrink toward shorter, simpler ones.
+//!    rejections (duplicate keys, FK restricts, multi-key deletes with a
+//!    missing or a repeated key) are identical at every shard count — and
+//!    a *refused* op leaves `state_bytes()` untouched on every twin.
+//!    Failing sequences shrink toward shorter, simpler ones.
 //!    Two durable twins ride the same script — [`DurableDatabase`] and a
 //!    1-shard [`ShardedDurableDatabase`], both on [`MemVfs`]: same verdicts
 //!    op by op, same view contents, and after drop-and-`open` each equals
@@ -138,11 +140,19 @@ enum Op {
         child: usize,
         cdata: i64,
     },
+    /// A multi-key delete that must be refused as a whole: up to three
+    /// live children (spread over shards by their parents) with a key that
+    /// does not exist in the middle of the batch, or — `repeat` — with the
+    /// batch's first key once more at its end.
+    RefusedDeleteChildren {
+        child: usize,
+        repeat: bool,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     strategy(
-        |rng: &mut Rng| match rng.gen_range(0..5) {
+        |rng: &mut Rng| match rng.gen_range(0..6) {
             0 => Op::InsertParent {
                 pdata: rng.gen_range(0i64..40),
             },
@@ -155,6 +165,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             },
             3 => Op::DeleteParent {
                 parent: rng.gen_range(0usize..8),
+            },
+            4 => Op::RefusedDeleteChildren {
+                child: rng.gen_range(0usize..8),
+                repeat: rng.gen_bool(0.5),
             },
             _ => Op::UpdateChild {
                 child: rng.gen_range(0usize..8),
@@ -186,6 +200,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             }
             Op::DeleteParent { parent } if *parent > 0 => {
                 vec![Op::DeleteParent { parent: parent - 1 }]
+            }
+            Op::RefusedDeleteChildren { child, repeat } if *child > 0 => {
+                vec![Op::RefusedDeleteChildren {
+                    child: child - 1,
+                    repeat: *repeat,
+                }]
             }
             Op::UpdateChild { child, cdata } => {
                 let mut out = Vec::new();
@@ -236,7 +256,7 @@ property! {
             // identically on every twin.
             enum Call {
                 Insert(&'static str, Row),
-                Delete(&'static str, Vec<Datum>),
+                Delete(&'static str, Vec<Vec<Datum>>),
                 Update(&'static str, Vec<Datum>, Row),
             }
             let call = match op {
@@ -260,14 +280,31 @@ property! {
                         continue;
                     }
                     let (pid, cid) = children[child % children.len()];
-                    Call::Delete("child", vec![Datum::Int(pid), Datum::Int(cid)])
+                    Call::Delete("child", vec![vec![Datum::Int(pid), Datum::Int(cid)]])
                 }
                 Op::DeleteParent { parent } => {
                     if parents.is_empty() {
                         continue;
                     }
                     let pid = parents[parent % parents.len()];
-                    Call::Delete("parent", vec![Datum::Int(pid)])
+                    Call::Delete("parent", vec![vec![Datum::Int(pid)]])
+                }
+                Op::RefusedDeleteChildren { child, repeat } => {
+                    if children.is_empty() {
+                        continue;
+                    }
+                    let mut keys: Vec<Vec<Datum>> = (0..children.len().min(3))
+                        .map(|i| children[(child + i) % children.len()])
+                        .map(|(pid, cid)| vec![Datum::Int(pid), Datum::Int(cid)])
+                        .collect();
+                    if *repeat {
+                        keys.push(keys[0].clone());
+                    } else {
+                        // `next_cid` is the highest cid ever issued.
+                        let missing = vec![Datum::Int(1), Datum::Int(next_cid + 1)];
+                        keys.insert(keys.len() / 2, missing);
+                    }
+                    Call::Delete("child", keys)
                 }
                 Op::UpdateChild { child, cdata } => {
                     if children.is_empty() {
@@ -289,13 +326,23 @@ property! {
                 ($db:expr) => {
                     match &call {
                         Call::Insert(t, row) => $db.insert(t, vec![row.clone()]).is_ok(),
-                        Call::Delete(t, key) => $db.delete(t, std::slice::from_ref(key)).is_ok(),
+                        Call::Delete(t, keys) => $db.delete(t, keys).is_ok(),
                         Call::Update(t, key, row) => $db
                             .update(t, std::slice::from_ref(key), vec![row.clone()])
                             .is_ok(),
                     }
                 };
             }
+            macro_rules! states {
+                () => {{
+                    let mut states: Vec<Vec<u8>> =
+                        dbs.iter().map(|db| db.state_bytes().unwrap()).collect();
+                    states.push(wal.state_bytes().unwrap());
+                    states.push(group.state_bytes().unwrap());
+                    states
+                }};
+            }
+            let before = states!();
             let mut verdicts: Vec<bool> = dbs.iter_mut().map(|db| verdict!(db)).collect();
             verdicts.push(verdict!(wal));
             verdicts.push(verdict!(group));
@@ -303,6 +350,21 @@ property! {
                 verdicts.iter().all(|&v| v == verdicts[0]),
                 "twins disagree on op outcome: {verdicts:?} for {op:?} (seed={seed})"
             );
+            if let Op::RefusedDeleteChildren { .. } = op {
+                assert!(!verdicts[0], "{op:?} must be refused (seed={seed})");
+            }
+            // Refused ⇒ bit-identical, on every twin: the in-memory façades
+            // at each shard count (canonical bytes: no row may be gone) and
+            // both durable engines (`DurableDatabase`'s bytes are in heap
+            // order: no row may have moved either).
+            if !verdicts[0] {
+                for (twin, (was, is)) in before.iter().zip(states!()).enumerate() {
+                    assert!(
+                        *was == is,
+                        "refused {op:?} changed the state of twin #{twin} (seed={seed})"
+                    );
+                }
+            }
 
             // Advance the mirror only on success.
             if verdicts[0] {
@@ -314,14 +376,14 @@ property! {
                         };
                         children.push((*pid, *cid));
                     }
-                    (Call::Delete(_, key), Op::DeleteChild { .. }) => {
-                        let (Datum::Int(pid), Datum::Int(cid)) = (&key[0], &key[1]) else {
+                    (Call::Delete(_, keys), Op::DeleteChild { .. }) => {
+                        let (Datum::Int(pid), Datum::Int(cid)) = (&keys[0][0], &keys[0][1]) else {
                             unreachable!()
                         };
                         children.retain(|c| *c != (*pid, *cid));
                     }
-                    (Call::Delete(_, key), Op::DeleteParent { .. }) => {
-                        let Datum::Int(pid) = &key[0] else { unreachable!() };
+                    (Call::Delete(_, keys), Op::DeleteParent { .. }) => {
+                        let Datum::Int(pid) = &keys[0][0] else { unreachable!() };
                         parents.retain(|p| p != pid);
                     }
                     _ => {}
@@ -392,6 +454,54 @@ property! {
             reference,
             "recovered ShardedDurableDatabase differs from its uncrashed self (seed={seed})"
         );
+    }
+}
+
+/// The reproduced N > 1 hole, pinned on the README's quickstart fixture: a
+/// delete batch naming one key twice passed the façade's per-key existence
+/// pre-check, failed mid-apply on the repeated key's owner shard, and the
+/// shards applied before it kept their deletions — base rows gone with no
+/// view maintenance run. Validation is total now: at every shard count the
+/// batch is refused and nothing changes.
+#[test]
+fn repeated_delete_key_is_refused_without_touching_any_shard() {
+    use ojv::core::fixtures;
+    for n in [1usize, 2, 3, 4, 8] {
+        let mut catalog = fixtures::example1_catalog();
+        fixtures::populate_example1(&mut catalog, 10, 12);
+        let routing = RoutingSpec::new()
+            .table("part", &["p_partkey"])
+            .table("orders", &["o_orderkey"])
+            .table("lineitem", &["l_orderkey"]);
+        let mut db = ShardedDatabase::new(&catalog, n, routing).unwrap();
+        db.create_view_sql(
+            "order_lines",
+            "select * from orders left outer join lineitem on l_orderkey = o_orderkey",
+        )
+        .unwrap();
+        let before = db.state_bytes().unwrap();
+
+        // Line 1 of orders 1, 2, 4, 5, 7, 8 — then order 8's once more.
+        let mut keys: Vec<Vec<Datum>> = [1i64, 2, 4, 5, 7, 8]
+            .iter()
+            .map(|&o| vec![Datum::Int(o), Datum::Int(1)])
+            .collect();
+        keys.push(keys[5].clone());
+        assert!(db.delete("lineitem", &keys).is_err(), "{n} shards");
+        assert!(
+            db.state_bytes().unwrap() == before,
+            "refused delete changed the {n}-shard state"
+        );
+
+        // Without the repeat the same batch commits.
+        keys.pop();
+        db.delete("lineitem", &keys).unwrap();
+        for shard in db.shards() {
+            assert!(ojv::core::maintain::verify_against_recompute(
+                shard.view("order_lines").unwrap(),
+                shard.catalog()
+            ));
+        }
     }
 }
 
