@@ -167,6 +167,32 @@ mod tests {
         assert!(ind_term.tables.contains(cu));
     }
 
+    /// The §5.2 deletion case probes the term-key count index the view
+    /// keeps for every term with a parent, with no scan fallback — so every
+    /// indirect term of every maintenance graph (with and without the FK
+    /// reduction) of the Example 1 and V3 family views must have a parent.
+    #[test]
+    fn every_indirect_term_has_a_parent() {
+        let mut c = create_tpch_catalog().unwrap();
+        TpchGen::new(0.001, 1).populate(&mut c).unwrap();
+        let mut defs = vec![oj_view_def(), v3_def(), v2_def()];
+        defs.extend((0..4).map(|i| v3_family_def(&format!("v3_{i}"), 500.0 * f64::from(i + 1))));
+        let mut checked = 0;
+        for def in defs {
+            let a = analyze(&c, &def).unwrap();
+            for t in 0..a.layout.table_count() {
+                for use_fk in [false, true] {
+                    let t = ojv_algebra::TableId(t as u8);
+                    for ind in a.maintenance_graph(t, use_fk).indirect {
+                        assert!(!a.graph.parents(ind.term).is_empty(), "{}", def.name());
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 0);
+    }
+
     #[test]
     fn v3_core_has_single_term() {
         let mut c = create_tpch_catalog().unwrap();

@@ -368,15 +368,9 @@ impl MaterializedAggView {
                 updated: t,
             };
             for ind in &compiled.indirect {
-                let ind_view = IndirectTermView {
-                    term: ind.term,
-                    pard: &ind.pard,
-                    all_parents: &ind.all_parents,
-                };
                 let insert = update.op == UpdateOp::Insert;
-                secondary_rows.extend(secondary::from_base(
-                    &sctx, exec, &ind_view, primary, insert,
-                )?);
+                let ind = IndirectTermView::from(ind);
+                secondary_rows.extend(secondary::from_base(&sctx, exec, &ind, primary, insert)?);
             }
         }
         report.secondary_rows = secondary_rows.len();

@@ -49,19 +49,18 @@ pub fn maintain_recompute(
     let name = view.name().to_string();
     let fresh_keys: FxHashSet<Vec<Datum>> =
         fresh.iter().map(|r| view.store().key_of_row(r)).collect();
-    let stale: Vec<Vec<Datum>> = view
+    let stale: Vec<Row> = view
         .wide_rows()
         .iter()
-        .map(|r| view.store().key_of_row(r))
-        .filter(|k| !fresh_keys.contains(k))
+        .filter(|r| !fresh_keys.contains(&view.store().key_of_row(r)))
+        .cloned()
         .collect();
-    for key in stale {
-        view.store_mut().delete(&key, &name)?;
+    for row in stale {
+        view.store_mut().delete(&row, &name)?;
         report.secondary_rows += 1;
     }
     for row in fresh {
-        let key = view.store().key_of_row(&row);
-        if !view.store().contains(&key) {
+        if !view.store().contains_row(&row) {
             view.store_mut().insert(row, &name)?;
             report.primary_rows += 1;
         }
@@ -147,8 +146,7 @@ pub fn maintain_gk(
                     view.store_mut().insert(net, &name)?;
                 }
                 UpdateOp::Delete => {
-                    let key = view.store().key_of_row(&net);
-                    view.store_mut().delete(&key, &name)?;
+                    view.store_mut().delete(&net, &name)?;
                 }
             }
         }
@@ -220,8 +218,7 @@ pub fn maintain_gk(
             match update.op {
                 UpdateOp::Insert => {
                     // Was an orphan, now subsumed: delete from the view.
-                    let key = view.store().key_of_row(&c);
-                    view.store_mut().delete(&key, &name)?;
+                    view.store_mut().delete(&c, &name)?;
                 }
                 UpdateOp::Delete => {
                     // Newly orphaned: insert into the view.

@@ -8,7 +8,7 @@ use ojv_rel::Row;
 use ojv_storage::{Catalog, Update, UpdateOp};
 
 use crate::analyze::ViewAnalysis;
-use crate::compile::{CompiledMaintenancePlan, PlanConfig};
+use crate::compile::{CompiledIndirect, CompiledMaintenancePlan, PlanConfig};
 use crate::error::Result;
 use crate::materialize::MaterializedView;
 use crate::policy::{MaintenancePolicy, SecondaryStrategy};
@@ -24,6 +24,16 @@ pub struct IndirectTermView<'a> {
     pub pard: &'a [usize],
     /// All minimal-superset parents (for the `Q_i` null filter).
     pub all_parents: &'a [usize],
+}
+
+impl<'a> From<&'a CompiledIndirect> for IndirectTermView<'a> {
+    fn from(ind: &'a CompiledIndirect) -> Self {
+        IndirectTermView {
+            term: ind.term,
+            pard: &ind.pard,
+            all_parents: &ind.all_parents,
+        }
+    }
 }
 
 /// What one maintenance run did, with per-phase wall-clock timings — the
@@ -179,6 +189,7 @@ pub(crate) fn apply_with_primary(
             terms: &analysis.terms,
             updated: t,
         };
+        let insert = update.op == UpdateOp::Insert;
         // §9 future work: one shared pass over ΔV^D for all indirect terms.
         // Like the per-term path below, this is only legal when every
         // indirect term passes the §5.2 availability condition (checked at
@@ -188,83 +199,38 @@ pub(crate) fn apply_with_primary(
             && resolve_strategy(policy.secondary, update.op) == SecondaryStrategy::FromView
             && compiled.combine_ok
         {
-            let ind_views: Vec<IndirectTermView<'_>> = compiled
+            let inds: Vec<IndirectTermView<'_>> = compiled
                 .indirect
                 .iter()
-                .map(|ind| IndirectTermView {
-                    term: ind.term,
-                    pard: &ind.pard,
-                    all_parents: &ind.all_parents,
-                })
+                .map(IndirectTermView::from)
                 .collect();
-            let insert = update.op == UpdateOp::Insert;
-            let deltas =
-                secondary::from_view_combined(&sctx, view.store(), &ind_views, primary, insert);
-            let name = view.name().to_string();
-            for d in deltas {
-                report.secondary_rows += d.delete_keys.len() + d.insert_rows.len();
-                for key in d.delete_keys {
-                    view.store_mut().delete(&key, &name)?;
-                }
-                for row in d.insert_rows {
-                    view.store_mut().insert(row, &name)?;
-                }
+            for orphans in secondary::from_view(&sctx, view.store(), &inds, primary, insert) {
+                report.secondary_rows += apply_orphans(view, orphans, insert)?;
             }
-            report.secondary_time = start.elapsed();
-            return Ok(());
-        }
-        for ind in &compiled.indirect {
-            let ind_view = IndirectTermView {
-                term: ind.term,
-                pard: &ind.pard,
-                all_parents: &ind.all_parents,
-            };
-            let mut strategy = resolve_strategy(policy.secondary, update.op);
-            // §5.2 column availability (resolved at compile time): "If a
-            // view does not output the columns required by the expressions
-            // above, then the expression cannot be used and ∆D_i has to be
-            // computed using base tables."
-            if strategy == SecondaryStrategy::FromView && !ind.from_view_ok {
-                strategy = SecondaryStrategy::FromBase;
+        } else {
+            for ind in &compiled.indirect {
+                let mut strategy = resolve_strategy(policy.secondary, update.op);
+                // §5.2 column availability (resolved at compile time): "If a
+                // view does not output the columns required by the
+                // expressions above, then the expression cannot be used and
+                // ∆D_i has to be computed using base tables."
+                if strategy == SecondaryStrategy::FromView && !ind.from_view_ok {
+                    strategy = SecondaryStrategy::FromBase;
+                }
+                let inds = [IndirectTermView::from(ind)];
+                let orphans = match strategy {
+                    SecondaryStrategy::FromView => {
+                        secondary::from_view(&sctx, view.store(), &inds, primary, insert)
+                            .pop()
+                            .expect("one orphan set per term")
+                    }
+                    SecondaryStrategy::FromBase => {
+                        secondary::from_base(&sctx, exec, &inds[0], primary, insert)?
+                    }
+                    SecondaryStrategy::Auto => unreachable!("resolved above"),
+                };
+                report.secondary_rows += apply_orphans(view, orphans, insert)?;
             }
-            report.secondary_rows += match (strategy, update.op) {
-                (SecondaryStrategy::FromView, UpdateOp::Insert) => {
-                    let keys = secondary::from_view_insert(&sctx, view.store(), &ind_view, primary);
-                    let name = view.name().to_string();
-                    let n = keys.len();
-                    for key in keys {
-                        view.store_mut().delete(&key, &name)?;
-                    }
-                    n
-                }
-                (SecondaryStrategy::FromView, UpdateOp::Delete) => {
-                    let rows = secondary::from_view_delete(&sctx, view.store(), &ind_view, primary);
-                    let name = view.name().to_string();
-                    let n = rows.len();
-                    for row in rows {
-                        view.store_mut().insert(row, &name)?;
-                    }
-                    n
-                }
-                (SecondaryStrategy::FromBase, op) => {
-                    let insert = op == UpdateOp::Insert;
-                    let rows = secondary::from_base(&sctx, exec, &ind_view, primary, insert)?;
-                    let name = view.name().to_string();
-                    let n = rows.len();
-                    for row in rows {
-                        if insert {
-                            // Prior orphans uncovered by the insert: delete.
-                            let key = view.store().key_of_row(&row);
-                            view.store_mut().delete(&key, &name)?;
-                        } else {
-                            // New orphans created by the delete: insert.
-                            view.store_mut().insert(row, &name)?;
-                        }
-                    }
-                    n
-                }
-                (SecondaryStrategy::Auto, _) => unreachable!("resolved above"),
-            };
         }
     }
     report.secondary_time = start.elapsed();
@@ -284,6 +250,22 @@ fn resolve_strategy(s: SecondaryStrategy, _op: UpdateOp) -> SecondaryStrategy {
     }
 }
 
+/// Apply one term's `∆D_i` with the inverse of the update's operation:
+/// prior orphans uncovered by an insert are deleted, new orphans created by
+/// a delete are inserted. Returns the number of rows applied.
+fn apply_orphans(view: &mut MaterializedView, orphans: Vec<Row>, insert: bool) -> Result<usize> {
+    let name = view.name().to_string();
+    let n = orphans.len();
+    for row in orphans {
+        if insert {
+            view.store_mut().delete(&row, &name)?;
+        } else {
+            view.store_mut().insert(row, &name)?;
+        }
+    }
+    Ok(n)
+}
+
 fn apply_primary(view: &mut MaterializedView, primary: &[Row], op: UpdateOp) -> Result<()> {
     let name = view.name().to_string();
     match op {
@@ -294,8 +276,7 @@ fn apply_primary(view: &mut MaterializedView, primary: &[Row], op: UpdateOp) -> 
         }
         UpdateOp::Delete => {
             for row in primary {
-                let key = view.store().key_of_row(row);
-                view.store_mut().delete(&key, &name)?;
+                view.store_mut().delete(row, &name)?;
             }
         }
     }

@@ -2,7 +2,11 @@
 
 use std::sync::Arc;
 
-use ojv_rel::{key_of, Datum, FxHashMap, Relation, Row};
+use ojv_rel::postable::{idx, pos32};
+use ojv_rel::{
+    fx_hash_one, key_eq, key_eq_rows, key_hash, key_of, Datum, FxHashMap, PosTable, Relation, Row,
+    RowBuf,
+};
 use ojv_storage::Catalog;
 
 use crate::analyze::{analyze, ViewAnalysis};
@@ -22,37 +26,67 @@ pub type CountIndexSnapshot = (Vec<usize>, Vec<(Vec<Datum>, usize)>);
 /// positions — the analogue of the paper's secondary index `V4_idx` on the
 /// view. Rows with a null in the indexed columns are not indexed (the
 /// equijoin `eq(T_i)` is null-rejecting).
+///
+/// Each distinct key is kept once, in a flat arena beside its count, and
+/// the [`PosTable`] verifies against that arena. The store's rows cannot be
+/// the verify target: the row a key was first counted from may be deleted
+/// while other rows keep the count positive.
 #[derive(Debug, Clone)]
 struct KeyCountIndex {
     cols: Vec<usize>,
-    counts: FxHashMap<Vec<Datum>, usize>,
+    /// hash(key) → slot in `keys` / `counts`.
+    slots: PosTable,
+    keys: RowBuf,
+    counts: Vec<usize>,
 }
 
 impl KeyCountIndex {
-    fn key_of(&self, row: &[Datum]) -> Option<Vec<Datum>> {
-        let key = key_of(row, &self.cols);
-        if key.iter().any(Datum::is_null) {
-            None
-        } else {
-            Some(key)
-        }
+    /// Slot of the key `row` carries in the indexed columns.
+    fn slot_of_row(&self, hash: u64, row: &[Datum]) -> Option<usize> {
+        self.slots
+            .find(hash, |s| key_eq(row, &self.cols, self.keys.row(idx(s))))
+            .map(idx)
     }
 
     fn add(&mut self, row: &[Datum]) {
-        if let Some(key) = self.key_of(row) {
-            *self.counts.entry(key).or_insert(0) += 1;
+        if self.cols.iter().any(|&c| row[c].is_null()) {
+            return;
+        }
+        let hash = key_hash(row, &self.cols);
+        match self.slot_of_row(hash, row) {
+            Some(s) => self.counts[s] += 1,
+            None => {
+                self.slots.insert(hash, pos32(self.counts.len()));
+                let key = self.keys.push_null_row();
+                for (k, &c) in key.iter_mut().zip(&self.cols) {
+                    *k = row[c].clone();
+                }
+                self.counts.push(1);
+            }
         }
     }
 
     fn remove(&mut self, row: &[Datum]) {
-        if let Some(key) = self.key_of(row) {
-            match self.counts.get_mut(&key) {
-                Some(1) => {
-                    self.counts.remove(&key);
-                }
-                Some(n) => *n -= 1,
-                None => debug_assert!(false, "count index out of sync"),
-            }
+        if self.cols.iter().any(|&c| row[c].is_null()) {
+            return;
+        }
+        let hash = key_hash(row, &self.cols);
+        let Some(s) = self.slot_of_row(hash, row) else {
+            debug_assert!(false, "count index out of sync");
+            return;
+        };
+        if self.counts[s] > 1 {
+            self.counts[s] -= 1;
+            return;
+        }
+        // Last occurrence: swap-remove the key, re-pointing the moved one.
+        let last = self.counts.len() - 1;
+        self.slots.remove(hash, pos32(s));
+        self.counts.swap_remove(s);
+        self.keys.swap_remove_row(s);
+        if s < last {
+            let moved = fx_hash_one(self.keys.row(s));
+            self.slots.replace(moved, pos32(last), pos32(s));
         }
     }
 }
@@ -64,14 +98,15 @@ impl KeyCountIndex {
 ///
 /// Unlike base tables, the view key *contains nulls* (a `{part}`-term row is
 /// null on every other table's key), so this store treats null as an
-/// ordinary key value.
+/// ordinary key value: keys compare with `Datum` equality, under which
+/// `Null == Null`.
 #[derive(Debug, Clone)]
 pub struct ViewStore {
     key_cols: Vec<usize>,
     rows: Vec<Row>,
-    /// view key -> position in `rows`. Probes borrow (`&[Datum]`) over the
-    /// deterministic fx hasher — no owned key is built on the lookup path.
-    index: FxHashMap<Vec<Datum>, usize>,
+    /// hash(view key) → position in `rows`, verified against the row it
+    /// points at: no key is stored beside the rows.
+    index: PosTable,
     secondary: Vec<KeyCountIndex>,
     /// When enabled, every successful `insert`/`delete` is recorded as a
     /// [`ViewOp`] for the snapshot registry's redo chains. `None` (the
@@ -84,7 +119,7 @@ impl ViewStore {
         ViewStore {
             key_cols,
             rows: Vec::new(),
-            index: FxHashMap::default(),
+            index: PosTable::default(),
             secondary: Vec::new(),
             journal: None,
         }
@@ -116,11 +151,11 @@ impl ViewStore {
     /// Re-execute a journaled op. Replay goes through the same
     /// `insert`/`delete` (swap-remove) code that produced the op, so a
     /// replayed store is byte-identical to the original — heap order and
-    /// index contents included.
+    /// index contents included. A delete replays by its row's key columns.
     pub(crate) fn apply_op(&mut self, op: &ViewOp, view: &str) -> Result<()> {
         match op {
             ViewOp::Insert(row) => self.insert(row.clone(), view),
-            ViewOp::Delete(key) => self.delete(key, view).map(|_| ()),
+            ViewOp::Delete(row) => self.delete(row, view),
         }
     }
 
@@ -132,8 +167,10 @@ impl ViewStore {
             return;
         }
         let mut idx = KeyCountIndex {
+            keys: RowBuf::new(cols.len()),
             cols,
-            counts: FxHashMap::default(),
+            slots: PosTable::default(),
+            counts: Vec::new(),
         };
         for row in &self.rows {
             idx.add(row);
@@ -141,17 +178,14 @@ impl ViewStore {
         self.secondary.push(idx);
     }
 
-    /// Number of stored rows whose (non-null) projection onto `cols` equals
-    /// `key`, using a count index if one exists. Returns `None` when no
-    /// index covers `cols` (callers fall back to a scan).
-    pub fn count_by_key(&self, cols: &[usize], key: &[Datum]) -> Option<usize> {
-        if cols == self.key_cols.as_slice() {
-            return Some(usize::from(self.index.contains_key(key)));
-        }
-        self.secondary
-            .iter()
-            .find(|i| i.cols == cols)
-            .map(|i| i.counts.get(key).copied().unwrap_or(0))
+    /// Number of stored rows agreeing with the wide row `row` on `cols`
+    /// (hashed in place; a null there counts nothing), from the count index
+    /// over `cols`. Returns `None` when there is none (the view key has
+    /// none: [`ViewStore::contains_row`] answers for it).
+    pub fn count_by_row(&self, cols: &[usize], row: &[Datum]) -> Option<usize> {
+        let index = self.secondary.iter().find(|i| i.cols == cols)?;
+        let slot = index.slot_of_row(key_hash(row, cols), row);
+        Some(slot.map_or(0, |s| index.counts[s]))
     }
 
     pub fn len(&self) -> usize {
@@ -175,25 +209,39 @@ impl ViewStore {
         key_of(row, &self.key_cols)
     }
 
-    pub fn contains(&self, key: &[Datum]) -> bool {
-        self.index.contains_key(key)
+    /// Position of the stored row with the view key of the wide row `row`,
+    /// whose key columns hash to `hash`.
+    fn find_row(&self, hash: u64, row: &[Datum]) -> Option<usize> {
+        let cols = &self.key_cols;
+        let pos = self
+            .index
+            .find(hash, |p| key_eq_rows(&self.rows[idx(p)], cols, row, cols));
+        pos.map(idx)
+    }
+
+    /// Is a row with the view key of the wide row `row` stored?
+    pub fn contains_row(&self, row: &[Datum]) -> bool {
+        self.find_row(key_hash(row, &self.key_cols), row).is_some()
     }
 
     /// Look up a stored row by view key without building an owned key.
     pub fn get_by_key(&self, key: &[Datum]) -> Option<&Row> {
-        self.index.get(key).map(|&pos| &self.rows[pos])
+        let pos = self.index.find(fx_hash_one(key), |p| {
+            key_eq(&self.rows[idx(p)], &self.key_cols, key)
+        });
+        pos.map(|p| &self.rows[idx(p)])
     }
 
     /// Insert a wide row. A duplicate view key indicates a maintenance bug
     /// and is reported as an error.
     pub fn insert(&mut self, row: Row, view: &str) -> Result<()> {
-        let key = key_of(&row, &self.key_cols);
-        if self.index.contains_key(&key) {
+        let hash = key_hash(&row, &self.key_cols);
+        if self.find_row(hash, &row).is_some() {
             return Err(CoreError::InvalidView {
                 view: view.to_string(),
                 detail: format!(
                     "maintenance produced duplicate view key {}",
-                    ojv_rel::row_display(&key)
+                    ojv_rel::row_display(&self.key_of_row(&row))
                 ),
             });
         }
@@ -203,53 +251,59 @@ impl ViewStore {
         if let Some(journal) = &mut self.journal {
             journal.push(ViewOp::Insert(row.clone()));
         }
-        self.index.insert(key, self.rows.len());
+        self.index.insert(hash, pos32(self.rows.len()));
         self.rows.push(row);
         Ok(())
     }
 
     /// Canonical snapshot of every count index: `(cols, entries)` with the
-    /// entries sorted by key. The fx hash map's iteration order is
-    /// seed-stable but insertion-order dependent, so sorting is what makes
-    /// the encoding — and the byte-level differential tests built on it —
-    /// independent of the path that produced the index.
+    /// entries sorted by key. The arena's order depends on the path that
+    /// built the index, so sorting is what makes the encoding — and the
+    /// byte-level differential tests built on it — independent of that path.
     pub fn count_index_snapshot(&self) -> Vec<CountIndexSnapshot> {
         self.secondary
             .iter()
             .map(|idx| {
-                let mut entries: Vec<(Vec<Datum>, usize)> =
-                    idx.counts.iter().map(|(k, &c)| (k.clone(), c)).collect();
+                let mut entries: Vec<(Vec<Datum>, usize)> = idx
+                    .keys
+                    .iter()
+                    .zip(&idx.counts)
+                    .map(|(k, &c)| (k.to_vec(), c))
+                    .collect();
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
                 (idx.cols.clone(), entries)
             })
             .collect()
     }
 
-    /// Delete by view key, returning the removed row. Missing keys indicate
-    /// a maintenance bug.
-    pub fn delete(&mut self, key: &[Datum], view: &str) -> Result<Row> {
+    /// Delete the stored row with the view key of the wide row `row` (only
+    /// its key columns are read). The removed row moves into the journal as
+    /// the delete's pre-image. A missing key indicates a maintenance bug.
+    pub fn delete(&mut self, row: &[Datum], view: &str) -> Result<()> {
+        let hash = key_hash(row, &self.key_cols);
         let pos = self
-            .index
-            .remove(key)
+            .find_row(hash, row)
             .ok_or_else(|| CoreError::InvalidView {
                 view: view.to_string(),
                 detail: format!(
                     "maintenance tried to delete missing view key {}",
-                    ojv_rel::row_display(key)
+                    ojv_rel::row_display(&self.key_of_row(row))
                 ),
             })?;
-        let row = self.rows.swap_remove(pos);
+        self.index.remove(hash, pos32(pos));
+        let removed = self.rows.swap_remove(pos);
         for idx in &mut self.secondary {
-            idx.remove(&row);
+            idx.remove(&removed);
         }
-        if pos < self.rows.len() {
-            let moved_key = key_of(&self.rows[pos], &self.key_cols);
-            self.index.insert(moved_key, pos);
+        if let Some(moved) = self.rows.get(pos) {
+            let moved = key_hash(moved, &self.key_cols);
+            self.index
+                .replace(moved, pos32(self.rows.len()), pos32(pos));
         }
         if let Some(journal) = &mut self.journal {
-            journal.push(ViewOp::Delete(key.to_vec()));
+            journal.push(ViewOp::Delete(removed));
         }
-        Ok(row)
+        Ok(())
     }
 }
 
@@ -292,6 +346,9 @@ impl MaterializedView {
                 store.add_count_index(analysis.layout.term_key_cols(term.tables));
             }
         }
+        // One reservation per bulk load: the key index never regrows.
+        store.rows.reserve(rows.len());
+        store.index.reserve(rows.len());
         for row in rows {
             store.insert(row, def.name())?;
         }
@@ -447,20 +504,99 @@ mod tests {
     #[test]
     fn view_store_insert_delete_roundtrip() {
         let mut s = ViewStore::new(vec![0, 1]);
-        s.insert(vec![Datum::Int(1), Datum::Null, Datum::Int(5)], "v")
-            .unwrap();
+        s.enable_journal();
+        let half = vec![Datum::Int(1), Datum::Null, Datum::Int(5)];
+        s.insert(half.clone(), "v").unwrap();
         s.insert(vec![Datum::Int(1), Datum::Int(2), Datum::Int(6)], "v")
             .unwrap();
         assert_eq!(s.len(), 2);
-        assert!(s.contains(&[Datum::Int(1), Datum::Null]));
+        assert!(s.get_by_key(&[Datum::Int(1), Datum::Null]).is_some());
         let dup = s.insert(vec![Datum::Int(1), Datum::Null, Datum::Int(9)], "v");
         assert!(dup.is_err());
-        let row = s.delete(&[Datum::Int(1), Datum::Null], "v").unwrap();
-        assert_eq!(row[2], Datum::Int(5));
-        assert!(!s.contains(&[Datum::Int(1), Datum::Null]));
+        // Only the probe's key columns are read; the journal gets the
+        // stored row as the delete's pre-image.
+        s.delete(&[Datum::Int(1), Datum::Null, Datum::Int(0)], "v")
+            .unwrap();
+        assert!(!s.contains_row(&[Datum::Int(1), Datum::Null]));
         assert!(s.delete(&[Datum::Int(9), Datum::Null], "v").is_err());
         // The swap-removed survivor is still findable.
-        assert!(s.contains(&[Datum::Int(1), Datum::Int(2)]));
+        assert!(s.contains_row(&[Datum::Int(1), Datum::Int(2)]));
+        assert_eq!(s.take_journal().last(), Some(&ViewOp::Delete(half)));
+    }
+
+    /// Count-index churn against a model: counts, the sorted snapshot and
+    /// the key arena's swap-remove fix-up agree at every step, including a
+    /// key whose first-counted row is gone while its count stays positive.
+    #[test]
+    fn count_index_tracks_a_model_through_churn() {
+        let mut s = ViewStore::new(vec![0, 1]);
+        s.add_count_index(vec![0]);
+        let row = |i: i64| {
+            let k = if i % 11 == 0 {
+                Datum::Null
+            } else {
+                Datum::Int(i % 7)
+            };
+            vec![k, Datum::Int(i)]
+        };
+        let mut model = std::collections::BTreeMap::new();
+        let check = |s: &ViewStore, model: &std::collections::BTreeMap<i64, usize>| {
+            for k in 0..7 {
+                let want = model.get(&k).copied().unwrap_or(0);
+                assert_eq!(
+                    s.count_by_row(&[0], &[Datum::Int(k)]),
+                    Some(want),
+                    "key {k}"
+                );
+            }
+            let entries: Vec<(Vec<Datum>, usize)> = model
+                .iter()
+                .map(|(&k, &n)| (vec![Datum::Int(k)], n))
+                .collect();
+            assert_eq!(s.count_index_snapshot(), vec![(vec![0], entries)]);
+        };
+        for i in 0..60 {
+            s.insert(row(i), "v").unwrap();
+            if i % 11 != 0 {
+                *model.entry(i % 7).or_insert(0) += 1;
+            }
+            check(&s, &model);
+        }
+        assert_eq!(s.count_by_row(&[0], &[Datum::Null]), Some(0));
+        for j in 0..60 {
+            let i = (j * 37) % 60;
+            s.delete(&row(i), "v").unwrap();
+            if i % 11 != 0 {
+                let n = model.get_mut(&(i % 7)).unwrap();
+                *n -= 1;
+                if *n == 0 {
+                    model.remove(&(i % 7));
+                }
+            }
+            check(&s, &model);
+        }
+        assert!(s.is_empty());
+    }
+
+    /// The §5.2 deletion case probes a term-key count index and has no scan
+    /// fallback: every term with a parent has one (`tpch`'s view tests pin
+    /// that every indirect term has a parent).
+    #[test]
+    fn every_term_with_a_parent_has_a_count_index() {
+        let mut c = example1_catalog();
+        populate_example1(&mut c, 6, 9);
+        let view = MaterializedView::create(&c, oj_view_def()).unwrap();
+        let a = &view.analysis;
+        let probe = vec![Datum::Null; a.layout.wide_schema().len()];
+        for (i, term) in a.terms.iter().enumerate() {
+            if !a.graph.parents(i).is_empty() {
+                let keys = a.layout.term_key_cols(term.tables);
+                assert!(
+                    view.store().count_by_row(&keys, &probe).is_some(),
+                    "term {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 
 use ojv_algebra::{Expr, JoinKind, Pred, TableId, TableSet, Term};
 use ojv_exec::{join_rows_expr, ExecCtx, ExecResult, ViewLayout};
-use ojv_rel::{key_eq, key_of, Datum, FxHashSet, Row};
+use ojv_rel::postable::{idx, pos32};
+use ojv_rel::{key_eq_rows, key_hash, Datum, PosTable, Row};
 
 use crate::maintain::IndirectTermView;
 use crate::materialize::ViewStore;
@@ -36,21 +37,6 @@ impl SecondaryCtx<'_> {
         parents.iter().map(|&k| self.terms[k].tables).collect()
     }
 
-    /// `σ_{P_i}` — delta rows added to (or removed from) some directly
-    /// affected parent: rows non-null on all of a parent's source tables.
-    fn rows_matching_parents<'r>(
-        &self,
-        primary: &'r [Row],
-        pard_sources: &[TableSet],
-    ) -> impl Iterator<Item = &'r Row> + use<'r, '_> {
-        let layout = self.layout;
-        let pard: Vec<TableSet> = pard_sources.to_vec();
-        primary.iter().filter(move |r| {
-            let sources = layout.sources_of_row(r);
-            pard.iter().any(|tk| tk.is_subset_of(sources))
-        })
-    }
-
     /// Project a wide row onto the term's tables (null out the rest).
     fn project_to(&self, tables: TableSet, row: &Row) -> Row {
         let mut out = row.clone();
@@ -60,142 +46,110 @@ impl SecondaryCtx<'_> {
     }
 }
 
-/// §5.2, insertion case:
-/// `∆D_i = σ_{nn(T_i)∧n(S_i)}(V + ∆V^D) ⋉_{eq(T_i)} σ_{P_i} ∆V^D`.
-///
-/// Returns the **view keys** of the orphan rows to delete. The orphan scan
-/// is implemented as index probes: an orphan of term `T_i` has the unique
-/// view key "`T_i` keys ++ nulls", which each qualifying delta row
-/// determines completely.
-pub fn from_view_insert(
-    ctx: &SecondaryCtx<'_>,
-    store: &ViewStore,
-    ind: &IndirectTermView<'_>,
-    primary: &[Row],
-) -> Vec<Vec<Datum>> {
-    let ti = ctx.terms[ind.term].tables;
-    let pard_sources = ctx.parent_sources(ind.pard);
-    let mut probes: FxHashSet<Vec<Datum>> = FxHashSet::default();
-    let mut out = Vec::new();
-    for row in ctx.rows_matching_parents(primary, &pard_sources) {
-        let orphan_pattern = ctx.project_to(ti, row);
-        let key = store.key_of_row(&orphan_pattern);
-        if probes.insert(key.clone()) && store.contains(&key) {
-            out.push(key);
-        }
-    }
-    out
+/// Rows indexed by their values in `cols`: a [`PosTable`] of hash →
+/// position, verified against the rows themselves, so no key is copied out
+/// of them.
+struct RowKeys<'a> {
+    cols: &'a [usize],
+    rows: &'a [Row],
+    slots: PosTable,
 }
 
-/// §5.2, deletion case:
-/// `∆D_i = (δ π_{T_i.*} σ_{P_i} ∆V^D) ▷_{eq(T_i)} (V − ∆V^D)`.
-///
-/// Returns the new orphan rows (wide, `T_i` slots only) to insert into the
-/// view. The anti join is one pass over the view.
-pub fn from_view_delete(
-    ctx: &SecondaryCtx<'_>,
-    store: &ViewStore,
-    ind: &IndirectTermView<'_>,
-    primary: &[Row],
-) -> Vec<Row> {
-    let ti = ctx.terms[ind.term].tables;
-    let ti_keys = ctx.layout.term_key_cols(ti);
-    let pard_sources = ctx.parent_sources(ind.pard);
-
-    // Candidate orphans: distinct T_i projections of delta rows that were
-    // deleted from some directly affected parent.
-    let mut candidates: Vec<Row> = Vec::new();
-    let mut seen: FxHashSet<Vec<Datum>> = FxHashSet::default();
-    for row in ctx.rows_matching_parents(primary, &pard_sources) {
-        let key = key_of(row, &ti_keys);
-        if seen.insert(key) {
-            candidates.push(ctx.project_to(ti, row));
+impl<'a> RowKeys<'a> {
+    fn over(cols: &'a [usize], rows: &'a [Row]) -> Self {
+        let mut slots = PosTable::default();
+        slots.reserve(rows.len());
+        for (pos, row) in rows.iter().enumerate() {
+            slots.insert(key_hash(row, cols), pos32(pos));
         }
+        RowKeys { cols, rows, slots }
     }
-    if candidates.is_empty() {
-        return candidates;
-    }
-    // Anti join against the view: a candidate still covered by any remaining
-    // view row (necessarily of a superset term) is not an orphan. With a
-    // term-key count index on the view (the paper's `V4_idx`), this is one
-    // lookup per candidate; otherwise one pass over the view.
-    if candidates
-        .iter()
-        .all(|r| store.count_by_key(&ti_keys, &key_of(r, &ti_keys)).is_some())
-    {
-        return candidates
-            .into_iter()
-            .filter(|r| {
-                store
-                    .count_by_key(&ti_keys, &key_of(r, &ti_keys))
-                    .expect("index checked above")
-                    == 0
+
+    /// Does some row agree with `probe` on `cols`?
+    fn contains(&self, probe: &[Datum]) -> bool {
+        let cols = self.cols;
+        self.slots
+            .find(key_hash(probe, cols), |p| {
+                key_eq_rows(&self.rows[idx(p)], cols, probe, cols)
             })
-            .collect();
+            .is_some()
     }
-    let candidate_keys: FxHashSet<Vec<Datum>> =
-        candidates.iter().map(|r| key_of(r, &ti_keys)).collect();
-    let mut covered: FxHashSet<Vec<Datum>> = FxHashSet::default();
-    for row in store.rows() {
-        let key = key_of(row, &ti_keys);
-        if !key.iter().any(Datum::is_null) && candidate_keys.contains(&key) {
-            covered.insert(key);
-        }
-    }
-    candidates
-        .into_iter()
-        .filter(|r| !covered.contains(&key_of(r, &ti_keys)))
-        .collect()
 }
 
-/// The paper's §9 future-work direction: "combine (parts of) the
-/// computations for the different terms … by saving and reusing partial
-/// results". This combined form of the §5.2 strategy classifies every
-/// primary-delta row against *all* indirect terms in a single pass (instead
-/// of one pass per term) and then resolves each term's orphan probes against
-/// the view indexes as usual.
+/// `δ π_{T_i.*}` fed one delta row at a time: the distinct `T_i`
+/// projections in first-seen order, deduplicated on the term key by a
+/// [`PosTable`] verified against the candidates already held.
+struct Candidates {
+    ti: TableSet,
+    ti_keys: Vec<usize>,
+    seen: PosTable,
+    rows: Vec<Row>,
+}
+
+impl Candidates {
+    fn new(ctx: &SecondaryCtx<'_>, ti: TableSet) -> Self {
+        Candidates {
+            ti,
+            ti_keys: ctx.layout.term_key_cols(ti),
+            seen: PosTable::default(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn offer(&mut self, ctx: &SecondaryCtx<'_>, row: &Row) {
+        let (keys, rows) = (&self.ti_keys, &self.rows);
+        let hash = key_hash(row, keys);
+        if self
+            .seen
+            .find(hash, |c| key_eq_rows(&rows[idx(c)], keys, row, keys))
+            .is_none()
+        {
+            self.seen.insert(hash, pos32(self.rows.len()));
+            self.rows.push(ctx.project_to(self.ti, row));
+        }
+    }
+}
+
+/// §5.2: the secondary delta `∆D_i` of every indirect term in `inds`,
+/// computed from the view itself, in one shared pass over `∆V^D` — the
+/// paper's §9 future-work direction, "combine (parts of) the computations
+/// for the different terms … by saving and reusing partial results"; a
+/// single term is the plain per-term form.
 ///
-/// For insertions it returns, per term, the view keys of orphans to delete;
-/// for deletions, the orphan rows to insert. Results are identical to
-/// calling [`from_view_insert`]/[`from_view_delete`] per term.
-pub fn from_view_combined(
+/// * Insertion: `∆D_i = σ_{nn(T_i)∧n(S_i)}(V + ∆V^D) ⋉_{eq(T_i)} σ_{P_i} ∆V^D`,
+///   the prior orphans to delete, as `T_i` projections carrying their view
+///   keys. An orphan of `T_i` has the unique view key "`T_i` keys ++
+///   nulls", which each qualifying delta row determines completely, so the
+///   semijoin is one key probe per candidate.
+/// * Deletion: `∆D_i = (δ π_{T_i.*} σ_{P_i} ∆V^D) ▷_{eq(T_i)} (V − ∆V^D)`,
+///   the new orphans to insert (wide, `T_i` slots only). The anti join is
+///   one lookup per candidate in the term-key count index (the paper's
+///   `V4_idx`) the view keeps for every term with a parent — and every
+///   indirect term has one, so there is no scan fallback.
+///
+/// Returns one orphan set per entry of `inds`, in order.
+pub fn from_view(
     ctx: &SecondaryCtx<'_>,
     store: &ViewStore,
     inds: &[IndirectTermView<'_>],
     primary: &[Row],
     insert: bool,
-) -> Vec<CombinedTermDelta> {
-    struct TermState {
-        ti: TableSet,
-        ti_keys: Vec<usize>,
-        pard_sources: Vec<TableSet>,
-        seen: FxHashSet<Vec<Datum>>,
-        candidates: Vec<Row>,
-    }
-    let mut states: Vec<TermState> = inds
+) -> Vec<Vec<Row>> {
+    let mut states: Vec<(Vec<TableSet>, Candidates)> = inds
         .iter()
         .map(|ind| {
             let ti = ctx.terms[ind.term].tables;
-            TermState {
-                ti,
-                ti_keys: ctx.layout.term_key_cols(ti),
-                pard_sources: ctx.parent_sources(ind.pard),
-                seen: FxHashSet::default(),
-                candidates: Vec::new(),
-            }
+            (ctx.parent_sources(ind.pard), Candidates::new(ctx, ti))
         })
         .collect();
 
-    // One shared pass over the primary delta.
+    // One shared pass over the primary delta: `σ_{P_i}`, the rows added to
+    // (or removed from) some directly affected parent.
     for row in primary {
         let sources = ctx.layout.sources_of_row(row);
-        for st in states.iter_mut() {
-            if !st.pard_sources.iter().any(|tk| tk.is_subset_of(sources)) {
-                continue;
-            }
-            let key = key_of(row, &st.ti_keys);
-            if st.seen.insert(key) {
-                st.candidates.push(ctx.project_to(st.ti, row));
+        for (pard_sources, cands) in states.iter_mut() {
+            if pard_sources.iter().any(|tk| tk.is_subset_of(sources)) {
+                cands.offer(ctx, row);
             }
         }
     }
@@ -207,58 +161,26 @@ pub fn from_view_combined(
     // sub-tuples.
     let mut pending_inserts: Vec<Row> = Vec::new();
     let mut out = Vec::with_capacity(states.len());
-    for (st, ind) in states.into_iter().zip(inds) {
+    for (_, cands) in states {
+        let Candidates {
+            ti_keys, mut rows, ..
+        } = cands;
         if insert {
-            let keys = st
-                .candidates
-                .iter()
-                .map(|c| store.key_of_row(c))
-                .filter(|k| store.contains(k))
-                .collect();
-            out.push(CombinedTermDelta {
-                term: ind.term,
-                delete_keys: keys,
-                insert_rows: Vec::new(),
-            });
+            rows.retain(|c| store.contains_row(c));
         } else {
-            let covered_by_pending: FxHashSet<Vec<Datum>> = pending_inserts
-                .iter()
-                .map(|r| key_of(r, &st.ti_keys))
-                .filter(|k| !k.iter().any(Datum::is_null))
-                .collect();
-            let rows: Vec<Row> = st
-                .candidates
-                .into_iter()
-                .filter(|c| {
-                    let key = key_of(c, &st.ti_keys);
-                    if covered_by_pending.contains(&key) {
-                        return false;
-                    }
-                    match store.count_by_key(&st.ti_keys, &key) {
-                        Some(n) => n == 0,
-                        // No index: fall back to a scan.
-                        None => !store.rows().iter().any(|r| key_eq(r, &st.ti_keys, &key)),
-                    }
-                })
-                .collect();
-            pending_inserts.extend(rows.iter().cloned());
-            out.push(CombinedTermDelta {
-                term: ind.term,
-                delete_keys: Vec::new(),
-                insert_rows: rows,
+            let pending = RowKeys::over(&ti_keys, &pending_inserts);
+            rows.retain(|c| {
+                !pending.contains(c)
+                    && store
+                        .count_by_row(&ti_keys, c)
+                        .expect("every term with a parent has a term-key count index")
+                        == 0
             });
+            pending_inserts.extend(rows.iter().cloned());
         }
+        out.push(rows);
     }
     out
-}
-
-/// One indirect term's share of a combined secondary delta.
-pub struct CombinedTermDelta {
-    pub term: usize,
-    /// Orphans to delete (insertion case) — view keys.
-    pub delete_keys: Vec<Vec<Datum>>,
-    /// Orphans to insert (deletion case) — wide rows.
-    pub insert_rows: Vec<Row>,
 }
 
 /// §5.3: compute `∆D_i` from base tables, `ΔT`, and the primary delta.
@@ -276,7 +198,6 @@ pub fn from_base(
     insert: bool,
 ) -> ExecResult<Vec<Row>> {
     let ti = ctx.terms[ind.term].tables;
-    let ti_keys = ctx.layout.term_key_cols(ti);
 
     // Q_i = nn(T_i) ∧ n(tables added by parents that are NOT directly
     // affected): a candidate covered by an unchanged parent term was not,
@@ -288,18 +209,14 @@ pub fn from_base(
         .map(|&k| ctx.terms[k].tables.difference(ti))
         .fold(TableSet::empty(), TableSet::union);
 
-    let mut candidates: Vec<Row> = Vec::new();
-    let mut seen: FxHashSet<Vec<Datum>> = FxHashSet::default();
+    let mut cands = Candidates::new(ctx, ti);
     for row in primary {
         let sources = ctx.layout.sources_of_row(row);
-        if !ti.is_subset_of(sources) || !sources.intersect(unchanged_parent_tables).is_empty() {
-            continue;
-        }
-        let key = key_of(row, &ti_keys);
-        if seen.insert(key) {
-            candidates.push(ctx.project_to(ti, row));
+        if ti.is_subset_of(sources) && sources.intersect(unchanged_parent_tables).is_empty() {
+            cands.offer(ctx, row);
         }
     }
+    let mut candidates = cands.rows;
 
     // Anti join against every directly affected parent's rest expression,
     // evaluated as a candidate-driven semijoin chain (see
@@ -394,10 +311,10 @@ fn anti_join_rest_expression(
         atoms.is_empty() || rows.is_empty(),
         "unplaced parent-term atoms"
     );
-    let matched: FxHashSet<Vec<Datum>> = rows.iter().map(|r| key_of(r, &ti_keys)).collect();
+    let matched = RowKeys::over(&ti_keys, &rows);
     Ok(candidates
         .into_iter()
-        .filter(|c| !matched.contains(&key_of(c, &ti_keys)))
+        .filter(|c| !matched.contains(c))
         .collect())
 }
 

@@ -59,12 +59,15 @@ use crate::materialize::{MaterializedView, ViewStore};
 /// One journaled mutation of a view store, in apply order. Replaying a
 /// store's ops reproduces its exact state *including heap order*, because
 /// the replay goes through the same `insert`/`delete` (swap-remove) code.
+/// Both variants carry a whole wide row, so a commit's ops hold its
+/// pre-images (deleted rows) and post-images (inserted rows).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViewOp {
     /// A wide row inserted by the commit path.
     Insert(Row),
-    /// A deletion by view key.
-    Delete(Vec<Datum>),
+    /// The wide row a delete removed, moved out of the store. Replay deletes
+    /// by hashing its view-key columns in place.
+    Delete(Row),
 }
 
 /// Count the journaled ops in one view's commit delta: `(inserts, deletes)`.
@@ -547,8 +550,8 @@ impl SnapshotView {
         &self.projection
     }
 
-    /// Wide-row column indexes of the view's unique key (the identity a
-    /// [`ViewOp::Delete`] names).
+    /// Wide-row column indexes of the view's unique key (the identity
+    /// [`ViewOp`]s are netted by).
     pub fn key_cols(&self) -> &[usize] {
         self.store.key_cols()
     }
@@ -561,15 +564,6 @@ impl SnapshotView {
     /// Look up a stored row by view key.
     pub fn get_by_key(&self, key: &[Datum]) -> Option<&Row> {
         self.store.get_by_key(key)
-    }
-
-    pub fn contains(&self, key: &[Datum]) -> bool {
-        self.store.contains(key)
-    }
-
-    /// Indexed multiplicity lookup (see [`ViewStore::count_by_key`]).
-    pub fn count_by_key(&self, cols: &[usize], key: &[Datum]) -> Option<usize> {
-        self.store.count_by_key(cols, key)
     }
 
     /// The view's projected output, as of the snapshot's LSN.

@@ -17,11 +17,13 @@
 //! 100 000 subscribers over 250 distinct `(filter, projection)` specs cost
 //! 250 evaluations per commit, not 100 000.
 //!
-//! Per commit the hub first **nets** each view's ops: ops are folded per
-//! view key (last write wins), then compared against a shadow image of the
-//! view, yielding `(pre, post)` pairs. A row inserted and deleted inside one
-//! batch nets to nothing; an UPDATE decomposes into its delete/insert
-//! halves only when a projected column actually changed. Netted events fan
+//! Per commit the hub first **nets** each view's ops straight from the
+//! journal, which carries whole rows both ways: per view key, the pre-image
+//! is the row of the key's first op if that op is a delete, and the
+//! post-image the row of its last op if that op is an insert. A row
+//! inserted and deleted inside one batch nets to nothing; an UPDATE
+//! decomposes into its delete/insert halves only when a projected column
+//! actually changed. The hub keeps no copy of any view. Netted events fan
 //! out to filter groups on the workspace's bounded worker pool
 //! ([`ojv_exec::run_pool`], the one batched maintenance uses). Workers touch
 //! no locks — a panic is caught at the job boundary, sibling groups still
@@ -46,7 +48,10 @@ use ojv_core::prelude::{
 };
 use ojv_durability::Lsn;
 use ojv_exec::filter_project_into;
-use ojv_rel::{fx_map_with_capacity, key_of, Datum, FxHashMap, Row, RowBuf};
+use ojv_rel::postable::{idx, pos32};
+use ojv_rel::{
+    fx_map_with_capacity, key_eq_rows, key_hash, Datum, FxHashMap, PosTable, Row, RowBuf,
+};
 
 use crate::error::{FeedError, Result};
 use crate::filter::{FeedFilter, SubscriptionSpec};
@@ -76,7 +81,9 @@ struct SubEntry {
 struct EvalLeaf {
     /// Fingerprint of `(view, filter, resolved projection)`.
     fp: u64,
-    /// Projected output mapped to wide-row column indexes.
+    /// The resolved projection, as output column indexes.
+    proj_out: Arc<[usize]>,
+    /// `proj_out` mapped to wide-row column indexes.
     proj_global: Arc<[usize]>,
     /// Commit LSN the leaf (re-)joined at; sets at or before it are already
     /// reflected in its subscribers' initial images.
@@ -97,19 +104,13 @@ struct FilterGroup {
     leaves: Vec<EvalLeaf>,
 }
 
-/// Root level: per-view state. `shadow` is a full image of the view kept in
-/// step with commits, providing the pre-images [`ViewOp::Delete`] lacks
-/// (it names only the view key) so deletes can be filtered too.
+/// Root level: per-view state — the view's layout and its filter groups.
 #[derive(Debug)]
 struct ViewFeed {
     name: Arc<str>,
     key_cols: Arc<[usize]>,
     /// Output column `i` of the view lives at wide index `out_cols[i]`.
     out_cols: Arc<[usize]>,
-    shadow: FxHashMap<Vec<Datum>, Row>,
-    /// Commit LSN the shadow reflects; commits at or before it are skipped
-    /// (the shadow was seeded from a snapshot that already includes them).
-    shadow_lsn: Lsn,
     groups: Vec<FilterGroup>,
 }
 
@@ -164,51 +165,57 @@ pub struct FeedStats {
 // Netting
 // ---------------------------------------------------------------------------
 
-/// One view key's net change in a commit: `pre` (row before, from the
-/// shadow) and `post` (row after). `pre = None` → net insert; `post = None`
-/// → net delete; both `Some` → update. Never both `None` — full
-/// intra-batch cancellation is dropped during netting.
+/// One view key's net change in a commit: `pre` (row before) and `post`
+/// (row after), borrowed from the journal's ops. `pre = None` → net insert;
+/// `post = None` → net delete; both `Some` → update. Never both `None` —
+/// full intra-batch cancellation is dropped during netting.
 #[derive(Debug)]
-struct NetEvent {
-    key: Vec<Datum>,
-    pre: Option<Row>,
-    post: Option<Row>,
+struct NetEvent<'a> {
+    pre: Option<&'a Row>,
+    post: Option<&'a Row>,
 }
 
-/// Fold a commit's ops per view key (last write wins), diff against the
-/// shadow, and advance the shadow to the post-state. First-touch order is
+/// The row a journaled op carries: the inserted row or the deleted one.
+fn op_row(op: &ViewOp) -> &Row {
+    match op {
+        ViewOp::Insert(row) | ViewOp::Delete(row) => row,
+    }
+}
+
+/// Net a commit's ops per view key (insert/delete multiset netting): the
+/// pre-image is the row of the key's first op if that op is a delete — it
+/// removed the row the view held before the commit — and the post-image is
+/// the row of its last op if that op is an insert. First-touch order is
 /// preserved so output is deterministic.
-fn net_events(
-    ops: &[ViewOp],
-    key_cols: &[usize],
-    shadow: &mut FxHashMap<Vec<Datum>, Row>,
-) -> Vec<NetEvent> {
-    let mut order: Vec<Vec<Datum>> = Vec::new();
-    let mut last: FxHashMap<Vec<Datum>, Option<Row>> = fx_map_with_capacity(ops.len());
-    for op in ops {
-        let (key, post) = match op {
-            ViewOp::Insert(row) => (key_of(row, key_cols), Some(row.clone())),
-            ViewOp::Delete(key) => (key.clone(), None),
-        };
-        if !last.contains_key(&key) {
-            order.push(key.clone());
+fn net_events<'a>(ops: &'a [ViewOp], key_cols: &[usize]) -> Vec<NetEvent<'a>> {
+    // (first op, last op) per key, in first-touch order; a PosTable maps
+    // the key hash to its entry, verified against the first op's row.
+    let mut touched: Vec<(usize, usize)> = Vec::new();
+    let mut keys = PosTable::default();
+    keys.reserve(ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        let row = op_row(op);
+        let hash = key_hash(row, key_cols);
+        let seen = keys.find(hash, |e| {
+            key_eq_rows(op_row(&ops[touched[idx(e)].0]), key_cols, row, key_cols)
+        });
+        match seen {
+            Some(e) => touched[idx(e)].1 = i,
+            None => {
+                keys.insert(hash, pos32(touched.len()));
+                touched.push((i, i));
+            }
         }
-        last.insert(key, post);
     }
-    let mut events = Vec::with_capacity(order.len());
-    for key in order {
-        let post = last.remove(&key).expect("keyed in the fold above");
-        let pre = match &post {
-            Some(row) => shadow.insert(key.clone(), row.clone()),
-            None => shadow.remove(&key),
-        };
-        if pre.is_none() && post.is_none() {
+    touched
+        .into_iter()
+        .filter_map(|(first, last)| {
+            let pre = matches!(ops[first], ViewOp::Delete(_)).then(|| op_row(&ops[first]));
+            let post = matches!(ops[last], ViewOp::Insert(_)).then(|| op_row(&ops[last]));
             // Inserted and deleted inside the same batch: nets to nothing.
-            continue;
-        }
-        events.push(NetEvent { key, pre, post });
-    }
-    events
+            (pre.is_some() || post.is_some()).then_some(NetEvent { pre, post })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -216,18 +223,19 @@ fn net_events(
 // ---------------------------------------------------------------------------
 
 /// One worker job: evaluate one filter group's netted events for all of its
-/// live leaves. Self-contained (`Arc` shares of immutable state) so workers
-/// never touch the hub lock.
-struct Job {
+/// live leaves. Self-contained (`Arc` shares of immutable state, and the
+/// commit's ops, borrowed for the fan-out) so workers never touch the hub
+/// lock.
+struct Job<'a> {
     view: Arc<str>,
     view_idx: usize,
     group_idx: usize,
-    key_width: usize,
+    key_cols: Arc<[usize]>,
     out_cols: Arc<[usize]>,
     filter: Arc<FeedFilter>,
     /// `(leaf index, projection)` of each live leaf.
     leaves: Vec<(usize, Arc<[usize]>)>,
-    events: Arc<Vec<NetEvent>>,
+    events: Arc<Vec<NetEvent<'a>>>,
 }
 
 struct JobResult {
@@ -240,60 +248,53 @@ struct JobResult {
 /// Evaluate one group: the filter runs once per event; per live leaf, the
 /// event contributes a delete, an insert, both (an UPDATE of a projected
 /// column), or nothing (projected columns unchanged).
-fn eval_group(job: &Job, lsn: Lsn) -> Vec<(usize, UpdateSet)> {
+fn eval_group(job: &Job<'_>, lsn: Lsn) -> Vec<(usize, UpdateSet)> {
     test_panic::maybe_panic(&job.view);
     let mut sets: Vec<(usize, UpdateSet)> = job
         .leaves
         .iter()
-        .map(|(li, proj)| (*li, UpdateSet::empty(lsn, job.key_width, proj.len())))
+        .map(|(li, proj)| (*li, UpdateSet::empty(lsn, job.key_cols.len(), proj.len())))
         .collect();
     for ev in job.events.iter() {
         let pre_m = ev
             .pre
-            .as_deref()
             .is_some_and(|r| job.filter.matches_row(r, &job.out_cols));
         let post_m = ev
             .post
-            .as_deref()
             .is_some_and(|r| job.filter.matches_row(r, &job.out_cols));
         if !pre_m && !post_m {
             continue;
         }
         for ((_, proj), (_, set)) in job.leaves.iter().zip(sets.iter_mut()) {
-            match (pre_m, post_m) {
-                (true, true) => {
-                    let pre = ev.pre.as_deref().expect("pre matched");
-                    let post = ev.post.as_deref().expect("post matched");
+            match (ev.pre.filter(|_| pre_m), ev.post.filter(|_| post_m)) {
+                (Some(pre), Some(post)) => {
                     // UPDATE halves — emitted only if a projected column
                     // actually changed for this leaf.
                     if proj.iter().any(|&c| pre[c] != post[c]) {
-                        set.deletes.push_row(&ev.key);
-                        push_insert(set, &ev.key, post, proj);
+                        push_key(&mut set.deletes, post, &job.key_cols);
+                        push_insert(set, &job.key_cols, post, proj);
                     }
                 }
-                (true, false) => set.deletes.push_row(&ev.key),
-                (false, true) => {
-                    push_insert(
-                        set,
-                        &ev.key,
-                        ev.post.as_deref().expect("post matched"),
-                        proj,
-                    );
-                }
-                (false, false) => unreachable!("skipped above"),
+                (Some(pre), None) => push_key(&mut set.deletes, pre, &job.key_cols),
+                (None, Some(post)) => push_insert(set, &job.key_cols, post, proj),
+                (None, None) => {}
             }
         }
     }
     sets
 }
 
-/// Append `[key | projected row]` without an intermediate allocation.
-fn push_insert(set: &mut UpdateSet, key: &[Datum], row: &[Datum], proj: &[usize]) {
-    let dst = set.inserts.push_null_row();
-    for (slot, v) in dst[..key.len()].iter_mut().zip(key) {
-        *slot = v.clone();
+/// Append `row`'s view key to `keys` without an intermediate allocation.
+fn push_key(keys: &mut RowBuf, row: &[Datum], key_cols: &[usize]) {
+    for (slot, &c) in keys.push_null_row().iter_mut().zip(key_cols) {
+        *slot = row[c].clone();
     }
-    for (slot, &c) in dst[key.len()..].iter_mut().zip(proj.iter()) {
+}
+
+/// Append `[key | projected row]` without an intermediate allocation.
+fn push_insert(set: &mut UpdateSet, key_cols: &[usize], row: &[Datum], proj: &[usize]) {
+    let dst = set.inserts.push_null_row();
+    for (slot, &c) in dst.iter_mut().zip(key_cols.iter().chain(proj.iter())) {
         *slot = row[c].clone();
     }
 }
@@ -302,7 +303,7 @@ fn push_insert(set: &mut UpdateSet, key: &[Datum], row: &[Datum], proj: &[usize]
 /// in job order, a panic caught per job). Workers call only [`eval_group`]
 /// — no locks are taken on worker threads. A panicking group becomes a
 /// failed [`JobResult`]; its siblings still publish.
-fn run_jobs(jobs: Vec<Job>, lsn: Lsn, threads: usize) -> Vec<JobResult> {
+fn run_jobs(jobs: Vec<Job<'_>>, lsn: Lsn, threads: usize) -> Vec<JobResult> {
     let slots: Vec<(usize, usize, Vec<usize>, Arc<str>)> = jobs
         .iter()
         .map(|job| {
@@ -684,16 +685,16 @@ impl FeedHub {
         g.last_error.take()
     }
 
-    /// First half of a fan-out: under the hub lock, net each view's ops
-    /// against its shadow and assemble per-group jobs; then (lock released)
-    /// evaluate them on the worker pool. Nothing is visible to subscribers
-    /// until [`FeedHub::publish_fanout`]. Split out so tests can interleave
+    /// First half of a fan-out: under the hub lock, net each watched view's
+    /// ops and assemble per-group jobs; then (lock released) evaluate them
+    /// on the worker pool. Nothing is visible to subscribers until
+    /// [`FeedHub::publish_fanout`]. Split out so tests can interleave
     /// subscriber operations between the two halves deterministically.
     pub fn begin_fanout(&self, lsn: Lsn, updates: &[(String, Vec<ViewOp>)]) -> FanoutBatch {
         let started = Instant::now();
         let jobs = {
-            let mut g = self.lock();
-            crate::trace::on_write("feed.hub.state");
+            let g = self.lock();
+            crate::trace::on_read("feed.hub.state");
             let mut jobs = Vec::new();
             for (name, ops) in updates {
                 if ops.is_empty() {
@@ -706,16 +707,9 @@ impl FeedHub {
                 else {
                     continue; // no subscribers have ever touched this view
                 };
-                let vf = &mut g.views[view_idx];
-                if lsn <= vf.shadow_lsn {
-                    continue; // shadow was seeded from a snapshot including this commit
-                }
-                let key_cols = Arc::clone(&vf.key_cols);
-                let events = Arc::new(net_events(ops, &key_cols, &mut vf.shadow));
-                vf.shadow_lsn = lsn;
-                if events.is_empty() {
-                    continue; // the whole batch cancelled out
-                }
+                let vf = &g.views[view_idx];
+                // Netted on the first live group: nobody listening, no work.
+                let mut events: Option<Arc<Vec<NetEvent>>> = None;
                 for (gi, group) in vf.groups.iter().enumerate() {
                     let live: Vec<(usize, Arc<[usize]>)> = group
                         .leaves
@@ -727,15 +721,20 @@ impl FeedHub {
                     if live.is_empty() {
                         continue;
                     }
+                    let events =
+                        events.get_or_insert_with(|| Arc::new(net_events(ops, &vf.key_cols)));
+                    if events.is_empty() {
+                        break; // the whole batch cancelled out
+                    }
                     jobs.push(Job {
                         view: Arc::clone(&vf.name),
                         view_idx,
                         group_idx: gi,
-                        key_width: vf.key_cols.len(),
+                        key_cols: Arc::clone(&vf.key_cols),
                         out_cols: Arc::clone(&vf.out_cols),
                         filter: Arc::clone(&group.filter),
                         leaves: live,
-                        events: Arc::clone(&events),
+                        events: Arc::clone(events),
                     });
                 }
             }
@@ -879,30 +878,52 @@ impl FeedHub {
 }
 
 impl HubInner {
-    /// Find or create the per-view feed state, seeding the shadow from the
-    /// pinned image (which reflects everything up to `lsn`).
+    /// Find or create the per-view feed state for the pinned `view`. A view
+    /// re-created with another layout (key or projection) since the state
+    /// was made gets the new layout, and every existing leaf is re-resolved
+    /// against it and lapses, so its subscribers rebase onto the new view.
+    /// A leaf whose filter or projection no longer fits the new output
+    /// width is retired: its subscriptions end.
     fn ensure_view(&mut self, view: &SnapshotView, lsn: Lsn) -> usize {
-        if let Some(i) = self
+        let Some(i) = self
             .views
             .iter()
             .position(|v| v.name.as_ref() == view.name())
-        {
+        else {
+            self.views.push(ViewFeed {
+                name: Arc::from(view.name()),
+                key_cols: view.key_cols().into(),
+                out_cols: view.projection().into(),
+                groups: Vec::new(),
+            });
+            return self.views.len() - 1;
+        };
+        let vf = &mut self.views[i];
+        if *vf.key_cols == *view.key_cols() && *vf.out_cols == *view.projection() {
             return i;
         }
-        let key_cols: Arc<[usize]> = view.key_cols().into();
-        let mut shadow = fx_map_with_capacity(view.len());
-        for row in view.wide_rows() {
-            shadow.insert(key_of(row, &key_cols), row.clone());
+        vf.key_cols = view.key_cols().into();
+        vf.out_cols = view.projection().into();
+        let width = vf.out_cols.len();
+        let mut retired = Vec::new();
+        for (gi, group) in vf.groups.iter_mut().enumerate() {
+            let filter_fits = group.filter.max_col().is_none_or(|c| c < width);
+            for (li, leaf) in group.leaves.iter_mut().enumerate() {
+                leaf.ring.clear();
+                // Above every live cursor (all are at or below `lsn`).
+                leaf.floor_lsn = lsn + 1;
+                leaf.born_lsn = lsn;
+                if filter_fits && leaf.proj_out.iter().all(|&c| c < width) {
+                    leaf.proj_global = leaf.proj_out.iter().map(|&c| vf.out_cols[c]).collect();
+                } else if leaf.subscribers > 0 {
+                    leaf.subscribers = 0;
+                    retired.push((gi, li));
+                }
+            }
         }
-        self.views.push(ViewFeed {
-            name: Arc::from(view.name()),
-            key_cols,
-            out_cols: view.projection().into(),
-            shadow,
-            shadow_lsn: lsn,
-            groups: Vec::new(),
-        });
-        self.views.len() - 1
+        self.subs
+            .retain(|_, e| e.view_idx != i || !retired.contains(&(e.group_idx, e.leaf_idx)));
+        i
     }
 
     /// Find or create the `(filter, projection)` leaf; a leaf revived from
@@ -943,6 +964,7 @@ impl HubInner {
             None => {
                 group.leaves.push(EvalLeaf {
                     fp,
+                    proj_out: proj_out.into(),
                     proj_global: proj_out.iter().map(|&i| out_cols[i]).collect(),
                     born_lsn: lsn,
                     floor_lsn: lsn,
@@ -1210,8 +1232,8 @@ mod tests {
         assert_eq!(stats.subscribers, 0);
         assert_eq!(stats.shared_evals, 0);
         assert_eq!(stats.retained_sets, 0);
-        // With no subscribers the commit is netted (shadow advances) but no
-        // sets are evaluated or retained.
+        // With no subscribers the commit is neither netted nor evaluated,
+        // and no sets are retained.
         db.insert("part", vec![fixtures::part_row(300, "idle", 1.0)])
             .unwrap();
         assert_eq!(hub.stats().retained_sets, 0);
@@ -1467,30 +1489,49 @@ mod tests {
 
     #[test]
     fn intra_batch_insert_delete_cancels() {
-        // Drive the netting directly: an op stream that inserts then deletes
-        // the same key inside one commit must net to nothing.
-        let key_cols = [0usize];
-        let mut shadow: FxHashMap<Vec<Datum>, Row> = fx_map_with_capacity(0);
-        let row = vec![Datum::Int(1), Datum::str("x")];
-        let ops = vec![
-            ViewOp::Insert(row.clone()),
-            ViewOp::Delete(vec![Datum::Int(1)]),
+        // Netting straight from the journal, one op shape per case: the
+        // pre-image is the first op's row if it is a delete, the post-image
+        // the last op's row if it is an insert.
+        let row = |k: i64, v: &str| vec![Datum::Int(k), Datum::str(v)];
+        let (a, b) = (row(1, "a"), row(1, "b"));
+        let ins = |r: &Row| ViewOp::Insert(r.clone());
+        let del = |r: &Row| ViewOp::Delete(r.clone());
+        type Events = Vec<(Option<Row>, Option<Row>)>;
+        let cases: Vec<(&str, Vec<ViewOp>, Events)> = vec![
+            ("[I]", vec![ins(&a)], vec![(None, Some(a.clone()))]),
+            ("[D]", vec![del(&a)], vec![(Some(a.clone()), None)]),
+            (
+                "[D,I] update",
+                vec![del(&a), ins(&b)],
+                vec![(Some(a.clone()), Some(b.clone()))],
+            ),
+            ("[I,D] cancels", vec![ins(&a), del(&a)], vec![]),
+            (
+                "[D,I,D]",
+                vec![del(&a), ins(&b), del(&b)],
+                vec![(Some(a.clone()), None)],
+            ),
+            (
+                "[I,D,I]",
+                vec![ins(&a), del(&a), ins(&b)],
+                vec![(None, Some(b.clone()))],
+            ),
+            (
+                "two keys, first-touch order",
+                vec![ins(&row(2, "c")), del(&a), ins(&b)],
+                vec![
+                    (None, Some(row(2, "c"))),
+                    (Some(a.clone()), Some(b.clone())),
+                ],
+            ),
         ];
-        let events = net_events(&ops, &key_cols, &mut shadow);
-        assert!(events.is_empty(), "insert+delete must cancel");
-        assert!(shadow.is_empty());
-
-        // Delete-then-reinsert of an existing row with the same value nets
-        // to an update event whose pre == post (workers then drop it when no
-        // projected column changed).
-        shadow.insert(vec![Datum::Int(2)], vec![Datum::Int(2), Datum::str("y")]);
-        let ops = vec![
-            ViewOp::Delete(vec![Datum::Int(2)]),
-            ViewOp::Insert(vec![Datum::Int(2), Datum::str("y")]),
-        ];
-        let events = net_events(&ops, &key_cols, &mut shadow);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].pre, events[0].post);
+        for (shape, ops, want) in cases {
+            let got: Events = net_events(&ops, &[0])
+                .into_iter()
+                .map(|e| (e.pre.cloned(), e.post.cloned()))
+                .collect();
+            assert_eq!(got, want, "{shape}");
+        }
     }
 
     #[test]

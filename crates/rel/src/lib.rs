@@ -12,9 +12,10 @@
 //! * tuple *subsumption* and *removal of subsumed tuples* (the `↓` operator),
 //! * *outer union* (`⊎`) and *minimum union* (`⊕`).
 //!
-//! Everything here is deliberately engine-agnostic: no indexes, no
-//! constraints, no operators beyond the algebraic primitives the paper's
-//! definitions need. Those live in `ojv-storage` and `ojv-exec`.
+//! Everything here is deliberately engine-agnostic: no constraints, no
+//! operators beyond the algebraic primitives the paper's definitions need
+//! (those live in `ojv-storage` and `ojv-exec`), and one keyed index,
+//! [`PosTable`], which owns no key and which every layer above builds on.
 
 #![deny(unsafe_code)]
 
@@ -28,6 +29,7 @@ pub mod datum;
 pub mod error;
 pub mod floatsum;
 pub mod fxhash;
+pub mod postable;
 pub mod relation;
 pub mod row;
 pub mod rowbuf;
@@ -45,6 +47,7 @@ pub use fxhash::{
     fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxBuildHasher, FxHashMap, FxHashSet,
     FxHasher,
 };
+pub use postable::PosTable;
 pub use relation::Relation;
 pub use row::{all_non_null, all_null, key_into, key_of, row_display, Row};
 pub use rowbuf::{key_eq, key_eq_rows, key_hash, key_hash_with, RowBuf};

@@ -135,6 +135,17 @@ impl RowBuf {
         self.truncate_rows(dst);
     }
 
+    /// Remove row `i` by moving the last row into its place (no allocation,
+    /// no datum clone).
+    pub fn swap_remove_row(&mut self, i: usize) {
+        let (w, last) = (self.width, self.len - 1);
+        if i != last && w > 0 {
+            let (lo, hi) = self.data.split_at_mut(last * w);
+            lo[i * w..i * w + w].swap_with_slice(&mut hi[..w]);
+        }
+        self.truncate_rows(last);
+    }
+
     /// Drop all rows past `keep`.
     pub fn truncate_rows(&mut self, keep: usize) {
         if keep < self.len {
@@ -267,9 +278,16 @@ mod tests {
         let rows: Vec<_> = b.iter().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], &[d(1), d(2), d(3)]);
+        b.push_row(&[d(7), d(8), d(9)]);
+        b.swap_remove_row(0);
+        assert_eq!(
+            b.to_rows(),
+            vec![vec![d(7), d(8), d(9)], vec![d(4), d(5), d(6)]]
+        );
+        b.swap_remove_row(1);
         b.truncate_rows(1);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.to_rows(), vec![vec![d(1), d(2), d(3)]]);
+        assert_eq!(b.to_rows(), vec![vec![d(7), d(8), d(9)]]);
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub mod codec;
 pub mod delta;
 pub mod error;
 pub mod heap;
-mod index;
 pub mod shard;
 pub mod table;
 

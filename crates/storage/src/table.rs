@@ -6,12 +6,12 @@
 //! candidates against the [`ColumnHeap`] row they point at, so the only
 //! copy of a key is the one in the column pages.
 
+use ojv_rel::postable::{idx, pos32, PosTable};
 use ojv_rel::{fx_hash_one, fx_set_with_capacity, key_eq_rows, key_hash, key_hash_with};
 use ojv_rel::{Datum, DatumRef, Relation, Row, SchemaRef};
 
 use crate::error::StorageError;
 use crate::heap::{ColumnHeap, RowRef};
-use crate::index::{idx, pos32, PosTable};
 
 /// Do `heap`'s row `pos` and the probe agree on `cols`? `probe(k)` is the
 /// probe's value for `cols[k]` (plain `Eq`, as the hash tables use — *not*

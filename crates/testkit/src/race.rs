@@ -855,6 +855,8 @@ mod tests {
 
     #[test]
     fn detector_inactive_hooks_are_noops() {
+        // Sibling tests hold a session for their whole run: wait them out.
+        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!active());
         on_write("nothing");
         lock_acquired("nothing");

@@ -58,10 +58,13 @@ pub const LINTS: [LintDef; 13] = [
     },
     LintDef {
         id: "owned-key-index",
-        scope: "crates/storage/src/",
-        desc: "no FxHashMap<Vec<Datum>, _> in crates/storage — base-table indexes store \
-               hash -> position and verify against the ColumnHeap row, so no key is owned \
-               beside the heap (the storage twin of vec-vec-datum)",
+        scope: "crates/{storage,core,feed}/src/ except core/src/{agg_view,baseline}.rs, \
+                feed/src/update_set.rs",
+        desc: "no FxHashMap<Vec<Datum>, _> / FxHashSet<Vec<Datum>> in storage, core or feed — \
+               keyed structures are ojv_rel::PosTable (hash -> position) verified against rows \
+               already held, so no key is owned beside them. Exceptions: \
+               core/src/agg_view.rs (aggregate groups, still to be moved onto PosTable), \
+               core/src/baseline.rs and feed/src/update_set.rs (reference implementations)",
     },
     LintDef {
         id: "panic-hot-path",
@@ -133,8 +136,23 @@ fn applies(lint: &str, path: &str) -> bool {
     match lint {
         "vec-vec-datum" => path.starts_with("crates/exec/src/"),
         // An index keyed by owned keys stores every key a second time beside
-        // the columnar heap and allocates one per row on the apply path.
-        "owned-key-index" => path.starts_with("crates/storage/src/"),
+        // the rows it indexes and allocates one per row on the apply path.
+        // The exceptions are named (with reasons) in the rule's LintDef.
+        "owned-key-index" => {
+            [
+                "crates/storage/src/",
+                "crates/core/src/",
+                "crates/feed/src/",
+            ]
+            .iter()
+            .any(|dir| path.starts_with(dir))
+                && !matches!(
+                    path,
+                    "crates/core/src/agg_view.rs"
+                        | "crates/core/src/baseline.rs"
+                        | "crates/feed/src/update_set.rs"
+                )
+        }
         "default-hasher" => {
             path.starts_with("crates/exec/src/") || path.starts_with("crates/storage/src/")
         }
@@ -239,7 +257,8 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
             record("vec-vec-datum", line, &mut out);
         }
         if applies("owned-key-index", &path)
-            && seq(i, &["FxHashMap", "<", "Vec", "<", "Datum", ">"])
+            && (seq(i, &["FxHashMap", "<", "Vec", "<", "Datum", ">"])
+                || seq(i, &["FxHashSet", "<", "Vec", "<", "Datum", ">"]))
         {
             record("owned-key-index", line, &mut out);
         }
@@ -427,37 +446,71 @@ mod tests {
     }
 
     #[test]
-    fn owned_key_index_detected_in_storage_only() {
+    fn owned_key_index_detected_in_storage_core_and_feed() {
         let src = "struct T { unique: FxHashMap<Vec<Datum>, usize> }\n";
-        let v = scan_file("crates/storage/src/table.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, "owned-key-index");
+        let set = "fn f() { let seen: FxHashSet<Vec<Datum>> = FxHashSet::default(); }\n";
+        for path in [
+            "crates/storage/src/table.rs",
+            "crates/core/src/materialize.rs",
+            "crates/feed/src/hub.rs",
+        ] {
+            for code in [src, set] {
+                let v = scan_file(path, code);
+                assert_eq!(v.len(), 1, "{path}: {code}");
+                assert_eq!(v[0].lint, "owned-key-index");
+            }
+        }
         // Whitespace and a multi-valued payload do not hide it.
         let spaced = "fn f() { let m: FxHashMap< Vec <Datum>, Vec<usize>> = make(); }\n";
         assert_eq!(scan_file("crates/storage/src/foo.rs", spaced).len(), 1);
-        // The view store's key index (ROADMAP item 4) is out of scope.
-        assert!(scan_file("crates/core/src/materialize.rs", src).is_empty());
-        // Maps keyed by anything else are fine.
-        let by_name = "struct C { by_name: FxHashMap<String, usize> }\n";
+        // The named exceptions and other crates are out of scope.
+        for path in [
+            "crates/core/src/agg_view.rs",
+            "crates/core/src/baseline.rs",
+            "crates/feed/src/update_set.rs",
+            "crates/exec/src/ops/agg.rs",
+        ] {
+            assert!(scan_file(path, src).is_empty(), "{path}");
+            assert!(scan_file(path, set).is_empty(), "{path}");
+        }
+        // Maps and sets keyed by anything else are fine.
+        let by_name = "struct C { by_name: FxHashMap<String, usize>, ids: FxHashSet<u64> }\n";
         assert!(scan_file("crates/storage/src/catalog.rs", by_name).is_empty());
     }
 
-    /// A seeded owned-key index in storage fails the gate.
+    /// A seeded owned-key index fails the gate in each crate of the scope.
     #[test]
     fn seeded_owned_key_index_fails_the_gate() {
         let root = std::env::temp_dir().join(format!("xtask-lint-okey-{}", std::process::id()));
-        let dir = root.join("crates/storage/src");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("seeded.rs"),
-            "struct Idx { map: FxHashMap<Vec<Datum>, Vec<usize>> }\n",
-        )
-        .unwrap();
+        let seeded = [
+            (
+                "crates/storage/src",
+                "struct Idx { map: FxHashMap<Vec<Datum>, Vec<usize>> }\n",
+            ),
+            (
+                "crates/core/src",
+                "fn f() { let s: FxHashSet<Vec<Datum>> = make(); }\n",
+            ),
+            (
+                "crates/feed/src",
+                "struct Shadow { rows: FxHashMap<Vec<Datum>, Row> }\n",
+            ),
+        ];
+        for (dir, src) in seeded {
+            fs::create_dir_all(root.join(dir)).unwrap();
+            fs::write(root.join(dir).join("seeded.rs"), src).unwrap();
+        }
         let v = run(&root).unwrap();
         fs::remove_dir_all(&root).unwrap();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].lint, "owned-key-index");
-        assert_eq!(v[0].file, "crates/storage/src/seeded.rs");
+        assert_eq!(v.len(), 3);
+        assert!(v.iter().all(|x| x.lint == "owned-key-index"));
+        let files: Vec<&str> = v.iter().map(|x| x.file.as_str()).collect();
+        for (dir, _) in seeded {
+            assert!(
+                files.contains(&format!("{dir}/seeded.rs").as_str()),
+                "{files:?}"
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,11 @@ fn lint_list_is_sorted_and_scoped() {
             "mutex-in-exec-hot-path",
             "crates/exec/src/ except parallel.rs",
         ),
-        ("owned-key-index", "crates/storage/src/"),
+        (
+            "owned-key-index",
+            "crates/{storage,core,feed}/src/ except core/src/{agg_view,baseline}.rs, \
+             feed/src/update_set.rs",
+        ),
         (
             "panic-hot-path",
             "crates/exec/src/{eval,ops/join,ops/dedup}.rs",

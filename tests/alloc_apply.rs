@@ -1,10 +1,14 @@
-//! Allocation discipline of base-table apply and index probes.
+//! Allocation discipline of base-table apply, index probes, and view-store
+//! apply.
 //!
 //! Installs the counting global allocator and pins what the borrowed-key
-//! storage indexes promise: a probe builds no key and boxes no iterator,
-//! and applying a batch allocates per *batch* (plus the one owned row each
-//! deleted key must hand back), not per row, per key, or per index.
+//! indexes promise: a probe builds no key and boxes no iterator, and
+//! applying a batch allocates per *batch* (plus the one owned row each
+//! deleted base-table key must hand back), not per row, per key, or per
+//! index. The view store's key index and count index own no key either, so
+//! its batch apply allocates only when a vector doubles.
 
+use ojv::core::materialize::ViewStore;
 use ojv::prelude::*;
 use ojv::storage::IndexRef;
 use ojv::tpch::{create_tpch_catalog, TpchGen};
@@ -25,6 +29,11 @@ const ATTEMPTS: usize = 5;
 const INSERT_ALLOCS: u64 = 8;
 /// The same for a delete, on top of the one owned row per key it returns.
 const DELETE_ALLOCS: u64 = 8;
+/// Inserting `BATCH` rows into an empty view store: the doublings of its
+/// row vector, key index, count index and that index's key arena.
+const VIEW_INSERT_ALLOCS: u64 = 64;
+/// Deleting them all again: nothing beyond noise.
+const VIEW_DELETE_ALLOCS: u64 = 16;
 
 fn tpch() -> Catalog {
     let mut catalog = create_tpch_catalog().unwrap();
@@ -58,6 +67,35 @@ fn apply_allocs(catalog: &mut Catalog) -> (u64, u64) {
         delete = delete.min(after.since(&mid).count);
         assert_eq!(inserted.rows.len(), BATCH);
         assert_eq!(deleted.rows.len(), BATCH);
+    }
+    (insert, delete)
+}
+
+/// Minimum allocation counts of inserting `BATCH` distinct-key rows into a
+/// fresh view store (key `[0, 1]`, one count index on column 0, journal
+/// off) and of deleting them all again by key.
+fn view_store_allocs() -> (u64, u64) {
+    let rows: Vec<Row> = (0..BATCH as i64)
+        .map(|i| vec![Datum::Int(i % 50), Datum::Int(i), Datum::str("payload")])
+        .collect();
+    let keys: Vec<Row> = rows.iter().map(|r| r[..2].to_vec()).collect();
+    let (mut insert, mut delete) = (u64::MAX, u64::MAX);
+    for _ in 0..ATTEMPTS {
+        let mut store = ViewStore::new(vec![0, 1]);
+        store.add_count_index(vec![0]);
+        let batch = rows.clone();
+        let before = alloc_snapshot();
+        for row in batch {
+            store.insert(row, "v").unwrap();
+        }
+        let mid = alloc_snapshot();
+        for key in &keys {
+            store.delete(key, "v").unwrap();
+        }
+        let after = alloc_snapshot();
+        insert = insert.min(mid.since(&before).count);
+        delete = delete.min(after.since(&mid).count);
+        assert!(store.is_empty());
     }
     (insert, delete)
 }
@@ -121,5 +159,17 @@ fn probes_and_batch_apply_allocate_per_batch_not_per_row() {
         insert7 <= insert_pin && delete7 <= BATCH as u64 + DELETE_ALLOCS,
         "allocations grew with the number of secondary indexes: \
          insert {insert} -> {insert7}, delete {delete} -> {delete7}"
+    );
+
+    // (iii) The view store: 1 000 distinct-key rows in, then out by key.
+    let (insert, delete) = view_store_allocs();
+    println!("view store x{BATCH}: insert {insert} allocations, delete {delete}");
+    assert!(
+        insert <= VIEW_INSERT_ALLOCS,
+        "view-store insert of {BATCH} rows allocated {insert} times (pinned: {VIEW_INSERT_ALLOCS})"
+    );
+    assert!(
+        delete <= VIEW_DELETE_ALLOCS,
+        "view-store delete of {BATCH} keys allocated {delete} times (pinned: {VIEW_DELETE_ALLOCS})"
     );
 }

@@ -482,3 +482,66 @@ property! {
         assert_eq!(name_state.state_bytes(), expected(&db, &name_spec));
     }
 }
+
+/// Subscribers of a re-created view. A row that entered the view only
+/// through `create_view` is still deleted from a new subscriber's stream
+/// (the delete carries its pre-image), and re-creating the view with
+/// another projection re-resolves the feed's leaves against the new
+/// layout: a subscription that still fits lapses and rebases onto it, one
+/// that no longer fits ends.
+#[test]
+fn recreated_view_streams_deletes_and_relayouts_its_leaves() {
+    let mut db = build_db();
+    let hub = FeedHub::new();
+    hub.attach(&mut db);
+    let all = SubscriptionSpec::on("oj_view");
+    let (sub, _) = hub.subscribe(&all).unwrap();
+    sub.unsubscribe();
+
+    db.drop_view("oj_view").unwrap();
+    db.insert("part", vec![fixtures::part_row(100, "recreated", 9.0)])
+        .unwrap();
+    db.create_view(fixtures::oj_view_def()).unwrap();
+    let (wide_sub, image) = hub.subscribe(&all).unwrap();
+    let mut state = SubscriberState::new(&image);
+    db.delete("part", &[vec![Datum::Int(100)]]).unwrap();
+    drain_into(&wide_sub, &mut state);
+    assert_eq!(
+        state.state_bytes(),
+        expected(&db, &all),
+        "the delete of part 100 must reach a subscriber of the re-created view"
+    );
+
+    // Re-create with two output columns in another order while `wide_sub`
+    // (all ten output columns) and `pair_sub` (output columns 0 and 1)
+    // stay subscribed.
+    let pair = SubscriptionSpec::on("oj_view").with_projection(vec![0, 1]);
+    let (pair_sub, image) = hub.subscribe(&pair).unwrap();
+    let mut pair_state = SubscriberState::new(&image);
+    db.drop_view("oj_view").unwrap();
+    db.create_view(
+        fixtures::oj_view_def()
+            .with_projection(vec![("orders", "o_orderkey"), ("part", "p_partkey")]),
+    )
+    .unwrap();
+    let (narrow_sub, image) = hub.subscribe(&all).unwrap();
+    let mut narrow_state = SubscriberState::new(&image);
+    assert_eq!(narrow_state.state_bytes(), expected(&db, &all));
+    db.insert("part", vec![fixtures::part_row(101, "narrow", 1.0)])
+        .unwrap();
+    drain_into(&narrow_sub, &mut narrow_state);
+    assert_eq!(
+        narrow_state.state_bytes(),
+        expected(&db, &all),
+        "a subscriber of the re-created view must see its new layout"
+    );
+    match pair_sub.drain().unwrap() {
+        Drained::Rebase(image) => pair_state.rebase(&image),
+        other => panic!("a leaf of the old layout must lapse to a rebase, got {other:?}"),
+    }
+    assert_eq!(pair_state.state_bytes(), expected(&db, &pair));
+    assert!(
+        wide_sub.drain().is_err(),
+        "ten output columns no longer fit: the subscription ends"
+    );
+}
