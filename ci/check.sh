@@ -73,10 +73,7 @@ echo "==> ojvbench: its own tests, then all eight smoke runs (own workspace; cor
 cargo test --offline -q --manifest-path ojvbench/Cargo.toml
 cargo run --release --offline -q --manifest-path ojvbench/Cargo.toml -- --smoke
 
-echo "==> bench targets compile (criterion-lite shim)"
-cargo check --offline -p ojv-bench --benches --features criterion
-
-echo "==> cargo bench --no-run (bench binaries link)"
+echo "==> bench targets compile and link (criterion-lite shim)"
 cargo bench --offline --no-run -p ojv-bench --features criterion
 
 echo "All checks passed."

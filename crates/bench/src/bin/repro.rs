@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--sf 0.05] [--seed 42] [--quick] [--shards 1,2,4,8] \
-//!       [table1|fig5a|fig5b|example1|graphs|walbench|multiview|readers|feedbench|shardbench|all]
+//!       [table1|fig5a|fig5b|example1|graphs|walbench|readers|feedbench|shardbench|all]
 //! ```
 //!
 //! * `table1` — Table 1: term cardinalities of V3 and rows affected by a
@@ -14,9 +14,6 @@
 //! * `graphs` — the subsumption and maintenance graphs of Figures 1 and 4,
 //! * `walbench` — Figure-5-style insert maintenance through the durable
 //!   WAL at each fsync policy vs the in-memory engine (`BENCH_pr4.json`),
-//! * `multiview` — batched maintenance of a multi-view family (1/4/16 views
-//!   over the shared TPC-H tables) with shared-plan batching on vs off
-//!   (`BENCH_pr5.json`),
 //! * `readers` — snapshot-reader throughput at 1/8/32 reader threads while
 //!   maintenance streams insert batches, plus the single-reader
 //!   snapshot-vs-direct baseline (`BENCH_pr6.json`),
@@ -25,8 +22,8 @@
 //! * `shardbench` — batch maintenance through the hash-partitioned
 //!   `ShardedDatabase` at 1/2/4/8 shards, with columnar heap footprints and
 //!   honest machine metadata (`BENCH_pr10.json`),
-//! * `all` — everything above except `walbench`, `multiview`, `readers`,
-//!   `feedbench` and `shardbench`.
+//! * `all` — everything above except `walbench`, `readers`, `feedbench` and
+//!   `shardbench`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -100,7 +97,6 @@ fn main() {
         "graphs" => graphs(&env),
         "sql" => sql(&env),
         "walbench" => walbench(&env, &cfg),
-        "multiview" => multiview(&env, &cfg),
         "readers" => readers(&env, &cfg),
         "feedbench" => feedbench(&env, &cfg),
         "shardbench" => shardbench(&env, &cfg, &shards),
@@ -114,7 +110,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command {other}; use table1|fig5a|fig5b|example1|graphs|sql|walbench|multiview|readers|feedbench|shardbench|all"
+                "unknown command {other}; use table1|fig5a|fig5b|example1|graphs|sql|walbench|readers|feedbench|shardbench|all"
             );
             std::process::exit(2);
         }
@@ -225,50 +221,6 @@ fn walbench(env: &Env, cfg: &Config) {
     let _ = writeln!(s, "  ]");
     let _ = writeln!(s, "}}");
     let path = "BENCH_pr4.json";
-    match std::fs::write(path, s) {
-        Ok(()) => println!("machine-readable results written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// Multi-view shared-plan A/B sweep; emits `BENCH_pr5.json`.
-fn multiview(env: &Env, cfg: &Config) {
-    // Batch 10k at the default config; --quick caps at its largest batch.
-    let batch = (*cfg.batch_sizes.last().expect("batch sizes configured")).min(10_000);
-    let view_counts = [1usize, 4, 16];
-    let points = ojv_bench::multiview::run_multiview(env, cfg, batch, &view_counts);
-    println!("{}", ojv_bench::multiview::render_multiview(&points));
-
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(
-        s,
-        "  \"config\": {{ \"sf\": {}, \"seed\": {}, \"repetitions\": {} }},",
-        cfg.sf, cfg.seed, cfg.repetitions
-    );
-    let _ = writeln!(s, "  \"panels\": [");
-    let _ = writeln!(
-        s,
-        "    {{ \"panel\": \"multiview_insert\", \"measurements\": ["
-    );
-    for (mi, m) in points.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "      {{ \"views\": {}, \"shared\": {}, \"batch\": {}, \"time_ns\": {}, \
-             \"timed_compiles\": {}, \"primary_rows\": {} }}{}",
-            m.views,
-            m.shared,
-            m.batch,
-            m.time.as_nanos(),
-            m.timed_compiles,
-            m.primary_rows,
-            if mi + 1 < points.len() { "," } else { "" },
-        );
-    }
-    let _ = writeln!(s, "    ] }}");
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    let path = "BENCH_pr5.json";
     match std::fs::write(path, s) {
         Ok(()) => println!("machine-readable results written to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),

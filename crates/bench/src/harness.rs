@@ -130,23 +130,12 @@ pub fn maintain_with(
     catalog: &Catalog,
     update: &Update,
 ) -> ojv_core::maintain::MaintenanceReport {
-    maintain_with_policy(system, view, catalog, update, &MaintenancePolicy::paper())
-}
-
-/// [`maintain_with`] under an explicit policy (parallelism, strategy
-/// selection, FK use) — what the thread-scaling ablation drives.
-pub fn maintain_with_policy(
-    system: System,
-    view: &mut MaterializedView,
-    catalog: &Catalog,
-    update: &Update,
-    policy: &MaintenancePolicy,
-) -> ojv_core::maintain::MaintenanceReport {
+    let policy = MaintenancePolicy::paper();
     match system {
         System::CoreView | System::OuterJoin => {
-            maintain(view, catalog, update, policy).expect("maintenance")
+            maintain(view, catalog, update, &policy).expect("maintenance")
         }
-        System::OuterJoinGk => maintain_gk(view, catalog, update, policy).expect("GK maintenance"),
+        System::OuterJoinGk => maintain_gk(view, catalog, update, &policy).expect("GK maintenance"),
     }
 }
 

@@ -6,7 +6,6 @@
 //!   three compared systems (core view, outer-join view, GK baseline),
 //! * [`report`] — plain-text table/series formatting for the `repro` binary,
 //! * [`walbench`] — WAL overhead of durable maintenance per fsync policy,
-//! * [`multiview`] — batched multi-view maintenance with shared-plan A/B,
 //! * [`readbench`] — snapshot-reader throughput concurrent with maintenance,
 //! * [`feedbench`] — change-feed fan-out to a 100k filtered-subscriber
 //!   population versus naive per-subscriber re-scans,
@@ -18,7 +17,6 @@
 
 pub mod feedbench;
 pub mod harness;
-pub mod multiview;
 pub mod readbench;
 pub mod report;
 pub mod shardbench;

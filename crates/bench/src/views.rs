@@ -18,6 +18,19 @@ pub fn v3_def() -> ViewDef {
     ViewDef::new("v3", v3_expr(JoinKind::RightOuter, JoinKind::FullOuter))
 }
 
+/// V3 projected onto one non-nullable, non-key column per table. It hides
+/// every table's key, so no term passes §5.2 column availability and every
+/// secondary delta comes from base tables (§5.3): the other arm of the A3
+/// ablation, chosen by the view's shape rather than by a policy.
+pub fn v3_keyless_def() -> ViewDef {
+    v3_def().with_name("v3_keyless").with_projection(vec![
+        ("lineitem", "l_shipdate"),
+        ("orders", "o_orderdate"),
+        ("customer", "c_name"),
+        ("part", "p_name"),
+    ])
+}
+
 /// The *core view* of V3: all outer joins replaced by inner joins, same
 /// predicates and indexes (paper §7).
 pub fn v3_core_def() -> ViewDef {
@@ -191,6 +204,18 @@ mod tests {
             }
         }
         assert!(checked > 0);
+    }
+
+    /// The A3 arms: V3 takes §5.2 for every term, its keyless projection
+    /// takes §5.3 for every term.
+    #[test]
+    fn v3_keyless_fails_from_view_availability() {
+        let mut c = create_tpch_catalog().unwrap();
+        TpchGen::new(0.001, 1).populate(&mut c).unwrap();
+        let full = analyze(&c, &v3_def()).unwrap();
+        let keyless = analyze(&c, &v3_keyless_def()).unwrap();
+        assert!((0..full.terms.len()).all(|i| full.from_view_available(i)));
+        assert!((0..keyless.terms.len()).all(|i| !keyless.from_view_available(i)));
     }
 
     #[test]

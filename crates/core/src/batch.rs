@@ -6,10 +6,9 @@
 //!
 //! 1. collects the affected views and their cached
 //!    [`CompiledMaintenancePlan`]s (compiling on first use),
-//! 2. when [`MaintenancePolicy::share_plans`] is on, fingerprints the plans
-//!    and factors shared leading subplans — the `ΔT` scan and common
-//!    leftmost join prefixes — into a trie, so shared work executes once and
-//!    fans its rows out into the per-view remainders,
+//! 2. fingerprints the plans and factors shared leading subplans — the `ΔT`
+//!    scan and common leftmost join prefixes — into a trie, so shared work
+//!    executes once and fans its rows out into the per-view remainders,
 //! 3. applies the per-view deltas on the workspace pool
 //!    ([`ojv_exec::run_pool`]) capped by `MaintenancePolicy::parallel.threads`;
 //!    a panic at the job boundary surfaces as [`CoreError::MaintenancePanic`].
@@ -30,12 +29,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ojv_algebra::{fingerprint_expr, Expr, SpineStep, TableId, TableSet};
+use ojv_algebra::{fingerprint_expr, Expr, Spine, SpineStep, TableId, TableSet};
 use ojv_exec::{
-    apply_spine_step, eval_expr, eval_expr_buf, run_pool, DeltaInput, ExecCtx, ExecStats,
-    ParallelSpec, ViewLayout,
+    apply_spine_step, eval_expr_buf, run_pool, DeltaInput, ExecCtx, ExecStats, ParallelSpec,
+    ViewLayout,
 };
-use ojv_rel::{FxHashMap, Relation, Row, RowBuf};
+use ojv_rel::{Relation, Row, RowBuf};
 use ojv_storage::{Catalog, Update};
 
 use crate::agg_view::MaterializedAggView;
@@ -123,12 +122,8 @@ pub fn maintain_batch(
     // (attributed to each subtree's owner job) and the per-job remainder.
     let stats: Vec<ExecStats> = jobs.iter().map(|_| ExecStats::default()).collect();
 
-    // Phase 2 (serial): evaluate shared primary deltas through the trie.
-    let shared = if policy.share_plans {
-        eval_shared(&jobs, catalog, update, policy, &stats)?
-    } else {
-        SharedPrimaries::unshared(jobs.len())
-    };
+    // Phase 2 (serial): evaluate every primary delta through the tries.
+    let shared = eval_shared(&jobs, catalog, update, policy, &stats)?;
 
     // Phase 3: per-view application on the bounded pool.
     let mut view_slots: Vec<Option<&mut MaterializedView>> = views.iter_mut().map(Some).collect();
@@ -179,16 +174,16 @@ struct Work<'a> {
     analysis: ViewAnalysis,
     compiled: Arc<CompiledMaintenancePlan>,
     target: WorkTarget<'a>,
-    /// Shared-precomputed primary delta, if phase 2 produced one.
-    primary: Option<Arc<Vec<Row>>>,
+    /// The primary delta phase 2 evaluated for this job.
+    primary: Arc<Vec<Row>>,
     /// Primary-compute time attributed to this job by the shared evaluation
     /// (`ZERO` for jobs that rode along on another job's work).
     shared_compute: Duration,
     shared_with: usize,
 }
 
-/// Run one job: evaluate the primary (unless phase 2 already shared it),
-/// then apply primary and secondary deltas to the view.
+/// Run one job: apply the primary delta phase 2 evaluated, then compute
+/// and apply the secondary delta.
 fn run_job(
     mut work: Work<'_>,
     catalog: &Catalog,
@@ -211,26 +206,14 @@ fn run_job(
     let exec = ExecCtx::with_delta(catalog, &work.analysis.layout, delta)
         .with_parallel(policy.parallel)
         .with_stats(stats);
-    let (primary, compute) = match work.primary.take() {
-        Some(p) => (p, work.shared_compute),
-        None => {
-            let start = Instant::now();
-            let rows = match &work.compiled.plan {
-                None => Vec::new(),
-                Some(plan) => eval_expr(&exec, plan)?,
-            };
-            (Arc::new(rows), start.elapsed())
-        }
-    };
     match &mut work.target {
         WorkTarget::View(v) => crate::maintain::apply_with_primary(
             v,
             &exec,
             update,
-            policy,
             &work.analysis,
             &work.compiled,
-            &primary,
+            &work.primary,
             &mut report,
         )?,
         WorkTarget::Agg(v) => v.apply_with_primary(
@@ -238,11 +221,11 @@ fn run_job(
             update,
             &work.analysis,
             &work.compiled,
-            &primary,
+            &work.primary,
             &mut report,
         )?,
     }
-    report.primary_compute = compute;
+    report.primary_compute = work.shared_compute;
     report.shared_with = work.shared_with;
     report.exec = stats.snapshot();
     Ok(report)
@@ -250,21 +233,13 @@ fn run_job(
 
 /// Output of the shared-prefix evaluation, indexed by job.
 struct SharedPrimaries {
-    /// `Some(rows)` when phase 2 evaluated this job's primary (shared or
-    /// degenerate empty plan); `None` means the job evaluates its own.
-    primaries: Vec<Option<Arc<Vec<Row>>>>,
+    /// Each job's primary delta. A job without a primary plan keeps the
+    /// empty delta it starts with; every other job ends at a trie terminal.
+    primaries: Vec<Arc<Vec<Row>>>,
     durations: Vec<Duration>,
+    /// Views consuming the same final primary rows; 0 for a job without a
+    /// primary plan.
     shared_with: Vec<usize>,
-}
-
-impl SharedPrimaries {
-    fn unshared(n: usize) -> Self {
-        SharedPrimaries {
-            primaries: vec![None; n],
-            durations: vec![Duration::ZERO; n],
-            shared_with: vec![0; n],
-        }
-    }
 }
 
 /// A trie of spine steps over one layout group. The root is a shared leaf
@@ -384,7 +359,46 @@ impl BatchEnv<'_> {
     }
 }
 
-/// Build the layout-grouped tries and evaluate every shared primary delta.
+/// Group the jobs' spines by wide-row layout and factor each group into one
+/// trie per leaf. `spines` has one entry per job — its `(layout_sig,
+/// spine)`, or `None` for a job without a primary plan — and the job's
+/// position is its index in the tries. Groups come in order of their first
+/// job, so a group's first trie is owned by that job.
+fn layout_tries<'a>(spines: impl IntoIterator<Item = Option<(u64, &'a Spine)>>) -> Vec<Vec<Trie>> {
+    let mut groups: Vec<(u64, Vec<Trie>)> = Vec::new();
+    for (job, entry) in spines.into_iter().enumerate() {
+        let Some((sig, spine)) = entry else {
+            continue;
+        };
+        let g = match groups.iter().position(|(s, _)| *s == sig) {
+            Some(g) => g,
+            None => {
+                groups.push((sig, Vec::new()));
+                groups.len() - 1
+            }
+        };
+        let tries = &mut groups[g].1;
+        let leaf_fp = spine.leaf_fingerprint();
+        let pos = match tries.iter().position(|t| t.leaf_fp == leaf_fp) {
+            Some(p) => p,
+            None => {
+                tries.push(Trie {
+                    prefix: spine.leaf.clone(),
+                    leaf_fp,
+                    sources: spine.leaf.sources(),
+                    children: Vec::new(),
+                    terminals: Vec::new(),
+                    owner: job,
+                });
+                tries.len() - 1
+            }
+        };
+        trie_insert(&mut tries[pos], &spine.steps, job);
+    }
+    groups.into_iter().map(|(_, tries)| tries).collect()
+}
+
+/// Evaluate every job's primary delta through the layout-grouped tries.
 fn eval_shared(
     jobs: &[Job],
     catalog: &Catalog,
@@ -393,22 +407,20 @@ fn eval_shared(
     stats: &[ExecStats],
 ) -> Result<SharedPrimaries> {
     let n = jobs.len();
-    let mut out = SharedPrimaries::unshared(n);
-    let mut groups: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    for (i, job) in jobs.iter().enumerate() {
-        if job.compiled.plan.is_none() {
-            // No directly affected term: the primary delta is empty by
-            // construction; nothing to evaluate or share.
-            out.primaries[i] = Some(Arc::new(Vec::new()));
-        } else {
-            groups.entry(job.compiled.layout_sig).or_default().push(i);
-        }
-    }
-    let mut group_list: Vec<Vec<usize>> = groups.into_values().collect();
-    group_list.sort_by_key(|g| g[0]);
-    for group in group_list {
-        let tries = build_tries(jobs, &group);
-        let lead = &jobs[group[0]];
+    let empty = Arc::new(Vec::new());
+    let mut out = SharedPrimaries {
+        primaries: vec![empty; n],
+        durations: vec![Duration::ZERO; n],
+        shared_with: vec![0; n],
+    };
+    let spines = jobs.iter().map(|j| {
+        j.compiled
+            .spine
+            .as_ref()
+            .map(|s| (j.compiled.layout_sig, s))
+    });
+    for tries in layout_tries(spines) {
+        let lead = &jobs[tries[0].owner];
         let env = BatchEnv {
             catalog,
             layout: &lead.analysis.layout,
@@ -436,39 +448,11 @@ fn eval_shared(
     Ok(out)
 }
 
-fn build_tries(jobs: &[Job], group: &[usize]) -> Vec<Trie> {
-    let mut tries: Vec<Trie> = Vec::new();
-    for &j in group {
-        let spine = jobs[j]
-            .compiled
-            .spine
-            .as_ref()
-            .expect("grouped jobs have a plan, hence a spine");
-        let leaf_fp = spine.leaf_fingerprint();
-        let pos = match tries.iter().position(|t| t.leaf_fp == leaf_fp) {
-            Some(p) => p,
-            None => {
-                tries.push(Trie {
-                    prefix: spine.leaf.clone(),
-                    leaf_fp,
-                    sources: spine.leaf.sources(),
-                    children: Vec::new(),
-                    terminals: Vec::new(),
-                    owner: j,
-                });
-                tries.len() - 1
-            }
-        };
-        trie_insert(&mut tries[pos], &spine.steps, j);
-    }
-    tries
-}
-
 fn share_rows(rows: &RowBuf, terminals: &[usize], out: &mut SharedPrimaries) {
     let shared = Arc::new(rows.to_rows());
     for &j in terminals {
         out.shared_with[j] = terminals.len();
-        out.primaries[j] = Some(Arc::clone(&shared));
+        out.primaries[j] = Arc::clone(&shared);
     }
 }
 
@@ -511,11 +495,11 @@ fn eval_trie_node(
 
 /// Render the batch plan for an update of `table` over the given compiled
 /// plans: one line per view, then one `shared:` line per subplan that two or
-/// more views have in common. Used by `Database::explain_batch`.
+/// more views have in common, read off the same tries the batch executor
+/// evaluates. Used by `Database::explain_batch`.
 pub fn render_batch_plan(table: &str, plans: &[(String, CompiledMaintenancePlan)]) -> String {
     let mut s = format!("batch maintenance plan for Δ{table}:\n");
-    let mut active: Vec<usize> = Vec::new();
-    for (i, (name, p)) in plans.iter().enumerate() {
+    for (name, p) in plans {
         if p.noop {
             s.push_str(&format!("  view {name}: noop\n"));
         } else if p.plan.is_none() {
@@ -524,49 +508,21 @@ pub fn render_batch_plan(table: &str, plans: &[(String, CompiledMaintenancePlan)
             ));
         } else {
             s.push_str(&format!("  view {name}: plan {:016x}\n", p.fingerprint));
-            active.push(i);
         }
     }
-    // Rebuild the same tries the batch executor would use and report every
-    // shared prefix: `shared: <fingerprint> (k views)`.
-    let mut groups: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    for &i in &active {
-        groups.entry(plans[i].1.layout_sig).or_default().push(i);
-    }
-    let mut group_list: Vec<Vec<usize>> = groups.into_values().collect();
-    group_list.sort_by_key(|g| g[0]);
-    for group in group_list {
-        let mut tries: Vec<Trie> = Vec::new();
-        for &i in &group {
-            let spine = plans[i].1.spine.as_ref().expect("active plans have spines");
-            let leaf_fp = spine.leaf_fingerprint();
-            let pos = match tries.iter().position(|t| t.leaf_fp == leaf_fp) {
-                Some(p) => p,
-                None => {
-                    tries.push(Trie {
-                        prefix: spine.leaf.clone(),
-                        leaf_fp,
-                        sources: spine.leaf.sources(),
-                        children: Vec::new(),
-                        terminals: Vec::new(),
-                        owner: i,
-                    });
-                    tries.len() - 1
-                }
-            };
-            trie_insert(&mut tries[pos], &spine.steps, i);
+    let spines = plans
+        .iter()
+        .map(|(_, p)| p.spine.as_ref().map(|sp| (p.layout_sig, sp)));
+    for trie in layout_tries(spines).iter().flatten() {
+        let root_terms = trie_terminal_count(trie);
+        if root_terms >= 2 && (!trie.terminals.is_empty() || trie.children.len() >= 2) {
+            s.push_str(&format!(
+                "  shared: {:016x} ({} views)\n",
+                trie.leaf_fp, root_terms
+            ));
         }
-        for trie in &tries {
-            let root_terms = trie_terminal_count(trie);
-            if root_terms >= 2 && (!trie.terminals.is_empty() || trie.children.len() >= 2) {
-                s.push_str(&format!(
-                    "  shared: {:016x} ({} views)\n",
-                    trie.leaf_fp, root_terms
-                ));
-            }
-            for child in &trie.children {
-                render_shared_nodes(child, &mut s);
-            }
+        for child in &trie.children {
+            render_shared_nodes(child, &mut s);
         }
     }
     s
@@ -634,14 +590,18 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::fixtures::*;
-    use crate::maintain::verify_against_recompute;
+    use crate::maintain::{maintain, verify_against_recompute};
+    use crate::view_def::ViewDef;
     use ojv_rel::Datum;
 
-    fn db_with_views(n: usize, share: bool) -> Database {
+    fn populated() -> Catalog {
         let mut c = example1_catalog();
         populate_example1(&mut c, 8, 9);
-        let mut db = Database::new(c);
-        db.policy.share_plans = share;
+        c
+    }
+
+    fn db_with_views(n: usize) -> Database {
+        let mut db = Database::new(populated());
         for i in 0..n {
             db.create_view(oj_view_def().with_name(&format!("v{i}")))
                 .unwrap();
@@ -649,30 +609,56 @@ mod tests {
         db
     }
 
-    /// Shared-plan batching must be byte-identical to per-view serial
-    /// maintenance across inserts and deletes.
+    fn db_with(def: ViewDef) -> Database {
+        let mut db = Database::new(populated());
+        db.create_view(def).unwrap();
+        db
+    }
+
+    /// A batch member must equal the same view maintained on its own: the
+    /// same rows in the same heap order, and the same count-index contents.
+    fn assert_same_view(batched: &MaterializedView, alone: &MaterializedView) {
+        let name = batched.name();
+        assert_eq!(
+            batched.wide_rows(),
+            alone.wide_rows(),
+            "view {name}: heap diverged"
+        );
+        assert_eq!(
+            batched.store().count_index_snapshot(),
+            alone.store().count_index_snapshot(),
+            "view {name}: count indexes diverged"
+        );
+    }
+
+    /// Shared-plan batching must be byte-identical to maintaining each view
+    /// on its own with `maintain()`, across inserts and deletes.
     #[test]
     fn shared_batch_matches_unshared_serial() {
-        let mut shared = db_with_views(4, true);
-        let mut plain = db_with_views(4, false);
+        let mut shared = db_with_views(4);
+        let mut catalog = populated();
+        let mut alone: Vec<MaterializedView> = (0..4)
+            .map(|i| MaterializedView::create(&catalog, oj_view_def().with_name(&format!("v{i}"))))
+            .collect::<Result<_>>()
+            .unwrap();
         let ops: Vec<(bool, i64, i64)> =
             vec![(true, 3, 1), (true, 6, 9), (false, 3, 1), (false, 2, 1)];
         for (insert, ok, ln) in ops {
-            if insert {
+            let up = if insert {
                 let row = lineitem_row(ok, ln, 2, 4, 42.0);
                 shared.insert("lineitem", vec![row.clone()]).unwrap();
-                plain.insert("lineitem", vec![row]).unwrap();
+                catalog.insert("lineitem", vec![row]).unwrap()
             } else {
                 let key = vec![Datum::Int(ok), Datum::Int(ln)];
                 shared
                     .delete("lineitem", std::slice::from_ref(&key))
                     .unwrap();
-                plain.delete("lineitem", &[key]).unwrap();
-            }
-            for i in 0..4 {
-                let a = shared.view(&format!("v{i}")).unwrap();
-                let b = plain.view(&format!("v{i}")).unwrap();
-                assert_eq!(a.wide_rows(), b.wide_rows(), "view v{i} diverged");
+                catalog.delete("lineitem", &[key]).unwrap()
+            };
+            for b in &mut alone {
+                maintain(b, &catalog, &up, &shared.policy).unwrap();
+                let a = shared.view(b.name()).unwrap();
+                assert_same_view(a, b);
                 assert!(verify_against_recompute(a, shared.catalog()));
             }
         }
@@ -682,7 +668,7 @@ mod tests {
     /// the same plan fingerprint and `shared_with == number of views`.
     #[test]
     fn identical_views_share_primary() {
-        let mut db = db_with_views(3, true);
+        let mut db = db_with_views(3);
         let reports = db
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
@@ -700,19 +686,6 @@ mod tests {
             .filter(|r| r.primary_compute > Duration::ZERO)
             .count();
         assert_eq!(paying, 1);
-    }
-
-    /// With sharing off, every view evaluates its own primary.
-    #[test]
-    fn unshared_views_each_pay() {
-        let mut db = db_with_views(3, false);
-        let reports = db
-            .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        assert_eq!(reports.len(), 3);
-        for r in &reports {
-            assert_eq!(r.shared_with, 0);
-        }
     }
 
     /// A panicking job surfaces as `MaintenancePanic` instead of taking the
@@ -743,12 +716,9 @@ mod tests {
     /// parallel maintenance matches serial output.
     #[test]
     fn bounded_pool_matches_serial() {
-        let mut serial = db_with_views(5, true);
-        let mut pooled = db_with_views(5, true);
-        pooled.policy = MaintenancePolicy {
-            share_plans: true,
-            ..MaintenancePolicy::with_threads(2)
-        };
+        let mut serial = db_with_views(5);
+        let mut pooled = db_with_views(5);
+        pooled.policy = MaintenancePolicy::with_threads(2);
         for d in [&mut serial, &mut pooled] {
             d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
                 .unwrap();
@@ -764,7 +734,7 @@ mod tests {
     /// a 100-batch workload leaves the compile counter untouched.
     #[test]
     fn steady_state_never_compiles() {
-        let mut db = db_with_views(4, true);
+        let mut db = db_with_views(4);
         // Warm-up round so every (view, table) pair in this workload is
         // compiled (creation already warmed them eagerly).
         db.insert("lineitem", vec![lineitem_row(3, 99, 2, 4, 1.0)])
@@ -782,9 +752,7 @@ mod tests {
     }
 
     fn db_with_family() -> Database {
-        let mut c = example1_catalog();
-        populate_example1(&mut c, 8, 9);
-        let mut db = Database::new(c);
+        let mut db = Database::new(populated());
         db.create_view(oj_view_variant("qa", 10)).unwrap();
         db.create_view(oj_view_variant("qb", 10)).unwrap();
         db.create_view(oj_view_variant("qc", 20)).unwrap();
@@ -804,7 +772,7 @@ mod tests {
     /// batch has committed yet).
     #[test]
     fn explain_batch_pins_full_sharing() {
-        let db = db_with_views(3, true);
+        let db = db_with_views(3);
         let text = db.explain_batch("lineitem").unwrap();
         let fp = compiled_for(&db, "v0", "lineitem").fingerprint;
         let expected = format!(
@@ -822,7 +790,7 @@ mod tests {
     /// batches the same plan renders with `snapshot lsn=2`.
     #[test]
     fn explain_batch_snapshot_footer_tracks_commits() {
-        let mut db = db_with_views(1, true);
+        let mut db = db_with_views(1);
         db.insert(
             "lineitem",
             vec![crate::fixtures::lineitem_row(3, 1, 2, 4, 42.0)],
@@ -884,51 +852,52 @@ mod tests {
     }
 
     /// Prefix sharing must also be byte-identical: the family diverges after
-    /// the shared prefix, and batched maintenance with sharing on matches
-    /// sharing off on every member.
+    /// the shared prefix, and every member of the batch matches the same
+    /// view maintained in a database of its own.
     #[test]
     fn family_prefix_sharing_matches_unshared() {
         let mut shared = db_with_family();
-        let mut plain = db_with_family();
-        plain.policy.share_plans = false;
+        let mut alone: Vec<Database> = [("qa", 10), ("qb", 10), ("qc", 20)]
+            .into_iter()
+            .map(|(name, qty)| db_with(oj_view_variant(name, qty)))
+            .collect();
         for (ok, ln, qty) in [(3i64, 1i64, 5i64), (6, 9, 15), (2, 7, 25)] {
             let row = lineitem_row(ok, ln, 2, qty, 7.0);
             let a = shared.insert("lineitem", vec![row.clone()]).unwrap();
-            let b = plain.insert("lineitem", vec![row]).unwrap();
-            assert_eq!(a.len(), b.len());
             // `shared_with` counts views consuming the same final primary
             // rows: qa and qb share theirs (2), qc finishes its tail alone
-            // after the shared prefix (1).
+            // after the shared prefix (1), as does every view on its own.
             let shares: Vec<usize> = a.iter().map(|r| r.shared_with).collect();
             assert_eq!(shares, vec![2, 2, 1]);
-            assert!(b.iter().all(|r| r.shared_with == 0));
+            for db in &mut alone {
+                let b = db.insert("lineitem", vec![row.clone()]).unwrap();
+                assert_eq!(b.len(), 1);
+                assert_eq!(b[0].shared_with, 1);
+            }
         }
-        for name in ["qa", "qb", "qc"] {
-            let a = shared.view(name).unwrap();
-            let b = plain.view(name).unwrap();
-            assert_eq!(a.wide_rows(), b.wide_rows(), "view {name} diverged");
+        for db in &alone {
+            let b = db.views().next().unwrap();
+            let a = shared.view(b.name()).unwrap();
+            assert_same_view(a, b);
             assert!(verify_against_recompute(a, shared.catalog()));
         }
     }
 
-    /// End-to-end byte identity through the durable layer: the same workload
-    /// with shared-plan batching on and off serializes to identical state.
+    /// End-to-end identity through the durable layer: every view of a
+    /// four-view durable database ends the workload exactly as the same view
+    /// in a durable database of its own.
     #[test]
     fn durable_state_bytes_identical_shared_vs_unshared() {
-        let run = |share: bool| {
-            let policy = MaintenancePolicy {
-                share_plans: share,
-                ..MaintenancePolicy::default()
-            };
-            let mut c = example1_catalog();
-            populate_example1(&mut c, 8, 9);
-            let mut d =
-                crate::durable::DurableDatabase::create(ojv_durability::MemVfs::new(), c, policy)
-                    .unwrap();
-            d.create_view(oj_view_variant("qa", 10)).unwrap();
-            d.create_view(oj_view_variant("qb", 10)).unwrap();
-            d.create_view(oj_view_variant("qc", 20)).unwrap();
-            d.create_view(oj_view_def()).unwrap();
+        let run = |defs: &[ViewDef]| {
+            let mut d = crate::durable::DurableDatabase::create(
+                ojv_durability::MemVfs::new(),
+                populated(),
+                MaintenancePolicy::default(),
+            )
+            .unwrap();
+            for def in defs {
+                d.create_view(def.clone()).unwrap();
+            }
             for i in 0..10i64 {
                 d.insert(
                     "lineitem",
@@ -938,13 +907,20 @@ mod tests {
             }
             d.delete("lineitem", &[vec![Datum::Int(6), Datum::Int(300)]])
                 .unwrap();
-            d.state_bytes().unwrap()
+            d
         };
-        assert_eq!(
-            run(true),
-            run(false),
-            "state bytes must not depend on sharing"
-        );
+        let defs = [
+            oj_view_variant("qa", 10),
+            oj_view_variant("qb", 10),
+            oj_view_variant("qc", 20),
+            oj_view_def(),
+        ];
+        let shared = run(&defs);
+        for def in &defs {
+            let alone = run(std::slice::from_ref(def));
+            let name = def.name();
+            assert_same_view(shared.view(name).unwrap(), alone.view(name).unwrap());
+        }
     }
 
     /// Views over different tables coexist in a batch: unaffected views are

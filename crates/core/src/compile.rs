@@ -121,9 +121,6 @@ pub struct CompiledMaintenancePlan {
     /// Indirectly affected terms with compile-time-resolved parent sets and
     /// §5.2 availability.
     pub indirect: Vec<CompiledIndirect>,
-    /// Whether the §9 combined one-pass secondary computation is legal:
-    /// every indirect term passes the §5.2 availability condition.
-    pub combine_ok: bool,
     /// Static-verifier checks passed at compile time (0 when verification
     /// was off: release build without `verify_plans`).
     pub verified_checks: usize,
@@ -187,7 +184,6 @@ pub fn compile_uncached(
             from_view_ok,
         });
     }
-    let combine_ok = indirect.iter().all(|i| i.from_view_ok);
     Ok(CompiledMaintenancePlan {
         table: t,
         cfg,
@@ -199,7 +195,6 @@ pub fn compile_uncached(
         spine,
         layout_sig: layout_signature(analysis),
         indirect,
-        combine_ok,
         verified_checks,
     })
 }
@@ -238,9 +233,6 @@ impl PlanCache {
         }
         COMPILE_COUNT.with(|c| c.set(c.get() + 1));
         let compiled = Arc::new(compile_uncached(analysis, catalog, t, cfg)?);
-        // One entry per (table, cfg): drop any same-key entry left over from
-        // a different config era before inserting.
-        self.entries.retain(|p| !(p.table == t && p.cfg == cfg));
         self.entries.push(Arc::clone(&compiled));
         Ok(compiled)
     }

@@ -11,9 +11,9 @@
 //! therefore distinguishes two cases:
 //!
 //! * **single-table window** — every queued batch updates the same base
-//!   table: the other tables are untouched, and the view-based secondary
-//!   strategy only consults the view's own (sequentially maintained) state,
-//!   so in-order incremental replay is exact;
+//!   table: the other tables are untouched, and the §5.2 secondary delta
+//!   only consults the view's own (sequentially maintained) state, so
+//!   in-order incremental replay is exact when every term can use it;
 //! * **multi-table window** — replay could double-count combinations that
 //!   two queued deltas both see (e.g. a queued order insert followed by a
 //!   queued lineitem insert referencing it), so the refresh falls back to
@@ -84,11 +84,12 @@ impl DeferredView {
             .pending
             .iter()
             .all(|u| u.table == self.pending[0].table);
-        // The incremental path forces the view-based secondary strategy; if
-        // the view's output cannot support it (§5.2 column availability),
-        // the per-term fallback would consult the *final* base-table state
-        // for every replayed step — unsound for multi-batch windows. Use the
-        // recompute path instead.
+        // Incremental replay is exact only for the §5.2 secondary delta,
+        // which reads the view the replay maintains itself. A term whose
+        // columns the view does not output (§5.2 column availability) takes
+        // §5.3 from base tables, which would read the *final* base-table
+        // state for every replayed step — unsound for multi-batch windows.
+        // Use the recompute path instead.
         let from_view_ok =
             (0..self.view.analysis.terms.len()).all(|i| self.view.analysis.from_view_available(i));
         if !single_table || (!from_view_ok && self.pending.len() > 1) {
@@ -119,10 +120,6 @@ impl DeferredView {
         if suspicious {
             effective.update_decomposition = true;
         }
-        // The view-based secondary strategy only depends on state the replay
-        // maintains itself (the view); the base-table strategy would read
-        // the final T± for every step.
-        effective.secondary = crate::policy::SecondaryStrategy::FromView;
 
         let mut reports = Vec::with_capacity(self.pending.len());
         for update in std::mem::take(&mut self.pending) {

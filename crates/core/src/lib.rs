@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::maintain::{maintain, verify_against_recompute, MaintenanceReport};
     pub use crate::materialize::MaterializedView;
     pub use crate::parser::parse_view;
-    pub use crate::policy::{MaintenancePolicy, SecondaryStrategy};
+    pub use crate::policy::MaintenancePolicy;
     pub use crate::shard::{RoutingSpec, ShardedDatabase, ShardedSnapshot};
     pub use crate::snapshot::{
         delta_counts, CommitObserver, FanoutStats, Snapshot, SnapshotRegistry, SnapshotStats,

@@ -11,7 +11,7 @@ use crate::analyze::ViewAnalysis;
 use crate::compile::{CompiledIndirect, CompiledMaintenancePlan, PlanConfig};
 use crate::error::Result;
 use crate::materialize::MaterializedView;
-use crate::policy::{MaintenancePolicy, SecondaryStrategy};
+use crate::policy::MaintenancePolicy;
 use crate::secondary::{self, SecondaryCtx};
 
 /// An indirectly affected term with its parent sets — what the secondary
@@ -69,8 +69,10 @@ pub struct MaintenanceReport {
     /// Canonical fingerprint of the primary-delta plan this run executed
     /// (0 when there was no primary plan).
     pub plan_fingerprint: u64,
-    /// In a batched run: how many views shared this run's primary delta
-    /// evaluation (including this one). 0 for unshared/serial runs.
+    /// How many views of the batch consumed the same evaluated primary
+    /// delta rows, this one included (1 when no other view shares them).
+    /// 0 only when the view has no primary plan, or when the run came from
+    /// the standalone [`maintain`] rather than the batch layer.
     pub shared_with: usize,
 }
 
@@ -84,8 +86,9 @@ impl MaintenanceReport {
 ///
 /// Implements the procedure of §3.2: classify terms via the (possibly
 /// FK-reduced) maintenance graph; compute and apply the primary delta; then
-/// compute the secondary delta with the configured strategy and apply it
-/// with the inverse operation.
+/// compute each indirect term's secondary delta — from the view where §5.2
+/// allows it, from base tables otherwise — and apply it with the inverse
+/// operation.
 ///
 /// The update-independent artifacts — maintenance graph, primary-delta plan,
 /// §5.2 availability, static verification — come from the view's compiled
@@ -142,7 +145,6 @@ pub fn maintain(
         view,
         &exec,
         update,
-        policy,
         &analysis,
         &compiled,
         &primary,
@@ -158,13 +160,11 @@ pub fn maintain(
 /// so the batch layer can feed a shared primary delta into several views.
 ///
 /// Fills every report field except `primary_compute` and `exec`, which
-/// depend on how (and whether) the caller evaluated the primary.
-#[allow(clippy::too_many_arguments)]
+/// depend on how the caller evaluated the primary.
 pub(crate) fn apply_with_primary(
     view: &mut MaterializedView,
     exec: &ExecCtx<'_>,
     update: &Update,
-    policy: &MaintenancePolicy,
     analysis: &ViewAnalysis,
     compiled: &CompiledMaintenancePlan,
     primary: &[Row],
@@ -181,7 +181,10 @@ pub(crate) fn apply_with_primary(
     apply_primary(view, primary, update.op)?;
     report.primary_apply = start.elapsed();
 
-    // Step 2: secondary delta (§5), applied with the inverse operation.
+    // Step 2: secondary delta (§5), applied with the inverse operation, one
+    // term at a time in the maintenance graph's supersets-first order. Each
+    // term's orphans are applied before the next term is computed, so a
+    // term's coverage check sees the orphans its supersets just inserted.
     let start = Instant::now();
     if !compiled.indirect.is_empty() && !primary.is_empty() {
         let sctx = SecondaryCtx {
@@ -190,70 +193,32 @@ pub(crate) fn apply_with_primary(
             updated: t,
         };
         let insert = update.op == UpdateOp::Insert;
-        // §9 future work: one shared pass over ΔV^D for all indirect terms.
-        // Like the per-term path below, this is only legal when every
-        // indirect term passes the §5.2 availability condition (checked at
-        // compile time as `combine_ok`); otherwise fall through to the
-        // per-term loop and its base-table fallback.
-        if policy.combine_secondary
-            && resolve_strategy(policy.secondary, update.op) == SecondaryStrategy::FromView
-            && compiled.combine_ok
-        {
-            let inds: Vec<IndirectTermView<'_>> = compiled
-                .indirect
-                .iter()
-                .map(IndirectTermView::from)
-                .collect();
-            for orphans in secondary::from_view(&sctx, view.store(), &inds, primary, insert) {
-                report.secondary_rows += apply_orphans(view, orphans, insert)?;
-            }
-        } else {
-            for ind in &compiled.indirect {
-                let mut strategy = resolve_strategy(policy.secondary, update.op);
-                // §5.2 column availability (resolved at compile time): "If a
-                // view does not output the columns required by the
-                // expressions above, then the expression cannot be used and
-                // ∆D_i has to be computed using base tables."
-                if strategy == SecondaryStrategy::FromView && !ind.from_view_ok {
-                    strategy = SecondaryStrategy::FromBase;
-                }
-                let inds = [IndirectTermView::from(ind)];
-                let orphans = match strategy {
-                    SecondaryStrategy::FromView => {
-                        secondary::from_view(&sctx, view.store(), &inds, primary, insert)
-                            .pop()
-                            .expect("one orphan set per term")
-                    }
-                    SecondaryStrategy::FromBase => {
-                        secondary::from_base(&sctx, exec, &inds[0], primary, insert)?
-                    }
-                    SecondaryStrategy::Auto => unreachable!("resolved above"),
-                };
-                report.secondary_rows += apply_orphans(view, orphans, insert)?;
-            }
+        for ind in &compiled.indirect {
+            let term = IndirectTermView::from(ind);
+            // §5.2 column availability (resolved at compile time): "If a
+            // view does not output the columns required by the expressions
+            // above, then the expression cannot be used and ∆D_i has to be
+            // computed using base tables" (§5.3).
+            let orphans = if ind.from_view_ok {
+                secondary::from_view(&sctx, view.store(), &term, primary, insert)
+            } else {
+                secondary::from_base(&sctx, exec, &term, primary, insert)?
+            };
+            report.secondary_rows += apply_orphans(view, orphans, insert)?;
         }
     }
     report.secondary_time = start.elapsed();
     Ok(())
 }
 
-/// `Auto` resolves to the view-based strategy (§5.2): with the view's
-/// clustered key and term-key count indexes, both the insertion-case probes
-/// and the deletion-case anti-joins are index lookups proportional to the
-/// delta. The paper agrees — "when possible, it is usually cheaper to use
-/// the view" — while §5.3's base-table strategy remains available for views
-/// that cannot expose their terms (aggregated views) and for the ablation.
-fn resolve_strategy(s: SecondaryStrategy, _op: UpdateOp) -> SecondaryStrategy {
-    match s {
-        SecondaryStrategy::Auto => SecondaryStrategy::FromView,
-        other => other,
-    }
-}
-
 /// Apply one term's `∆D_i` with the inverse of the update's operation:
 /// prior orphans uncovered by an insert are deleted, new orphans created by
 /// a delete are inserted. Returns the number of rows applied.
-fn apply_orphans(view: &mut MaterializedView, orphans: Vec<Row>, insert: bool) -> Result<usize> {
+pub(crate) fn apply_orphans(
+    view: &mut MaterializedView,
+    orphans: Vec<Row>,
+    insert: bool,
+) -> Result<usize> {
     let name = view.name().to_string();
     let n = orphans.len();
     for row in orphans {
@@ -266,7 +231,11 @@ fn apply_orphans(view: &mut MaterializedView, orphans: Vec<Row>, insert: bool) -
     Ok(n)
 }
 
-fn apply_primary(view: &mut MaterializedView, primary: &[Row], op: UpdateOp) -> Result<()> {
+pub(crate) fn apply_primary(
+    view: &mut MaterializedView,
+    primary: &[Row],
+    op: UpdateOp,
+) -> Result<()> {
     let name = view.name().to_string();
     match op {
         UpdateOp::Insert => {
@@ -308,27 +277,11 @@ mod tests {
             MaintenancePolicy::paper(),
             MaintenancePolicy::naive(),
             MaintenancePolicy {
-                secondary: SecondaryStrategy::FromView,
-                ..Default::default()
-            },
-            MaintenancePolicy {
-                secondary: SecondaryStrategy::FromBase,
-                ..Default::default()
-            },
-            MaintenancePolicy {
                 use_fk: false,
-                left_deep: true,
-                secondary: SecondaryStrategy::FromView,
                 ..Default::default()
             },
             MaintenancePolicy {
-                use_fk: true,
                 left_deep: false,
-                secondary: SecondaryStrategy::FromBase,
-                ..Default::default()
-            },
-            MaintenancePolicy {
-                combine_secondary: true,
                 ..Default::default()
             },
         ]
@@ -447,47 +400,9 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// An update to a table the view does not reference is a no-op.
-    /// The §9 combined secondary computation must agree with the per-term
-    /// form on both directions.
-    #[test]
-    fn combined_secondary_matches_per_term() {
-        let mut c = example1_catalog();
-        populate_example1(&mut c, 8, 9);
-        let mut plain = MaterializedView::create(&c, oj_view_def()).unwrap();
-        let mut combined = plain.clone();
-        let per_term = MaintenancePolicy {
-            secondary: SecondaryStrategy::FromView,
-            ..Default::default()
-        };
-        let one_pass = MaintenancePolicy {
-            secondary: SecondaryStrategy::FromView,
-            combine_secondary: true,
-            ..Default::default()
-        };
-        let up = c
-            .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        let a = maintain(&mut plain, &c, &up, &per_term).unwrap();
-        let b = maintain(&mut combined, &c, &up, &one_pass).unwrap();
-        assert_eq!(a.secondary_rows, b.secondary_rows);
-        let down = c
-            .delete("lineitem", &[vec![Datum::Int(3), Datum::Int(1)]])
-            .unwrap();
-        let a = maintain(&mut plain, &c, &down, &per_term).unwrap();
-        let b = maintain(&mut combined, &c, &down, &one_pass).unwrap();
-        assert_eq!(a.secondary_rows, b.secondary_rows);
-        let mut x: Vec<Row> = plain.wide_rows().to_vec();
-        let mut y: Vec<Row> = combined.wide_rows().to_vec();
-        x.sort();
-        y.sort();
-        assert_eq!(x, y);
-        assert!(verify_against_recompute(&combined, &c));
-    }
-
     /// §5.2 column availability: a view whose output hides key columns must
-    /// still maintain correctly — the per-term strategy silently falls back
-    /// to base tables.
+    /// still maintain correctly — every term's secondary delta comes from
+    /// base tables (§5.3).
     #[test]
     fn projected_view_falls_back_to_base_tables() {
         let mut c = example1_catalog();
@@ -499,10 +414,7 @@ mod tests {
         ]);
         let mut view = MaterializedView::create(&c, def).unwrap();
         assert!((0..view.analysis.terms.len()).all(|i| !view.analysis.from_view_available(i)));
-        let policy = MaintenancePolicy {
-            secondary: SecondaryStrategy::FromView,
-            ..Default::default()
-        };
+        let policy = MaintenancePolicy::paper();
         let up = c
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
@@ -538,6 +450,7 @@ mod tests {
         assert!(verify_against_recompute(&view, &c));
     }
 
+    /// An update to a table the view does not reference is a no-op.
     #[test]
     fn unrelated_table_is_noop() {
         let mut c = example1_catalog();

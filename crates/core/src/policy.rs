@@ -1,22 +1,11 @@
-//! Maintenance policy knobs — the paper's optimizations, individually
-//! switchable (used by the ablation benchmarks).
+//! Maintenance policy: the paper's §4.1 and §6 optimizations (switchable
+//! for the ablation benchmarks), the executor's parallelism, and the
+//! durable engine's fsync policy. The secondary-delta strategy is not a
+//! knob: each indirect term uses the view (§5.2) when the view outputs the
+//! columns it needs and base tables (§5.3) otherwise.
 
 use ojv_durability::FsyncPolicy;
 use ojv_exec::ParallelSpec;
-
-/// How the secondary delta `ΔV^I` is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SecondaryStrategy {
-    /// Pick per term, cost-based: the view when it is usable and the
-    /// estimated orphan-scan cost is lower, otherwise base tables. The paper
-    /// notes "the optimizer should choose in a cost-based manner" (§5).
-    #[default]
-    Auto,
-    /// Always compute from the view and the primary delta (§5.2).
-    FromView,
-    /// Always compute from base tables, `ΔT`, and the primary delta (§5.3).
-    FromBase,
-}
 
 /// Policy for one maintenance run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,16 +15,10 @@ pub struct MaintenancePolicy {
     pub use_fk: bool,
     /// Convert the primary delta to a left-deep tree (§4.1).
     pub left_deep: bool,
-    /// Secondary delta computation strategy (§5.2 vs §5.3).
-    pub secondary: SecondaryStrategy,
     /// True when this insert/delete pair is the decomposition of an SQL
     /// `UPDATE` — the §6 caveat list forbids the FK optimizations then
     /// (the "deleted" keys may be re-inserted by the paired statement).
     pub update_decomposition: bool,
-    /// §9 (future work): combine the secondary-delta computations of all
-    /// indirect terms into one pass over the primary delta. Only applies to
-    /// the view-based strategy; results are identical either way.
-    pub combine_secondary: bool,
     /// Degree of parallelism for the delta executor (threads, morsel size,
     /// serial/parallel cutover). Results are bit-identical at any setting;
     /// this only trades wall-clock for cores.
@@ -44,11 +27,6 @@ pub struct MaintenancePolicy {
     /// maintenance plan. Debug builds verify unconditionally; this knob
     /// opts release builds in.
     pub verify_plans: bool,
-    /// Factor shared leading subplans out of batched multi-view maintenance
-    /// so common work (the `ΔT` scan, shared join prefixes) executes once per
-    /// batch instead of once per view. Off = each view evaluates its own
-    /// plan end to end (the A/B baseline). Results are identical either way.
-    pub share_plans: bool,
     /// When the database is opened durably ([`crate::DurableDatabase`]),
     /// how often WAL appends are flushed to stable storage. Ignored by the
     /// purely in-memory [`crate::Database`].
@@ -60,12 +38,9 @@ impl Default for MaintenancePolicy {
         MaintenancePolicy {
             use_fk: true,
             left_deep: true,
-            secondary: SecondaryStrategy::Auto,
             update_decomposition: false,
-            combine_secondary: false,
             parallel: ParallelSpec::serial(),
             verify_plans: false,
-            share_plans: true,
             fsync: FsyncPolicy::Always,
         }
     }
@@ -82,7 +57,6 @@ impl MaintenancePolicy {
         MaintenancePolicy {
             use_fk: false,
             left_deep: false,
-            secondary: SecondaryStrategy::FromBase,
             ..Default::default()
         }
     }
@@ -109,7 +83,6 @@ mod tests {
     fn defaults_enable_everything() {
         let p = MaintenancePolicy::default();
         assert!(p.use_fk && p.left_deep);
-        assert_eq!(p.secondary, SecondaryStrategy::Auto);
         assert!(p.fk_enabled());
     }
 
@@ -126,6 +99,5 @@ mod tests {
     fn naive_policy() {
         let p = MaintenancePolicy::naive();
         assert!(!p.use_fk && !p.left_deep);
-        assert_eq!(p.secondary, SecondaryStrategy::FromBase);
     }
 }

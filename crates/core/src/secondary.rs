@@ -14,6 +14,10 @@
 //!   tuples against each directly affected parent's "rest expression"
 //!   `E'_{ip}`, built from base tables and the pre/post state of the updated
 //!   table.
+//!
+//! The maintenance procedure picks per term, at compile time: from the view
+//! whenever the view outputs the columns the term needs (§5.2 column
+//! availability), from base tables otherwise.
 
 use ojv_algebra::{Expr, JoinKind, Pred, TableId, TableSet, Term};
 use ojv_exec::{join_rows_expr, ExecCtx, ExecResult, ViewLayout};
@@ -110,11 +114,8 @@ impl Candidates {
     }
 }
 
-/// §5.2: the secondary delta `∆D_i` of every indirect term in `inds`,
-/// computed from the view itself, in one shared pass over `∆V^D` — the
-/// paper's §9 future-work direction, "combine (parts of) the computations
-/// for the different terms … by saving and reusing partial results"; a
-/// single term is the plain per-term form.
+/// §5.2: the secondary delta `∆D_i` of the indirect term `ind`, computed
+/// from the view itself.
 ///
 /// * Insertion: `∆D_i = σ_{nn(T_i)∧n(S_i)}(V + ∆V^D) ⋉_{eq(T_i)} σ_{P_i} ∆V^D`,
 ///   the prior orphans to delete, as `T_i` projections carrying their view
@@ -125,62 +126,41 @@ impl Candidates {
 ///   the new orphans to insert (wide, `T_i` slots only). The anti join is
 ///   one lookup per candidate in the term-key count index (the paper's
 ///   `V4_idx`) the view keeps for every term with a parent — and every
-///   indirect term has one, so there is no scan fallback.
-///
-/// Returns one orphan set per entry of `inds`, in order.
+///   indirect term has one, so there is no scan fallback. `store` must
+///   already hold the orphans of the terms maintained before this one
+///   (supersets first, see `MaintenanceGraph::build`), since those keep
+///   covering their sub-tuples.
 pub fn from_view(
     ctx: &SecondaryCtx<'_>,
     store: &ViewStore,
-    inds: &[IndirectTermView<'_>],
+    ind: &IndirectTermView<'_>,
     primary: &[Row],
     insert: bool,
-) -> Vec<Vec<Row>> {
-    let mut states: Vec<(Vec<TableSet>, Candidates)> = inds
-        .iter()
-        .map(|ind| {
-            let ti = ctx.terms[ind.term].tables;
-            (ctx.parent_sources(ind.pard), Candidates::new(ctx, ti))
-        })
-        .collect();
-
-    // One shared pass over the primary delta: `σ_{P_i}`, the rows added to
-    // (or removed from) some directly affected parent.
+) -> Vec<Row> {
+    // `σ_{P_i}`: the rows added to (or removed from) some directly affected
+    // parent.
+    let pard_sources = ctx.parent_sources(ind.pard);
+    let mut cands = Candidates::new(ctx, ctx.terms[ind.term].tables);
     for row in primary {
         let sources = ctx.layout.sources_of_row(row);
-        for (pard_sources, cands) in states.iter_mut() {
-            if pard_sources.iter().any(|tk| tk.is_subset_of(sources)) {
-                cands.offer(ctx, row);
-            }
+        if pard_sources.iter().any(|tk| tk.is_subset_of(sources)) {
+            cands.offer(ctx, row);
         }
     }
-
-    // Per-term orphan resolution against the view store. Terms arrive
-    // supersets-first (see `MaintenanceGraph::build`); in the deletion case
-    // a term's coverage check must also consult the orphans the *earlier*
-    // (superset) terms are about to insert, since those keep covering their
-    // sub-tuples.
-    let mut pending_inserts: Vec<Row> = Vec::new();
-    let mut out = Vec::with_capacity(states.len());
-    for (_, cands) in states {
-        let Candidates {
-            ti_keys, mut rows, ..
-        } = cands;
-        if insert {
-            rows.retain(|c| store.contains_row(c));
-        } else {
-            let pending = RowKeys::over(&ti_keys, &pending_inserts);
-            rows.retain(|c| {
-                !pending.contains(c)
-                    && store
-                        .count_by_row(&ti_keys, c)
-                        .expect("every term with a parent has a term-key count index")
-                        == 0
-            });
-            pending_inserts.extend(rows.iter().cloned());
-        }
-        out.push(rows);
+    let Candidates {
+        ti_keys, mut rows, ..
+    } = cands;
+    if insert {
+        rows.retain(|c| store.contains_row(c));
+    } else {
+        rows.retain(|c| {
+            store
+                .count_by_row(&ti_keys, c)
+                .expect("every term with a parent has a term-key count index")
+                == 0
+        });
     }
-    out
+    rows
 }
 
 /// §5.3: compute `∆D_i` from base tables, `ΔT`, and the primary delta.
@@ -397,11 +377,119 @@ pub fn rest_expression(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::PlanConfig;
+    use crate::fixtures::*;
+    use crate::maintain::{apply_orphans, apply_primary, verify_against_recompute};
+    use crate::materialize::MaterializedView;
     use ojv_algebra::Atom;
+    use ojv_exec::{eval_expr, DeltaInput};
+    use ojv_storage::{Catalog, Update, UpdateOp};
 
-    // End-to-end behaviour of the secondary strategies is covered by the
-    // maintenance tests (crate::maintain) and the integration suite; here we
-    // unit-test the rest-expression builder.
+    /// One maintenance step by hand, computing every indirect term's `∆D_i`
+    /// both from the view (§5.2) and from base tables (§5.3): the two must
+    /// return the same orphan set. Returns (terms compared, orphans found).
+    fn both_ways_agree(
+        view: &mut MaterializedView,
+        catalog: &Catalog,
+        update: &Update,
+        use_fk: bool,
+    ) -> (usize, usize) {
+        let t = view.analysis.layout.table_id(&update.table).unwrap();
+        let cfg = PlanConfig {
+            use_fk,
+            left_deep: true,
+            verify_plans: false,
+        };
+        let compiled = view.compiled_plan(catalog, t, cfg).unwrap();
+        let analysis = view.analysis.clone();
+        let delta = DeltaInput {
+            table: t,
+            rows: &update.rows,
+        };
+        let exec = ExecCtx::with_delta(catalog, &analysis.layout, delta);
+        let primary = match &compiled.plan {
+            None => Vec::new(),
+            Some(plan) => eval_expr(&exec, plan).unwrap(),
+        };
+        apply_primary(view, &primary, update.op).unwrap();
+        let ctx = SecondaryCtx {
+            layout: &analysis.layout,
+            terms: &analysis.terms,
+            updated: t,
+        };
+        let insert = update.op == UpdateOp::Insert;
+        let (mut terms, mut orphans) = (0, 0);
+        for ind in &compiled.indirect {
+            assert!(ind.from_view_ok, "full views pass §5.2 availability");
+            let term = IndirectTermView::from(ind);
+            let mut a = from_view(&ctx, view.store(), &term, &primary, insert);
+            let mut b = from_base(&ctx, &exec, &term, &primary, insert).unwrap();
+            a.sort();
+            b.sort();
+            assert_eq!(
+                a,
+                b,
+                "{}: term {} after {:?} of {}",
+                view.name(),
+                ind.term,
+                update.op,
+                update.table
+            );
+            terms += 1;
+            orphans += a.len();
+            apply_orphans(view, a, insert).unwrap();
+        }
+        assert!(verify_against_recompute(view, catalog));
+        (terms, orphans)
+    }
+
+    /// §5.2 and §5.3 compute the same `∆D_i` for every indirect term of
+    /// Example 1 and V1, over the maintenance tests' insert/delete matrices,
+    /// with and without the FK-reduced maintenance graph.
+    #[test]
+    fn from_view_and_from_base_agree_on_every_term() {
+        let (mut terms, mut orphans) = (0, 0);
+        let mut tally = |(t, o): (usize, usize)| {
+            terms += t;
+            orphans += o;
+        };
+        for use_fk in [true, false] {
+            let mut c = example1_catalog();
+            populate_example1(&mut c, 8, 9);
+            let mut view = MaterializedView::create(&c, oj_view_def()).unwrap();
+            let up = c
+                .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
+                .unwrap();
+            tally(both_ways_agree(&mut view, &c, &up, use_fk));
+            for ln in [1i64, 2] {
+                let up = c
+                    .delete("lineitem", &[vec![Datum::Int(2), Datum::Int(ln)]])
+                    .unwrap();
+                tally(both_ways_agree(&mut view, &c, &up, use_fk));
+            }
+
+            let mut c = v1_catalog();
+            for (name, n) in [("r", 6i64), ("s", 5), ("t", 7), ("u", 4)] {
+                let rows: Vec<Row> = (1..=n).map(|i| v1_row(i, i % 4, i)).collect();
+                c.insert(name, rows).unwrap();
+            }
+            let mut view = MaterializedView::create(&c, v1_view_def()).unwrap();
+            for (name, id, jc) in [
+                ("t", 100i64, 1i64),
+                ("r", 101, 2),
+                ("s", 102, 3),
+                ("u", 103, 0),
+            ] {
+                let up = c.insert(name, vec![v1_row(id, jc, 0)]).unwrap();
+                tally(both_ways_agree(&mut view, &c, &up, use_fk));
+            }
+            for (name, id) in [("t", 100i64), ("u", 2), ("s", 1), ("r", 3)] {
+                let up = c.delete(name, &[vec![Datum::Int(id)]]).unwrap();
+                tally(both_ways_agree(&mut view, &c, &up, use_fk));
+            }
+        }
+        assert!(terms > 0 && orphans > 0, "{terms} terms, {orphans} orphans");
+    }
 
     #[test]
     fn rest_expression_for_v1_insert() {

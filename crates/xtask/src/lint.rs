@@ -674,7 +674,7 @@ mod tests {
             assert!(scan_file(path, src).is_empty(), "{path}");
         }
         // Other crates are out of scope.
-        assert!(scan_file("crates/bench/src/multiview.rs", src).is_empty());
+        assert!(scan_file("crates/bench/src/harness.rs", src).is_empty());
         // Tests may poke stores directly.
         let tested =
             "#[cfg(test)]\nmod tests {\n    fn f(v: &mut MaterializedView) { v.store_mut(); }\n}\n";

@@ -144,27 +144,24 @@ fn gupta_mumick_counterexample() {
     assert!(verify_against_recompute(view, db.catalog()));
 }
 
-/// V1's maintenance (the running example): update every table under every
-/// secondary strategy, verifying against recompute; exercises the rule 4/5
-/// null-if path (updating R or S makes the right operand `T fo U` bushy).
+/// V1's maintenance (the running example): update every table, verifying
+/// against recompute, for V1 and for a projection of V1 that fails §5.2
+/// column availability — so both secondary-delta strategies run; exercises
+/// the rule 4/5 null-if path (updating R or S makes the right operand
+/// `T fo U` bushy).
 #[test]
 fn v1_running_example_full_matrix() {
-    for strategy in [
-        SecondaryStrategy::Auto,
-        SecondaryStrategy::FromView,
-        SecondaryStrategy::FromBase,
-    ] {
+    let projected = fixtures::v1_view_def()
+        .with_projection(["r", "s", "t", "u"].map(|t| (t, "payload")).to_vec());
+    for (def, from_view) in [(fixtures::v1_view_def(), true), (projected, false)] {
         let mut catalog = fixtures::v1_catalog();
         for (name, n) in [("r", 5i64), ("s", 6), ("t", 7), ("u", 8)] {
             let rows: Vec<Row> = (1..=n).map(|i| fixtures::v1_row(i, i % 3, i)).collect();
             catalog.insert(name, rows).unwrap();
         }
         let mut db = Database::new(catalog);
-        db.policy = MaintenancePolicy {
-            secondary: strategy,
-            ..Default::default()
-        };
-        db.create_view(fixtures::v1_view_def()).unwrap();
+        let v = db.create_view(def).unwrap();
+        assert!((0..v.analysis.terms.len()).all(|i| v.analysis.from_view_available(i) == from_view));
 
         for (name, id, jc) in [
             ("r", 50i64, 0i64),
@@ -176,14 +173,14 @@ fn v1_running_example_full_matrix() {
             db.insert(name, vec![fixtures::v1_row(id, jc, 0)]).unwrap();
             assert!(
                 verify_against_recompute(db.view("v1").unwrap(), db.catalog()),
-                "{strategy:?} diverged after insert into {name}"
+                "from_view={from_view} diverged after insert into {name}"
             );
         }
         for (name, id) in [("t", 1i64), ("u", 2), ("r", 3), ("s", 4), ("t", 52)] {
             db.delete(name, &[vec![Datum::Int(id)]]).unwrap();
             assert!(
                 verify_against_recompute(db.view("v1").unwrap(), db.catalog()),
-                "{strategy:?} diverged after delete from {name}"
+                "from_view={from_view} diverged after delete from {name}"
             );
         }
     }

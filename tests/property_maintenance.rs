@@ -1,6 +1,8 @@
 //! Property-based tests: randomized SPOJ views over randomized databases,
 //! maintained through randomized update sequences, must always equal a full
-//! recompute — under every maintenance policy and for the GK baseline.
+//! recompute — under every maintenance policy, for a projected twin whose
+//! secondary deltas all come from base tables (§5.3), and for the GK
+//! baseline.
 
 use ojv_testkit::{property, strategy, vec_of, Rng, Strategy};
 
@@ -79,6 +81,14 @@ fn random_view(seed: u64, n_tables: usize) -> ViewDef {
     ViewDef::new("rand_view", expr)
 }
 
+/// The projected twin of a random view: it outputs only each table's
+/// nullable `payload` column, so no term passes §5.2 column availability
+/// and every indirect term's secondary delta is computed from base tables.
+fn projected_twin(def: &ViewDef, n_tables: usize) -> ViewDef {
+    def.clone()
+        .with_projection(TABLES[..n_tables].iter().map(|t| (*t, "payload")).collect())
+}
+
 /// Populate each table with `rows_per_table` rows (ids 1.., jc in 0..4).
 fn populate(c: &mut Catalog, n_tables: usize, rows_per_table: usize, seed: u64) {
     let mut rng = Rng::seed_from_u64(seed ^ 0xfeed);
@@ -145,17 +155,11 @@ fn policies() -> Vec<MaintenancePolicy> {
         MaintenancePolicy::paper(),
         MaintenancePolicy::naive(),
         MaintenancePolicy {
-            secondary: SecondaryStrategy::FromView,
             left_deep: false,
             ..Default::default()
         },
         MaintenancePolicy {
-            secondary: SecondaryStrategy::FromBase,
             use_fk: false,
-            ..Default::default()
-        },
-        MaintenancePolicy {
-            combine_secondary: true,
             ..Default::default()
         },
         // Morsel-parallel executor, forced past the cutoff: results must be
@@ -169,7 +173,8 @@ fn policies() -> Vec<MaintenancePolicy> {
 
 property! {
     /// Incremental maintenance ≡ recompute for random views, random data,
-    /// random update sequences, every policy, and the GK baseline.
+    /// random update sequences, every policy, the projected twin, and the GK
+    /// baseline.
     #[cases = 48]
     fn maintenance_equals_recompute(
         view_seed in 0u64..500,
@@ -187,6 +192,15 @@ property! {
             let c = base.clone();
             let v = MaterializedView::create(&c, def.clone()).unwrap();
             variants.push((format!("policy{i}"), c, v, Some(p)));
+        }
+        {
+            let c = base.clone();
+            let v = MaterializedView::create(&c, projected_twin(&def, n_tables)).unwrap();
+            assert!(
+                (0..v.analysis.terms.len()).all(|i| !v.analysis.from_view_available(i)),
+                "the projected twin must take §5.3 for every term (view_seed={view_seed})"
+            );
+            variants.push(("projected".into(), c, v, Some(MaintenancePolicy::paper())));
         }
         {
             let c = base.clone();
