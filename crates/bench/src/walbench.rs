@@ -6,8 +6,8 @@
 //! framing + buffered-write overhead of write-ahead logging, and should sit
 //! within a few percent of the in-memory path (the same numbers `repro
 //! fig5a` emits to `BENCH_pr2.json`). `fsync=always` then shows what the
-//! durability *guarantee* costs, and `EveryN(16)` the amortized middle
-//! ground the paper's deferred-maintenance setting would pick.
+//! durability *guarantee* costs, and `EveryN(16)` the group-commit middle
+//! ground: one fsync per 16 commits, so a crash may lose up to the last 15.
 
 use std::path::Path;
 use std::time::{Duration, Instant};

@@ -320,14 +320,14 @@ fn read_view_section(r: &mut ByteReader<'_>) -> Result<ViewSection> {
 }
 
 /// Encode the full in-memory state as a checkpoint payload: the catalog,
-/// every eager view of `db` (rows in heap order plus the canonical
-/// count-index snapshot) and every deferred view with its refresh watermark.
-/// Both log topologies write exactly this per database (a shard checkpoint
-/// is the same payload with the deferred section empty).
-pub(crate) fn encode_state(
-    db: &Database,
-    deferred: &[(&MaterializedView, Lsn)],
-) -> Result<Vec<u8>> {
+/// then every view of `db` (rows in heap order plus the canonical
+/// count-index snapshot). Both log topologies write exactly this per
+/// database.
+///
+/// The payload ends with a `u32` that is always 0: it once counted deferred
+/// views, and keeping it keeps every checkpoint byte-identical to the
+/// format that had them.
+pub(crate) fn encode_state(db: &Database) -> Result<Vec<u8>> {
     let mut buf = Vec::new();
     let cat = encode_catalog(db.catalog())?;
     put_u32(&mut buf, fit_u32(cat.len(), "catalog length")?);
@@ -337,24 +337,18 @@ pub(crate) fn encode_state(
     for v in views {
         put_view_section(&mut buf, v)?;
     }
-    put_u32(&mut buf, fit_u32(deferred.len(), "deferred view count")?);
-    for (view, watermark) in deferred {
-        put_view_section(&mut buf, view)?;
-        put_u64(&mut buf, *watermark);
-    }
+    put_u32(&mut buf, 0);
     Ok(buf)
 }
 
 /// Rebuild a database from a checkpoint payload written by
-/// [`encode_state`]: restore the catalog and the eager views with the
+/// [`encode_state`]: restore the catalog and the views with the
 /// snapshot-LSN clock anchored at `lsn` (so restored chains register there
-/// and replayed batches land on the LSNs the original run produced), and
-/// return the deferred views with their watermarks.
-pub(crate) fn restore_state(
-    data: &[u8],
-    policy: MaintenancePolicy,
-    lsn: Lsn,
-) -> Result<(Database, Vec<(MaterializedView, Lsn)>)> {
+/// and replayed batches land on the LSNs the original run produced).
+///
+/// A payload whose trailing count is not 0 holds deferred views, which no
+/// longer exist: it is refused as corrupt rather than half-restored.
+pub(crate) fn restore_state(data: &[u8], policy: MaintenancePolicy, lsn: Lsn) -> Result<Database> {
     let mut r = ByteReader::new(data);
     let cat_len = r.u32("catalog length")? as usize; // lint:allow(cast) — u32 widens into usize
     let mut db = Database::new(decode_catalog(r.bytes(cat_len, "catalog")?)?);
@@ -365,11 +359,15 @@ pub(crate) fn restore_state(
         let view = restore_view(db.catalog(), read_view_section(&mut r)?)?;
         db.install_view(view)?;
     }
-    let n_def = r.u32("deferred view count")? as usize; // lint:allow(cast) — u32 widens into usize
-    let mut deferred = Vec::with_capacity(n_def.min(r.remaining()));
-    for _ in 0..n_def {
-        let view = restore_view(db.catalog(), read_view_section(&mut r)?)?;
-        deferred.push((view, r.u64("refresh watermark")?));
+    let n_deferred = r.u32("deferred view count")?;
+    if n_deferred != 0 {
+        return Err(CoreError::Durability(DurabilityError::Corrupt {
+            file: "checkpoint".to_string(),
+            detail: format!(
+                "checkpoint holds {n_deferred} deferred view(s); deferred views are no longer \
+                 supported"
+            ),
+        }));
     }
     if !r.is_empty() {
         return Err(codec_err(format!(
@@ -377,7 +375,7 @@ pub(crate) fn restore_state(
             r.remaining()
         )));
     }
-    Ok((db, deferred))
+    Ok(db)
 }
 
 /// Rebuild a view from a snapshot section and cross-check the rebuilt count
@@ -423,5 +421,36 @@ mod tests {
             assert_eq!(decode_view_def(&bytes).unwrap(), def);
         }
         assert!(decode_view_def(&[]).is_err());
+    }
+}
+
+/// Directories written while deferred views existed, rebuilt by hand for the
+/// refusal tests (no API writes deferred state any more).
+#[cfg(test)]
+pub(crate) mod old_format {
+    use super::*;
+
+    /// A one-view checkpoint `payload` as the old format wrote it with that
+    /// view's section repeated as one deferred view: `[u32 catalog
+    /// len][catalog][u32 1][view][u32 1][view][u64 refresh watermark]`.
+    pub(crate) fn with_deferred_view(payload: &[u8]) -> Vec<u8> {
+        let cat_len = ByteReader::new(payload).u32("catalog length").unwrap() as usize; // lint:allow(cast) — u32 widens into usize
+        let view = &payload[4 + cat_len + 4..payload.len() - 4];
+        let mut old = payload[..payload.len() - 4].to_vec();
+        put_u32(&mut old, 1);
+        old.extend_from_slice(view);
+        put_u64(&mut old, 0);
+        old
+    }
+
+    /// `res` is a [`DurabilityError::Corrupt`] refusal naming `cause`.
+    pub(crate) fn assert_refused<T>(res: Result<T>, cause: &str) {
+        match res {
+            Err(CoreError::Durability(DurabilityError::Corrupt { detail, .. })) => {
+                assert!(detail.contains(cause), "{detail}");
+            }
+            Err(e) => panic!("expected a Corrupt refusal naming {cause:?}, got {e}"),
+            Ok(_) => panic!("expected a Corrupt refusal naming {cause:?}, but open succeeded"),
+        }
     }
 }

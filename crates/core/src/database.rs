@@ -36,9 +36,9 @@ pub struct Database {
     /// number commits 1, 2, … themselves; under a durable database this is
     /// driven by the WAL so snapshot LSNs are durable LSNs.
     commit_lsn: Lsn,
-    /// Versioned images of every (non-aggregate, non-deferred) view for
-    /// concurrent snapshot reads. Aggregate views keep their own stores and
-    /// are not versioned (a documented limitation of the snapshot layer).
+    /// Versioned images of every non-aggregate view for concurrent
+    /// snapshot reads. Aggregate views keep their own stores and are not
+    /// versioned (a documented limitation of the snapshot layer).
     snapshots: SnapshotRegistry,
     /// Downstream consumer of committed deltas (e.g. the `ojv-feed` hub),
     /// invoked once per commit after the registry has published the batch.

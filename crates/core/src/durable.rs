@@ -33,10 +33,8 @@
 //! Two [`CommitLog`]s exist because two on-disk layouts really differ:
 //!
 //! * [`WalLog`] — one stream in one directory, fsync per
-//!   [`ojv_durability::FsyncPolicy`]; owns the deferred-view queues, their
-//!   watermarks and the [`crate::wal_log::REC_REFRESH`] marker.
-//!   [`DurableDatabase`] is `Durable<WalLog<V>>` over an adopted single
-//!   shard.
+//!   [`ojv_durability::FsyncPolicy`]. [`DurableDatabase`] is
+//!   `Durable<WalLog<V>>` over an adopted single shard.
 //! * [`GroupLog`] — one stream per shard plus a coordinator stream whose
 //!   [`crate::group_log::REC_GROUP`] record is the commit point (K touched
 //!   shards cost K+1 fsyncs). [`ShardedDurableDatabase`] is
@@ -118,13 +116,13 @@ pub(crate) fn replay_update(shard: &mut Database, update: &Update, decomposed: b
 
 /// Open the WAL stream whose newest checkpoint is stamped `ckpt_lsn`.
 ///
-/// A corrupt record *below* the checkpoint LSN can cut the scan short (its
-/// segment survives pruning while, say, a deferred watermark is older).
-/// Appending at an already-checkpointed LSN would create records the
-/// `lsn > ckpt_lsn` replay filter silently skips on the next open —
-/// acknowledged data lost. The checkpoint vouches for every LSN at or below
-/// its own, so the log resumes past it; surviving earlier records stay on
-/// disk for deferred-queue rebuilds.
+/// A corrupt record *below* the checkpoint LSN can cut the scan short:
+/// pruning deletes whole segments only, so the segment holding the
+/// checkpoint LSN keeps the records before it. Appending at an
+/// already-checkpointed LSN would create records the `lsn > ckpt_lsn`
+/// replay filter silently skips on the next open — acknowledged data lost.
+/// The checkpoint vouches for every LSN at or below its own, so the log
+/// resumes past it.
 pub(crate) fn open_wal_after<V: Vfs>(
     vfs: &mut V,
     opts: WalOptions,
@@ -261,15 +259,12 @@ impl<L: CommitLog> Durable<L> {
     /// Create an eagerly-maintained view (on every shard, routing-aligned)
     /// and checkpoint immediately — view definitions live in checkpoints,
     /// not in the log.
+    ///
+    /// The DDL changed RAM only; if its checkpoint fails, no recovery can
+    /// see the new view — poison.
     pub fn create_view(&mut self, def: ViewDef) -> Result<()> {
         self.check_usable()?;
         self.db.create_view(def)?;
-        self.checkpoint_after_ddl()
-    }
-
-    /// DDL changed RAM only; if its checkpoint fails, no recovery can see
-    /// the new view — poison.
-    pub(crate) fn checkpoint_after_ddl(&mut self) -> Result<()> {
         self.checkpoint()
             .map(drop)
             .map_err(|e| Self::poison(&mut self.poisoned, "checkpoint after view creation", e))

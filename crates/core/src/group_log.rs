@@ -206,7 +206,7 @@ fn coord_wal_options(policy: &MaintenancePolicy) -> WalOptions {
 fn checkpoint_shard<V: Vfs>(log: &mut ShardLog<V>, shard: &Database) -> Result<Lsn> {
     log.wal.sync(&mut log.vfs)?;
     let head = log.wal.last_lsn();
-    write_checkpoint(&mut log.vfs, head, &encode_state(shard, &[])?)?;
+    write_checkpoint(&mut log.vfs, head, &encode_state(shard)?)?;
     log.wal.prune_below(&mut log.vfs, head + 1)?;
     prune_checkpoints(&mut log.vfs, head)?;
     Ok(head)
@@ -278,7 +278,7 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
         let mut shards = Vec::with_capacity(shard_vfs.len());
         for (mut vfs, shard) in shard_vfs.into_iter().zip(db.shards()) {
             let wal = Wal::create(&mut vfs, shard_wal_options(), 1)?;
-            write_checkpoint(&mut vfs, 0, &encode_state(shard, &[])?)?;
+            write_checkpoint(&mut vfs, 0, &encode_state(shard)?)?;
             shards.push(ShardLog { vfs, wal });
         }
         let mut coord_vfs = coord_vfs;
@@ -364,13 +364,7 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
             // the snapshot registry runs on the *global* commit clock —
             // anchor the restored chains at 0 and publish once at the group
             // floor below; pins below the floor die with the crash anyway.
-            let (mut db, deferred) = restore_state(&ckpt.payload, policy, 0)?;
-            if !deferred.is_empty() {
-                return Err(corrupt(
-                    "checkpoint",
-                    "shard checkpoints cannot carry deferred views",
-                ));
-            }
+            let mut db = restore_state(&ckpt.payload, policy, 0)?;
             let (wal, scan) = open_wal_after(&mut vfs, shard_wal_options(), ckpt.lsn)?;
             report.truncated.push(scan.truncated.map(|t| t.reason));
             // Replay this shard's committed tail: records in
@@ -491,6 +485,7 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint_state::old_format::{assert_refused, with_deferred_view};
     use crate::fixtures::*;
     use crate::view_def::{col_eq, ViewDef, ViewExpr};
     use ojv_durability::MemVfs;
@@ -534,6 +529,17 @@ mod tests {
     fn crash(d: ShardedDurableDatabase<MemVfs>) -> (Vec<MemVfs>, MemVfs) {
         let (shards, coord) = d.into_vfs();
         (shards.iter().map(MemVfs::crash).collect(), coord.crash())
+    }
+
+    /// A shard checkpoint written while deferred views existed is refused.
+    #[test]
+    fn shard_checkpoint_with_a_deferred_view_is_refused() {
+        let (mut shards, coord) = crash(fresh(2));
+        let ckpt = read_latest_checkpoint(&mut shards[1]).unwrap().unwrap();
+        let old = with_deferred_view(&ckpt.payload);
+        write_checkpoint(&mut shards[1], ckpt.lsn, &old).unwrap();
+        let res = ShardedDurableDatabase::open(shards, coord, MaintenancePolicy::default());
+        assert_refused(res, "deferred view");
     }
 
     #[test]

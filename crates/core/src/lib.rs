@@ -18,7 +18,6 @@
 //!   recompute, for the paper's experimental comparison,
 //! * [`snapshot`] — LSN-versioned view images: consistent snapshot reads
 //!   concurrent with maintenance, with epoch-based reclamation,
-//! * [`deferred`] — lazily refreshed views over a pending-update queue,
 //!
 //! and the one commit pipeline every engine is composed from:
 //!
@@ -62,7 +61,6 @@ pub mod batch;
 pub mod checkpoint_state;
 pub mod compile;
 pub mod database;
-pub mod deferred;
 pub mod durable;
 pub mod error;
 pub mod explain;
@@ -87,7 +85,6 @@ pub mod prelude {
     pub use crate::analyze::{analyze, ViewAnalysis};
     pub use crate::compile::{compile_count, CompiledMaintenancePlan, PlanCache, PlanConfig};
     pub use crate::database::Database;
-    pub use crate::deferred::DeferredView;
     pub use crate::durable::{DurableDatabase, ShardedDurableDatabase};
     pub use crate::error::{CoreError, Result};
     pub use crate::explain::{explain_plan, render_exec_stats};

@@ -9,68 +9,36 @@
 //!
 //! [`Durable::checkpoint`] serializes the catalog and every view store (rows
 //! in heap order plus the canonical count-index snapshot) to an atomic
-//! snapshot stamped with the WAL high-water LSN, then prunes WAL segments
-//! and older checkpoints. DDL ([`Durable::create_view`],
-//! [`DurableDatabase::create_deferred_view`]) checkpoints immediately — view
-//! definitions live in snapshots, not the log.
-//!
-//! # Deferred views
-//!
-//! This topology also owns the deferred views: a deferred view's *pending
-//! queue* is exactly "the logged updates newer than its refresh watermark",
-//! so it is fed by [`CommitLog::append`] and never checkpointed. Its
-//! snapshot carries the **refresh watermark**: the LSN of the last update
-//! reflected in the view's store. Recovery re-enqueues every logged update
-//! with `lsn > watermark`, and replays [`REC_REFRESH`] markers by re-running
-//! the deterministic [`DeferredView::refresh`] — so a refresh that was
-//! durable before the crash is durable after it, and one that was not is
-//! simply re-done from the queue. Replaying the same WAL tail twice (the
-//! idempotence the watermark buys) cannot double-apply a batch.
+//! snapshot stamped with the WAL high-water LSN, then prunes the WAL
+//! segments and older checkpoints at or below it. DDL
+//! ([`Durable::create_view`]) checkpoints immediately — view definitions
+//! live in snapshots, not the log. Recovery replays every record above the
+//! checkpoint LSN through the maintenance stage the live commit runs.
 
 use ojv_durability::{
     is_checkpoint_file, is_segment_file, prune_checkpoints, read_latest_checkpoint,
-    write_checkpoint, DurabilityError, Lsn, Vfs, Wal, WalOptions, WalRecord,
+    write_checkpoint, DurabilityError, Lsn, Vfs, Wal, WalOptions,
 };
-use ojv_rel::{put_str, put_u64, ByteReader};
 use ojv_storage::{Catalog, Update};
 
 use crate::checkpoint_state::{encode_state, restore_state};
 use crate::database::Database;
-use crate::deferred::DeferredView;
 use crate::durable::{
     decode_update_record, open_wal_after, replay_update, update_record, CommitLog, Durable,
     DurableDatabase, REC_UPDATE,
 };
 use crate::error::{CoreError, Result};
-use crate::maintain::MaintenanceReport;
 use crate::materialize::MaterializedView;
 use crate::policy::MaintenancePolicy;
 use crate::shard::ShardedDatabase;
-use crate::view_def::ViewDef;
-
-/// WAL record kind: a deferred view completed a refresh.
-/// Payload: `[str view name][u64 up_to_lsn]`.
-pub const REC_REFRESH: u8 = 2;
-
-struct DurableDeferred {
-    dv: DeferredView,
-    /// LSN of the newest WAL record reflected in the view's store (set by
-    /// refresh / view creation). Pending entries are exactly the logged
-    /// updates with a greater LSN.
-    watermark: Lsn,
-}
 
 /// What recovery found and did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// High-water LSN of the checkpoint the state was loaded from.
     pub checkpoint_lsn: Lsn,
-    /// `REC_UPDATE` records re-applied to the catalog and eager views.
+    /// `REC_UPDATE` records re-applied to the catalog and views.
     pub replayed_updates: usize,
-    /// Update batches re-enqueued onto deferred views' pending queues.
-    pub reenqueued: usize,
-    /// `REC_REFRESH` markers replayed through [`DeferredView::refresh`].
-    pub replayed_refreshes: usize,
     /// Newest LSN in the recovered log (0 if the log was empty).
     pub last_lsn: Lsn,
     /// Why the WAL tail was cut, when a torn/corrupt record was found.
@@ -81,51 +49,28 @@ pub struct RecoveryReport {
 pub struct WalLog<V: Vfs> {
     vfs: V,
     wal: Wal,
-    deferred: Vec<DurableDeferred>,
     checkpoint_lsn: Lsn,
-}
-
-impl<V: Vfs> WalLog<V> {
-    fn deferred_sections(&self) -> Vec<(&MaterializedView, Lsn)> {
-        self.deferred
-            .iter()
-            .map(|d| (d.dv.view(), d.watermark))
-            .collect()
-    }
 }
 
 impl<V: Vfs> CommitLog for WalLog<V> {
     /// One record, flushed per the WAL's fsync policy; its LSN is the commit
-    /// LSN. The delta joins every deferred view's queue here, at the point
-    /// it enters the log — the queue *is* the log suffix above the
-    /// watermark, which is also how recovery rebuilds it.
+    /// LSN.
     fn append(&mut self, updates: &[Option<Update>], decomposed: bool) -> Result<Lsn> {
         let [Some(update)] = updates else {
             unreachable!("a WalLog sits under exactly one shard, which every commit touches");
         };
         let payload = update_record(update, decomposed)?;
-        let lsn = self.wal.append(&mut self.vfs, REC_UPDATE, &payload)?;
-        for d in &mut self.deferred {
-            d.dv.enqueue(update);
-        }
-        Ok(lsn)
+        Ok(self.wal.append(&mut self.vfs, REC_UPDATE, &payload)?)
     }
 
     /// Checkpoint at the WAL high-water LSN, then prune what no recovery can
-    /// need: records at or below both the checkpoint LSN and every deferred
-    /// watermark.
+    /// need: every record at or below the checkpoint LSN.
     fn checkpoint(&mut self, db: &ShardedDatabase) -> Result<Lsn> {
         self.wal.sync(&mut self.vfs)?;
         let lsn = self.wal.last_lsn();
-        let payload = encode_state(db.only_shard(), &self.deferred_sections())?;
-        write_checkpoint(&mut self.vfs, lsn, &payload)?;
+        write_checkpoint(&mut self.vfs, lsn, &encode_state(db.only_shard())?)?;
         self.checkpoint_lsn = lsn;
-        let floor = self
-            .deferred
-            .iter()
-            .map(|d| d.watermark)
-            .fold(lsn, Lsn::min);
-        self.wal.prune_below(&mut self.vfs, floor + 1)?;
+        self.wal.prune_below(&mut self.vfs, lsn + 1)?;
         prune_checkpoints(&mut self.vfs, lsn)?;
         Ok(lsn)
     }
@@ -173,7 +118,6 @@ impl<V: Vfs> DurableDatabase<V> {
             log: WalLog {
                 vfs,
                 wal,
-                deferred: Vec::new(),
                 checkpoint_lsn: 0,
             },
             poisoned: None,
@@ -197,25 +141,41 @@ impl<V: Vfs> DurableDatabase<V> {
             })
         })?;
         let (wal, scan) = open_wal_after(&mut vfs, wal_options(&policy), ckpt.lsn)?;
-        let (mut db, deferred) = restore_state(&ckpt.payload, policy, ckpt.lsn)?;
-        let mut deferred: Vec<DurableDeferred> = deferred
-            .into_iter()
-            .map(|(view, watermark)| DurableDeferred {
-                dv: DeferredView::new(view),
-                watermark,
-            })
-            .collect();
+        let mut db = restore_state(&ckpt.payload, policy, ckpt.lsn)?;
 
         let mut report = RecoveryReport {
             checkpoint_lsn: ckpt.lsn,
             replayed_updates: 0,
-            reenqueued: 0,
-            replayed_refreshes: 0,
             last_lsn: wal.last_lsn(),
             wal_truncated: scan.truncated.map(|t| t.reason),
         };
         for rec in &scan.records {
-            replay_record(&mut db, &mut deferred, ckpt.lsn, rec, &mut report)?;
+            // The kind first, so a record of a retired kind is refused
+            // wherever it sits; then skip what the checkpoint vouches for
+            // without decoding it.
+            if rec.kind != REC_UPDATE {
+                let detail = match rec.kind {
+                    2 => format!(
+                        "deferred-view refresh marker (WAL record kind 2) at lsn {}; deferred \
+                         views are no longer supported",
+                        rec.lsn
+                    ),
+                    other => format!("unknown WAL record kind {other} at lsn {}", rec.lsn),
+                };
+                return Err(CoreError::Durability(DurabilityError::Corrupt {
+                    file: "wal".to_string(),
+                    detail,
+                }));
+            }
+            if rec.lsn <= ckpt.lsn {
+                continue;
+            }
+            // Re-apply and re-maintain exactly as the original call did, at
+            // the original LSN.
+            let (update, decomposed) = decode_update_record(&db, rec)?;
+            replay_update(&mut db, &update, decomposed)?;
+            db.publish_commit(rec.lsn)?;
+            report.replayed_updates += 1;
         }
 
         Ok((
@@ -224,7 +184,6 @@ impl<V: Vfs> DurableDatabase<V> {
                 log: WalLog {
                     vfs,
                     wal,
-                    deferred,
                     checkpoint_lsn: ckpt.lsn,
                 },
                 poisoned: None,
@@ -233,70 +192,15 @@ impl<V: Vfs> DurableDatabase<V> {
         ))
     }
 
-    /// Create a deferred view, watermarked at the current log position, and
-    /// checkpoint.
-    pub fn create_deferred_view(&mut self, def: ViewDef) -> Result<()> {
-        self.check_usable()?;
-        if self.view(def.name()).is_some() || self.deferred_view(def.name()).is_some() {
-            return Err(CoreError::DuplicateView {
-                view: def.name().to_string(),
-            });
-        }
-        let view = MaterializedView::create(self.database().catalog(), def)?;
-        self.log.deferred.push(DurableDeferred {
-            dv: DeferredView::new(view),
-            watermark: self.log.wal.last_lsn(),
-        });
-        self.checkpoint_after_ddl()
-    }
-
-    /// Refresh a deferred view and log the completion marker: after this
-    /// returns, a crash-and-recover re-runs the refresh from the same queue
-    /// instead of losing it, and a *second* recovery cannot apply the
-    /// consumed batches again (watermark idempotence).
-    pub fn refresh(&mut self, view: &str) -> Result<Vec<MaintenanceReport>> {
-        self.check_usable()?;
-        let shard = self.db.only_shard();
-        let log = &mut self.log;
-        let d = log
-            .deferred
-            .iter_mut()
-            .find(|d| d.dv.view().name() == view)
-            .ok_or_else(|| CoreError::UnknownView {
-                view: view.to_string(),
-            })?;
-        let reports = d.dv.refresh(shard.catalog(), &shard.policy)?;
-        let up_to = log.wal.last_lsn();
-        let mut payload = Vec::new();
-        put_str(&mut payload, view)?;
-        put_u64(&mut payload, up_to);
-        // The refresh above already consumed the pending queue and mutated
-        // the store; if the completion marker cannot be logged, the stale
-        // watermark must never reach a checkpoint (recovery would re-apply
-        // the consumed batches on top of the refreshed rows) — poison.
-        log.wal
-            .append(&mut log.vfs, REC_REFRESH, &payload)
-            .map_err(|e| {
-                Self::poison(
-                    &mut self.poisoned,
-                    "WAL append of a refresh marker",
-                    CoreError::Durability(e),
-                )
-            })?;
-        d.watermark = up_to;
-        Ok(reports)
-    }
-
-    /// Canonical encoding of the full in-memory state (catalog, eager view
-    /// stores and count indexes, deferred stores and watermarks). Two
-    /// databases with byte-equal `state_bytes` hold identical state — the
-    /// crash tests compare a recovered database against its uncrashed twin
-    /// with exactly this.
+    /// Canonical encoding of the full in-memory state (catalog, view stores
+    /// and count indexes). Two databases with byte-equal `state_bytes` hold
+    /// identical state — the crash tests compare a recovered database
+    /// against its uncrashed twin with exactly this.
     pub fn state_bytes(&self) -> Result<Vec<u8>> {
-        encode_state(self.database(), &self.log.deferred_sections())
+        encode_state(self.database())
     }
 
-    /// The wrapped in-memory database (catalog and eager views).
+    /// The wrapped in-memory database (catalog and views).
     pub fn database(&self) -> &Database {
         self.db.only_shard()
     }
@@ -325,8 +229,7 @@ impl<V: Vfs> DurableDatabase<V> {
         self.database().snapshots()
     }
 
-    /// Pin a consistent snapshot of every eager view at the newest durable
-    /// LSN.
+    /// Pin a consistent snapshot of every view at the newest durable LSN.
     pub fn snapshot(&self) -> Result<crate::snapshot::Snapshot> {
         self.database().snapshot()
     }
@@ -336,28 +239,9 @@ impl<V: Vfs> DurableDatabase<V> {
         self.database().snapshot_at(lsn)
     }
 
-    /// An eager view by name.
+    /// A view by name.
     pub fn view(&self, name: &str) -> Option<&MaterializedView> {
         self.database().view(name)
-    }
-
-    /// A deferred view by name (possibly stale; see
-    /// [`DurableDatabase::refresh`]).
-    pub fn deferred_view(&self, name: &str) -> Option<&DeferredView> {
-        self.log
-            .deferred
-            .iter()
-            .find(|d| d.dv.view().name() == name)
-            .map(|d| &d.dv)
-    }
-
-    /// Refresh watermark of a deferred view.
-    pub fn watermark(&self, name: &str) -> Option<Lsn> {
-        self.log
-            .deferred
-            .iter()
-            .find(|d| d.dv.view().name() == name)
-            .map(|d| d.watermark)
     }
 
     /// Newest LSN in the log.
@@ -382,67 +266,10 @@ impl<V: Vfs> DurableDatabase<V> {
     }
 }
 
-fn replay_record(
-    db: &mut Database,
-    deferred: &mut [DurableDeferred],
-    ckpt_lsn: Lsn,
-    rec: &WalRecord,
-    report: &mut RecoveryReport,
-) -> Result<()> {
-    match rec.kind {
-        REC_UPDATE => {
-            let (update, decomposed) = decode_update_record(db, rec)?;
-            if rec.lsn > ckpt_lsn {
-                // Not reflected in the checkpoint: re-apply and re-maintain
-                // exactly as the original call did, at the original LSN.
-                replay_update(db, &update, decomposed)?;
-                db.publish_commit(rec.lsn)?;
-                report.replayed_updates += 1;
-            }
-            // Regardless of the checkpoint: batches newer than a
-            // deferred view's refresh watermark belong on its queue
-            // (queues are rebuilt from the log, never checkpointed).
-            for d in deferred.iter_mut() {
-                if rec.lsn > d.watermark {
-                    let before = d.dv.pending_len();
-                    d.dv.enqueue(&update);
-                    report.reenqueued += d.dv.pending_len() - before;
-                }
-            }
-        }
-        REC_REFRESH => {
-            let mut r = ByteReader::new(&rec.payload);
-            let name = r
-                .str("refresh view name")
-                .map_err(CoreError::Rel)?
-                .to_string();
-            let up_to = r.u64("refresh up-to lsn").map_err(CoreError::Rel)?;
-            if rec.lsn > ckpt_lsn {
-                let d = deferred
-                    .iter_mut()
-                    .find(|d| d.dv.view().name() == name)
-                    .ok_or(CoreError::UnknownView { view: name })?;
-                // Deterministic re-run: the queue holds exactly the
-                // batches the original refresh consumed, and the catalog
-                // is in the state it was in at the marker's position.
-                d.dv.refresh(db.catalog(), &db.policy)?;
-                d.watermark = up_to;
-                report.replayed_refreshes += 1;
-            }
-        }
-        other => {
-            return Err(CoreError::Durability(DurabilityError::Corrupt {
-                file: "wal".to_string(),
-                detail: format!("unknown WAL record kind {other} at lsn {}", rec.lsn),
-            }))
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint_state::old_format::{assert_refused, with_deferred_view};
     use crate::fixtures::*;
     use ojv_durability::{FsyncPolicy, MemVfs};
     use ojv_rel::Datum;
@@ -509,64 +336,78 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn deferred_queue_rebuilds_from_wal() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_deferred_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-            .unwrap();
-        d.insert("lineitem", vec![lineitem_row(6, 9, 5, 1, 2.0)])
-            .unwrap();
-        assert_eq!(d.deferred_view("oj_view").unwrap().pending_len(), 2);
-        let expected = d.state_bytes().unwrap();
-
-        let (r, report) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        // Pending queues are not checkpointed: both batches re-enqueue.
-        assert_eq!(report.reenqueued, 2);
-        assert_eq!(r.deferred_view("oj_view").unwrap().pending_len(), 2);
-        assert_eq!(r.state_bytes().unwrap(), expected);
+    /// FNV-1a 64 of a byte string, for the format golden below.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
     }
 
+    /// The on-disk format, pinned: a fixed Example 1 script (two views,
+    /// three commits, a checkpoint) must produce these exact `state_bytes`
+    /// and checkpoint file. A change here is a format change — every
+    /// existing directory would stop opening — and must be deliberate.
     #[test]
-    fn refresh_watermark_is_idempotent_across_recoveries() {
+    fn checkpoint_format_golden() {
         let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_deferred_view(oj_view_def()).unwrap();
+        d.create_view(oj_view_def()).unwrap();
+        d.create_view(oj_view_variant("oj_view_q5", 5)).unwrap();
         d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
-        d.refresh("oj_view").unwrap();
-        let expected = d.state_bytes().unwrap();
-
-        // First recovery: the refresh marker replays the (re-enqueued)
-        // batch; the result matches the pre-crash state.
-        let (r1, rep1) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(rep1.replayed_refreshes, 1);
-        assert!(r1.deferred_view("oj_view").unwrap().is_fresh());
-        assert_eq!(r1.state_bytes().unwrap(), expected);
-
-        // Second recovery over the *same* log: the watermark prevents the
-        // consumed batch from being applied twice.
-        let (r2, rep2) = DurableDatabase::open(r1.into_vfs(), policy()).unwrap();
-        assert_eq!(rep2.replayed_refreshes, 1);
-        assert_eq!(r2.state_bytes().unwrap(), expected);
-        assert!(crate::maintain::verify_against_recompute(
-            r2.deferred_view("oj_view").unwrap().view(),
-            r2.database().catalog()
-        ));
-    }
-
-    #[test]
-    fn checkpoint_after_refresh_skips_marker_replay() {
-        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
-        d.create_deferred_view(oj_view_def()).unwrap();
-        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
+        d.delete("lineitem", &[vec![Datum::Int(2), Datum::Int(1)]])
             .unwrap();
-        d.refresh("oj_view").unwrap();
+        d.insert("part", vec![part_row(50, "golden", 7.5)]).unwrap();
         d.checkpoint().unwrap();
-        let expected = d.state_bytes().unwrap();
-        let (r, report) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(report.replayed_refreshes, 0, "marker is pre-checkpoint");
-        assert_eq!(report.reenqueued, 0, "batch is below the watermark");
-        assert_eq!(r.state_bytes().unwrap(), expected);
+        let snap = d
+            .vfs()
+            .list()
+            .unwrap()
+            .into_iter()
+            .filter(|n| n.starts_with("ckpt-") && n.ends_with(".snap"))
+            .max()
+            .expect("a checkpoint");
+        assert_eq!(snap, "ckpt-0000000000000003.snap");
+        let state = fnv1a64(&d.state_bytes().unwrap());
+        let file = fnv1a64(&d.vfs().read(&snap).unwrap());
+        assert_eq!(
+            state, 0xd45a_a303_3a4d_0471,
+            "state_bytes FNV is {state:#018x}"
+        );
+        assert_eq!(file, 0x2b15_f326_c00c_fece, "{snap} FNV is {file:#018x}");
+    }
+
+    /// A directory written while deferred views existed: its checkpoint
+    /// carries a deferred section. Opening it is refused, not half-restored.
+    #[test]
+    fn checkpoint_with_a_deferred_view_is_refused() {
+        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
+        d.create_view(oj_view_def()).unwrap();
+        let old = with_deferred_view(&d.state_bytes().unwrap());
+        let mut vfs = d.into_vfs();
+        write_checkpoint(&mut vfs, 0, &old).unwrap();
+        assert_refused(DurableDatabase::open(vfs, policy()), "deferred view");
+    }
+
+    /// A WAL holding a deferred-view refresh marker (record kind 2) is
+    /// refused whether the marker sits above the checkpoint or below it.
+    #[test]
+    fn wal_with_a_refresh_marker_is_refused() {
+        let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
+        d.create_view(oj_view_def()).unwrap();
+        d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
+            .unwrap();
+        let state = d.state_bytes().unwrap();
+        let mut vfs = d.into_vfs();
+        let (mut wal, _) = Wal::open(&mut vfs, wal_options(&policy()), 1).unwrap();
+        let mut marker = Vec::new();
+        ojv_rel::put_str(&mut marker, "oj_view").unwrap();
+        ojv_rel::put_u64(&mut marker, 1);
+        assert_eq!(wal.append(&mut vfs, 2, &marker).unwrap(), 2);
+
+        assert_refused(DurableDatabase::open(vfs.clone(), policy()), "deferred");
+        // A checkpoint above the marker does not make it acceptable.
+        write_checkpoint(&mut vfs, 2, &state).unwrap();
+        assert_refused(DurableDatabase::open(vfs, policy()), "deferred");
     }
 
     /// Flip one bit in the payload of the last record of the newest WAL

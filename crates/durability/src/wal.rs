@@ -547,10 +547,9 @@ impl Wal {
     /// short): appending at `next_lsn() <= checkpoint_lsn` would create
     /// records every later replay silently skips, losing acknowledged data.
     /// The checkpoint vouches for all LSNs at or below its own, so the log
-    /// may legally resume at `checkpoint_lsn + 1`. Earlier segments are kept
-    /// — records above a deferred view's refresh watermark are still needed
-    /// to rebuild pending queues — and [`Wal::open`] accepts the resulting
-    /// gap (see its docs).
+    /// may legally resume at `checkpoint_lsn + 1`. Earlier segments are left
+    /// to the next checkpoint's [`Wal::prune_below`], and [`Wal::open`]
+    /// accepts the resulting gap (see its docs).
     pub fn begin_after(&mut self, vfs: &mut dyn Vfs, first_lsn: Lsn) -> Result<()> {
         if first_lsn < self.next_lsn {
             return Err(DurabilityError::Corrupt {
@@ -578,8 +577,8 @@ impl Wal {
     ///
     /// A segment is removable when the *next* segment starts at or before
     /// `keep_from` (so every record it holds is below the floor). The
-    /// active segment is never removed. Callers pass the minimum of the
-    /// checkpoint LSN and all deferred-view watermarks.
+    /// active segment is never removed. Callers pass the LSN just above
+    /// their newest checkpoint.
     pub fn prune_below(&mut self, vfs: &mut dyn Vfs, keep_from: Lsn) -> Result<()> {
         while self.segment_first_lsns.len() > 1 && self.segment_first_lsns[1] <= keep_from {
             let first = self.segment_first_lsns.remove(0);

@@ -24,7 +24,7 @@ pub struct LintDef {
 }
 
 /// All lints, sorted by id — the order `--list` prints them.
-pub const LINTS: [LintDef; 13] = [
+pub const LINTS: [LintDef; 14] = [
     LintDef {
         id: "cast",
         scope: "crates/durability/src/",
@@ -48,6 +48,13 @@ pub const LINTS: [LintDef; 13] = [
         scope: "everywhere but crates/{durability,bench,xtask,concheck}/",
         desc: "no std::fs / File:: outside crates/durability, crates/bench, crates/xtask, \
                crates/concheck (everything else goes through the Vfs trait)",
+    },
+    LintDef {
+        id: "maintain-entry-confined",
+        scope: "crates/core/src/ except maintain.rs",
+        desc: "no call to the standalone maintain() in core's non-test code outside \
+               maintain.rs — every live, replayed and sharded commit maintains through \
+               batch::maintain_batch, and maintain() stays the reference tests compare against",
     },
     LintDef {
         id: "mutex-in-exec-hot-path",
@@ -196,6 +203,13 @@ fn applies(lint: &str, path: &str) -> bool {
                 && path != "crates/core/src/maintain.rs"
                 && path != "crates/core/src/baseline.rs"
         }
+        // One maintenance entry point in production code: the batch driver.
+        // A second caller of the standalone procedure would bypass the plan
+        // cache, prefix sharing and the worker pool, and could drift from
+        // what recovery replays.
+        "maintain-entry-confined" => {
+            path.starts_with("crates/core/src/") && path != "crates/core/src/maintain.rs"
+        }
         // The morsel driver in parallel.rs is the one sanctioned
         // synchronization point of the executor; an operator that blocks on
         // a lock inside a worker closure can deadlock the claim loop (see
@@ -306,6 +320,16 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
             && tok.text == "store_mut"
         {
             record("view-store-mutation", line, &mut out);
+        }
+        // `maintain(` as a call: not its definition, not a method of the
+        // same name, and not a path segment (`crate::maintain::…`).
+        if applies("maintain-entry-confined", &path)
+            && !in_test.get(line).copied().unwrap_or(false)
+            && tok.text == "maintain"
+            && toks.get(i + 1).is_some_and(|t| t.text == "(")
+            && !(i > 0 && matches!(toks[i - 1].text, "fn" | "."))
+        {
+            record("maintain-entry-confined", line, &mut out);
         }
         if applies("mutex-in-exec-hot-path", &path)
             && matches!(tok.text, "Mutex" | "RwLock" | "Condvar")
@@ -657,6 +681,55 @@ mod tests {
         // Identifier boundary: verify_maintenance_graph is a different token.
         let other = "fn h() { ojv_analysis::verify_maintenance_graph(&g, &m, fks); }\n";
         assert!(scan_file("crates/core/src/maintain.rs", other).is_empty());
+    }
+
+    #[test]
+    fn maintain_entry_confined_to_maintain_rs() {
+        let src = "fn f(v: &mut MaterializedView) { maintain(v, c, u, p)?; }\n";
+        let v = scan_file("crates/core/src/wal_log.rs", src);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].lint, "maintain-entry-confined");
+        // A fully qualified call is the same call.
+        let qualified = "fn f() { crate::maintain::maintain(v, c, u, p).unwrap(); }\n";
+        assert_eq!(scan_file("crates/core/src/batch.rs", qualified).len(), 1);
+        // maintain.rs is its home; other crates are out of scope.
+        assert!(scan_file("crates/core/src/maintain.rs", src).is_empty());
+        assert!(scan_file("crates/bench/src/harness.rs", src).is_empty());
+        // Tests compare against the reference procedure.
+        let tested =
+            "#[cfg(test)]\nmod tests {\n    fn f() { maintain(v, c, u, p).unwrap(); }\n}\n";
+        assert!(scan_file("crates/core/src/batch.rs", tested).is_empty());
+        // Paths through the module, imports, definitions, same-named
+        // methods and comments are not calls of the standalone procedure.
+        let other = concat!(
+            "use crate::maintain::{maintain, MaintenanceReport};\n",
+            "fn g() -> crate::maintain::MaintenanceReport { agg.maintain(c, u, p) }\n",
+            "pub fn maintain(&mut self) {}\n",
+            "// every maintain() call used to re-derive its plan\n",
+            "fn h() { maintain_batch(v, a, c, u, p); maintain_views_only(u, false); }\n",
+        );
+        assert!(scan_file("crates/core/src/batch.rs", other).is_empty());
+        // Escape hatch.
+        let allowed = "fn f() { maintain(v, c, u, p); } // lint:allow(maintain-entry-confined)\n";
+        assert!(scan_file("crates/core/src/wal_log.rs", allowed).is_empty());
+    }
+
+    /// A seeded second maintenance entry point fails the gate.
+    #[test]
+    fn seeded_maintain_call_fails_the_gate() {
+        let root = std::env::temp_dir().join(format!("xtask-lint-maint-{}", std::process::id()));
+        let dir = root.join("crates/core/src");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("seeded.rs"),
+            "fn refresh(q: Vec<Update>) { for u in q { maintain(v, c, &u, p).unwrap(); } }\n",
+        )
+        .unwrap();
+        let v = run(&root).unwrap();
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].lint, "maintain-entry-confined");
+        assert_eq!(v[0].file, "crates/core/src/seeded.rs");
     }
 
     #[test]

@@ -42,6 +42,10 @@ fn lint_list_is_sorted_and_scoped() {
             "everywhere but crates/{durability,bench,xtask,concheck}/",
         ),
         (
+            "maintain-entry-confined",
+            "crates/core/src/ except maintain.rs",
+        ),
+        (
             "mutex-in-exec-hot-path",
             "crates/exec/src/ except parallel.rs",
         ),

@@ -1,7 +1,7 @@
 //! Crash-point matrix over the durable maintenance log.
 //!
-//! A scripted three-table workload (inserts, deletes, SQL-style updates,
-//! deferred-view refreshes) runs once against a [`MemVfs`]; the resulting WAL
+//! A scripted three-table workload (inserts, deletes, SQL-style updates)
+//! over two views runs once against a [`MemVfs`]; the resulting WAL
 //! segment is then cut at every record boundary — and, in the full matrix,
 //! at torn offsets *inside* every record — and recovery is opened on each
 //! truncated filesystem. Recovered state must be **byte-identical** (via
@@ -11,8 +11,8 @@
 //! When a cut lands between the two halves of an `update()` (which logs a
 //! delete record and an insert record), no step-granular twin exists; those
 //! points are checked record-granularly instead: the recovered catalog must
-//! equal a catalog that applied exactly the surviving record operations, the
-//! eager view must pass the full-recompute oracle, and recovery must be
+//! equal a catalog that applied exactly the surviving record operations, both
+//! views must pass the full-recompute oracle, and recovery must be
 //! idempotent (a second open over the recovered filesystem is a byte-level
 //! no-op).
 //!
@@ -35,8 +35,9 @@ use ojv::storage::encode_catalog;
 use ojv_core::fixtures;
 use ojv_testkit::{fault_spec, FaultFile, FaultSpec, Rng, Strategy};
 
-const EAGER: &str = "oj_view";
-const DEFERRED: &str = "oj_dv";
+const FULL: &str = "oj_view";
+const KEYLESS: &str = "oj_keyless";
+const VIEWS: [&str; 2] = [FULL, KEYLESS];
 const N_PARTS: i64 = 6;
 const N_ORDERS: i64 = 9;
 
@@ -50,17 +51,30 @@ fn populated_catalog() -> Catalog {
     c
 }
 
-/// Fresh durable database with one eager and one deferred view over the
-/// paper's Example 1 join, checkpointed at LSN 0 (DDL time) so every
-/// workload record stays in the live WAL segment.
+/// Fresh durable database with two views over the paper's Example 1 join,
+/// checkpointed at LSN 0 (DDL time) so every workload record stays in the
+/// live WAL segment. The second view projects onto non-key columns only, so
+/// no term passes §5.2 column availability: replay maintains it with §5.3
+/// secondary deltas from the base tables.
 fn build<V: Vfs>(vfs: V) -> DurableDatabase<V> {
     let mut d = DurableDatabase::create(vfs, populated_catalog(), policy()).unwrap();
     d.create_view(fixtures::oj_view_def()).unwrap();
-    d.create_deferred_view(ViewDef::new(
-        DEFERRED,
-        fixtures::oj_view_def().expr().clone(),
-    ))
+    d.create_view(
+        fixtures::oj_view_def()
+            .with_name(KEYLESS)
+            .with_projection(vec![
+                ("part", "p_name"),
+                ("orders", "o_custkey"),
+                ("lineitem", "l_partkey"),
+                ("lineitem", "l_quantity"),
+            ]),
+    )
     .unwrap();
+    let analysis = &d.view(KEYLESS).unwrap().analysis;
+    assert!(
+        (0..analysis.terms.len()).all(|i| !analysis.from_view_available(i)),
+        "every term of {KEYLESS} must take the §5.3 from-base path"
+    );
     d
 }
 
@@ -68,10 +82,9 @@ fn build<V: Vfs>(vfs: V) -> DurableDatabase<V> {
 /// the decomposition flag); everything else logs exactly one.
 #[derive(Debug, Clone)]
 enum Step {
-    Insert(&'static str, Row),
+    Insert(&'static str, Vec<Row>),
     Delete(&'static str, Row),
     Update(&'static str, Row, Row),
-    Refresh,
 }
 
 impl Step {
@@ -83,25 +96,31 @@ impl Step {
     }
 }
 
-/// The scripted workload: touches all three base tables, exercises both
-/// deferred refresh markers, and keeps every prefix FK-consistent (orders
-/// divisible by 3 have no lineitems, so order 9 can be updated via
-/// delete+insert; part 50 is inserted before it is deleted).
+/// The scripted workload: touches all three base tables, commits one
+/// multi-row batch, and keeps every prefix FK-consistent (orders divisible
+/// by 3 have no lineitems, so order 9 can be updated via delete+insert;
+/// part 50 is inserted before it is deleted).
 fn steps() -> Vec<Step> {
     let i = Datum::Int;
     vec![
-        Step::Insert("lineitem", fixtures::lineitem_row(3, 1, 2, 4, 42.0)),
-        Step::Insert("orders", fixtures::order_row(100, 7)),
-        Step::Insert("lineitem", fixtures::lineitem_row(100, 1, 5, 2, 9.5)),
-        Step::Refresh,
+        Step::Insert("lineitem", vec![fixtures::lineitem_row(3, 1, 2, 4, 42.0)]),
+        Step::Insert("orders", vec![fixtures::order_row(100, 7)]),
+        Step::Insert("lineitem", vec![fixtures::lineitem_row(100, 1, 5, 2, 9.5)]),
+        Step::Insert(
+            "lineitem",
+            vec![
+                fixtures::lineitem_row(100, 2, 1, 3, 4.0),
+                fixtures::lineitem_row(5, 3, 4, 1, 2.5),
+            ],
+        ),
         Step::Update(
             "lineitem",
             vec![i(2), i(1)],
             fixtures::lineitem_row(2, 1, 3, 99, 1.0),
         ),
         Step::Delete("lineitem", vec![i(3), i(1)]),
-        Step::Insert("part", fixtures::part_row(50, "crash-part", 3.25)),
-        Step::Refresh,
+        Step::Insert("part", vec![fixtures::part_row(50, "crash-part", 3.25)]),
+        Step::Insert("part", vec![fixtures::part_row(51, "crash-part-2", 8.0)]),
         Step::Update("orders", vec![i(9)], fixtures::order_row(9, 4242)),
         Step::Delete("part", vec![i(50)]),
     ]
@@ -113,8 +132,8 @@ fn total_records() -> u64 {
 
 fn apply<V: Vfs>(d: &mut DurableDatabase<V>, step: &Step) {
     match step {
-        Step::Insert(t, row) => {
-            d.insert(t, vec![row.clone()]).unwrap();
+        Step::Insert(t, rows) => {
+            d.insert(t, rows.clone()).unwrap();
         }
         Step::Delete(t, key) => {
             d.delete(t, std::slice::from_ref(key)).unwrap();
@@ -122,9 +141,6 @@ fn apply<V: Vfs>(d: &mut DurableDatabase<V>, step: &Step) {
         Step::Update(t, key, row) => {
             d.update(t, std::slice::from_ref(key), vec![row.clone()])
                 .unwrap();
-        }
-        Step::Refresh => {
-            d.refresh(DEFERRED).unwrap();
         }
     }
 }
@@ -145,25 +161,23 @@ fn twin_at(m: u64) -> Option<DurableDatabase<MemVfs>> {
     (logged == m).then_some(d)
 }
 
-/// The catalog-level operation each WAL record performs (refresh markers
-/// perform none) — the record-granular oracle for mid-update crash points.
+/// The catalog-level operation each WAL record performs — the
+/// record-granular oracle for mid-update crash points.
 enum CatOp {
-    Ins(&'static str, Row),
+    Ins(&'static str, Vec<Row>),
     Del(&'static str, Row),
-    None,
 }
 
 fn record_ops() -> Vec<CatOp> {
     let mut ops = Vec::new();
     for step in steps() {
         match step {
-            Step::Insert(t, row) => ops.push(CatOp::Ins(t, row)),
+            Step::Insert(t, rows) => ops.push(CatOp::Ins(t, rows)),
             Step::Delete(t, key) => ops.push(CatOp::Del(t, key)),
             Step::Update(t, key, row) => {
                 ops.push(CatOp::Del(t, key));
-                ops.push(CatOp::Ins(t, row));
+                ops.push(CatOp::Ins(t, vec![row]));
             }
-            Step::Refresh => ops.push(CatOp::None),
         }
     }
     ops
@@ -174,13 +188,12 @@ fn catalog_at(m: u64) -> Catalog {
     let mut c = populated_catalog();
     for op in record_ops().into_iter().take(usize::try_from(m).unwrap()) {
         match op {
-            CatOp::Ins(t, row) => {
-                c.insert(t, vec![row]).unwrap();
+            CatOp::Ins(t, rows) => {
+                c.insert(t, rows).unwrap();
             }
             CatOp::Del(t, key) => {
                 c.delete(t, std::slice::from_ref(&key)).unwrap();
             }
-            CatOp::None => {}
         }
     }
     c
@@ -268,10 +281,12 @@ fn check_cut(full: &MemVfs, segment: &str, cut: u64, ends: &[(u64, u64)]) {
                 encode_catalog(&oracle).unwrap(),
                 "cut {cut} (lsn {m}): recovered catalog differs from record oracle"
             );
-            assert!(
-                verify_against_recompute(rec.view(EAGER).unwrap(), rec.database().catalog()),
-                "cut {cut} (lsn {m}): eager view fails the recompute oracle"
-            );
+            for name in VIEWS {
+                assert!(
+                    verify_against_recompute(rec.view(name).unwrap(), rec.database().catalog()),
+                    "cut {cut} (lsn {m}): view {name} fails the recompute oracle"
+                );
+            }
             let bytes = rec.state_bytes().unwrap();
             let (again, _) = DurableDatabase::open(rec.into_vfs(), policy()).unwrap();
             assert_eq!(
@@ -293,10 +308,12 @@ fn workload_emits_the_expected_log() {
         apply(&mut d, &step);
     }
     assert_eq!(d.last_lsn(), total_records());
-    assert!(verify_against_recompute(
-        d.view(EAGER).unwrap(),
-        d.database().catalog()
-    ));
+    for name in VIEWS {
+        assert!(verify_against_recompute(
+            d.view(name).unwrap(),
+            d.database().catalog()
+        ));
+    }
     let vfs = d.into_vfs();
     let segment = newest_segment(&vfs);
     assert_eq!(segment, "wal-0000000000000001.log");
@@ -412,10 +429,12 @@ fn fuzz_sweep(cases: usize, seed: u64) {
                     encode_catalog(&oracle).unwrap(),
                     "case {case} {spec:?} (lsn {m}): catalog differs from record oracle"
                 );
-                assert!(
-                    verify_against_recompute(rec.view(EAGER).unwrap(), rec.database().catalog()),
-                    "case {case} {spec:?} (lsn {m}): eager view fails recompute"
-                );
+                for name in VIEWS {
+                    assert!(
+                        verify_against_recompute(rec.view(name).unwrap(), rec.database().catalog()),
+                        "case {case} {spec:?} (lsn {m}): view {name} fails recompute"
+                    );
+                }
                 let bytes = rec.state_bytes().unwrap();
                 let (again, _) = DurableDatabase::open(rec.into_vfs(), policy()).unwrap();
                 assert_eq!(
@@ -541,38 +560,11 @@ fn failed_update_append_poisons_the_database() {
     let pre_failure = d.state_bytes().unwrap();
 
     assert_failed_append_poisons(&mut d, &fail);
-    assert!(matches!(
-        d.refresh("anything"),
-        Err(CoreError::Poisoned { .. })
-    ));
 
     // Reopening from the log lands on the last consistent state: the
     // half-applied insert never happened.
     let (r, _) = DurableDatabase::open(d.into_vfs().crash(), policy()).unwrap();
     assert_eq!(r.state_bytes().unwrap(), pre_failure);
-}
-
-#[test]
-fn failed_refresh_marker_append_poisons_the_database() {
-    let (vfs, fail) = faulty();
-    let mut d = DurableDatabase::create(vfs, populated_catalog(), policy()).unwrap();
-    d.create_deferred_view(fixtures::oj_view_def()).unwrap();
-    d.insert("lineitem", vec![fixtures::lineitem_row(3, 1, 2, 4, 42.0)])
-        .unwrap();
-    let pre_refresh = d.state_bytes().unwrap();
-
-    fail.store(true, Ordering::SeqCst);
-    assert!(d.refresh("oj_view").is_err());
-    fail.store(false, Ordering::SeqCst);
-    // The store was refreshed but the watermark marker never made the
-    // log: checkpointing now would make recovery double-apply the
-    // consumed batch, so the database must refuse.
-    assert!(matches!(d.checkpoint(), Err(CoreError::Poisoned { .. })));
-
-    // Recovery rewinds to the pre-refresh state, batch still pending.
-    let (r, _) = DurableDatabase::open(d.into_vfs().crash(), policy()).unwrap();
-    assert_eq!(r.state_bytes().unwrap(), pre_refresh);
-    assert_eq!(r.deferred_view("oj_view").unwrap().pending_len(), 1);
 }
 
 fn orderkey_routing() -> RoutingSpec {
