@@ -59,8 +59,8 @@ mkdir -p target/feedbench-ci
 (cd target/feedbench-ci && ../../target/release/repro --sf 0.05 feedbench)
 
 # The race detector is process-wide: under concheck the suite runs one test
-# at a time, or a sibling test's commits show up as races in the detector
-# session of `parallel_shard_merge_is_race_free` (they do on 2+ cores).
+# at a time, so one test's commits never land in another test's detector
+# session.
 echo "==> sharding suite: differential property + group-commit crash matrix (plain + concheck)"
 cargo test --offline -q --test property_sharding --test readme_quickstart_sharding
 cargo test --offline -q --features concheck --test property_sharding -- --test-threads=1

@@ -176,7 +176,7 @@ pub fn run_feedbench(
     batches: usize,
 ) -> (FeedSetup, Vec<FeedPoint>) {
     let mut db = build_db(env);
-    let hub = FeedHub::with_threads(4);
+    let hub = FeedHub::new();
     hub.attach(&mut db);
     let specs = build_specs(&db, distinct);
     let view_rows = db.view(VIEW).expect("view exists").len();

@@ -7,7 +7,6 @@ use ojv_core::maintain::{maintain, verify_against_recompute};
 use ojv_core::materialize::MaterializedView;
 use ojv_core::policy::MaintenancePolicy;
 use ojv_core::view_def::ViewDef;
-use ojv_exec::ParallelSpec;
 use ojv_rel::Datum;
 use ojv_storage::{Catalog, Update};
 use ojv_tpch::{create_tpch_catalog, TpchGen};
@@ -116,7 +115,7 @@ pub struct Measurement {
     pub time: Duration,
     pub primary_rows: usize,
     pub secondary_rows: usize,
-    /// Per-operator executor counters for the measured run (rows, morsels,
+    /// Per-operator executor counters for the measured run (rows, calls,
     /// wall-clock, heap allocations when the counting allocator is
     /// installed).
     pub exec: ojv_exec::ExecStatsSnapshot,
@@ -135,7 +134,7 @@ pub fn maintain_with(
         System::CoreView | System::OuterJoin => {
             maintain(view, catalog, update, &policy).expect("maintenance")
         }
-        System::OuterJoinGk => maintain_gk(view, catalog, update, &policy).expect("GK maintenance"),
+        System::OuterJoinGk => maintain_gk(view, catalog, update).expect("GK maintenance"),
     }
 }
 
@@ -234,72 +233,6 @@ pub fn run_table1(env: &Env, batch: usize) -> Table1 {
         .map(|((tables, b), (_, a))| (label(*tables), *b, a.abs_diff(*b)))
         .collect();
     Table1 { rows, batch }
-}
-
-/// One thread-scaling measurement point: V3 maintained after a lineitem
-/// insert batch, with the morsel executor at a given thread count.
-#[derive(Debug, Clone)]
-pub struct ThreadScaling {
-    pub threads: usize,
-    pub batch: usize,
-    /// Median maintenance time over the repetitions.
-    pub time: Duration,
-    /// Relative to the 1-thread entry of the same sweep (1.0 until one runs).
-    pub speedup: f64,
-    pub primary_rows: usize,
-}
-
-/// Thread-scaling ablation: the same insert-maintenance workload at each
-/// thread count, identical results checked against recompute once per
-/// setting. The cutoff is lowered so moderate deltas actually cross into
-/// the parallel path.
-pub fn run_thread_scaling(
-    env: &Env,
-    batch: usize,
-    repetitions: usize,
-    threads: &[usize],
-) -> Vec<ThreadScaling> {
-    let mut out: Vec<ThreadScaling> = Vec::new();
-    let mut serial = Duration::ZERO;
-    for &n in threads {
-        let policy = MaintenancePolicy {
-            parallel: ParallelSpec::threads(n).with_cutoff(1_024),
-            ..Default::default()
-        };
-        let mut runs: Vec<(Duration, usize)> = (0..repetitions.max(1))
-            .map(|rep| {
-                let (mut catalog, mut view) = env.fresh_view(System::OuterJoin);
-                // Same batch for every rep and thread count: repetitions
-                // time identical work, and the reported delta cardinality is
-                // a constant the caller can cross-check across settings.
-                let rows = env.gen.lineitem_insert_batch(batch, 0);
-                let update = catalog.insert("lineitem", rows).expect("batch applies");
-                let start = Instant::now();
-                let report = maintain(&mut view, &catalog, &update, &policy).expect("maintenance");
-                let t = start.elapsed();
-                if rep == 0 {
-                    assert!(
-                        verify_against_recompute(&view, &catalog),
-                        "{n}-thread maintenance diverged from recompute"
-                    );
-                }
-                (t, report.primary_rows)
-            })
-            .collect();
-        runs.sort_by_key(|(t, _)| *t);
-        let (time, primary_rows) = runs[runs.len() / 2];
-        if serial.is_zero() {
-            serial = time;
-        }
-        out.push(ThreadScaling {
-            threads: n,
-            batch,
-            time,
-            speedup: serial.as_secs_f64() / time.as_secs_f64().max(f64::EPSILON),
-            primary_rows,
-        });
-    }
-    out
 }
 
 /// The Example 1 fast-path demonstration: part/orders/customer updates on
@@ -401,18 +334,6 @@ mod tests {
         // The big term (4 letters) must dominate cardinality.
         let colp = t.rows.iter().find(|(l, _, _)| l.len() == 4).unwrap();
         assert!(t.rows.iter().all(|(_, c, _)| *c <= colp.1));
-    }
-
-    #[test]
-    fn thread_scaling_is_exact_at_every_thread_count() {
-        let cfg = tiny();
-        let env = Env::new(&cfg);
-        let points = run_thread_scaling(&env, 50, 1, &[1, 2, 4]);
-        assert_eq!(points.len(), 3);
-        assert!(points
-            .iter()
-            .all(|p| p.primary_rows == points[0].primary_rows));
-        assert!((points[0].speedup - 1.0).abs() < 1e-9);
     }
 
     #[test]

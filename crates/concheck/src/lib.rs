@@ -9,10 +9,9 @@
 //!   `.write()` with no arguments) and derives a **lock-acquisition-order
 //!   graph** from guard live ranges, propagated across the workspace call
 //!   graph — a cycle is a potential deadlock (`lock-order-cycle`);
-//! * bans lock acquisition inside worker closures — the `spawn(..)` of the
-//!   workspace's one pool (`ojv_exec::run_pool`) and every closure handed
-//!   to it: workers coordinate through the in-order merge at the join, not
-//!   locks (`lock-in-worker`);
+//! * bans lock acquisition inside worker closures — every closure handed to
+//!   a `spawn(..)`: workers coordinate through what they return at the
+//!   join, not locks (`lock-in-worker`);
 //! * bans holding a guard across a call to a caller-supplied callback,
 //!   which would let user code re-enter the lock or block commit
 //!   (`guard-across-callback`);
@@ -58,7 +57,7 @@ pub const INVARIANTS: [InvariantDef; 4] = [
     },
     InvariantDef {
         id: "lock-in-worker",
-        desc: "no lock acquisition inside worker closures (spawn(..) or run_pool(..) arguments); the pool coordinates via its in-order merge",
+        desc: "no lock acquisition inside worker closures (spawn(..) arguments); workers coordinate via what they return at the join",
         scope: "crates/*/src, src (non-test code)",
     },
     InvariantDef {
@@ -154,11 +153,10 @@ fn check_file(
     }
 
     // lock-in-worker: any acquisition lexically inside the argument list of
-    // a `spawn(..)` call or of a `run_pool(..)` call — the pool runs the
-    // closures it is handed on its workers.
+    // a `spawn(..)` call.
     let mut worker_spans: Vec<(usize, usize)> = Vec::new();
     for i in 0..toks.len().saturating_sub(1) {
-        if matches!(toks[i].text, "spawn" | "run_pool") && toks[i + 1].text == "(" {
+        if toks[i].text == "spawn" && toks[i + 1].text == "(" {
             let mut depth = 0usize;
             let mut j = i + 1;
             while j < toks.len() {
@@ -607,17 +605,6 @@ mod tests {
     #[test]
     fn seeded_lock_in_worker_is_flagged() {
         let src = "fn f(s: &Scope, m: &Mutex<u32>) {\n    s.spawn(move || {\n        let g = m.lock();\n        *g + 1\n    });\n}\n";
-        let v = check_sources(&files(&[("crates/x/src/lib.rs", src)]));
-        assert!(
-            v.iter()
-                .any(|v| v.invariant == "lock-in-worker" && v.line == 3),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn lock_in_pool_work_closure_is_flagged() {
-        let src = "fn f(m: &Mutex<u32>) {\n    run_pool(\"x\", 2, items, |_, i| {\n        let g = m.lock();\n        *g + i\n    });\n}\n";
         let v = check_sources(&files(&[("crates/x/src/lib.rs", src)]));
         assert!(
             v.iter()

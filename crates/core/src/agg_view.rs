@@ -15,14 +15,14 @@
 use std::sync::Arc;
 
 use ojv_algebra::TableId;
-use ojv_exec::{eval_expr, DeltaInput, ExecCtx};
+use ojv_exec::{eval_expr, ExecCtx, ExecStats};
 use ojv_rel::{key_of, Column, DataType, Datum, ExactFloatSum, FxHashMap, Relation, Row, Schema};
 use ojv_storage::{Catalog, Update, UpdateOp};
 
 use crate::analyze::{analyze, ViewAnalysis};
 use crate::compile::{CompiledMaintenancePlan, PlanCache, PlanConfig};
 use crate::error::{CoreError, Result};
-use crate::maintain::{IndirectTermView, MaintenanceReport};
+use crate::maintain::{delta_ctx, IndirectTermView, MaintenanceReport};
 use crate::policy::MaintenancePolicy;
 use crate::secondary::{self, SecondaryCtx};
 use crate::view_def::ViewDef;
@@ -312,26 +312,19 @@ impl MaterializedAggView {
             report.noop = true;
             return Ok(report);
         }
-        // The aggregated store is independent of the delta computations
-        // (the secondary delta always comes from base tables, §3.3), so
-        // compute both deltas first, then merge.
-        let analysis = self.analysis.clone();
-        ojv_analysis::verify_delta_arity(&analysis.layout, t, update.rows.schema().len())
+        ojv_analysis::verify_delta_arity(&self.analysis.layout, t, update.rows.schema().len())
             .map_err(CoreError::Plan)?;
-        let delta_input = DeltaInput {
-            table: t,
-            rows: &update.rows,
-        };
-        let exec = ExecCtx::with_delta(catalog, &analysis.layout, delta_input)
-            .with_parallel(policy.parallel);
-
+        let stats = ExecStats::default();
         let start = std::time::Instant::now();
         let primary: Vec<Row> = match &compiled.plan {
             None => Vec::new(),
-            Some(plan) => eval_expr(&exec, plan)?,
+            Some(plan) => eval_expr(
+                &delta_ctx(catalog, &self.analysis.layout, t, update, &stats),
+                plan,
+            )?,
         };
         let primary_compute = start.elapsed();
-        self.apply_with_primary(&exec, update, &analysis, &compiled, &primary, &mut report)?;
+        self.apply_with_primary(catalog, &stats, update, &compiled, &primary, &mut report)?;
         report.primary_compute = primary_compute;
         Ok(report)
     }
@@ -339,11 +332,15 @@ impl MaterializedAggView {
     /// Compute the secondary delta and merge both deltas into the group
     /// states, given an already-evaluated primary delta. Factored out so the
     /// batch layer can feed a shared primary delta in.
+    ///
+    /// The aggregated store is independent of the delta computations (the
+    /// secondary delta always comes from base tables, §3.3), so both deltas
+    /// are computed first, then merged.
     pub(crate) fn apply_with_primary(
         &mut self,
-        exec: &ExecCtx<'_>,
+        catalog: &Catalog,
+        stats: &ExecStats,
         update: &Update,
-        analysis: &ViewAnalysis,
         compiled: &CompiledMaintenancePlan,
         primary: &[Row],
         report: &mut MaintenanceReport,
@@ -362,15 +359,16 @@ impl MaterializedAggView {
         let start = std::time::Instant::now();
         let mut secondary_rows: Vec<Row> = Vec::new();
         if !compiled.indirect.is_empty() && !primary.is_empty() {
+            let exec = delta_ctx(catalog, &self.analysis.layout, t, update, stats);
             let sctx = SecondaryCtx {
-                layout: &analysis.layout,
-                terms: &analysis.terms,
+                layout: &self.analysis.layout,
+                terms: &self.analysis.terms,
                 updated: t,
             };
             for ind in &compiled.indirect {
                 let insert = update.op == UpdateOp::Insert;
                 let ind = IndirectTermView::from(ind);
-                secondary_rows.extend(secondary::from_base(&sctx, exec, &ind, primary, insert)?);
+                secondary_rows.extend(secondary::from_base(&sctx, &exec, &ind, primary, insert)?);
             }
         }
         report.secondary_rows = secondary_rows.len();

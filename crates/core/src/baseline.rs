@@ -24,7 +24,6 @@ use ojv_storage::{Catalog, Update, UpdateOp};
 use crate::error::Result;
 use crate::maintain::MaintenanceReport;
 use crate::materialize::MaterializedView;
-use crate::policy::MaintenancePolicy;
 
 /// Recompute the view from scratch, diff against the stored contents by
 /// view key, and apply the difference.
@@ -32,7 +31,6 @@ pub fn maintain_recompute(
     view: &mut MaterializedView,
     catalog: &Catalog,
     update: &Update,
-    policy: &MaintenancePolicy,
 ) -> Result<MaintenanceReport> {
     let mut report = MaintenanceReport {
         view: view.name().to_string(),
@@ -41,7 +39,7 @@ pub fn maintain_recompute(
         ..Default::default()
     };
     let start = Instant::now();
-    let ctx = ExecCtx::new(catalog, &view.analysis.layout).with_parallel(policy.parallel);
+    let ctx = ExecCtx::new(catalog, &view.analysis.layout);
     let fresh = eval_expr(&ctx, &view.analysis.expr)?;
     report.primary_compute = start.elapsed();
 
@@ -75,7 +73,6 @@ pub fn maintain_gk(
     view: &mut MaterializedView,
     catalog: &Catalog,
     update: &Update,
-    policy: &MaintenancePolicy,
 ) -> Result<MaintenanceReport> {
     let mut report = MaintenanceReport {
         view: view.name().to_string(),
@@ -98,8 +95,7 @@ pub fn maintain_gk(
         table: t,
         rows: &update.rows,
     };
-    let mut exec =
-        ExecCtx::with_delta(catalog, &layout, delta_input).with_parallel(policy.parallel);
+    let mut exec = ExecCtx::with_delta(catalog, &layout, delta_input);
     // Cost characteristic (a): no index-aware plans.
     exec.prefer_index_joins = false;
 
@@ -312,7 +308,7 @@ mod tests {
         let up = c
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
-        maintain_recompute(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
+        maintain_recompute(&mut view, &c, &up).unwrap();
         assert!(verify_against_recompute(&view, &c));
         let down = c
             .delete(
@@ -320,7 +316,7 @@ mod tests {
                 &[vec![ojv_rel::Datum::Int(3), ojv_rel::Datum::Int(1)]],
             )
             .unwrap();
-        maintain_recompute(&mut view, &c, &down, &MaintenancePolicy::paper()).unwrap();
+        maintain_recompute(&mut view, &c, &down).unwrap();
         assert!(verify_against_recompute(&view, &c));
     }
 
@@ -334,7 +330,7 @@ mod tests {
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
         maintain(&mut ours, &c, &up, &MaintenancePolicy::paper()).unwrap();
-        maintain_gk(&mut gk, &c, &up, &MaintenancePolicy::paper()).unwrap();
+        maintain_gk(&mut gk, &c, &up).unwrap();
         assert!(verify_against_recompute(&gk, &c));
         let mut a: Vec<Row> = ours.wide_rows().to_vec();
         let mut b: Vec<Row> = gk.wide_rows().to_vec();
@@ -355,7 +351,7 @@ mod tests {
                     &[vec![ojv_rel::Datum::Int(2), ojv_rel::Datum::Int(ln)]],
                 )
                 .unwrap();
-            maintain_gk(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
+            maintain_gk(&mut view, &c, &up).unwrap();
             assert!(verify_against_recompute(&view, &c));
         }
     }
@@ -366,15 +362,15 @@ mod tests {
         populate_example1(&mut c, 8, 9);
         let mut view = MaterializedView::create(&c, oj_view_def()).unwrap();
         let up = c.insert("part", vec![part_row(100, "p", 1.0)]).unwrap();
-        maintain_gk(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
+        maintain_gk(&mut view, &c, &up).unwrap();
         assert!(verify_against_recompute(&view, &c));
         let up = c.insert("orders", vec![order_row(100, 5)]).unwrap();
-        maintain_gk(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
+        maintain_gk(&mut view, &c, &up).unwrap();
         assert!(verify_against_recompute(&view, &c));
         let down = c
             .delete("orders", &[vec![ojv_rel::Datum::Int(100)]])
             .unwrap();
-        maintain_gk(&mut view, &c, &down, &MaintenancePolicy::paper()).unwrap();
+        maintain_gk(&mut view, &c, &down).unwrap();
         assert!(verify_against_recompute(&view, &c));
     }
 
@@ -393,7 +389,7 @@ mod tests {
             ("u", 103, 0),
         ] {
             let up = c.insert(name, vec![v1_row(id, jc, 0)]).unwrap();
-            maintain_gk(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
+            maintain_gk(&mut view, &c, &up).unwrap();
             assert!(
                 verify_against_recompute(&view, &c),
                 "GK diverged after insert into {name}"
@@ -401,7 +397,7 @@ mod tests {
         }
         for (name, id) in [("t", 100i64), ("u", 2), ("s", 1), ("r", 3)] {
             let up = c.delete(name, &[vec![ojv_rel::Datum::Int(id)]]).unwrap();
-            maintain_gk(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
+            maintain_gk(&mut view, &c, &up).unwrap();
             assert!(
                 verify_against_recompute(&view, &c),
                 "GK diverged after delete from {name}"

@@ -1,6 +1,5 @@
 //! The batch layer: maintain every affected view of one base-table update
-//! with cross-view sharing of common plan prefixes and a bounded worker
-//! pool.
+//! with cross-view sharing of common plan prefixes.
 //!
 //! Given one `Update`, [`maintain_batch`]:
 //!
@@ -9,13 +8,14 @@
 //! 2. fingerprints the plans and factors shared leading subplans — the `ΔT`
 //!    scan and common leftmost join prefixes — into a trie, so shared work
 //!    executes once and fans its rows out into the per-view remainders,
-//! 3. applies the per-view deltas on the workspace pool
-//!    ([`ojv_exec::run_pool`]) capped by `MaintenancePolicy::parallel.threads`;
-//!    a panic at the job boundary surfaces as [`CoreError::MaintenancePanic`].
+//! 3. applies the per-view deltas one view at a time, each view borrowed in
+//!    place; a panic at the job boundary ([`ojv_exec::catch_each`])
+//!    surfaces as [`CoreError::MaintenancePanic`] while the other views
+//!    still complete.
 //!
 //! Sharing is safe because primary-delta evaluation reads only the catalog
 //! and the update's rows — never a view store — so evaluating all primaries
-//! before applying any is byte-identical to the serial interleaved order.
+//! before applying any is byte-identical to the interleaved order.
 //! Two plans may share rows only when their views' wide-row layouts agree
 //! (equal `layout_sig`); within a layout group the trie is keyed by the
 //! structural fingerprints of the spine steps.
@@ -31,14 +31,12 @@ use std::time::{Duration, Instant};
 
 use ojv_algebra::{fingerprint_expr, Expr, Spine, SpineStep, TableId, TableSet};
 use ojv_exec::{
-    apply_spine_step, eval_expr_buf, run_pool, DeltaInput, ExecCtx, ExecStats, ParallelSpec,
-    ViewLayout,
+    apply_spine_step, catch_each, eval_expr_buf, DeltaInput, ExecCtx, ExecStats, ViewLayout,
 };
 use ojv_rel::{Relation, Row, RowBuf};
 use ojv_storage::{Catalog, Update};
 
 use crate::agg_view::MaterializedAggView;
-use crate::analyze::ViewAnalysis;
 use crate::compile::{CompiledMaintenancePlan, PlanConfig};
 use crate::error::{CoreError, Result};
 use crate::maintain::MaintenanceReport;
@@ -52,22 +50,16 @@ enum JobTarget {
     Agg(usize),
 }
 
-/// One unit of batched maintenance: a view, its compiled plan, and a clone
-/// of its analysis (so execution can borrow the layout while the view store
-/// is mutated).
+/// One unit of batched maintenance: a view and its compiled plan.
 struct Job {
     target: JobTarget,
     name: String,
-    analysis: ViewAnalysis,
     compiled: Arc<CompiledMaintenancePlan>,
 }
 
 /// Maintain every affected view and aggregated view for `update`, which has
 /// already been applied to the catalog. Returns one report per non-noop
 /// view, in registration order (views first, then aggregated views).
-///
-/// `policy.parallel.threads` caps the worker pool; `1` runs the jobs inline
-/// on the calling thread.
 pub fn maintain_batch(
     views: &mut [MaterializedView],
     agg_views: &mut [MaterializedAggView],
@@ -77,8 +69,8 @@ pub fn maintain_batch(
 ) -> Result<Vec<MaintenanceReport>> {
     let cfg = PlanConfig::of(policy);
 
-    // Phase 1 (serial): resolve plans, skip unaffected views, run the cheap
-    // per-run arity check.
+    // Phase 1: resolve plans, skip unaffected views, run the cheap per-run
+    // arity check.
     let mut jobs: Vec<Job> = Vec::new();
     for (i, v) in views.iter_mut().enumerate() {
         let Some(t) = v.analysis.layout.table_id(&update.table) else {
@@ -93,7 +85,6 @@ pub fn maintain_batch(
         jobs.push(Job {
             target: JobTarget::View(i),
             name: v.name().to_string(),
-            analysis: v.analysis.clone(),
             compiled,
         });
     }
@@ -110,7 +101,6 @@ pub fn maintain_batch(
         jobs.push(Job {
             target: JobTarget::Agg(i),
             name: v.name().to_string(),
-            analysis: v.analysis.clone(),
             compiled,
         });
     }
@@ -122,113 +112,59 @@ pub fn maintain_batch(
     // (attributed to each subtree's owner job) and the per-job remainder.
     let stats: Vec<ExecStats> = jobs.iter().map(|_| ExecStats::default()).collect();
 
-    // Phase 2 (serial): evaluate every primary delta through the tries.
-    let shared = eval_shared(&jobs, catalog, update, policy, &stats)?;
-
-    // Phase 3: per-view application on the bounded pool.
-    let mut view_slots: Vec<Option<&mut MaterializedView>> = views.iter_mut().map(Some).collect();
-    let mut agg_slots: Vec<Option<&mut MaterializedAggView>> =
-        agg_views.iter_mut().map(Some).collect();
-    let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
-    let works: Vec<Work<'_>> = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(k, job)| Work {
-            name: job.name,
-            analysis: job.analysis,
-            compiled: job.compiled,
-            target: match job.target {
-                JobTarget::View(i) => {
-                    WorkTarget::View(view_slots[i].take().expect("one job per view"))
-                }
-                JobTarget::Agg(i) => {
-                    WorkTarget::Agg(agg_slots[i].take().expect("one job per view"))
-                }
-            },
-            primary: shared.primaries[k].clone(),
-            shared_compute: shared.durations[k],
-            shared_with: shared.shared_with[k],
+    // Phase 2: evaluate every primary delta through the tries.
+    let layouts: Vec<&ViewLayout> = jobs
+        .iter()
+        .map(|job| match job.target {
+            JobTarget::View(i) => &views[i].analysis.layout,
+            JobTarget::Agg(i) => &agg_views[i].analysis.layout,
         })
         .collect();
+    let shared = eval_shared(&jobs, &layouts, catalog, update, &stats)?;
 
-    // One broken view cannot take down its siblings: the pool catches a
-    // panic at the job boundary and the other jobs still complete.
-    let results = run_pool("core.batch", policy.parallel.threads, works, |k, w| {
-        run_job(w, catalog, update, policy, &stats[k])
+    // Phase 3: apply each view's primary delta and run its secondary step.
+    // One broken view cannot take down its siblings: a panic is caught at
+    // the job boundary and the other jobs still complete.
+    let results = catch_each(&jobs, |k, job| -> Result<MaintenanceReport> {
+        #[cfg(test)]
+        test_panic::maybe_panic(&job.name);
+        let mut report = MaintenanceReport {
+            view: job.name.clone(),
+            table: update.table.clone(),
+            update_rows: update.rows.len(),
+            ..Default::default()
+        };
+        let primary = &shared.primaries[k];
+        match job.target {
+            JobTarget::View(i) => crate::maintain::apply_with_primary(
+                &mut views[i],
+                catalog,
+                &stats[k],
+                update,
+                &job.compiled,
+                primary,
+                &mut report,
+            )?,
+            JobTarget::Agg(i) => agg_views[i].apply_with_primary(
+                catalog,
+                &stats[k],
+                update,
+                &job.compiled,
+                primary,
+                &mut report,
+            )?,
+        }
+        report.primary_compute = shared.durations[k];
+        report.shared_with = shared.shared_with[k];
+        report.exec = stats[k].snapshot();
+        Ok(report)
     });
     let mut reports = Vec::with_capacity(results.len());
-    for (result, view) in results.into_iter().zip(names) {
+    for (result, job) in results.into_iter().zip(&jobs) {
+        let view = job.name.clone();
         reports.push(result.map_err(|detail| CoreError::MaintenancePanic { view, detail })??);
     }
     Ok(reports)
-}
-
-/// Mutable handle on a job's view for the execution phase.
-enum WorkTarget<'a> {
-    View(&'a mut MaterializedView),
-    Agg(&'a mut MaterializedAggView),
-}
-
-struct Work<'a> {
-    name: String,
-    analysis: ViewAnalysis,
-    compiled: Arc<CompiledMaintenancePlan>,
-    target: WorkTarget<'a>,
-    /// The primary delta phase 2 evaluated for this job.
-    primary: Arc<Vec<Row>>,
-    /// Primary-compute time attributed to this job by the shared evaluation
-    /// (`ZERO` for jobs that rode along on another job's work).
-    shared_compute: Duration,
-    shared_with: usize,
-}
-
-/// Run one job: apply the primary delta phase 2 evaluated, then compute
-/// and apply the secondary delta.
-fn run_job(
-    mut work: Work<'_>,
-    catalog: &Catalog,
-    update: &Update,
-    policy: &MaintenancePolicy,
-    stats: &ExecStats,
-) -> Result<MaintenanceReport> {
-    #[cfg(test)]
-    test_panic::maybe_panic(&work.name);
-    let mut report = MaintenanceReport {
-        view: work.name.clone(),
-        table: update.table.clone(),
-        update_rows: update.rows.len(),
-        ..Default::default()
-    };
-    let delta = DeltaInput {
-        table: work.compiled.table,
-        rows: &update.rows,
-    };
-    let exec = ExecCtx::with_delta(catalog, &work.analysis.layout, delta)
-        .with_parallel(policy.parallel)
-        .with_stats(stats);
-    match &mut work.target {
-        WorkTarget::View(v) => crate::maintain::apply_with_primary(
-            v,
-            &exec,
-            update,
-            &work.analysis,
-            &work.compiled,
-            &work.primary,
-            &mut report,
-        )?,
-        WorkTarget::Agg(v) => v.apply_with_primary(
-            &exec,
-            update,
-            &work.analysis,
-            &work.compiled,
-            &work.primary,
-            &mut report,
-        )?,
-    }
-    report.primary_compute = work.shared_compute;
-    report.shared_with = work.shared_with;
-    report.exec = stats.snapshot();
-    Ok(report)
 }
 
 /// Output of the shared-prefix evaluation, indexed by job.
@@ -340,7 +276,6 @@ struct BatchEnv<'a> {
     layout: &'a ViewLayout,
     table: TableId,
     rows: &'a Relation,
-    parallel: ParallelSpec,
     stats: &'a [ExecStats],
 }
 
@@ -354,7 +289,6 @@ impl BatchEnv<'_> {
                 rows: self.rows,
             },
         )
-        .with_parallel(self.parallel)
         .with_stats(&self.stats[owner])
     }
 }
@@ -398,12 +332,13 @@ fn layout_tries<'a>(spines: impl IntoIterator<Item = Option<(u64, &'a Spine)>>) 
     groups.into_iter().map(|(_, tries)| tries).collect()
 }
 
-/// Evaluate every job's primary delta through the layout-grouped tries.
+/// Evaluate every job's primary delta through the layout-grouped tries;
+/// `layouts[k]` is the wide-row layout of job `k`'s view.
 fn eval_shared(
     jobs: &[Job],
+    layouts: &[&ViewLayout],
     catalog: &Catalog,
     update: &Update,
-    policy: &MaintenancePolicy,
     stats: &[ExecStats],
 ) -> Result<SharedPrimaries> {
     let n = jobs.len();
@@ -420,13 +355,12 @@ fn eval_shared(
             .map(|s| (j.compiled.layout_sig, s))
     });
     for tries in layout_tries(spines) {
-        let lead = &jobs[tries[0].owner];
+        let lead = tries[0].owner;
         let env = BatchEnv {
             catalog,
-            layout: &lead.analysis.layout,
-            table: lead.compiled.table,
+            layout: layouts[lead],
+            table: jobs[lead].compiled.table,
             rows: &update.rows,
-            parallel: policy.parallel,
             stats,
         };
         for trie in &tries {
@@ -550,7 +484,7 @@ fn render_shared_nodes(node: &TrieNode, s: &mut String) {
 }
 
 /// Test-only panic injection: while armed, any job maintaining a view named
-/// `panic_me` panics inside the worker, exercising the catch-and-surface
+/// `panic_me` panics inside its job, exercising the catch-and-surface
 /// path. The flag is process-wide, so arming also takes a gate: tests that
 /// arm run one at a time.
 #[cfg(test)]
@@ -689,45 +623,38 @@ mod tests {
     }
 
     /// A panicking job surfaces as `MaintenancePanic` instead of taking the
-    /// process down, on both the inline and the threaded path.
+    /// process down, and the view after it in the batch is still maintained
+    /// and published.
     #[test]
     fn job_panic_is_caught_and_surfaced() {
-        for threads in [1usize, 4] {
-            let mut c = example1_catalog();
-            populate_example1(&mut c, 8, 9);
-            let mut db = Database::new(c);
-            db.policy = MaintenancePolicy::with_threads(threads);
-            db.create_view(oj_view_def().with_name("ok_view")).unwrap();
-            db.create_view(oj_view_def().with_name("panic_me")).unwrap();
-            let armed = test_panic::arm();
-            let err = db.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)]);
-            drop(armed);
-            match err {
-                Err(CoreError::MaintenancePanic { view, detail }) => {
-                    assert_eq!(view, "panic_me");
-                    assert!(detail.contains("injected"), "detail: {detail}");
-                }
-                other => panic!("expected MaintenancePanic, got {other:?}"),
+        let mut c = example1_catalog();
+        populate_example1(&mut c, 8, 9);
+        let mut db = Database::new(c);
+        db.create_view(oj_view_def().with_name("panic_me")).unwrap();
+        db.create_view(oj_view_def().with_name("ok_view")).unwrap();
+        let armed = test_panic::arm();
+        let err = db.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)]);
+        drop(armed);
+        match err {
+            Err(CoreError::MaintenancePanic { view, detail }) => {
+                assert_eq!(view, "panic_me");
+                assert!(detail.contains("injected"), "detail: {detail}");
             }
+            other => panic!("expected MaintenancePanic, got {other:?}"),
         }
-    }
-
-    /// The worker pool is capped by `policy.parallel.threads`, and capped
-    /// parallel maintenance matches serial output.
-    #[test]
-    fn bounded_pool_matches_serial() {
-        let mut serial = db_with_views(5);
-        let mut pooled = db_with_views(5);
-        pooled.policy = MaintenancePolicy::with_threads(2);
-        for d in [&mut serial, &mut pooled] {
-            d.insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
-                .unwrap();
-        }
-        for i in 0..5 {
-            let a = serial.view(&format!("v{i}")).unwrap();
-            let b = pooled.view(&format!("v{i}")).unwrap();
-            assert_eq!(a.wide_rows(), b.wide_rows());
-        }
+        // The sibling ran to completion: its delta was journaled and
+        // published, and it matches a recompute.
+        assert!(
+            db.last_commit_deltas()
+                .iter()
+                .any(|(view, ins, _)| view == "ok_view" && *ins > 0),
+            "sibling delta missing: {:?}",
+            db.last_commit_deltas()
+        );
+        assert!(verify_against_recompute(
+            db.view("ok_view").unwrap(),
+            db.catalog()
+        ));
     }
 
     /// Steady state compiles nothing: after view creation warms the caches,

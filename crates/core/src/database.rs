@@ -46,10 +46,7 @@ pub struct Database {
     /// Per-view `(name, inserts, deletes)` of the last commit's journaled
     /// delta, for `explain_batch`'s `delta` lines. Only touched views appear.
     last_deltas: Vec<(String, usize, usize)>,
-    /// Maintenance policy applied to every view on every update. Independent
-    /// views are maintained on up to `policy.parallel.threads` pool workers
-    /// (views never share mutable state — each owns its store and the catalog
-    /// is read-only during maintenance — so this is a pure fan-out).
+    /// Maintenance policy applied to every view on every update.
     pub policy: MaintenancePolicy,
 }
 
@@ -241,10 +238,8 @@ impl Database {
     /// `update` as one half of an SQL `UPDATE` (delete + insert, §3): the §6
     /// FK shortcuts are off for the pair. The bit travels with the commit —
     /// the effective policy is a local `Copy`, the stored one is never
-    /// touched. The sharded engine fans this out per shard (each shard owns
-    /// its stores, so the fan-out shares nothing) and publishes every shard
-    /// afterwards — on the coordinator thread — via
-    /// [`Database::publish_commit`].
+    /// touched. The sharded engine runs this per shard and publishes every
+    /// shard afterwards via [`Database::publish_commit`].
     pub(crate) fn maintain_views_only(
         &mut self,
         update: &Update,
@@ -537,34 +532,6 @@ mod tests {
         assert!(db
             .explain_maintenance("missing", "part", ojv_storage::UpdateOp::Insert)
             .is_err());
-    }
-
-    #[test]
-    fn parallel_maintenance_matches_sequential() {
-        let mut seq = db();
-        let mut par = db();
-        par.policy = MaintenancePolicy::with_threads(4);
-        for d in [&mut seq, &mut par] {
-            d.create_view(oj_view_def()).unwrap();
-            let agg = crate::agg_view::AggViewDef::new("agg", oj_view_def())
-                .group_by("part", "p_partkey")
-                .agg("cnt", AggSpec::CountRows);
-            d.create_agg_view(agg).unwrap();
-        }
-        for (ok, ln, pk) in [(3i64, 1i64, 2i64), (3, 2, 4), (6, 3, 1)] {
-            let row = lineitem_row(ok, ln, pk, 1, 2.0);
-            let a = seq.insert("lineitem", vec![row.clone()]).unwrap();
-            let b = par.insert("lineitem", vec![row]).unwrap();
-            assert_eq!(a.len(), b.len());
-        }
-        let va = seq.view("oj_view").unwrap().output().unwrap();
-        let vb = par.view("oj_view").unwrap().output().unwrap();
-        assert!(va.bag_eq(&vb));
-        assert!(seq
-            .agg_view("agg")
-            .unwrap()
-            .output()
-            .bag_eq(&par.agg_view("agg").unwrap().output()));
     }
 
     /// Test observer: counts the ops it was handed and reports fixed

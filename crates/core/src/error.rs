@@ -30,7 +30,7 @@ pub enum CoreError {
     Plan(PlanViolation),
     /// WAL / checkpoint / filesystem error from the durability layer.
     Durability(DurabilityError),
-    /// A maintenance job panicked on a worker thread of the batch executor.
+    /// A maintenance job (one view, or one shard's maintenance) panicked.
     /// The panic is caught at the job boundary — sibling views finish their
     /// jobs and the panic surfaces as an error instead of poisoning the
     /// whole process.

@@ -199,7 +199,7 @@ fn walk(
 
 /// Render the per-operator executor counters a maintenance run collected
 /// (see [`crate::maintain::MaintenanceReport::exec`]) — actual rows in/out,
-/// morsel counts, wall-clock, and heap allocations per operator, the
+/// calls, wall-clock, and heap allocations per operator, the
 /// measured counterpart to [`explain_plan`]'s estimates. Operators that
 /// never ran are omitted; the allocation columns read 0 unless the process
 /// installed the counting allocator (`ojv_rel::CountingAlloc`).
@@ -215,15 +215,15 @@ pub fn render_exec_stats(stats: &ExecStatsSnapshot) -> String {
     let mut out = String::from("operator counters:\n");
     let mut any = false;
     for (name, op) in ops {
-        if op.morsels == 0 {
+        if op.calls == 0 {
             continue;
         }
         any = true;
         out.push_str(&format!(
-            "  {name:<11} {:>8} rows in  {:>8} rows out  {:>5} morsels  {:>9.3} ms  {:>7} allocs  {:>10} B\n",
+            "  {name:<11} {:>8} rows in  {:>8} rows out  {:>5} calls  {:>9.3} ms  {:>7} allocs  {:>10} B\n",
             op.rows_in,
             op.rows_out,
-            op.morsels,
+            op.calls,
             op.time_ns as f64 / 1e6,
             op.allocs,
             op.alloc_bytes,

@@ -11,7 +11,7 @@
 //! * [`compile`] — compiled physical maintenance plans, cached per view,
 //! * [`maintain`] — the two-step primary/secondary maintenance procedure,
 //! * [`batch`] — batched multi-view maintenance with cross-view sharing of
-//!   common plan prefixes and a bounded worker pool,
+//!   common plan prefixes,
 //! * [`secondary`] — §5.2 (from-view) and §5.3 (from-base) strategies,
 //! * [`agg_view`] — aggregated outer-join views (§3.3),
 //! * [`baseline`] — Griffin–Kumar-style change propagation and full
@@ -102,7 +102,7 @@ pub mod prelude {
     pub use crate::wal_log::RecoveryReport;
     pub use ojv_algebra::{CmpOp, JoinKind};
     pub use ojv_durability::{DiskVfs, FsyncPolicy, MemVfs, Vfs};
-    pub use ojv_exec::{ExecStatsSnapshot, ParallelSpec};
+    pub use ojv_exec::ExecStatsSnapshot;
     pub use ojv_rel::{Datum, Relation, Row};
     pub use ojv_storage::{Catalog, Update, UpdateOp};
 }

@@ -3,14 +3,14 @@
 
 use std::time::{Duration, Instant};
 
-use ojv_exec::{eval_expr, DeltaInput, ExecCtx, ExecStats, ExecStatsSnapshot};
+use ojv_algebra::TableId;
+use ojv_exec::{eval_expr, DeltaInput, ExecCtx, ExecStats, ExecStatsSnapshot, ViewLayout};
 use ojv_rel::Row;
 use ojv_storage::{Catalog, Update, UpdateOp};
 
-use crate::analyze::ViewAnalysis;
 use crate::compile::{CompiledIndirect, CompiledMaintenancePlan, PlanConfig};
 use crate::error::Result;
-use crate::materialize::MaterializedView;
+use crate::materialize::{MaterializedView, ViewStore};
 use crate::policy::MaintenancePolicy;
 use crate::secondary::{self, SecondaryCtx};
 
@@ -58,8 +58,9 @@ pub struct MaintenanceReport {
     pub primary_apply: Duration,
     /// Time to compute and apply `ΔV^I`.
     pub secondary_time: Duration,
-    /// Per-operator executor counters (rows in/out, morsels, time) for the
-    /// whole run — filter, join build/probe, index join, dedup, subsumption.
+    /// Per-operator executor counters (rows in/out, calls, time, allocations)
+    /// for the whole run — filter, join build/probe, index join, dedup,
+    /// subsumption.
     pub exec: ExecStatsSnapshot,
     /// Static-verifier checks passed when this run's plan was *compiled*
     /// (0 when verification was off: release build without
@@ -115,37 +116,28 @@ pub fn maintain(
         report.noop = true;
         return Ok(report);
     }
-    // Cloned so the execution context can borrow the layout while the view
-    // store is mutated; the analysis is small (terms, graph, layout with
-    // shared schemas).
-    let analysis = view.analysis.clone();
     // The one per-run check: the delta's arity must match the compiled
     // layout. Everything else was verified at compile time.
-    ojv_analysis::verify_delta_arity(&analysis.layout, t, update.rows.schema().len())
+    ojv_analysis::verify_delta_arity(&view.analysis.layout, t, update.rows.schema().len())
         .map_err(crate::error::CoreError::Plan)?;
-
-    let delta_input = DeltaInput {
-        table: t,
-        rows: &update.rows,
-    };
     let stats = ExecStats::default();
-    let exec = ExecCtx::with_delta(catalog, &analysis.layout, delta_input)
-        .with_parallel(policy.parallel)
-        .with_stats(&stats);
 
     // Step 1: primary delta (§4).
     let start = Instant::now();
     let primary: Vec<Row> = match &compiled.plan {
         None => Vec::new(),
-        Some(plan) => eval_expr(&exec, plan)?,
+        Some(plan) => eval_expr(
+            &delta_ctx(catalog, &view.analysis.layout, t, update, &stats),
+            plan,
+        )?,
     };
     let primary_compute = start.elapsed();
 
     apply_with_primary(
         view,
-        &exec,
+        catalog,
+        &stats,
         update,
-        &analysis,
         &compiled,
         &primary,
         &mut report,
@@ -153,6 +145,22 @@ pub fn maintain(
     report.primary_compute = primary_compute;
     report.exec = stats.snapshot();
     Ok(report)
+}
+
+/// The executor context of one maintenance run: the catalog, the view's
+/// layout, the update's rows as `ΔT` for `table`, and the run's counters.
+pub(crate) fn delta_ctx<'a>(
+    catalog: &'a Catalog,
+    layout: &'a ViewLayout,
+    table: TableId,
+    update: &'a Update,
+    stats: &'a ExecStats,
+) -> ExecCtx<'a> {
+    let delta = DeltaInput {
+        table,
+        rows: &update.rows,
+    };
+    ExecCtx::with_delta(catalog, layout, delta).with_stats(stats)
 }
 
 /// Apply an already-computed primary delta and run the secondary step —
@@ -163,14 +171,15 @@ pub fn maintain(
 /// depend on how the caller evaluated the primary.
 pub(crate) fn apply_with_primary(
     view: &mut MaterializedView,
-    exec: &ExecCtx<'_>,
+    catalog: &Catalog,
+    stats: &ExecStats,
     update: &Update,
-    analysis: &ViewAnalysis,
     compiled: &CompiledMaintenancePlan,
     primary: &[Row],
     report: &mut MaintenanceReport,
 ) -> Result<()> {
     let t = compiled.table;
+    let (name, analysis, store) = view.parts_mut();
     report.direct_terms = compiled.mgraph.direct.len();
     report.indirect_terms = compiled.indirect.len();
     report.verified_checks = compiled.verified_checks;
@@ -178,7 +187,7 @@ pub(crate) fn apply_with_primary(
     report.primary_rows = primary.len();
 
     let start = Instant::now();
-    apply_primary(view, primary, update.op)?;
+    apply_primary(store, name, primary, update.op)?;
     report.primary_apply = start.elapsed();
 
     // Step 2: secondary delta (§5), applied with the inverse operation, one
@@ -187,6 +196,7 @@ pub(crate) fn apply_with_primary(
     // term's coverage check sees the orphans its supersets just inserted.
     let start = Instant::now();
     if !compiled.indirect.is_empty() && !primary.is_empty() {
+        let exec = delta_ctx(catalog, &analysis.layout, t, update, stats);
         let sctx = SecondaryCtx {
             layout: &analysis.layout,
             terms: &analysis.terms,
@@ -200,11 +210,11 @@ pub(crate) fn apply_with_primary(
             // above, then the expression cannot be used and ∆D_i has to be
             // computed using base tables" (§5.3).
             let orphans = if ind.from_view_ok {
-                secondary::from_view(&sctx, view.store(), &term, primary, insert)
+                secondary::from_view(&sctx, store, &term, primary, insert)
             } else {
-                secondary::from_base(&sctx, exec, &term, primary, insert)?
+                secondary::from_base(&sctx, &exec, &term, primary, insert)?
             };
-            report.secondary_rows += apply_orphans(view, orphans, insert)?;
+            report.secondary_rows += apply_orphans(store, name, orphans, insert)?;
         }
     }
     report.secondary_time = start.elapsed();
@@ -215,37 +225,37 @@ pub(crate) fn apply_with_primary(
 /// prior orphans uncovered by an insert are deleted, new orphans created by
 /// a delete are inserted. Returns the number of rows applied.
 pub(crate) fn apply_orphans(
-    view: &mut MaterializedView,
+    store: &mut ViewStore,
+    name: &str,
     orphans: Vec<Row>,
     insert: bool,
 ) -> Result<usize> {
-    let name = view.name().to_string();
     let n = orphans.len();
     for row in orphans {
         if insert {
-            view.store_mut().delete(&row, &name)?;
+            store.delete(&row, name)?;
         } else {
-            view.store_mut().insert(row, &name)?;
+            store.insert(row, name)?;
         }
     }
     Ok(n)
 }
 
 pub(crate) fn apply_primary(
-    view: &mut MaterializedView,
+    store: &mut ViewStore,
+    name: &str,
     primary: &[Row],
     op: UpdateOp,
 ) -> Result<()> {
-    let name = view.name().to_string();
     match op {
         UpdateOp::Insert => {
             for row in primary {
-                view.store_mut().insert(row.clone(), &name)?;
+                store.insert(row.clone(), name)?;
             }
         }
         UpdateOp::Delete => {
             for row in primary {
-                view.store_mut().delete(row, &name)?;
+                store.delete(row, name)?;
             }
         }
     }

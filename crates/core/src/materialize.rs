@@ -417,6 +417,13 @@ impl MaterializedView {
         &self.store
     }
 
+    /// The view's name and analysis beside its mutable store: disjoint
+    /// borrows, so maintenance evaluates over the layout while it mutates
+    /// the store.
+    pub(crate) fn parts_mut(&mut self) -> (&str, &ViewAnalysis, &mut ViewStore) {
+        (self.def.name(), &self.analysis, &mut self.store)
+    }
+
     /// Start journaling this view's mutations for the snapshot registry.
     pub(crate) fn enable_journal(&mut self) {
         self.store.enable_journal();

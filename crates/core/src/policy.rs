@@ -1,11 +1,10 @@
 //! Maintenance policy: the paper's §4.1 and §6 optimizations (switchable
-//! for the ablation benchmarks), the executor's parallelism, and the
-//! durable engine's fsync policy. The secondary-delta strategy is not a
+//! for the ablation benchmarks), static plan verification, and the durable
+//! engine's fsync policy. The secondary-delta strategy is not a
 //! knob: each indirect term uses the view (§5.2) when the view outputs the
 //! columns it needs and base tables (§5.3) otherwise.
 
 use ojv_durability::FsyncPolicy;
-use ojv_exec::ParallelSpec;
 
 /// Policy for one maintenance run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,10 +18,6 @@ pub struct MaintenancePolicy {
     /// `UPDATE` — the §6 caveat list forbids the FK optimizations then
     /// (the "deleted" keys may be re-inserted by the paired statement).
     pub update_decomposition: bool,
-    /// Degree of parallelism for the delta executor (threads, morsel size,
-    /// serial/parallel cutover). Results are bit-identical at any setting;
-    /// this only trades wall-clock for cores.
-    pub parallel: ParallelSpec,
     /// Run the `ojv-analysis` static plan verifier on every compiled
     /// maintenance plan. Debug builds verify unconditionally; this knob
     /// opts release builds in.
@@ -39,7 +34,6 @@ impl Default for MaintenancePolicy {
             use_fk: true,
             left_deep: true,
             update_decomposition: false,
-            parallel: ParallelSpec::serial(),
             verify_plans: false,
             fsync: FsyncPolicy::Always,
         }
@@ -57,14 +51,6 @@ impl MaintenancePolicy {
         MaintenancePolicy {
             use_fk: false,
             left_deep: false,
-            ..Default::default()
-        }
-    }
-
-    /// The paper configuration with `n` executor threads.
-    pub fn with_threads(n: usize) -> Self {
-        MaintenancePolicy {
-            parallel: ParallelSpec::threads(n),
             ..Default::default()
         }
     }

@@ -411,7 +411,8 @@ mod tests {
             None => Vec::new(),
             Some(plan) => eval_expr(&exec, plan).unwrap(),
         };
-        apply_primary(view, &primary, update.op).unwrap();
+        let name = view.name().to_string();
+        apply_primary(view.store_mut(), &name, &primary, update.op).unwrap();
         let ctx = SecondaryCtx {
             layout: &analysis.layout,
             terms: &analysis.terms,
@@ -437,7 +438,7 @@ mod tests {
             );
             terms += 1;
             orphans += a.len();
-            apply_orphans(view, a, insert).unwrap();
+            apply_orphans(view.store_mut(), &name, a, insert).unwrap();
         }
         assert!(verify_against_recompute(view, catalog));
         (terms, orphans)

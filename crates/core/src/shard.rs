@@ -21,12 +21,11 @@
 //!   maintenance plan — primary and secondary deltas included — runs
 //!   entirely within the delta's owner shard.
 //!
-//! An update routes its delta batch to owner shards, fans maintenance out
-//! (on up to `policy.parallel.threads` pool workers — each shard owns its
-//! stores, so workers share nothing and take no locks), and then the
-//! **coordinator**
-//! thread publishes every shard's snapshot registry at one global commit
-//! LSN — untouched shards publish an empty commit — so cross-shard snapshot
+//! An update routes its delta batch to owner shards, maintains each touched
+//! shard in turn (a panic in one shard's maintenance is caught at the shard
+//! boundary, [`ojv_exec::catch_each`], and the other shards still run), and
+//! then publishes every shard's snapshot registry at one global commit LSN
+//! — untouched shards publish an empty commit — so cross-shard snapshot
 //! reads are atomic: [`ShardedDatabase::snapshot`] pins all shards at the
 //! same LSN.
 //!
@@ -40,7 +39,7 @@
 use std::collections::BTreeMap;
 
 use ojv_durability::Lsn;
-use ojv_exec::run_pool;
+use ojv_exec::catch_each;
 use ojv_rel::{put_row, put_str, put_u32, put_u64, Datum, Relation, Row};
 use ojv_storage::{Catalog, ShardId, ShardRouter, StorageError, Update};
 
@@ -499,7 +498,8 @@ impl ShardedDatabase {
     /// 2. **log** — `log(applied per-shard deltas, decomposed)` returns the
     ///    half's commit LSN: the next dense number in memory, the LSN at
     ///    which the deltas became durable under a [`crate::durable::Durable`];
-    /// 3. **maintain** — per-shard view maintenance on the pool;
+    /// 3. **maintain** — per-shard view maintenance, one shard after
+    ///    another;
     /// 4. **publish · observe** — every shard's registry (and observer)
     ///    advances to that one LSN on this thread.
     ///
@@ -637,24 +637,18 @@ impl ShardedDatabase {
     /// shard's registry at the global commit LSN `lsn`. Untouched shards
     /// publish an empty commit, so all registries advance in lockstep and
     /// [`ShardedDatabase::snapshot`] can pin them at the same LSN — also
-    /// when a shard's maintenance failed or its worker panicked: the error
-    /// is returned only after every shard has published.
+    /// when a shard's maintenance failed or panicked: the error is returned
+    /// only after every shard has published.
     fn maintain_and_publish_at(
         &mut self,
         updates: &[Option<Update>],
         decomposed: bool,
         lsn: Lsn,
     ) -> Result<Vec<MaintenanceReport>> {
-        // Shards own their stores outright: workers share nothing and
-        // acquire no locks (registry publication stays on this thread,
-        // below). Each worker's own maintenance fans out further on the
-        // same pool when the shard's policy asks for it.
-        let threads = self.shards[0].policy.parallel.threads;
-        let routed: Vec<_> = self.shards.iter_mut().zip(updates).collect();
-        let results = run_pool("core.shard", threads, routed, |_, (db, up)| {
+        let results = catch_each(self.shards.iter_mut().zip(updates), |_, (db, up)| {
             up.as_ref().map(|u| db.maintain_views_only(u, decomposed))
         });
-        // Coordinator-side group publish: every shard commits at `lsn`.
+        // Group publish: every shard commits at `lsn`.
         let mut publish_err = None;
         for db in &mut self.shards {
             if let Err(e) = db.publish_commit(lsn) {
@@ -1072,7 +1066,6 @@ mod tests {
         for n in [2usize, 3, 8] {
             let mut one = sharded(1);
             let mut many = sharded(n);
-            many.set_policy(MaintenancePolicy::with_threads(n));
             for (ok, ln) in [(3i64, 7i64), (5, 7), (6, 8)] {
                 let row = lineitem_row(ok, ln, 2, 4, 42.0);
                 one.insert("lineitem", vec![row.clone()]).unwrap();
@@ -1215,15 +1208,16 @@ mod tests {
         );
     }
 
-    /// One panic policy: a worker panic under the threaded fan-out is an
-    /// error, not an unwind through the façade — every shard's registry
-    /// still publishes at the one global LSN, a cross-shard snapshot still
-    /// pins, and the engine keeps committing.
+    /// One panic policy: a panicking view job is an error, not an unwind
+    /// through the façade — its sibling views are still maintained on every
+    /// shard, every shard's registry still publishes at the one global LSN,
+    /// a cross-shard snapshot still pins, and the engine keeps committing.
     #[test]
     fn worker_panic_is_an_error_and_every_shard_still_publishes() {
         let mut db = sharded(4);
         db.create_view(ol_view_def().with_name("panic_me")).unwrap();
-        db.set_policy(MaintenancePolicy::with_threads(4));
+        db.create_view(ol_view_def().with_name("after_panic"))
+            .unwrap();
         let rows =
             |ln: i64| -> Vec<Row> { (1..=8).map(|ok| lineitem_row(ok, ln, 2, 4, 1.0)).collect() };
         let before = db.commit_lsn();
@@ -1237,6 +1231,20 @@ mod tests {
             }
             other => panic!("expected MaintenancePanic, got {other:?}"),
         }
+        // Every shard still maintained the views around the panicking one,
+        // the one registered after it included.
+        for s in db.shards() {
+            for view in ["ol_view", "after_panic"] {
+                assert!(crate::maintain::verify_against_recompute(
+                    s.view(view).unwrap(),
+                    s.catalog()
+                ));
+            }
+        }
+        assert!(db
+            .output("after_panic")
+            .unwrap()
+            .bag_eq(&db.output("ol_view").unwrap()));
         let lsn = db.commit_lsn();
         assert_eq!(lsn, before + 1);
         assert!(db.shards().all(|s| s.commit_lsn() == lsn));

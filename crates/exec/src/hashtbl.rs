@@ -15,8 +15,8 @@
 //!
 //! Chains are built by scanning rows in *reverse* so each chain yields
 //! candidates in ascending row order — exactly the order the old
-//! `Vec<usize>` per key produced. That keeps parallel morsel output
-//! bit-identical to the previous implementation.
+//! `Vec<usize>` per key produced, so join output stays bit-identical to the
+//! previous implementation.
 //!
 //! Rows with a null key column never enter the table and never match a
 //! probe: every equijoin the maintenance algebra generates is

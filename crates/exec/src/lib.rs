@@ -16,25 +16,22 @@
 
 #![forbid(unsafe_code)]
 
+pub mod catch;
 pub mod error;
 pub mod eval;
 pub mod hashtbl;
 pub mod layout;
-pub mod morsel;
 pub mod ops;
-pub mod parallel;
 pub mod run;
-mod trace;
+pub mod stats;
 
+pub use catch::{catch_each, panic_detail};
 pub use error::{ExecError, ExecResult};
 pub use hashtbl::{KeyHashTable, KeySet};
 pub use layout::{TableSlot, ViewLayout};
-pub use morsel::{morsel_ranges, ParallelSpec};
 pub use ops::filter::filter_project_into;
-pub use parallel::{
-    map_morsels, map_parts, panic_detail, run_pool, ExecEnv, ExecStats, ExecStatsSnapshot,
-};
 pub use run::{
     apply_spine_step, eval_expr, eval_expr_buf, join_buf_expr, join_rows_expr, null_if_buf,
     DeltaInput, ExecCtx,
 };
+pub use stats::{ExecEnv, ExecStats, ExecStatsSnapshot};

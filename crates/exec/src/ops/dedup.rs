@@ -12,90 +12,45 @@ use ojv_rel::{
 };
 
 use crate::layout::ViewLayout;
-use crate::morsel::ParallelSpec;
-use crate::parallel::{map_morsels, map_parts, ExecEnv};
+use crate::stats::ExecEnv;
 
 /// Plain duplicate elimination (`δ`), preserving first occurrence order.
 pub fn distinct(rows: Vec<Row>) -> Vec<Row> {
     if rows.is_empty() {
         return rows;
     }
-    let width = rows[0].len();
-    let mut buf = RowBuf::from_rows(width, &rows);
-    let all_cols: Vec<usize> = (0..width).collect();
-    let hashes = row_hashes(ParallelSpec::serial(), &buf, &all_cols);
-    let mut keep = vec![false; buf.len()];
-    mark_first_occurrences(&buf, &all_cols, &hashes, |_| true, &mut keep);
+    let mut buf = RowBuf::from_rows(rows[0].len(), &rows);
+    let keep = first_occurrences(&buf);
     buf.retain_rows(&keep);
     buf.into_rows()
 }
 
-/// [`distinct`] over a batch, with a parallelism spec and counters.
-///
-/// The parallel path hash-partitions rows (`hash % threads`); each partition
-/// worker scans *all* row indices in increasing order, keeping only its
-/// partition's first occurrences. Equal rows hash alike and so land in the
-/// same partition, where first-occurrence-by-index exactly reproduces the
-/// serial scan — the kept index set is independent of the partition count.
-/// Kept rows are then compacted in input order.
+/// [`distinct`] over a batch, with counters. Kept rows are compacted in
+/// input order.
 pub fn distinct_in(env: &ExecEnv<'_>, mut rows: RowBuf) -> RowBuf {
     let started = Instant::now();
     let alloc0 = alloc_snapshot();
     let n_in = rows.len();
-    let all_cols: Vec<usize> = (0..rows.width()).collect();
-    let hashes = row_hashes(env.spec, &rows, &all_cols);
-
-    let (keep, nparts) = if !env.spec.is_parallel_for(rows.len()) {
-        let mut keep = vec![false; rows.len()];
-        mark_first_occurrences(&rows, &all_cols, &hashes, |_| true, &mut keep);
-        (keep, 1)
-    } else {
-        let nparts = env.spec.threads;
-        let keep_per_part = map_parts(env.spec, nparts, |p| {
-            let mut keep = vec![false; rows.len()];
-            mark_first_occurrences(
-                &rows,
-                &all_cols,
-                &hashes,
-                |i| hashes[i] % nparts as u64 == p as u64,
-                &mut keep,
-            );
-            keep
-        });
-        let mut keep = vec![false; rows.len()];
-        for part in keep_per_part {
-            for (k, p) in keep.iter_mut().zip(part) {
-                *k |= p;
-            }
-        }
-        (keep, nparts)
-    };
+    let keep = first_occurrences(&rows);
     rows.retain_rows(&keep);
-    env.record(|s| &s.dedup, n_in, rows.len(), nparts, started, alloc0);
+    env.record(|s| &s.dedup, n_in, rows.len(), started, alloc0);
     rows
 }
 
 /// Scan rows in increasing index order and mark the first occurrence of
-/// every distinct row matched by `mine` — chained hash-then-verify, no owned
-/// keys.
-fn mark_first_occurrences(
-    rows: &RowBuf,
-    cols: &[usize],
-    hashes: &[u64],
-    mine: impl Fn(usize) -> bool,
-    keep: &mut [bool],
-) {
+/// every distinct row — chained hash-then-verify over rows hashed in place
+/// with the seeded fx hasher, no owned keys.
+fn first_occurrences(rows: &RowBuf) -> Vec<bool> {
     const NIL: u32 = u32::MAX;
+    let cols: Vec<usize> = (0..rows.width()).collect();
+    let mut keep = vec![false; rows.len()];
     let mut head: FxHashMap<u64, u32> = FxHashMap::default();
     let mut next = vec![NIL; rows.len()];
     'rows: for i in 0..rows.len() {
-        if !mine(i) {
-            continue;
-        }
-        let slot = head.entry(hashes[i]).or_insert(NIL);
+        let slot = head.entry(key_hash(rows.row(i), &cols)).or_insert(NIL);
         let mut cur = *slot;
         while cur != NIL {
-            if key_eq_rows(rows.row(i), cols, rows.row(cur as usize), cols) {
+            if key_eq_rows(rows.row(i), &cols, rows.row(cur as usize), &cols) {
                 continue 'rows; // duplicate of an earlier row
             }
             cur = next[cur as usize];
@@ -104,19 +59,7 @@ fn mark_first_occurrences(
         *slot = i as u32;
         keep[i] = true;
     }
-}
-
-/// Deterministic per-row hashes over `cols`, computed morsel-parallel with
-/// the seeded fx hasher — stable across runs and thread counts.
-fn row_hashes(spec: ParallelSpec, rows: &RowBuf, cols: &[usize]) -> Vec<u64> {
-    map_morsels(spec, rows.len(), |range| {
-        range
-            .map(|i| key_hash(rows.row(i), cols))
-            .collect::<Vec<u64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    keep
 }
 
 /// The cleanup paired with a null-if operator (§4.1): remove exact
@@ -131,21 +74,18 @@ fn row_hashes(spec: ParallelSpec, rows: &RowBuf, cols: &[usize]) -> Vec<u64> {
 /// masks), and it is exact for the well-formed rows the maintenance
 /// expressions produce.
 pub fn clean_dup(layout: &ViewLayout, rows: Vec<Row>) -> Vec<Row> {
-    clean_dup_in(&ExecEnv::serial(layout), rows)
+    clean_dup_in(&ExecEnv::new(layout), rows)
 }
 
-/// [`clean_dup`] with a parallelism spec and counters — legacy `Vec<Row>`
-/// form over [`clean_dup_buf`].
+/// [`clean_dup`] with counters — legacy `Vec<Row>` form over
+/// [`clean_dup_buf`].
 pub fn clean_dup_in(env: &ExecEnv<'_>, rows: Vec<Row>) -> Vec<Row> {
     clean_dup_buf(env, RowBuf::from_rows(env.layout.width(), &rows)).into_rows()
 }
 
-/// Batch subsumption removal.
-///
-/// Source-mask computation is morsel-parallel; the subsumption check then
-/// runs one work unit per distinct mask (each mask's verdicts depend only on
-/// the grouped input, so partition order cannot change the result). Kept
-/// rows are compacted in input order — identical to the serial path.
+/// Batch subsumption removal: rows are grouped by source mask, each mask is
+/// checked against the rows of its superset masks, and kept rows are
+/// compacted in input order.
 pub fn clean_dup_buf(env: &ExecEnv<'_>, rows: RowBuf) -> RowBuf {
     let mut rows = distinct_in(env, rows);
     let layout = env.layout;
@@ -174,12 +114,7 @@ pub fn clean_dup_buf(env: &ExecEnv<'_>, rows: RowBuf) -> RowBuf {
         cols
     };
 
-    let masks: Vec<u32> = map_morsels(env.spec, rows.len(), |range| {
-        range.map(|i| mask_of(rows.row(i))).collect::<Vec<u32>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let masks: Vec<u32> = rows.iter().map(mask_of).collect();
     let mut by_mask: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
     for (i, &m) in masks.iter().enumerate() {
         by_mask.entry(m).or_default().push(i);
@@ -187,8 +122,8 @@ pub fn clean_dup_buf(env: &ExecEnv<'_>, rows: RowBuf) -> RowBuf {
     let mut distinct_masks: Vec<u32> = by_mask.keys().copied().collect();
     distinct_masks.sort_unstable();
 
-    let dropped_per_mask = map_parts(env.spec, distinct_masks.len(), |mi| {
-        let m = distinct_masks[mi];
+    let mut keep = vec![true; rows.len()];
+    for &m in &distinct_masks {
         let cols = cols_of_mask(m);
         // Hash-then-verify over projections of every superset-mask row onto
         // m's columns — the projections stay borrowed.
@@ -201,37 +136,22 @@ pub fn clean_dup_buf(env: &ExecEnv<'_>, rows: RowBuf) -> RowBuf {
                 }
             }
         }
-        let mut dropped = Vec::new();
-        if !super_proj.is_empty() {
-            for &i in &by_mask[&m] {
-                let h = key_hash(rows.row(i), &cols);
-                let subsumed = super_proj.get(&h).is_some_and(|js| {
-                    js.iter()
-                        .any(|&j| key_eq_rows(rows.row(i), &cols, rows.row(j as usize), &cols))
-                });
-                if subsumed {
-                    dropped.push(i);
-                }
-            }
+        if super_proj.is_empty() {
+            continue;
         }
-        dropped
-    });
-
-    let mut keep = vec![true; rows.len()];
-    for dropped in dropped_per_mask {
-        for i in dropped {
-            keep[i] = false;
+        for &i in &by_mask[&m] {
+            let h = key_hash(rows.row(i), &cols);
+            let subsumed = super_proj.get(&h).is_some_and(|js| {
+                js.iter()
+                    .any(|&j| key_eq_rows(rows.row(i), &cols, rows.row(j as usize), &cols))
+            });
+            if subsumed {
+                keep[i] = false;
+            }
         }
     }
     rows.retain_rows(&keep);
-    env.record(
-        |s| &s.subsume,
-        n_in,
-        rows.len(),
-        distinct_masks.len().max(1),
-        started,
-        alloc0,
-    );
+    env.record(|s| &s.subsume, n_in, rows.len(), started, alloc0);
     rows
 }
 
@@ -274,21 +194,6 @@ mod tests {
         let l = layout();
         let rows = vec![a_only(&l, 1), a_only(&l, 1), a_only(&l, 2)];
         assert_eq!(distinct(rows).len(), 2);
-    }
-
-    #[test]
-    fn distinct_parallel_matches_serial() {
-        let l = layout();
-        let rows: Vec<Row> = (0..200).map(|i| a_only(&l, i % 17)).collect();
-        let serial = distinct(rows.clone());
-        let spec = ParallelSpec::threads(4).with_morsel_rows(7).with_cutoff(0);
-        let env = ExecEnv {
-            layout: &l,
-            spec,
-            stats: None,
-        };
-        let parallel = distinct_in(&env, RowBuf::from_rows(l.width(), &rows)).into_rows();
-        assert_eq!(serial, parallel);
     }
 
     #[test]

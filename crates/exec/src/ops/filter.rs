@@ -7,14 +7,14 @@ use ojv_rel::{alloc_snapshot, Datum, Row, RowBuf};
 
 use crate::eval::eval_pred;
 use crate::layout::ViewLayout;
-use crate::parallel::{map_morsels, ExecEnv};
+use crate::stats::ExecEnv;
 
 /// Keep the rows satisfying `pred` (null-rejecting conjunction).
 pub fn filter(layout: &ViewLayout, pred: &Pred, rows: Vec<Row>) -> Vec<Row> {
-    filter_in(&ExecEnv::serial(layout), pred, rows)
+    filter_in(&ExecEnv::new(layout), pred, rows)
 }
 
-/// [`filter`] with a parallelism spec and counters — legacy `Vec<Row>` form.
+/// [`filter`] with counters — legacy `Vec<Row>` form.
 pub fn filter_in(env: &ExecEnv<'_>, pred: &Pred, rows: Vec<Row>) -> Vec<Row> {
     if pred.is_true() {
         return rows;
@@ -23,9 +23,8 @@ pub fn filter_in(env: &ExecEnv<'_>, pred: &Pred, rows: Vec<Row>) -> Vec<Row> {
     filter_buf(env, pred, RowBuf::from_rows(width, &rows)).into_rows()
 }
 
-/// Batch selection: predicate evaluation is morsel-parallel over read-only
-/// rows, then the batch is compacted in place — kept rows stay in input
-/// order, identical to the serial path, with no per-row allocation.
+/// Batch selection: the batch is compacted in place — kept rows stay in
+/// input order, with no per-row allocation.
 pub fn filter_buf(env: &ExecEnv<'_>, pred: &Pred, mut rows: RowBuf) -> RowBuf {
     if pred.is_true() {
         return rows;
@@ -34,15 +33,9 @@ pub fn filter_buf(env: &ExecEnv<'_>, pred: &Pred, mut rows: RowBuf) -> RowBuf {
     let started = Instant::now();
     let alloc0 = alloc_snapshot();
     let n_in = rows.len();
-    let keep_morsels = map_morsels(env.spec, rows.len(), |range| {
-        range
-            .map(|i| eval_pred(layout, pred, rows.row(i)))
-            .collect::<Vec<bool>>()
-    });
-    let n_morsels = keep_morsels.len();
-    let keep: Vec<bool> = keep_morsels.into_iter().flatten().collect();
+    let keep: Vec<bool> = rows.iter().map(|r| eval_pred(layout, pred, r)).collect();
     rows.retain_rows(&keep);
-    env.record(|s| &s.filter, n_in, rows.len(), n_morsels, started, alloc0);
+    env.record(|s| &s.filter, n_in, rows.len(), started, alloc0);
     rows
 }
 

@@ -1,14 +1,10 @@
 //! Join operators: hash joins over wide-row batches, index-nested-loop joins
 //! against base tables, and key-based semi/anti joins.
 //!
-//! Probe phases are morsel-parallel: the outer (left) input is split into
-//! fixed-size morsels, workers probe independently, and per-morsel outputs
-//! are concatenated in morsel order — so the parallel result is bit-identical
-//! to the serial one. Hash-table builds stay serial (the build side of a
-//! delta join is small by construction).
-//!
-//! The probe loops are allocation-free per row: batches are flat [`RowBuf`]s,
-//! probes hash key columns in place and verify against borrowed slices
+//! Every probe walks the outer (left) input in order and writes straight
+//! into one output batch. The probe loops are allocation-free per row:
+//! batches are flat [`RowBuf`]s, probes hash key columns in place and
+//! verify against borrowed slices
 //! ([`crate::hashtbl::KeyHashTable`]), residual predicates run on a virtual
 //! merge of the probe row and the candidate (rejected candidates are never
 //! materialized), and surviving merges write straight into the output
@@ -24,7 +20,7 @@ use ojv_storage::Table;
 use crate::eval::{eval_pred_merged, eval_pred_split_ref};
 use crate::hashtbl::{KeyHashTable, KeySet};
 use crate::layout::ViewLayout;
-use crate::parallel::{map_morsels, ExecEnv};
+use crate::stats::ExecEnv;
 
 /// Largest build side for which [`hash_join_buf`] probes linearly instead of
 /// building a hash table.
@@ -84,7 +80,7 @@ pub fn hash_join(
     right_sources: TableSet,
 ) -> Vec<Row> {
     hash_join_in(
-        &ExecEnv::serial(layout),
+        &ExecEnv::new(layout),
         kind,
         pred,
         left,
@@ -94,8 +90,8 @@ pub fn hash_join(
     )
 }
 
-/// [`hash_join`] with a parallelism spec and counters — legacy `Vec<Row>`
-/// entry point over [`hash_join_buf`].
+/// [`hash_join`] with counters — legacy `Vec<Row>` entry point over
+/// [`hash_join_buf`].
 pub fn hash_join_in(
     env: &ExecEnv<'_>,
     kind: JoinKind,
@@ -118,10 +114,8 @@ pub fn hash_join_in(
     .into_rows()
 }
 
-/// Batch hash join. The probe runs one morsel of the left input per work
-/// unit; per-morsel `(output, matched right indices)` pairs merge in morsel
-/// order, so output order and content are identical to the serial path for
-/// any thread count or morsel size. All [`JoinKind`]s are supported.
+/// Batch hash join: left rows probe in order, then (for right-preserving
+/// kinds) the unmatched right rows follow. All [`JoinKind`]s are supported.
 pub fn hash_join_buf(
     env: &ExecEnv<'_>,
     kind: JoinKind,
@@ -176,7 +170,6 @@ pub(crate) fn hash_join_keyed_buf(
             |s| &s.join_build,
             right.len(),
             t.distinct_hashes(),
-            1,
             build_start,
             build_alloc,
         );
@@ -187,94 +180,79 @@ pub(crate) fn hash_join_keyed_buf(
 
     let probe_start = Instant::now();
     let probe_alloc = alloc_snapshot();
-    let probe = |range: std::ops::Range<usize>| {
-        let mut out = RowBuf::new(layout.width());
-        let mut matched_right: Vec<u32> = Vec::new();
-        for li in range {
-            let l = left.row(li);
-            let mut matched = false;
-            match &table {
-                Some(t) => {
-                    for ri in t.candidates(l, lcols) {
-                        let r = right.row(ri);
-                        if !t.key_matches(r, l, lcols) {
+    let mut out = RowBuf::new(layout.width());
+    let mut right_matched = vec![false; right.len()];
+    for l in left.iter() {
+        let mut matched = false;
+        match &table {
+            Some(t) => {
+                for ri in t.candidates(l, lcols) {
+                    let r = right.row(ri);
+                    if !t.key_matches(r, l, lcols) {
+                        continue;
+                    }
+                    if try_merge(layout, &mut out, l, r, right_sources, residual, keep_merged) {
+                        matched = true;
+                        right_matched[ri] = true;
+                        if !keep_merged {
+                            break;
+                        }
+                    }
+                }
+            }
+            None => {
+                // Tiny build: linear probe, same null-rejecting semantics
+                // and same ascending candidate order.
+                if !lcols.iter().any(|&c| l[c].is_null()) {
+                    for (ri, r) in right.iter().enumerate() {
+                        if rcols.iter().any(|&c| r[c].is_null()) || !key_eq_rows(l, lcols, r, rcols)
+                        {
                             continue;
                         }
                         if try_merge(layout, &mut out, l, r, right_sources, residual, keep_merged) {
                             matched = true;
-                            matched_right.push(ri as u32);
+                            right_matched[ri] = true;
                             if !keep_merged {
                                 break;
                             }
                         }
                     }
                 }
-                None => {
-                    // Tiny build: linear probe, same null-rejecting
-                    // semantics and same ascending candidate order.
-                    if !lcols.iter().any(|&c| l[c].is_null()) {
-                        for ri in 0..right.len() {
-                            let r = right.row(ri);
-                            if rcols.iter().any(|&c| r[c].is_null())
-                                || !key_eq_rows(l, lcols, r, rcols)
-                            {
-                                continue;
-                            }
-                            if try_merge(
-                                layout,
-                                &mut out,
-                                l,
-                                r,
-                                right_sources,
-                                residual,
-                                keep_merged,
-                            ) {
-                                matched = true;
-                                matched_right.push(ri as u32);
-                                if !keep_merged {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            match kind {
-                JoinKind::LeftOuter | JoinKind::FullOuter if !matched => out.push_row(l),
-                JoinKind::LeftSemi if matched => out.push_row(l),
-                JoinKind::LeftAnti if !matched => out.push_row(l),
-                _ => {}
             }
         }
-        (out, matched_right)
-    };
-    let morsels = map_morsels(env.spec, left.len(), probe);
-
-    let n_morsels = morsels.len();
-    let mut right_matched = vec![false; right.len()];
-    let mut out = RowBuf::new(layout.width());
-    for (rows, matched) in morsels {
-        out.append(&rows);
-        for ri in matched {
-            right_matched[ri as usize] = true;
-        }
+        push_unmatched_left(kind, matched, l, &mut out);
     }
-    if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-        for (i, r) in right.iter().enumerate() {
-            if !right_matched[i] {
-                out.push_row(r);
-            }
-        }
-    }
+    push_unmatched_right(kind, &right, &right_matched, &mut out);
     env.record(
         |s| &s.join_probe,
         left.len(),
         out.len(),
-        n_morsels,
         probe_start,
         probe_alloc,
     );
     out
+}
+
+/// The left row's own output for the left-preserving and semi/anti kinds,
+/// once its probe is done.
+fn push_unmatched_left(kind: JoinKind, matched: bool, l: &[Datum], out: &mut RowBuf) {
+    match kind {
+        JoinKind::LeftOuter | JoinKind::FullOuter if !matched => out.push_row(l),
+        JoinKind::LeftSemi if matched => out.push_row(l),
+        JoinKind::LeftAnti if !matched => out.push_row(l),
+        _ => {}
+    }
+}
+
+/// The right rows no probe matched, for the right-preserving kinds.
+fn push_unmatched_right(kind: JoinKind, right: &RowBuf, matched: &[bool], out: &mut RowBuf) {
+    if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
+        for (r, &m) in right.iter().zip(matched) {
+            if !m {
+                out.push_row(r);
+            }
+        }
+    }
 }
 
 fn nested_loop_join_buf(
@@ -289,54 +267,26 @@ fn nested_loop_join_buf(
     let keep_merged = !matches!(kind, JoinKind::LeftSemi | JoinKind::LeftAnti);
     let probe_start = Instant::now();
     let probe_alloc = alloc_snapshot();
-    let probe = |range: std::ops::Range<usize>| {
-        let mut out = RowBuf::new(layout.width());
-        let mut matched_right: Vec<u32> = Vec::new();
-        for li in range {
-            let l = left.row(li);
-            let mut matched = false;
-            for ri in 0..right.len() {
-                let r = right.row(ri);
-                if try_merge(layout, &mut out, l, r, right_sources, pred, keep_merged) {
-                    matched = true;
-                    matched_right.push(ri as u32);
-                    if !keep_merged {
-                        break;
-                    }
+    let mut out = RowBuf::new(layout.width());
+    let mut right_matched = vec![false; right.len()];
+    for l in left.iter() {
+        let mut matched = false;
+        for (ri, r) in right.iter().enumerate() {
+            if try_merge(layout, &mut out, l, r, right_sources, pred, keep_merged) {
+                matched = true;
+                right_matched[ri] = true;
+                if !keep_merged {
+                    break;
                 }
             }
-            match kind {
-                JoinKind::LeftOuter | JoinKind::FullOuter if !matched => out.push_row(l),
-                JoinKind::LeftSemi if matched => out.push_row(l),
-                JoinKind::LeftAnti if !matched => out.push_row(l),
-                _ => {}
-            }
         }
-        (out, matched_right)
-    };
-    let morsels = map_morsels(env.spec, left.len(), probe);
-
-    let n_morsels = morsels.len();
-    let mut right_matched = vec![false; right.len()];
-    let mut out = RowBuf::new(layout.width());
-    for (rows, matched) in morsels {
-        out.append(&rows);
-        for ri in matched {
-            right_matched[ri as usize] = true;
-        }
+        push_unmatched_left(kind, matched, l, &mut out);
     }
-    if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-        for (i, r) in right.iter().enumerate() {
-            if !right_matched[i] {
-                out.push_row(r);
-            }
-        }
-    }
+    push_unmatched_right(kind, &right, &right_matched, &mut out);
     env.record(
         |s| &s.join_probe,
         left.len(),
         out.len(),
-        n_morsels,
         probe_start,
         probe_alloc,
     );
@@ -387,54 +337,33 @@ pub fn narrow_build_join_buf(
         |s| &s.join_build,
         table.len(),
         hash_table.distinct_hashes(),
-        1,
         build_start,
         build_alloc,
     );
 
     let probe_start = Instant::now();
     let probe_alloc = alloc_snapshot();
-    let probe = |range: std::ops::Range<usize>| {
-        let mut out = RowBuf::new(layout.width());
-        let mut matched_right: Vec<u32> = Vec::new();
-        for li in range {
-            let l = left.row(li);
-            let mut matched = false;
-            for ri in hash_table.candidates(l, lcols) {
-                let r = table.row_ref(ri);
-                if !hash_table.key_matches_ref(r, l, lcols)
-                    || !eval_pred_split_ref(layout, residual, l, r, offset)
-                {
-                    continue;
-                }
-                matched = true;
-                matched_right.push(ri as u32);
-                if !keep_merged {
-                    break;
-                }
-                let n = out.len();
-                out.push_row(l);
-                r.copy_into(&mut out.row_mut(n)[offset..offset + slot_len]);
-            }
-            match kind {
-                JoinKind::LeftOuter | JoinKind::FullOuter if !matched => out.push_row(l),
-                JoinKind::LeftSemi if matched => out.push_row(l),
-                JoinKind::LeftAnti if !matched => out.push_row(l),
-                _ => {}
-            }
-        }
-        (out, matched_right)
-    };
-    let morsels = map_morsels(env.spec, left.len(), probe);
-
-    let n_morsels = morsels.len();
-    let mut right_matched = vec![false; table.len()];
     let mut out = RowBuf::new(layout.width());
-    for (rows, matched) in morsels {
-        out.append(&rows);
-        for ri in matched {
-            right_matched[ri as usize] = true;
+    let mut right_matched = vec![false; table.len()];
+    for l in left.iter() {
+        let mut matched = false;
+        for ri in hash_table.candidates(l, lcols) {
+            let r = table.row_ref(ri);
+            if !hash_table.key_matches_ref(r, l, lcols)
+                || !eval_pred_split_ref(layout, residual, l, r, offset)
+            {
+                continue;
+            }
+            matched = true;
+            right_matched[ri] = true;
+            if !keep_merged {
+                break;
+            }
+            let n = out.len();
+            out.push_row(l);
+            r.copy_into(&mut out.row_mut(n)[offset..offset + slot_len]);
         }
+        push_unmatched_left(kind, matched, l, &mut out);
     }
     if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
         for (i, r) in table.iter_refs().enumerate() {
@@ -448,7 +377,6 @@ pub fn narrow_build_join_buf(
         |s| &s.join_probe,
         left.len(),
         out.len(),
-        n_morsels,
         probe_start,
         probe_alloc,
     );
@@ -500,7 +428,7 @@ pub fn index_join_excluding(
     exclude: Option<&KeySet>,
 ) -> Vec<Row> {
     index_join_excluding_buf(
-        &ExecEnv::serial(layout),
+        &ExecEnv::new(layout),
         kind,
         RowBuf::from_rows(layout.width(), &left),
         probe_cols,
@@ -514,9 +442,7 @@ pub fn index_join_excluding(
     .into_rows()
 }
 
-/// Batch index-nested-loop join with a parallelism spec and counters: left
-/// morsels probe the index concurrently (the base table is read-only), and
-/// outputs concatenate in morsel order. The per-morsel probe buffer is
+/// Batch index-nested-loop join with counters. The probe key buffer is
 /// reused across rows and exclusion checks borrow the candidate row — the
 /// loop performs no heap allocation per probe.
 #[allow(clippy::too_many_arguments)]
@@ -548,59 +474,33 @@ pub fn index_join_excluding_buf(
     };
     let started = Instant::now();
     let alloc0 = alloc_snapshot();
-    let probe_morsel = |range: std::ops::Range<usize>| {
-        let mut out = RowBuf::new(layout.width());
-        let mut probe = vec![Datum::Null; probe_cols.len()];
-        for li in range {
-            let l = left.row(li);
-            let mut matched = false;
-            let any_null = probe_cols.iter().any(|&c| l[c].is_null());
-            if !any_null {
-                for (slot, &perm) in probe.iter_mut().zip(index_perm) {
-                    *slot = l[probe_cols[perm]].clone();
-                }
-                for r in table.index_lookup(index, &probe) {
-                    if let Some(ex) = exclude {
-                        if ex.contains_ref(r, key_cols) {
-                            continue;
-                        }
-                    }
-                    if !eval_pred_split_ref(layout, residual, l, r, offset) {
-                        continue;
-                    }
-                    matched = true;
-                    if !keep_merged {
-                        break;
-                    }
-                    let n = out.len();
-                    out.push_row(l);
-                    r.copy_into(&mut out.row_mut(n)[offset..offset + slot_len]);
-                }
+    let mut out = RowBuf::new(layout.width());
+    let mut probe = vec![Datum::Null; probe_cols.len()];
+    for l in left.iter() {
+        let mut matched = false;
+        if !probe_cols.iter().any(|&c| l[c].is_null()) {
+            for (slot, &perm) in probe.iter_mut().zip(index_perm) {
+                *slot = l[probe_cols[perm]].clone();
             }
-            match kind {
-                JoinKind::LeftOuter if !matched => out.push_row(l),
-                JoinKind::LeftSemi if matched => out.push_row(l),
-                JoinKind::LeftAnti if !matched => out.push_row(l),
-                _ => {}
+            for r in table.index_lookup(index, &probe) {
+                if exclude.is_some_and(|ex| ex.contains_ref(r, key_cols)) {
+                    continue;
+                }
+                if !eval_pred_split_ref(layout, residual, l, r, offset) {
+                    continue;
+                }
+                matched = true;
+                if !keep_merged {
+                    break;
+                }
+                let n = out.len();
+                out.push_row(l);
+                r.copy_into(&mut out.row_mut(n)[offset..offset + slot_len]);
             }
         }
-        out
-    };
-    let n_left = left.len();
-    let morsels = map_morsels(env.spec, n_left, probe_morsel);
-    let n_morsels = morsels.len();
-    let mut out = RowBuf::new(layout.width());
-    for m in morsels {
-        out.append(&m);
+        push_unmatched_left(kind, matched, l, &mut out);
     }
-    env.record(
-        |s| &s.index_join,
-        n_left,
-        out.len(),
-        n_morsels,
-        started,
-        alloc0,
-    );
+    env.record(|s| &s.index_join, left.len(), out.len(), started, alloc0);
     out
 }
 
@@ -650,57 +550,41 @@ pub fn index_join_narrow_left_buf(
     };
     let started = Instant::now();
     let alloc0 = alloc_snapshot();
-    let probe_morsel = |range: std::ops::Range<usize>| {
-        let mut out = RowBuf::new(layout.width());
-        let mut probe = vec![Datum::Null; probe_local.len()];
-        for l in &left_rows[range] {
-            let mut matched = false;
-            let any_null = probe_local.iter().any(|&c| l[c].is_null());
-            if !any_null {
-                for (slot, &perm) in probe.iter_mut().zip(index_perm) {
-                    *slot = l[probe_local[perm]].clone();
-                }
-                for r in table.index_lookup(index, &probe) {
-                    if let Some(ex) = exclude {
-                        if ex.contains_ref(r, key_cols) {
-                            continue;
-                        }
-                    }
-                    if !crate::eval::eval_pred_two_narrow_ref(residual, left_id, l, right_id, r) {
-                        continue;
-                    }
-                    matched = true;
-                    if !keep_merged {
-                        break;
-                    }
-                    let n = out.len();
-                    let row = out.push_null_row();
-                    row[loffset..loffset + llen].clone_from_slice(l);
-                    r.copy_into(&mut row[roffset..roffset + rlen]);
-                    debug_assert_eq!(out.len(), n + 1);
-                }
+    let mut out = RowBuf::new(layout.width());
+    let mut probe = vec![Datum::Null; probe_local.len()];
+    for l in left_rows {
+        let mut matched = false;
+        if !probe_local.iter().any(|&c| l[c].is_null()) {
+            for (slot, &perm) in probe.iter_mut().zip(index_perm) {
+                *slot = l[probe_local[perm]].clone();
             }
-            match kind {
-                JoinKind::LeftOuter if !matched => layout.widen_into(left_id, l, &mut out),
-                JoinKind::LeftSemi if matched => layout.widen_into(left_id, l, &mut out),
-                JoinKind::LeftAnti if !matched => layout.widen_into(left_id, l, &mut out),
-                _ => {}
+            for r in table.index_lookup(index, &probe) {
+                if exclude.is_some_and(|ex| ex.contains_ref(r, key_cols)) {
+                    continue;
+                }
+                if !crate::eval::eval_pred_two_narrow_ref(residual, left_id, l, right_id, r) {
+                    continue;
+                }
+                matched = true;
+                if !keep_merged {
+                    break;
+                }
+                let row = out.push_null_row();
+                row[loffset..loffset + llen].clone_from_slice(l);
+                r.copy_into(&mut row[roffset..roffset + rlen]);
             }
         }
-        out
-    };
-    let n_left = left_rows.len();
-    let morsels = map_morsels(env.spec, n_left, probe_morsel);
-    let n_morsels = morsels.len();
-    let mut out = RowBuf::new(layout.width());
-    for m in morsels {
-        out.append(&m);
+        match kind {
+            JoinKind::LeftOuter if !matched => layout.widen_into(left_id, l, &mut out),
+            JoinKind::LeftSemi if matched => layout.widen_into(left_id, l, &mut out),
+            JoinKind::LeftAnti if !matched => layout.widen_into(left_id, l, &mut out),
+            _ => {}
+        }
     }
     env.record(
         |s| &s.index_join,
-        n_left,
+        left_rows.len(),
         out.len(),
-        n_morsels,
         started,
         alloc0,
     );
@@ -987,7 +871,7 @@ mod tests {
             JoinKind::LeftSemi,
             JoinKind::LeftAnti,
         ] {
-            let env = ExecEnv::serial(&l);
+            let env = ExecEnv::new(&l);
             let tiny = hash_join_keyed_buf(
                 &env,
                 kind,
@@ -1034,7 +918,7 @@ mod tests {
             JoinKind::LeftSemi,
             JoinKind::LeftAnti,
         ] {
-            let env = ExecEnv::serial(&l);
+            let env = ExecEnv::new(&l);
             let narrow = narrow_build_join_buf(
                 &env,
                 kind,

@@ -8,9 +8,8 @@ use crate::error::{ExecError, ExecResult};
 use crate::eval::{eval_pred, eval_pred_narrow_ref};
 use crate::hashtbl::KeySet;
 use crate::layout::ViewLayout;
-use crate::morsel::ParallelSpec;
 use crate::ops;
-use crate::parallel::{map_morsels, ExecEnv, ExecStats};
+use crate::stats::{ExecEnv, ExecStats};
 
 /// The update batch `ΔT` made available to `Expr::Delta`/`Expr::OldState`
 /// leaves. Rows are in the base table's (narrow) schema.
@@ -30,9 +29,7 @@ pub struct ExecCtx<'a> {
     /// When false, joins never take the index-nested-loop fast path — used
     /// by baselines that model optimizers without index-aware delta plans.
     pub prefer_index_joins: bool,
-    /// Degree of parallelism for the physical operators.
-    pub spec: ParallelSpec,
-    /// Per-operator counters, shared across workers when set.
+    /// Per-operator counters, when set.
     pub stats: Option<&'a ExecStats>,
 }
 
@@ -43,7 +40,6 @@ impl<'a> ExecCtx<'a> {
             layout,
             delta: None,
             prefer_index_joins: true,
-            spec: ParallelSpec::serial(),
             stats: None,
         }
     }
@@ -53,12 +49,6 @@ impl<'a> ExecCtx<'a> {
             delta: Some(delta),
             ..Self::new(catalog, layout)
         }
-    }
-
-    /// Replace the parallelism spec.
-    pub fn with_parallel(mut self, spec: ParallelSpec) -> Self {
-        self.spec = spec;
-        self
     }
 
     /// Attach per-operator counters.
@@ -71,7 +61,6 @@ impl<'a> ExecCtx<'a> {
     pub fn env(&self) -> ExecEnv<'a> {
         ExecEnv {
             layout: self.layout,
-            spec: self.spec,
             stats: self.stats,
         }
     }
@@ -178,25 +167,15 @@ pub fn eval_expr_buf(ctx: &ExecCtx<'_>, expr: &Expr) -> ExecResult<RowBuf> {
 }
 
 /// The paper's `λ^c_p` on a materialized batch: null out the columns of
-/// `null_tables` on every row *failing* `pred`. Predicate evaluation is the
-/// expensive part; it runs morsel-parallel over the read-only rows, then the
-/// flagged rows are nulled in order.
+/// `null_tables` on every row *failing* `pred`, in place.
 pub fn null_if_buf(
     ctx: &ExecCtx<'_>,
     null_tables: TableSet,
     pred: &ojv_algebra::Pred,
     mut rows: RowBuf,
 ) -> RowBuf {
-    let null_flags: Vec<bool> = map_morsels(ctx.spec, rows.len(), |range| {
-        range
-            .map(|i| !eval_pred(ctx.layout, pred, rows.row(i)))
-            .collect::<Vec<bool>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    for (i, null_it) in null_flags.into_iter().enumerate() {
-        if null_it {
+    for i in 0..rows.len() {
+        if !eval_pred(ctx.layout, pred, rows.row(i)) {
             ctx.layout.null_out(null_tables, rows.row_mut(i));
         }
     }
@@ -647,31 +626,6 @@ mod tests {
         ));
         let join = Expr::inner(pred, Expr::table(TableId(2)), Expr::table(TableId(1)));
         assert!(eval_expr(&ctx, &join).is_err());
-    }
-
-    #[test]
-    fn parallel_evaluation_is_bit_identical_to_serial() {
-        let (mut c, l) = setup();
-        populate(&mut c);
-        c.insert(
-            "lineitem",
-            vec![
-                vec![Datum::Int(1001), Datum::Int(11), Datum::Int(1)],
-                vec![Datum::Int(1002), Datum::Int(10), Datum::Int(2)],
-            ],
-        )
-        .unwrap();
-        let serial = eval_expr(&ExecCtx::new(&c, &l), &view_expr()).unwrap();
-        for threads in [2, 8] {
-            for morsel in [1, 3, 4096] {
-                let spec = ParallelSpec::threads(threads)
-                    .with_morsel_rows(morsel)
-                    .with_cutoff(0);
-                let ctx = ExecCtx::new(&c, &l).with_parallel(spec);
-                let parallel = eval_expr(&ctx, &view_expr()).unwrap();
-                assert_eq!(serial, parallel, "threads={threads} morsel={morsel}");
-            }
-        }
     }
 
     #[test]

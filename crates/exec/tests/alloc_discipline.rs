@@ -106,7 +106,7 @@ fn non_matching_probes_do_not_allocate() {
     // 2. The full hash-join operator: per-probe cost must be zero, so the
     //    operator's allocation count is independent of the number of
     //    non-matching probe rows (fixed setup cost only).
-    let env = ExecEnv::serial(&l);
+    let env = ExecEnv::new(&l);
     let pred = Pred::atom(Atom::eq(
         ColRef::new(TableId(0), 0),
         ColRef::new(TableId(1), 0),

@@ -24,7 +24,7 @@ pub enum FeedError {
     /// The subscriber id is unknown (already unsubscribed, or from another
     /// hub).
     UnknownSubscriber { id: u64 },
-    /// A fan-out job panicked on a worker thread. The panic is caught at
+    /// A fan-out job panicked. The panic is caught at
     /// the job boundary: sibling groups still publish, the affected group's
     /// subscribers lapse (their next drain rebases from a snapshot), and
     /// the panic surfaces here instead of poisoning the process.

@@ -24,10 +24,11 @@
 //! inserted and deleted inside one batch nets to nothing; an UPDATE
 //! decomposes into its delete/insert halves only when a projected column
 //! actually changed. The hub keeps no copy of any view. Netted events fan
-//! out to filter groups on the workspace's bounded worker pool
-//! ([`ojv_exec::run_pool`], the one batched maintenance uses). Workers touch
-//! no locks — a panic is caught at the job boundary, sibling groups still
-//! publish, and the affected group's subscribers lapse to a snapshot rebase.
+//! out to filter groups one group at a time, outside the hub lock, under
+//! the workspace's one panic policy ([`ojv_exec::catch_each`], the one
+//! batched maintenance uses): a panic is caught at the group boundary,
+//! sibling groups still publish, and the affected group's subscribers lapse
+//! to a snapshot rebase.
 //!
 //! Delivery is pull-based: each evaluation leaf retains a bounded ring of
 //! recent `Arc<UpdateSet>`s; a subscriber's [`Subscription::drain`] returns
@@ -128,7 +129,7 @@ struct HubInner {
     parked: Vec<(Lsn, ojv_core::prelude::Snapshot)>,
     next_sub: u64,
     max_retained: usize,
-    /// Last fan-out failure (a caught worker panic), kept for
+    /// Last fan-out failure (a caught job panic), kept for
     /// [`FeedHub::take_error`].
     last_error: Option<FeedError>,
     commits_seen: u64,
@@ -219,13 +220,13 @@ fn net_events<'a>(ops: &'a [ViewOp], key_cols: &[usize]) -> Vec<NetEvent<'a>> {
 }
 
 // ---------------------------------------------------------------------------
-// Fan-out pool
+// Fan-out
 // ---------------------------------------------------------------------------
 
-/// One worker job: evaluate one filter group's netted events for all of its
+/// One fan-out job: evaluate one filter group's netted events for all of its
 /// live leaves. Self-contained (`Arc` shares of immutable state, and the
-/// commit's ops, borrowed for the fan-out) so workers never touch the hub
-/// lock.
+/// commit's ops, borrowed for the fan-out) so evaluation runs outside the
+/// hub lock.
 struct Job<'a> {
     view: Arc<str>,
     view_idx: usize,
@@ -299,38 +300,21 @@ fn push_insert(set: &mut UpdateSet, key_cols: &[usize], row: &[Datum], proj: &[u
     }
 }
 
-/// Run jobs on the workspace pool ([`ojv_exec::run_pool`]: bounded, results
-/// in job order, a panic caught per job). Workers call only [`eval_group`]
-/// — no locks are taken on worker threads. A panicking group becomes a
-/// failed [`JobResult`]; its siblings still publish.
-fn run_jobs(jobs: Vec<Job<'_>>, lsn: Lsn, threads: usize) -> Vec<JobResult> {
-    let slots: Vec<(usize, usize, Vec<usize>, Arc<str>)> = jobs
-        .iter()
-        .map(|job| {
-            let leaf_idxs = job.leaves.iter().map(|(li, _)| *li).collect();
-            (
-                job.view_idx,
-                job.group_idx,
-                leaf_idxs,
-                Arc::clone(&job.view),
-            )
-        })
-        .collect();
-    let outcomes = ojv_exec::run_pool("feed.fanout", threads, jobs, |_, job| eval_group(&job, lsn));
-    slots
-        .into_iter()
+/// Run every job in order under [`ojv_exec::catch_each`]. A panicking group
+/// becomes a failed [`JobResult`]; its siblings still publish.
+fn run_jobs(jobs: Vec<Job<'_>>, lsn: Lsn) -> Vec<JobResult> {
+    let outcomes = ojv_exec::catch_each(&jobs, |_, job| eval_group(job, lsn));
+    jobs.into_iter()
         .zip(outcomes)
-        .map(
-            |((view_idx, group_idx, leaf_idxs, view), outcome)| JobResult {
-                view_idx,
-                group_idx,
-                leaf_idxs,
-                outcome: outcome.map_err(|detail| FeedError::FanoutPanic {
-                    view: view.to_string(),
-                    detail,
-                }),
-            },
-        )
+        .map(|(job, outcome)| JobResult {
+            view_idx: job.view_idx,
+            group_idx: job.group_idx,
+            leaf_idxs: job.leaves.iter().map(|(li, _)| *li).collect(),
+            outcome: outcome.map_err(|detail| FeedError::FanoutPanic {
+                view: job.view.to_string(),
+                detail,
+            }),
+        })
         .collect()
 }
 
@@ -413,26 +397,15 @@ pub fn scan_state_bytes(view: &SnapshotView, spec: &SubscriptionSpec) -> Result<
 /// the same state. Attach it to a [`Database`] (or
 /// [`DurableDatabase`]) and it translates every commit into per-subscriber
 /// update sets.
+#[derive(Clone)]
 pub struct FeedHub {
     inner: Arc<Mutex<HubInner>>,
-    threads: usize,
-}
-
-impl Clone for FeedHub {
-    fn clone(&self) -> Self {
-        FeedHub {
-            inner: Arc::clone(&self.inner),
-            threads: self.threads,
-        }
-    }
 }
 
 impl fmt::Debug for FeedHub {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Deliberately lock-free: Debug may run while the hub lock is held.
-        f.debug_struct("FeedHub")
-            .field("threads", &self.threads)
-            .finish_non_exhaustive()
+        f.debug_struct("FeedHub").finish_non_exhaustive()
     }
 }
 
@@ -466,13 +439,8 @@ impl Drop for HubGuard<'_> {
 }
 
 impl FeedHub {
-    /// A hub that evaluates fan-out inline (one thread).
+    /// An empty hub; attach it to a database to start translating commits.
     pub fn new() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// A hub whose fan-out runs on up to `threads` workers.
-    pub fn with_threads(threads: usize) -> Self {
         FeedHub {
             inner: Arc::new(Mutex::new(HubInner {
                 lsn: 0,
@@ -487,7 +455,6 @@ impl FeedHub {
                 last_fanout_nanos: 0,
                 total_fanout_nanos: 0,
             })),
-            threads: threads.max(1),
         }
     }
 
@@ -676,7 +643,7 @@ impl FeedHub {
         stats
     }
 
-    /// Take (and clear) the last fan-out failure — a worker panic caught at
+    /// Take (and clear) the last fan-out failure — a job panic caught at
     /// the job boundary. The affected group's subscribers have lapsed and
     /// will rebase on their next drain.
     pub fn take_error(&self) -> Option<FeedError> {
@@ -686,8 +653,8 @@ impl FeedHub {
     }
 
     /// First half of a fan-out: under the hub lock, net each watched view's
-    /// ops and assemble per-group jobs; then (lock released) evaluate them
-    /// on the worker pool. Nothing is visible to subscribers until
+    /// ops and assemble per-group jobs; then (lock released) evaluate them.
+    /// Nothing is visible to subscribers until
     /// [`FeedHub::publish_fanout`]. Split out so tests can interleave
     /// subscriber operations between the two halves deterministically.
     pub fn begin_fanout(&self, lsn: Lsn, updates: &[(String, Vec<ViewOp>)]) -> FanoutBatch {
@@ -740,7 +707,7 @@ impl FeedHub {
             }
             jobs
         };
-        let results = run_jobs(jobs, lsn, self.threads);
+        let results = run_jobs(jobs, lsn);
         FanoutBatch {
             lsn,
             started,
@@ -1069,7 +1036,7 @@ impl Drop for Subscription {
     }
 }
 
-/// Deterministic panic injection for exercising the fan-out pool's
+/// Deterministic panic injection for exercising the fan-out's
 /// `catch_unwind` boundary from integration tests. Mirrors
 /// `ojv_core::batch`'s test hook, but always compiled (hidden) so external
 /// tests can reach it.
@@ -1448,14 +1415,20 @@ mod tests {
         let mut db = db();
         db.create_view(fixtures::oj_view_variant(test_panic::PANIC_VIEW, 1_000))
             .unwrap();
+        // Fanned out after the panicking view's group.
+        db.create_view(fixtures::oj_view_variant("after_panic", 1_000))
+            .unwrap();
         let hub = FeedHub::new();
         hub.attach(&mut db);
         let panicking = SubscriptionSpec::on(test_panic::PANIC_VIEW);
         let healthy = part_spec();
+        let later = SubscriptionSpec::on("after_panic");
         let (sub_p, image_p) = hub.subscribe(&panicking).unwrap();
         let (sub_h, image_h) = hub.subscribe(&healthy).unwrap();
+        let (sub_l, image_l) = hub.subscribe(&later).unwrap();
         let mut state_p = SubscriberState::new(&image_p);
         let mut state_h = SubscriberState::new(&image_h);
+        let mut state_l = SubscriberState::new(&image_l);
 
         test_panic::arm();
         db.insert("part", vec![fixtures::part_row(700, "boom", 1.0)])
@@ -1472,6 +1445,17 @@ mod tests {
         }
         apply_all(&mut state_h, sub_h.drain().unwrap());
         assert_converged(&db, &healthy, &state_h);
+        // The group after the panicking one still delivered the new part.
+        match sub_l.drain().unwrap() {
+            Drained::Updates(sets) => {
+                assert!(sets.iter().any(|set| !set.is_empty()), "{sets:?}");
+                for set in sets {
+                    state_l.apply(&set);
+                }
+            }
+            other => panic!("expected streamed updates, got {other:?}"),
+        }
+        assert_converged(&db, &later, &state_l);
 
         // The panicked group's subscriber lapses and self-heals via rebase.
         match sub_p.drain().unwrap() {
@@ -1531,44 +1515,6 @@ mod tests {
                 .map(|e| (e.pre.cloned(), e.post.cloned()))
                 .collect();
             assert_eq!(got, want, "{shape}");
-        }
-    }
-
-    #[test]
-    fn multithreaded_fanout_matches_inline() {
-        let mut db1 = db();
-        let mut db2 = db();
-        let inline = FeedHub::new();
-        let pooled = FeedHub::with_threads(4);
-        inline.attach(&mut db1);
-        pooled.attach(&mut db2);
-        // Several distinct filter groups so the pool actually buckets.
-        let specs: Vec<SubscriptionSpec> = (0..6)
-            .map(|i| {
-                SubscriptionSpec::on("oj_view")
-                    .with_filter(FeedFilter::cmp(0, CmpOp::Gt, Datum::Int(i)))
-                    .with_projection(vec![0, 1, 2])
-            })
-            .collect();
-        let subs1: Vec<_> = specs.iter().map(|s| inline.subscribe(s).unwrap()).collect();
-        let subs2: Vec<_> = specs.iter().map(|s| pooled.subscribe(s).unwrap()).collect();
-        for i in 0..3 {
-            db1.insert("part", vec![fixtures::part_row(800 + i, "mt", 1.0)])
-                .unwrap();
-            db2.insert("part", vec![fixtures::part_row(800 + i, "mt", 1.0)])
-                .unwrap();
-        }
-        for (spec, ((s1, im1), (s2, im2))) in specs.iter().zip(subs1.iter().zip(subs2.iter())) {
-            let mut st1 = SubscriberState::new(im1);
-            let mut st2 = SubscriberState::new(im2);
-            apply_all(&mut st1, s1.drain().unwrap());
-            apply_all(&mut st2, s2.drain().unwrap());
-            assert_eq!(
-                st1.state_bytes(),
-                st2.state_bytes(),
-                "pooled fan-out diverged for {spec:?}"
-            );
-            assert_converged(&db1, spec, &st1);
         }
     }
 }

@@ -11,10 +11,10 @@
 //!
 //! When no such harness installs it, the counters simply stay at zero and
 //! [`alloc_snapshot`] deltas read as 0 — operators report "allocation
-//! counting off" rather than lying. The counters are global (not
-//! per-thread), which is exactly what the per-operator EXPLAIN counters
-//! want: a morsel-parallel probe's allocations land on the operator that
-//! spawned the morsels.
+//! counting off" rather than lying. The counters are process-wide, not
+//! per-thread: a delta taken around an operator also counts whatever other
+//! threads allocated meanwhile, which is why the discipline tests take the
+//! minimum over repeats.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

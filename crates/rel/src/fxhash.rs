@@ -8,9 +8,8 @@
 //! so we trade that resistance for speed with an FxHash-style
 //! multiply-rotate mix (the scheme rustc itself uses for its interner
 //! tables). Zero dependencies, and — unlike `RandomState` — **seeded by a
-//! constant**, so hash values, partition assignments, and therefore every
-//! hash-partitioned parallel operator are reproducible across runs, threads,
-//! and machines.
+//! constant**, so hash values, and therefore every hash table's bucket
+//! layout, are reproducible across runs and machines.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

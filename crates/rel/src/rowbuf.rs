@@ -102,13 +102,6 @@ impl RowBuf {
         &mut self.data[start..]
     }
 
-    /// Append every row of `other` (must have the same width).
-    pub fn append(&mut self, other: &RowBuf) {
-        assert_eq!(other.width, self.width, "row width mismatch");
-        self.data.extend_from_slice(&other.data);
-        self.len += other.len;
-    }
-
     /// Iterate rows as slices.
     #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Datum]> + Clone {

@@ -24,7 +24,7 @@ pub struct LintDef {
 }
 
 /// All lints, sorted by id — the order `--list` prints them.
-pub const LINTS: [LintDef; 14] = [
+pub const LINTS: [LintDef; 15] = [
     LintDef {
         id: "cast",
         scope: "crates/durability/src/",
@@ -58,10 +58,16 @@ pub const LINTS: [LintDef; 14] = [
     },
     LintDef {
         id: "mutex-in-exec-hot-path",
-        scope: "crates/exec/src/ except parallel.rs",
-        desc: "no lock types (Mutex/RwLock/Condvar) in the executor outside parallel.rs — \
-               operators share state via &-references and atomics only, so no operator can \
-               block a morsel worker",
+        scope: "crates/exec/src/",
+        desc: "no lock types (Mutex/RwLock/Condvar) in the executor — every commit runs its \
+               operators on the caller's thread, so there is nothing to lock",
+    },
+    LintDef {
+        id: "no-engine-threads",
+        scope: "crates/{rel,storage,exec,core,feed,durability}/src/",
+        desc: "no thread::spawn, thread::scope or .spawn( in the engine's non-test code — \
+               each commit runs on the caller's thread (a thread-count sweep never beat \
+               serial); concurrency lives with the callers, e.g. snapshot readers",
     },
     LintDef {
         id: "owned-key-index",
@@ -210,14 +216,15 @@ fn applies(lint: &str, path: &str) -> bool {
         "maintain-entry-confined" => {
             path.starts_with("crates/core/src/") && path != "crates/core/src/maintain.rs"
         }
-        // The morsel driver in parallel.rs is the one sanctioned
-        // synchronization point of the executor; an operator that blocks on
-        // a lock inside a worker closure can deadlock the claim loop (see
-        // the concheck `lock-in-worker` invariant, which catches the
-        // acquisition — this lint bans even *naming* a lock type).
-        "mutex-in-exec-hot-path" => {
-            path.starts_with("crates/exec/src/") && path != "crates/exec/src/parallel.rs"
-        }
+        // The executor runs on the committing thread and shares nothing;
+        // naming a lock type there is the first step back to a worker pool.
+        "mutex-in-exec-hot-path" => path.starts_with("crates/exec/src/"),
+        // The engine spawns no threads: every commit's maintenance, shard
+        // loop and feed fan-out run on the caller's thread. Benches, tests
+        // and tools may spawn (reader stress, throughput panels).
+        "no-engine-threads" => ["rel", "storage", "exec", "core", "feed", "durability"]
+            .iter()
+            .any(|c| path.starts_with(&format!("crates/{c}/src/"))),
         // Subscription predicates are evaluated once per filter group inside
         // the feed hub's fan-out; a `matches_row` call site anywhere else is
         // a per-subscriber loop bypassing the dedup (the exact O(subscribers)
@@ -335,6 +342,14 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
             && matches!(tok.text, "Mutex" | "RwLock" | "Condvar")
         {
             record("mutex-in-exec-hot-path", line, &mut out);
+        }
+        if applies("no-engine-threads", &path)
+            && !in_test.get(line).copied().unwrap_or(false)
+            && (seq(i, &["thread", ":", ":", "spawn"])
+                || seq(i, &["thread", ":", ":", "scope"])
+                || seq(i, &[".", "spawn", "("]))
+        {
+            record("no-engine-threads", line, &mut out);
         }
         if applies("feed-eval-confined", &path)
             && !in_test.get(line).copied().unwrap_or(false)
@@ -761,7 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn mutex_banned_in_exec_outside_parallel() {
+    fn mutex_banned_in_all_of_exec() {
         let src = "use std::sync::Mutex;\nfn f() { let m: Mutex<u32> = Mutex::new(0); }\n";
         let v = scan_file("crates/exec/src/ops/join.rs", src);
         assert_eq!(v.len(), 3, "both the use and both mentions fire");
@@ -769,8 +784,10 @@ mod tests {
         // RwLock and Condvar are lock types too.
         let rw = "fn f() { let l = RwLock::new(0); let c = Condvar::new(); }\n";
         assert_eq!(scan_file("crates/exec/src/hashtbl.rs", rw).len(), 2);
-        // parallel.rs is the sanctioned synchronization point.
-        assert!(scan_file("crates/exec/src/parallel.rs", src).is_empty());
+        // No file of the executor is exempt.
+        for path in ["crates/exec/src/stats.rs", "crates/exec/src/catch.rs"] {
+            assert_eq!(scan_file(path, src).len(), 3, "{path}");
+        }
         // Other crates are out of scope (core's snapshot registry is a Mutex).
         assert!(scan_file("crates/core/src/snapshot.rs", src).is_empty());
         // Identifier boundary: MutexGuard in a comment or FakeMutex do not
@@ -780,6 +797,62 @@ mod tests {
         // Escape hatch.
         let allowed = "fn f() { let m = Mutex::new(0); } // lint:allow(mutex-in-exec-hot-path)\n";
         assert!(scan_file("crates/exec/src/ops/join.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn engine_threads_detected_in_engine_crates_only() {
+        let spawn = "fn f() { std::thread::spawn(|| work()); }\n";
+        let scope = "fn f() { std::thread::scope(|s| { s.spawn(|| work()); }); }\n";
+        let method = "fn f(b: Builder) { b.spawn(work).unwrap(); }\n";
+        for crate_dir in ["rel", "storage", "exec", "core", "feed", "durability"] {
+            let path = format!("crates/{crate_dir}/src/lib.rs");
+            assert_eq!(scan_file(&path, spawn).len(), 1, "{path}");
+            // `thread::scope` and the scope's `.spawn(` both fire.
+            let v = scan_file(&path, scope);
+            assert_eq!(v.len(), 2, "{path}: {v:?}");
+            assert!(v.iter().all(|x| x.lint == "no-engine-threads"));
+            assert_eq!(scan_file(&path, method).len(), 1, "{path}");
+        }
+        // Benches, tests, tools and the root suites may spawn.
+        for path in [
+            "crates/bench/src/readbench.rs",
+            "crates/testkit/src/sched.rs",
+            "crates/xtask/src/main.rs",
+            "tests/snapshot_isolation.rs",
+        ] {
+            assert!(scan_file(path, scope).is_empty(), "{path}");
+        }
+        // In-file test modules may spawn (reader threads against a pin).
+        let tested = "#[cfg(test)]\nmod tests {\n    fn f() { std::thread::spawn(|| ()); }\n}\n";
+        assert!(scan_file("crates/core/src/snapshot.rs", tested).is_empty());
+        // A function merely named like one is fine.
+        let other = "fn respawn() {}\nfn g() { spawn_count(); respawn(); }\n";
+        assert!(scan_file("crates/core/src/shard.rs", other).is_empty());
+        // Escape hatch.
+        let allowed = "fn f() { std::thread::spawn(|| ()); } // lint:allow(no-engine-threads)\n";
+        assert!(scan_file("crates/core/src/shard.rs", allowed).is_empty());
+    }
+
+    /// A thread pool seeded into the executor fails the gate end to end.
+    #[test]
+    fn seeded_engine_thread_fails_the_gate() {
+        let root = std::env::temp_dir().join(format!("xtask-lint-thr-{}", std::process::id()));
+        let dir = root.join("crates/exec/src");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("pool.rs"),
+            "pub fn run(items: Vec<u32>) {\n    std::thread::scope(|s| {\n        for i in items {\n            s.spawn(move || i + 1);\n        }\n    });\n}\n",
+        )
+        .unwrap();
+        let v = run(&root).unwrap();
+        fs::remove_dir_all(&root).ok();
+        let lines: Vec<usize> = v
+            .iter()
+            .filter(|x| x.lint == "no-engine-threads")
+            .map(|x| x.line)
+            .collect();
+        assert_eq!(lines, vec![2, 4], "{v:?}");
+        assert!(v.iter().all(|x| x.file == "crates/exec/src/pool.rs"));
     }
 
     #[test]

@@ -45,9 +45,10 @@ fn lint_list_is_sorted_and_scoped() {
             "maintain-entry-confined",
             "crates/core/src/ except maintain.rs",
         ),
+        ("mutex-in-exec-hot-path", "crates/exec/src/"),
         (
-            "mutex-in-exec-hot-path",
-            "crates/exec/src/ except parallel.rs",
+            "no-engine-threads",
+            "crates/{rel,storage,exec,core,feed,durability}/src/",
         ),
         (
             "owned-key-index",

@@ -92,9 +92,9 @@ impl CommitObserver for Recorder {
 
 /// Hub + database wired so commits journal into the recorder: the hub gets
 /// the registry at attach time, then the recorder replaces it as observer.
-fn recorded_world(threads: usize) -> (Rc<RefCell<Database>>, FeedHub, Arc<Recorder>) {
+fn recorded_world() -> (Rc<RefCell<Database>>, FeedHub, Arc<Recorder>) {
     let mut db = build_db();
-    let hub = FeedHub::with_threads(threads);
+    let hub = FeedHub::new();
     hub.attach(&mut db);
     let recorder = Arc::new(Recorder::default());
     db.attach_commit_observer(Arc::clone(&recorder) as Arc<dyn CommitObserver>);
@@ -175,7 +175,7 @@ fn subscribe_during_commit_exhaustive() {
     let spec = price_spec();
     let refs = feed_refs(&spec, BATCHES);
     for trace in interleavings(&[3 * BATCHES, 4]) {
-        let (db, hub, recorder) = recorded_world(1);
+        let (db, hub, recorder) = recorded_world();
         let client: Rc<RefCell<Option<(Subscription, SubscriberState)>>> =
             Rc::new(RefCell::new(None));
         let subscriber: Actor = {
@@ -239,7 +239,7 @@ fn subscribe_during_commit_exhaustive() {
 /// stepped driver, a filtered subscriber draining continuously, and a
 /// projection subscriber that drops mid-stream and resumes from its last
 /// cursor (exercising Stream / CatchUp / Rebase, whichever the schedule
-/// produces). Multithreaded fan-out runs under the race detector.
+/// produces). The run is watched by the race detector.
 #[test]
 fn seeded_subscribe_drop_resume_corpus() {
     const SEEDS: [u64; 6] = [1, 7, 42, 0xfeed, 0xbead5, 271_828];
@@ -250,7 +250,7 @@ fn seeded_subscribe_drop_resume_corpus() {
     let refs_a = feed_refs(&spec_a, BATCHES);
     let refs_b = feed_refs(&spec_b, BATCHES);
     for seed in SEEDS {
-        let (db, hub, recorder) = recorded_world(2);
+        let (db, hub, recorder) = recorded_world();
         type Client = Rc<RefCell<Option<(Subscription, SubscriberState)>>>;
         let client_a: Client = Rc::new(RefCell::new(None));
         // Subscriber B's handle and state live in separate slots: between

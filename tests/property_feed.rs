@@ -196,7 +196,7 @@ property! {
         cmds in vec_of(cmd_strategy(), 1..28),
     ) {
         let mut db = build_db();
-        let hub = FeedHub::with_threads(2);
+        let hub = FeedHub::new();
         hub.attach(&mut db);
         // Tiny ring so lagging subscribers actually lapse and rebase.
         hub.set_retention(3);

@@ -2,7 +2,9 @@
 //! maintained through randomized update sequences, must always equal a full
 //! recompute — under every maintenance policy, for a projected twin whose
 //! secondary deltas all come from base tables (§5.3), and for the GK
-//! baseline.
+//! baseline. A seeded suite per join shape (three-table inner, left, right
+//! and full outer chains, plus mixed two-kind chains) checks the same
+//! against recompute after every insert and delete batch.
 
 use ojv_testkit::{property, strategy, vec_of, Rng, Strategy};
 
@@ -162,12 +164,6 @@ fn policies() -> Vec<MaintenancePolicy> {
             use_fk: false,
             ..Default::default()
         },
-        // Morsel-parallel executor, forced past the cutoff: results must be
-        // bit-identical to the serial policies above.
-        MaintenancePolicy {
-            parallel: ParallelSpec::threads(2).with_morsel_rows(7).with_cutoff(0),
-            ..Default::default()
-        },
     ]
 }
 
@@ -250,7 +246,7 @@ property! {
                         maintain(v, c, &update, p).unwrap();
                     }
                     None => {
-                        maintain_gk(v, c, &update, &MaintenancePolicy::paper()).unwrap();
+                        maintain_gk(v, c, &update).unwrap();
                     }
                 }
                 assert!(
@@ -275,7 +271,7 @@ property! {
         let up = c
             .insert("ta", vec![vec![Datum::Int(999), Datum::Int(1), Datum::Null]])
             .unwrap();
-        maintain_recompute(&mut v, &c, &up, &MaintenancePolicy::paper()).unwrap();
+        maintain_recompute(&mut v, &c, &up).unwrap();
         assert!(verify_against_recompute(&v, &c));
     }
 
@@ -291,5 +287,161 @@ property! {
         let v = MaterializedView::create(&c, def).unwrap();
         let total: usize = v.term_cardinalities().iter().map(|(_, n)| n).sum();
         assert_eq!(total, v.len());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded join-shape suite: 100 cases per shape over three tables.
+// ---------------------------------------------------------------------------
+
+const CHAIN_TABLES: [&str; 3] = ["ta", "tb", "tc"];
+const CHAIN_CASES: u64 = 100;
+
+/// Three tables `(id PK, jc, payload FLOAT)`.
+fn chain_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    for name in CHAIN_TABLES {
+        c.create_table(
+            name,
+            vec![
+                Column::new(name, "id", DataType::Int, false),
+                Column::new(name, "jc", DataType::Int, false),
+                Column::new(name, "payload", DataType::Float, true),
+            ],
+            &["id"],
+        )
+        .unwrap();
+    }
+    c
+}
+
+fn chain_row(rng: &mut Rng, id: i64) -> Row {
+    vec![
+        Datum::Int(id),
+        Datum::Int(rng.gen_range(0..4)),
+        Datum::Float(rng.gen_range(0..10_000) as f64 / 100.0),
+    ]
+}
+
+fn chain_populate(c: &mut Catalog, rng: &mut Rng) {
+    for name in CHAIN_TABLES {
+        let n = rng.gen_range(4i64..10);
+        let rows: Vec<Row> = (1..=n).map(|i| chain_row(rng, i)).collect();
+        c.insert(name, rows).unwrap();
+    }
+}
+
+/// `ta ∘k1 tb ∘k2 tc` on `jc = jc`.
+fn chain_view(name: &str, k1: JoinKind, k2: JoinKind) -> ViewDef {
+    ViewDef::new(
+        name,
+        ViewExpr::join(
+            k2,
+            vec![col_eq("tb", "jc", "tc", "jc")],
+            ViewExpr::join(
+                k1,
+                vec![col_eq("ta", "jc", "tb", "jc")],
+                ViewExpr::table("ta"),
+                ViewExpr::table("tb"),
+            ),
+            ViewExpr::table("tc"),
+        ),
+    )
+}
+
+/// Per case: random data, then one insert batch and one delete batch
+/// against a random table each, checked against recompute after each.
+fn run_chain_shape(kind: JoinKind) {
+    let def = chain_view("chain", kind, kind);
+    let policy = MaintenancePolicy::default();
+    for case in 0..CHAIN_CASES {
+        let mut rng = Rng::seed_from_u64(case * 4 + kind as u64);
+        let mut c = chain_catalog();
+        chain_populate(&mut c, &mut rng);
+        let mut view = MaterializedView::create(&c, def.clone()).unwrap();
+
+        let mut next_id = 500i64;
+        for op in 0..2 {
+            let table = CHAIN_TABLES[rng.gen_range(0..CHAIN_TABLES.len())];
+            let update = if op == 0 {
+                let n = rng.gen_range(1usize..5);
+                let rows = (0..n)
+                    .map(|_| {
+                        next_id += 1;
+                        chain_row(&mut rng, next_id)
+                    })
+                    .collect();
+                c.insert(table, rows).unwrap()
+            } else {
+                let n = rng.gen_range(1usize..3).min(c.table(table).unwrap().len());
+                if n == 0 {
+                    continue;
+                }
+                let mut keys: Vec<Vec<Datum>> = Vec::new();
+                for _ in 0..n {
+                    let tbl = c.table(table).unwrap();
+                    let victim = tbl.row_ref(rng.gen_range(0..tbl.len())).datum(0);
+                    if !keys.contains(&vec![victim.clone()]) {
+                        keys.push(vec![victim]);
+                    }
+                }
+                c.delete(table, &keys).unwrap()
+            };
+            maintain(&mut view, &c, &update, &policy).unwrap();
+            assert!(
+                verify_against_recompute(&view, &c),
+                "{kind:?} case {case} (seed {}) op {op}: diverged from recompute",
+                case * 4 + kind as u64
+            );
+        }
+    }
+}
+
+#[test]
+fn inner_chain_equals_recompute() {
+    run_chain_shape(JoinKind::Inner);
+}
+
+#[test]
+fn left_outer_chain_equals_recompute() {
+    run_chain_shape(JoinKind::LeftOuter);
+}
+
+#[test]
+fn right_outer_chain_equals_recompute() {
+    run_chain_shape(JoinKind::RightOuter);
+}
+
+#[test]
+fn full_outer_chain_equals_recompute() {
+    run_chain_shape(JoinKind::FullOuter);
+}
+
+/// Mixed shapes: two random join kinds per case, one insert batch.
+#[test]
+fn mixed_shape_equals_recompute() {
+    let kinds = [
+        JoinKind::Inner,
+        JoinKind::LeftOuter,
+        JoinKind::RightOuter,
+        JoinKind::FullOuter,
+    ];
+    let policy = MaintenancePolicy::default();
+    for case in 0..CHAIN_CASES {
+        let mut rng = Rng::seed_from_u64(0xD1FF ^ case);
+        let mut c = chain_catalog();
+        chain_populate(&mut c, &mut rng);
+        let k1 = kinds[rng.gen_range(0..4usize)];
+        let k2 = kinds[rng.gen_range(0..4usize)];
+        let mut view = MaterializedView::create(&c, chain_view("mixed", k1, k2)).unwrap();
+        let rows: Vec<Row> = (0..3).map(|i| chain_row(&mut rng, 900 + i)).collect();
+        let table = CHAIN_TABLES[rng.gen_range(0..CHAIN_TABLES.len())];
+        let up = c.insert(table, rows).unwrap();
+        maintain(&mut view, &c, &up, &policy).unwrap();
+        assert!(
+            verify_against_recompute(&view, &c),
+            "{k1:?}/{k2:?} case {case} (seed {}): diverged from recompute",
+            0xD1FF ^ case
+        );
     }
 }

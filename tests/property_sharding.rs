@@ -243,7 +243,6 @@ property! {
         ops in vec_of(op_strategy(), 1..14),
     ) {
         let mut dbs: Vec<ShardedDatabase> = SHARD_COUNTS.iter().map(|&n| sharded(n)).collect();
-        dbs[3].set_policy(MaintenancePolicy::with_threads(8)); // the 8-shard twin uses pool threads
         let (mut wal, mut group) = durable_twins();
 
         // Driver-side mirror of live rows, advanced only when ops succeed.
@@ -669,62 +668,4 @@ fn recovery_matches_the_serial_twin_at_the_floor() {
         twin.state_bytes().unwrap(),
         "4-shard recovery must equal the 1-shard in-memory twin"
     );
-}
-
-/// Race-detector pass over the shard-merge path: eight parallel shard
-/// workers maintain both views across several commits while the
-/// vector-clock detector watches the fan-out, join, and coordinator-merge
-/// happens-before edges. Under `--features concheck` the trace shim inside
-/// the engine is live, so the assertion additionally requires recorded
-/// events — proof the detector observed the run rather than an empty log.
-#[test]
-fn parallel_shard_merge_is_race_free() {
-    use ojv_testkit::race;
-
-    let detector = race::install("parallel_shard_merge");
-    let mut db = sharded(8);
-    db.set_policy(MaintenancePolicy::with_threads(8));
-    for round in 0..4i64 {
-        let parents: Vec<Row> = (0..8)
-            .map(|i| vec![Datum::Int(round * 8 + i), Datum::Int(i)])
-            .collect();
-        db.insert("parent", parents).unwrap();
-        let children: Vec<Row> = (0..16)
-            .map(|i| {
-                vec![
-                    Datum::Int(round * 8 + i % 8),
-                    Datum::Int(round * 16 + i),
-                    Datum::Int(i * 3),
-                ]
-            })
-            .collect();
-        db.insert("child", children).unwrap();
-        let keys: Vec<Vec<Datum>> = (0..4)
-            .map(|i| vec![Datum::Int(round * 8 + i % 8), Datum::Int(round * 16 + i)])
-            .collect();
-        db.delete("child", &keys).unwrap();
-    }
-    for shard in db.shards() {
-        for def in views() {
-            let v = shard.view(def.name()).unwrap();
-            assert!(ojv::core::maintain::verify_against_recompute(
-                v,
-                shard.catalog()
-            ));
-        }
-    }
-
-    let report = detector.finish();
-    report.assert_no_races();
-    assert!(
-        report.witness_cycle().is_none(),
-        "lock order inverted on the shard-merge path: {:?}",
-        report.witness_cycle()
-    );
-    if cfg!(feature = "concheck") {
-        assert!(
-            report.events > 0,
-            "concheck feature is on but no trace events were recorded"
-        );
-    }
 }

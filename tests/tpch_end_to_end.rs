@@ -191,7 +191,7 @@ fn gk_baseline_agrees_on_tpch() {
     let rows = gen.lineitem_insert_batch(100, 0);
     let up = catalog.insert("lineitem", rows).unwrap();
     ojv::core::maintain::maintain(&mut ours, &catalog, &up, &MaintenancePolicy::paper()).unwrap();
-    ojv::core::baseline::maintain_gk(&mut gk, &catalog, &up, &MaintenancePolicy::paper()).unwrap();
+    ojv::core::baseline::maintain_gk(&mut gk, &catalog, &up).unwrap();
 
     let mut a: Vec<Row> = ours.wide_rows().to_vec();
     let mut b: Vec<Row> = gk.wide_rows().to_vec();
