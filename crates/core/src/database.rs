@@ -266,11 +266,12 @@ impl Database {
     /// advances the registry to `lsn` (how untouched shards join a group
     /// commit).
     pub(crate) fn publish_commit(&mut self, lsn: Lsn) -> Result<()> {
-        let drained: Vec<(String, Vec<crate::snapshot::ViewOp>)> = self
-            .views
-            .iter_mut()
-            .map(|v| (v.name().to_string(), v.take_journal()))
-            .collect();
+        let drained: Arc<crate::snapshot::CommitBatch> = Arc::new(
+            self.views
+                .iter_mut()
+                .map(|v| (v.name().to_string(), v.take_journal()))
+                .collect(),
+        );
         let published = self.snapshots.commit(lsn, &drained);
         self.commit_lsn = self.commit_lsn.max(lsn);
         self.last_deltas = drained
@@ -353,7 +354,7 @@ impl Database {
     pub(crate) fn set_commit_lsn(&mut self, lsn: Lsn) {
         self.commit_lsn = lsn;
         self.snapshots
-            .commit(lsn, &[])
+            .commit(lsn, &Arc::default())
             .expect("an empty commit only advances the registry LSN and cannot fail");
     }
 

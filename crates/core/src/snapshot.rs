@@ -14,30 +14,44 @@
 //! Per view the registry holds:
 //!
 //! * `tip` — an [`Arc<ViewStore>`] image at the newest committed LSN. At
-//!   commit it is advanced by replaying the journaled ops through
-//!   [`Arc::make_mut`]: in place when nobody else holds the `Arc` (the
-//!   pin-free steady state — zero copies, bounded memory), copy-on-write
-//!   when a reader does.
+//!   commit it is advanced by replaying the journaled ops: in place when
+//!   nobody else holds the `Arc` (the pin-free steady state — zero copies,
+//!   bounded memory). When a reader holds it, the superseded tip stays in
+//!   the history at the pre-commit LSN, and the new tip is a *spare* — an
+//!   older image only the registry holds — advanced by the retained deltas
+//!   above its LSN plus this commit's ops. A publish under a pin therefore
+//!   costs O(|Δ|) per touched view, not O(|V|). The tip is cloned only when
+//!   no spare exists yet (`SnapshotStats::tip_copies`).
 //! * `hist` — present only while pins retain older versions: a `base` image
-//!   at the oldest retained LSN plus one redo delta (the journaled ops) per
-//!   later commit. A version at LSN `v` is materialized by cloning `base`
-//!   and replaying the deltas with `lsn <= v` — the *same* `insert`/`delete`
-//!   calls (and therefore the same `swap_remove` heap order) a serially
-//!   maintained twin would have executed, so a snapshot at LSN `v` is
-//!   byte-identical to that twin, not merely set-equal. Materializations are
-//!   memoized per LSN, so repeated pins of the same version are `Arc`
-//!   clones.
+//!   at the oldest retained LSN, one redo delta (the journaled ops) per
+//!   later commit, and a cache of images above the base. A version at LSN
+//!   `v` is materialized by cloning `base` and replaying the deltas with
+//!   `lsn <= v` — the *same* `insert`/`delete` calls (and therefore the same
+//!   `swap_remove` heap order) a serially maintained twin would have
+//!   executed, so a snapshot at LSN `v` is byte-identical to that twin, not
+//!   merely set-equal. The same holds for a spare advanced into a tip. The
+//!   cache memoizes materializations per LSN, so repeated pins of the same
+//!   version are `Arc` clones, and it keeps the superseded tips readers
+//!   hold. A delta shares the whole commit's drained journals with the
+//!   commit observer: retaining it copies no op.
 //!
 //! # Epoch-based reclamation
 //!
 //! Every pin registers its LSN; the *floor* is the smallest pinned LSN.
 //! After each commit and each unpin the registry trims: with no pins the
-//! whole history is dropped (`hist = None`) and only `tip` survives;
-//! otherwise `base` is advanced up to the floor by replaying (and then
-//! discarding) the deltas below it. A pinned version is never reclaimed — it
-//! is either at or above the floor, and the snapshot additionally holds its
-//! own `Arc` on the materialized image. An unpinned dead version is always
-//! reclaimed by the next trim.
+//! whole history is dropped (`hist = None`) and only `tip` survives.
+//! Otherwise `base` is advanced up to the floor — by taking the cached image
+//! a reader pinned there, an `Arc` clone, or else by replaying (and then
+//! discarding) the deltas below it. Of the images only the registry holds,
+//! the displaced base included, trim keeps the newest as the spare,
+//! advanced to the floor if it lies below, and drops the rest. Retained
+//! images therefore stay within the live pinned images plus the base plus
+//! one spare per view, however long a pin is held. A pinned version is
+//! never reclaimed — it is either at or above the floor, and the snapshot
+//! additionally holds its own `Arc` on the materialized image. An unpinned
+//! dead version is always reclaimed (or recycled as the spare) by the next
+//! trim. A [`Snapshot`] releases its images *before* it unpins, so the trim
+//! its drop runs sees them as the registry's alone.
 //!
 //! # LSN ↔ WAL mapping
 //!
@@ -110,11 +124,35 @@ pub trait CommitObserver: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// One commit's redo delta for a single view.
+/// The drained journals of one commit: one `(view, ops)` entry per
+/// registered view. The registry's history and the commit observer share
+/// it, so retaining a commit's deltas copies no op.
+pub(crate) type CommitBatch = Vec<(String, Vec<ViewOp>)>;
+
+/// One commit's redo delta for a single view: its entry in the commit's
+/// shared batch.
 #[derive(Debug, Clone)]
 struct CommitDelta {
     lsn: Lsn,
-    ops: Arc<Vec<ViewOp>>,
+    batch: Arc<CommitBatch>,
+    /// Index of this view's entry in `batch`.
+    entry: usize,
+}
+
+impl CommitDelta {
+    fn ops(&self) -> &[ViewOp] {
+        &self.batch[self.entry].1
+    }
+}
+
+/// Replay every op of `deltas`, in order, onto `store`.
+fn replay(store: &mut ViewStore, deltas: &[CommitDelta], view: &str) -> Result<()> {
+    for delta in deltas {
+        for op in delta.ops() {
+            store.apply_op(op, view)?;
+        }
+    }
+    Ok(())
 }
 
 /// Retained history of one view: the oldest pinnable image plus the redo
@@ -125,9 +163,77 @@ struct ChainHist {
     base: Arc<ViewStore>,
     /// Ascending LSNs, all `> base_lsn`.
     deltas: Vec<CommitDelta>,
-    /// Memoized materializations at mid-chain LSNs.
+    /// Images at or above the base: memoized materializations, tips that a
+    /// commit superseded while a reader held them, and at most one spare —
+    /// an image only the registry holds, which the next pinned publish
+    /// advances into the new tip.
     cache: Vec<(Lsn, Arc<ViewStore>)>,
 }
+
+impl ChainHist {
+    /// The retained deltas with `after < lsn <= upto`.
+    fn deltas_in(&self, after: Lsn, upto: Lsn) -> &[CommitDelta] {
+        let end = self.deltas.partition_point(|d| d.lsn <= upto);
+        &self.deltas[self.deltas.partition_point(|d| d.lsn <= after)..end]
+    }
+
+    /// Position in `cache` of the newest image only the registry holds.
+    fn spare(&self) -> Option<usize> {
+        self.cache
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, image))| Arc::strong_count(image) == 1)
+            .max_by_key(|(_, (lsn, _))| *lsn)
+            .map(|(pos, _)| pos)
+    }
+
+    /// Take the spare out of the cache, if it lies at or below `upto`.
+    fn take_spare(&mut self, upto: Lsn) -> Option<(Lsn, ViewStore)> {
+        let pos = self.spare().filter(|&pos| self.cache[pos].0 <= upto)?;
+        let (lsn, image) = self.cache.swap_remove(pos);
+        let store = Arc::try_unwrap(image).expect("the spare is the registry's alone");
+        Some((lsn, store))
+    }
+
+    /// Advance the base to `floor`, keep at most one spare, and drop every
+    /// other image no reader holds.
+    fn trim(&mut self, floor: Lsn, view: &str) {
+        let stale = self.deltas.partition_point(|d| d.lsn <= floor);
+        if self.base_lsn < floor {
+            if let Some(pos) = self.cache.iter().position(|(l, _)| *l == floor) {
+                // A reader pinned the floor: its image becomes the base, an
+                // Arc clone. The displaced base joins the spare candidates.
+                let (_, at_floor) = self.cache.swap_remove(pos);
+                let displaced = std::mem::replace(&mut self.base, at_floor);
+                self.cache.push((self.base_lsn, displaced));
+            } else if stale > 0 {
+                // In place unless a clone of a snapshot view outlived its pin.
+                replay(Arc::make_mut(&mut self.base), &self.deltas[..stale], view)
+                    .expect(REPLAY_CANNOT_FAIL);
+            }
+            self.base_lsn = floor;
+        }
+        let spare = self.spare();
+        let mut pos = 0;
+        self.cache.retain(|(lsn, image)| {
+            let keep = Some(pos) == spare || (*lsn >= floor && Arc::strong_count(image) > 1);
+            pos += 1;
+            keep
+        });
+        // The deltas below the floor are about to go: a spare under the
+        // floor replays them now or could never catch up.
+        if let Some((lsn, image)) = self.cache.iter_mut().find(|(l, _)| *l < floor) {
+            let store = Arc::get_mut(image).expect("the spare is the registry's alone");
+            let from = self.deltas.partition_point(|d| d.lsn <= *lsn);
+            replay(store, &self.deltas[from..stale], view).expect(REPLAY_CANNOT_FAIL);
+            *lsn = floor;
+        }
+        self.deltas.drain(..stale);
+    }
+}
+
+const REPLAY_CANNOT_FAIL: &str = "redo replay onto a history image cannot fail: the same ops \
+                                  already applied to the tip in this order";
 
 /// Version chain of one registered view.
 #[derive(Debug, Clone)]
@@ -168,15 +274,46 @@ impl ViewChain {
         if let Some((_, store)) = hist.cache.iter().find(|(l, _)| *l == lsn) {
             return Ok(Arc::clone(store));
         }
-        let mut store = hist.base.unjournaled_clone();
-        for delta in hist.deltas.iter().filter(|d| d.lsn <= lsn) {
-            for op in delta.ops.iter() {
-                store.apply_op(op, &self.name)?;
-            }
-        }
+        let (from, mut store) = hist
+            .take_spare(lsn)
+            .unwrap_or_else(|| (hist.base_lsn, hist.base.unjournaled_clone()));
+        replay(&mut store, hist.deltas_in(from, lsn), &self.name)?;
         let store = Arc::new(store);
         hist.cache.push((lsn, Arc::clone(&store)));
         Ok(store)
+    }
+
+    /// Advance the tip from `prev` by one commit's `ops`, which the caller
+    /// has already pushed as the newest delta when history is retained. In
+    /// place when only the registry holds the tip. Otherwise a reader holds
+    /// it: it stays in the cache at `prev`, and the new tip is the spare
+    /// advanced by every retained delta above its LSN, this commit's
+    /// included. With no spare the held tip is cloned; returns whether it
+    /// was.
+    fn advance(&mut self, prev: Lsn, ops: &[ViewOp]) -> Result<bool> {
+        let copied = match (Arc::get_mut(&mut self.tip), &mut self.hist) {
+            (Some(_), _) => false,
+            // With no history, only a clone of a snapshot view that outlived
+            // its pin can hold the tip.
+            (None, None) => true,
+            (None, Some(hist)) => {
+                if !Arc::ptr_eq(&hist.base, &self.tip) && hist.cache.iter().all(|(l, _)| *l != prev)
+                {
+                    hist.cache.push((prev, Arc::clone(&self.tip)));
+                }
+                if let Some((from, mut spare)) = hist.take_spare(prev) {
+                    replay(&mut spare, hist.deltas_in(from, Lsn::MAX), &self.name)?;
+                    self.tip = Arc::new(spare);
+                    return Ok(false);
+                }
+                true
+            }
+        };
+        let tip = Arc::make_mut(&mut self.tip);
+        for op in ops {
+            tip.apply_op(op, &self.name)?;
+        }
+        Ok(copied)
     }
 }
 
@@ -191,10 +328,14 @@ pub struct SnapshotStats {
     pub active_pins: usize,
     /// Redo ops currently retained across all chains (0 when no history).
     pub retained_ops: usize,
-    /// Materialized historical images retained (bases + memoized versions).
+    /// Materialized historical images retained: bases, cached versions
+    /// (memoized, superseded tips readers hold) and spares.
     pub retained_versions: usize,
     /// High-water mark of `retained_ops` since the registry was created.
     pub high_water_ops: usize,
+    /// Pinned tips a commit had to clone because no spare existed, since
+    /// the registry was created. Each is an O(|V|) copy.
+    pub tip_copies: u64,
 }
 
 #[derive(Debug)]
@@ -204,6 +345,7 @@ struct Inner {
     /// Active pin counts, keyed by pinned LSN (unordered, few entries).
     pins: Vec<(Lsn, usize)>,
     high_water_ops: usize,
+    tip_copies: u64,
 }
 
 impl Inner {
@@ -215,33 +357,20 @@ impl Inner {
         self.chains
             .iter()
             .filter_map(|c| c.hist.as_ref())
-            .map(|h| h.deltas.iter().map(|d| d.ops.len()).sum::<usize>())
+            .map(|h| h.deltas.iter().map(|d| d.ops().len()).sum::<usize>())
             .sum()
     }
 
     /// Reclaim every version no pin can reach. With no pins the entire
     /// history drops; otherwise each chain's base advances to the pin floor
-    /// by replaying (then discarding) the deltas at or below it.
+    /// and one spare survives (see [`ChainHist::trim`]).
     fn trim(&mut self) {
         let floor = self.pin_floor();
         for chain in &mut self.chains {
             match floor {
                 Some(f) if f < self.lsn => {
                     if let Some(hist) = &mut chain.hist {
-                        if hist.base_lsn < f {
-                            hist.cache.retain(|(l, _)| *l >= f);
-                            let base = Arc::make_mut(&mut hist.base);
-                            for delta in hist.deltas.iter().take_while(|d| d.lsn <= f) {
-                                for op in delta.ops.iter() {
-                                    base.apply_op(op, &chain.name).expect(
-                                        "redo replay onto the base cannot fail: the same ops \
-                                         already applied to the tip in this order",
-                                    );
-                                }
-                            }
-                            hist.deltas.retain(|d| d.lsn > f);
-                            hist.base_lsn = f;
-                        }
+                        hist.trim(f, &chain.name);
                     }
                 }
                 // No pins below the tip: only the tip needs to survive.
@@ -305,6 +434,7 @@ impl SnapshotRegistry {
                 chains: Vec::new(),
                 pins: Vec::new(),
                 high_water_ops: 0,
+                tip_copies: 0,
             })),
         }
     }
@@ -352,8 +482,9 @@ impl SnapshotRegistry {
     /// Publish one commit: advance every named chain's tip by its journaled
     /// ops and stamp the registry at `lsn` — atomically for all views. While
     /// pins retain older versions, the pre-commit tip becomes (or extends)
-    /// the chain's history so those versions stay materializable.
-    pub(crate) fn commit(&self, lsn: Lsn, updates: &[(String, Vec<ViewOp>)]) -> Result<()> {
+    /// the chain's history so those versions stay materializable; the
+    /// history keeps `batch` itself, not a copy of its ops.
+    pub(crate) fn commit(&self, lsn: Lsn, batch: &Arc<CommitBatch>) -> Result<()> {
         let mut inner = self.lock();
         crate::trace::on_write(REGISTRY_CHAINS);
         let prev = inner.lsn;
@@ -363,8 +494,7 @@ impl SnapshotRegistry {
             // views this batch leaves untouched (empty delta): a held pin
             // below `lsn` must keep each view's old version materializable,
             // and an unanchored chain's floor would jump to the new LSN.
-            // The base is the pre-commit tip: an Arc clone, not a copy;
-            // make_mut below pays the one O(n) copy only for touched views.
+            // The base is the pre-commit tip: an Arc clone, not a copy.
             for chain in &mut inner.chains {
                 chain.hist.get_or_insert_with(|| ChainHist {
                     base_lsn: prev,
@@ -374,7 +504,8 @@ impl SnapshotRegistry {
                 });
             }
         }
-        for (name, ops) in updates {
+        let mut copies = 0;
+        for (entry, (name, ops)) in batch.iter().enumerate() {
             if ops.is_empty() {
                 continue;
             }
@@ -389,14 +520,13 @@ impl SnapshotRegistry {
                 let hist = chain.hist.as_mut().expect("anchored above");
                 hist.deltas.push(CommitDelta {
                     lsn,
-                    ops: Arc::new(ops.clone()),
+                    batch: Arc::clone(batch),
+                    entry,
                 });
             }
-            let tip = Arc::make_mut(&mut chain.tip);
-            for op in ops {
-                tip.apply_op(op, name)?;
-            }
+            copies += u64::from(chain.advance(prev, ops)?);
         }
+        inner.tip_copies += copies;
         inner.lsn = inner.lsn.max(lsn);
         inner.trim();
         Ok(())
@@ -504,6 +634,7 @@ impl SnapshotRegistry {
                 .map(|h| 1 + h.cache.len())
                 .sum(),
             high_water_ops: inner.high_water_ops,
+            tip_copies: inner.tip_copies,
         }
     }
 }
@@ -627,6 +758,9 @@ impl Snapshot {
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
+        // Release the images first: the trim this unpin runs recycles an
+        // image only the registry holds, and would still count these Arcs.
+        self.views.clear();
         self.registry.unpin(self.pin_key);
     }
 }
@@ -780,6 +914,45 @@ mod tests {
         assert!(stats.retained_versions >= 1);
         drop(hold);
         assert_eq!(reg.stats().retained_ops, 0);
+    }
+
+    #[test]
+    fn images_no_reader_holds_shrink_to_one_spare() {
+        let mut live = db();
+        let reg = live.snapshots().clone();
+        let hold = reg.pin().unwrap(); // keeps lsn 0 alive
+        for i in 0..4i64 {
+            live.insert("lineitem", vec![lineitem_row(3, 10 + i, 2, 1, 1.0)])
+                .unwrap();
+        }
+        // The first commit cloned the pinned tip; nobody held the later
+        // ones, so they advanced in place. Only the base is retained.
+        assert_eq!(reg.stats().tip_copies, 1);
+        assert_eq!(reg.stats().retained_versions, 1);
+        let mids = (reg.pin_at(1).unwrap(), reg.pin_at(2).unwrap());
+        assert_eq!(reg.stats().retained_versions, 3);
+        drop(mids);
+        assert_eq!(reg.stats().retained_versions, 2, "base + one spare");
+        // A later version is built from the spare, not from a copy of the
+        // base.
+        let expect = reg.pin_at(3).unwrap().state_bytes().unwrap();
+        assert_eq!(reg.stats().retained_versions, 2, "base + one spare");
+        let mut twin = db();
+        for i in 0..3i64 {
+            twin.insert("lineitem", vec![lineitem_row(3, 10 + i, 2, 1, 1.0)])
+                .unwrap();
+        }
+        assert_eq!(twin.snapshot().unwrap().state_bytes().unwrap(), expect);
+        // The next commit spans a pin of the tip: it advances the spare
+        // into the new tip instead of cloning the pinned one.
+        let tip = reg.pin().unwrap();
+        live.insert("lineitem", vec![lineitem_row(6, 20, 5, 1, 2.0)])
+            .unwrap();
+        let stats = reg.stats();
+        assert_eq!(stats.tip_copies, 1);
+        assert_eq!(stats.retained_versions, 2, "base + the superseded tip");
+        drop((hold, tip));
+        assert_eq!(reg.stats().retained_versions, 0);
     }
 
     #[test]

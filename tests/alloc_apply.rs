@@ -6,16 +6,23 @@
 //! applying a batch allocates per *batch* (plus the one owned row each
 //! deleted base-table key must hand back), not per row, per key, or per
 //! index. The view store's key index and count index own no key either, so
-//! its batch apply allocates only when a vector doubles.
+//! its batch apply allocates only when a vector doubles. A commit that a
+//! snapshot pin spans allocates per delta row too, not per stored row.
+
+use std::sync::Mutex;
 
 use ojv::core::materialize::ViewStore;
 use ojv::prelude::*;
 use ojv::storage::IndexRef;
 use ojv::tpch::{create_tpch_catalog, TpchGen};
+use ojv_bench::views::v3_def;
 use ojv_testkit::{alloc_snapshot, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The counters are process-global: the tests of this file take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 const SF: f64 = 0.002;
 const BATCH: usize = 1000;
@@ -104,6 +111,7 @@ fn view_store_allocs() -> (u64, u64) {
 /// concurrently running tests would pollute each other's deltas.
 #[test]
 fn probes_and_batch_apply_allocate_per_batch_not_per_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut catalog = tpch();
     assert!(
         alloc_snapshot().count > 0,
@@ -171,5 +179,70 @@ fn probes_and_batch_apply_allocate_per_batch_not_per_row() {
     assert!(
         delete <= VIEW_DELETE_ALLOCS,
         "view-store delete of {BATCH} keys allocated {delete} times (pinned: {VIEW_DELETE_ALLOCS})"
+    );
+}
+
+/// The delta of the pinned-publish gate, and the scale factors it runs at.
+const PINNED_DELTA: usize = 100;
+const PINNED_SMALL_SF: f64 = 0.002;
+const PINNED_LARGE_SF: f64 = 0.02;
+/// Allowed growth of the allocations per pinned commit from the small to
+/// the large scale factor (the store grows tenfold).
+const PINNED_GROWTH: f64 = 1.5;
+
+/// Minimum allocations of one commit of V3 at `sf` that a reader's pin
+/// spans, as `ojvbench`'s `fanout_read` does: pin the tip, commit, then drop
+/// the pin taken before the previous commit. The commit alternately inserts
+/// the same `PINNED_DELTA` lineitems and deletes them again; each window
+/// covers the pin, the commit and the unpin. Two warm-up commits run first.
+fn pinned_commit_allocs(sf: f64, rows: &[Row]) -> (u64, usize) {
+    let mut catalog = create_tpch_catalog().unwrap();
+    TpchGen::new(sf, 42).populate(&mut catalog).unwrap();
+    let mut db = Database::new(catalog);
+    db.create_view(v3_def()).unwrap();
+    let keys: Vec<Vec<Datum>> = rows.iter().map(|r| r[..2].to_vec()).collect();
+    let mut batches = vec![rows.to_vec(); 2 + ATTEMPTS];
+    let mut held = None;
+    let mut fewest = u64::MAX;
+    for commit in 0..2 * (2 + ATTEMPTS) {
+        // The insert half moves its batch into the catalog: take it out of
+        // the window.
+        let batch = (commit % 2 == 0).then(|| batches.pop().expect("one batch per insert"));
+        let before = alloc_snapshot();
+        let pin = db.snapshot().unwrap();
+        let touched = match batch {
+            Some(batch) => db.insert("lineitem", batch).unwrap().len(),
+            None => db.delete("lineitem", &keys).unwrap().len(),
+        };
+        held = Some(pin);
+        let allocs = alloc_snapshot().since(&before).count;
+        assert_eq!(touched, 1, "the delta touches V3");
+        if commit >= 2 {
+            fewest = fewest.min(allocs);
+        }
+    }
+    drop(held);
+    (fewest, db.view("v3").unwrap().len())
+}
+
+/// A commit that a pin spans recycles a history image instead of cloning
+/// the pinned store, so what it allocates does not grow with the view.
+#[test]
+fn pinned_publish_allocates_per_delta_not_per_stored_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let rows = TpchGen::new(PINNED_SMALL_SF, 42).lineitem_insert_batch(PINNED_DELTA, 1);
+    let (small, small_rows) = pinned_commit_allocs(PINNED_SMALL_SF, &rows);
+    let (large, large_rows) = pinned_commit_allocs(PINNED_LARGE_SF, &rows);
+    println!(
+        "pinned V3 commit of {PINNED_DELTA} lineitems: {small} allocations at {small_rows} view rows, \
+         {large} at {large_rows}"
+    );
+    assert!(
+        large_rows >= 5 * small_rows,
+        "the large view is {large_rows} rows, the small {small_rows}"
+    );
+    assert!(
+        large as f64 <= PINNED_GROWTH * small as f64,
+        "allocations per pinned commit grew from {small} to {large} with the view"
     );
 }
