@@ -16,9 +16,6 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> xtask lint (in-repo token-level lint gate)"
 cargo run --offline -q -p xtask -- lint
 
-echo "==> xtask concheck (static concurrency gate: lock order, workers, atomics)"
-cargo run --offline -q -p xtask -- concheck
-
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 
@@ -41,29 +38,15 @@ cargo test --offline -q --test snapshot_isolation -- --ignored
 echo "==> snapshot interleaving sweep (64 scheduler seeds)"
 cargo test --offline -q --test snapshot_interleavings -- --ignored
 
-echo "==> race detector (fast): interleavings + mutation under --features concheck"
-cargo test --offline -q --features concheck --test snapshot_interleavings
-cargo test --offline -q --features concheck --test snapshot_isolation
-cargo test --offline -q --test concheck_mutation
-
-echo "==> race detector (full): seeded matrix under --features concheck"
-cargo test --offline -q --features concheck --test snapshot_interleavings -- --ignored
-cargo test --offline -q --features concheck --test snapshot_isolation -- --ignored
-
-echo "==> change-feed suite: differential property, interleavings (plain + concheck)"
+echo "==> change-feed suite: differential property, interleavings"
 cargo test --offline -q --test property_feed --test feed_interleavings
-cargo test --offline -q --features concheck --test property_feed --test feed_interleavings
 
 echo "==> change-feed fan-out panel (100k subscribers; scratch cwd keeps the committed BENCH_pr9.json)"
 mkdir -p target/feedbench-ci
 (cd target/feedbench-ci && ../../target/release/repro --sf 0.05 feedbench)
 
-# The race detector is process-wide: under concheck the suite runs one test
-# at a time, so one test's commits never land in another test's detector
-# session.
-echo "==> sharding suite: differential property + group-commit crash matrix (plain + concheck)"
+echo "==> sharding suite: differential property + group-commit crash matrix"
 cargo test --offline -q --test property_sharding --test readme_quickstart_sharding
-cargo test --offline -q --features concheck --test property_sharding -- --test-threads=1
 
 echo "==> shard scaling smoke (1/2 shards, quick; scratch cwd keeps the committed SF=1 artifact)"
 mkdir -p target/shardbench-smoke

@@ -159,7 +159,7 @@ fn run_concurrent(env: &Env, cfg: &Config, readers: usize, reads_per_thread: u64
                 batch_seed += 1;
                 let rows = env.gen.lineitem_insert_batch(100, batch_seed);
                 db.insert("lineitem", rows).expect("maintenance batch");
-                // concheck:allow(atomic-ordering) throughput counter, read after join
+                // lint:allow(atomic-ordering) throughput counter, read after join
                 batches.fetch_add(1, Ordering::Relaxed);
                 if handles.iter().all(|h| h.is_finished()) {
                     done.store(true, Ordering::Release);
@@ -171,7 +171,7 @@ fn run_concurrent(env: &Env, cfg: &Config, readers: usize, reads_per_thread: u64
             elapsed = start.elapsed();
         });
 
-        // concheck:allow(atomic-ordering) all writers joined above
+        // lint:allow(atomic-ordering) all writers joined above
         reps.push((elapsed, batches.load(Ordering::Relaxed)));
         // Readers pin and drop; nothing may leak once they are done.
         let stats = db.snapshots().stats();

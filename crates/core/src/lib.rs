@@ -75,7 +75,6 @@ pub mod shard;
 pub mod snapshot;
 pub mod sql;
 pub mod term_delta;
-mod trace;
 pub mod view_def;
 pub mod wal_log;
 

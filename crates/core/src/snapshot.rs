@@ -62,7 +62,7 @@
 //! `n`" and crash recovery replays land the registry on the same LSNs the
 //! original run produced.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ojv_durability::Lsn;
 use ojv_rel::{key_of, put_row, put_str, put_u32, put_u64, Datum, Relation, Row, SchemaRef};
@@ -389,37 +389,6 @@ pub struct SnapshotRegistry {
     inner: Arc<Mutex<Inner>>,
 }
 
-/// Lock label and traced-cell name for the registry's single mutex and the
-/// chain state it protects (see DESIGN.md §11 for the lock hierarchy).
-const REGISTRY_LOCK: &str = "core.snapshot-registry.inner";
-const REGISTRY_CHAINS: &str = "core.snapshot-registry.chains";
-
-/// Guard over the registry state. A thin wrapper around the `MutexGuard`
-/// that reports release to the happens-before detector, so lock-protected
-/// chain accesses carry release→acquire edges in race-detector runs.
-struct RegistryGuard<'a> {
-    guard: std::sync::MutexGuard<'a, Inner>,
-}
-
-impl std::ops::Deref for RegistryGuard<'_> {
-    type Target = Inner;
-    fn deref(&self) -> &Inner {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for RegistryGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Inner {
-        &mut self.guard
-    }
-}
-
-impl Drop for RegistryGuard<'_> {
-    fn drop(&mut self) {
-        crate::trace::lock_released(REGISTRY_LOCK);
-    }
-}
-
 impl Default for SnapshotRegistry {
     fn default() -> Self {
         Self::new()
@@ -439,12 +408,8 @@ impl SnapshotRegistry {
         }
     }
 
-    fn lock(&self) -> RegistryGuard<'_> {
-        let guard = self.inner.lock().expect("snapshot registry mutex poisoned");
-        // Recorded *after* the real mutex is held so the detector transfers
-        // the releasing thread's clock to us (release -> acquire HB edge).
-        crate::trace::lock_acquired(REGISTRY_LOCK);
-        RegistryGuard { guard }
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("snapshot registry mutex poisoned")
     }
 
     /// Register a view's current image as the tip of a new chain. Called
@@ -459,7 +424,6 @@ impl SnapshotRegistry {
             .collect();
         let schema = ojv_rel::Schema::shared(cols)?;
         let mut inner = self.lock();
-        crate::trace::on_write(REGISTRY_CHAINS);
         inner.lsn = inner.lsn.max(at);
         inner.chains.push(ViewChain {
             name: Arc::from(view.name()),
@@ -475,7 +439,6 @@ impl SnapshotRegistry {
     /// stay readable; new pins no longer include the view.
     pub(crate) fn unregister(&self, name: &str) {
         let mut inner = self.lock();
-        crate::trace::on_write(REGISTRY_CHAINS);
         inner.chains.retain(|c| c.name.as_ref() != name);
     }
 
@@ -486,7 +449,6 @@ impl SnapshotRegistry {
     /// history keeps `batch` itself, not a copy of its ops.
     pub(crate) fn commit(&self, lsn: Lsn, batch: &Arc<CommitBatch>) -> Result<()> {
         let mut inner = self.lock();
-        crate::trace::on_write(REGISTRY_CHAINS);
         let prev = inner.lsn;
         let retain_history = !inner.pins.is_empty();
         if retain_history {
@@ -547,9 +509,6 @@ impl SnapshotRegistry {
 
     fn pin_inner(&self, at: Option<Lsn>) -> Result<Snapshot> {
         let mut inner = self.lock();
-        // A pin *writes*: it bumps the pin table and may fill version
-        // caches, so it conflicts with concurrent pins absent the lock.
-        crate::trace::on_write(REGISTRY_CHAINS);
         let current = inner.lsn;
         let lsn = at.unwrap_or(current);
         let floor = inner
@@ -595,7 +554,6 @@ impl SnapshotRegistry {
 
     fn unpin(&self, key: Lsn) {
         let mut inner = self.lock();
-        crate::trace::on_write(REGISTRY_CHAINS);
         if let Some(pos) = inner.pins.iter().position(|(l, _)| *l == key) {
             inner.pins[pos].1 -= 1;
             if inner.pins[pos].1 == 0 {
@@ -608,14 +566,12 @@ impl SnapshotRegistry {
     /// Newest committed LSN.
     pub fn current_lsn(&self) -> Lsn {
         let inner = self.lock();
-        crate::trace::on_read(REGISTRY_CHAINS);
         inner.lsn
     }
 
     /// Current registry metrics.
     pub fn stats(&self) -> SnapshotStats {
         let inner = self.lock();
-        crate::trace::on_read(REGISTRY_CHAINS);
         let current = inner.lsn;
         SnapshotStats {
             current_lsn: current,

@@ -39,7 +39,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -415,29 +414,6 @@ impl Default for FeedHub {
     }
 }
 
-/// Hub-lock guard with happens-before bookkeeping (the same pattern as the
-/// snapshot registry's guard).
-struct HubGuard<'a>(MutexGuard<'a, HubInner>);
-
-impl Deref for HubGuard<'_> {
-    type Target = HubInner;
-    fn deref(&self) -> &HubInner {
-        &self.0
-    }
-}
-
-impl DerefMut for HubGuard<'_> {
-    fn deref_mut(&mut self) -> &mut HubInner {
-        &mut self.0
-    }
-}
-
-impl Drop for HubGuard<'_> {
-    fn drop(&mut self) {
-        crate::trace::lock_released("feed.hub.inner");
-    }
-}
-
 impl FeedHub {
     /// An empty hub; attach it to a database to start translating commits.
     pub fn new() -> Self {
@@ -465,10 +441,8 @@ impl FeedHub {
         self.lock().max_retained = sets.max(1);
     }
 
-    fn lock(&self) -> HubGuard<'_> {
-        let g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        crate::trace::lock_acquired("feed.hub.inner");
-        HubGuard(g)
+    fn lock(&self) -> MutexGuard<'_, HubInner> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Attach to a database: future commits flow into the hub. Replaces any
@@ -476,7 +450,6 @@ impl FeedHub {
     pub fn attach(&self, db: &mut Database) {
         {
             let mut g = self.lock();
-            crate::trace::on_write("feed.hub.state");
             g.registry = Some(db.snapshots().clone());
             g.lsn = db.commit_lsn();
         }
@@ -489,7 +462,6 @@ impl FeedHub {
     pub fn attach_durable<V: Vfs>(&self, db: &mut DurableDatabase<V>) {
         {
             let mut g = self.lock();
-            crate::trace::on_write("feed.hub.state");
             g.registry = Some(db.snapshots().clone());
             g.lsn = db.database().commit_lsn();
         }
@@ -501,7 +473,6 @@ impl FeedHub {
     /// [`Subscription::drain`]s deliver exactly the commits after it.
     pub fn subscribe(&self, spec: &SubscriptionSpec) -> Result<(Subscription, Materialization)> {
         let mut g = self.lock();
-        crate::trace::on_write("feed.hub.state");
         let registry = g.registry.clone().ok_or(FeedError::NotAttached)?;
         // Lock order is hub → registry, everywhere: commits release the
         // registry lock before the observer runs, so no inversion.
@@ -553,7 +524,6 @@ impl FeedHub {
         from_lsn: Lsn,
     ) -> Result<(Subscription, Resumed)> {
         let mut g = self.lock();
-        crate::trace::on_write("feed.hub.state");
         let registry = g.registry.clone().ok_or(FeedError::NotAttached)?;
         let pin = registry.pin()?;
         let view = pin.view(&spec.view).ok_or_else(|| FeedError::UnknownView {
@@ -621,7 +591,6 @@ impl FeedHub {
     /// Aggregate counters.
     pub fn stats(&self) -> FeedStats {
         let g = self.lock();
-        crate::trace::on_read("feed.hub.state");
         let mut stats = FeedStats {
             subscribers: g.subs.len(),
             views: g.views.len(),
@@ -648,7 +617,6 @@ impl FeedHub {
     /// will rebase on their next drain.
     pub fn take_error(&self) -> Option<FeedError> {
         let mut g = self.lock();
-        crate::trace::on_write("feed.hub.state");
         g.last_error.take()
     }
 
@@ -661,7 +629,6 @@ impl FeedHub {
         let started = Instant::now();
         let jobs = {
             let g = self.lock();
-            crate::trace::on_read("feed.hub.state");
             let mut jobs = Vec::new();
             for (name, ops) in updates {
                 if ops.is_empty() {
@@ -723,7 +690,6 @@ impl FeedHub {
     pub fn publish_fanout(&self, batch: FanoutBatch) {
         let elapsed = batch.started.elapsed().as_nanos() as u64; // lint:allow(cast) — ~584 years of headroom
         let mut g = self.lock();
-        crate::trace::on_write("feed.hub.state");
         let cap = g.max_retained;
         for res in batch.results {
             match res.outcome {
@@ -764,7 +730,6 @@ impl FeedHub {
 
     fn drain_sub(&self, id: u64) -> Result<Drained> {
         let mut g = self.lock();
-        crate::trace::on_write("feed.hub.state");
         let entry = g
             .subs
             .get(&id)
@@ -802,7 +767,6 @@ impl FeedHub {
 
     fn cursor_of(&self, id: u64) -> Result<Lsn> {
         let g = self.lock();
-        crate::trace::on_read("feed.hub.state");
         g.subs
             .get(&id)
             .map(|e| e.cursor)
@@ -811,7 +775,6 @@ impl FeedHub {
 
     fn park_id(&self, id: u64) -> Result<Lsn> {
         let mut g = self.lock();
-        crate::trace::on_write("feed.hub.state");
         let cursor = g
             .subs
             .get(&id)
@@ -828,7 +791,6 @@ impl FeedHub {
 
     fn unsubscribe_id(&self, id: u64) -> Result<()> {
         let mut g = self.lock();
-        crate::trace::on_write("feed.hub.state");
         let entry = g
             .subs
             .remove(&id)

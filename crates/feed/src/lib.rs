@@ -55,7 +55,6 @@
 pub mod error;
 pub mod filter;
 pub mod hub;
-mod trace;
 pub mod update_set;
 
 pub use error::{FeedError, Result};

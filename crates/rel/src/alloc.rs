@@ -31,9 +31,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // Process-wide traffic counters on the allocator hot path;
         // deltas are read across a scope join.
-        // concheck:allow(atomic-ordering)
+        // lint:allow(atomic-ordering)
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed); // concheck:allow(atomic-ordering)
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed); // lint:allow(atomic-ordering)
         System.alloc(layout)
     }
 
@@ -42,17 +42,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed); // concheck:allow(atomic-ordering)
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed); // concheck:allow(atomic-ordering)
+        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed); // lint:allow(atomic-ordering)
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed); // lint:allow(atomic-ordering)
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed); // concheck:allow(atomic-ordering)
+        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed); // lint:allow(atomic-ordering)
                                                      // Count only the growth; shrinking reallocs don't add heap traffic.
         ALLOC_BYTES.fetch_add(
             new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed, // concheck:allow(atomic-ordering)
+            Ordering::Relaxed, // lint:allow(atomic-ordering)
         );
         System.realloc(ptr, layout, new_size)
     }
@@ -82,9 +82,9 @@ pub fn alloc_snapshot() -> AllocSnapshot {
     AllocSnapshot {
         // Snapshot of monotonic counters; callers only compare deltas
         // taken on one thread.
-        // concheck:allow(atomic-ordering)
+        // lint:allow(atomic-ordering)
         count: ALLOC_COUNT.load(Ordering::Relaxed),
-        bytes: ALLOC_BYTES.load(Ordering::Relaxed), // concheck:allow(atomic-ordering)
+        bytes: ALLOC_BYTES.load(Ordering::Relaxed), // lint:allow(atomic-ordering)
     }
 }
 
@@ -92,7 +92,7 @@ pub fn alloc_snapshot() -> AllocSnapshot {
 /// actually installed in this process.
 #[inline]
 pub fn alloc_counting_active() -> bool {
-    // concheck:allow(atomic-ordering) heuristic probe, any stale read is fine
+    // lint:allow(atomic-ordering) heuristic probe, any stale read is fine
     ALLOC_COUNT.load(Ordering::Relaxed) != 0
 }
 

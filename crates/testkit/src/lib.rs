@@ -13,9 +13,7 @@
 //! * [`sched`] — a deterministic virtual-thread scheduler (seeded, replayed,
 //!   or exhaustively enumerated interleavings — the in-repo stand-in for
 //!   `loom`),
-//! * [`race`] — a vector-clock happens-before race detector plus runtime
-//!   lock witness, woven into [`sched`]'s virtual threads (the dynamic half
-//!   of the `ojv-concheck` concurrency soundness layer).
+//! * [`fault`] — a fault-injecting file for crash and torn-write tests.
 //!
 //! ```
 //! use ojv_testkit::property;
@@ -32,7 +30,6 @@
 
 pub mod check;
 pub mod fault;
-pub mod race;
 pub mod rng;
 pub mod sched;
 pub mod strategy;

@@ -13,8 +13,10 @@
 //! steps, and replaying it performs the identical sequence of shared-state
 //! operations. Concurrency bugs that depend on *orderings* (commit during a
 //! read, reclamation racing a pin, a crash between commit and fsync) are
-//! covered; data races on actual CPUs are out of scope (the snapshot
-//! registry's `Mutex` handles those, exercised by the stress tests).
+//! covered. Data races on actual CPUs are out of scope: the engine's shared
+//! state lives inside its two `Mutex`es and its crates forbid `unsafe`, so
+//! a data race cannot be written (DESIGN.md §11); the multi-threaded stress
+//! suites check what readers observe against a serial twin.
 //!
 //! ```
 //! use std::cell::RefCell;
@@ -38,7 +40,6 @@
 //! replay(&trace, &mut [mk('a', 2), mk('b', 1)]); // reproduces the run
 //! ```
 
-use crate::race;
 use crate::rng::Rng;
 
 /// One logical thread: each call advances it by one step and returns
@@ -50,29 +51,18 @@ pub type Actor = Box<dyn FnMut() -> bool>;
 /// `seed` and stepped once. Returns the trace of chosen actor indices —
 /// feeding it to [`replay`] with freshly-built actors reproduces the run
 /// exactly.
-///
-/// When a [`crate::race`] detector session is active, every actor runs as
-/// a virtual thread with its own vector clock: spawn edges at schedule
-/// start, a join edge when an actor finishes, and a full rejoin when the
-/// schedule ends.
 pub fn run_seeded(seed: u64, actors: &mut [Actor]) -> Vec<usize> {
     let mut rng = Rng::seed_from_u64(seed);
     let mut live: Vec<usize> = (0..actors.len()).collect();
     let mut trace = Vec::new();
-    race::begin_schedule(actors.len());
     while !live.is_empty() {
         let pick = rng.gen_range(0..live.len());
         let idx = live[pick];
         trace.push(idx);
-        race::enter_virtual(Some(idx));
-        let more = actors[idx]();
-        race::enter_virtual(None);
-        if !more {
-            race::virtual_done(idx);
+        if !actors[idx]() {
             live.remove(pick);
         }
     }
-    race::end_schedule();
     trace
 }
 
@@ -83,7 +73,6 @@ pub fn run_seeded(seed: u64, actors: &mut [Actor]) -> Vec<usize> {
 /// constructed actor set.
 pub fn replay(trace: &[usize], actors: &mut [Actor]) {
     let mut live = vec![true; actors.len()];
-    race::begin_schedule(actors.len());
     for (step, &idx) in trace.iter().enumerate() {
         assert!(
             idx < actors.len(),
@@ -94,14 +83,8 @@ pub fn replay(trace: &[usize], actors: &mut [Actor]) {
             live[idx],
             "trace step {step} steps actor {idx}, which already finished"
         );
-        race::enter_virtual(Some(idx));
         live[idx] = actors[idx]();
-        race::enter_virtual(None);
-        if !live[idx] {
-            race::virtual_done(idx);
-        }
     }
-    race::end_schedule();
 }
 
 /// Every interleaving of `steps.len()` actors where actor `i` runs

@@ -1,19 +1,19 @@
 //! Dependency-free token-level lint gate for the maintenance pipeline.
 //!
-//! The scanner is built on `ojv_concheck::scan` — the same masking and
-//! tokenizing substrate the concurrency checker uses: string/char literals
-//! and comments are blanked (preserving newlines), the rest is tokenized,
-//! and lints match token sequences — so `FxHashMap::new()` never matches the
-//! `default-hasher` lint and `"unsafe"` inside a string never matches
-//! `unsafe-code`. Each lint has a stable id and a per-line escape hatch:
+//! The scanner (`scan.rs`) blanks string/char literals and comments
+//! (preserving newlines), tokenizes the rest, and lints match token
+//! sequences — so `FxHashMap::new()` never matches the `default-hasher` lint
+//! and `"unsafe"` inside a string never matches `unsafe-code`. Two rules also
+//! need function boundaries and guard live ranges, which `model.rs` derives
+//! from the tokens. Each lint has a stable id and a per-line escape hatch:
 //! `// lint:allow(<id>)` on the offending line or the line directly above
 //! suppresses the finding.
 
 use std::io;
 use std::path::Path;
 
-use ojv_concheck::model;
-use ojv_concheck::scan::{self, collect_rs, Tok};
+use crate::model::{self, FileModel};
+use crate::scan::{self, Tok};
 
 /// A lint rule known to the scanner.
 pub struct LintDef {
@@ -24,7 +24,13 @@ pub struct LintDef {
 }
 
 /// All lints, sorted by id — the order `--list` prints them.
-pub const LINTS: [LintDef; 15] = [
+pub const LINTS: [LintDef; 17] = [
+    LintDef {
+        id: "atomic-ordering",
+        scope: "crates/, src/ (non-test code)",
+        desc: "atomic ops use SeqCst or Acquire/Release; each Ordering::Relaxed site needs a \
+               lint:allow(atomic-ordering) with the reason it is sound",
+    },
     LintDef {
         id: "cast",
         scope: "crates/durability/src/",
@@ -37,6 +43,14 @@ pub const LINTS: [LintDef; 15] = [
             "no HashMap::new()/HashSet::new() default hasher in exec/storage (use ojv_rel fxhash)",
     },
     LintDef {
+        id: "engine-locks",
+        scope: "crates/{rel,storage,exec,core,feed,durability}/src/",
+        desc: "no Mutex/RwLock/Condvar in the engine's non-test code outside the snapshot \
+               registry (core/src/snapshot.rs) and the feed hub (feed/src/hub.rs), and no \
+               on_commit( call in snapshot.rs — with the crate graph this leaves hub -> \
+               registry as the only possible lock order (DESIGN.md §11)",
+    },
+    LintDef {
         id: "feed-eval-confined",
         scope: "everywhere but crates/feed/src/",
         desc: "no subscription-predicate evaluation (matches_row) outside crates/feed — \
@@ -45,9 +59,15 @@ pub const LINTS: [LintDef; 15] = [
     },
     LintDef {
         id: "fs-outside-durability",
-        scope: "everywhere but crates/{durability,bench,xtask,concheck}/",
-        desc: "no std::fs / File:: outside crates/durability, crates/bench, crates/xtask, \
-               crates/concheck (everything else goes through the Vfs trait)",
+        scope: "everywhere but crates/{durability,bench,xtask}/",
+        desc: "no std::fs / File:: outside crates/durability, crates/bench and crates/xtask \
+               (everything else goes through the Vfs trait)",
+    },
+    LintDef {
+        id: "guard-across-callback",
+        scope: "crates/, src/ (non-test code)",
+        desc: "a lock guard is not held across a call to a caller-supplied callback \
+               (an Fn/FnMut/FnOnce parameter), which could re-enter the lock or block commit",
     },
     LintDef {
         id: "maintain-entry-confined",
@@ -55,12 +75,6 @@ pub const LINTS: [LintDef; 15] = [
         desc: "no call to the standalone maintain() in core's non-test code outside \
                maintain.rs — every live, replayed and sharded commit maintains through \
                batch::maintain_batch, and maintain() stays the reference tests compare against",
-    },
-    LintDef {
-        id: "mutex-in-exec-hot-path",
-        scope: "crates/exec/src/",
-        desc: "no lock types (Mutex/RwLock/Condvar) in the executor — every commit runs its \
-               operators on the caller's thread, so there is nothing to lock",
     },
     LintDef {
         id: "no-engine-threads",
@@ -177,14 +191,13 @@ fn applies(lint: &str, path: &str) -> bool {
         ),
         "unsafe-code" => path != "crates/rel/src/alloc.rs",
         // Durability is where the real filesystem is abstracted behind the
-        // Vfs trait; bench needs to emit result files; xtask and concheck
-        // *are* the file scanners. Everyone else must go through a Vfs so
-        // fault injection covers them.
+        // Vfs trait; bench needs to emit result files; xtask *is* the file
+        // scanner. Everyone else must go through a Vfs so fault injection
+        // covers them.
         "fs-outside-durability" => {
             !path.starts_with("crates/durability/")
                 && !path.starts_with("crates/bench/")
                 && !path.starts_with("crates/xtask/")
-                && !path.starts_with("crates/concheck/")
         }
         // Silent truncation in record framing corrupts the log; the WAL
         // code converts with try_from and handles the error.
@@ -216,15 +229,20 @@ fn applies(lint: &str, path: &str) -> bool {
         "maintain-entry-confined" => {
             path.starts_with("crates/core/src/") && path != "crates/core/src/maintain.rs"
         }
-        // The executor runs on the committing thread and shares nothing;
-        // naming a lock type there is the first step back to a worker pool.
-        "mutex-in-exec-hot-path" => path.starts_with("crates/exec/src/"),
         // The engine spawns no threads: every commit's maintenance, shard
         // loop and feed fan-out run on the caller's thread. Benches, tests
-        // and tools may spawn (reader stress, throughput panels).
-        "no-engine-threads" => ["rel", "storage", "exec", "core", "feed", "durability"]
-            .iter()
-            .any(|c| path.starts_with(&format!("crates/{c}/src/"))),
+        // and tools may spawn (reader stress, throughput panels). The engine
+        // holds exactly two locks, whose homes `engine-locks` names.
+        "no-engine-threads" | "engine-locks" => {
+            ["rel", "storage", "exec", "core", "feed", "durability"]
+                .iter()
+                .any(|c| path.starts_with(&format!("crates/{c}/src/")))
+        }
+        // Library and tool code; the workspace-root suites count relaxed
+        // throughput counters freely.
+        "atomic-ordering" | "guard-across-callback" => {
+            path.starts_with("crates/") || path.starts_with("src/")
+        }
         // Subscription predicates are evaluated once per filter group inside
         // the feed hub's fan-out; a `matches_row` call site anywhere else is
         // a per-subscriber loop bypassing the dedup (the exact O(subscribers)
@@ -248,9 +266,10 @@ fn applies(lint: &str, path: &str) -> bool {
 /// separators; it decides which lints apply.
 pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
     let path = rel_path.replace('\\', "/");
-    let masked = scan::mask(src, "lint:allow(");
+    let masked = scan::mask(src);
     let toks = scan::tokenize(&masked.text);
-    let in_test = scan::test_lines(&masked.text);
+    let test_lines = scan::test_lines(&masked.text);
+    let in_test = |line: usize| test_lines.get(line).copied().unwrap_or(false);
     let src_lines: Vec<&str> = src.lines().collect();
     let mut out = Vec::new();
 
@@ -290,7 +309,7 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
             record("default-hasher", line, &mut out);
         }
         if applies("panic-hot-path", &path)
-            && !in_test.get(line).copied().unwrap_or(false)
+            && !in_test(line)
             && (seq(i, &[".", "unwrap", "(", ")"])
                 || seq(i, &[".", "expect", "("])
                 || seq(i, &["panic", "!", "("]))
@@ -314,7 +333,7 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
             record("cast", line, &mut out);
         }
         if applies("plan-compile-confined", &path)
-            && !in_test.get(line).copied().unwrap_or(false)
+            && !in_test(line)
             && matches!(
                 tok.text,
                 "primary_delta_plan" | "verify_static" | "verify_maintenance" | "verify_from_view"
@@ -322,43 +341,54 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
         {
             record("plan-compile-confined", line, &mut out);
         }
-        if applies("view-store-mutation", &path)
-            && !in_test.get(line).copied().unwrap_or(false)
-            && tok.text == "store_mut"
-        {
+        if applies("view-store-mutation", &path) && !in_test(line) && tok.text == "store_mut" {
             record("view-store-mutation", line, &mut out);
         }
         // `maintain(` as a call: not its definition, not a method of the
         // same name, and not a path segment (`crate::maintain::…`).
         if applies("maintain-entry-confined", &path)
-            && !in_test.get(line).copied().unwrap_or(false)
+            && !in_test(line)
             && tok.text == "maintain"
             && toks.get(i + 1).is_some_and(|t| t.text == "(")
             && !(i > 0 && matches!(toks[i - 1].text, "fn" | "."))
         {
             record("maintain-entry-confined", line, &mut out);
         }
-        if applies("mutex-in-exec-hot-path", &path)
-            && matches!(tok.text, "Mutex" | "RwLock" | "Condvar")
+        // The registry and the hub own the engine's only locks; the
+        // registry never calls back into an observer, so no code path can
+        // take the hub lock while the registry lock is held.
+        if applies("engine-locks", &path)
+            && !in_test(line)
+            && ((matches!(tok.text, "Mutex" | "RwLock" | "Condvar")
+                && path != "crates/core/src/snapshot.rs"
+                && path != "crates/feed/src/hub.rs")
+                || (path == "crates/core/src/snapshot.rs"
+                    && tok.text == "on_commit"
+                    && seq(i + 1, &["("])
+                    && !(i > 0 && toks[i - 1].text == "fn")))
         {
-            record("mutex-in-exec-hot-path", line, &mut out);
+            record("engine-locks", line, &mut out);
+        }
+        // Exactly `Ordering::Relaxed`: `cmp::Ordering` variants never match.
+        if applies("atomic-ordering", &path)
+            && seq(i, &["Ordering", ":", ":", "Relaxed"])
+            && !in_test(line)
+        {
+            record("atomic-ordering", toks[i + 3].line, &mut out);
         }
         if applies("no-engine-threads", &path)
-            && !in_test.get(line).copied().unwrap_or(false)
+            && !in_test(line)
             && (seq(i, &["thread", ":", ":", "spawn"])
                 || seq(i, &["thread", ":", ":", "scope"])
                 || seq(i, &[".", "spawn", "("]))
         {
             record("no-engine-threads", line, &mut out);
         }
-        if applies("feed-eval-confined", &path)
-            && !in_test.get(line).copied().unwrap_or(false)
-            && tok.text == "matches_row"
-        {
+        if applies("feed-eval-confined", &path) && !in_test(line) && tok.text == "matches_row" {
             record("feed-eval-confined", line, &mut out);
         }
         if applies("shard-routing-confined", &path)
-            && !in_test.get(line).copied().unwrap_or(false)
+            && !in_test(line)
             && ((matches!(tok.text, "ShardId" | "ShardRouter")
                 && seq(i + 1, &[":", ":", "new", "("]))
                 || (matches!(tok.text, "route" | "route_key" | "route_ref" | "route_with")
@@ -370,8 +400,30 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
         }
     }
 
+    let fm = model::build(&toks);
+    // A guard live across a call of one of the enclosing function's
+    // callback parameters. An allow on the acquisition covers every call.
+    if applies("guard-across-callback", &path) {
+        for a in &fm.acquires {
+            let Some(f) = fm.enclosing_fn(a.tok) else {
+                continue;
+            };
+            if f.callback_params.is_empty()
+                || in_test(a.line)
+                || masked.allowed(a.line, "guard-across-callback")
+            {
+                continue;
+            }
+            let live = &toks[a.tok + 1..a.live_end.min(f.body.1)];
+            for (k, t) in live.iter().enumerate() {
+                if seq(a.tok + 2 + k, &["("]) && f.callback_params.iter().any(|p| p == t.text) {
+                    record("guard-across-callback", t.line, &mut out);
+                }
+            }
+        }
+    }
     if applies("sched-seed-logged", &path) {
-        seed_logged(&path, &masked, &toks, &src_lines, &mut out);
+        seed_logged(&path, &masked, &toks, &fm, &src_lines, &mut out);
     }
     out
 }
@@ -385,10 +437,10 @@ fn seed_logged(
     path: &str,
     masked: &scan::Masked,
     toks: &[Tok<'_>],
+    fm: &FileModel,
     src_lines: &[&str],
     out: &mut Vec<Violation>,
 ) {
-    let fm = model::build(toks);
     for (i, tok) in toks.iter().enumerate() {
         if !matches!(tok.text, "run_seeded" | "interleavings") {
             continue;
@@ -421,26 +473,10 @@ fn seed_logged(
 /// Scan every `.rs` file under `crates/`, `src/`, and `tests/` of the
 /// workspace rooted at `root`. Returns all findings, ordered by path.
 pub fn run(root: &Path) -> io::Result<Vec<Violation>> {
-    let mut files = scan::read_workspace(root)?;
-    // The workspace-root integration suites are in scope too (notably for
-    // sched-seed-logged): read_workspace only walks crates/ and src/.
-    let mut extra = Vec::new();
-    collect_rs(&root.join("tests"), &mut extra)?;
-    extra.sort();
-    for f in &extra {
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(f)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = std::fs::read_to_string(f)?;
-        files.push((rel, src));
-    }
-    let mut all = Vec::new();
-    for (rel, src) in &files {
-        all.extend(scan_file(rel, src));
-    }
-    Ok(all)
+    Ok(scan::read_workspace(root)?
+        .iter()
+        .flat_map(|(rel, src)| scan_file(rel, src))
+        .collect())
 }
 
 #[cfg(test)]
@@ -626,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn fs_banned_outside_durability_bench_xtask_concheck() {
+    fn fs_banned_outside_durability_bench_xtask() {
         let uses = "use std::fs;\nfn f() { let _ = std::fs::read(\"x\"); }\n";
         let v = scan_file("crates/core/src/durable.rs", uses);
         assert_eq!(v.len(), 2);
@@ -639,13 +675,11 @@ mod tests {
         // Identifier boundary: FaultFile::new is not File::.
         let fault = "fn f() { let _ = FaultFile::new(inner, spec); }\n";
         assert!(scan_file("crates/testkit/src/fault.rs", fault).is_empty());
-        // The allowlisted crates are exempt — including concheck, whose
-        // workspace reader is a file scanner like xtask's.
+        // The allowlisted crates are exempt.
         for path in [
             "crates/durability/src/vfs.rs",
             "crates/bench/src/bin/repro.rs",
-            "crates/xtask/src/lint.rs",
-            "crates/concheck/src/scan.rs",
+            "crates/xtask/src/scan.rs",
         ] {
             assert!(scan_file(path, uses).is_empty(), "{path}");
         }
@@ -776,27 +810,187 @@ mod tests {
     }
 
     #[test]
-    fn mutex_banned_in_all_of_exec() {
+    fn engine_locks_confined_to_registry_and_hub() {
         let src = "use std::sync::Mutex;\nfn f() { let m: Mutex<u32> = Mutex::new(0); }\n";
         let v = scan_file("crates/exec/src/ops/join.rs", src);
         assert_eq!(v.len(), 3, "both the use and both mentions fire");
-        assert!(v.iter().all(|x| x.lint == "mutex-in-exec-hot-path"));
+        assert!(v.iter().all(|x| x.lint == "engine-locks"));
         // RwLock and Condvar are lock types too.
         let rw = "fn f() { let l = RwLock::new(0); let c = Condvar::new(); }\n";
         assert_eq!(scan_file("crates/exec/src/hashtbl.rs", rw).len(), 2);
-        // No file of the executor is exempt.
-        for path in ["crates/exec/src/stats.rs", "crates/exec/src/catch.rs"] {
-            assert_eq!(scan_file(path, src).len(), 3, "{path}");
+        // Every engine crate is in scope.
+        for crate_dir in ["rel", "storage", "exec", "core", "feed", "durability"] {
+            let path = format!("crates/{crate_dir}/src/lib.rs");
+            assert_eq!(scan_file(&path, src).len(), 3, "{path}");
         }
-        // Other crates are out of scope (core's snapshot registry is a Mutex).
-        assert!(scan_file("crates/core/src/snapshot.rs", src).is_empty());
-        // Identifier boundary: MutexGuard in a comment or FakeMutex do not
-        // match — but the real `MutexGuard` type does not appear in exec.
-        let other = "fn f(g: FakeMutex) {}\n";
+        // The registry and the hub are the two homes; benches, tests and
+        // tools are out of scope.
+        for path in [
+            "crates/core/src/snapshot.rs",
+            "crates/feed/src/hub.rs",
+            "crates/bench/src/readbench.rs",
+            "crates/testkit/src/fault.rs",
+            "tests/feed_interleavings.rs",
+        ] {
+            assert!(scan_file(path, src).is_empty(), "{path}");
+        }
+        // In-file test modules may lock (a gate serializing tests).
+        let tested = "#[cfg(test)]\nmod tests {\n    static GATE: Mutex<()> = Mutex::new(());\n}\n";
+        assert!(scan_file("crates/core/src/batch.rs", tested).is_empty());
+        // Identifier boundary: MutexGuard and FakeMutex are other tokens.
+        let other = "fn f(g: FakeMutex, h: MutexGuard<'_, u32>) {}\n";
         assert!(scan_file("crates/exec/src/ops/join.rs", other).is_empty());
         // Escape hatch.
-        let allowed = "fn f() { let m = Mutex::new(0); } // lint:allow(mutex-in-exec-hot-path)\n";
+        let allowed = "fn f() { let m = Mutex::new(0); } // lint:allow(engine-locks)\n";
         assert!(scan_file("crates/exec/src/ops/join.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn registry_never_calls_an_observer() {
+        let call = "fn commit(&self, obs: &dyn CommitObserver) {\n    obs.on_commit(1, &[]);\n}\n";
+        let v = scan_file("crates/core/src/snapshot.rs", call);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].lint, v[0].line), ("engine-locks", 2));
+        // A path call is the same call.
+        let path_call = "fn f(o: &Hub) { CommitObserver::on_commit(o, 1, &[]); }\n";
+        assert_eq!(scan_file("crates/core/src/snapshot.rs", path_call).len(), 1);
+        // The trait declares the method in snapshot.rs; a declaration is
+        // not a call.
+        let decl =
+            "pub trait CommitObserver {\n    fn on_commit(&self, lsn: Lsn, updates: &[Op]);\n}\n";
+        assert!(scan_file("crates/core/src/snapshot.rs", decl).is_empty());
+        // The database notifies observers after the registry lock is gone.
+        assert!(scan_file("crates/core/src/database.rs", call).is_empty());
+    }
+
+    /// The three seeded lock violations fail the gate at their `file:line`,
+    /// while the `#[cfg(test)]` locks of the real `batch.rs` and
+    /// `database.rs` (and the real `snapshot.rs`) stay clean.
+    #[test]
+    fn seeded_engine_lock_violations_fail_the_gate() {
+        let database = include_str!("../../core/src/database.rs");
+        let snapshot = include_str!("../../core/src/snapshot.rs");
+        let batch = include_str!("../../core/src/batch.rs");
+        let struct_open = "pub struct Database {\n";
+        let commit_open =
+            "pub(crate) fn commit(&self, lsn: Lsn, batch: &Arc<CommitBatch>) -> Result<()> {\n";
+        let line_after = |src: &str, anchor: &str| {
+            let at = src
+                .find(anchor)
+                .unwrap_or_else(|| panic!("{anchor:?} not found"));
+            src[..at + anchor.len()].lines().count() + 1
+        };
+        let seeded = [
+            (
+                "crates/core/src/database.rs",
+                database.replacen(
+                    struct_open,
+                    &format!("{struct_open}    probes: std::sync::Mutex<usize>,\n"),
+                    1,
+                ),
+                line_after(database, struct_open),
+            ),
+            (
+                "crates/exec/src/ops/join.rs",
+                "fn probe(seen: &std::sync::Mutex<usize>) {}\n".to_string(),
+                1,
+            ),
+            (
+                "crates/core/src/snapshot.rs",
+                snapshot.replacen(
+                    commit_open,
+                    &format!("{commit_open}        obs.on_commit(lsn, &[]);\n"),
+                    1,
+                ),
+                line_after(snapshot, commit_open),
+            ),
+        ];
+        let root = std::env::temp_dir().join(format!("xtask-lint-locks-{}", std::process::id()));
+        for (rel, src, _) in &seeded {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, src).unwrap();
+        }
+        fs::write(root.join("crates/core/src/batch.rs"), batch).unwrap();
+        let v = run(&root).unwrap();
+        fs::remove_dir_all(&root).unwrap();
+        let got: Vec<(&str, &str, usize)> = v
+            .iter()
+            .map(|x| (x.lint, x.file.as_str(), x.line))
+            .collect();
+        let mut want: Vec<(&str, &str, usize)> = seeded
+            .iter()
+            .map(|(rel, _, line)| ("engine-locks", *rel, *line))
+            .collect();
+        want.sort();
+        assert_eq!(got, want, "{v:?}");
+        // The unseeded sources carry `#[cfg(test)]` locks and scan clean.
+        assert!(database.contains("#[cfg(test)]") && database.contains("Mutex<usize>"));
+        assert!(batch.contains("static GATE: Mutex<()>"));
+        for (rel, src) in [
+            ("crates/core/src/database.rs", database),
+            ("crates/core/src/snapshot.rs", snapshot),
+            ("crates/core/src/batch.rs", batch),
+        ] {
+            assert!(scan_file(rel, src).is_empty(), "{rel}");
+        }
+    }
+
+    #[test]
+    fn seeded_relaxed_atomic_is_flagged() {
+        let src = "fn f(c: &AtomicUsize) { c.fetch_add(1, Ordering::Relaxed); }\n";
+        let v = scan_file("crates/x/src/lib.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].lint, v[0].line), ("atomic-ordering", 1));
+        assert_eq!(
+            v[0].to_string(),
+            format!("crates/x/src/lib.rs:1: [atomic-ordering] {}", src.trim())
+        );
+        // The workspace-root suites are out of scope.
+        assert!(scan_file("tests/snapshot_isolation.rs", src).is_empty());
+    }
+
+    #[test]
+    fn allow_and_cfg_test_suppress_atomic_ordering() {
+        let allowed = "fn f(c: &AtomicUsize) {\n    // lint:allow(atomic-ordering) monotonic counter\n    c.fetch_add(1, Ordering::Relaxed);\n}\n";
+        assert!(scan_file("crates/x/src/lib.rs", allowed).is_empty());
+        let in_test =
+            "#[cfg(test)]\nmod tests {\n    fn f(c: &AtomicUsize) { c.load(Ordering::Relaxed); }\n}\n";
+        assert!(scan_file("crates/x/src/lib.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn acquire_release_orderings_pass() {
+        let src = "fn f(c: &AtomicUsize) {\n    c.store(1, Ordering::Release);\n    c.load(Ordering::Acquire);\n    c.fetch_add(1, Ordering::SeqCst);\n    c.fetch_or(1, Ordering::AcqRel);\n}\n";
+        assert!(scan_file("crates/x/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn cmp_ordering_variants_never_match() {
+        let src = "fn f(a: u32, b: u32) -> Ordering {\n    match a.cmp(&b) { Ordering::Less => Ordering::Less, o => o }\n}\n";
+        assert!(scan_file("crates/x/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn seeded_guard_across_callback_is_flagged() {
+        let src = "fn notify<F: FnMut(u64)>(m: &Mutex<u64>, cb: F) {\n    let g = m.lock();\n    cb(*g);\n}\n";
+        let v = scan_file("crates/x/src/lib.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].lint, v[0].line), ("guard-across-callback", 3));
+        assert_eq!(v[0].excerpt, "cb(*g);");
+        // The escape hatch on the acquisition or the call suppresses it.
+        for allowed in [
+            "fn notify<F: FnMut(u64)>(m: &Mutex<u64>, cb: F) {\n    let g = m.lock(); // lint:allow(guard-across-callback)\n    cb(*g);\n}\n",
+            "fn notify<F: FnMut(u64)>(m: &Mutex<u64>, cb: F) {\n    let g = m.lock();\n    cb(*g); // lint:allow(guard-across-callback)\n}\n",
+        ] {
+            assert!(scan_file("crates/x/src/lib.rs", allowed).is_empty());
+        }
+    }
+
+    #[test]
+    fn callback_after_guard_drop_passes() {
+        let src = "fn notify<F: FnMut(u64)>(m: &Mutex<u64>, cb: F) {\n    let v = { let g = m.lock(); *g };\n    cb(v);\n}\n";
+        assert!(scan_file("crates/x/src/lib.rs", src).is_empty());
     }
 
     #[test]
@@ -1021,8 +1215,8 @@ mod tests {
         assert_eq!(v[0].file, "crates/exec/src/seeded.rs");
     }
 
-    /// A seeded mutex-in-worker violation under tests/ also fails the gate —
-    /// `run` scans the workspace-root integration suites too.
+    /// A seeded unlogged seed under tests/ also fails the gate — `run` scans
+    /// the workspace-root integration suites too.
     #[test]
     fn seeded_unlogged_seed_under_tests_fails_the_gate() {
         let root = std::env::temp_dir().join(format!("xtask-lint-sched-{}", std::process::id()));

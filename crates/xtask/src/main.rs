@@ -1,75 +1,43 @@
-//! `cargo run -p xtask -- <task>` — in-repo developer tasks.
+//! `cargo run -p xtask -- lint [--list]` — the in-repo lint gate.
 //!
-//! Two gates, both dependency-free token-level scanners over the workspace
-//! sources and both wired into ci/check.sh:
-//!
-//! * `lint` — hot-path hygiene rules (see `lint.rs`).
-//! * `concheck` — the static side of the concurrency checker in
-//!   `ojv-concheck`: lock-order cycles, locks in worker closures, guards
-//!   held across callbacks, relaxed atomic orderings.
-//!
-//! Both exit non-zero when anything fires; `--list` prints the rule table
-//! (id, confinement scope, description) sorted by id.
+//! A dependency-free token-level scanner over the workspace sources, wired
+//! into ci/check.sh: hot-path hygiene, confinement and concurrency rules
+//! (see `lint.rs`). It exits non-zero when anything fires; `--list` prints
+//! the rule table (id, confinement scope, description) sorted by id.
 #![forbid(unsafe_code)]
 
 mod lint;
+mod model;
+mod scan;
 
 use std::path::Path;
 
 fn usage() -> ! {
-    eprintln!("usage: cargo run -p xtask -- <lint|concheck> [--list]");
+    eprintln!("usage: cargo run -p xtask -- lint [--list]");
     std::process::exit(2);
 }
 
 /// The `--list` table: one rule per line, `<id> <scope> -- <desc>`, sorted
 /// by id (golden-tested in `tests/cli_list.rs`).
-fn render_list(rows: &[(&str, &str, &str)]) -> String {
-    let idw = rows.iter().map(|r| r.0.len()).max().unwrap_or(0);
-    let scw = rows.iter().map(|r| r.1.len()).max().unwrap_or(0);
+fn lint_list() -> String {
+    let idw = lint::LINTS.iter().map(|l| l.id.len()).max().unwrap_or(0);
+    let scw = lint::LINTS.iter().map(|l| l.scope.len()).max().unwrap_or(0);
     let mut out = String::new();
-    for (id, scope, desc) in rows {
-        out.push_str(&format!("{id:<idw$}  {scope:<scw$}  {desc}\n"));
+    for l in &lint::LINTS {
+        out.push_str(&format!("{:<idw$}  {:<scw$}  {}\n", l.id, l.scope, l.desc));
     }
     out
 }
 
-fn lint_list() -> String {
-    let rows: Vec<_> = lint::LINTS
-        .iter()
-        .map(|l| (l.id, l.scope, l.desc))
-        .collect();
-    render_list(&rows)
-}
-
-fn concheck_list() -> String {
-    let rows: Vec<_> = ojv_concheck::INVARIANTS
-        .iter()
-        .map(|i| (i.id, i.scope, i.desc))
-        .collect();
-    render_list(&rows)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmd: Option<&str> = None;
-    let mut list = false;
-    for a in &args {
-        match a.as_str() {
-            "lint" | "concheck" if cmd.is_none() => cmd = Some(a),
-            "--list" => list = true,
-            _ => usage(),
-        }
-    }
-    let Some(cmd) = cmd else { usage() };
-
+    let list = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["lint"] => false,
+        ["lint", "--list"] | ["--list", "lint"] => true,
+        _ => usage(),
+    };
     if list {
-        print!(
-            "{}",
-            match cmd {
-                "lint" => lint_list(),
-                _ => concheck_list(),
-            }
-        );
+        print!("{}", lint_list());
         return;
     }
 
@@ -78,29 +46,19 @@ fn main() {
         .parent()
         .and_then(Path::parent)
         .expect("xtask lives two levels below the workspace root");
-    let (count, result) = match cmd {
-        "lint" => (
-            lint::LINTS.len(),
-            lint::run(root).map(|v| v.iter().map(|x| x.to_string()).collect::<Vec<_>>()),
-        ),
-        _ => (
-            ojv_concheck::INVARIANTS.len(),
-            ojv_concheck::run(root).map(|v| v.iter().map(|x| x.to_string()).collect::<Vec<_>>()),
-        ),
-    };
-    match result {
+    match lint::run(root) {
         Ok(violations) if violations.is_empty() => {
-            println!("xtask {cmd}: clean ({count} rules)");
+            println!("xtask lint: clean ({} rules)", lint::LINTS.len());
         }
         Ok(violations) => {
             for v in &violations {
                 eprintln!("{v}");
             }
-            eprintln!("xtask {cmd}: {} violation(s)", violations.len());
+            eprintln!("xtask lint: {} violation(s)", violations.len());
             std::process::exit(1);
         }
         Err(e) => {
-            eprintln!("xtask {cmd}: io error: {e}");
+            eprintln!("xtask lint: io error: {e}");
             std::process::exit(1);
         }
     }

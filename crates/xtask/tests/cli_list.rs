@@ -1,4 +1,4 @@
-//! Golden tests for `xtask lint --list` and `xtask concheck --list`.
+//! Golden test for `xtask lint --list`.
 //!
 //! The table (id, confinement scope, description; one rule per line, sorted
 //! by id) is part of the gate's contract: documentation and CI output link
@@ -34,18 +34,23 @@ fn lint_list_is_sorted_and_scoped() {
     let listing = list_output(&["lint", "--list"]);
     let rows = ids_and_scopes(&listing);
     let golden = [
+        ("atomic-ordering", "crates/, src/ (non-test code)"),
         ("cast", "crates/durability/src/"),
         ("default-hasher", "crates/exec/src/, crates/storage/src/"),
+        (
+            "engine-locks",
+            "crates/{rel,storage,exec,core,feed,durability}/src/",
+        ),
         ("feed-eval-confined", "everywhere but crates/feed/src/"),
         (
             "fs-outside-durability",
-            "everywhere but crates/{durability,bench,xtask,concheck}/",
+            "everywhere but crates/{durability,bench,xtask}/",
         ),
+        ("guard-across-callback", "crates/, src/ (non-test code)"),
         (
             "maintain-entry-confined",
             "crates/core/src/ except maintain.rs",
         ),
-        ("mutex-in-exec-hot-path", "crates/exec/src/"),
         (
             "no-engine-threads",
             "crates/{rel,storage,exec,core,feed,durability}/src/",
@@ -83,41 +88,4 @@ fn lint_list_is_sorted_and_scoped() {
             .collect::<Vec<_>>(),
         "lint --list drifted from the golden table:\n{listing}"
     );
-}
-
-#[test]
-fn concheck_list_is_sorted_and_scoped() {
-    let listing = list_output(&["concheck", "--list"]);
-    let rows = ids_and_scopes(&listing);
-    let golden = [
-        ("atomic-ordering", "crates/*/src, src (non-test code)"),
-        ("guard-across-callback", "crates/*/src, src (non-test code)"),
-        ("lock-in-worker", "crates/*/src, src (non-test code)"),
-        (
-            "lock-order-cycle",
-            "workspace-wide graph over non-test code",
-        ),
-    ];
-    assert_eq!(
-        rows,
-        golden
-            .iter()
-            .map(|(i, s)| (i.to_string(), s.to_string()))
-            .collect::<Vec<_>>(),
-        "concheck --list drifted from the golden table:\n{listing}"
-    );
-}
-
-#[test]
-fn both_lists_are_sorted_by_id() {
-    for cmd in ["lint", "concheck"] {
-        let listing = list_output(&[cmd, "--list"]);
-        let ids: Vec<_> = ids_and_scopes(&listing)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect();
-        let mut sorted = ids.clone();
-        sorted.sort();
-        assert_eq!(ids, sorted, "{cmd} --list ids are not sorted");
-    }
 }

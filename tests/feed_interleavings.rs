@@ -26,7 +26,6 @@ use ojv::feed::{
 use ojv::prelude::*;
 use ojv_core::fixtures;
 use ojv_durability::Lsn;
-use ojv_testkit::race;
 use ojv_testkit::sched::{interleavings, replay, run_seeded, Actor};
 
 fn build_db() -> Database {
@@ -142,25 +141,6 @@ fn apply_drain(sub: &Subscription, state: &mut SubscriberState) {
     }
 }
 
-/// Close a detector session and require a clean report: zero races and an
-/// acyclic runtime lock order; under `--features concheck` the feed weave
-/// is live, so the event log must be non-empty too.
-fn assert_detector_clean(detector: race::DetectorGuard, name: &str) {
-    let report = detector.finish();
-    report.assert_no_races();
-    assert!(
-        report.witness_cycle().is_none(),
-        "lock order inverted in {name}: {:?}",
-        report.witness_cycle()
-    );
-    if cfg!(feature = "concheck") {
-        assert!(
-            report.events > 0,
-            "concheck feature is on but no trace events were recorded in {name}"
-        );
-    }
-}
-
 /// Scenario 1 (exhaustive): every interleaving of a 4-step subscriber
 /// (subscribe · drain · drain · drain) against a 3-commit driver whose
 /// commit / begin / publish halves are separate steps. Wherever the
@@ -171,7 +151,6 @@ fn assert_detector_clean(detector: race::DetectorGuard, name: &str) {
 #[test]
 fn subscribe_during_commit_exhaustive() {
     const BATCHES: usize = 3;
-    let detector = race::install("subscribe_during_commit_exhaustive");
     let spec = price_spec();
     let refs = feed_refs(&spec, BATCHES);
     for trace in interleavings(&[3 * BATCHES, 4]) {
@@ -232,19 +211,17 @@ fn subscribe_during_commit_exhaustive() {
         assert_eq!(hub.stats().subscribers, 0);
         assert!(hub.take_error().is_none());
     }
-    assert_detector_clean(detector, "subscribe_during_commit_exhaustive");
 }
 
 /// Scenario 2 (seeded sweep): random schedules over three actors — the
 /// stepped driver, a filtered subscriber draining continuously, and a
 /// projection subscriber that drops mid-stream and resumes from its last
 /// cursor (exercising Stream / CatchUp / Rebase, whichever the schedule
-/// produces). The run is watched by the race detector.
+/// produces).
 #[test]
 fn seeded_subscribe_drop_resume_corpus() {
     const SEEDS: [u64; 6] = [1, 7, 42, 0xfeed, 0xbead5, 271_828];
     const BATCHES: usize = 5;
-    let detector = race::install("seeded_subscribe_drop_resume_corpus");
     let spec_a = price_spec();
     let spec_b = SubscriptionSpec::on("oj_view").with_projection(vec![0, 9]);
     let refs_a = feed_refs(&spec_a, BATCHES);
@@ -377,5 +354,4 @@ fn seeded_subscribe_drop_resume_corpus() {
         drop(sub);
         assert!(hub.take_error().is_none(), "seed {seed}");
     }
-    assert_detector_clean(detector, "seeded_subscribe_drop_resume_corpus");
 }

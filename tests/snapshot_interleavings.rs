@@ -26,7 +26,6 @@ use std::rc::Rc;
 
 use ojv::prelude::*;
 use ojv_core::fixtures;
-use ojv_testkit::race;
 use ojv_testkit::sched::{interleavings, replay, run_seeded, Actor};
 use ojv_testkit::{FaultFile, FaultSpec};
 
@@ -89,30 +88,9 @@ fn maintainer(world: &Rc<RefCell<World>>, batches: usize) -> Actor {
 /// Scenario 1: every interleaving of a 4-step reader against a
 /// 3-commit maintainer. Reader steps: pin+verify · hold-verify ·
 /// re-pin-at · drop (with reclamation check).
-/// Close a detector session and require a clean report: zero races, an
-/// acyclic runtime lock order, and (under `--features concheck`, when the
-/// registry weave is live) a non-empty event log proving the detector
-/// actually observed the run.
-fn assert_detector_clean(detector: race::DetectorGuard, name: &str) {
-    let report = detector.finish();
-    report.assert_no_races();
-    assert!(
-        report.witness_cycle().is_none(),
-        "lock order inverted in {name}: {:?}",
-        report.witness_cycle()
-    );
-    if cfg!(feature = "concheck") {
-        assert!(
-            report.events > 0,
-            "concheck feature is on but no trace events were recorded in {name}"
-        );
-    }
-}
-
 #[test]
 fn commit_during_read_exhaustive() {
     const BATCHES: usize = 3;
-    let detector = race::install("commit_during_read_exhaustive");
     let refs = serial_refs(BATCHES);
     for trace in interleavings(&[BATCHES, 4]) {
         let world = Rc::new(RefCell::new(World {
@@ -164,7 +142,6 @@ fn commit_during_read_exhaustive() {
         );
         assert_eq!(w.db.snapshots().stats().active_pins, 0);
     }
-    assert_detector_clean(detector, "commit_during_read_exhaustive");
 }
 
 /// Scenario 2: two overlapping pins against a commit stream, every
@@ -173,7 +150,6 @@ fn commit_during_read_exhaustive() {
 #[test]
 fn reclaim_during_pin_exhaustive() {
     const BATCHES: usize = 3;
-    let detector = race::install("reclaim_during_pin_exhaustive");
     let refs = serial_refs(BATCHES);
     for trace in interleavings(&[BATCHES, 4]) {
         let world = Rc::new(RefCell::new(World {
@@ -229,7 +205,6 @@ fn reclaim_during_pin_exhaustive() {
         };
         replay(&trace, &mut [maintainer(&world, BATCHES), pinner]);
     }
-    assert_detector_clean(detector, "reclaim_during_pin_exhaustive");
 }
 
 /// Scenario 2b (seeded sweep): the same world under random schedules with
@@ -240,7 +215,6 @@ fn reclaim_during_pin_exhaustive() {
 fn seeded_pin_release_corpus() {
     const SEEDS: [u64; 6] = [1, 2, 3, 0xbeef, 0xfeed_face, 98127];
     const BATCHES: usize = 5;
-    let detector = race::install("seeded_pin_release_corpus");
     let refs = serial_refs(BATCHES);
     for seed in SEEDS {
         let run = |record: &mut Vec<usize>| {
@@ -294,7 +268,6 @@ fn seeded_pin_release_corpus() {
         let second = run(&mut record); // replay of the recorded trace
         assert_eq!(first, second, "seed {seed} replay produced a new trace");
     }
-    assert_detector_clean(detector, "seeded_pin_release_corpus");
 }
 
 /// Build the durable twin world: same catalog, same view, WAL on a
@@ -321,7 +294,6 @@ fn durable_db(fsync_every: u32) -> DurableDatabase<FaultFile> {
 fn crash_between_commit_and_fsync_lands_on_consistent_lsn() {
     const SEEDS: [u64; 5] = [4, 17, 333, 0xabcd, 31337];
     const BATCHES: usize = 7;
-    let detector = race::install("crash_between_commit_and_fsync");
     let refs = serial_refs(BATCHES);
     for seed in SEEDS {
         let ddb = Rc::new(RefCell::new(Some(durable_db(3))));
@@ -397,7 +369,6 @@ fn crash_between_commit_and_fsync_lands_on_consistent_lsn() {
             ));
         }
     }
-    assert_detector_clean(detector, "crash_between_commit_and_fsync");
 }
 
 /// Wider seed sweep for the same three scenarios (CI runs via `--ignored`).
@@ -405,7 +376,6 @@ fn crash_between_commit_and_fsync_lands_on_consistent_lsn() {
 #[ignore = "wide seed sweep; run via ci/check.sh or --ignored"]
 fn seeded_corpus_wide_sweep() {
     const BATCHES: usize = 5;
-    let detector = race::install("seeded_corpus_wide_sweep");
     let refs = serial_refs(BATCHES);
     for seed in 0u64..64 {
         let world = Rc::new(RefCell::new(World {
@@ -444,5 +414,4 @@ fn seeded_corpus_wide_sweep() {
         );
         assert_eq!(w.db.snapshots().stats().retained_ops, 0, "seed {seed}");
     }
-    assert_detector_clean(detector, "seeded_corpus_wide_sweep");
 }

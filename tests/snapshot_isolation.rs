@@ -23,7 +23,7 @@ use std::sync::{Arc, Barrier};
 
 use ojv::prelude::*;
 use ojv_core::fixtures;
-use ojv_testkit::{race, Rng};
+use ojv_testkit::Rng;
 
 const N_PARTS: i64 = 8;
 const N_ORDERS: i64 = 9;
@@ -102,10 +102,6 @@ fn reference_bytes(twin: &mut Database, ops: &[Op]) -> Vec<Vec<u8>> {
 /// The stress harness: `readers` threads pin-and-verify against the serial
 /// reference while the main thread streams `ops`.
 fn run_stress(seed: u64, readers: usize, batches: usize) {
-    // Happens-before race detector session: with the `concheck` feature the
-    // registry's lock and chain accesses feed it; without, the hooks are
-    // no-ops in core and the report is trivially empty either way.
-    let detector = race::install(&format!("stress seed {seed}, {readers} readers"));
     let ops = workload(seed, batches);
     let mut db = build_db();
     let mut twin = db.clone();
@@ -125,7 +121,6 @@ fn run_stress(seed: u64, readers: usize, batches: usize) {
             let refs = Arc::clone(&refs);
             let (done, overlapped, total_reads, start) = (&done, &overlapped, &total_reads, &start);
             scope.spawn(move || {
-                race::register_thread(&format!("reader-{r}"));
                 let mut rng = Rng::seed_from_u64(seed ^ (r as u64) << 32);
                 start.wait();
                 loop {
@@ -206,24 +201,6 @@ fn run_stress(seed: u64, readers: usize, batches: usize) {
         db.snapshot().unwrap().state_bytes().unwrap(),
         *refs.last().unwrap()
     );
-
-    // Zero races across every pin/commit/unpin the detector observed, and a
-    // consistent runtime lock order. Under `--features concheck` the weave
-    // is live, so an empty event log would mean the detector silently
-    // disengaged — fail loudly instead.
-    let report = detector.finish();
-    report.assert_no_races();
-    assert!(
-        report.witness_cycle().is_none(),
-        "registry lock order inverted under seed {seed}: {:?}",
-        report.witness_cycle()
-    );
-    if cfg!(feature = "concheck") {
-        assert!(
-            report.events > 0,
-            "concheck feature is on but no trace events were recorded (seed {seed})"
-        );
-    }
 }
 
 /// Default stress: 8 readers overlapping a 300-batch stream.
