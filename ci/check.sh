@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full offline CI gate: formatting, lints, release build, tests.
 #
-# The workspace has zero external dependencies (the test/bench substrate is
-# in-repo: crates/testkit, crates/criterion-lite), so every step below must
-# succeed with no network access. --offline makes cargo enforce that.
+# The workspace has zero external dependencies (the test substrate is
+# in-repo: crates/testkit), so every step below must succeed with no network
+# access. --offline makes cargo enforce that.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,22 +41,23 @@ cargo test --offline -q --test snapshot_interleavings -- --ignored
 echo "==> change-feed suite: differential property, interleavings"
 cargo test --offline -q --test property_feed --test feed_interleavings
 
-echo "==> change-feed fan-out panel (100k subscribers; scratch cwd keeps the committed BENCH_pr9.json)"
-mkdir -p target/feedbench-ci
-(cd target/feedbench-ci && ../../target/release/repro --sf 0.05 feedbench)
-
 echo "==> sharding suite: differential property + group-commit crash matrix"
 cargo test --offline -q --test property_sharding --test readme_quickstart_sharding
-
-echo "==> shard scaling smoke (1/2 shards, quick; scratch cwd keeps the committed SF=1 artifact)"
-mkdir -p target/shardbench-smoke
-(cd target/shardbench-smoke && ../../target/release/repro --quick --shards 1,2 shardbench)
 
 echo "==> ojvbench: its own tests, then all eight smoke runs (own workspace; correctness gates exit non-zero)"
 cargo test --offline -q --manifest-path ojvbench/Cargo.toml
 cargo run --release --offline -q --manifest-path ojvbench/Cargo.toml -- --smoke
 
-echo "==> bench targets compile and link (criterion-lite shim)"
-cargo bench --offline --no-run -p ojv-bench --features criterion
+# --quick verifies every maintained view against recompute. repro writes
+# only under target/, so the working tree must look the same afterwards.
+echo "==> paper reproduction: repro --quick all + ablations at the root, tree unchanged"
+tree_before="$(git status --porcelain)"
+cargo run --offline --release -q -p ojv-bench --bin repro -- --quick all > /dev/null
+cargo run --offline --release -q -p ojv-bench --bin repro -- --quick ablations > /dev/null
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+    echo "repro changed the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 echo "All checks passed."

@@ -828,7 +828,7 @@ mod tests {
         for path in [
             "crates/core/src/snapshot.rs",
             "crates/feed/src/hub.rs",
-            "crates/bench/src/readbench.rs",
+            "crates/bench/src/harness.rs",
             "crates/testkit/src/fault.rs",
             "tests/feed_interleavings.rs",
         ] {
@@ -1009,7 +1009,7 @@ mod tests {
         }
         // Benches, tests, tools and the root suites may spawn.
         for path in [
-            "crates/bench/src/readbench.rs",
+            "crates/bench/src/harness.rs",
             "crates/testkit/src/sched.rs",
             "crates/xtask/src/main.rs",
             "tests/snapshot_isolation.rs",
@@ -1066,7 +1066,7 @@ mod tests {
         assert!(scan_file("crates/core/src/database.rs", tested).is_empty());
         // Escape hatch.
         let allowed = "fn f() { fl.matches_row(r, cols) } // lint:allow(feed-eval-confined)\n";
-        assert!(scan_file("crates/bench/src/feedbench.rs", allowed).is_empty());
+        assert!(scan_file("crates/bench/src/harness.rs", allowed).is_empty());
         // Identifier boundary: matches_rows / row_matches are different tokens.
         let other = "fn g() { matches_rows(); row_matches(); }\n";
         assert!(scan_file("crates/core/src/database.rs", other).is_empty());
@@ -1081,7 +1081,7 @@ mod tests {
         // Building a private router is the same bypass.
         let router = "fn f() { let r = ShardRouter::new(4); }\n";
         assert_eq!(
-            scan_file("crates/bench/src/shardbench.rs", router)[0].lint,
+            scan_file("crates/bench/src/bin/repro.rs", router)[0].lint,
             "shard-routing-confined"
         );
         // Every route_* call site is covered.
