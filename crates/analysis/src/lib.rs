@@ -10,9 +10,8 @@
 //! executing it* and reports the first breach as a structured
 //! [`PlanViolation`] carrying the operator path and a stable invariant id.
 //!
-//! `ojv-core` runs these passes unconditionally at plan-build time in debug
-//! builds and behind `MaintenancePolicy::verify_plans` in release; EXPLAIN
-//! appends a `verified: ok (N invariants)` footer.
+//! `ojv-core` runs these passes on every maintenance plan it compiles, in
+//! every build; EXPLAIN appends a `verified: ok (N invariants)` footer.
 
 #![forbid(unsafe_code)]
 

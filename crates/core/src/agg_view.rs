@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use ojv_algebra::TableId;
-use ojv_exec::{eval_expr, ExecCtx, ExecStats};
+use ojv_exec::{eval_expr_buf, ExecCtx, ExecStats};
 use ojv_rel::{key_of, Column, DataType, Datum, ExactFloatSum, FxHashMap, Relation, Row, Schema};
 use ojv_storage::{Catalog, Update, UpdateOp};
 
@@ -190,7 +190,7 @@ impl MaterializedAggView {
             plans: PlanCache::default(),
         };
         let ctx = ExecCtx::new(catalog, &view.analysis.layout);
-        let rows = eval_expr(&ctx, &view.analysis.expr)?;
+        let rows = eval_expr_buf(&ctx, &view.analysis.expr)?.into_rows();
         view.apply_rows(&rows, 1);
         Ok(view)
     }
@@ -318,10 +318,11 @@ impl MaterializedAggView {
         let start = std::time::Instant::now();
         let primary: Vec<Row> = match &compiled.plan {
             None => Vec::new(),
-            Some(plan) => eval_expr(
+            Some(plan) => eval_expr_buf(
                 &delta_ctx(catalog, &self.analysis.layout, t, update, &stats),
                 plan,
-            )?,
+            )?
+            .into_rows(),
         };
         let primary_compute = start.elapsed();
         self.apply_with_primary(catalog, &stats, update, &compiled, &primary, &mut report)?;

@@ -88,8 +88,8 @@ pub fn analyze(catalog: &Catalog, def: &ViewDef) -> Result<ViewAnalysis> {
         projection,
     };
     // Debug builds verify every analysis at build time, turning the whole
-    // test suite into a sweep over the §2 invariants. Release callers opt in
-    // per run via `MaintenancePolicy::verify_plans`.
+    // test suite into a sweep over the §2 invariants. Every build verifies
+    // again when it compiles a maintenance plan (`compile::compile_uncached`).
     if cfg!(debug_assertions) {
         analysis.verify_static(catalog)?;
     }

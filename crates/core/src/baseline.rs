@@ -17,7 +17,7 @@ use std::time::Instant;
 use ojv_algebra::{
     normalize_unpruned, Atom, Expr, Pred, SubsumptionGraph, TableId, TableSet, Term,
 };
-use ojv_exec::{eval_expr, DeltaInput, ExecCtx};
+use ojv_exec::{eval_expr_buf, DeltaInput, ExecCtx};
 use ojv_rel::{key_of, Datum, FxHashSet, Row};
 use ojv_storage::{Catalog, Update, UpdateOp};
 
@@ -40,7 +40,7 @@ pub fn maintain_recompute(
     };
     let start = Instant::now();
     let ctx = ExecCtx::new(catalog, &view.analysis.layout);
-    let fresh = eval_expr(&ctx, &view.analysis.expr)?;
+    let fresh = eval_expr_buf(&ctx, &view.analysis.expr)?.into_rows();
     report.primary_compute = start.elapsed();
 
     let start = Instant::now();
@@ -110,8 +110,7 @@ pub fn maintain_gk(
     let mut term_deltas: Vec<Option<Vec<Row>>> = vec![None; terms.len()];
     for &i in &direct {
         let expr = term_expr(&terms[i], t, TermLeaf::Delta);
-        let rows = eval_expr(&exec, &expr)?;
-        term_deltas[i] = Some(rows);
+        term_deltas[i] = Some(eval_expr_buf(&exec, &expr)?.into_rows());
     }
     // Net deltas: a direct term's delta row is net unless a parent's delta
     // covers its key (parents of direct terms are direct).
@@ -202,8 +201,8 @@ pub fn maintain_gk(
                 TermLeaf::Table
             };
             let expr = term_expr(&terms[p], t, leaf);
-            for row in eval_expr(&exec, &expr)? {
-                covered.insert(key_of(&row, &ti_keys));
+            for row in eval_expr_buf(&exec, &expr)?.iter() {
+                covered.insert(key_of(row, &ti_keys));
             }
         }
         for c in candidates {

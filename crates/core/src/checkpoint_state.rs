@@ -13,7 +13,7 @@ use ojv_storage::{decode_catalog, encode_catalog, Catalog};
 
 use crate::database::Database;
 use crate::error::{CoreError, Result};
-use crate::materialize::MaterializedView;
+use crate::materialize::{MaterializedView, ViewStore};
 use crate::policy::MaintenancePolicy;
 use crate::view_def::{NamedAtom, ViewDef, ViewExpr};
 
@@ -265,7 +265,14 @@ fn put_view_section(buf: &mut Vec<u8>, view: &MaterializedView) -> Result<()> {
     let def_bytes = encode_view_def(view.def())?;
     put_u32(buf, fit_u32(def_bytes.len(), "view def length")?);
     buf.extend_from_slice(&def_bytes);
-    let rows = view.wide_rows();
+    put_store_section(buf, view.store())
+}
+
+/// A view store's canonical encoding: its rows in heap order, then the
+/// sorted count-index snapshot. The tail of every checkpoint view section,
+/// and the per-view body of `Snapshot::state_bytes`.
+pub(crate) fn put_store_section(buf: &mut Vec<u8>, store: &ViewStore) -> Result<()> {
+    let rows = store.rows();
     put_u32(buf, fit_u32(rows.len(), "view row count")?);
     for row in rows {
         put_row(buf, row)?;
@@ -273,7 +280,7 @@ fn put_view_section(buf: &mut Vec<u8>, view: &MaterializedView) -> Result<()> {
     // The count indexes are *derivable* from the rows, but they are part of
     // the state the acceptance tests compare byte-for-byte, so they are in
     // the snapshot — restore rebuilds them and cross-checks (below).
-    let indexes = view.store().count_index_snapshot();
+    let indexes = store.count_index_snapshot();
     put_u32(buf, fit_u32(indexes.len(), "index count")?);
     for (cols, entries) in &indexes {
         put_u32(buf, fit_u32(cols.len(), "index column count")?);

@@ -56,10 +56,6 @@ pub struct PlanConfig {
     pub use_fk: bool,
     /// §4.1 left-deep conversion.
     pub left_deep: bool,
-    /// The raw `verify_plans` flag. Kept in the key so a policy flip
-    /// recompiles (and re-verifies) even in debug builds where verification
-    /// is unconditional.
-    pub verify_plans: bool,
 }
 
 impl PlanConfig {
@@ -67,7 +63,6 @@ impl PlanConfig {
         PlanConfig {
             use_fk: policy.fk_enabled(),
             left_deep: policy.left_deep,
-            verify_plans: policy.verify_plans,
         }
     }
 }
@@ -121,8 +116,8 @@ pub struct CompiledMaintenancePlan {
     /// Indirectly affected terms with compile-time-resolved parent sets and
     /// §5.2 availability.
     pub indirect: Vec<CompiledIndirect>,
-    /// Static-verifier checks passed at compile time (0 when verification
-    /// was off: release build without `verify_plans`).
+    /// Static-verifier checks passed at compile time. Every compiled plan is
+    /// verified, in every build, so this is never 0.
     pub verified_checks: usize,
 }
 
@@ -160,21 +155,19 @@ pub fn compile_uncached(
     } else {
         Some(analysis.primary_delta_plan(t, cfg.use_fk, cfg.left_deep))
     };
-    // Compile-time verification: unconditional in debug builds, opt-in via
-    // the policy in release. A violation fails the compile, so a bad plan is
-    // rejected before any maintenance run can touch the view store.
-    let mut verified_checks = 0;
-    if cfg.verify_plans || cfg!(debug_assertions) {
-        verified_checks += analysis.verify_static(catalog)?;
-        verified_checks +=
-            analysis.verify_maintenance(t, cfg.use_fk, cfg.left_deep, &mgraph, plan.as_ref())?;
-    }
+    // Compile-time verification, in every build: a plan compiles once per
+    // (view, table, config), so the few microseconds are paid once. A
+    // violation fails the compile, so a bad plan is rejected before any
+    // maintenance run can touch the view store.
+    let mut verified_checks = analysis.verify_static(catalog)?;
+    verified_checks +=
+        analysis.verify_maintenance(t, cfg.use_fk, cfg.left_deep, &mgraph, plan.as_ref())?;
     let fingerprint = plan.as_ref().map_or(0, fingerprint_expr);
     let spine = plan.as_ref().map(Spine::of);
     let mut indirect = Vec::with_capacity(mgraph.indirect.len());
     for ind in &mgraph.indirect {
         let from_view_ok = analysis.from_view_available(ind.term);
-        if from_view_ok && (cfg.verify_plans || cfg!(debug_assertions)) {
+        if from_view_ok {
             verified_checks += analysis.verify_from_view(ind.term)?;
         }
         indirect.push(CompiledIndirect {
@@ -262,7 +255,6 @@ mod tests {
         PlanConfig {
             use_fk: true,
             left_deep: true,
-            verify_plans: true,
         }
     }
 
@@ -416,8 +408,8 @@ mod tests {
         ));
     }
 
-    /// Flipping each plan-relevant policy knob (`left_deep`, `use_fk`,
-    /// `verify_plans`) recompiles exactly once; repeating the same update
+    /// Flipping each plan-relevant policy knob (`left_deep`, `use_fk`)
+    /// recompiles exactly once; repeating the same update
     /// under the flipped policy hits the cache.
     #[test]
     fn database_policy_flips_recompile() {
@@ -430,11 +422,10 @@ mod tests {
                 .unwrap();
             key += 1;
         };
-        for flip in 0..3usize {
+        for flip in 0..2usize {
             match flip {
                 0 => db.policy.left_deep = !db.policy.left_deep,
-                1 => db.policy.use_fk = !db.policy.use_fk,
-                _ => db.policy.verify_plans = !db.policy.verify_plans,
+                _ => db.policy.use_fk = !db.policy.use_fk,
             }
             let before = compile_count();
             insert(&mut db);

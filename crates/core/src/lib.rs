@@ -74,7 +74,6 @@ pub mod secondary;
 pub mod shard;
 pub mod snapshot;
 pub mod sql;
-pub mod term_delta;
 pub mod view_def;
 pub mod wal_log;
 

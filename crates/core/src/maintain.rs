@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use ojv_algebra::TableId;
-use ojv_exec::{eval_expr, DeltaInput, ExecCtx, ExecStats, ExecStatsSnapshot, ViewLayout};
+use ojv_exec::{eval_expr_buf, DeltaInput, ExecCtx, ExecStats, ExecStatsSnapshot, ViewLayout};
 use ojv_rel::Row;
 use ojv_storage::{Catalog, Update, UpdateOp};
 
@@ -63,9 +63,8 @@ pub struct MaintenanceReport {
     /// subsumption.
     pub exec: ExecStatsSnapshot,
     /// Static-verifier checks passed when this run's plan was *compiled*
-    /// (0 when verification was off: release build without
-    /// `MaintenancePolicy::verify_plans`). Cache hits report the checks of
-    /// the original compilation.
+    /// (every compiled plan is verified, in every build). Cache hits report
+    /// the checks of the original compilation.
     pub verified_checks: usize,
     /// Canonical fingerprint of the primary-delta plan this run executed
     /// (0 when there was no primary plan).
@@ -126,10 +125,11 @@ pub fn maintain(
     let start = Instant::now();
     let primary: Vec<Row> = match &compiled.plan {
         None => Vec::new(),
-        Some(plan) => eval_expr(
+        Some(plan) => eval_expr_buf(
             &delta_ctx(catalog, &view.analysis.layout, t, update, &stats),
             plan,
-        )?,
+        )?
+        .into_rows(),
     };
     let primary_compute = start.elapsed();
 
@@ -266,8 +266,9 @@ pub(crate) fn apply_primary(
 /// match — the correctness oracle used by tests.
 pub fn verify_against_recompute(view: &MaterializedView, catalog: &Catalog) -> bool {
     let ctx = ExecCtx::new(catalog, &view.analysis.layout);
-    let mut fresh = eval_expr(&ctx, &view.analysis.expr)
-        .expect("recompute oracle: every view table is in the catalog");
+    let mut fresh = eval_expr_buf(&ctx, &view.analysis.expr)
+        .expect("recompute oracle: every view table is in the catalog")
+        .into_rows();
     let mut have: Vec<Row> = view.wide_rows().to_vec();
     fresh.sort();
     have.sort();
@@ -437,18 +438,14 @@ mod tests {
         assert!(verify_against_recompute(&view, &c));
     }
 
-    /// The static verifier runs on every maintenance plan (opt-in flag set,
-    /// and unconditionally in debug builds) and every plan the existing
-    /// fixtures produce verifies clean.
+    /// The static verifier runs on every maintenance plan and every plan
+    /// the existing fixtures produce verifies clean.
     #[test]
     fn plans_verify_clean_and_report_checks() {
         let mut c = example1_catalog();
         populate_example1(&mut c, 8, 9);
         let mut view = MaterializedView::create(&c, oj_view_def()).unwrap();
-        let policy = MaintenancePolicy {
-            verify_plans: true,
-            ..Default::default()
-        };
+        let policy = MaintenancePolicy::default();
         let up = c
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();

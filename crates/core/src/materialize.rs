@@ -323,8 +323,8 @@ impl MaterializedView {
     pub fn create(catalog: &Catalog, def: ViewDef) -> Result<Self> {
         let analysis = analyze(catalog, &def)?;
         let ctx = ojv_exec::ExecCtx::new(catalog, &analysis.layout);
-        let rows = ojv_exec::eval_expr(&ctx, &analysis.expr)?;
-        Self::from_rows(def, analysis, rows)
+        let rows = ojv_exec::eval_expr_buf(&ctx, &analysis.expr)?;
+        Self::from_rows(def, analysis, rows.into_rows())
     }
 
     /// Rebuild a view from checkpointed wide rows instead of re-evaluating

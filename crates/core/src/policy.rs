@@ -1,6 +1,7 @@
 //! Maintenance policy: the paper's §4.1 and §6 optimizations (switchable
-//! for the ablation benchmarks), static plan verification, and the durable
-//! engine's fsync policy. The secondary-delta strategy is not a
+//! for the ablation benchmarks) and the durable engine's fsync policy.
+//! Static plan verification is not a knob: every compiled plan is verified
+//! (see [`crate::compile`]). The secondary-delta strategy is not a
 //! knob: each indirect term uses the view (§5.2) when the view outputs the
 //! columns it needs and base tables (§5.3) otherwise.
 
@@ -18,10 +19,6 @@ pub struct MaintenancePolicy {
     /// `UPDATE` — the §6 caveat list forbids the FK optimizations then
     /// (the "deleted" keys may be re-inserted by the paired statement).
     pub update_decomposition: bool,
-    /// Run the `ojv-analysis` static plan verifier on every compiled
-    /// maintenance plan. Debug builds verify unconditionally; this knob
-    /// opts release builds in.
-    pub verify_plans: bool,
     /// When the database is opened durably ([`crate::DurableDatabase`]),
     /// how often WAL appends are flushed to stable storage. Ignored by the
     /// purely in-memory [`crate::Database`].
@@ -34,7 +31,6 @@ impl Default for MaintenancePolicy {
             use_fk: true,
             left_deep: true,
             update_decomposition: false,
-            verify_plans: false,
             fsync: FsyncPolicy::Always,
         }
     }

@@ -20,9 +20,10 @@
 //! availability), from base tables otherwise.
 
 use ojv_algebra::{Expr, JoinKind, Pred, TableId, TableSet, Term};
-use ojv_exec::{join_rows_expr, ExecCtx, ExecResult, ViewLayout};
+use ojv_exec::ops::semi_anti_by_key_buf;
+use ojv_exec::{join_buf_expr, ExecCtx, ExecResult, ViewLayout};
 use ojv_rel::postable::{idx, pos32};
-use ojv_rel::{key_eq_rows, key_hash, Datum, PosTable, Row};
+use ojv_rel::{key_eq_rows, key_hash, PosTable, Row, RowBuf};
 
 use crate::maintain::IndirectTermView;
 use crate::materialize::ViewStore;
@@ -47,36 +48,6 @@ impl SecondaryCtx<'_> {
         self.layout
             .null_out(self.layout.all_tables().difference(tables), &mut out);
         out
-    }
-}
-
-/// Rows indexed by their values in `cols`: a [`PosTable`] of hash →
-/// position, verified against the rows themselves, so no key is copied out
-/// of them.
-struct RowKeys<'a> {
-    cols: &'a [usize],
-    rows: &'a [Row],
-    slots: PosTable,
-}
-
-impl<'a> RowKeys<'a> {
-    fn over(cols: &'a [usize], rows: &'a [Row]) -> Self {
-        let mut slots = PosTable::default();
-        slots.reserve(rows.len());
-        for (pos, row) in rows.iter().enumerate() {
-            slots.insert(key_hash(row, cols), pos32(pos));
-        }
-        RowKeys { cols, rows, slots }
-    }
-
-    /// Does some row agree with `probe` on `cols`?
-    fn contains(&self, probe: &[Datum]) -> bool {
-        let cols = self.cols;
-        self.slots
-            .find(key_hash(probe, cols), |p| {
-                key_eq_rows(&self.rows[idx(p)], cols, probe, cols)
-            })
-            .is_some()
     }
 }
 
@@ -196,7 +167,7 @@ pub fn from_base(
             cands.offer(ctx, row);
         }
     }
-    let mut candidates = cands.rows;
+    let mut candidates = RowBuf::from_rows(ctx.layout.width(), &cands.rows);
 
     // Anti join against every directly affected parent's rest expression,
     // evaluated as a candidate-driven semijoin chain (see
@@ -207,7 +178,7 @@ pub fn from_base(
         }
         candidates = anti_join_rest_expression(ctx, exec, ti, &ctx.terms[k], candidates, insert)?;
     }
-    Ok(candidates)
+    Ok(candidates.into_rows())
 }
 
 /// Compute `candidates ▷_{q_ip} E'_{ip}` (§5.3) without materializing the
@@ -221,15 +192,16 @@ pub fn from_base(
 /// then anti-filter the candidates by which term keys survived the chain.
 /// The updated table's leaf is its *old* state for the insertion formula
 /// (`T ▷ ΔT`, probed with delta-key exclusion) and its new state for the
-/// deletion formula.
+/// deletion formula. The chain and the final anti join run on batches from
+/// end to end.
 fn anti_join_rest_expression(
     ctx: &SecondaryCtx<'_>,
     exec: &ExecCtx<'_>,
     ti: TableSet,
     parent: &Term,
-    candidates: Vec<Row>,
+    candidates: RowBuf,
     insert: bool,
-) -> ExecResult<Vec<Row>> {
+) -> ExecResult<RowBuf> {
     let t = ctx.updated;
     let ti_keys = ctx.layout.term_key_cols(ti);
     // Atoms of the parent's predicate not already satisfied within T_i.
@@ -284,18 +256,20 @@ fn anti_join_rest_expression(
             };
             (leaf, Pred::new(cross))
         };
-        rows = join_rows_expr(exec, JoinKind::Inner, &join_pred, rows, joined, &leaf)?;
+        rows = join_buf_expr(exec, JoinKind::Inner, &join_pred, rows, joined, &leaf)?;
         joined = next;
     }
     debug_assert!(
         atoms.is_empty() || rows.is_empty(),
         "unplaced parent-term atoms"
     );
-    let matched = RowKeys::over(&ti_keys, &rows);
-    Ok(candidates
-        .into_iter()
-        .filter(|c| !matched.contains(c))
-        .collect())
+    Ok(semi_anti_by_key_buf(
+        candidates,
+        &ti_keys,
+        rows.iter(),
+        &ti_keys,
+        true,
+    ))
 }
 
 /// Build the parent's rest expression `E'_{ip}` and the anti-join predicate
@@ -382,7 +356,8 @@ mod tests {
     use crate::maintain::{apply_orphans, apply_primary, verify_against_recompute};
     use crate::materialize::MaterializedView;
     use ojv_algebra::Atom;
-    use ojv_exec::{eval_expr, DeltaInput};
+    use ojv_exec::{eval_expr_buf, DeltaInput};
+    use ojv_rel::Datum;
     use ojv_storage::{Catalog, Update, UpdateOp};
 
     /// One maintenance step by hand, computing every indirect term's `∆D_i`
@@ -398,7 +373,6 @@ mod tests {
         let cfg = PlanConfig {
             use_fk,
             left_deep: true,
-            verify_plans: false,
         };
         let compiled = view.compiled_plan(catalog, t, cfg).unwrap();
         let analysis = view.analysis.clone();
@@ -409,7 +383,7 @@ mod tests {
         let exec = ExecCtx::with_delta(catalog, &analysis.layout, delta);
         let primary = match &compiled.plan {
             None => Vec::new(),
-            Some(plan) => eval_expr(&exec, plan).unwrap(),
+            Some(plan) => eval_expr_buf(&exec, plan).unwrap().into_rows(),
         };
         let name = view.name().to_string();
         apply_primary(view.store_mut(), &name, &primary, update.op).unwrap();

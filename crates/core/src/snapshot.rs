@@ -65,8 +65,9 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ojv_durability::Lsn;
-use ojv_rel::{key_of, put_row, put_str, put_u32, put_u64, Datum, Relation, Row, SchemaRef};
+use ojv_rel::{key_of, put_str, put_u32, put_u64, Datum, Relation, Row, SchemaRef};
 
+use crate::checkpoint_state::put_store_section;
 use crate::error::{CoreError, Result};
 use crate::materialize::{MaterializedView, ViewStore};
 
@@ -706,7 +707,7 @@ impl Snapshot {
         put_u32(&mut buf, n);
         for v in &self.views {
             put_str(&mut buf, &v.name).map_err(CoreError::Rel)?;
-            encode_store(&mut buf, &v.store)?;
+            put_store_section(&mut buf, &v.store)?;
         }
         Ok(buf)
     }
@@ -719,36 +720,6 @@ impl Drop for Snapshot {
         self.views.clear();
         self.registry.unpin(self.pin_key);
     }
-}
-
-/// Canonical store section: rows in heap order plus the sorted count-index
-/// snapshot (the same shape the durable checkpoint codec uses).
-fn encode_store(buf: &mut Vec<u8>, store: &ViewStore) -> Result<()> {
-    let fit = |n: usize, what: &str| -> Result<u32> {
-        u32::try_from(n).map_err(|_| CoreError::InvalidView {
-            view: "<snapshot>".to_string(),
-            detail: format!("{what} of {n} exceeds u32 framing"),
-        })
-    };
-    let rows = store.rows();
-    put_u32(buf, fit(rows.len(), "row count")?);
-    for row in rows {
-        put_row(buf, row).map_err(CoreError::Rel)?;
-    }
-    let indexes = store.count_index_snapshot();
-    put_u32(buf, fit(indexes.len(), "index count")?);
-    for (cols, entries) in &indexes {
-        put_u32(buf, fit(cols.len(), "index column count")?);
-        for &c in cols {
-            put_u32(buf, fit(c, "index column")?);
-        }
-        put_u32(buf, fit(entries.len(), "index entry count")?);
-        for (key, count) in entries {
-            put_row(buf, key).map_err(CoreError::Rel)?;
-            put_u64(buf, *count as u64); // lint:allow(cast) — usize widens into u64 on 64-bit
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

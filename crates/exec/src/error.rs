@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Errors the executor can hit at runtime (as opposed to planner invariant
-/// violations, which remain panics — see [`crate::run::eval_expr`]).
+/// violations, which remain panics — see [`crate::run::eval_expr_buf`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// A table named by the view layout is missing from the catalog — e.g.

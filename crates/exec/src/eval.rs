@@ -6,35 +6,13 @@ use ojv_storage::RowRef;
 
 use crate::layout::ViewLayout;
 
-/// Evaluate one atom on a wide row under SQL three-valued logic collapsed to
-/// boolean: unknown (any null operand) is false — which is exactly the
-/// *null-rejecting* behaviour the paper requires of all view predicates.
-pub fn eval_atom(layout: &ViewLayout, atom: &Atom, row: &[Datum]) -> bool {
-    match atom {
-        Atom::Cols(a, op, b) => {
-            let x = &row[layout.global(*a)];
-            let y = &row[layout.global(*b)];
-            x.sql_cmp(y).map(|o| op.eval(o)).unwrap_or(false)
-        }
-        Atom::Const(c, op, lit) => {
-            let x = &row[layout.global(*c)];
-            x.sql_cmp(lit).map(|o| op.eval(o)).unwrap_or(false)
-        }
-        Atom::Between(c, lo, hi) => {
-            let x = &row[layout.global(*c)];
-            match (x.sql_cmp(lo), x.sql_cmp(hi)) {
-                (Some(a), Some(b)) => {
-                    a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater
-                }
-                _ => false,
-            }
-        }
-    }
-}
-
-/// Evaluate a conjunction on a wide row.
+/// Evaluate a conjunction on a wide row under SQL three-valued logic
+/// collapsed to boolean: unknown (any null operand) is false — which is
+/// exactly the *null-rejecting* behaviour the paper requires of all view
+/// predicates.
 pub fn eval_pred(layout: &ViewLayout, pred: &Pred, row: &[Datum]) -> bool {
-    pred.atoms().iter().all(|a| eval_atom(layout, a, row))
+    let get = |c: &ojv_algebra::ColRef| row[layout.global(*c)].as_ref();
+    pred.atoms().iter().all(|a| eval_atom_with(a, get))
 }
 
 /// Evaluate a conjunction on a *virtual* merged row made of two wide rows:
@@ -60,30 +38,11 @@ pub fn eval_pred_merged(
     pred.atoms().iter().all(|a| eval_atom_with(a, get))
 }
 
-/// [`eval_pred_merged`] where the right side is a *narrow* base-table row
-/// occupying the layout slot `[offset, offset + right.len())` — the shape
-/// index-nested-loop and narrow-build joins probe.
-pub fn eval_pred_split(
-    layout: &ViewLayout,
-    pred: &Pred,
-    left: &[Datum],
-    right: &[Datum],
-    offset: usize,
-) -> bool {
-    let get = |c: &ojv_algebra::ColRef| {
-        let g = layout.global(*c);
-        match g.checked_sub(offset) {
-            Some(local) if local < right.len() => right[local].as_ref(),
-            _ => left[g].as_ref(),
-        }
-    };
-    pred.atoms().iter().all(|a| eval_atom_with(a, get))
-}
-
-/// [`eval_pred_split`] where the right side is a *columnar* base-table row:
-/// right columns read straight from the table's column pages, left columns
-/// from the wide probe row. The hot shape of narrow-build and index joins
-/// after the heap rework.
+/// [`eval_pred_merged`] where the right side is a *columnar* base-table row
+/// occupying the layout slot `[offset, offset + right.width())`: right
+/// columns read straight from the table's column pages, left columns from
+/// the wide probe row — the shape index-nested-loop and narrow-build joins
+/// probe.
 pub fn eval_pred_split_ref(
     layout: &ViewLayout,
     pred: &Pred,
@@ -101,29 +60,11 @@ pub fn eval_pred_split_ref(
     pred.atoms().iter().all(|a| eval_atom_with(a, get))
 }
 
-/// Evaluate a conjunction over two *narrow* rows of distinct tables — the
-/// shape of a delta-driven index join before any widening. Every atom must
-/// reference only `lt` and `rt` (guaranteed for the residual of an
-/// `equi_split` between the two tables' singleton source sets).
-pub fn eval_pred_two_narrow(
-    pred: &Pred,
-    lt: ojv_algebra::TableId,
-    left: &[Datum],
-    rt: ojv_algebra::TableId,
-    right: &[Datum],
-) -> bool {
-    let get = |c: &ojv_algebra::ColRef| {
-        if c.table == lt {
-            left[c.col].as_ref()
-        } else {
-            debug_assert_eq!(c.table, rt, "atom references a third table");
-            right[c.col].as_ref()
-        }
-    };
-    pred.atoms().iter().all(|a| eval_atom_with(a, get))
-}
-
-/// [`eval_pred_two_narrow`] with a columnar right row.
+/// Evaluate a conjunction over two *narrow* rows of distinct tables, the
+/// right one columnar — the shape of a delta-driven index join before any
+/// widening. Every atom must reference only `lt` and `rt` (guaranteed for
+/// the residual of an `equi_split` between the two tables' singleton source
+/// sets).
 pub fn eval_pred_two_narrow_ref(
     pred: &Pred,
     lt: ojv_algebra::TableId,
@@ -144,9 +85,10 @@ pub fn eval_pred_two_narrow_ref(
 
 /// One atom under SQL three-valued logic, columns resolved by `get`.
 ///
-/// The getter returns a borrowed [`DatumRef`] view so one evaluator serves
-/// both wide-row slices and columnar rows — `DatumRef::sql_cmp` mirrors
-/// `Datum::sql_cmp` exactly.
+/// The getter returns a borrowed [`DatumRef`] view so this one evaluator
+/// serves wide-row slices and columnar rows alike — `DatumRef::sql_cmp`
+/// mirrors `Datum::sql_cmp` exactly (pinned by a property test in
+/// `ojv-rel`).
 #[inline]
 fn eval_atom_with<'r>(atom: &Atom, get: impl Fn(&ojv_algebra::ColRef) -> DatumRef<'r>) -> bool {
     match atom {
@@ -162,17 +104,11 @@ fn eval_atom_with<'r>(atom: &Atom, get: impl Fn(&ojv_algebra::ColRef) -> DatumRe
     }
 }
 
-/// Evaluate a **single-table** conjunction on a *narrow* base-table row:
-/// column references index the row directly (`col.col`), no layout needed.
-/// Used to run pushed-down scan predicates before widening — the caller
-/// must guarantee every atom references only the scanned table.
-pub fn eval_pred_narrow(pred: &Pred, row: &[Datum]) -> bool {
-    let get = |c: &ojv_algebra::ColRef| row[c.col].as_ref();
-    pred.atoms().iter().all(|a| eval_atom_with(a, get))
-}
-
-/// [`eval_pred_narrow`] over a columnar base-table row: pushed-down scan
-/// predicates evaluate straight off the column pages, no materialization.
+/// Evaluate a **single-table** conjunction on a columnar base-table row:
+/// column references index the row directly (`col.col`), no layout needed,
+/// so pushed-down scan predicates evaluate straight off the column pages
+/// before any widening. The caller must guarantee every atom references
+/// only the scanned table.
 pub fn eval_pred_narrow_ref(pred: &Pred, row: RowRef<'_>) -> bool {
     let get = |c: &ojv_algebra::ColRef| row.dat(c.col);
     pred.atoms().iter().all(|a| eval_atom_with(a, get))
@@ -215,36 +151,36 @@ mod tests {
     #[test]
     fn equijoin_atom() {
         let l = layout();
-        let atom = Atom::eq(cr(0, 0), cr(1, 1));
+        let p = Pred::atom(Atom::eq(cr(0, 0), cr(1, 1)));
         let hit = vec![Datum::Int(1), Datum::Null, Datum::Int(9), Datum::Int(1)];
         let miss = vec![Datum::Int(1), Datum::Null, Datum::Int(9), Datum::Int(2)];
-        assert!(eval_atom(&l, &atom, &hit));
-        assert!(!eval_atom(&l, &atom, &miss));
+        assert!(eval_pred(&l, &p, &hit));
+        assert!(!eval_pred(&l, &p, &miss));
     }
 
     #[test]
     fn null_operands_reject() {
         let l = layout();
-        let atom = Atom::eq(cr(0, 0), cr(1, 1));
+        let p = Pred::atom(Atom::eq(cr(0, 0), cr(1, 1)));
         let null_left = vec![Datum::Null, Datum::Null, Datum::Int(9), Datum::Int(1)];
-        assert!(!eval_atom(&l, &atom, &null_left));
-        let cmp = Atom::Const(cr(0, 1), CmpOp::Lt, Datum::Int(5));
+        assert!(!eval_pred(&l, &p, &null_left));
+        let cmp = Pred::atom(Atom::Const(cr(0, 1), CmpOp::Lt, Datum::Int(5)));
         let null_col = vec![Datum::Int(1), Datum::Null, Datum::Null, Datum::Null];
-        assert!(!eval_atom(&l, &cmp, &null_col));
+        assert!(!eval_pred(&l, &cmp, &null_col));
     }
 
     #[test]
     fn between_atom_inclusive() {
         let l = layout();
-        let atom = Atom::Between(cr(0, 1), Datum::Int(2), Datum::Int(4));
+        let p = Pred::atom(Atom::Between(cr(0, 1), Datum::Int(2), Datum::Int(4)));
         let mk = |v: i64| vec![Datum::Int(1), Datum::Int(v), Datum::Null, Datum::Null];
-        assert!(eval_atom(&l, &atom, &mk(2)));
-        assert!(eval_atom(&l, &atom, &mk(3)));
-        assert!(eval_atom(&l, &atom, &mk(4)));
-        assert!(!eval_atom(&l, &atom, &mk(1)));
-        assert!(!eval_atom(&l, &atom, &mk(5)));
+        assert!(eval_pred(&l, &p, &mk(2)));
+        assert!(eval_pred(&l, &p, &mk(3)));
+        assert!(eval_pred(&l, &p, &mk(4)));
+        assert!(!eval_pred(&l, &p, &mk(1)));
+        assert!(!eval_pred(&l, &p, &mk(5)));
         let null_row = vec![Datum::Int(1), Datum::Null, Datum::Null, Datum::Null];
-        assert!(!eval_atom(&l, &atom, &null_row));
+        assert!(!eval_pred(&l, &p, &null_row));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! merge disjoint slot ranges, the null-if operator clears slot ranges, and
 //! term extraction (§5.1) is a null-pattern filter.
 //!
-//! Operators are materialize-at-each-node: relation in, relation out. Joins
+//! Operators are materialize-at-each-node: one flat [`ojv_rel::RowBuf`]
+//! batch in, one batch out, and each operator exists in that one form. Joins
 //! pick between a hash join and an index-nested-loop join (when the right
 //! operand is a base-table scan with a covering index), mirroring the plans
 //! a production optimizer would choose for small deltas.
@@ -30,8 +31,5 @@ pub use error::{ExecError, ExecResult};
 pub use hashtbl::{KeyHashTable, KeySet};
 pub use layout::{TableSlot, ViewLayout};
 pub use ops::filter::filter_project_into;
-pub use run::{
-    apply_spine_step, eval_expr, eval_expr_buf, join_buf_expr, join_rows_expr, null_if_buf,
-    DeltaInput, ExecCtx,
-};
+pub use run::{apply_spine_step, eval_expr_buf, join_buf_expr, null_if_buf, DeltaInput, ExecCtx};
 pub use stats::{ExecEnv, ExecStats, ExecStatsSnapshot};

@@ -8,25 +8,13 @@
 use std::time::Instant;
 
 use ojv_rel::{
-    alloc_snapshot, fx_map_with_capacity, key_eq_rows, key_hash, Datum, FxHashMap, Row, RowBuf,
+    alloc_snapshot, fx_map_with_capacity, key_eq_rows, key_hash, Datum, FxHashMap, RowBuf,
 };
 
-use crate::layout::ViewLayout;
 use crate::stats::ExecEnv;
 
-/// Plain duplicate elimination (`δ`), preserving first occurrence order.
-pub fn distinct(rows: Vec<Row>) -> Vec<Row> {
-    if rows.is_empty() {
-        return rows;
-    }
-    let mut buf = RowBuf::from_rows(rows[0].len(), &rows);
-    let keep = first_occurrences(&buf);
-    buf.retain_rows(&keep);
-    buf.into_rows()
-}
-
-/// [`distinct`] over a batch, with counters. Kept rows are compacted in
-/// input order.
+/// Plain duplicate elimination (`δ`) over a batch, with counters. Kept rows
+/// (first occurrences) are compacted in input order.
 pub fn distinct_in(env: &ExecEnv<'_>, mut rows: RowBuf) -> RowBuf {
     let started = Instant::now();
     let alloc0 = alloc_snapshot();
@@ -73,19 +61,11 @@ fn first_occurrences(rows: &RowBuf) -> Vec<bool> {
 /// operator implements (grouping by source mask, then probing superset
 /// masks), and it is exact for the well-formed rows the maintenance
 /// expressions produce.
-pub fn clean_dup(layout: &ViewLayout, rows: Vec<Row>) -> Vec<Row> {
-    clean_dup_in(&ExecEnv::new(layout), rows)
-}
-
-/// [`clean_dup`] with counters — legacy `Vec<Row>` form over
-/// [`clean_dup_buf`].
-pub fn clean_dup_in(env: &ExecEnv<'_>, rows: Vec<Row>) -> Vec<Row> {
-    clean_dup_buf(env, RowBuf::from_rows(env.layout.width(), &rows)).into_rows()
-}
-
-/// Batch subsumption removal: rows are grouped by source mask, each mask is
-/// checked against the rows of its superset masks, and kept rows are
-/// compacted in input order.
+///
+/// Rows are grouped by source mask, each mask is checked against the rows
+/// of its superset masks, and kept rows are compacted in input order. The
+/// same operator is the paper's minimum union `⊕` (§2.1) of batches
+/// concatenated into one input.
 pub fn clean_dup_buf(env: &ExecEnv<'_>, rows: RowBuf) -> RowBuf {
     let mut rows = distinct_in(env, rows);
     let layout = env.layout;
@@ -158,8 +138,9 @@ pub fn clean_dup_buf(env: &ExecEnv<'_>, rows: RowBuf) -> RowBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ojv_algebra::{TableId, TableSet};
-    use ojv_rel::{Column, DataType};
+    use crate::layout::ViewLayout;
+    use ojv_algebra::TableId;
+    use ojv_rel::{Column, DataType, Row};
     use ojv_storage::Catalog;
 
     fn layout() -> ViewLayout {
@@ -189,11 +170,16 @@ mod tests {
         l.widen(TableId(0), &[Datum::Int(a), Datum::Int(a)])
     }
 
+    fn clean_dup(l: &ViewLayout, rows: Vec<Row>) -> Vec<Row> {
+        clean_dup_buf(&ExecEnv::new(l), RowBuf::from_rows(l.width(), &rows)).into_rows()
+    }
+
     #[test]
     fn distinct_removes_duplicates() {
         let l = layout();
-        let rows = vec![a_only(&l, 1), a_only(&l, 1), a_only(&l, 2)];
-        assert_eq!(distinct(rows).len(), 2);
+        let rows = [a_only(&l, 1), a_only(&l, 1), a_only(&l, 2)];
+        let out = distinct_in(&ExecEnv::new(&l), RowBuf::from_rows(l.width(), &rows));
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
@@ -236,6 +222,5 @@ mod tests {
     fn empty_input() {
         let l = layout();
         assert!(clean_dup(&l, Vec::new()).is_empty());
-        let _ = TableSet::EMPTY; // silence unused import in some cfgs
     }
 }

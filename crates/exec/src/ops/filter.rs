@@ -3,28 +3,14 @@
 use std::time::Instant;
 
 use ojv_algebra::Pred;
-use ojv_rel::{alloc_snapshot, Datum, Row, RowBuf};
+use ojv_rel::{alloc_snapshot, Datum, RowBuf};
 
 use crate::eval::eval_pred;
-use crate::layout::ViewLayout;
 use crate::stats::ExecEnv;
 
-/// Keep the rows satisfying `pred` (null-rejecting conjunction).
-pub fn filter(layout: &ViewLayout, pred: &Pred, rows: Vec<Row>) -> Vec<Row> {
-    filter_in(&ExecEnv::new(layout), pred, rows)
-}
-
-/// [`filter`] with counters — legacy `Vec<Row>` form.
-pub fn filter_in(env: &ExecEnv<'_>, pred: &Pred, rows: Vec<Row>) -> Vec<Row> {
-    if pred.is_true() {
-        return rows;
-    }
-    let width = env.layout.width();
-    filter_buf(env, pred, RowBuf::from_rows(width, &rows)).into_rows()
-}
-
-/// Batch selection: the batch is compacted in place — kept rows stay in
-/// input order, with no per-row allocation.
+/// Selection: keep the rows satisfying `pred` (a null-rejecting
+/// conjunction). The batch is compacted in place — kept rows stay in input
+/// order, with no per-row allocation.
 pub fn filter_buf(env: &ExecEnv<'_>, pred: &Pred, mut rows: RowBuf) -> RowBuf {
     if pred.is_true() {
         return rows;
@@ -66,6 +52,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::ViewLayout;
     use ojv_algebra::{Atom, CmpOp, ColRef, TableId};
     use ojv_rel::{Column, DataType, Datum};
     use ojv_storage::Catalog;
@@ -92,21 +79,24 @@ mod tests {
             CmpOp::Gt,
             Datum::Int(5),
         ));
-        let rows = vec![
-            vec![Datum::Int(1), Datum::Int(10)],
-            vec![Datum::Int(2), Datum::Int(3)],
-            vec![Datum::Int(3), Datum::Null],
-        ];
-        let out = filter(&l, &p, rows);
+        let rows = RowBuf::from_rows(
+            2,
+            &[
+                vec![Datum::Int(1), Datum::Int(10)],
+                vec![Datum::Int(2), Datum::Int(3)],
+                vec![Datum::Int(3), Datum::Null],
+            ],
+        );
+        let out = filter_buf(&ExecEnv::new(&l), &p, rows);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0][0], Datum::Int(1));
+        assert_eq!(out.row(0)[0], Datum::Int(1));
     }
 
     #[test]
     fn true_predicate_is_identity() {
         let l = layout();
-        let rows = vec![vec![Datum::Int(1), Datum::Null]];
-        let out = filter(&l, &Pred::true_(), rows.clone());
+        let rows = RowBuf::from_rows(2, &[vec![Datum::Int(1), Datum::Null]]);
+        let out = filter_buf(&ExecEnv::new(&l), &Pred::true_(), rows.clone());
         assert_eq!(out, rows);
     }
 

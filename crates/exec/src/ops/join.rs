@@ -68,54 +68,10 @@ fn try_merge(
     true
 }
 
-/// Hash (or nested-loop, when there is no equijoin conjunct) join of two
-/// wide-row sets — legacy `Vec<Row>` entry point.
-pub fn hash_join(
-    layout: &ViewLayout,
-    kind: JoinKind,
-    pred: &Pred,
-    left: Vec<Row>,
-    right: Vec<Row>,
-    left_sources: TableSet,
-    right_sources: TableSet,
-) -> Vec<Row> {
-    hash_join_in(
-        &ExecEnv::new(layout),
-        kind,
-        pred,
-        left,
-        right,
-        left_sources,
-        right_sources,
-    )
-}
-
-/// [`hash_join`] with counters — legacy `Vec<Row>` entry point over
-/// [`hash_join_buf`].
-pub fn hash_join_in(
-    env: &ExecEnv<'_>,
-    kind: JoinKind,
-    pred: &Pred,
-    left: Vec<Row>,
-    right: Vec<Row>,
-    left_sources: TableSet,
-    right_sources: TableSet,
-) -> Vec<Row> {
-    let width = env.layout.width();
-    hash_join_buf(
-        env,
-        kind,
-        pred,
-        RowBuf::from_rows(width, &left),
-        RowBuf::from_rows(width, &right),
-        left_sources,
-        right_sources,
-    )
-    .into_rows()
-}
-
-/// Batch hash join: left rows probe in order, then (for right-preserving
-/// kinds) the unmatched right rows follow. All [`JoinKind`]s are supported.
+/// Hash join of two wide-row batches (a nested loop when there is no
+/// equijoin conjunct): left rows probe in order, then (for
+/// right-preserving kinds) the unmatched right rows follow. All
+/// [`JoinKind`]s are supported.
 pub fn hash_join_buf(
     env: &ExecEnv<'_>,
     kind: JoinKind,
@@ -393,58 +349,12 @@ pub fn narrow_build_join_buf(
 ///
 /// Supports `Inner`, `LeftOuter`, `LeftSemi`, and `LeftAnti` — the kinds the
 /// maintenance spine produces; right-preserving joins need the hash path.
-#[allow(clippy::too_many_arguments)]
-pub fn index_join(
-    layout: &ViewLayout,
-    kind: JoinKind,
-    left: Vec<Row>,
-    probe_cols: &[usize],
-    table: &Table,
-    right_id: TableId,
-    index: ojv_storage::IndexRef,
-    index_perm: &[usize],
-    residual: &Pred,
-) -> Vec<Row> {
-    index_join_excluding(
-        layout, kind, left, probe_cols, table, right_id, index, index_perm, residual, None,
-    )
-}
-
-/// [`index_join`] with an optional set of excluded right-side unique keys —
-/// used to probe the *pre-update* state of the delta table (`Expr::OldState`,
-/// §5.3) without materializing it: matches whose key is in `exclude` are
-/// skipped.
-#[allow(clippy::too_many_arguments)]
-pub fn index_join_excluding(
-    layout: &ViewLayout,
-    kind: JoinKind,
-    left: Vec<Row>,
-    probe_cols: &[usize],
-    table: &Table,
-    right_id: TableId,
-    index: ojv_storage::IndexRef,
-    index_perm: &[usize],
-    residual: &Pred,
-    exclude: Option<&KeySet>,
-) -> Vec<Row> {
-    index_join_excluding_buf(
-        &ExecEnv::new(layout),
-        kind,
-        RowBuf::from_rows(layout.width(), &left),
-        probe_cols,
-        table,
-        right_id,
-        index,
-        index_perm,
-        residual,
-        exclude,
-    )
-    .into_rows()
-}
-
-/// Batch index-nested-loop join with counters. The probe key buffer is
-/// reused across rows and exclusion checks borrow the candidate row — the
-/// loop performs no heap allocation per probe.
+///
+/// `exclude`, when set, holds right-side unique keys to skip — used to probe
+/// the *pre-update* state of the delta table (`Expr::OldState`, §5.3)
+/// without materializing it. The probe key buffer is reused across rows and
+/// exclusion checks borrow the candidate row — the loop performs no heap
+/// allocation per probe.
 #[allow(clippy::too_many_arguments)]
 pub fn index_join_excluding_buf(
     env: &ExecEnv<'_>,
@@ -595,32 +505,10 @@ pub fn index_join_narrow_left_buf(
 /// `left_cols` appears among the right rows' keys at `right_cols`.
 ///
 /// This implements the paper's `⋉ls_{eq(T_i)}` and `▷la_{eq(T_i)}` operators
-/// from the secondary-delta expressions (§5.2). Rows whose key contains a
-/// null never match (the equijoin is null-rejecting).
-pub fn semi_anti_by_key(
-    left: Vec<Row>,
-    left_cols: &[usize],
-    right: &[Row],
-    right_cols: &[usize],
-    anti: bool,
-) -> Vec<Row> {
-    if left.is_empty() {
-        return left;
-    }
-    let width = left[0].len();
-    semi_anti_by_key_buf(
-        RowBuf::from_rows(width, &left),
-        left_cols,
-        right.iter().map(|r| r.as_slice()),
-        right_cols,
-        anti,
-    )
-    .into_rows()
-}
-
-/// Batch form of [`semi_anti_by_key`]: builds a borrowed-key [`KeySet`] over
-/// the right keys and filters the left batch in place — no per-row key
-/// vectors on either side.
+/// from the secondary-delta expressions (§5.2, §5.3). Rows whose key contains
+/// a null never match (the equijoin is null-rejecting). A borrowed-key
+/// [`KeySet`] is built over the right keys and the left batch is filtered
+/// in place — no per-row key vectors on either side.
 pub fn semi_anti_by_key_buf<'r>(
     mut left: RowBuf,
     left_cols: &[usize],
@@ -695,16 +583,26 @@ mod tests {
         ))
     }
 
-    fn run(kind: JoinKind, left: Vec<Row>, right: Vec<Row>, l: &ViewLayout) -> Vec<Row> {
-        hash_join(
-            l,
+    fn buf(l: &ViewLayout, rows: &[Row]) -> RowBuf {
+        RowBuf::from_rows(l.width(), rows)
+    }
+
+    /// `a ⋈ b` through [`hash_join_buf`], as rows.
+    fn join(l: &ViewLayout, kind: JoinKind, pred: &Pred, left: &[Row], right: &[Row]) -> Vec<Row> {
+        hash_join_buf(
+            &ExecEnv::new(l),
             kind,
-            &join_pred(),
-            left,
-            right,
+            pred,
+            buf(l, left),
+            buf(l, right),
             TableSet::singleton(TableId(0)),
             TableSet::singleton(TableId(1)),
         )
+        .into_rows()
+    }
+
+    fn run(kind: JoinKind, left: Vec<Row>, right: Vec<Row>, l: &ViewLayout) -> Vec<Row> {
+        join(l, kind, &join_pred(), &left, &right)
     }
 
     #[test]
@@ -807,14 +705,12 @@ mod tests {
             CmpOp::Gt,
             Datum::Int(10),
         )));
-        let out = hash_join(
+        let out = join(
             &l,
             JoinKind::Inner,
             &pred,
-            a_rows(&l, &[1]),
-            b_rows(&l, &[(10, 1), (11, 1)]),
-            TableSet::singleton(TableId(0)),
-            TableSet::singleton(TableId(1)),
+            &a_rows(&l, &[1]),
+            &b_rows(&l, &[(10, 1), (11, 1)]),
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][2], Datum::Int(11));
@@ -828,14 +724,12 @@ mod tests {
             CmpOp::Lt,
             ColRef::new(TableId(1), 1),
         ));
-        let out = hash_join(
+        let out = join(
             &l,
             JoinKind::Inner,
             &pred,
-            a_rows(&l, &[1, 5]),
-            b_rows(&l, &[(10, 3)]),
-            TableSet::singleton(TableId(0)),
-            TableSet::singleton(TableId(1)),
+            &a_rows(&l, &[1, 5]),
+            &b_rows(&l, &[(10, 3)]),
         );
         // a.id < b.aid: only a(1) < 3.
         assert_eq!(out.len(), 1);
@@ -876,8 +770,8 @@ mod tests {
                 &env,
                 kind,
                 &residual,
-                RowBuf::from_rows(l.width(), &left),
-                RowBuf::from_rows(l.width(), &right),
+                buf(&l, &left),
+                buf(&l, &right),
                 &lcols,
                 &rcols,
                 TableSet::singleton(TableId(1)),
@@ -887,8 +781,8 @@ mod tests {
                 &env,
                 kind,
                 &residual,
-                RowBuf::from_rows(l.width(), &left),
-                RowBuf::from_rows(l.width(), &right),
+                buf(&l, &left),
+                buf(&l, &right),
                 &lcols,
                 &rcols,
                 TableSet::singleton(TableId(1)),
@@ -922,7 +816,7 @@ mod tests {
             let narrow = narrow_build_join_buf(
                 &env,
                 kind,
-                RowBuf::from_rows(l.width(), &left),
+                buf(&l, &left),
                 &[0], // a.id (global)
                 table,
                 TableId(1),
@@ -937,15 +831,7 @@ mod tests {
                 .filter(|(_, &k)| k)
                 .map(|(r, _)| l.widen(TableId(1), r))
                 .collect();
-            let reference = hash_join(
-                &l,
-                kind,
-                &join_pred(),
-                left.clone(),
-                wide_right,
-                TableSet::singleton(TableId(0)),
-                TableSet::singleton(TableId(1)),
-            );
+            let reference = join(&l, kind, &join_pred(), &left, &wide_right);
             assert_eq!(narrow.into_rows(), reference, "{kind:?}");
         }
     }
@@ -965,17 +851,19 @@ mod tests {
         // Probe on b.id (the unique key) using a.x column? Use aid via b's
         // unique key is id; probe a.id against b.id here for the test.
         let (index, perm) = table.index_on(&[0]).unwrap();
-        let out = index_join(
-            &l,
+        let out = index_join_excluding_buf(
+            &ExecEnv::new(&l),
             JoinKind::LeftOuter,
-            a_rows(&l, &[10, 99]),
+            buf(&l, &a_rows(&l, &[10, 99])),
             &[0], // wide col 0 = a.id
             table,
             TableId(1),
             index,
             &perm,
             &Pred::true_(),
-        );
+            None,
+        )
+        .into_rows();
         assert_eq!(out.len(), 2);
         let matched: Vec<_> = out
             .iter()
@@ -990,10 +878,13 @@ mod tests {
         let (_c, l) = setup();
         let left = a_rows(&l, &[1, 2, 3]);
         let right = a_rows(&l, &[2, 3, 4]);
-        let semi = semi_anti_by_key(left.clone(), &[0], &right, &[0], false);
-        assert_eq!(semi.len(), 2);
-        let anti = semi_anti_by_key(left, &[0], &right, &[0], true);
+        let by_key = |anti| {
+            let right = right.iter().map(|r| r.as_slice());
+            semi_anti_by_key_buf(buf(&l, &left), &[0], right, &[0], anti)
+        };
+        assert_eq!(by_key(false).len(), 2);
+        let anti = by_key(true);
         assert_eq!(anti.len(), 1);
-        assert_eq!(anti[0][0], Datum::Int(1));
+        assert_eq!(anti.row(0)[0], Datum::Int(1));
     }
 }

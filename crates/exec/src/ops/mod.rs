@@ -1,15 +1,12 @@
 //! Physical operators over wide rows.
 
-pub mod agg;
 pub mod dedup;
 pub mod filter;
 pub mod join;
 
-pub use agg::{hash_aggregate, AggFunc};
-pub use dedup::{clean_dup, clean_dup_buf, clean_dup_in, distinct, distinct_in};
-pub use filter::{filter, filter_buf, filter_in};
+pub use dedup::{clean_dup_buf, distinct_in};
+pub use filter::filter_buf;
 pub use join::{
-    hash_join, hash_join_buf, hash_join_in, index_join, index_join_excluding,
-    index_join_excluding_buf, index_join_narrow_left_buf, merge_rows, narrow_build_join_buf,
-    semi_anti_by_key, semi_anti_by_key_buf, TINY_BUILD_MAX,
+    hash_join_buf, index_join_excluding_buf, index_join_narrow_left_buf, merge_rows,
+    narrow_build_join_buf, semi_anti_by_key_buf, TINY_BUILD_MAX,
 };

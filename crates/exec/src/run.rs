@@ -1,7 +1,7 @@
 //! Evaluation of delta expressions against the catalog.
 
 use ojv_algebra::{Expr, JoinKind, TableId, TableSet};
-use ojv_rel::{Relation, Row, RowBuf};
+use ojv_rel::{Relation, RowBuf};
 use ojv_storage::Catalog;
 
 use crate::error::{ExecError, ExecResult};
@@ -73,12 +73,6 @@ impl<'a> ExecCtx<'a> {
                 table: name.clone(),
             })
     }
-}
-
-/// Evaluate a delta expression to a set of wide rows — legacy `Vec<Row>`
-/// form of [`eval_expr_buf`].
-pub fn eval_expr(ctx: &ExecCtx<'_>, expr: &Expr) -> ExecResult<Vec<Row>> {
-    Ok(eval_expr_buf(ctx, expr)?.into_rows())
 }
 
 /// Evaluate a delta expression to a flat wide-row batch.
@@ -203,20 +197,6 @@ pub fn apply_spine_step(
         SpineStep::NullIf { null_tables, pred } => Ok(null_if_buf(ctx, *null_tables, pred, rows)),
         SpineStep::CleanDup => Ok(ops::clean_dup_buf(&ctx.env(), rows)),
     }
-}
-
-/// Join already-materialized left rows against a right *expression* —
-/// legacy `Vec<Row>` form of [`join_buf_expr`].
-pub fn join_rows_expr(
-    ctx: &ExecCtx<'_>,
-    kind: JoinKind,
-    pred: &ojv_algebra::Pred,
-    left_rows: Vec<Row>,
-    left_sources: TableSet,
-    right: &Expr,
-) -> ExecResult<Vec<Row>> {
-    let left = RowBuf::from_rows(ctx.layout.width(), &left_rows);
-    Ok(join_buf_expr(ctx, kind, pred, left, left_sources, right)?.into_rows())
 }
 
 /// Join a materialized left batch against a right *expression*, choosing —
@@ -448,7 +428,11 @@ fn base_scan_of(e: &Expr) -> Option<BaseScan<'_>> {
 mod tests {
     use super::*;
     use ojv_algebra::{Atom, CmpOp, ColRef, Pred};
-    use ojv_rel::{Column, DataType, Datum};
+    use ojv_rel::{Column, DataType, Datum, Row};
+
+    fn eval(ctx: &ExecCtx<'_>, expr: &Expr) -> ExecResult<Vec<Row>> {
+        Ok(eval_expr_buf(ctx, expr)?.into_rows())
+    }
 
     /// part(0) fo (orders(1) lo lineitem(2)) — the paper's Example 1 shape,
     /// tiny data.
@@ -535,7 +519,7 @@ mod tests {
         let (mut c, l) = setup();
         populate(&mut c);
         let ctx = ExecCtx::new(&c, &l);
-        let rows = eval_expr(&ctx, &view_expr()).unwrap();
+        let rows = eval(&ctx, &view_expr()).unwrap();
         // Expected: {P,O,L} for part 1/order 10/line 1000, {O} for order 11,
         // {P} for part 2 → 3 rows.
         assert_eq!(rows.len(), 3);
@@ -570,7 +554,7 @@ mod tests {
                 rows: &delta_rel,
             },
         );
-        let rows = eval_expr(&ctx, &Expr::Delta(TableId(2))).unwrap();
+        let rows = eval(&ctx, &Expr::Delta(TableId(2))).unwrap();
         assert_eq!(rows.len(), 1);
         assert!(l.is_null_on(TableId(0), &rows[0]));
         assert_eq!(rows[0][4], Datum::Int(2000));
@@ -593,7 +577,7 @@ mod tests {
                 rows: &delta_rel,
             },
         );
-        let rows = eval_expr(&ctx, &Expr::OldState(TableId(2))).unwrap();
+        let rows = eval(&ctx, &Expr::OldState(TableId(2))).unwrap();
         assert!(rows.is_empty());
     }
 
@@ -601,7 +585,7 @@ mod tests {
     fn empty_leaf() {
         let (c, l) = setup();
         let ctx = ExecCtx::new(&c, &l);
-        assert!(eval_expr(&ctx, &Expr::Empty).unwrap().is_empty());
+        assert!(eval(&ctx, &Expr::Empty).unwrap().is_empty());
     }
 
     #[test]
@@ -611,7 +595,7 @@ mod tests {
         // view was analyzed) must surface as an error, not a panic.
         let empty = Catalog::new();
         let ctx = ExecCtx::new(&empty, &l);
-        let err = eval_expr(&ctx, &Expr::table(TableId(0))).unwrap_err();
+        let err = eval(&ctx, &Expr::table(TableId(0))).unwrap_err();
         assert_eq!(
             err,
             ExecError::UnknownTable {
@@ -625,7 +609,7 @@ mod tests {
             ColRef::new(TableId(2), 1),
         ));
         let join = Expr::inner(pred, Expr::table(TableId(2)), Expr::table(TableId(1)));
-        assert!(eval_expr(&ctx, &join).is_err());
+        assert!(eval(&ctx, &join).is_err());
     }
 
     #[test]
@@ -659,13 +643,13 @@ mod tests {
             Expr::Delta(TableId(2)),
             Expr::table(TableId(1)),
         );
-        let out = eval_expr(&ctx, &join).unwrap();
+        let out = eval(&ctx, &join).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][2], Datum::Int(11));
 
         // lo variant keeps the dangling delta row.
         let lo = Expr::left_outer(pred, Expr::Delta(TableId(2)), Expr::table(TableId(1)));
-        let out = eval_expr(&ctx, &lo).unwrap();
+        let out = eval(&ctx, &lo).unwrap();
         assert_eq!(out.len(), 2);
     }
 
@@ -699,7 +683,7 @@ mod tests {
             Expr::table(TableId(1)),
         );
         let lo = Expr::left_outer(pred, Expr::Delta(TableId(2)), scan);
-        let out = eval_expr(&ctx, &lo).unwrap();
+        let out = eval(&ctx, &lo).unwrap();
         assert_eq!(out.len(), 1);
         // Order 10 fails the scan predicate, so the delta row is preserved
         // null-extended on orders.
@@ -719,15 +703,16 @@ mod tests {
         )
         .unwrap();
         let ctx = ExecCtx::new(&c, &l);
-        let direct = eval_expr(&ctx, &view_expr()).unwrap();
+        let direct = eval(&ctx, &view_expr()).unwrap();
 
         let terms = ojv_algebra::normalize_unpruned(&view_expr());
+        let env = ExecEnv::new(&l);
         // Evaluate each term as a cross join + filter, then minimum-union.
         let mut all: Vec<Row> = Vec::new();
         for term in &terms {
             let mut rows: Vec<Row> = vec![vec![Datum::Null; l.width()]];
             for t in term.tables.iter() {
-                let table_rows = eval_expr(&ctx, &Expr::Table(t)).unwrap();
+                let table_rows = eval(&ctx, &Expr::Table(t)).unwrap();
                 let mut next = Vec::new();
                 for r in &rows {
                     for tr in &table_rows {
@@ -736,10 +721,11 @@ mod tests {
                 }
                 rows = next;
             }
-            rows = ops::filter(&l, &term.pred, rows);
-            all.extend(rows);
+            let rows = RowBuf::from_rows(l.width(), &rows);
+            all.extend(ops::filter_buf(&env, &term.pred, rows).into_rows());
         }
-        let glued = ops::clean_dup(&l, all);
+        // ⊕ over the per-term results: one batch of all terms, ↓ then δ.
+        let glued = ops::clean_dup_buf(&env, RowBuf::from_rows(l.width(), &all)).into_rows();
         let mut a = direct;
         let mut b = glued;
         a.sort();

@@ -114,8 +114,8 @@ pub struct ExecEnv<'a> {
 }
 
 impl<'a> ExecEnv<'a> {
-    /// Environment with no counters — what the legacy free-function
-    /// operator entry points use.
+    /// Environment with no counters — for operator calls outside a
+    /// maintenance run (tests, one-off evaluations).
     pub fn new(layout: &'a ViewLayout) -> Self {
         ExecEnv {
             layout,

@@ -2,20 +2,19 @@
 //! library.
 //!
 //! This crate defines the value, schema, row, and relation types shared by
-//! every other crate in the workspace, together with the row-level operators
-//! from Section 2.1 of Larson & Zhou, ICDE 2007:
+//! every other crate in the workspace:
 //!
 //! * [`Datum`] — a dynamically typed SQL-style value with a distinguished
 //!   `NULL`,
 //! * [`Schema`] / [`Column`] — ordered, named, typed column lists,
 //! * [`Relation`] — a materialized bag of rows over a schema,
-//! * tuple *subsumption* and *removal of subsumed tuples* (the `↓` operator),
-//! * *outer union* (`⊎`) and *minimum union* (`⊕`).
+//! * [`RowBuf`] — the flat row batch every operator consumes and produces.
 //!
 //! Everything here is deliberately engine-agnostic: no constraints, no
-//! operators beyond the algebraic primitives the paper's definitions need
-//! (those live in `ojv-storage` and `ojv-exec`), and one keyed index,
-//! [`PosTable`], which owns no key and which every layer above builds on.
+//! relational operators (§2.1's `↓` and `⊕` are `ojv-exec`'s
+//! `ops::clean_dup_buf`, over the wide rows the engine evaluates), and one
+//! keyed index, [`PosTable`], which owns no key and which every layer above
+//! builds on.
 
 #![deny(unsafe_code)]
 
@@ -34,7 +33,6 @@ pub mod relation;
 pub mod row;
 pub mod rowbuf;
 pub mod schema;
-pub mod subsume;
 
 pub use alloc::{alloc_counting_active, alloc_snapshot, AllocSnapshot, CountingAlloc};
 pub use codec::{
@@ -52,4 +50,3 @@ pub use relation::Relation;
 pub use row::{all_non_null, all_null, key_into, key_of, row_display, Row};
 pub use rowbuf::{key_eq, key_eq_rows, key_hash, key_hash_with, RowBuf};
 pub use schema::{Column, Schema, SchemaRef};
-pub use subsume::{minimum_union, outer_union, outer_union_schema, remove_subsumed, subsumes};

@@ -1,24 +1,17 @@
-//! Property-based tests for the algebraic laws of §2.1: subsumption is a
-//! strict partial order, `↓` is idempotent, and minimum union is commutative
-//! and associative (the paper states the latter explicitly).
+//! Property-based tests for the value laws every operator relies on: the
+//! `Datum` total order agrees with hashing, and the borrowed comparison
+//! every predicate runs through (`DatumRef::sql_cmp` / `sql_cmp_datum`) is
+//! exactly the owned `Datum::sql_cmp`.
+//!
+//! The §2.1 laws of `↓` and `⊕` are checked against the engine's one
+//! implementation, `ojv-exec`'s `ops::clean_dup_buf`, in that crate's
+//! `tests/laws.rs`.
 
 use ojv_testkit::{property, strategy, vec_of, Rng, Strategy};
 
-use ojv_rel::{
-    minimum_union, outer_union, remove_subsumed, subsumes, Column, DataType, Datum, Relation,
-    Schema, SchemaRef,
-};
+use ojv_rel::Datum;
 
-fn schema(width: usize) -> SchemaRef {
-    Schema::shared(
-        (0..width)
-            .map(|i| Column::new("t", &format!("c{i}"), DataType::Int, true))
-            .collect(),
-    )
-    .expect("distinct columns")
-}
-
-/// Rows over a tiny domain with plenty of nulls, to make subsumption likely.
+/// Rows over a tiny domain with plenty of nulls.
 fn row_strategy(width: usize) -> impl Strategy<Value = Vec<Datum>> {
     vec_of(
         strategy(
@@ -39,102 +32,43 @@ fn row_strategy(width: usize) -> impl Strategy<Value = Vec<Datum>> {
     )
 }
 
-fn rel_strategy(width: usize) -> impl Strategy<Value = Vec<Vec<Datum>>> {
-    vec_of(row_strategy(width), 0..8)
+/// Every variant, weighted toward the comparison corners: `Null`, `Int`s
+/// and `Float`s drawn from one small numeric domain (so cross-type ties
+/// happen), NaN, ±0.0, ±∞, and short strings, dates and bools that collide
+/// often.
+fn cmp_datum() -> impl Strategy<Value = Datum> {
+    strategy(
+        |rng: &mut Rng| match rng.gen_range(0u32..10) {
+            0 => Datum::Null,
+            1 => Datum::Bool(rng.gen_bool(0.5)),
+            2 | 3 => Datum::Int(rng.gen_range(-2i64..3)),
+            4 => Datum::Int(rng.next_u64() as i64),
+            5 => Datum::Float(rng.gen_range(-4i64..5) as f64 / 2.0),
+            6 => Datum::Float(
+                [
+                    f64::NAN,
+                    -f64::NAN,
+                    0.0,
+                    -0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                ][rng.gen_range(0usize..6)],
+            ),
+            7 => Datum::str(["", "a", "ab", "b"][rng.gen_range(0usize..4)]),
+            8 => Datum::Date(rng.gen_range(-1i32..2)),
+            _ => Datum::Float(f64::from_bits(rng.next_u64())),
+        },
+        |d: &Datum| {
+            if d.is_null() {
+                Vec::new()
+            } else {
+                vec![Datum::Null]
+            }
+        },
+    )
 }
 
 property! {
-    #[cases = 256]
-    fn subsumption_is_irreflexive_and_asymmetric(a in row_strategy(4), b in row_strategy(4)) {
-        assert!(!subsumes(&a, &a));
-        if subsumes(&a, &b) {
-            assert!(!subsumes(&b, &a));
-        }
-    }
-
-    #[cases = 256]
-    fn subsumption_is_transitive(a in row_strategy(3), b in row_strategy(3), c in row_strategy(3)) {
-        if subsumes(&a, &b) && subsumes(&b, &c) {
-            assert!(subsumes(&a, &c));
-        }
-    }
-
-    #[cases = 256]
-    fn removal_of_subsumed_is_idempotent(rows in rel_strategy(4)) {
-        let r = Relation::new(schema(4), rows);
-        let once = remove_subsumed(&r);
-        let twice = remove_subsumed(&once);
-        assert!(once.bag_eq(&twice));
-    }
-
-    #[cases = 256]
-    fn removal_output_has_no_subsumed_rows(rows in rel_strategy(4)) {
-        let r = Relation::new(schema(4), rows);
-        let out = remove_subsumed(&r);
-        for (i, a) in out.rows().iter().enumerate() {
-            for (j, b) in out.rows().iter().enumerate() {
-                if i != j {
-                    assert!(!subsumes(a, b), "row {j} still subsumed by {i}");
-                }
-            }
-        }
-    }
-
-    /// `⊕` is commutative (paper §2.1: "minimum union is both commutative
-    /// and associative").
-    #[cases = 256]
-    fn minimum_union_commutative(a in rel_strategy(4), b in rel_strategy(4)) {
-        let s = schema(4);
-        let ra = Relation::new(s.clone(), a);
-        let rb = Relation::new(s, b);
-        let ab = minimum_union(&ra, &rb).unwrap();
-        let ba = minimum_union(&rb, &ra).unwrap();
-        assert!(ab.bag_eq(&ba));
-    }
-
-    /// `⊕` is associative.
-    #[cases = 256]
-    fn minimum_union_associative(
-        a in rel_strategy(3),
-        b in rel_strategy(3),
-        c in rel_strategy(3),
-    ) {
-        let s = schema(3);
-        let ra = Relation::new(s.clone(), a);
-        let rb = Relation::new(s.clone(), b);
-        let rc = Relation::new(s, c);
-        let left = minimum_union(&minimum_union(&ra, &rb).unwrap(), &rc).unwrap();
-        let right = minimum_union(&ra, &minimum_union(&rb, &rc).unwrap()).unwrap();
-        assert!(left.bag_eq(&right));
-    }
-
-    /// `T1 ⊕ T2 = (T1 ⊎ T2)↓` — the definition, checked against the
-    /// composed implementation.
-    #[cases = 256]
-    fn minimum_union_is_outer_union_then_removal(a in rel_strategy(4), b in rel_strategy(4)) {
-        let s = schema(4);
-        let ra = Relation::new(s.clone(), a);
-        let rb = Relation::new(s, b);
-        let direct = minimum_union(&ra, &rb).unwrap();
-        let composed = remove_subsumed(&outer_union(&ra, &rb).unwrap());
-        assert!(direct.bag_eq(&composed));
-    }
-
-    /// The grouped (bitmask) implementation of `↓` agrees with the naive
-    /// quadratic definition.
-    #[cases = 256]
-    fn removal_matches_naive_definition(rows in rel_strategy(5)) {
-        let r = Relation::new(schema(5), rows.clone());
-        let fast = remove_subsumed(&r);
-        let naive: Vec<Vec<Datum>> = rows
-            .iter()
-            .filter(|a| !rows.iter().any(|b| subsumes(b, a)))
-            .cloned()
-            .collect();
-        let naive_rel = Relation::new(schema(5), naive);
-        assert!(fast.bag_eq(&naive_rel));
-    }
-
     /// Datum total order: antisymmetric and transitive over a mixed domain,
     /// and hashing agrees with equality.
     #[cases = 256]
@@ -151,5 +85,16 @@ property! {
             assert_eq!(x.cmp(y), std::cmp::Ordering::Equal);
         }
         assert_eq!(x.cmp(y), y.cmp(x).reverse());
+    }
+
+    /// Every predicate compares through `DatumRef`; its three-valued
+    /// comparison must be `Datum::sql_cmp` on every pair, in both argument
+    /// orders, borrowed on one side or both.
+    #[cases = 512]
+    fn datum_ref_sql_cmp_matches_datum(a in cmp_datum(), b in cmp_datum()) {
+        let owned = a.sql_cmp(&b);
+        assert_eq!(a.as_ref().sql_cmp(b.as_ref()), owned, "{a:?} vs {b:?}");
+        assert_eq!(a.as_ref().sql_cmp_datum(&b), owned, "{a:?} vs {b:?}");
+        assert_eq!(b.as_ref().sql_cmp_datum(&a), b.sql_cmp(&a), "{b:?} vs {a:?}");
     }
 }

@@ -85,9 +85,10 @@ pub const LINTS: [LintDef; 17] = [
     },
     LintDef {
         id: "owned-key-index",
-        scope: "crates/{storage,core,feed}/src/ except core/src/{agg_view,baseline}.rs, \
+        scope: "crates/{storage,exec,core,feed}/src/ except core/src/{agg_view,baseline}.rs, \
                 feed/src/update_set.rs",
-        desc: "no FxHashMap<Vec<Datum>, _> / FxHashSet<Vec<Datum>> in storage, core or feed — \
+        desc:
+            "no FxHashMap<Vec<Datum>, _> / FxHashSet<Vec<Datum>> in storage, exec, core or feed — \
                keyed structures are ojv_rel::PosTable (hash -> position) verified against rows \
                already held, so no key is owned beside them. Exceptions: \
                core/src/agg_view.rs (aggregate groups, still to be moved onto PosTable), \
@@ -168,6 +169,7 @@ fn applies(lint: &str, path: &str) -> bool {
         "owned-key-index" => {
             [
                 "crates/storage/src/",
+                "crates/exec/src/",
                 "crates/core/src/",
                 "crates/feed/src/",
             ]
@@ -521,11 +523,12 @@ mod tests {
     }
 
     #[test]
-    fn owned_key_index_detected_in_storage_core_and_feed() {
+    fn owned_key_index_detected_in_storage_exec_core_and_feed() {
         let src = "struct T { unique: FxHashMap<Vec<Datum>, usize> }\n";
         let set = "fn f() { let seen: FxHashSet<Vec<Datum>> = FxHashSet::default(); }\n";
         for path in [
             "crates/storage/src/table.rs",
+            "crates/exec/src/ops/dedup.rs",
             "crates/core/src/materialize.rs",
             "crates/feed/src/hub.rs",
         ] {
@@ -543,7 +546,7 @@ mod tests {
             "crates/core/src/agg_view.rs",
             "crates/core/src/baseline.rs",
             "crates/feed/src/update_set.rs",
-            "crates/exec/src/ops/agg.rs",
+            "crates/rel/src/postable.rs",
         ] {
             assert!(scan_file(path, src).is_empty(), "{path}");
             assert!(scan_file(path, set).is_empty(), "{path}");
@@ -563,6 +566,10 @@ mod tests {
                 "struct Idx { map: FxHashMap<Vec<Datum>, Vec<usize>> }\n",
             ),
             (
+                "crates/exec/src/ops",
+                "fn agg(rows: &RowBuf) { let groups: FxHashMap<Vec<Datum>, Acc> = make(); }\n",
+            ),
+            (
                 "crates/core/src",
                 "fn f() { let s: FxHashSet<Vec<Datum>> = make(); }\n",
             ),
@@ -577,7 +584,7 @@ mod tests {
         }
         let v = run(&root).unwrap();
         fs::remove_dir_all(&root).unwrap();
-        assert_eq!(v.len(), 3);
+        assert_eq!(v.len(), 4);
         assert!(v.iter().all(|x| x.lint == "owned-key-index"));
         let files: Vec<&str> = v.iter().map(|x| x.file.as_str()).collect();
         for (dir, _) in seeded {

@@ -7,9 +7,9 @@ use ojv_testkit::{property, Rng};
 
 use ojv::algebra::{derive_primary_delta, normalize_unpruned, to_left_deep, Expr, TableSet};
 use ojv::core::analyze::analyze;
-use ojv::exec::{eval_expr, ops, DeltaInput, ExecCtx};
+use ojv::exec::{eval_expr_buf, ops, DeltaInput, ExecCtx, ExecEnv};
 use ojv::prelude::*;
-use ojv::rel::{Column, DataType, Relation};
+use ojv::rel::{Column, DataType, Relation, RowBuf};
 
 const TABLES: [&str; 4] = ["ta", "tb", "tc", "td"];
 
@@ -66,6 +66,11 @@ fn random_view(seed: u64, n: usize) -> ViewDef {
     ViewDef::new("v", forest.pop().expect("single tree").0)
 }
 
+/// Evaluate an expression to wide rows.
+fn eval(ctx: &ExecCtx<'_>, expr: &Expr) -> Vec<Row> {
+    eval_expr_buf(ctx, expr).unwrap().into_rows()
+}
+
 /// Evaluate a term (σ over a cross join) naively.
 fn eval_term(
     ctx: &ExecCtx<'_>,
@@ -74,7 +79,7 @@ fn eval_term(
 ) -> Vec<Row> {
     let mut rows: Vec<Row> = vec![vec![Datum::Null; layout.width()]];
     for t in term.tables.iter() {
-        let table_rows = eval_expr(ctx, &Expr::Table(t)).unwrap();
+        let table_rows = eval(ctx, &Expr::Table(t));
         let mut next = Vec::new();
         for r in &rows {
             for tr in &table_rows {
@@ -83,7 +88,8 @@ fn eval_term(
         }
         rows = next;
     }
-    ops::filter(layout, &term.pred, rows)
+    let rows = RowBuf::from_rows(layout.width(), &rows);
+    ops::filter_buf(&ExecEnv::new(layout), &term.pred, rows).into_rows()
 }
 
 property! {
@@ -101,14 +107,15 @@ property! {
         let a = analyze(&c, &def).unwrap();
         let ctx = ExecCtx::new(&c, &a.layout);
 
-        let direct = eval_expr(&ctx, &a.expr).unwrap();
+        let direct = eval(&ctx, &a.expr);
 
         let terms = normalize_unpruned(&a.expr);
         let mut all: Vec<Row> = Vec::new();
         for term in &terms {
             all.extend(eval_term(&ctx, &a.layout, term));
         }
-        let glued = ops::clean_dup(&a.layout, all);
+        let all = RowBuf::from_rows(a.layout.width(), &all);
+        let glued = ops::clean_dup_buf(&ExecEnv::new(&a.layout), all).into_rows();
 
         let s = a.layout.wide_schema().clone();
         let ra = Relation::new(s.clone(), direct);
@@ -128,7 +135,7 @@ property! {
         let def = random_view(view_seed, 3);
         let a = analyze(&c, &def).unwrap();
         let ctx = ExecCtx::new(&c, &a.layout);
-        let rows = eval_expr(&ctx, &a.expr).unwrap();
+        let rows = eval(&ctx, &a.expr);
         for row in &rows {
             let matching = a
                 .terms
@@ -172,8 +179,8 @@ property! {
         );
         let bushy = derive_primary_delta(&a.expr, tid);
         let left_deep = to_left_deep(bushy.clone());
-        let r1 = eval_expr(&ctx, &bushy).unwrap();
-        let r2 = eval_expr(&ctx, &left_deep).unwrap();
+        let r1 = eval(&ctx, &bushy);
+        let r2 = eval(&ctx, &left_deep);
         let s = a.layout.wide_schema().clone();
         assert!(
             Relation::new(s.clone(), r1).bag_eq(&Relation::new(s, r2)),
@@ -200,7 +207,7 @@ property! {
         c.insert("tb", delta_rel.rows().to_vec()).unwrap();
         let ctx = ExecCtx::with_delta(&c, &a.layout, DeltaInput { table: tid, rows: &delta_rel });
         let plan = to_left_deep(derive_primary_delta(&a.expr, tid));
-        for row in eval_expr(&ctx, &plan).unwrap() {
+        for row in eval(&ctx, &plan) {
             assert!(!a.layout.is_null_on(tid, &row));
             // And the row really is the delta row, not an existing one.
             assert_eq!(row[a.layout.slot(tid).offset].clone(), Datum::Int(55));
