@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (workspace, deny warnings: broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> xtask lint (in-repo token-level lint gate)"
 cargo run --offline -q -p xtask -- lint
 

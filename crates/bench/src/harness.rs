@@ -1,11 +1,13 @@
 //! Workload builders and timed maintenance runners.
 
+use std::slice;
 use std::time::{Duration, Instant};
 
 use ojv_core::agg_view::{AggSpec, AggViewDef, MaterializedAggView};
 use ojv_core::analyze::analyze;
 use ojv_core::baseline::maintain_gk;
-use ojv_core::maintain::{maintain, verify_against_recompute, MaintenanceReport};
+use ojv_core::batch::maintain_batch;
+use ojv_core::maintain::{verify_against_recompute, MaintenanceReport};
 use ojv_core::materialize::MaterializedView;
 use ojv_core::policy::MaintenancePolicy;
 use ojv_core::view_def::ViewDef;
@@ -128,16 +130,15 @@ fn run_lineitems(
     } else {
         Change::InsertLineitems(batch, rep)
     };
-    let verify = cfg.verify && system != System::CoreView;
     let paper = MaintenancePolicy::paper();
     let (time, report, _view) = maintain_fresh(
         env,
-        verify,
+        cfg.verify,
         &system.view_def(),
         change,
         |view, c, u| match system {
             System::OuterJoinGk => maintain_gk(view, c, u).expect("GK maintenance"),
-            _ => maintain(view, c, u, &paper).expect("maintenance"),
+            _ => ours(&paper)(view, c, u),
         },
     );
     Measurement {
@@ -191,7 +192,7 @@ pub fn run_table1(env: &Env, batch: usize) -> Table1 {
     let mut view = MaterializedView::create(&catalog, v3_def()).expect("view materializes");
     let before = view.term_cardinalities();
     let update = Change::InsertLineitems(batch, 0).apply(env, &mut catalog);
-    maintain(&mut view, &catalog, &update, &MaintenancePolicy::paper()).expect("maintenance");
+    ours(&MaintenancePolicy::paper())(&mut view, &catalog, &update);
     let after = view.term_cardinalities();
 
     let layout = &view.analysis.layout;
@@ -249,9 +250,7 @@ pub fn run_fast_paths(env: &Env) -> Vec<(&'static str, Duration, MaintenanceRepo
     ]
     .into_iter()
     .map(|(what, change)| {
-        let (time, report, _view) = maintain_fresh(env, false, &v3, change, |v, c, u| {
-            maintain(v, c, u, &paper).expect("maintenance")
-        });
+        let (time, report, _view) = maintain_fresh(env, false, &v3, change, ours(&paper));
         (what, time, report)
     })
     .collect()
@@ -302,6 +301,23 @@ impl Change {
     }
 }
 
+/// Our maintenance under `policy`: `maintain_batch`, the engine's one
+/// maintenance entry, over a one-view slice. The batch reports only the
+/// views an update affects, so a run that leaves its view untouched reports
+/// `noop`.
+fn ours(
+    policy: &MaintenancePolicy,
+) -> impl Fn(&mut MaterializedView, &Catalog, &Update) -> MaintenanceReport + '_ {
+    move |view, catalog, update| {
+        let reports = maintain_batch(slice::from_mut(view), &mut [], catalog, update, policy);
+        let noop = MaintenanceReport {
+            noop: true,
+            ..Default::default()
+        };
+        reports.expect("maintenance").pop().unwrap_or(noop)
+    }
+}
+
 /// Maintain a fresh `def` with `algorithm` over a catalog clone that
 /// `change` changed; the time covers maintenance only. With `verify` the
 /// view is checked against recompute.
@@ -336,9 +352,7 @@ fn view_arm(
     change: Change,
 ) -> AblationArm {
     let run = |_| {
-        let (time, report, _view) = maintain_fresh(env, cfg.verify, def, change, |v, c, u| {
-            maintain(v, c, u, &policy).expect("maintenance")
-        });
+        let (time, report, _view) = maintain_fresh(env, cfg.verify, def, change, ours(&policy));
         (time, report)
     };
     let (time, report) = median(cfg, |r| r.0, run);
@@ -437,7 +451,9 @@ fn ablation_aggregate(env: &Env, cfg: &Config) -> Vec<AblationArm> {
         let mut rollup = create_rollup(&catalog);
         let update = change.apply(env, &mut catalog);
         let start = Instant::now();
-        let report = rollup.maintain(&catalog, &update, &policy).unwrap();
+        let rollups = slice::from_mut(&mut rollup);
+        let reports = maintain_batch(&mut [], rollups, &catalog, &update, &policy);
+        let report = reports.expect("maintenance").remove(0);
         let time = start.elapsed();
         if cfg.verify {
             let fresh = create_rollup(&catalog).output();
@@ -588,9 +604,7 @@ mod tests {
                     left_deep,
                     ..Default::default()
                 };
-                maintain_fresh(&env, true, &v3, parts, |v, c, u| {
-                    maintain(v, c, u, &policy).expect("maintenance")
-                })
+                maintain_fresh(&env, true, &v3, parts, ours(&policy))
             });
             assert_ne!(bushy.1.plan_fingerprint, left_deep.1.plan_fingerprint);
             assert_eq!((bushy.1.primary_rows, left_deep.1.primary_rows), (n, n));

@@ -113,6 +113,7 @@ pub fn oj_view_def() -> ViewDef {
 mod tests {
     use super::*;
     use ojv_core::analyze::analyze;
+    use ojv_core::compile::compile_uncached;
     use ojv_tpch::{create_tpch_catalog, TpchGen};
 
     #[test]
@@ -197,6 +198,37 @@ mod tests {
         let keyless = analyze(&c, &v3_keyless_def()).unwrap();
         assert!((0..full.terms.len()).all(|i| full.from_view_available(i)));
         assert!((0..keyless.terms.len()).all(|i| !keyless.from_view_available(i)));
+    }
+
+    /// A one-view batch evaluates a plan as its spine's reassembly, so the
+    /// two must be equal for every compiled plan of every TPC-H view, over
+    /// every table and every config.
+    #[test]
+    fn spine_reassembles_every_plan() {
+        let c = create_tpch_catalog().unwrap();
+        let mut plans = 0;
+        for def in [
+            v2_def(),
+            v3_def(),
+            v3_core_def(),
+            v3_keyless_def(),
+            oj_view_def(),
+        ] {
+            let a = analyze(&c, &def).unwrap();
+            for t in 0..a.layout.table_count() {
+                for (use_fk, left_deep) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let cfg = PlanConfig { use_fk, left_deep };
+                    let t = ojv_algebra::TableId(t as u8);
+                    let p = compile_uncached(&a, &c, t, cfg).unwrap();
+                    let spine = p.spine.as_ref().map(|s| s.prefix_expr(s.steps.len()));
+                    assert_eq!(spine, p.plan, "{} {t:?} {cfg:?}", def.name());
+                    plans += usize::from(p.plan.is_some());
+                }
+            }
+        }
+        assert!(plans > 0);
     }
 
     #[test]

@@ -290,49 +290,9 @@ impl MaterializedAggView {
         Ok(())
     }
 
-    /// Incrementally maintain after `update` was applied to the catalog.
-    pub fn maintain(
-        &mut self,
-        catalog: &Catalog,
-        update: &Update,
-        policy: &MaintenancePolicy,
-    ) -> Result<MaintenanceReport> {
-        let mut report = MaintenanceReport {
-            view: self.def.name.clone(),
-            table: update.table.clone(),
-            update_rows: update.rows.len(),
-            ..Default::default()
-        };
-        let Some(t) = self.analysis.layout.table_id(&update.table) else {
-            report.noop = true;
-            return Ok(report);
-        };
-        let compiled = self.compiled_plan(catalog, t, PlanConfig::of(policy))?;
-        if compiled.noop {
-            report.noop = true;
-            return Ok(report);
-        }
-        ojv_analysis::verify_delta_arity(&self.analysis.layout, t, update.rows.schema().len())
-            .map_err(CoreError::Plan)?;
-        let stats = ExecStats::default();
-        let start = std::time::Instant::now();
-        let primary: Vec<Row> = match &compiled.plan {
-            None => Vec::new(),
-            Some(plan) => eval_expr_buf(
-                &delta_ctx(catalog, &self.analysis.layout, t, update, &stats),
-                plan,
-            )?
-            .into_rows(),
-        };
-        let primary_compute = start.elapsed();
-        self.apply_with_primary(catalog, &stats, update, &compiled, &primary, &mut report)?;
-        report.primary_compute = primary_compute;
-        Ok(report)
-    }
-
     /// Compute the secondary delta and merge both deltas into the group
-    /// states, given an already-evaluated primary delta. Factored out so the
-    /// batch layer can feed a shared primary delta in.
+    /// states, given an already-evaluated primary delta — the batch layer's
+    /// per-view step, which may share that delta with other views.
     ///
     /// The aggregated store is independent of the delta computations (the
     /// secondary delta always comes from base tables, §3.3), so both deltas
@@ -434,7 +394,9 @@ impl MaterializedAggView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::maintain_batch;
     use crate::fixtures::*;
+    use std::slice;
 
     fn agg_def() -> AggViewDef {
         AggViewDef::new("agg_view", oj_view_def())
@@ -479,51 +441,53 @@ mod tests {
 
     #[test]
     fn maintain_under_lineitem_inserts_and_deletes() {
+        let paper = MaintenancePolicy::paper();
         let mut c = example1_catalog();
         populate_example1(&mut c, 6, 9);
         let mut view = MaterializedAggView::create(&c, agg_def()).unwrap();
         let up = c
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
-        let report = view.maintain(&c, &up, &MaintenancePolicy::paper()).unwrap();
-        assert!(report.primary_rows > 0);
+        let reports = maintain_batch(&mut [], slice::from_mut(&mut view), &c, &up, &paper);
+        assert!(reports.unwrap()[0].primary_rows > 0);
         assert_matches_recompute(&view, &c);
 
         let down = c
             .delete("lineitem", &[vec![Datum::Int(3), Datum::Int(1)]])
             .unwrap();
-        view.maintain(&c, &down, &MaintenancePolicy::paper())
-            .unwrap();
+        maintain_batch(&mut [], slice::from_mut(&mut view), &c, &down, &paper).unwrap();
         assert_matches_recompute(&view, &c);
     }
 
     #[test]
     fn maintain_under_part_inserts() {
+        let paper = MaintenancePolicy::paper();
         let mut c = example1_catalog();
         populate_example1(&mut c, 6, 9);
         let mut view = MaterializedAggView::create(&c, agg_def()).unwrap();
         let before = view.group_count();
         let up = c.insert("part", vec![part_row(50, "new", 9.0)]).unwrap();
-        view.maintain(&c, &up, &MaintenancePolicy::paper()).unwrap();
+        maintain_batch(&mut [], slice::from_mut(&mut view), &c, &up, &paper).unwrap();
         assert_eq!(view.group_count(), before + 1);
         assert_matches_recompute(&view, &c);
     }
 
     #[test]
     fn group_disappears_at_zero_count() {
+        let paper = MaintenancePolicy::paper();
         let mut c = example1_catalog();
         c.insert("part", vec![part_row(1, "only", 1.0)]).unwrap();
         let mut view = MaterializedAggView::create(&c, agg_def()).unwrap();
         assert_eq!(view.group_count(), 1);
         let down = c.delete("part", &[vec![Datum::Int(1)]]).unwrap();
-        view.maintain(&c, &down, &MaintenancePolicy::paper())
-            .unwrap();
+        maintain_batch(&mut [], slice::from_mut(&mut view), &c, &down, &paper).unwrap();
         assert_eq!(view.group_count(), 0);
         assert_matches_recompute(&view, &c);
     }
 
     #[test]
     fn sum_becomes_null_when_contributors_vanish() {
+        let paper = MaintenancePolicy::paper();
         let mut c = example1_catalog();
         populate_example1(&mut c, 4, 4);
         let mut view = MaterializedAggView::create(&c, agg_def()).unwrap();
@@ -540,8 +504,7 @@ mod tests {
             return; // fixture produced no such lines; nothing to test
         }
         let down = c.delete("lineitem", &keys).unwrap();
-        view.maintain(&c, &down, &MaintenancePolicy::paper())
-            .unwrap();
+        maintain_batch(&mut [], slice::from_mut(&mut view), &c, &down, &paper).unwrap();
         assert_matches_recompute(&view, &c);
         let group = vec![Datum::Int(2)];
         assert_eq!(view.notnull_count(&group, "lineitem"), Some(0));

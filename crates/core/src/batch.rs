@@ -524,7 +524,7 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::fixtures::*;
-    use crate::maintain::{maintain, verify_against_recompute};
+    use crate::maintain::verify_against_recompute;
     use crate::view_def::ViewDef;
     use ojv_rel::Datum;
 
@@ -566,31 +566,27 @@ mod tests {
     }
 
     /// Shared-plan batching must be byte-identical to maintaining each view
-    /// on its own with `maintain()`, across inserts and deletes.
+    /// in a database of its own, across inserts and deletes.
     #[test]
     fn shared_batch_matches_unshared_serial() {
         let mut shared = db_with_views(4);
-        let mut catalog = populated();
-        let mut alone: Vec<MaterializedView> = (0..4)
-            .map(|i| MaterializedView::create(&catalog, oj_view_def().with_name(&format!("v{i}"))))
-            .collect::<Result<_>>()
-            .unwrap();
+        let mut alone: Vec<Database> = (0..4)
+            .map(|i| db_with(oj_view_def().with_name(&format!("v{i}"))))
+            .collect();
         let ops: Vec<(bool, i64, i64)> =
             vec![(true, 3, 1), (true, 6, 9), (false, 3, 1), (false, 2, 1)];
         for (insert, ok, ln) in ops {
-            let up = if insert {
-                let row = lineitem_row(ok, ln, 2, 4, 42.0);
-                shared.insert("lineitem", vec![row.clone()]).unwrap();
-                catalog.insert("lineitem", vec![row]).unwrap()
-            } else {
-                let key = vec![Datum::Int(ok), Datum::Int(ln)];
-                shared
-                    .delete("lineitem", std::slice::from_ref(&key))
-                    .unwrap();
-                catalog.delete("lineitem", &[key]).unwrap()
-            };
-            for b in &mut alone {
-                maintain(b, &catalog, &up, &shared.policy).unwrap();
+            for db in std::iter::once(&mut shared).chain(&mut alone) {
+                if insert {
+                    db.insert("lineitem", vec![lineitem_row(ok, ln, 2, 4, 42.0)])
+                        .unwrap();
+                } else {
+                    db.delete("lineitem", &[vec![Datum::Int(ok), Datum::Int(ln)]])
+                        .unwrap();
+                }
+            }
+            for db in &alone {
+                let b = db.views().next().unwrap();
                 let a = shared.view(b.name()).unwrap();
                 assert_same_view(a, b);
                 assert!(verify_against_recompute(a, shared.catalog()));

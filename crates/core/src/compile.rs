@@ -2,13 +2,11 @@
 //! **once** per (view, updated table, policy configuration) and cached on the
 //! view.
 //!
-//! Before this layer existed, every `maintain()` call re-derived the primary
-//! delta plan (§4), re-built the maintenance graph (§3.1), re-ran the static
-//! verifier, and re-evaluated the §5.2 column-availability condition — all of
-//! which depend only on the view definition, the catalog schema, and the
-//! policy, not on the update at hand. A [`CompiledMaintenancePlan`] captures
-//! those artifacts; the hot path keeps only the cheap per-run delta arity
-//! check.
+//! The primary delta plan (§4), the maintenance graph (§3.1), the static
+//! verifier's result and the §5.2 column-availability condition depend only
+//! on the view definition, the catalog schema and the policy, not on the
+//! update at hand. A [`CompiledMaintenancePlan`] captures them; the hot path
+//! keeps only the cheap per-run delta arity check.
 //!
 //! Cache invalidation is by construction: every compiled plan records the
 //! [`Catalog::schema_version`] and the [`PlanConfig`] it was built under, and
@@ -268,11 +266,33 @@ mod tests {
         assert!(p.plan.is_some());
         assert_ne!(p.fingerprint, 0);
         assert!(p.verified_checks > 0);
-        let spine = p.spine.as_ref().unwrap();
-        assert_eq!(
-            &spine.prefix_expr(spine.steps.len()),
-            p.plan.as_ref().unwrap()
-        );
+    }
+
+    /// The batch layer evaluates a plan as its spine's reassembly, never
+    /// `plan` itself, so the two must be equal for every compiled plan: here
+    /// V1 and the Example 1 views, over every table and every config.
+    #[test]
+    fn spine_reassembles_every_plan() {
+        let mut plans = 0;
+        for (c, def) in [
+            (v1_catalog(), v1_view_def()),
+            (example1_catalog(), oj_view_def()),
+            (example1_catalog(), oj_view_variant("qa", 10)),
+        ] {
+            let a = analyze(&c, &def).unwrap();
+            for t in 0..a.layout.table_count() {
+                for (use_fk, left_deep) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let cfg = PlanConfig { use_fk, left_deep };
+                    let p = compile_uncached(&a, &c, TableId(t as u8), cfg).unwrap();
+                    let spine = p.spine.as_ref().map(|s| s.prefix_expr(s.steps.len()));
+                    assert_eq!(spine, p.plan, "{} table {t} {cfg:?}", def.name());
+                    plans += usize::from(p.plan.is_some());
+                }
+            }
+        }
+        assert!(plans > 0);
     }
 
     #[test]

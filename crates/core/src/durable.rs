@@ -5,7 +5,7 @@
 //!
 //! Every base-table change — [`Durable::insert`], [`Durable::delete`],
 //! [`Durable::update`] — is one call of the commit pipeline
-//! ([`ShardedDatabase::commit_with`]) with the log stage supplied here:
+//! (`ShardedDatabase::commit_with`) with the log stage supplied here:
 //!
 //! 1. the batch is validated and applied to the in-memory catalog(s)
 //!    (constraints enforced, per-shard deltas computed),
@@ -144,7 +144,7 @@ pub(crate) fn open_wal_after<V: Vfs>(
 /// were applied in memory (`updates[s]` is shard `s`'s delta, `None` for an
 /// untouched shard). Before it returns `Ok(lsn)`:
 ///
-/// * every delta is framed with [`update_record`] and appended to the
+/// * every delta is framed with `update_record` and appended to the
 ///   stream that owns its shard, and whatever fsyncs the topology's policy
 ///   promises have completed — a crash after the return loses nothing the
 ///   policy covers;

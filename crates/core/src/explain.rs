@@ -344,13 +344,8 @@ mod tests {
         let up = c
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
-        let report = crate::maintain::maintain(
-            &mut view,
-            &c,
-            &up,
-            &crate::policy::MaintenancePolicy::paper(),
-        )
-        .unwrap();
+        let policy = crate::policy::MaintenancePolicy::paper();
+        let report = maintain_alone(&mut view, &c, &up, &policy).unwrap();
         let text = render_exec_stats(&report.exec);
         // The lineitem insert probes part and orders through their indexes.
         assert!(text.contains("index join"), "got:\n{text}");

@@ -184,6 +184,21 @@ pub fn v1_row(id: i64, jc: i64, payload: i64) -> Row {
     vec![Datum::Int(id), Datum::Int(jc), Datum::Int(payload)]
 }
 
+/// Maintain `view` alone after `update` through the one maintenance entry,
+/// [`crate::batch::maintain_batch`], over a one-view slice. `None` when the
+/// update leaves the view untouched (the batch reports only affected views).
+#[cfg(test)]
+pub(crate) fn maintain_alone(
+    view: &mut crate::materialize::MaterializedView,
+    catalog: &Catalog,
+    update: &ojv_storage::Update,
+    policy: &crate::policy::MaintenancePolicy,
+) -> Option<crate::maintain::MaintenanceReport> {
+    let views = std::slice::from_mut(view);
+    let reports = crate::batch::maintain_batch(views, &mut [], catalog, update, policy);
+    reports.expect("maintenance").pop()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,9 +9,11 @@
 //! * [`analyze`] — resolution, normal form, subsumption graph, delta plans,
 //! * [`materialize`] — initial materialization and view storage,
 //! * [`compile`] — compiled physical maintenance plans, cached per view,
-//! * [`maintain`] — the two-step primary/secondary maintenance procedure,
-//! * [`batch`] — batched multi-view maintenance with cross-view sharing of
-//!   common plan prefixes,
+//! * [`batch`] — [`batch::maintain_batch`], the one maintenance entry:
+//!   every affected view of an update, with cross-view sharing of common
+//!   plan prefixes,
+//! * [`maintain`] — the per-view steps after the primary delta (§3.2):
+//!   apply it, then the secondary delta; and the recompute oracle,
 //! * [`secondary`] — §5.2 (from-view) and §5.3 (from-base) strategies,
 //! * [`agg_view`] — aggregated outer-join views (§3.3),
 //! * [`baseline`] — Griffin–Kumar-style change propagation and full
@@ -87,7 +89,7 @@ pub mod prelude {
     pub use crate::error::{CoreError, Result};
     pub use crate::explain::{explain_plan, render_exec_stats};
     pub use crate::group_log::ShardedRecoveryReport;
-    pub use crate::maintain::{maintain, verify_against_recompute, MaintenanceReport};
+    pub use crate::maintain::{verify_against_recompute, MaintenanceReport};
     pub use crate::materialize::MaterializedView;
     pub use crate::parser::parse_view;
     pub use crate::policy::MaintenancePolicy;

@@ -1,5 +1,7 @@
-//! The two-step incremental maintenance procedure (paper §3.2):
-//! compute and apply the primary delta, then the secondary delta.
+//! The two steps of incremental maintenance (paper §3.2) after the primary
+//! delta is known: apply `ΔV^D`, then compute and apply each indirect term's
+//! secondary delta. [`crate::batch::maintain_batch`], the one maintenance
+//! entry, evaluates the primary deltas and runs these steps per view.
 
 use std::time::{Duration, Instant};
 
@@ -8,10 +10,9 @@ use ojv_exec::{eval_expr_buf, DeltaInput, ExecCtx, ExecStats, ExecStatsSnapshot,
 use ojv_rel::Row;
 use ojv_storage::{Catalog, Update, UpdateOp};
 
-use crate::compile::{CompiledIndirect, CompiledMaintenancePlan, PlanConfig};
+use crate::compile::{CompiledIndirect, CompiledMaintenancePlan};
 use crate::error::Result;
 use crate::materialize::{MaterializedView, ViewStore};
-use crate::policy::MaintenancePolicy;
 use crate::secondary::{self, SecondaryCtx};
 
 /// An indirectly affected term with its parent sets — what the secondary
@@ -44,7 +45,10 @@ pub struct MaintenanceReport {
     pub table: String,
     /// Rows in the applied base-table update.
     pub update_rows: usize,
-    /// True when the maintenance graph was empty (view untouched).
+    /// True when the maintenance graph was empty (view untouched). The batch
+    /// layer returns no report for such a view, so only callers that report
+    /// every run set it: the paper harness (`ojv-bench`) and
+    /// [`crate::baseline::maintain_gk`].
     pub noop: bool,
     pub direct_terms: usize,
     pub indirect_terms: usize,
@@ -70,9 +74,8 @@ pub struct MaintenanceReport {
     /// (0 when there was no primary plan).
     pub plan_fingerprint: u64,
     /// How many views of the batch consumed the same evaluated primary
-    /// delta rows, this one included (1 when no other view shares them).
-    /// 0 only when the view has no primary plan, or when the run came from
-    /// the standalone [`maintain`] rather than the batch layer.
+    /// delta rows, this one included (1 when no other view shares them);
+    /// 0 when the view has no primary plan.
     pub shared_with: usize,
 }
 
@@ -80,71 +83,6 @@ impl MaintenanceReport {
     pub fn total_time(&self) -> Duration {
         self.primary_compute + self.primary_apply + self.secondary_time
     }
-}
-
-/// Bring `view` up to date after `update` has been applied to the catalog.
-///
-/// Implements the procedure of §3.2: classify terms via the (possibly
-/// FK-reduced) maintenance graph; compute and apply the primary delta; then
-/// compute each indirect term's secondary delta — from the view where §5.2
-/// allows it, from base tables otherwise — and apply it with the inverse
-/// operation.
-///
-/// The update-independent artifacts — maintenance graph, primary-delta plan,
-/// §5.2 availability, static verification — come from the view's compiled
-/// plan cache ([`crate::compile`]); only the delta arity check runs per
-/// update.
-pub fn maintain(
-    view: &mut MaterializedView,
-    catalog: &Catalog,
-    update: &Update,
-    policy: &MaintenancePolicy,
-) -> Result<MaintenanceReport> {
-    let mut report = MaintenanceReport {
-        view: view.name().to_string(),
-        table: update.table.clone(),
-        update_rows: update.rows.len(),
-        ..Default::default()
-    };
-    let Some(t) = view.analysis.layout.table_id(&update.table) else {
-        report.noop = true;
-        return Ok(report);
-    };
-    let compiled = view.compiled_plan(catalog, t, PlanConfig::of(policy))?;
-    if compiled.noop {
-        report.noop = true;
-        return Ok(report);
-    }
-    // The one per-run check: the delta's arity must match the compiled
-    // layout. Everything else was verified at compile time.
-    ojv_analysis::verify_delta_arity(&view.analysis.layout, t, update.rows.schema().len())
-        .map_err(crate::error::CoreError::Plan)?;
-    let stats = ExecStats::default();
-
-    // Step 1: primary delta (§4).
-    let start = Instant::now();
-    let primary: Vec<Row> = match &compiled.plan {
-        None => Vec::new(),
-        Some(plan) => eval_expr_buf(
-            &delta_ctx(catalog, &view.analysis.layout, t, update, &stats),
-            plan,
-        )?
-        .into_rows(),
-    };
-    let primary_compute = start.elapsed();
-
-    apply_with_primary(
-        view,
-        catalog,
-        &stats,
-        update,
-        &compiled,
-        &primary,
-        &mut report,
-    )?;
-    report.primary_compute = primary_compute;
-    report.exec = stats.snapshot();
-    Ok(report)
 }
 
 /// The executor context of one maintenance run: the catalog, the view's
@@ -164,8 +102,8 @@ pub(crate) fn delta_ctx<'a>(
 }
 
 /// Apply an already-computed primary delta and run the secondary step —
-/// everything in a maintenance run *after* `ΔV^D` evaluation. Factored out
-/// so the batch layer can feed a shared primary delta into several views.
+/// everything in a maintenance run *after* `ΔV^D` evaluation, which the
+/// batch layer may share between several views.
 ///
 /// Fills every report field except `primary_compute` and `exec`, which
 /// depend on how the caller evaluated the primary.
@@ -313,8 +251,8 @@ mod tests {
             let up = c
                 .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
                 .unwrap();
-            let report = maintain(&mut view, &c, &up, &policy).unwrap();
-            assert!(!report.noop, "policy {policy:?}");
+            let report = maintain_alone(&mut view, &c, &up, &policy);
+            let report = report.unwrap_or_else(|| panic!("policy {policy:?}: view untouched"));
             assert_eq!(report.primary_rows, 1);
             assert!(
                 verify_against_recompute(&view, &c),
@@ -335,7 +273,7 @@ mod tests {
                 let up = c
                     .delete("lineitem", &[vec![Datum::Int(2), Datum::Int(ln)]])
                     .unwrap();
-                maintain(&mut view, &c, &up, &policy).unwrap();
+                maintain_alone(&mut view, &c, &up, &policy);
                 assert!(
                     verify_against_recompute(&view, &c),
                     "policy {policy:?} diverged after deleting line {ln}"
@@ -369,7 +307,7 @@ mod tests {
         let up = c
             .insert("part", vec![part_row(100, "new part", 1.0)])
             .unwrap();
-        let report = maintain(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
+        let report = maintain_alone(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
         assert_eq!(report.primary_rows, 1);
         assert_eq!(report.secondary_rows, 0);
         assert_eq!(report.indirect_terms, 0);
@@ -383,12 +321,12 @@ mod tests {
         populate_example1(&mut c, 8, 9);
         let mut view = MaterializedView::create(&c, oj_view_def()).unwrap();
         let up = c.insert("orders", vec![order_row(100, 5)]).unwrap();
-        let report = maintain(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
+        let report = maintain_alone(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
         assert_eq!(report.primary_rows, 1);
         assert!(verify_against_recompute(&view, &c));
         // Deleting it again (it has no lineitems) removes the orphan row.
         let down = c.delete("orders", &[vec![Datum::Int(100)]]).unwrap();
-        let report = maintain(&mut view, &c, &down, &MaintenancePolicy::paper()).unwrap();
+        let report = maintain_alone(&mut view, &c, &down, &MaintenancePolicy::paper()).unwrap();
         assert_eq!(report.primary_rows, 1);
         assert!(verify_against_recompute(&view, &c));
     }
@@ -402,8 +340,8 @@ mod tests {
         let mut view = MaterializedView::create(&c, oj_view_def()).unwrap();
         let mut view2 = view.clone();
         let up = c.insert("part", vec![part_row(100, "p", 1.0)]).unwrap();
-        maintain(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
-        maintain(&mut view2, &c, &up, &MaintenancePolicy::naive()).unwrap();
+        maintain_alone(&mut view, &c, &up, &MaintenancePolicy::paper());
+        maintain_alone(&mut view2, &c, &up, &MaintenancePolicy::naive());
         let mut a: Vec<Row> = view.wide_rows().to_vec();
         let mut b: Vec<Row> = view2.wide_rows().to_vec();
         a.sort();
@@ -429,12 +367,12 @@ mod tests {
         let up = c
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
-        maintain(&mut view, &c, &up, &policy).unwrap();
+        maintain_alone(&mut view, &c, &up, &policy);
         assert!(verify_against_recompute(&view, &c));
         let down = c
             .delete("lineitem", &[vec![Datum::Int(3), Datum::Int(1)]])
             .unwrap();
-        maintain(&mut view, &c, &down, &policy).unwrap();
+        maintain_alone(&mut view, &c, &down, &policy);
         assert!(verify_against_recompute(&view, &c));
     }
 
@@ -449,7 +387,7 @@ mod tests {
         let up = c
             .insert("lineitem", vec![lineitem_row(3, 1, 2, 4, 42.0)])
             .unwrap();
-        let report = maintain(&mut view, &c, &up, &policy).unwrap();
+        let report = maintain_alone(&mut view, &c, &up, &policy).unwrap();
         assert!(
             report.verified_checks > 0,
             "verifier did not run: {report:?}"
@@ -475,8 +413,8 @@ mod tests {
         populate_example1(&mut c, 4, 4);
         let mut view = MaterializedView::create(&c, oj_view_def()).unwrap();
         let up = c.insert("other", vec![vec![Datum::Int(1)]]).unwrap();
-        let report = maintain(&mut view, &c, &up, &MaintenancePolicy::paper()).unwrap();
-        assert!(report.noop);
+        let report = maintain_alone(&mut view, &c, &up, &MaintenancePolicy::paper());
+        assert!(report.is_none());
     }
 
     /// V1 (four tables, fo/lo mix): random-ish update sequences against all
@@ -498,7 +436,7 @@ mod tests {
                 ("u", 103, 0),
             ] {
                 let up = c.insert(name, vec![v1_row(id, jc, 0)]).unwrap();
-                maintain(&mut view, &c, &up, &policy).unwrap();
+                maintain_alone(&mut view, &c, &up, &policy);
                 assert!(
                     verify_against_recompute(&view, &c),
                     "policy {policy:?} diverged after insert into {name}"
@@ -507,7 +445,7 @@ mod tests {
             // Deletes from every table.
             for (name, id) in [("t", 100i64), ("u", 2), ("s", 1), ("r", 3)] {
                 let up = c.delete(name, &[vec![Datum::Int(id)]]).unwrap();
-                maintain(&mut view, &c, &up, &policy).unwrap();
+                maintain_alone(&mut view, &c, &up, &policy);
                 assert!(
                     verify_against_recompute(&view, &c),
                     "policy {policy:?} diverged after delete from {name}"

@@ -19,9 +19,9 @@ pub struct MaintenancePolicy {
     /// `UPDATE` — the §6 caveat list forbids the FK optimizations then
     /// (the "deleted" keys may be re-inserted by the paired statement).
     pub update_decomposition: bool,
-    /// When the database is opened durably ([`crate::DurableDatabase`]),
+    /// When the database is opened durably ([`crate::durable::DurableDatabase`]),
     /// how often WAL appends are flushed to stable storage. Ignored by the
-    /// purely in-memory [`crate::Database`].
+    /// purely in-memory [`crate::database::Database`].
     pub fsync: FsyncPolicy,
 }
 

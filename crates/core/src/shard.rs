@@ -1,6 +1,6 @@
 //! `ShardedDatabase`: the hash-partitioned engine, and the one owner of the
 //! cross-shard commit stages — validate → route → apply → (log) → maintain
-//! fan-out → group publish ([`ShardedDatabase::commit_with`]). The durable
+//! fan-out → group publish (`ShardedDatabase::commit_with`). The durable
 //! engines ([`crate::durable::Durable`]) run the same function and only
 //! supply the log stage.
 //!

@@ -10,7 +10,7 @@
 //! * [`vfs`] — a tiny virtual filesystem: [`DiskVfs`] over `std::fs` and
 //!   [`MemVfs`], which models the data/durable split so tests can "crash" a
 //!   database and observe exactly what fsync ordering guaranteed,
-//! * [`crc32c`] — table-driven CRC-32C (Castagnoli), the checksum guarding
+//! * [`crc32c`](mod@crc32c) — table-driven CRC-32C (Castagnoli), the checksum guarding
 //!   every WAL record and checkpoint,
 //! * [`wal`] — segmented append-only log of length-prefixed records with
 //!   monotonically increasing LSNs and an [`FsyncPolicy`],
@@ -18,7 +18,7 @@
 //!   high-water LSN, written atomically via tmp+rename.
 //!
 //! Recovery is *not* implemented here: replaying surviving WAL records
-//! through the incremental `maintain()` path is `ojv-core`'s job
+//! through incremental maintenance (`maintain_batch`) is `ojv-core`'s job
 //! (`DurableDatabase`); this crate only guarantees which bytes survive.
 
 #![forbid(unsafe_code)]

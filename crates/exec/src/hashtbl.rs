@@ -9,7 +9,7 @@
 //!   links equal-hash rows into an intrusive chain (`head` map + `next`
 //!   vector) — two flat allocations total, none per row;
 //! * probe hashes the probe row's key columns in place, walks the chain,
-//!   and **verifies** candidate keys column-by-column ([`key_eq_rows`]) —
+//!   and **verifies** candidate keys column-by-column ([`KeyHashTable::key_matches`]) —
 //!   hash collisions between distinct keys are filtered here, and no key
 //!   vector ever materializes.
 //!

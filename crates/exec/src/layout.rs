@@ -137,7 +137,7 @@ impl ViewLayout {
         out
     }
 
-    /// Widen a base-table row of table `t` directly into a [`RowBuf`] batch
+    /// Widen a base-table row of table `t` directly into a [`RowBuf`](ojv_rel::RowBuf) batch
     /// — the batch form of [`Self::widen`]: one amortized bump of the
     /// batch's backing vector instead of a fresh `Vec<Datum>` per row.
     pub fn widen_into(&self, t: TableId, row: &[Datum], out: &mut ojv_rel::RowBuf) {

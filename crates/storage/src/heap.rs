@@ -16,7 +16,7 @@
 //! * string columns intern through a per-heap pool: low-cardinality TPC-H
 //!   columns (return flags, ship modes, priorities) collapse to one
 //!   `Arc<str>` per distinct value. The pool forgets strings no row holds
-//!   any more (an amortized sweep, see [`StrPool`]), so it stays within a
+//!   any more (an amortized sweep, see `StrPool`), so it stays within a
 //!   constant factor of the live distinct strings.
 //!
 //! Rows are addressed by dense position (`0..len`), exactly like the old

@@ -18,7 +18,7 @@ use crate::heap::RowRef;
 
 /// Identity of one shard: a dense index in `0..shard_count`.
 ///
-/// Only [`ShardRouter::route_*`] and `core::shard` may construct these
+/// Only [`ShardRouter`]'s `route_*` methods and `core::shard` may construct these
 /// (lint: `shard-routing-confined`); everyone else receives them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardId(u16);

@@ -8,7 +8,7 @@
 //!
 //! * [`rng`] — SplitMix64-seeded xorshift128+ generator with a
 //!   rand-compatible surface (`gen_range`, `gen_bool`),
-//! * [`strategy`] — value-based generation + shrinking ([`Strategy`]),
+//! * [`strategy`](mod@strategy) — value-based generation + shrinking ([`Strategy`]),
 //! * [`check`] — the [`property!`] macro's case runner and shrink loop,
 //! * [`sched`] — a deterministic virtual-thread scheduler (seeded, replayed,
 //!   or exhaustively enumerated interleavings — the in-repo stand-in for

@@ -48,10 +48,6 @@ fn lint_list_is_sorted_and_scoped() {
         ),
         ("guard-across-callback", "crates/, src/ (non-test code)"),
         (
-            "maintain-entry-confined",
-            "crates/core/src/ except maintain.rs",
-        ),
-        (
             "no-engine-threads",
             "crates/{rel,storage,exec,core,feed,durability}/src/",
         ),

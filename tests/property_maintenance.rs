@@ -6,10 +6,13 @@
 //! and full outer chains, plus mixed two-kind chains) checks the same
 //! against recompute after every insert and delete batch.
 
+use std::slice;
+
 use ojv_testkit::{property, strategy, vec_of, Rng, Strategy};
 
 use ojv::core::baseline::{maintain_gk, maintain_recompute};
-use ojv::core::maintain::{maintain, verify_against_recompute};
+use ojv::core::batch::maintain_batch;
+use ojv::core::maintain::verify_against_recompute;
 use ojv::core::materialize::MaterializedView;
 use ojv::prelude::*;
 use ojv::rel::{Column, DataType};
@@ -243,7 +246,7 @@ property! {
                 };
                 match policy {
                     Some(p) => {
-                        maintain(v, c, &update, p).unwrap();
+                        maintain_batch(slice::from_mut(v), &mut [], c, &update, p).unwrap();
                     }
                     None => {
                         maintain_gk(v, c, &update).unwrap();
@@ -387,7 +390,7 @@ fn run_chain_shape(kind: JoinKind) {
                 }
                 c.delete(table, &keys).unwrap()
             };
-            maintain(&mut view, &c, &update, &policy).unwrap();
+            maintain_batch(slice::from_mut(&mut view), &mut [], &c, &update, &policy).unwrap();
             assert!(
                 verify_against_recompute(&view, &c),
                 "{kind:?} case {case} (seed {}) op {op}: diverged from recompute",
@@ -437,7 +440,7 @@ fn mixed_shape_equals_recompute() {
         let rows: Vec<Row> = (0..3).map(|i| chain_row(&mut rng, 900 + i)).collect();
         let table = CHAIN_TABLES[rng.gen_range(0..CHAIN_TABLES.len())];
         let up = c.insert(table, rows).unwrap();
-        maintain(&mut view, &c, &up, &policy).unwrap();
+        maintain_batch(slice::from_mut(&mut view), &mut [], &c, &up, &policy).unwrap();
         assert!(
             verify_against_recompute(&view, &c),
             "{k1:?}/{k2:?} case {case} (seed {}): diverged from recompute",

@@ -1,7 +1,10 @@
 //! End-to-end tests over the TPC-H substrate: the evaluation's view V3
 //! maintained through realistic refresh streams, checked against recompute.
 
+use std::slice;
+
 use ojv::core::agg_view::{AggSpec, AggViewDef};
+use ojv::core::batch::maintain_batch;
 use ojv::core::maintain::verify_against_recompute;
 use ojv::prelude::*;
 use ojv::rel::datum::date;
@@ -190,7 +193,8 @@ fn gk_baseline_agrees_on_tpch() {
 
     let rows = gen.lineitem_insert_batch(100, 0);
     let up = catalog.insert("lineitem", rows).unwrap();
-    ojv::core::maintain::maintain(&mut ours, &catalog, &up, &MaintenancePolicy::paper()).unwrap();
+    let paper = MaintenancePolicy::paper();
+    maintain_batch(slice::from_mut(&mut ours), &mut [], &catalog, &up, &paper).unwrap();
     ojv::core::baseline::maintain_gk(&mut gk, &catalog, &up).unwrap();
 
     let mut a: Vec<Row> = ours.wide_rows().to_vec();
