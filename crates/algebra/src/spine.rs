@@ -14,7 +14,7 @@
 //! narrow-left delta index join fast path.
 
 use crate::expr::{Expr, JoinKind};
-use crate::fingerprint::{fold_expr, fold_pred, Fingerprinter};
+use crate::fingerprint::{fingerprint_expr, fold_expr, fold_pred, Fingerprinter};
 use crate::pred::Pred;
 use crate::table_set::TableSet;
 
@@ -105,6 +105,10 @@ pub struct Spine {
     pub leaf: Expr,
     /// Steps in application order: `steps[0]` applies directly to `leaf`.
     pub steps: Vec<SpineStep>,
+    /// The leaf's fingerprint, then each step's: `fps[d]` keys the prefix
+    /// of depth `d` among prefixes that agree on `fps[..d]`. Recorded once,
+    /// when the plan is decomposed.
+    pub fps: Vec<u64>,
 }
 
 impl Spine {
@@ -149,9 +153,13 @@ impl Spine {
                 }
                 Expr::Table(_) | Expr::Delta(_) | Expr::OldState(_) | Expr::Empty => {
                     steps.reverse();
+                    let fps = std::iter::once(fingerprint_expr(cur))
+                        .chain(steps.iter().map(SpineStep::fingerprint))
+                        .collect();
                     return Spine {
                         leaf: cur.clone(),
                         steps,
+                        fps,
                     };
                 }
             }
@@ -160,7 +168,7 @@ impl Spine {
 
     /// Fingerprint of the leaf alone.
     pub fn leaf_fingerprint(&self) -> u64 {
-        crate::fingerprint::fingerprint_expr(&self.leaf)
+        self.fps[0]
     }
 
     /// Rebuild the expression for `leaf ∘ steps[..n]`.

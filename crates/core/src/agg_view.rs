@@ -13,10 +13,13 @@
 //! `COUNT(*)`, `COUNT(col)`, and `SUM(col)`.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use ojv_algebra::TableId;
 use ojv_exec::{eval_expr_buf, ExecCtx, ExecStats};
-use ojv_rel::{key_of, Column, DataType, Datum, ExactFloatSum, FxHashMap, Relation, Row, Schema};
+use ojv_rel::{
+    key_of, Column, DataType, Datum, ExactFloatSum, FxHashMap, Relation, Row, RowBuf, Schema,
+};
 use ojv_storage::{Catalog, Update, UpdateOp};
 
 use crate::analyze::{analyze, ViewAnalysis};
@@ -190,7 +193,7 @@ impl MaterializedAggView {
             plans: PlanCache::default(),
         };
         let ctx = ExecCtx::new(catalog, &view.analysis.layout);
-        let rows = eval_expr_buf(&ctx, &view.analysis.expr)?.into_rows();
+        let rows = eval_expr_buf(&ctx, &view.analysis.expr)?;
         view.apply_rows(&rows, 1);
         Ok(view)
     }
@@ -204,7 +207,7 @@ impl MaterializedAggView {
     }
 
     /// Merge wide rows into the group states with the given sign.
-    fn apply_rows(&mut self, rows: &[Row], sign: i64) {
+    fn apply_rows(&mut self, rows: &RowBuf, sign: i64) {
         for row in rows {
             let key = key_of(row, &self.group_cols);
             let state = self
@@ -290,20 +293,21 @@ impl MaterializedAggView {
         Ok(())
     }
 
-    /// Compute the secondary delta and merge both deltas into the group
-    /// states, given an already-evaluated primary delta — the batch layer's
-    /// per-view step, which may share that delta with other views.
+    /// Merge the primary delta into the group states, then compute and
+    /// merge each indirect term's secondary delta in term order, given an
+    /// already-evaluated primary delta — the batch layer's per-view step,
+    /// which may share that delta with other views.
     ///
     /// The aggregated store is independent of the delta computations (the
-    /// secondary delta always comes from base tables, §3.3), so both deltas
-    /// are computed first, then merged.
+    /// secondary delta always comes from base tables, §3.3), so the terms'
+    /// deltas are computed before any of them is merged.
     pub(crate) fn apply_with_primary(
         &mut self,
         catalog: &Catalog,
         stats: &ExecStats,
         update: &Update,
         compiled: &CompiledMaintenancePlan,
-        primary: &[Row],
+        primary: &RowBuf,
         report: &mut MaintenanceReport,
     ) -> Result<()> {
         let t = compiled.table;
@@ -312,13 +316,15 @@ impl MaterializedAggView {
         report.verified_checks = compiled.verified_checks;
         report.plan_fingerprint = compiled.fingerprint;
         report.primary_rows = primary.len();
-        let sign = match update.op {
-            UpdateOp::Insert => 1,
-            UpdateOp::Delete => -1,
-        };
+        let insert = update.op == UpdateOp::Insert;
+        let sign = if insert { 1 } else { -1 };
 
-        let start = std::time::Instant::now();
-        let mut secondary_rows: Vec<Row> = Vec::new();
+        let start = Instant::now();
+        self.apply_rows(primary, sign);
+        report.primary_apply = start.elapsed();
+
+        let start = Instant::now();
+        let mut orphans: Vec<RowBuf> = Vec::new();
         if !compiled.indirect.is_empty() && !primary.is_empty() {
             let exec = delta_ctx(catalog, &self.analysis.layout, t, update, stats);
             let sctx = SecondaryCtx {
@@ -327,18 +333,15 @@ impl MaterializedAggView {
                 updated: t,
             };
             for ind in &compiled.indirect {
-                let insert = update.op == UpdateOp::Insert;
                 let ind = IndirectTermView::from(ind);
-                secondary_rows.extend(secondary::from_base(&sctx, &exec, &ind, primary, insert)?);
+                orphans.push(secondary::from_base(&sctx, &exec, &ind, primary, insert)?);
             }
         }
-        report.secondary_rows = secondary_rows.len();
+        for rows in &orphans {
+            report.secondary_rows += rows.len();
+            self.apply_rows(rows, -sign);
+        }
         report.secondary_time = start.elapsed();
-
-        let start = std::time::Instant::now();
-        self.apply_rows(primary, sign);
-        self.apply_rows(&secondary_rows, -sign);
-        report.primary_apply = start.elapsed();
         Ok(())
     }
 

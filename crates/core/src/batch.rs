@@ -5,9 +5,9 @@
 //!
 //! 1. collects the affected views and their cached
 //!    [`CompiledMaintenancePlan`]s (compiling on first use),
-//! 2. fingerprints the plans and factors shared leading subplans — the `ΔT`
-//!    scan and common leftmost join prefixes — into a trie, so shared work
-//!    executes once and fans its rows out into the per-view remainders,
+//! 2. factors shared leading subplans — the `ΔT` scan and common leftmost
+//!    join prefixes — into a trie, so shared work executes once and fans
+//!    its rows out into the per-view remainders,
 //! 3. applies the per-view deltas one view at a time, each view borrowed in
 //!    place; a panic at the job boundary ([`ojv_exec::catch_each`])
 //!    surfaces as [`CoreError::MaintenancePanic`] while the other views
@@ -18,7 +18,12 @@
 //! before applying any is byte-identical to the interleaved order.
 //! Two plans may share rows only when their views' wide-row layouts agree
 //! (equal `layout_sig`); within a layout group the trie is keyed by the
-//! structural fingerprints of the spine steps.
+//! fingerprints [`Spine::of`] recorded at compile time (`Spine::fps`), so a
+//! commit derives no plan: building the trie clones no expression, and a
+//! commit builds only the prefix expressions it evaluates. The primary
+//! delta a view receives is the [`RowBuf`] the executor produced, shared
+//! through an `Arc`; the view store makes the one allocation a stored row
+//! needs.
 //!
 //! The bare `ΔT` leaf is **never** materialized for non-terminal sharing:
 //! children of the trie root evaluate their prefix symbolically through the
@@ -29,11 +34,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ojv_algebra::{fingerprint_expr, Expr, Spine, SpineStep, TableId, TableSet};
+use ojv_algebra::{fingerprint_expr, Spine, TableId};
 use ojv_exec::{
     apply_spine_step, catch_each, eval_expr_buf, DeltaInput, ExecCtx, ExecStats, ViewLayout,
 };
-use ojv_rel::{Relation, Row, RowBuf};
+use ojv_rel::{Relation, RowBuf};
 use ojv_storage::{Catalog, Update};
 
 use crate::agg_view::MaterializedAggView;
@@ -169,105 +174,55 @@ pub fn maintain_batch(
 
 /// Output of the shared-prefix evaluation, indexed by job.
 struct SharedPrimaries {
-    /// Each job's primary delta. A job without a primary plan keeps the
-    /// empty delta it starts with; every other job ends at a trie terminal.
-    primaries: Vec<Arc<Vec<Row>>>,
+    /// Each job's primary delta, the buffer the executor produced. A job
+    /// without a primary plan keeps the empty delta it starts with; every
+    /// other job ends at a trie terminal.
+    primaries: Vec<Arc<RowBuf>>,
     durations: Vec<Duration>,
     /// Views consuming the same final primary rows; 0 for a job without a
     /// primary plan.
     shared_with: Vec<usize>,
 }
 
-/// A trie of spine steps over one layout group. The root is a shared leaf
-/// (usually `ΔT`); each node is one step applied to its parent's prefix.
-struct Trie {
-    /// The leaf expression all plans in this trie start from.
-    prefix: Expr,
-    leaf_fp: u64,
-    sources: TableSet,
-    children: Vec<TrieNode>,
-    /// Jobs whose whole plan is the bare leaf.
-    terminals: Vec<usize>,
-    owner: usize,
-}
-
+/// A node of the sharing trie of one layout group, keyed by the spines'
+/// compile-time fingerprints. A root (depth 0) is a leaf, usually `ΔT`; a
+/// node at depth `d` is step `d - 1` applied to its parent's prefix.
 struct TrieNode {
-    step: SpineStep,
-    step_fp: u64,
-    /// `leaf ∘ steps[..=this]` — evaluated directly when the parent stayed
-    /// symbolic.
-    prefix: Expr,
-    prefix_fp: u64,
-    /// Source set of the *input* rows (the parent prefix).
-    sources_in: TableSet,
-    sources_out: TableSet,
+    /// `spine.fps[depth]` of every job through this node.
+    fp: u64,
+    depth: usize,
+    /// First (lowest-index) job through this node: its spine spells the
+    /// prefix, and executor counters and compute time for shared work are
+    /// attributed to it.
+    owner: usize,
     children: Vec<TrieNode>,
     /// Jobs whose whole plan ends exactly here.
     terminals: Vec<usize>,
-    /// First (lowest-index) job through this subtree — executor counters and
-    /// compute time for shared work are attributed to it.
-    owner: usize,
 }
 
-fn trie_insert(trie: &mut Trie, steps: &[SpineStep], job: usize) {
-    trie.owner = trie.owner.min(job);
-    let Trie {
-        prefix,
-        sources,
-        children,
-        terminals,
-        ..
-    } = trie;
-    let Some((step, rest)) = steps.split_first() else {
-        terminals.push(job);
-        return;
-    };
-    let pos = find_or_create(children, prefix, *sources, step, job);
-    trie_insert_node(&mut children[pos], rest, job);
-}
-
-fn trie_insert_node(node: &mut TrieNode, steps: &[SpineStep], job: usize) {
-    node.owner = node.owner.min(job);
-    let TrieNode {
-        prefix,
-        sources_out,
-        children,
-        terminals,
-        ..
-    } = node;
-    let Some((step, rest)) = steps.split_first() else {
-        terminals.push(job);
-        return;
-    };
-    let pos = find_or_create(children, prefix, *sources_out, step, job);
-    trie_insert_node(&mut children[pos], rest, job);
-}
-
-fn find_or_create(
-    children: &mut Vec<TrieNode>,
-    parent_prefix: &Expr,
-    parent_sources: TableSet,
-    step: &SpineStep,
-    job: usize,
-) -> usize {
-    let fp = step.fingerprint();
-    if let Some(pos) = children.iter().position(|c| c.step_fp == fp) {
-        return pos;
+impl TrieNode {
+    /// Views whose plans run through this node.
+    fn terminal_count(&self) -> usize {
+        let below: usize = self.children.iter().map(TrieNode::terminal_count).sum();
+        self.terminals.len() + below
     }
-    let prefix = step.reapply(parent_prefix.clone());
-    let prefix_fp = fingerprint_expr(&prefix);
-    children.push(TrieNode {
-        step: step.clone(),
-        step_fp: fp,
-        prefix,
-        prefix_fp,
-        sources_in: parent_sources,
-        sources_out: step.apply_sources(parent_sources),
-        children: Vec::new(),
-        terminals: Vec::new(),
-        owner: job,
-    });
-    children.len() - 1
+
+    /// Whether this prefix is evaluated to rows, given whether its parent
+    /// handed rows down: then one step applies to them. Otherwise it is
+    /// evaluated when a view's plan ends here, or, from depth 1 on, when two
+    /// or more branches would re-evaluate it. A pass-through chain (one
+    /// child, no terminals, symbolic parent) stays symbolic and collapses
+    /// into one evaluation at the next materialization point.
+    fn materialized(&self, handed: bool) -> bool {
+        handed || !self.terminals.is_empty() || (self.depth > 0 && self.children.len() >= 2)
+    }
+
+    /// Whether this prefix's rows go to its children. The root never hands
+    /// the bare leaf down: its children evaluate their prefixes from it
+    /// symbolically, so the executor's delta index-join fast path fires.
+    fn hands_down(&self, handed: bool) -> bool {
+        self.depth > 0 && self.materialized(handed)
+    }
 }
 
 /// Everything the trie evaluation needs to build per-node executor contexts.
@@ -277,6 +232,7 @@ struct BatchEnv<'a> {
     table: TableId,
     rows: &'a Relation,
     stats: &'a [ExecStats],
+    jobs: &'a [Job],
 }
 
 impl BatchEnv<'_> {
@@ -297,39 +253,43 @@ impl BatchEnv<'_> {
 /// trie per leaf. `spines` has one entry per job — its `(layout_sig,
 /// spine)`, or `None` for a job without a primary plan — and the job's
 /// position is its index in the tries. Groups come in order of their first
-/// job, so a group's first trie is owned by that job.
-fn layout_tries<'a>(spines: impl IntoIterator<Item = Option<(u64, &'a Spine)>>) -> Vec<Vec<Trie>> {
-    let mut groups: Vec<(u64, Vec<Trie>)> = Vec::new();
+/// job, so a group's first root is owned by that job; jobs arrive in index
+/// order, so each node's creator is its owner.
+fn layout_tries<'a>(
+    spines: impl IntoIterator<Item = Option<(u64, &'a Spine)>>,
+) -> Vec<Vec<TrieNode>> {
+    let mut groups: Vec<(u64, Vec<TrieNode>)> = Vec::new();
     for (job, entry) in spines.into_iter().enumerate() {
         let Some((sig, spine)) = entry else {
             continue;
         };
-        let g = match groups.iter().position(|(s, _)| *s == sig) {
-            Some(g) => g,
-            None => {
+        let g = groups
+            .iter()
+            .position(|(s, _)| *s == sig)
+            .unwrap_or_else(|| {
                 groups.push((sig, Vec::new()));
                 groups.len() - 1
-            }
-        };
-        let tries = &mut groups[g].1;
-        let leaf_fp = spine.leaf_fingerprint();
-        let pos = match tries.iter().position(|t| t.leaf_fp == leaf_fp) {
-            Some(p) => p,
-            None => {
-                tries.push(Trie {
-                    prefix: spine.leaf.clone(),
-                    leaf_fp,
-                    sources: spine.leaf.sources(),
+            });
+        let mut level = &mut groups[g].1;
+        for (depth, &fp) in spine.fps.iter().enumerate() {
+            let pos = level.iter().position(|n| n.fp == fp).unwrap_or_else(|| {
+                level.push(TrieNode {
+                    fp,
+                    depth,
+                    owner: job,
                     children: Vec::new(),
                     terminals: Vec::new(),
-                    owner: job,
                 });
-                tries.len() - 1
+                level.len() - 1
+            });
+            if depth + 1 == spine.fps.len() {
+                level[pos].terminals.push(job);
+                break;
             }
-        };
-        trie_insert(&mut tries[pos], &spine.steps, job);
+            level = &mut level[pos].children;
+        }
     }
-    groups.into_iter().map(|(_, tries)| tries).collect()
+    groups.into_iter().map(|(_, roots)| roots).collect()
 }
 
 /// Evaluate every job's primary delta through the layout-grouped tries;
@@ -342,7 +302,7 @@ fn eval_shared(
     stats: &[ExecStats],
 ) -> Result<SharedPrimaries> {
     let n = jobs.len();
-    let empty = Arc::new(Vec::new());
+    let empty = Arc::new(RowBuf::new(0));
     let mut out = SharedPrimaries {
         primaries: vec![empty; n],
         durations: vec![Duration::ZERO; n],
@@ -354,83 +314,68 @@ fn eval_shared(
             .as_ref()
             .map(|s| (j.compiled.layout_sig, s))
     });
-    for tries in layout_tries(spines) {
-        let lead = tries[0].owner;
+    for roots in layout_tries(spines) {
+        let lead = roots[0].owner;
         let env = BatchEnv {
             catalog,
             layout: layouts[lead],
             table: jobs[lead].compiled.table,
             rows: &update.rows,
             stats,
+            jobs,
         };
-        for trie in &tries {
-            // Views whose whole plan is the bare leaf share its scan; the
-            // children always evaluate symbolically from the leaf so the
-            // executor's delta index-join fast path keeps firing.
-            if !trie.terminals.is_empty() {
-                let exec = env.ctx(trie.owner);
-                let start = Instant::now();
-                let rows = eval_expr_buf(&exec, &trie.prefix)?;
-                out.durations[trie.owner] += start.elapsed();
-                share_rows(&rows, &trie.terminals, &mut out);
-            }
-            for child in &trie.children {
-                eval_trie_node(child, None, &env, &mut out)?;
-            }
+        for root in &roots {
+            eval_trie_node(root, None, &env, &mut out)?;
         }
     }
     Ok(out)
 }
 
-fn share_rows(rows: &RowBuf, terminals: &[usize], out: &mut SharedPrimaries) {
-    let shared = Arc::new(rows.to_rows());
-    for &j in terminals {
-        out.shared_with[j] = terminals.len();
-        out.primaries[j] = Arc::clone(&shared);
-    }
-}
-
+/// Evaluate `node` if [`TrieNode::materialized`] says so: apply its step to
+/// the rows `handed` down, or else evaluate its prefix from the leaf — the
+/// owner's compiled plan itself when the prefix is that whole plan.
 fn eval_trie_node(
     node: &TrieNode,
-    cur: Option<&RowBuf>,
+    handed: Option<&RowBuf>,
     env: &BatchEnv<'_>,
     out: &mut SharedPrimaries,
 ) -> Result<()> {
-    // Materialize this prefix when the parent handed rows down (one step to
-    // apply), when a view's plan ends here, or when two or more branches
-    // would otherwise re-evaluate it. A pass-through chain (one child, no
-    // terminals, symbolic parent) stays symbolic and collapses into a single
-    // evaluation at the next materialization point.
-    let compute = cur.is_some() || !node.terminals.is_empty() || node.children.len() >= 2;
-    let rows: Option<RowBuf> = if compute {
+    let rows = if node.materialized(handed.is_some()) {
+        let compiled = &env.jobs[node.owner].compiled;
+        let spine = compiled.spine.as_ref().expect("trie jobs have a spine");
         let exec = env.ctx(node.owner);
         let start = Instant::now();
-        let produced = match cur {
-            Some(buf) => apply_spine_step(&exec, &node.step, buf.clone(), node.sources_in)?,
-            None => eval_expr_buf(&exec, &node.prefix)?,
+        let produced = match (handed, &compiled.plan) {
+            (Some(buf), _) => {
+                let d = node.depth - 1;
+                apply_spine_step(&exec, &spine.steps[d], buf.clone(), spine.prefix_sources(d))?
+            }
+            (None, Some(plan)) if node.depth == spine.steps.len() => eval_expr_buf(&exec, plan)?,
+            (None, _) => eval_expr_buf(&exec, &spine.prefix_expr(node.depth))?,
         };
         out.durations[node.owner] += start.elapsed();
         Some(produced)
     } else {
         None
     };
-    if !node.terminals.is_empty() {
-        share_rows(
-            rows.as_ref().expect("computed when terminals exist"),
-            &node.terminals,
-            out,
-        );
-    }
+    let down = rows.as_ref().filter(|_| node.hands_down(handed.is_some()));
     for child in &node.children {
-        eval_trie_node(child, rows.as_ref(), env, out)?;
+        eval_trie_node(child, down, env, out)?;
+    }
+    if !node.terminals.is_empty() {
+        let rows = Arc::new(rows.expect("materialized when terminals exist"));
+        for &j in &node.terminals {
+            out.shared_with[j] = node.terminals.len();
+            out.primaries[j] = Arc::clone(&rows);
+        }
     }
     Ok(())
 }
 
 /// Render the batch plan for an update of `table` over the given compiled
-/// plans: one line per view, then one `shared:` line per subplan that two or
-/// more views have in common, read off the same tries the batch executor
-/// evaluates. Used by `Database::explain_batch`.
+/// plans: one line per view, then one `shared:` line per prefix the batch
+/// executor evaluates once for two or more consumers. Used by
+/// `Database::explain_batch`.
 pub fn render_batch_plan(table: &str, plans: &[(String, CompiledMaintenancePlan)]) -> String {
     let mut s = format!("batch maintenance plan for Δ{table}:\n");
     for (name, p) in plans {
@@ -444,42 +389,34 @@ pub fn render_batch_plan(table: &str, plans: &[(String, CompiledMaintenancePlan)
             s.push_str(&format!("  view {name}: plan {:016x}\n", p.fingerprint));
         }
     }
-    let spines = plans
+    let spines: Vec<_> = plans
         .iter()
-        .map(|(_, p)| p.spine.as_ref().map(|sp| (p.layout_sig, sp)));
-    for trie in layout_tries(spines).iter().flatten() {
-        let root_terms = trie_terminal_count(trie);
-        if root_terms >= 2 && (!trie.terminals.is_empty() || trie.children.len() >= 2) {
-            s.push_str(&format!(
-                "  shared: {:016x} ({} views)\n",
-                trie.leaf_fp, root_terms
-            ));
-        }
-        for child in &trie.children {
-            render_shared_nodes(child, &mut s);
-        }
-    }
+        .map(|(_, p)| p.spine.as_ref().map(|sp| (p.layout_sig, sp)))
+        .collect();
+    render_shared(&spines, &mut s);
     s
 }
 
-fn trie_terminal_count(trie: &Trie) -> usize {
-    trie.terminals.len() + trie.children.iter().map(node_terminal_count).sum::<usize>()
-}
-
-fn node_terminal_count(node: &TrieNode) -> usize {
-    node.terminals.len() + node.children.iter().map(node_terminal_count).sum::<usize>()
-}
-
-fn render_shared_nodes(node: &TrieNode, s: &mut String) {
-    let subtree = node_terminal_count(node);
-    if subtree >= 2 && (node.terminals.len() >= 2 || node.children.len() >= 2) {
-        s.push_str(&format!(
-            "  shared: {:016x} ({} views)\n",
-            node.prefix_fp, subtree
-        ));
+/// One `shared:` line per prefix the batch executor evaluates once for two
+/// or more consumers, read off the tries it evaluates: the prefix is
+/// [`TrieNode::materialized`], and its terminals plus the children it hands
+/// its rows to number at least two. `spines` is as for [`layout_tries`].
+fn render_shared(spines: &[Option<(u64, &Spine)>], s: &mut String) {
+    fn node(n: &TrieNode, handed: bool, spines: &[Option<(u64, &Spine)>], s: &mut String) {
+        let down = n.hands_down(handed);
+        let consumers = n.terminals.len() + if down { n.children.len() } else { 0 };
+        if n.materialized(handed) && consumers >= 2 {
+            let (_, spine) = spines[n.owner].expect("trie jobs have a spine");
+            let fp = fingerprint_expr(&spine.prefix_expr(n.depth));
+            let views = n.terminal_count();
+            s.push_str(&format!("  shared: {fp:016x} ({views} views)\n"));
+        }
+        for child in &n.children {
+            node(child, down, spines, s);
+        }
     }
-    for child in &node.children {
-        render_shared_nodes(child, s);
+    for root in layout_tries(spines.iter().copied()).iter().flatten() {
+        node(root, false, spines, s);
     }
 }
 
@@ -772,6 +709,29 @@ mod tests {
             text.contains(&format!("shared: {:016x} (2 views)", pa.fingerprint)),
             "missing 2-view full-plan line in:\n{text}"
         );
+    }
+
+    /// Golden EXPLAIN over synthetic spines: a `shared:` line marks exactly
+    /// the prefixes the executor evaluates once for two or more consumers.
+    /// A root with two children and no terminal evaluates nothing (each
+    /// child starts from `ΔT`), while an interior node with one terminal and
+    /// one child is evaluated once for both views.
+    #[test]
+    fn explain_shared_lines_follow_materialization() {
+        use ojv_algebra::{Atom, ColRef, Expr, Pred};
+        let join = |left, r: u8| {
+            let on = Atom::eq(ColRef::new(TableId(0), 0), ColRef::new(TableId(r), 0));
+            Expr::inner(Pred::atom(on), left, Expr::table(TableId(r)))
+        };
+        let a = Spine::of(&join(Expr::Delta(TableId(0)), 1));
+        let b = Spine::of(&join(Expr::Delta(TableId(0)), 2));
+        let c = Spine::of(&join(join(Expr::Delta(TableId(0)), 1), 2));
+        let mut s = String::new();
+        render_shared(&[Some((1, &a)), Some((1, &b))], &mut s);
+        assert_eq!(s, "", "two branches from the bare leaf share nothing");
+        render_shared(&[Some((1, &a)), Some((1, &c))], &mut s);
+        let fp = fingerprint_expr(&a.prefix_expr(1));
+        assert_eq!(s, format!("  shared: {fp:016x} (2 views)\n"));
     }
 
     /// Prefix sharing must also be byte-identical: the family diverges after

@@ -191,8 +191,7 @@ pub fn compile_uncached(
 }
 
 /// Derive just the `ΔV^D` operator tree, uncached and unverified — for the
-/// SQL script generator and EXPLAIN, which render plans without executing
-/// them.
+/// SQL script generator, which renders plans without executing them.
 pub fn derive_plan(analysis: &ViewAnalysis, t: TableId, use_fk: bool, left_deep: bool) -> Expr {
     analysis.primary_delta_plan(t, use_fk, left_deep)
 }

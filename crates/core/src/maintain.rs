@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use ojv_algebra::TableId;
 use ojv_exec::{eval_expr_buf, DeltaInput, ExecCtx, ExecStats, ExecStatsSnapshot, ViewLayout};
-use ojv_rel::Row;
+use ojv_rel::{Row, RowBuf};
 use ojv_storage::{Catalog, Update, UpdateOp};
 
 use crate::compile::{CompiledIndirect, CompiledMaintenancePlan};
@@ -113,7 +113,7 @@ pub(crate) fn apply_with_primary(
     stats: &ExecStats,
     update: &Update,
     compiled: &CompiledMaintenancePlan,
-    primary: &[Row],
+    primary: &RowBuf,
     report: &mut MaintenanceReport,
 ) -> Result<()> {
     let t = compiled.table;
@@ -152,7 +152,7 @@ pub(crate) fn apply_with_primary(
             } else {
                 secondary::from_base(&sctx, &exec, &term, primary, insert)?
             };
-            report.secondary_rows += apply_orphans(store, name, orphans, insert)?;
+            report.secondary_rows += apply_orphans(store, name, &orphans, insert)?;
         }
     }
     report.secondary_time = start.elapsed();
@@ -165,30 +165,29 @@ pub(crate) fn apply_with_primary(
 pub(crate) fn apply_orphans(
     store: &mut ViewStore,
     name: &str,
-    orphans: Vec<Row>,
+    orphans: &RowBuf,
     insert: bool,
 ) -> Result<usize> {
-    let n = orphans.len();
     for row in orphans {
         if insert {
-            store.delete(&row, name)?;
+            store.delete(row, name)?;
         } else {
-            store.insert(row, name)?;
+            store.insert(row.to_vec(), name)?;
         }
     }
-    Ok(n)
+    Ok(orphans.len())
 }
 
 pub(crate) fn apply_primary(
     store: &mut ViewStore,
     name: &str,
-    primary: &[Row],
+    primary: &RowBuf,
     op: UpdateOp,
 ) -> Result<()> {
     match op {
         UpdateOp::Insert => {
             for row in primary {
-                store.insert(row.clone(), name)?;
+                store.insert(row.to_vec(), name)?;
             }
         }
         UpdateOp::Delete => {

@@ -23,7 +23,7 @@ use ojv_algebra::{Expr, JoinKind, Pred, TableId, TableSet, Term};
 use ojv_exec::ops::semi_anti_by_key_buf;
 use ojv_exec::{join_buf_expr, ExecCtx, ExecResult, ViewLayout};
 use ojv_rel::postable::{idx, pos32};
-use ojv_rel::{key_eq_rows, key_hash, PosTable, Row, RowBuf};
+use ojv_rel::{key_eq_rows, key_hash, Datum, PosTable, RowBuf};
 
 use crate::maintain::IndirectTermView;
 use crate::materialize::ViewStore;
@@ -41,46 +41,43 @@ impl SecondaryCtx<'_> {
     fn parent_sources(&self, parents: &[usize]) -> Vec<TableSet> {
         parents.iter().map(|&k| self.terms[k].tables).collect()
     }
-
-    /// Project a wide row onto the term's tables (null out the rest).
-    fn project_to(&self, tables: TableSet, row: &Row) -> Row {
-        let mut out = row.clone();
-        self.layout
-            .null_out(self.layout.all_tables().difference(tables), &mut out);
-        out
-    }
 }
 
 /// `δ π_{T_i.*}` fed one delta row at a time: the distinct `T_i`
 /// projections in first-seen order, deduplicated on the term key by a
-/// [`PosTable`] verified against the candidates already held.
+/// [`PosTable`] verified against the candidates already held. Each
+/// projection is the delta row copied into `rows` with every table outside
+/// `T_i` nulled in place.
 struct Candidates {
-    ti: TableSet,
+    /// The tables outside `T_i`.
+    nulled: TableSet,
     ti_keys: Vec<usize>,
     seen: PosTable,
-    rows: Vec<Row>,
+    rows: RowBuf,
 }
 
 impl Candidates {
     fn new(ctx: &SecondaryCtx<'_>, ti: TableSet) -> Self {
         Candidates {
-            ti,
+            nulled: ctx.layout.all_tables().difference(ti),
             ti_keys: ctx.layout.term_key_cols(ti),
             seen: PosTable::default(),
-            rows: Vec::new(),
+            rows: RowBuf::new(ctx.layout.width()),
         }
     }
 
-    fn offer(&mut self, ctx: &SecondaryCtx<'_>, row: &Row) {
+    fn offer(&mut self, ctx: &SecondaryCtx<'_>, row: &[Datum]) {
         let (keys, rows) = (&self.ti_keys, &self.rows);
         let hash = key_hash(row, keys);
         if self
             .seen
-            .find(hash, |c| key_eq_rows(&rows[idx(c)], keys, row, keys))
+            .find(hash, |c| key_eq_rows(rows.row(idx(c)), keys, row, keys))
             .is_none()
         {
-            self.seen.insert(hash, pos32(self.rows.len()));
-            self.rows.push(ctx.project_to(self.ti, row));
+            let i = self.rows.len();
+            self.seen.insert(hash, pos32(i));
+            self.rows.push_row(row);
+            ctx.layout.null_out(self.nulled, self.rows.row_mut(i));
         }
     }
 }
@@ -105,9 +102,9 @@ pub fn from_view(
     ctx: &SecondaryCtx<'_>,
     store: &ViewStore,
     ind: &IndirectTermView<'_>,
-    primary: &[Row],
+    primary: &RowBuf,
     insert: bool,
-) -> Vec<Row> {
+) -> RowBuf {
     // `σ_{P_i}`: the rows added to (or removed from) some directly affected
     // parent.
     let pard_sources = ctx.parent_sources(ind.pard);
@@ -121,16 +118,20 @@ pub fn from_view(
     let Candidates {
         ti_keys, mut rows, ..
     } = cands;
-    if insert {
-        rows.retain(|c| store.contains_row(c));
-    } else {
-        rows.retain(|c| {
-            store
-                .count_by_row(&ti_keys, c)
-                .expect("every term with a parent has a term-key count index")
-                == 0
-        });
-    }
+    let keep: Vec<bool> = rows
+        .iter()
+        .map(|c| {
+            if insert {
+                store.contains_row(c)
+            } else {
+                store
+                    .count_by_row(&ti_keys, c)
+                    .expect("every term with a parent has a term-key count index")
+                    == 0
+            }
+        })
+        .collect();
+    rows.retain_rows(&keep);
     rows
 }
 
@@ -145,9 +146,9 @@ pub fn from_base(
     ctx: &SecondaryCtx<'_>,
     exec: &ExecCtx<'_>,
     ind: &IndirectTermView<'_>,
-    primary: &[Row],
+    primary: &RowBuf,
     insert: bool,
-) -> ExecResult<Vec<Row>> {
+) -> ExecResult<RowBuf> {
     let ti = ctx.terms[ind.term].tables;
 
     // Q_i = nn(T_i) ∧ n(tables added by parents that are NOT directly
@@ -167,7 +168,7 @@ pub fn from_base(
             cands.offer(ctx, row);
         }
     }
-    let mut candidates = RowBuf::from_rows(ctx.layout.width(), &cands.rows);
+    let mut candidates = cands.rows;
 
     // Anti join against every directly affected parent's rest expression,
     // evaluated as a candidate-driven semijoin chain (see
@@ -178,7 +179,7 @@ pub fn from_base(
         }
         candidates = anti_join_rest_expression(ctx, exec, ti, &ctx.terms[k], candidates, insert)?;
     }
-    Ok(candidates.into_rows())
+    Ok(candidates)
 }
 
 /// Compute `candidates ▷_{q_ip} E'_{ip}` (§5.3) without materializing the
@@ -357,7 +358,7 @@ mod tests {
     use crate::materialize::MaterializedView;
     use ojv_algebra::Atom;
     use ojv_exec::{eval_expr_buf, DeltaInput};
-    use ojv_rel::Datum;
+    use ojv_rel::Row;
     use ojv_storage::{Catalog, Update, UpdateOp};
 
     /// One maintenance step by hand, computing every indirect term's `∆D_i`
@@ -382,8 +383,8 @@ mod tests {
         };
         let exec = ExecCtx::with_delta(catalog, &analysis.layout, delta);
         let primary = match &compiled.plan {
-            None => Vec::new(),
-            Some(plan) => eval_expr_buf(&exec, plan).unwrap().into_rows(),
+            None => RowBuf::new(analysis.layout.width()),
+            Some(plan) => eval_expr_buf(&exec, plan).unwrap(),
         };
         let name = view.name().to_string();
         apply_primary(view.store_mut(), &name, &primary, update.op).unwrap();
@@ -397,8 +398,9 @@ mod tests {
         for ind in &compiled.indirect {
             assert!(ind.from_view_ok, "full views pass §5.2 availability");
             let term = IndirectTermView::from(ind);
-            let mut a = from_view(&ctx, view.store(), &term, &primary, insert);
-            let mut b = from_base(&ctx, &exec, &term, &primary, insert).unwrap();
+            let by_view = from_view(&ctx, view.store(), &term, &primary, insert);
+            let by_base = from_base(&ctx, &exec, &term, &primary, insert).unwrap();
+            let (mut a, mut b) = (by_view.to_rows(), by_base.to_rows());
             a.sort();
             b.sort();
             assert_eq!(
@@ -412,7 +414,7 @@ mod tests {
             );
             terms += 1;
             orphans += a.len();
-            apply_orphans(view.store_mut(), &name, a, insert).unwrap();
+            apply_orphans(view.store_mut(), &name, &by_view, insert).unwrap();
         }
         assert!(verify_against_recompute(view, catalog));
         (terms, orphans)

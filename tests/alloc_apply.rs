@@ -7,7 +7,9 @@
 //! deleted base-table key must hand back), not per row, per key, or per
 //! index. The view store's key index and count index own no key either, so
 //! its batch apply allocates only when a vector doubles. A commit that a
-//! snapshot pin spans allocates per delta row too, not per stored row.
+//! snapshot pin spans allocates per delta row too, not per stored row. A
+//! one-view commit rebuilds no maintenance plan and copies each `ΔV` row
+//! once, into the view store.
 
 use std::sync::Mutex;
 
@@ -244,5 +246,94 @@ fn pinned_publish_allocates_per_delta_not_per_stored_row() {
     assert!(
         large as f64 <= PINNED_GROWTH * small as f64,
         "allocations per pinned commit grew from {small} to {large} with the view"
+    );
+}
+
+/// A 1-lineitem commit whose `ΔV` is empty: the delta and its storage
+/// apply, the one-view batch (its sharing trie, executor buffers and
+/// report) and the publish; no maintenance plan is rebuilt. Measured: 44.
+const COMMIT_EMPTY_DV_ALLOCS: u64 = 50;
+/// The `BATCH`-lineitem insert: what the empty commit allocates, plus the
+/// executor's batches and hash tables, one allocation per stored `ΔV` row
+/// (94 at `SF`), and the §5 candidates and orphans. Measured: 407.
+const COMMIT_INSERT_ALLOCS: u64 = 440;
+/// The matching delete: the same, plus the one owned row per key that the
+/// base-table delete hands back (`BATCH`) and the orphans the view store
+/// gains. Measured: 1 135.
+const COMMIT_DELETE_ALLOCS: u64 = 1170;
+
+/// Minimum allocations of three commits to a warmed one-view V3 `Database`
+/// at `SF`: a 1-lineitem insert whose `ΔV` is empty, the `BATCH`-lineitem
+/// insert from `lineitem_insert_batch(BATCH, 1)`, and that insert's
+/// matching delete, with the insert's `ΔV` row count. The empty commit's
+/// lineitem is deleted again outside the windows. Two warm-up rounds run
+/// first.
+fn one_view_commit_allocs() -> ([u64; 3], usize) {
+    let mut db = Database::new(tpch());
+    db.create_view(v3_def()).unwrap();
+    let quiet = TpchGen::new(SF, 42)
+        .lineitem_insert_batch(BATCH, 2)
+        .into_iter()
+        .find(|row| {
+            let reports = db.insert("lineitem", vec![row.clone()]).unwrap();
+            db.delete("lineitem", &[row[..2].to_vec()]).unwrap();
+            reports[0].primary_rows == 0
+        })
+        .expect("some generated lineitem's order is outside V3's date window");
+    let quiet_key = [quiet[..2].to_vec()];
+    let rows = TpchGen::new(SF, 42).lineitem_insert_batch(BATCH, 1);
+    let keys: Vec<Vec<Datum>> = rows.iter().map(|r| r[..2].to_vec()).collect();
+    let (mut fewest, mut dv_rows) = ([u64::MAX; 3], 0);
+    for round in 0..2 + ATTEMPTS {
+        // The inserts move their batches into the catalog: clone them
+        // outside the windows.
+        let (one, batch) = (vec![quiet.clone()], rows.clone());
+        let before = alloc_snapshot();
+        let empty = db.insert("lineitem", one).unwrap();
+        let after_empty = alloc_snapshot();
+        db.delete("lineitem", &quiet_key).unwrap();
+        let before_insert = alloc_snapshot();
+        let inserted = db.insert("lineitem", batch).unwrap();
+        let after_insert = alloc_snapshot();
+        let deleted = db.delete("lineitem", &keys).unwrap();
+        let after_delete = alloc_snapshot();
+        assert_eq!(empty[0].primary_rows, 0);
+        assert!(inserted[0].primary_rows > 0 && deleted[0].primary_rows > 0);
+        dv_rows = inserted[0].primary_rows;
+        if round >= 2 {
+            let counts = [
+                after_empty.since(&before).count,
+                after_insert.since(&before_insert).count,
+                after_delete.since(&after_insert).count,
+            ];
+            for (min, n) in fewest.iter_mut().zip(counts) {
+                *min = (*min).min(n);
+            }
+        }
+    }
+    (fewest, dv_rows)
+}
+
+/// A one-view commit allocates for what it evaluates and stores, not for
+/// re-deriving its sharing plan or re-boxing `ΔV` on the way to the store.
+#[test]
+fn one_view_commits_allocate_what_they_evaluate_and_store() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ([empty, insert, delete], dv_rows) = one_view_commit_allocs();
+    println!(
+        "one-view V3 commits: 1-lineitem insert with empty ΔV {empty} allocations, \
+         {BATCH}-lineitem insert ({dv_rows} ΔV rows) {insert}, delete {delete}"
+    );
+    assert!(
+        empty <= COMMIT_EMPTY_DV_ALLOCS,
+        "empty-ΔV commit allocated {empty} times (pinned: {COMMIT_EMPTY_DV_ALLOCS})"
+    );
+    assert!(
+        insert <= COMMIT_INSERT_ALLOCS,
+        "{BATCH}-lineitem insert commit allocated {insert} times (pinned: {COMMIT_INSERT_ALLOCS})"
+    );
+    assert!(
+        delete <= COMMIT_DELETE_ALLOCS,
+        "{BATCH}-lineitem delete commit allocated {delete} times (pinned: {COMMIT_DELETE_ALLOCS})"
     );
 }
