@@ -8,12 +8,13 @@
 //! delta procedure over every registered view) and **publish**
 //! (`publish_commit`: journals → snapshot registry → commit observer, at one
 //! LSN). [`Database::insert`] / [`Database::delete`] / [`Database::update`]
-//! run them back to back under a dense local LSN;
+//! run them back to back under a dense local LSN, one LSN per call — an
+//! `UPDATE`'s two halves included;
 //! [`crate::shard::ShardedDatabase`] runs the same stages across N of these.
 
 use ojv_durability::Lsn;
 use ojv_rel::{Datum, Row};
-use ojv_storage::{Catalog, Update};
+use ojv_storage::{Catalog, Update, ValidInsert};
 
 use crate::agg_view::{AggViewDef, MaterializedAggView};
 use crate::compile::PlanConfig;
@@ -216,21 +217,57 @@ impl Database {
     /// one atomic commit numbered `commit_lsn + 1`. Returns one report per
     /// non-noop view.
     pub fn maintain_update(&mut self, update: &Update) -> Result<Vec<MaintenanceReport>> {
-        self.maintain_and_publish(update, false)
+        let result = self.maintain_views_only(update, false);
+        self.publish_next(result)
     }
 
-    /// Maintain, then publish — even when maintenance errored, so the
-    /// registry's tips always track the working stores.
-    fn maintain_and_publish(
+    /// Publish the commit numbered `commit_lsn + 1` — even when its
+    /// maintenance errored, so the registry's tips always track the working
+    /// stores — and return the maintenance result.
+    fn publish_next(
         &mut self,
-        update: &Update,
-        decomposed: bool,
+        maintained: Result<Vec<MaintenanceReport>>,
     ) -> Result<Vec<MaintenanceReport>> {
-        let result = self.maintain_views_only(update, decomposed);
         let published = self.publish_commit(self.commit_lsn + 1);
-        let reports = result?;
+        let reports = maintained?;
         published?;
         Ok(reports)
+    }
+
+    /// The maintain-and-apply steps of one commit on this shard, after its
+    /// delete half (if any) was applied and the commit logged: maintain the
+    /// views for the delete half, apply the validated insert half, maintain
+    /// the views for it. Every engine's `UPDATE` and every replayed commit
+    /// runs exactly this sequence, so one commit reads the same base-table
+    /// states live and in recovery. The insert half is applied even when
+    /// the delete half's maintenance fails — the log holds both halves, so
+    /// the base tables must too — and the first error is returned.
+    /// Publishing is the caller's: one publish per commit.
+    pub(crate) fn commit_halves(
+        &mut self,
+        deleted: Option<&Update>,
+        insert: Option<ValidInsert>,
+        decomposed: bool,
+    ) -> Result<Vec<MaintenanceReport>> {
+        let mut reports = Vec::new();
+        let mut first_err = None;
+        let mut keep = |result: Result<Vec<MaintenanceReport>>| match result {
+            Ok(r) => reports.extend(r),
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        };
+        if let Some(deleted) = deleted {
+            keep(self.maintain_views_only(deleted, decomposed));
+        }
+        if let Some(batch) = insert {
+            let inserted = self.catalog.apply_insert(batch);
+            keep(self.maintain_views_only(&inserted, decomposed));
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(reports),
+        }
     }
 
     /// The maintain stage: run the maintenance procedure for every view
@@ -359,19 +396,26 @@ impl Database {
     }
 
     /// SQL-style `UPDATE`, modeled as a delete followed by an insert (paper
-    /// §3). The §6 foreign-key fast paths are disabled for the pair, per the
-    /// paper's caveat list.
+    /// §3) and committed as one unit: both halves are validated before
+    /// either applies ([`Catalog::validate_update`]), so a refused `UPDATE`
+    /// changes nothing; then the halves are maintained in order
+    /// (`commit_halves`) and published once, at one LSN — no snapshot
+    /// reader or commit observer sees half of it. The §6 foreign-key fast
+    /// paths are disabled for the pair, per the paper's caveat list.
+    /// Returns one report per non-noop view per half.
     pub fn update(
         &mut self,
         table: &str,
         keys: &[Vec<Datum>],
         new_rows: Vec<Row>,
     ) -> Result<Vec<MaintenanceReport>> {
-        let del = self.apply_delete(table, keys)?;
-        let mut reports = self.maintain_and_publish(&del, true)?;
-        let ins = self.apply_insert(table, new_rows)?;
-        reports.extend(self.maintain_and_publish(&ins, true)?);
-        Ok(reports)
+        let (delete, insert) = self
+            .catalog
+            .validate_update(table, keys, new_rows)?
+            .into_halves();
+        let deleted = self.catalog.apply_delete(delete);
+        let result = self.commit_halves(Some(&deleted), Some(insert), true);
+        self.publish_next(result)
     }
 
     /// Render the batched physical maintenance plan the engine would run for

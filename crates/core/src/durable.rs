@@ -4,24 +4,31 @@
 //! # Protocol
 //!
 //! Every base-table change — [`Durable::insert`], [`Durable::delete`],
-//! [`Durable::update`] — is one call of the commit pipeline
+//! [`Durable::update`] — is one commit of the commit pipeline
 //! (`ShardedDatabase::commit_with`) with the log stage supplied here:
 //!
-//! 1. the batch is validated and applied to the in-memory catalog(s)
-//!    (constraints enforced, per-shard deltas computed),
-//! 2. the applied deltas are handed to [`CommitLog::append`], which frames
-//!    them as [`REC_UPDATE`] records and returns the commit LSN once they
-//!    are as durable as the topology's fsync policy promises,
-//! 3. views are maintained incrementally and every shard's snapshot
-//!    registry publishes at that LSN — a snapshot LSN *is* a log position.
+//! 1. the whole operation is validated — both halves of an `UPDATE` at
+//!    once ([`ojv_storage::Catalog::validate_update`]), so a refused
+//!    operation changes nothing — and its delete half is applied to the
+//!    in-memory catalog(s);
+//! 2. each touched shard's deltas (delete half, then insert half, the
+//!    latter taken from the validated rows) are handed to
+//!    [`CommitLog::append`], which frames them as one record per stream —
+//!    [`REC_UPDATE`] for one delta, [`REC_COMMIT`] for both halves of an
+//!    `UPDATE` — and returns the commit LSN once they are as durable as the
+//!    topology's fsync policy promises;
+//! 3. views are maintained for the delete half, the insert half is
+//!    applied and maintained (`Database::commit_halves`), and every shard's
+//!    snapshot registry publishes once, at that LSN — a snapshot LSN *is* a
+//!    log position, and an `UPDATE` takes exactly one.
 //!
 //! A crash after step 2 therefore loses nothing: recovery replays the
-//! logged delta through the same maintenance stage the live system uses
-//! (`replay_update`), so the recovered stores are *byte-identical* to an
+//! logged deltas through the same maintenance stage the live system uses
+//! (`replay_commit`), so the recovered stores are *byte-identical* to an
 //! uncrashed twin — not merely set-equal. A crash between 1 and 2 loses only
 //! RAM state that was never acknowledged as durable. If step 2 *fails* (I/O
-//! error, framing limit), RAM is ahead of the log and recovery could never
-//! reproduce it: the database **poisons** itself — every later durable
+//! error, framing limit), RAM may be ahead of the log and recovery could
+//! never reproduce it: the database **poisons** itself — every later durable
 //! operation, including `checkpoint`, returns [`CoreError::Poisoned`] — so
 //! the diverged image can neither grow nor be snapshotted; reopening from
 //! the log lands on the last consistent state. Maintenance failures after
@@ -45,9 +52,11 @@
 //! record framing and replay, DDL-then-checkpoint, the commit itself — is
 //! written once, below.
 
-use ojv_durability::{Lsn, Vfs, Wal, WalOptions, WalRecord, WalScan};
-use ojv_rel::{key_of, ByteReader, Datum, Row};
+use ojv_durability::{DurabilityError, Lsn, Vfs, Wal, WalOptions, WalRecord, WalScan};
+use ojv_rel::{key_of, put_u32, ByteReader, Datum, Row};
 use ojv_storage::{decode_update, encode_update, Update, UpdateOp};
+
+use crate::checkpoint_state::fit_u32;
 
 use crate::database::Database;
 use crate::error::{CoreError, Result};
@@ -58,59 +67,154 @@ use crate::view_def::ViewDef;
 pub use crate::group_log::GroupLog;
 pub use crate::wal_log::{RecoveryReport, WalLog};
 
-/// WAL record kind: one applied base-table update batch.
+/// WAL record kind: one applied base-table update batch — a commit with
+/// one delta on its stream.
 /// Payload: `[u8 flags][encoded Update]` (see [`ojv_storage::encode_update`]).
 pub const REC_UPDATE: u8 = 1;
 
-/// `REC_UPDATE` flag bit: this batch is half of an SQL `UPDATE`
+/// WAL record kind: one commit's ordered delta list on one stream — the
+/// delete and insert halves of an SQL `UPDATE`, delete first. Payload:
+/// `[u8 flags][u32 count][count × (u32 len, encoded Update)]`, `count ≥ 1`.
+/// A commit with a single delta on a stream writes [`REC_UPDATE`] instead,
+/// so insert and delete commits log the same bytes as before this kind
+/// existed.
+pub const REC_COMMIT: u8 = 4;
+
+/// Record flag bit: the deltas are the halves of an SQL `UPDATE`
 /// decomposition, so replay must disable the §6 FK fast paths exactly as
 /// the original run did.
 const FLAG_UPDATE_DECOMPOSITION: u8 = 1;
 
-/// The payload of a [`REC_UPDATE`] record for one applied delta.
-pub(crate) fn update_record(update: &Update, decomposed: bool) -> Result<Vec<u8>> {
-    let body = encode_update(update)?;
+fn corrupt_record(rec: &WalRecord, detail: impl std::fmt::Display) -> CoreError {
+    CoreError::Durability(DurabilityError::Corrupt {
+        file: "wal".to_string(),
+        detail: format!("commit record at lsn {}: {detail}", rec.lsn),
+    })
+}
+
+/// The record of one commit's deltas on one stream, in commit order:
+/// `(kind, payload)` — [`REC_UPDATE`] for one delta, [`REC_COMMIT`] for more.
+pub(crate) fn commit_record(deltas: &[&Update], decomposed: bool) -> Result<(u8, Vec<u8>)> {
     let flags = if decomposed {
         FLAG_UPDATE_DECOMPOSITION
     } else {
         0
     };
-    let mut payload = Vec::with_capacity(1 + body.len());
-    payload.push(flags);
-    payload.extend_from_slice(&body);
-    Ok(payload)
+    let mut payload = vec![flags];
+    if let [one] = deltas {
+        payload.extend_from_slice(&encode_update(one)?);
+        return Ok((REC_UPDATE, payload));
+    }
+    assert!(
+        !deltas.is_empty(),
+        "a touched stream logs at least one delta"
+    );
+    put_u32(&mut payload, fit_u32(deltas.len(), "commit delta count")?);
+    for delta in deltas {
+        let body = encode_update(delta)?;
+        put_u32(&mut payload, fit_u32(body.len(), "commit delta length")?);
+        payload.extend_from_slice(&body);
+    }
+    Ok((REC_COMMIT, payload))
 }
 
-/// Decode a [`REC_UPDATE`] payload against `shard`'s schema:
-/// `(delta, decomposed)`.
-pub(crate) fn decode_update_record(shard: &Database, rec: &WalRecord) -> Result<(Update, bool)> {
+/// Decode a [`REC_UPDATE`] or [`REC_COMMIT`] record against `shard`'s
+/// schema: `(deltas in commit order, decomposed)`. A malformed
+/// [`REC_COMMIT`] frame — truncated, a length past its end, no delta,
+/// trailing bytes — is [`DurabilityError::Corrupt`].
+pub(crate) fn decode_commit_record(
+    shard: &Database,
+    rec: &WalRecord,
+) -> Result<(Vec<Update>, bool)> {
     let mut r = ByteReader::new(&rec.payload);
     let flags = r.u8("update flags").map_err(CoreError::Rel)?;
-    let update = decode_update(rec.payload.get(1..).unwrap_or(&[]), shard.catalog())?;
-    Ok((update, flags & FLAG_UPDATE_DECOMPOSITION != 0))
+    let decomposed = flags & FLAG_UPDATE_DECOMPOSITION != 0;
+    match rec.kind {
+        REC_UPDATE => {
+            let body = rec.payload.get(1..).unwrap_or(&[]);
+            Ok((vec![decode_update(body, shard.catalog())?], decomposed))
+        }
+        REC_COMMIT => {
+            let count = r
+                .u32("commit delta count")
+                .map_err(|_| corrupt_record(rec, "truncated before its delta count"))?
+                as usize; // lint:allow(cast) — u32 widens into usize
+            if count == 0 {
+                return Err(corrupt_record(rec, "no deltas"));
+            }
+            let mut deltas = Vec::with_capacity(count.min(r.remaining()));
+            for i in 0..count {
+                let len = r
+                    .u32("commit delta length")
+                    .map_err(|_| corrupt_record(rec, format!("truncated before delta {i}")))?
+                    as usize; // lint:allow(cast) — u32 widens into usize
+                let left = r.remaining();
+                let body = r.bytes(len, "commit delta").map_err(|_| {
+                    corrupt_record(rec, format!("delta {i} claims {len} bytes, {left} left"))
+                })?;
+                deltas.push(decode_update(body, shard.catalog())?);
+            }
+            if !r.is_empty() {
+                return Err(corrupt_record(
+                    rec,
+                    format!("{} trailing bytes after {count} deltas", r.remaining()),
+                ));
+            }
+            Ok((deltas, decomposed))
+        }
+        other => Err(corrupt_record(
+            rec,
+            format!("unknown WAL record kind {other}"),
+        )),
+    }
 }
 
-/// Replay one logged delta against the shard that logged it: re-apply it to
-/// the catalog and re-run view maintenance exactly as the original commit
-/// did (decomposition flag included). Publishing is the caller's: the two
-/// topologies stamp recovered commits differently.
-pub(crate) fn replay_update(shard: &mut Database, update: &Update, decomposed: bool) -> Result<()> {
-    match update.op {
-        UpdateOp::Insert => {
-            shard.apply_insert(&update.table, update.rows.rows().to_vec())?;
+/// Replay one logged commit against the shard that logged it: re-apply its
+/// deltas and re-run view maintenance exactly as the original commit did
+/// ([`Database::commit_halves`], decomposition flag included). Publishing
+/// is the caller's: the two topologies stamp recovered commits differently.
+pub(crate) fn replay_commit(
+    shard: &mut Database,
+    rec: &WalRecord,
+    deltas: Vec<Update>,
+    decomposed: bool,
+) -> Result<()> {
+    let mut deltas = deltas.into_iter();
+    let (delete, insert) = match (deltas.next(), deltas.next(), deltas.next()) {
+        (Some(d), None, None) if d.op == UpdateOp::Delete => (Some(d), None),
+        (Some(i), None, None) => (None, Some(i)),
+        (Some(d), Some(i), None) if d.op == UpdateOp::Delete && i.op == UpdateOp::Insert => {
+            (Some(d), Some(i))
         }
-        UpdateOp::Delete => {
-            let key_cols = shard.catalog().table(&update.table)?.key_cols().to_vec();
-            let keys: Vec<Vec<Datum>> = update
+        _ => {
+            return Err(corrupt_record(
+                rec,
+                "deltas are not a delete and/or an insert, in that order",
+            ))
+        }
+    };
+    let deleted = match delete {
+        Some(d) => {
+            let key_cols = shard.catalog().table(&d.table)?.key_cols().to_vec();
+            let keys: Vec<Vec<Datum>> = d
                 .rows
                 .rows()
                 .iter()
                 .map(|row| key_of(row, &key_cols))
                 .collect();
-            shard.apply_delete(&update.table, &keys)?;
+            Some(shard.apply_delete(&d.table, &keys)?)
         }
-    }
-    shard.maintain_views_only(update, decomposed)?;
+        None => None,
+    };
+    let insert = match insert {
+        Some(i) => Some(
+            shard
+                .catalog()
+                .validate_insert(&i.table, i.rows.into_rows())?,
+        ),
+        None => None,
+    };
+    shard.commit_halves(deleted.as_ref(), insert, decomposed)?;
     Ok(())
 }
 
@@ -140,27 +244,27 @@ pub(crate) fn open_wal_after<V: Vfs>(
 ///
 /// # Contract
 ///
-/// `append` receives the per-shard deltas of one commit half **after** they
-/// were applied in memory (`updates[s]` is shard `s`'s delta, `None` for an
-/// untouched shard). Before it returns `Ok(lsn)`:
+/// `append` receives one commit's per-shard deltas in commit order
+/// (`commit[s]` is shard `s`'s: its applied delete half, then its validated
+/// insert half; empty for an untouched shard). Before it returns `Ok(lsn)`:
 ///
-/// * every delta is framed with `update_record` and appended to the
-///   stream that owns its shard, and whatever fsyncs the topology's policy
-///   promises have completed — a crash after the return loses nothing the
-///   policy covers;
+/// * every touched shard's deltas are framed as one record by
+///   `commit_record` and appended to the stream that owns the shard, and
+///   whatever fsyncs the topology's policy promises have completed — a
+///   crash after the return loses nothing the policy covers;
 /// * `lsn` is the commit's position on the topology's one global clock,
 ///   strictly above every LSN returned before; the caller publishes every
 ///   shard's snapshot registry at exactly this LSN;
 /// * recovery of the files as they are at the return replays the commit
 ///   whole or (if the policy left it unsynced) not at all — never a part.
 ///
-/// Any `Err` leaves RAM ahead of the log: the caller **poisons** the
+/// Any `Err` may leave RAM ahead of the log: the caller **poisons** the
 /// engine. The same holds for a failed `checkpoint` right after DDL (the
 /// new view exists only in RAM); a failed *routine* `checkpoint` or `sync`
 /// changes no in-memory state and is simply returned.
 pub trait CommitLog {
-    /// Make one applied commit half durable and return its commit LSN.
-    fn append(&mut self, updates: &[Option<Update>], decomposed: bool) -> Result<Lsn>;
+    /// Make one commit durable and return its commit LSN.
+    fn append(&mut self, commit: &[Vec<&Update>], decomposed: bool) -> Result<Lsn>;
 
     /// Serialize `db`'s full state at the current log head, then prune what
     /// no recovery can need any more. Returns the checkpoint's LSN.
@@ -219,13 +323,13 @@ impl<L: CommitLog> Durable<L> {
     }
 
     /// The one durable commit: the shared pipeline with this engine's log
-    /// as its log stage. The in-memory mutation has already happened by the
-    /// time the log runs, so a log failure poisons.
+    /// as its log stage. A delete half has already been applied by the time
+    /// the log runs, so a log failure poisons.
     fn commit(&mut self, op: TableOp<'_>) -> Result<Vec<MaintenanceReport>> {
         self.check_usable()?;
         let (log, poisoned) = (&mut self.log, &mut self.poisoned);
-        self.db.commit_with(op, |updates, decomposed| {
-            log.append(updates, decomposed)
+        self.db.commit_with(op, |commit, decomposed| {
+            log.append(commit, decomposed)
                 .map_err(|e| Self::poison(poisoned, "log append of an applied update", e))
         })
     }
@@ -240,8 +344,11 @@ impl<L: CommitLog> Durable<L> {
         self.commit(TableOp::Delete { table, keys })
     }
 
-    /// Durable SQL-style `UPDATE`: delete + insert, two commits, both logged
-    /// with the decomposition flag so replay also disables the §6 fast
+    /// Durable SQL-style `UPDATE`: delete + insert as one commit — both
+    /// halves validated before either applies, logged as one record per
+    /// touched stream under one LSN (one fsync under
+    /// [`ojv_durability::FsyncPolicy::Always`]), published once. The record
+    /// carries the decomposition flag, so replay also disables the §6 fast
     /// paths.
     pub fn update(
         &mut self,

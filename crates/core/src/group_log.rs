@@ -15,7 +15,9 @@
 //!
 //! A logical commit touching K of N shards costs:
 //!
-//! 1. append the K per-shard deltas to their WALs (buffered, no fsync),
+//! 1. append one record per touched shard to its WAL (buffered, no fsync):
+//!    that shard's deltas in commit order — both halves of an `UPDATE`
+//!    share one record,
 //! 2. **one fsync per touched shard** — the cross-shard barrier,
 //! 3. one coordinator append + fsync of the group record.
 //!
@@ -50,8 +52,8 @@ use ojv_storage::{Catalog, Update};
 use crate::checkpoint_state::{codec_err, encode_state, fit_u32, restore_state};
 use crate::database::Database;
 use crate::durable::{
-    decode_update_record, open_wal_after, replay_update, update_record, CommitLog, Durable,
-    ShardedDurableDatabase, REC_UPDATE,
+    commit_record, decode_commit_record, open_wal_after, replay_commit, CommitLog, Durable,
+    ShardedDurableDatabase, REC_COMMIT, REC_UPDATE,
 };
 use crate::error::{CoreError, Result};
 use crate::policy::MaintenancePolicy;
@@ -169,7 +171,8 @@ pub struct ShardedRecoveryReport {
     pub group_lsn: Lsn,
     /// High-water LSN of the coordinator checkpoint.
     pub checkpoint_lsn: Lsn,
-    /// Shard WAL records re-applied (across all shards).
+    /// Shard WAL records re-applied (across all shards) — one per touched
+    /// shard per replayed commit, an `UPDATE` included.
     pub replayed_updates: usize,
     /// Shard WAL records above the group floor, discarded: their shard WAL
     /// was fsynced but the crash hit before the group record was.
@@ -216,14 +219,15 @@ impl<V: Vfs> CommitLog for GroupLog<V> {
     /// The group-commit barrier: buffered appends to the owner shards' WALs,
     /// one fsync per touched shard, then the coordinator's group record —
     /// the commit point, whose LSN is the global commit LSN.
-    fn append(&mut self, updates: &[Option<Update>], decomposed: bool) -> Result<Lsn> {
-        for (log, up) in self.shards.iter_mut().zip(updates) {
-            let Some(up) = up else { continue };
-            let payload = update_record(up, decomposed)?;
-            log.wal.append(&mut log.vfs, REC_UPDATE, &payload)?;
+    fn append(&mut self, commit: &[Vec<&Update>], decomposed: bool) -> Result<Lsn> {
+        for (log, deltas) in self.shards.iter_mut().zip(commit) {
+            if !deltas.is_empty() {
+                let (kind, payload) = commit_record(deltas, decomposed)?;
+                log.wal.append(&mut log.vfs, kind, &payload)?;
+            }
         }
-        for (log, up) in self.shards.iter_mut().zip(updates) {
-            if up.is_some() {
+        for (log, deltas) in self.shards.iter_mut().zip(commit) {
+            if !deltas.is_empty() {
                 log.wal.sync(&mut log.vfs)?;
             }
         }
@@ -389,14 +393,14 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
                     ));
                 }
                 next_expected += 1;
-                if rec.kind != REC_UPDATE {
+                if rec.kind != REC_UPDATE && rec.kind != REC_COMMIT {
                     return Err(corrupt(
                         &label,
                         format!("unknown record kind {} at lsn {}", rec.kind, rec.lsn),
                     ));
                 }
-                let (update, decomposed) = decode_update_record(&db, rec)?;
-                replay_update(&mut db, &update, decomposed)?;
+                let (deltas, decomposed) = decode_commit_record(&db, rec)?;
+                replay_commit(&mut db, rec, deltas, decomposed)?;
                 report.replayed_updates += 1;
             }
             if next_expected <= floor {
@@ -575,13 +579,24 @@ mod tests {
         // even an fsync, but the coordinator record never lands (crash
         // between barrier steps 2 and 3).
         let row = lineitem_row(5, 8, 1, 1, 7.0);
-        let ups = d.db.apply_insert_routed("lineitem", vec![row]).unwrap();
-        for (log, up) in d.log.shards.iter_mut().zip(&ups) {
-            let Some(up) = up else { continue };
-            let payload = update_record(up, false).unwrap();
-            log.wal.append(&mut log.vfs, REC_UPDATE, &payload).unwrap();
-            log.wal.sync(&mut log.vfs).unwrap();
-        }
+        let op = crate::shard::TableOp::Insert {
+            table: "lineitem",
+            rows: vec![row],
+        };
+        let log = &mut d.log;
+        let crashed = d.db.commit_with(op, |commit, decomposed| {
+            for (log, deltas) in log.shards.iter_mut().zip(commit) {
+                if !deltas.is_empty() {
+                    let (kind, payload) = commit_record(deltas, decomposed).unwrap();
+                    log.wal.append(&mut log.vfs, kind, &payload).unwrap();
+                    log.wal.sync(&mut log.vfs).unwrap();
+                }
+            }
+            Err(CoreError::Poisoned {
+                detail: "crash before the group record".to_string(),
+            })
+        });
+        assert!(crashed.is_err());
         let (shards, coord) = crash(d);
 
         let (r, report) =
@@ -625,8 +640,10 @@ mod tests {
         .unwrap();
         let expected = d.state_bytes().unwrap();
         let (shards, coord) = crash(d);
-        let (r, _) =
+        let (r, report) =
             ShardedDurableDatabase::open(shards, coord, MaintenancePolicy::default()).unwrap();
+        // Both halves route to the key's one owner shard: one record.
+        assert_eq!(report.replayed_updates, 1);
         assert_eq!(r.state_bytes().unwrap(), expected);
         for s in r.database().shards() {
             assert!(crate::maintain::verify_against_recompute(

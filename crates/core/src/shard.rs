@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use ojv_durability::Lsn;
 use ojv_exec::catch_each;
 use ojv_rel::{put_row, put_str, put_u32, put_u64, Datum, Relation, Row};
-use ojv_storage::{Catalog, ShardId, ShardRouter, StorageError, Update};
+use ojv_storage::{Catalog, ShardId, ShardRouter, StorageError, Update, ValidInsert};
 
 use crate::checkpoint_state::fit_u32;
 use crate::database::Database;
@@ -463,8 +463,9 @@ impl ShardedDatabase {
     }
 
     /// SQL-style `UPDATE` (delete + insert, §3): the §6 FK fast paths are
-    /// disabled for the pair, exactly like [`Database::update`]. Commits
-    /// twice (one global LSN per half).
+    /// disabled for the pair, exactly like [`Database::update`]. One commit:
+    /// both halves are validated on every owner shard before either
+    /// applies, and every shard publishes once, at one global LSN.
     pub fn update(
         &mut self,
         table: &str,
@@ -478,147 +479,114 @@ impl ShardedDatabase {
         })
     }
 
-    /// In-memory commit: the pipeline with no log stage — every half takes
-    /// the next dense LSN.
+    /// In-memory commit: the pipeline with no log stage — every commit
+    /// takes the next dense LSN.
     fn commit(&mut self, op: TableOp<'_>) -> Result<Vec<MaintenanceReport>> {
-        let mut next = self.commit_lsn;
-        self.commit_with(op, |_, _| {
-            next += 1;
-            Ok(next)
-        })
+        let next = self.commit_lsn + 1;
+        self.commit_with(op, |_, _| Ok(next))
     }
 
-    /// The commit pipeline, written once. `op` runs as one half (insert,
-    /// delete) or two (`UPDATE`: delete then insert, both *decomposed*); per
-    /// half:
+    /// The commit pipeline, written once. `op` has a delete half, an insert
+    /// half or (`UPDATE`: both, *decomposed*) both, and commits as one unit:
     ///
-    /// 1. **validate · route · apply** — the batch is checked globally and
-    ///    applied to its owner shards, all or nothing; a refused batch
-    ///    changes nothing and never reaches the log;
-    /// 2. **log** — `log(applied per-shard deltas, decomposed)` returns the
-    ///    half's commit LSN: the next dense number in memory, the LSN at
-    ///    which the deltas became durable under a [`crate::durable::Durable`];
-    /// 3. **maintain** — per-shard view maintenance, one shard after
-    ///    another;
+    /// 1. **route · validate · apply the delete half** — every owner
+    ///    shard's halves are checked ([`Catalog::validate_update`] for an
+    ///    `UPDATE`), then the cross-shard FK probes run, all before the
+    ///    first mutation; a refused operation changes nothing and never
+    ///    reaches the log. Then each owner shard applies its delete half;
+    /// 2. **log** — `log(per-shard deltas in commit order, decomposed)`
+    ///    returns the commit LSN: the next dense number in memory, the LSN
+    ///    at which the deltas became durable under a
+    ///    [`crate::durable::Durable`]. The insert half's delta is the
+    ///    validated rows, not yet applied;
+    /// 3. **maintain · apply the insert half · maintain** — per shard, one
+    ///    shard after another ([`Database::commit_halves`]);
     /// 4. **publish · observe** — every shard's registry (and observer)
-    ///    advances to that one LSN on this thread.
+    ///    advances to that one LSN on this thread, once.
     ///
-    /// A log failure returns before stage 3 with base tables already
-    /// changed; what that means is the log owner's business (the durable
+    /// A log failure returns before stage 3, with a delete half already
+    /// applied; what that means is the log owner's business (the durable
     /// layer poisons itself).
     pub(crate) fn commit_with(
         &mut self,
         op: TableOp<'_>,
-        mut log: impl FnMut(&[Option<Update>], bool) -> Result<Lsn>,
+        log: impl FnOnce(&[Vec<&Update>], bool) -> Result<Lsn>,
     ) -> Result<Vec<MaintenanceReport>> {
         let (table, keys, rows, decomposed) = match op {
             TableOp::Insert { table, rows } => (table, None, Some(rows), false),
             TableOp::Delete { table, keys } => (table, Some(keys), None, false),
             TableOp::Update { table, keys, rows } => (table, Some(keys), Some(rows), true),
         };
-        let mut reports = Vec::new();
-        if let Some(keys) = keys {
-            let updates = self.apply_delete_routed(table, keys)?;
-            let lsn = log(&updates, decomposed)?;
-            reports.extend(self.maintain_and_publish_at(&updates, decomposed, lsn)?);
-        }
-        if let Some(rows) = rows {
-            let updates = self.apply_insert_routed(table, rows)?;
-            let lsn = log(&updates, decomposed)?;
-            reports.extend(self.maintain_and_publish_at(&updates, decomposed, lsn)?);
-        }
-        Ok(reports)
-    }
-
-    /// Validate, route, and apply an insert batch to its owner shards
-    /// *without* maintaining views. One entry per shard, `None` for
-    /// untouched shards.
-    ///
-    /// Validation is total before the first mutation: every owner shard's
-    /// [`Catalog::validate_insert`] (row shape, null and duplicate keys —
-    /// equal keys route alike, so a shard sees all of a key's copies) and
-    /// then the cross-shard FK parent probes run for *all* shards before
-    /// any shard applies, after which applying cannot fail. A refused
-    /// batch leaves every shard bit-identical.
-    pub(crate) fn apply_insert_routed(
-        &mut self,
-        table: &str,
-        rows: Vec<Row>,
-    ) -> Result<Vec<Option<Update>>> {
-        let Some(tr) = self.table_routing(table)? else {
-            // One adopted shard: its catalog validates the whole batch —
-            // FK parents included, under its own flag — before applying.
-            return Ok(vec![Some(self.shards[0].apply_insert(table, rows)?)]);
-        };
-        let mut parts: Vec<Vec<Row>> = vec![Vec::new(); self.shards.len()];
-        for row in rows {
-            parts[self.route_or_first(&row, &tr.cols).index()].push(row);
-        }
+        let (key_parts, row_parts) = self.route(table, keys, rows)?;
         let mut batches = Vec::with_capacity(self.shards.len());
-        for (db, part) in self.shards.iter().zip(parts) {
-            batches.push(if part.is_empty() {
-                None
-            } else {
-                Some(db.catalog().validate_insert(table, part)?)
+        for ((db, keys), rows) in self.shards.iter().zip(&key_parts).zip(row_parts) {
+            let catalog = db.catalog();
+            batches.push(match (keys, rows) {
+                (Some(keys), Some(rows)) => {
+                    let (delete, insert) =
+                        catalog.validate_update(table, keys, rows)?.into_halves();
+                    (Some(delete), Some(insert))
+                }
+                (Some(keys), None) => (Some(catalog.validate_delete(table, keys)?), None),
+                (None, Some(rows)) => (None, Some(catalog.validate_insert(table, rows)?)),
+                (None, None) => (None, None),
             });
         }
-        if self.enforce_constraints {
-            for batch in batches.iter().flatten() {
-                self.check_fk_parents(table, batch.rows())?;
-            }
-        }
-        Ok(self
-            .shards
-            .iter_mut()
-            .zip(batches)
-            .map(|(db, batch)| batch.map(|b| db.catalog_mut().apply_insert(b)))
-            .collect())
-    }
-
-    /// Validate, route, and apply a delete batch to its owner shards
-    /// *without* maintaining views (see
-    /// [`ShardedDatabase::apply_insert_routed`]): every owner shard's
-    /// [`Catalog::validate_delete`] (missing keys, keys repeated inside the
-    /// batch) and the cross-shard restrict probes run before any shard
-    /// applies.
-    pub(crate) fn apply_delete_routed(
-        &mut self,
-        table: &str,
-        keys: &[Vec<Datum>],
-    ) -> Result<Vec<Option<Update>>> {
-        let Some(tr) = self.table_routing(table)? else {
-            // One adopted shard: its catalog validates the whole batch —
-            // restrict included, under its own flag — before applying.
-            return Ok(vec![Some(self.shards[0].apply_delete(table, keys)?)]);
-        };
-        let mut parts: Vec<Vec<&[Datum]>> = vec![Vec::new(); self.shards.len()];
-        for key in keys {
-            parts[self.route_or_first(key, &tr.key_pos).index()].push(key);
-        }
-        let mut batches = Vec::with_capacity(self.shards.len());
-        for (db, part) in self.shards.iter().zip(&parts) {
-            batches.push(if part.is_empty() {
-                None
-            } else {
-                Some(db.catalog().validate_delete(table, part)?)
-            });
-        }
-        if self.enforce_constraints {
-            // No child row anywhere may still reference a deleted parent.
-            for key in keys {
-                for s in &self.shards {
-                    if let Some(fk) = s.catalog().fk_restricting(table, key)? {
-                        return Err(CoreError::Storage(fk.restricts(key)));
-                    }
+        if self.routing.is_some() && self.enforce_constraints {
+            let keys = keys.unwrap_or_default();
+            self.check_restrict(table, keys)?;
+            for (_, insert) in &batches {
+                if let Some(insert) = insert {
+                    self.check_fk_parents(table, insert.delta().rows.rows(), keys)?;
                 }
             }
         }
-        Ok(self
-            .shards
-            .iter_mut()
-            .zip(batches)
-            .map(|(db, batch)| batch.map(|b| db.catalog_mut().apply_delete(b)))
-            .collect())
+        let mut deleted = Vec::with_capacity(batches.len());
+        let mut inserts = Vec::with_capacity(batches.len());
+        for (db, (delete, insert)) in self.shards.iter_mut().zip(batches) {
+            deleted.push(delete.map(|b| db.catalog_mut().apply_delete(b)));
+            inserts.push(insert);
+        }
+        let commit: Vec<Vec<&Update>> = deleted
+            .iter()
+            .zip(&inserts)
+            .map(|(d, i)| d.iter().chain(i.iter().map(ValidInsert::delta)).collect())
+            .collect();
+        let lsn = log(&commit, decomposed)?;
+        drop(commit);
+        self.maintain_and_publish_at(deleted, inserts, decomposed, lsn)
+    }
+
+    /// Split `op`'s halves by owner shard: per shard, the delete keys and
+    /// the insert rows it owns, `None` where it owns none. An adopted
+    /// single shard owns every half the operation has, empty or not — its
+    /// catalog then validates the whole operation, FK checks included,
+    /// under its own flag. Equal keys route alike, so a shard sees every
+    /// copy of a key: shard-local duplicate checks are global ones.
+    #[allow(clippy::type_complexity)]
+    fn route<'k>(
+        &self,
+        table: &str,
+        keys: Option<&'k [Vec<Datum>]>,
+        rows: Option<Vec<Row>>,
+    ) -> Result<(Vec<Option<Vec<&'k [Datum]>>>, Vec<Option<Vec<Row>>>)> {
+        let n = self.shards.len();
+        let Some(tr) = self.table_routing(table)? else {
+            let keys = keys.map(|keys| keys.iter().map(Vec::as_slice).collect());
+            return Ok((vec![keys], vec![rows]));
+        };
+        let mut key_parts: Vec<Vec<&[Datum]>> = vec![Vec::new(); n];
+        for key in keys.unwrap_or_default() {
+            key_parts[self.route_or_first(key, &tr.key_pos).index()].push(key);
+        }
+        let mut row_parts: Vec<Vec<Row>> = vec![Vec::new(); n];
+        for row in rows.unwrap_or_default() {
+            row_parts[self.route_or_first(&row, &tr.cols).index()].push(row);
+        }
+        Ok((
+            key_parts.into_iter().map(owned).collect(),
+            row_parts.into_iter().map(owned).collect(),
+        ))
     }
 
     /// Owner shard of a row (or delete key) by its routing columns. A row
@@ -633,20 +601,24 @@ impl ShardedDatabase {
         }
     }
 
-    /// Run per-shard maintenance for the routed updates and publish every
-    /// shard's registry at the global commit LSN `lsn`. Untouched shards
-    /// publish an empty commit, so all registries advance in lockstep and
+    /// Maintain every touched shard for its halves (delete half maintained,
+    /// insert half applied and maintained), then publish every shard's
+    /// registry at the global commit LSN `lsn`. Untouched shards publish an
+    /// empty commit, so all registries advance in lockstep and
     /// [`ShardedDatabase::snapshot`] can pin them at the same LSN — also
     /// when a shard's maintenance failed or panicked: the error is returned
     /// only after every shard has published.
     fn maintain_and_publish_at(
         &mut self,
-        updates: &[Option<Update>],
+        deleted: Vec<Option<Update>>,
+        inserts: Vec<Option<ValidInsert>>,
         decomposed: bool,
         lsn: Lsn,
     ) -> Result<Vec<MaintenanceReport>> {
-        let results = catch_each(self.shards.iter_mut().zip(updates), |_, (db, up)| {
-            up.as_ref().map(|u| db.maintain_views_only(u, decomposed))
+        let halves = deleted.into_iter().zip(inserts);
+        let results = catch_each(self.shards.iter_mut().zip(halves), |_, (db, (del, ins))| {
+            (del.is_some() || ins.is_some())
+                .then(|| db.commit_halves(del.as_ref(), ins, decomposed))
         });
         // Group publish: every shard commits at `lsn`.
         let mut publish_err = None;
@@ -673,12 +645,28 @@ impl ShardedDatabase {
         }
     }
 
+    /// The cross-shard restrict probe of a delete half: no child row on any
+    /// shard may still reference a deleted parent.
+    fn check_restrict(&self, table: &str, keys: &[Vec<Datum>]) -> Result<()> {
+        for key in keys {
+            for s in &self.shards {
+                if let Some(fk) = s.catalog().fk_restricting(table, key)? {
+                    return Err(CoreError::Storage(fk.restricts(key)));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The cross-shard half of insert validation: a parent may live on any
     /// shard, so every shard's unique index is probed — in place, no key is
-    /// built — for each non-null foreign key value.
-    fn check_fk_parents(&self, table: &str, rows: &[Row]) -> Result<()> {
+    /// built — for each non-null foreign key value. A parent among `deleted`
+    /// (the same operation's delete half: only a self-referencing key can
+    /// name one) counts as gone.
+    fn check_fk_parents(&self, table: &str, rows: &[Row], deleted: &[Vec<Datum>]) -> Result<()> {
         let catalog = self.shards[0].catalog();
         for fk in catalog.fks_from(table) {
+            let deleted = if fk.parent == fk.child { deleted } else { &[] };
             for row in rows {
                 // SQL semantics: null FK values are not checked.
                 if fk.child_cols.iter().any(|&c| row[c].is_null()) {
@@ -688,7 +676,9 @@ impl ShardedDatabase {
                     s.catalog()
                         .table(&fk.parent)
                         .is_ok_and(|t| t.contains_key_of(row, &fk.child_cols))
-                });
+                }) && !deleted
+                    .iter()
+                    .any(|key| fk.child_cols.iter().zip(key).all(|(&c, k)| row[c] == *k));
                 if !exists {
                     return Err(CoreError::Storage(fk.parent_missing(row)));
                 }
@@ -812,6 +802,11 @@ impl ShardedDatabase {
         }
         Ok(())
     }
+}
+
+/// A shard's part of a half: `None` when the shard owns none of it.
+fn owned<T>(part: Vec<T>) -> Option<Vec<T>> {
+    (!part.is_empty()).then_some(part)
 }
 
 fn misaligned(view: &str, detail: String) -> CoreError {

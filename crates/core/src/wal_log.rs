@@ -24,8 +24,8 @@ use ojv_storage::{Catalog, Update};
 use crate::checkpoint_state::{encode_state, restore_state};
 use crate::database::Database;
 use crate::durable::{
-    decode_update_record, open_wal_after, replay_update, update_record, CommitLog, Durable,
-    DurableDatabase, REC_UPDATE,
+    commit_record, decode_commit_record, open_wal_after, replay_commit, CommitLog, Durable,
+    DurableDatabase, REC_COMMIT, REC_UPDATE,
 };
 use crate::error::{CoreError, Result};
 use crate::materialize::MaterializedView;
@@ -37,7 +37,8 @@ use crate::shard::ShardedDatabase;
 pub struct RecoveryReport {
     /// High-water LSN of the checkpoint the state was loaded from.
     pub checkpoint_lsn: Lsn,
-    /// `REC_UPDATE` records re-applied to the catalog and views.
+    /// Commit records (`REC_UPDATE` or `REC_COMMIT`) re-applied to the
+    /// catalog and views — one per replayed commit, an `UPDATE` included.
     pub replayed_updates: usize,
     /// Newest LSN in the recovered log (0 if the log was empty).
     pub last_lsn: Lsn,
@@ -55,12 +56,12 @@ pub struct WalLog<V: Vfs> {
 impl<V: Vfs> CommitLog for WalLog<V> {
     /// One record, flushed per the WAL's fsync policy; its LSN is the commit
     /// LSN.
-    fn append(&mut self, updates: &[Option<Update>], decomposed: bool) -> Result<Lsn> {
-        let [Some(update)] = updates else {
+    fn append(&mut self, commit: &[Vec<&Update>], decomposed: bool) -> Result<Lsn> {
+        let [deltas] = commit else {
             unreachable!("a WalLog sits under exactly one shard, which every commit touches");
         };
-        let payload = update_record(update, decomposed)?;
-        Ok(self.wal.append(&mut self.vfs, REC_UPDATE, &payload)?)
+        let (kind, payload) = commit_record(deltas, decomposed)?;
+        Ok(self.wal.append(&mut self.vfs, kind, &payload)?)
     }
 
     /// Checkpoint at the WAL high-water LSN, then prune what no recovery can
@@ -153,7 +154,7 @@ impl<V: Vfs> DurableDatabase<V> {
             // The kind first, so a record of a retired kind is refused
             // wherever it sits; then skip what the checkpoint vouches for
             // without decoding it.
-            if rec.kind != REC_UPDATE {
+            if rec.kind != REC_UPDATE && rec.kind != REC_COMMIT {
                 let detail = match rec.kind {
                     2 => format!(
                         "deferred-view refresh marker (WAL record kind 2) at lsn {}; deferred \
@@ -172,8 +173,8 @@ impl<V: Vfs> DurableDatabase<V> {
             }
             // Re-apply and re-maintain exactly as the original call did, at
             // the original LSN.
-            let (update, decomposed) = decode_update_record(&db, rec)?;
-            replay_update(&mut db, &update, decomposed)?;
+            let (deltas, decomposed) = decode_commit_record(&db, rec)?;
+            replay_commit(&mut db, rec, deltas, decomposed)?;
             db.publish_commit(rec.lsn)?;
             report.replayed_updates += 1;
         }
@@ -316,6 +317,8 @@ mod tests {
         assert_eq!(r.state_bytes().unwrap(), expected);
     }
 
+    /// One `UPDATE` is one `REC_COMMIT` record at one LSN, and replaying it
+    /// keeps the decomposition flag.
     #[test]
     fn update_decomposition_flag_survives_replay() {
         let mut d = DurableDatabase::create(MemVfs::new(), seeded(), policy()).unwrap();
@@ -326,14 +329,115 @@ mod tests {
             vec![lineitem_row(2, 1, 3, 99, 1.0)],
         )
         .unwrap();
+        assert_eq!(d.last_lsn(), 1, "one UPDATE, one LSN");
+        assert_eq!(d.database().commit_lsn(), 1);
         let expected = d.state_bytes().unwrap();
         let (r, report) = DurableDatabase::open(d.into_vfs(), policy()).unwrap();
-        assert_eq!(report.replayed_updates, 2);
+        assert_eq!(report.replayed_updates, 1, "one record for both halves");
         assert_eq!(r.state_bytes().unwrap(), expected);
         assert!(crate::maintain::verify_against_recompute(
             r.view("oj_view").unwrap(),
             r.database().catalog()
         ));
+    }
+
+    /// The two halves of `UPDATE lineitem (2, 1)`, as applied to `seeded()`.
+    fn update_halves() -> (Update, Update) {
+        let mut c = seeded();
+        let deleted = c
+            .delete("lineitem", &[vec![Datum::Int(2), Datum::Int(1)]])
+            .unwrap();
+        let inserted = c
+            .insert("lineitem", vec![lineitem_row(2, 1, 3, 99, 1.0)])
+            .unwrap();
+        (deleted, inserted)
+    }
+
+    fn commit_rec(payload: Vec<u8>) -> ojv_durability::WalRecord {
+        ojv_durability::WalRecord {
+            lsn: 7,
+            kind: REC_COMMIT,
+            payload,
+        }
+    }
+
+    fn assert_corrupt(db: &Database, payload: Vec<u8>, what: &str) {
+        match decode_commit_record(db, &commit_rec(payload)) {
+            Err(CoreError::Durability(DurabilityError::Corrupt { .. })) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A `REC_COMMIT` payload round-trips, and replaying the decoded halves
+    /// lands on the state a live `UPDATE` leaves.
+    #[test]
+    fn commit_record_round_trips_and_replays_like_a_live_update() {
+        let (deleted, inserted) = update_halves();
+        let (kind, payload) = commit_record(&[&deleted, &inserted], true).unwrap();
+        assert_eq!(kind, REC_COMMIT);
+        // One delta alone keeps the pre-existing `REC_UPDATE` bytes.
+        let (one, _) = commit_record(&[&inserted], false).unwrap();
+        assert_eq!(one, REC_UPDATE);
+
+        let mut replayed = Database::new(seeded());
+        replayed.create_view(oj_view_def()).unwrap();
+        let rec = commit_rec(payload);
+        let (deltas, decomposed) = decode_commit_record(&replayed, &rec).unwrap();
+        assert!(decomposed);
+        let encoded: Vec<Vec<u8>> = deltas
+            .iter()
+            .map(|u| ojv_storage::encode_update(u).unwrap())
+            .collect();
+        let expected: Vec<Vec<u8>> = [&deleted, &inserted]
+            .iter()
+            .map(|u| ojv_storage::encode_update(u).unwrap())
+            .collect();
+        assert_eq!(encoded, expected);
+        replay_commit(&mut replayed, &rec, deltas, decomposed).unwrap();
+        replayed.publish_commit(1).unwrap();
+
+        let mut live = Database::new(seeded());
+        live.create_view(oj_view_def()).unwrap();
+        live.update(
+            "lineitem",
+            &[vec![Datum::Int(2), Datum::Int(1)]],
+            vec![lineitem_row(2, 1, 3, 99, 1.0)],
+        )
+        .unwrap();
+        assert_eq!(
+            encode_state(&replayed).unwrap(),
+            encode_state(&live).unwrap()
+        );
+
+        // The halves in the wrong order are refused, not replayed.
+        let (_, swapped) = commit_record(&[&inserted, &deleted], true).unwrap();
+        let rec = commit_rec(swapped);
+        let (deltas, _) = decode_commit_record(&replayed, &rec).unwrap();
+        let mut fresh = Database::new(seeded());
+        assert!(matches!(
+            replay_commit(&mut fresh, &rec, deltas, true),
+            Err(CoreError::Durability(DurabilityError::Corrupt { .. }))
+        ));
+    }
+
+    /// A malformed `REC_COMMIT` frame is `Corrupt`, never a panic: every
+    /// truncation, a length past the end, no delta, trailing bytes.
+    #[test]
+    fn malformed_commit_records_are_corrupt() {
+        let (deleted, inserted) = update_halves();
+        let (_, payload) = commit_record(&[&deleted, &inserted], true).unwrap();
+        let db = Database::new(seeded());
+        for cut in 1..payload.len() {
+            assert_corrupt(&db, payload[..cut].to_vec(), &format!("cut at {cut}"));
+        }
+        // The first delta's length (bytes 5..9) pointing past the record.
+        let mut overlong = payload.clone();
+        overlong[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_corrupt(&db, overlong, "overlong length");
+        assert_corrupt(&db, vec![1, 0, 0, 0, 0], "zero count");
+        let mut trailing = payload;
+        trailing.push(0xAA);
+        assert_corrupt(&db, trailing, "trailing bytes");
     }
 
     /// FNV-1a 64 of a byte string, for the format golden below.

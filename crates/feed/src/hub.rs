@@ -1252,8 +1252,12 @@ mod tests {
         );
     }
 
+    /// An `UPDATE` is one commit, so each leaf receives exactly one netted
+    /// set for it: a pre-image (deleted key) and a post-image (inserted
+    /// row) per changed view row, or nothing when no projected column
+    /// changed.
     #[test]
-    fn update_decomposition_nets_to_halves() {
+    fn update_is_one_netted_set_of_pre_and_post_images() {
         let mut db = db();
         let hub = FeedHub::new();
         hub.attach(&mut db);
@@ -1266,27 +1270,32 @@ mod tests {
             .with_projection(vec![0, 9]);
         let (sub, image) = hub.subscribe(&spec).unwrap();
         let mut state = SubscriberState::new(&image);
-        // UPDATE lineitem (1,1)'s price: decomposes into delete+insert per
-        // affected view row; the feed nets each row to its two halves.
+        let lsn = db.commit_lsn();
+        // UPDATE lineitem (1,1)'s price: delete + insert per affected view
+        // row, netted within the one commit.
         db.update(
             "lineitem",
             &[vec![Datum::Int(1), Datum::Int(1)]],
             vec![fixtures::lineitem_row(1, 1, 2, 5, 999.0)],
         )
         .unwrap();
+        assert_eq!(db.commit_lsn(), lsn + 1, "one UPDATE, one commit");
         match sub.drain().unwrap() {
             Drained::Updates(sets) => {
-                // The decomposition may arrive as one netted set or as its
-                // two single-sided halves, depending on how the policy
-                // batches the rounds — but both halves must be present.
-                assert!(!sets.is_empty());
-                let (ins, del) = sets
-                    .iter()
-                    .fold((0, 0), |(i, d), s| (i + s.counts().0, d + s.counts().1));
-                assert!(ins > 0 && del > 0, "update must produce both halves");
-                for set in &sets {
-                    state.apply(set);
-                }
+                assert_eq!(sets.len(), 1, "exactly one netted set: {sets:?}");
+                let set = &sets[0];
+                assert_eq!(set.lsn, lsn + 1);
+                let (ins, del) = set.counts();
+                assert!(ins > 0 && ins == del, "{ins} post-images, {del} pre-images");
+                let key_of = |row: &[Datum]| row[..set.key_width].to_vec();
+                let mut pre: Vec<Vec<Datum>> =
+                    (0..del).map(|i| set.deletes.row(i).to_vec()).collect();
+                let mut post: Vec<Vec<Datum>> =
+                    (0..ins).map(|i| key_of(set.inserts.row(i))).collect();
+                pre.sort();
+                post.sort();
+                assert_eq!(pre, post, "each changed row has both images");
+                state.apply(set);
             }
             other => panic!("expected Updates, got {other:?}"),
         }
@@ -1294,7 +1303,7 @@ mod tests {
 
         // An UPDATE that leaves the projected columns untouched nets to
         // nothing for this leaf (part name, output column 1, does not
-        // change when a lineitem price does).
+        // change when a lineitem price does): no set is delivered.
         let spec_name = SubscriptionSpec::on("oj_view")
             .with_filter(FeedFilter::new(vec![crate::filter::FeedAtom::IsNotNull {
                 col: 5,
@@ -1308,30 +1317,24 @@ mod tests {
             vec![fixtures::lineitem_row(1, 1, 2, 5, 123.0)],
         )
         .unwrap();
-        let before = name_state.state_bytes();
-        let mut name_state = name_state;
         match sub_name.drain().unwrap() {
             Drained::Updates(sets) => {
-                // The decomposition's two commits are netted independently
-                // (delivery is per-commit, in LSN order), so the leaf may
-                // see the delete and re-insert as separate sets — but
-                // applying them must net to a no-op for a projection the
-                // update didn't touch. A same-commit delete+insert would
-                // have been cancelled outright during netting.
-                for set in &sets {
-                    name_state.apply(set);
-                }
-                assert_eq!(
-                    name_state.state_bytes(),
-                    before,
-                    "price change must net to nothing for a name projection"
-                );
+                assert!(
+                    sets.is_empty(),
+                    "price change must net to nothing: {sets:?}"
+                )
             }
             other => panic!("expected Updates, got {other:?}"),
         }
         assert_converged(&db, &spec_name, &name_state);
-        // The price projection does see it.
-        apply_all(&mut state, sub.drain().unwrap());
+        // The price projection does see it, as one set.
+        match sub.drain().unwrap() {
+            Drained::Updates(sets) => {
+                assert_eq!(sets.len(), 1, "{sets:?}");
+                state.apply(&sets[0]);
+            }
+            other => panic!("expected Updates, got {other:?}"),
+        }
         assert_converged(&db, &spec, &state);
     }
 

@@ -1,6 +1,6 @@
 //! The catalog: tables plus declared constraints.
 
-use ojv_rel::{key_of, Column, Datum, FxHashMap, Relation, Row, Schema};
+use ojv_rel::{key_of, Column, Datum, FxHashMap, FxHashSet, Relation, Row, Schema};
 
 use crate::delta::{Update, UpdateOp};
 use crate::error::StorageError;
@@ -225,29 +225,9 @@ impl Catalog {
     pub fn validate_insert(
         &self,
         table: &str,
-        mut rows: Vec<Row>,
+        rows: Vec<Row>,
     ) -> Result<ValidInsert, StorageError> {
-        let tidx = self.index_of(table)?;
-        let t = &self.tables[tidx];
-        for row in &mut rows {
-            t.schema().canonicalize_row(row);
-        }
-        t.validate_insert(&rows)?;
-        if self.enforce_constraints {
-            for fk in self.fks_from(table) {
-                let parent = self.table(&fk.parent)?;
-                for row in &rows {
-                    // SQL semantics: null FK values are not checked.
-                    if fk.child_cols.iter().any(|&c| row[c].is_null())
-                        || parent.contains_key_of(row, &fk.child_cols)
-                    {
-                        continue;
-                    }
-                    return Err(fk.parent_missing(row));
-                }
-            }
-        }
-        Ok(ValidInsert { table: tidx, rows })
+        self.check_insert(self.index_of(table)?, rows, &FxHashSet::default())
     }
 
     /// Check a whole delete batch against this catalog, changing nothing:
@@ -262,9 +242,82 @@ impl Catalog {
         keys: &'k [K],
     ) -> Result<ValidDelete<'k, K>, StorageError> {
         let tidx = self.index_of(table)?;
-        self.tables[tidx].validate_delete(keys)?;
+        self.check_delete(tidx, keys)?;
+        Ok(ValidDelete { table: tidx, keys })
+    }
+
+    /// Check both halves of an SQL `UPDATE` (paper §3: delete `keys`, then
+    /// insert `rows`) against this catalog, changing nothing. The delete
+    /// half is [`Catalog::validate_delete`]; the insert half is
+    /// [`Catalog::validate_insert`] against the state *after* the delete —
+    /// the deleted rows count as absent for duplicate keys and as parents.
+    /// A refused `UPDATE` therefore changes nothing, and applying the two
+    /// halves of the returned batch in order (delete first) cannot fail.
+    pub fn validate_update<'k, K: AsRef<[Datum]>>(
+        &self,
+        table: &str,
+        keys: &'k [K],
+        rows: Vec<Row>,
+    ) -> Result<ValidUpdate<'k, K>, StorageError> {
+        let tidx = self.index_of(table)?;
+        let gone = self.check_delete(tidx, keys)?;
+        let insert = self.check_insert(tidx, rows, &gone)?;
+        Ok(ValidUpdate {
+            delete: ValidDelete { table: tidx, keys },
+            insert,
+        })
+    }
+
+    /// The insert checks, with the rows at positions `gone` of table `tidx`
+    /// counted as deleted.
+    fn check_insert(
+        &self,
+        tidx: usize,
+        mut rows: Vec<Row>,
+        gone: &FxHashSet<u32>,
+    ) -> Result<ValidInsert, StorageError> {
+        let t = &self.tables[tidx];
+        for row in &mut rows {
+            t.schema().canonicalize_row(row);
+        }
+        t.validate_insert(&rows, gone)?;
         if self.enforce_constraints {
-            for fk in self.fks_to(table) {
+            let none = FxHashSet::default();
+            for fk in self.fks_from(t.name()) {
+                let parent = self.table(&fk.parent)?;
+                // Only a self-referencing key can name a deleted parent.
+                let gone = if fk.parent == fk.child { gone } else { &none };
+                for row in &rows {
+                    // SQL semantics: null FK values are not checked.
+                    if fk.child_cols.iter().any(|&c| row[c].is_null())
+                        || parent.holds_key_of(row, &fk.child_cols, gone)
+                    {
+                        continue;
+                    }
+                    return Err(fk.parent_missing(row));
+                }
+            }
+        }
+        Ok(ValidInsert {
+            table: tidx,
+            delta: Update {
+                table: t.name().to_string(),
+                op: UpdateOp::Insert,
+                rows: Relation::new(t.schema().clone(), rows),
+            },
+        })
+    }
+
+    /// The delete checks; returns the heap positions the keys name.
+    fn check_delete<K: AsRef<[Datum]>>(
+        &self,
+        tidx: usize,
+        keys: &[K],
+    ) -> Result<FxHashSet<u32>, StorageError> {
+        let t = &self.tables[tidx];
+        let gone = t.validate_delete(keys)?;
+        if self.enforce_constraints {
+            for fk in self.fks_to(t.name()) {
                 let child = self.table(&fk.child)?;
                 for key in keys {
                     if child.count_secondary(fk.child_index, key.as_ref()) > 0 {
@@ -273,19 +326,14 @@ impl Catalog {
                 }
             }
         }
-        Ok(ValidDelete { table: tidx, keys })
+        Ok(gone)
     }
 
     /// Append a validated insert batch and return the applied delta. The
     /// caller's rows move into the delta; nothing is cloned per row.
     pub fn apply_insert(&mut self, batch: ValidInsert) -> Update {
-        let t = &mut self.tables[batch.table];
-        t.append(&batch.rows);
-        Update {
-            table: t.name().to_string(),
-            op: UpdateOp::Insert,
-            rows: Relation::new(t.schema().clone(), batch.rows),
-        }
+        self.tables[batch.table].append(batch.delta.rows.rows());
+        batch.delta
     }
 
     /// Remove a validated delete batch and return the applied delta.
@@ -352,13 +400,15 @@ impl ForeignKey {
 #[derive(Debug)]
 pub struct ValidInsert {
     table: usize,
-    rows: Vec<Row>,
+    /// The delta `apply_insert` returns: the canonicalized rows.
+    delta: Update,
 }
 
 impl ValidInsert {
-    /// The canonicalized rows of the batch.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// The delta applying this batch will return — a commit logs it before
+    /// the rows are applied.
+    pub fn delta(&self) -> &Update {
+        &self.delta
     }
 }
 
@@ -367,6 +417,21 @@ impl ValidInsert {
 pub struct ValidDelete<'k, K> {
     table: usize,
     keys: &'k [K],
+}
+
+/// Both halves of an SQL `UPDATE` that [`Catalog::validate_update`]
+/// accepted. Apply the delete half first, then the insert half.
+#[derive(Debug)]
+pub struct ValidUpdate<'k, K> {
+    delete: ValidDelete<'k, K>,
+    insert: ValidInsert,
+}
+
+impl<'k, K> ValidUpdate<'k, K> {
+    /// The delete half and the insert half, in the order they apply.
+    pub fn into_halves(self) -> (ValidDelete<'k, K>, ValidInsert) {
+        (self.delete, self.insert)
+    }
 }
 
 #[cfg(test)]
@@ -512,6 +577,69 @@ mod tests {
         let batch = c.validate_delete("t", &keys).unwrap();
         assert_eq!(c.apply_delete(batch).rows.len(), 1);
         assert!(c.table("t").unwrap().is_empty());
+    }
+
+    /// The insert half is checked against the state after the delete half:
+    /// a deleted key may come back, a stored one may not, and a refused
+    /// `UPDATE` changes nothing.
+    #[test]
+    fn validate_update_checks_the_insert_half_after_the_delete_half() {
+        let mut c = catalog();
+        let row = |k: i64, v: i64| vec![Datum::Int(k), Datum::Int(v)];
+        c.insert("parent", vec![row(1, 0), row(2, 0)]).unwrap();
+        let before: Vec<Row> = c.table("parent").unwrap().iter_rows().collect();
+        let one = [vec![Datum::Int(1)]];
+        for refused in [
+            vec![row(2, 5)],
+            vec![row(1, 5), row(1, 6)],
+            vec![row(3, 5), row(3, 6)],
+        ] {
+            let err = c.validate_update("parent", &one, refused).unwrap_err();
+            assert!(matches!(err, StorageError::DuplicateKey { .. }), "{err}");
+        }
+        assert!(c
+            .validate_update("parent", &[vec![Datum::Int(9)]], vec![row(9, 1)])
+            .is_err());
+        let after: Vec<Row> = c.table("parent").unwrap().iter_rows().collect();
+        assert_eq!(after, before, "validation changes nothing");
+
+        let (delete, insert) = c
+            .validate_update("parent", &one, vec![row(1, 7)])
+            .unwrap()
+            .into_halves();
+        assert_eq!(c.apply_delete(delete).rows.len(), 1);
+        assert_eq!(c.apply_insert(insert).rows.rows(), &[row(1, 7)][..]);
+        assert_eq!(
+            c.table("parent")
+                .unwrap()
+                .get(&[Datum::Int(1)])
+                .unwrap()
+                .to_row(),
+            row(1, 7)
+        );
+    }
+
+    /// A self-referencing key cannot name a parent the same `UPDATE`
+    /// deletes — the verdict a delete followed by an insert would reach.
+    #[test]
+    fn validate_update_counts_deleted_rows_as_gone_parents() {
+        let mut c = catalog();
+        c.add_foreign_key("fk_parent_parent", "parent", &["v"], "parent")
+            .unwrap();
+        let row = |k: i64, v: i64| vec![Datum::Int(k), Datum::Int(v)];
+        c.enforce_constraints = false;
+        c.insert("parent", vec![row(1, 1), row(2, 1), row(3, 1)])
+            .unwrap();
+        c.enforce_constraints = true;
+        let three = [vec![Datum::Int(3)]];
+        let err = c
+            .validate_update("parent", &three, vec![row(4, 3)])
+            .unwrap_err();
+        assert!(
+            matches!(err, StorageError::ForeignKeyViolation { .. }),
+            "{err}"
+        );
+        assert!(c.validate_update("parent", &three, vec![row(4, 2)]).is_ok());
     }
 
     #[test]

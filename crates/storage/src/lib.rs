@@ -25,7 +25,7 @@ pub mod heap;
 pub mod shard;
 pub mod table;
 
-pub use catalog::{Catalog, ForeignKey, ValidDelete, ValidInsert};
+pub use catalog::{Catalog, ForeignKey, ValidDelete, ValidInsert, ValidUpdate};
 pub use codec::{decode_catalog, decode_update, encode_catalog, encode_update};
 pub use delta::{Update, UpdateOp};
 pub use error::StorageError;

@@ -8,7 +8,7 @@
 
 use ojv_rel::postable::{idx, pos32, PosTable};
 use ojv_rel::{fx_hash_one, fx_set_with_capacity, key_eq_rows, key_hash, key_hash_with};
-use ojv_rel::{Datum, DatumRef, Relation, Row, SchemaRef};
+use ojv_rel::{Datum, DatumRef, FxHashSet, Relation, Row, SchemaRef};
 
 use crate::error::StorageError;
 use crate::heap::{ColumnHeap, RowRef};
@@ -370,9 +370,20 @@ impl Table {
     /// `cols` (aligned with the key columns) — the FK parent probe, hashed
     /// in place with no key built.
     pub fn contains_key_of(&self, row: &[Datum], cols: &[usize]) -> bool {
+        self.holds_key_of(row, cols, &FxHashSet::default())
+    }
+
+    /// [`Table::contains_key_of`], counting the rows at positions `gone`
+    /// as already removed.
+    pub(crate) fn holds_key_of(
+        &self,
+        row: &[Datum],
+        cols: &[usize],
+        gone: &FxHashSet<u32>,
+    ) -> bool {
         debug_assert_eq!(cols.len(), self.key_cols.len());
         self.stored(key_hash(row, cols), |k| row[cols[k]].as_ref())
-            .is_some()
+            .is_some_and(|pos| !gone.contains(&pos))
     }
 
     /// Rows matching `key` on secondary index `idx`, in bucket order.
@@ -412,8 +423,14 @@ impl Table {
 
     /// Check a whole insert batch before anything is applied: row shape,
     /// null key values, and duplicate keys against the table **and inside
-    /// the batch**. After `Ok`, `append` of the same rows cannot fail.
-    pub(crate) fn validate_insert(&self, rows: &[Row]) -> Result<(), StorageError> {
+    /// the batch**. Stored rows at positions `gone` count as already
+    /// removed (the delete half of an `UPDATE`). After `Ok`, `append` of the
+    /// same rows — after removing `gone`, if any — cannot fail.
+    pub(crate) fn validate_insert(
+        &self,
+        rows: &[Row],
+        gone: &FxHashSet<u32>,
+    ) -> Result<(), StorageError> {
         let key_cols = &self.key_cols;
         // Keys of the batch so far, as `hash → row number`.
         let mut batch = PosTable::default();
@@ -426,7 +443,9 @@ impl Table {
                 });
             }
             let hash = key_hash(row, key_cols);
-            let stored = self.stored(hash, |k| row[key_cols[k]].as_ref());
+            let stored = self
+                .stored(hash, |k| row[key_cols[k]].as_ref())
+                .filter(|pos| !gone.contains(pos));
             let earlier = batch.find(hash, |j| {
                 key_eq_rows(&rows[idx(j)], key_cols, row, key_cols)
             });
@@ -462,7 +481,7 @@ impl Table {
     /// Insert a batch of rows, all or nothing: the whole batch is validated
     /// before the first row is applied.
     pub fn insert_batch(&mut self, rows: &[Row]) -> Result<(), StorageError> {
-        self.validate_insert(rows)?;
+        self.validate_insert(rows, &FxHashSet::default())?;
         self.append(rows);
         Ok(())
     }
@@ -475,11 +494,12 @@ impl Table {
     /// Check a whole delete batch before anything is applied: every key
     /// must name a stored row, and none may repeat inside the batch (the
     /// second occurrence would not be found once the first is applied).
-    /// After `Ok`, `remove` of the same keys in order cannot fail.
+    /// After `Ok`, `remove` of the same keys in order cannot fail. Returns
+    /// the heap positions the keys name.
     pub(crate) fn validate_delete<K: AsRef<[Datum]>>(
         &self,
         keys: &[K],
-    ) -> Result<(), StorageError> {
+    ) -> Result<FxHashSet<u32>, StorageError> {
         // Two keys are the same key iff they resolve to the same position.
         let mut seen = fx_set_with_capacity(keys.len());
         for key in keys {
@@ -494,7 +514,7 @@ impl Table {
                 }
             }
         }
-        Ok(())
+        Ok(seen)
     }
 
     /// Remove the row with unique key `key`, already accepted by

@@ -4,22 +4,17 @@
 //! over two views runs once against a [`MemVfs`]; the resulting WAL
 //! segment is then cut at every record boundary — and, in the full matrix,
 //! at torn offsets *inside* every record — and recovery is opened on each
-//! truncated filesystem. Recovered state must be **byte-identical** (via
-//! `DurableDatabase::state_bytes`) to an uncrashed twin that ran exactly the
-//! surviving prefix of the workload.
-//!
-//! When a cut lands between the two halves of an `update()` (which logs a
-//! delete record and an insert record), no step-granular twin exists; those
-//! points are checked record-granularly instead: the recovered catalog must
-//! equal a catalog that applied exactly the surviving record operations, both
-//! views must pass the full-recompute oracle, and recovery must be
-//! idempotent (a second open over the recovered filesystem is a byte-level
-//! no-op).
+//! truncated filesystem. Every step, an `update()` included, logs exactly
+//! one record, so every cut has a step-granular twin: recovered state must
+//! be **byte-identical** (via `DurableDatabase::state_bytes`) to an
+//! uncrashed twin that ran exactly the surviving steps of the workload.
 //!
 //! The file closes with the **poison contract**, held for both durable
 //! engines by one generic helper over `Durable<L: CommitLog>`: a log append
 //! that fails after the batch was applied in memory poisons the engine, and
-//! reopening its files lands on the last consistent state.
+//! reopening its files lands on the last consistent state — for a sharded
+//! `UPDATE` whose shard records were synced before the coordinator failed,
+//! that state holds none of the `UPDATE`.
 //!
 //! The fast subset runs in plain `cargo test -q`; the exhaustive matrix and
 //! the ~200-case seeded fault-injection sweep are `#[ignore]`d and run in CI
@@ -31,7 +26,6 @@ use std::sync::Arc;
 use ojv::core::durable::{CommitLog, Durable};
 use ojv::durability::wal::{scan_segment, SEGMENT_HEADER_LEN};
 use ojv::prelude::*;
-use ojv::storage::encode_catalog;
 use ojv_core::fixtures;
 use ojv_testkit::{fault_spec, FaultFile, FaultSpec, Rng, Strategy};
 
@@ -78,22 +72,13 @@ fn build<V: Vfs>(vfs: V) -> DurableDatabase<V> {
     d
 }
 
-/// One workload step. `Update` logs two WAL records (delete + insert with
-/// the decomposition flag); everything else logs exactly one.
+/// One workload step; each logs exactly one WAL record (an `Update` logs
+/// both halves in one `REC_COMMIT` record with the decomposition flag).
 #[derive(Debug, Clone)]
 enum Step {
     Insert(&'static str, Vec<Row>),
     Delete(&'static str, Row),
     Update(&'static str, Row, Row),
-}
-
-impl Step {
-    fn records(&self) -> u64 {
-        match self {
-            Step::Update(..) => 2,
-            _ => 1,
-        }
-    }
 }
 
 /// The scripted workload: touches all three base tables, commits one
@@ -127,7 +112,7 @@ fn steps() -> Vec<Step> {
 }
 
 fn total_records() -> u64 {
-    steps().iter().map(Step::records).sum()
+    u64::try_from(steps().len()).unwrap()
 }
 
 fn apply<V: Vfs>(d: &mut DurableDatabase<V>, step: &Step) {
@@ -145,58 +130,19 @@ fn apply<V: Vfs>(d: &mut DurableDatabase<V>, step: &Step) {
     }
 }
 
-/// Uncrashed twin reflecting exactly the first `m` WAL records, or `None`
-/// when `m` falls between the two records of an `Update` step.
-fn twin_at(m: u64) -> Option<DurableDatabase<MemVfs>> {
+/// Uncrashed twin reflecting exactly the first `m` WAL records — the first
+/// `m` steps, since each step logs one record. It exists at every `m` the
+/// log can hold: no cut can split a step.
+fn twin_at(m: u64) -> DurableDatabase<MemVfs> {
+    let m = usize::try_from(m).unwrap();
+    let steps = steps();
+    assert!(m <= steps.len(), "lsn {m} past the workload's last step");
     let mut d = build(MemVfs::new());
-    let mut logged = 0u64;
-    for step in steps() {
-        let n = step.records();
-        if logged + n > m {
-            break;
-        }
-        apply(&mut d, &step);
-        logged += n;
+    for step in &steps[..m] {
+        apply(&mut d, step);
     }
-    (logged == m).then_some(d)
-}
-
-/// The catalog-level operation each WAL record performs — the
-/// record-granular oracle for mid-update crash points.
-enum CatOp {
-    Ins(&'static str, Vec<Row>),
-    Del(&'static str, Row),
-}
-
-fn record_ops() -> Vec<CatOp> {
-    let mut ops = Vec::new();
-    for step in steps() {
-        match step {
-            Step::Insert(t, rows) => ops.push(CatOp::Ins(t, rows)),
-            Step::Delete(t, key) => ops.push(CatOp::Del(t, key)),
-            Step::Update(t, key, row) => {
-                ops.push(CatOp::Del(t, key));
-                ops.push(CatOp::Ins(t, vec![row]));
-            }
-        }
-    }
-    ops
-}
-
-/// Catalog after applying exactly the first `m` record operations.
-fn catalog_at(m: u64) -> Catalog {
-    let mut c = populated_catalog();
-    for op in record_ops().into_iter().take(usize::try_from(m).unwrap()) {
-        match op {
-            CatOp::Ins(t, rows) => {
-                c.insert(t, rows).unwrap();
-            }
-            CatOp::Del(t, key) => {
-                c.delete(t, std::slice::from_ref(&key)).unwrap();
-            }
-        }
-    }
-    c
+    assert_eq!(d.last_lsn(), u64::try_from(m).unwrap());
+    d
 }
 
 /// Run the whole workload and return the crash image (durable bytes only —
@@ -264,38 +210,11 @@ fn check_cut(full: &MemVfs, segment: &str, cut: u64, ends: &[(u64, u64)]) {
         );
     }
 
-    match twin_at(m) {
-        Some(twin) => {
-            assert_eq!(
-                rec.state_bytes().unwrap(),
-                twin.state_bytes().unwrap(),
-                "cut {cut} (lsn {m}): recovered state differs from uncrashed twin"
-            );
-        }
-        None => {
-            // The cut split an update's delete/insert pair: no step-granular
-            // twin exists, so check record-granularly.
-            let oracle = catalog_at(m);
-            assert_eq!(
-                encode_catalog(rec.database().catalog()).unwrap(),
-                encode_catalog(&oracle).unwrap(),
-                "cut {cut} (lsn {m}): recovered catalog differs from record oracle"
-            );
-            for name in VIEWS {
-                assert!(
-                    verify_against_recompute(rec.view(name).unwrap(), rec.database().catalog()),
-                    "cut {cut} (lsn {m}): view {name} fails the recompute oracle"
-                );
-            }
-            let bytes = rec.state_bytes().unwrap();
-            let (again, _) = DurableDatabase::open(rec.into_vfs(), policy()).unwrap();
-            assert_eq!(
-                again.state_bytes().unwrap(),
-                bytes,
-                "cut {cut} (lsn {m}): recovery is not idempotent"
-            );
-        }
-    }
+    assert_eq!(
+        rec.state_bytes().unwrap(),
+        twin_at(m).state_bytes().unwrap(),
+        "cut {cut} (lsn {m}): recovered state differs from uncrashed twin"
+    );
 }
 
 /// Sanity-check the assumptions the matrix leans on: one live segment
@@ -340,23 +259,31 @@ fn recovery_at_every_record_boundary_is_byte_identical() {
 }
 
 /// Fast subset: a few torn (mid-record) cuts, including one inside each
-/// half of an update pair, must be detected and cleanly truncated.
+/// `UPDATE` record, must be detected and cleanly truncated.
 #[test]
 fn torn_tails_are_detected_and_truncated() {
     let full = full_run_vfs();
     let segment = newest_segment(&full);
     let ends = boundaries(&full, &segment);
     let header = u64::try_from(SEGMENT_HEADER_LEN).unwrap();
-    // One byte into the first record, the middle of the update's delete
-    // record (lsn 5), and one byte shy of the final record's end.
     let starts: Vec<u64> = std::iter::once(header)
         .chain(ends.iter().map(|&(end, _)| end))
         .collect();
-    let cuts = [
-        starts[0] + 1,
-        (starts[4] + ends[4].0) / 2,
-        ends[ends.len() - 1].0 - 1,
-    ];
+    let updates: Vec<usize> = steps()
+        .iter()
+        .enumerate()
+        .filter(|(_, step)| matches!(step, Step::Update(..)))
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(updates, [4, 8], "the script's two UPDATEs are lsn 5 and 9");
+    // One byte into the first record, the middle of each `UPDATE` record —
+    // past its delete half, inside its insert half — and one byte shy of
+    // the final record's end.
+    let mut cuts = vec![starts[0] + 1, ends[ends.len() - 1].0 - 1];
+    for i in updates {
+        cuts.push((starts[i] + ends[i].0) / 2);
+        cuts.push(ends[i].0 - 1);
+    }
     for cut in cuts {
         check_cut(&full, &segment, cut, &ends);
     }
@@ -416,34 +343,11 @@ fn fuzz_sweep(cases: usize, seed: u64) {
             m <= total_records(),
             "case {case} {spec:?}: impossible LSN {m}"
         );
-        match twin_at(m) {
-            Some(twin) => assert_eq!(
-                rec.state_bytes().unwrap(),
-                twin.state_bytes().unwrap(),
-                "case {case} {spec:?} (lsn {m}): state differs from twin"
-            ),
-            None => {
-                let oracle = catalog_at(m);
-                assert_eq!(
-                    encode_catalog(rec.database().catalog()).unwrap(),
-                    encode_catalog(&oracle).unwrap(),
-                    "case {case} {spec:?} (lsn {m}): catalog differs from record oracle"
-                );
-                for name in VIEWS {
-                    assert!(
-                        verify_against_recompute(rec.view(name).unwrap(), rec.database().catalog()),
-                        "case {case} {spec:?} (lsn {m}): view {name} fails recompute"
-                    );
-                }
-                let bytes = rec.state_bytes().unwrap();
-                let (again, _) = DurableDatabase::open(rec.into_vfs(), policy()).unwrap();
-                assert_eq!(
-                    again.state_bytes().unwrap(),
-                    bytes,
-                    "case {case} {spec:?} (lsn {m}): recovery not idempotent"
-                );
-            }
-        }
+        assert_eq!(
+            rec.state_bytes().unwrap(),
+            twin_at(m).state_bytes().unwrap(),
+            "case {case} {spec:?} (lsn {m}): state differs from twin"
+        );
     }
 }
 
@@ -639,4 +543,67 @@ fn failed_group_commit_poisons_the_sharded_database() {
         );
         assert_eq!(r.state_bytes().unwrap(), pre_failure);
     }
+}
+
+/// A sharded `UPDATE` whose delete half and insert half land on different
+/// shards writes one record on each, then the group record. Crashed after
+/// both shard records were synced but before the group record landed, it
+/// recovers none of the `UPDATE`: both shard records are discarded.
+#[test]
+fn sharded_update_without_its_group_record_recovers_none_of_it() {
+    let (shard_vfs, _): (Vec<_>, Vec<_>) = (0..2).map(|_| faulty()).unzip();
+    let (coord_vfs, coord_fail) = faulty();
+    let mut d = ShardedDurableDatabase::create(
+        shard_vfs,
+        coord_vfs,
+        &populated_catalog(),
+        orderkey_routing(),
+        policy(),
+    )
+    .unwrap();
+    d.create_view(ol_view()).unwrap();
+    d.insert("lineitem", vec![fixtures::lineitem_row(5, 7, 1, 1, 7.0)])
+        .unwrap();
+    let pre_failure = d.state_bytes().unwrap();
+    let floor = d.commit_lsn();
+
+    // Move lineitem (2, 1) to an order owned by the other shard.
+    let old_key = vec![Datum::Int(2), Datum::Int(1)];
+    let db = d.database();
+    let old_shard = db
+        .shard_of_row("lineitem", &fixtures::lineitem_row(2, 1, 3, 99, 1.0))
+        .unwrap();
+    let new_row = (1..=N_ORDERS)
+        .map(|o| fixtures::lineitem_row(o, 1, 3, 99, 1.0))
+        .find(|row| {
+            db.shard_of_row("lineitem", row).unwrap() != old_shard
+                && !db.shards().any(|s| {
+                    s.catalog()
+                        .table("lineitem")
+                        .unwrap()
+                        .contains_key(&row[..2])
+                })
+        })
+        .expect("an order on the other shard with a free lineitem key");
+
+    coord_fail.store(true, Ordering::SeqCst);
+    let err = d
+        .update("lineitem", std::slice::from_ref(&old_key), vec![new_row])
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Durability(_)), "{err}");
+    assert!(d.poison_reason().is_some());
+
+    let (shards, coord) = d.into_vfs();
+    let (r, report) = ShardedDurableDatabase::open(
+        shards.into_iter().map(FaultFile::crash).collect(),
+        coord.crash(),
+        policy(),
+    )
+    .unwrap();
+    assert_eq!(report.group_lsn, floor);
+    assert_eq!(
+        report.discarded_records, 2,
+        "one synced record per touched shard, both without a group record"
+    );
+    assert_eq!(r.state_bytes().unwrap(), pre_failure);
 }

@@ -27,8 +27,8 @@ enum Cmd {
     Insert { ok: u8, pk: u8, price: u8 },
     /// Delete a previously inserted lineitem chosen by `pick`.
     Delete { pick: u8 },
-    /// Decomposed UPDATE of a previously inserted lineitem: two commits
-    /// (delete half, insert half) whose sets must net correctly.
+    /// Decomposed UPDATE of a previously inserted lineitem: one commit
+    /// whose delete and insert halves must net correctly.
     Update { pick: u8, qty: u8, price: u8 },
     /// Insert a row and immediately delete it again: two commits whose
     /// drained sets must net to zero state change.

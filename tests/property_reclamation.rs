@@ -209,7 +209,7 @@ property! {
 enum Op {
     Insert(Vec<Row>),
     Delete(Vec<Vec<Datum>>),
-    /// SQL `UPDATE`: two commits, the delete half and the insert half.
+    /// SQL `UPDATE`: one commit, the delete half then the insert half.
     Update(Vec<Vec<Datum>>, Vec<Row>),
 }
 
