@@ -8,7 +8,9 @@
 //!
 //! * **Dedup:** identical subscriptions share one evaluation and one
 //!   `Arc<UpdateSet>` per commit, via a fingerprint trie (view → filter →
-//!   projection) mirroring the batch planner's plan trie.
+//!   projection) mirroring the batch planner's plan trie; subscriptions
+//!   with the same projection under different filters share one buffer of
+//!   projected rows per commit, so each row is built once.
 //! * **Cancellation:** a row inserted and deleted inside one batch nets to
 //!   nothing; an UPDATE decomposes into delete/insert halves only when a
 //!   projected column actually changed.

@@ -152,12 +152,21 @@ fn spec_pool() -> Vec<SubscriptionSpec> {
         SubscriptionSpec::on("oj_view")
             .with_filter(FeedFilter::cmp(9, CmpOp::Gt, Datum::Float(500.0)))
             .with_projection(vec![9]),
+        // Spec 4's projection under another filter: one shared row buffer
+        // serves two filter groups.
+        SubscriptionSpec::on("oj_view")
+            .with_filter(FeedFilter::new(vec![FeedAtom::IsNotNull { col: 5 }]))
+            .with_projection(vec![0, 8, 9]),
+        // Sparse: one order's lineitems only.
+        SubscriptionSpec::on("oj_view")
+            .with_filter(FeedFilter::cmp(5, CmpOp::Eq, Datum::Int(3)))
+            .with_projection(vec![5, 6, 9]),
     ]
 }
 
 /// Filter-group identity of each pool entry (specs 0 and 3 share the
 /// match-all filter; 1 and 5 share the price threshold).
-const FILTER_ID: [usize; 6] = [0, 1, 2, 0, 3, 1];
+const FILTER_ID: [usize; 8] = [0, 1, 2, 0, 3, 1, 4, 5];
 
 fn build_db() -> Database {
     let mut c = fixtures::example1_catalog();
