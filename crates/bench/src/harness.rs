@@ -3,7 +3,7 @@
 use std::slice;
 use std::time::{Duration, Instant};
 
-use ojv_core::agg_view::{AggSpec, AggViewDef, MaterializedAggView};
+use ojv_core::agg_view::MaterializedAggView;
 use ojv_core::analyze::analyze;
 use ojv_core::baseline::maintain_gk;
 use ojv_core::batch::maintain_batch;
@@ -15,7 +15,7 @@ use ojv_rel::{Datum, Row};
 use ojv_storage::{Catalog, Update};
 use ojv_tpch::{create_tpch_catalog, TpchGen};
 
-use crate::views::{v3_core_def, v3_def, v3_keyless_def};
+use crate::views::{v3_core_def, v3_def, v3_keyless_def, v3_rollup_def};
 
 /// Experiment configuration: scale factor, seed, batch sizes, repetitions.
 #[derive(Debug, Clone)]
@@ -417,20 +417,6 @@ fn ablation_secondary(env: &Env, cfg: &Config) -> Vec<AblationArm> {
         }
     }
     arms
-}
-
-/// The A4 rollup: V3 grouped by customer, with row and line counts and the
-/// revenue sum (§3.3).
-fn v3_rollup_def() -> AggViewDef {
-    let lineitem = |column: &str| ("lineitem".to_string(), column.to_string());
-    let (table, column) = lineitem("l_orderkey");
-    let lines = AggSpec::CountNonNull { table, column };
-    let (table, column) = lineitem("l_extendedprice");
-    AggViewDef::new("rev_by_customer", v3_def())
-        .group_by("customer", "c_custkey")
-        .agg("rows", AggSpec::CountRows)
-        .agg("lines", lines)
-        .agg("revenue", AggSpec::Sum { table, column })
 }
 
 /// A4: the aggregated rollup of V3 vs plain V3 (§3.3): materialization,

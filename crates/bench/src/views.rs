@@ -92,21 +92,18 @@ pub fn v2_def() -> ViewDef {
     )
 }
 
-/// The introduction's `oj_view` over the TPC-H schema (Example 1):
-/// `part fo (orders lo lineitem on l_orderkey=o_orderkey) on p_partkey=l_partkey`.
-pub fn oj_view_def() -> ViewDef {
-    ViewDef::new(
-        "oj_view",
-        ViewExpr::full_outer(
-            vec![col_eq("part", "p_partkey", "lineitem", "l_partkey")],
-            ViewExpr::table("part"),
-            ViewExpr::left_outer(
-                vec![col_eq("orders", "o_orderkey", "lineitem", "l_orderkey")],
-                ViewExpr::table("orders"),
-                ViewExpr::table("lineitem"),
-            ),
-        ),
-    )
+/// The A4 rollup: V3 grouped by customer, with row and line counts and the
+/// revenue sum (§3.3).
+pub fn v3_rollup_def() -> AggViewDef {
+    let lineitem = |column: &str| ("lineitem".to_string(), column.to_string());
+    let (table, column) = lineitem("l_orderkey");
+    let lines = AggSpec::CountNonNull { table, column };
+    let (table, column) = lineitem("l_extendedprice");
+    AggViewDef::new("rev_by_customer", v3_def())
+        .group_by("customer", "c_custkey")
+        .agg("rows", AggSpec::CountRows)
+        .agg("lines", lines)
+        .agg("revenue", AggSpec::Sum { table, column })
 }
 
 #[cfg(test)]
@@ -114,6 +111,7 @@ mod tests {
     use super::*;
     use ojv_core::analyze::analyze;
     use ojv_core::compile::compile_uncached;
+    use ojv_core::fixtures::oj_view_def;
     use ojv_tpch::{create_tpch_catalog, TpchGen};
 
     #[test]

@@ -4,30 +4,27 @@
 //! the paper, the maintained state keeps, for every group, a regular row
 //! count (zero ⇒ the group disappears) and not-null counts so aggregates
 //! over a table's columns become `NULL` when no remaining row in the group
-//! carries that table. The incremental step computes the same `ΔV^D`/`ΔV^I`
-//! as a non-aggregated view, aggregates them, and merges the signed result —
+//! carries that table. The incremental step is the plain view's
+//! (`maintain::apply_with_primary`): the same `ΔV^D` and the same
+//! per-term `ΔV^I`, folded into the groups with a sign instead of stored —
 //! with `ΔV^I` computed **from base tables** (§5.3), because the aggregated
 //! view cannot expose its terms.
 //!
 //! As in SQL Server's indexed views, the maintainable aggregate set is
 //! `COUNT(*)`, `COUNT(col)`, and `SUM(col)`.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use ojv_algebra::TableId;
-use ojv_exec::{eval_expr_buf, ExecCtx, ExecStats};
+use ojv_exec::{eval_expr_buf, ExecCtx};
 use ojv_rel::{
-    key_of, Column, DataType, Datum, ExactFloatSum, FxHashMap, Relation, Row, RowBuf, Schema,
+    key_hash, Column, DataType, Datum, ExactFloatSum, KeyArena, Relation, Row, RowBuf, Schema,
 };
-use ojv_storage::{Catalog, Update, UpdateOp};
+use ojv_storage::Catalog;
 
 use crate::analyze::{analyze, ViewAnalysis};
-use crate::compile::{CompiledMaintenancePlan, PlanCache, PlanConfig};
+use crate::compile::PlanCache;
 use crate::error::{CoreError, Result};
-use crate::maintain::{delta_ctx, IndirectTermView, MaintenanceReport};
-use crate::policy::MaintenancePolicy;
-use crate::secondary::{self, SecondaryCtx};
+use crate::maintain::{Maintained, ViewParts, ViewSink};
+use crate::materialize::ViewStore;
 use crate::view_def::ViewDef;
 
 /// An aggregate over the inner view's columns.
@@ -97,6 +94,29 @@ struct GroupState {
     aggs: Vec<AggAcc>,
 }
 
+impl GroupState {
+    fn new(notnull_tables: usize, agg_cols: &[AggCol]) -> Self {
+        GroupState {
+            count: 0,
+            notnull: vec![0; notnull_tables],
+            aggs: agg_cols
+                .iter()
+                .map(|a| match a {
+                    AggCol::CountRows | AggCol::CountNonNull(_) => AggAcc::Count(0),
+                    AggCol::SumInt(_) => AggAcc::SumInt {
+                        sum: 0,
+                        non_null: 0,
+                    },
+                    AggCol::SumFloat(_) => AggAcc::SumFloat {
+                        sum: Box::new(ExactFloatSum::new()),
+                        non_null: 0,
+                    },
+                })
+                .collect(),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum AggCol {
     CountRows,
@@ -105,137 +125,35 @@ enum AggCol {
     SumFloat(usize),
 }
 
-/// A materialized aggregated outer-join view.
+/// The aggregated view's sink: one [`GroupState`] per group key, the keys
+/// in a [`KeyArena`], so folding a row hashes its group columns in place
+/// and copies a key only when the group is new.
 #[derive(Debug, Clone)]
-pub struct MaterializedAggView {
-    def: AggViewDef,
-    pub analysis: ViewAnalysis,
+struct GroupStore {
     group_cols: Vec<usize>,
+    /// Per null-extendable table: the wide column that is null exactly when
+    /// a row is null-extended on that table (its first key column).
+    notnull_cols: Vec<usize>,
     agg_cols: Vec<AggCol>,
-    /// Tables that are null-extended in at least one term (§3.3).
-    notnull_tables: Vec<TableId>,
-    groups: FxHashMap<Vec<Datum>, GroupState>,
-    plans: PlanCache,
+    groups: KeyArena<GroupState>,
 }
 
-impl MaterializedAggView {
-    /// Analyze the inner view and materialize the aggregated contents.
-    pub fn create(catalog: &Catalog, def: AggViewDef) -> Result<Self> {
-        let analysis = analyze(catalog, &def.inner)?;
-        if def.group_by.is_empty() {
-            return Err(CoreError::InvalidView {
-                view: def.name.clone(),
-                detail: "aggregated view requires at least one group-by column".into(),
-            });
-        }
-        let mut group_cols = Vec::with_capacity(def.group_by.len());
-        for (t, c) in &def.group_by {
-            let cr = analysis
-                .layout
-                .col(t, c)
-                .map_err(|_| CoreError::InvalidView {
-                    view: def.name.clone(),
-                    detail: format!("group-by column {t}.{c} not found"),
-                })?;
-            group_cols.push(analysis.layout.global(cr));
-        }
-        let mut agg_cols = Vec::with_capacity(def.aggs.len());
-        for (out, spec) in &def.aggs {
-            agg_cols.push(match spec {
-                AggSpec::CountRows => AggCol::CountRows,
-                AggSpec::CountNonNull { table, column } => {
-                    let cr =
-                        analysis
-                            .layout
-                            .col(table, column)
-                            .map_err(|_| CoreError::InvalidView {
-                                view: def.name.clone(),
-                                detail: format!("aggregate {out}: column not found"),
-                            })?;
-                    AggCol::CountNonNull(analysis.layout.global(cr))
-                }
-                AggSpec::Sum { table, column } => {
-                    let cr =
-                        analysis
-                            .layout
-                            .col(table, column)
-                            .map_err(|_| CoreError::InvalidView {
-                                view: def.name.clone(),
-                                detail: format!("aggregate {out}: column not found"),
-                            })?;
-                    let g = analysis.layout.global(cr);
-                    match analysis.layout.wide_schema().column(g).ty {
-                        DataType::Int => AggCol::SumInt(g),
-                        DataType::Float => AggCol::SumFloat(g),
-                        other => {
-                            return Err(CoreError::InvalidView {
-                                view: def.name.clone(),
-                                detail: format!("SUM over non-numeric column of type {other}"),
-                            })
-                        }
-                    }
-                }
-            });
-        }
-        // Tables null-extended in some term: not in every term's source set.
-        let notnull_tables: Vec<TableId> = (0..analysis.layout.table_count())
-            .map(|i| TableId(i as u8))
-            .filter(|t| analysis.terms.iter().any(|term| !term.tables.contains(*t)))
-            .collect();
-
-        let mut view = MaterializedAggView {
-            def,
-            analysis,
-            group_cols,
-            agg_cols,
-            notnull_tables,
-            groups: FxHashMap::default(),
-            plans: PlanCache::default(),
-        };
-        let ctx = ExecCtx::new(catalog, &view.analysis.layout);
-        let rows = eval_expr_buf(&ctx, &view.analysis.expr)?;
-        view.apply_rows(&rows, 1);
-        Ok(view)
-    }
-
-    pub fn name(&self) -> &str {
-        &self.def.name
-    }
-
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Merge wide rows into the group states with the given sign.
-    fn apply_rows(&mut self, rows: &RowBuf, sign: i64) {
+/// The group store folds `ΔV^D` and every term's `∆D_i` into the groups
+/// with a sign. It cannot answer §5.2's probes: its secondary deltas come
+/// from base tables (§5.3).
+impl ViewSink for GroupStore {
+    fn apply(&mut self, rows: &RowBuf, insert: bool, _view: &str) -> Result<()> {
+        let sign = if insert { 1 } else { -1 };
         for row in rows {
-            let key = key_of(row, &self.group_cols);
-            let state = self
-                .groups
-                .entry(key.clone())
-                .or_insert_with(|| GroupState {
-                    count: 0,
-                    notnull: vec![0; self.notnull_tables.len()],
-                    aggs: self
-                        .agg_cols
-                        .iter()
-                        .map(|a| match a {
-                            AggCol::CountRows | AggCol::CountNonNull(_) => AggAcc::Count(0),
-                            AggCol::SumInt(_) => AggAcc::SumInt {
-                                sum: 0,
-                                non_null: 0,
-                            },
-                            AggCol::SumFloat(_) => AggAcc::SumFloat {
-                                sum: Box::new(ExactFloatSum::new()),
-                                non_null: 0,
-                            },
-                        })
-                        .collect(),
-                });
+            let hash = key_hash(row, &self.group_cols);
+            let s = self.groups.find_or_insert(hash, row, &self.group_cols, || {
+                GroupState::new(self.notnull_cols.len(), &self.agg_cols)
+            });
+            let state = self.groups.value_mut(s);
             state.count += sign;
-            for (slot, t) in self.notnull_tables.iter().enumerate() {
-                if !self.analysis.layout.is_null_on(*t, row) {
-                    state.notnull[slot] += sign;
+            for (n, &c) in state.notnull.iter_mut().zip(&self.notnull_cols) {
+                if !row[c].is_null() {
+                    *n += sign;
                 }
             }
             for (acc, col) in state.aggs.iter_mut().zip(&self.agg_cols) {
@@ -254,7 +172,7 @@ impl MaterializedAggView {
                     }
                     (AggAcc::SumFloat { sum, non_null }, AggCol::SumFloat(g)) => {
                         if let Some(v) = row[*g].as_float() {
-                            if sign > 0 {
+                            if insert {
                                 sum.add(v);
                             } else {
                                 sum.sub(v);
@@ -266,109 +184,134 @@ impl MaterializedAggView {
                 }
             }
             if state.count == 0 {
-                self.groups.remove(&key);
+                self.groups.swap_remove(hash, s);
             }
-        }
-    }
-
-    /// The compiled maintenance plan for updates of `t` under `cfg`,
-    /// compiling on first use.
-    pub fn compiled_plan(
-        &mut self,
-        catalog: &Catalog,
-        t: TableId,
-        cfg: PlanConfig,
-    ) -> Result<Arc<CompiledMaintenancePlan>> {
-        self.plans.get_or_compile(&self.analysis, catalog, t, cfg)
-    }
-
-    /// Eagerly compile the maintenance plan for every referenced table under
-    /// `policy` — called at view creation so steady-state maintenance never
-    /// compiles.
-    pub fn warm_plans(&mut self, catalog: &Catalog, policy: &MaintenancePolicy) -> Result<()> {
-        let cfg = PlanConfig::of(policy);
-        for i in 0..self.analysis.layout.table_count() {
-            self.compiled_plan(catalog, TableId(i as u8), cfg)?;
         }
         Ok(())
     }
 
-    /// Merge the primary delta into the group states, then compute and
-    /// merge each indirect term's secondary delta in term order, given an
-    /// already-evaluated primary delta — the batch layer's per-view step,
-    /// which may share that delta with other views.
-    ///
-    /// The aggregated store is independent of the delta computations (the
-    /// secondary delta always comes from base tables, §3.3), so the terms'
-    /// deltas are computed before any of them is merged.
-    pub(crate) fn apply_with_primary(
-        &mut self,
-        catalog: &Catalog,
-        stats: &ExecStats,
-        update: &Update,
-        compiled: &CompiledMaintenancePlan,
-        primary: &RowBuf,
-        report: &mut MaintenanceReport,
-    ) -> Result<()> {
-        let t = compiled.table;
-        report.direct_terms = compiled.mgraph.direct.len();
-        report.indirect_terms = compiled.indirect.len();
-        report.verified_checks = compiled.verified_checks;
-        report.plan_fingerprint = compiled.fingerprint;
-        report.primary_rows = primary.len();
-        let insert = update.op == UpdateOp::Insert;
-        let sign = if insert { 1 } else { -1 };
+    fn row_store(&self) -> Option<&ViewStore> {
+        None
+    }
+}
 
-        let start = Instant::now();
-        self.apply_rows(primary, sign);
-        report.primary_apply = start.elapsed();
+/// A materialized aggregated outer-join view.
+#[derive(Debug, Clone)]
+pub struct MaterializedAggView {
+    def: AggViewDef,
+    pub analysis: ViewAnalysis,
+    /// Tables that are null-extended in at least one term (§3.3), in the
+    /// order of the groups' not-null counts.
+    notnull_tables: Vec<TableId>,
+    store: GroupStore,
+    plans: PlanCache,
+}
 
-        let start = Instant::now();
-        let mut orphans: Vec<RowBuf> = Vec::new();
-        if !compiled.indirect.is_empty() && !primary.is_empty() {
-            let exec = delta_ctx(catalog, &self.analysis.layout, t, update, stats);
-            let sctx = SecondaryCtx {
-                layout: &self.analysis.layout,
-                terms: &self.analysis.terms,
-                updated: t,
+impl MaterializedAggView {
+    /// Analyze the inner view and materialize the aggregated contents.
+    pub fn create(catalog: &Catalog, def: AggViewDef) -> Result<Self> {
+        let analysis = analyze(catalog, &def.inner)?;
+        let invalid = |detail: String| CoreError::InvalidView {
+            view: def.name.clone(),
+            detail,
+        };
+        let global = |table: &str, column: &str| {
+            let cr = analysis.layout.col(table, column).ok()?;
+            Some(analysis.layout.global(cr))
+        };
+        if def.group_by.is_empty() {
+            let detail = "aggregated view requires at least one group-by column";
+            return Err(invalid(detail.into()));
+        }
+        let group_cols = def
+            .group_by
+            .iter()
+            .map(|(t, c)| {
+                global(t, c).ok_or_else(|| invalid(format!("group-by column {t}.{c} not found")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let mut agg_cols = Vec::with_capacity(def.aggs.len());
+        for (out, spec) in &def.aggs {
+            let input = |table: &str, column: &str| {
+                global(table, column)
+                    .ok_or_else(|| invalid(format!("aggregate {out}: column not found")))
             };
-            for ind in &compiled.indirect {
-                let ind = IndirectTermView::from(ind);
-                orphans.push(secondary::from_base(&sctx, &exec, &ind, primary, insert)?);
-            }
+            agg_cols.push(match spec {
+                AggSpec::CountRows => AggCol::CountRows,
+                AggSpec::CountNonNull { table, column } => {
+                    AggCol::CountNonNull(input(table, column)?)
+                }
+                AggSpec::Sum { table, column } => {
+                    let g = input(table, column)?;
+                    match analysis.layout.wide_schema().column(g).ty {
+                        DataType::Int => AggCol::SumInt(g),
+                        DataType::Float => AggCol::SumFloat(g),
+                        other => {
+                            let detail = format!("SUM over non-numeric column of type {other}");
+                            return Err(invalid(detail));
+                        }
+                    }
+                }
+            });
         }
-        for rows in &orphans {
-            report.secondary_rows += rows.len();
-            self.apply_rows(rows, -sign);
-        }
-        report.secondary_time = start.elapsed();
-        Ok(())
+        // Tables null-extended in some term: not in every term's source set.
+        let notnull_tables: Vec<TableId> = (0..analysis.layout.table_count())
+            .map(|i| TableId(i as u8))
+            .filter(|t| analysis.terms.iter().any(|term| !term.tables.contains(*t)))
+            .collect();
+        let notnull_cols = notnull_tables
+            .iter()
+            .map(|&t| analysis.layout.slot(t).key_cols[0])
+            .collect();
+
+        let mut store = GroupStore {
+            groups: KeyArena::new(group_cols.len()),
+            group_cols,
+            notnull_cols,
+            agg_cols,
+        };
+        let ctx = ExecCtx::new(catalog, &analysis.layout);
+        let rows = eval_expr_buf(&ctx, &analysis.expr)?;
+        store.apply(&rows, true, &def.name)?;
+        Ok(MaterializedAggView {
+            def,
+            analysis,
+            notnull_tables,
+            store,
+            plans: PlanCache::default(),
+        })
+    }
+
+    pub fn name(&self) -> &str {
+        &self.def.name
+    }
+
+    pub fn group_count(&self) -> usize {
+        self.store.groups.len()
     }
 
     /// The aggregated output: group-by columns followed by the aggregates.
     pub fn output(&self) -> Relation {
         let layout = &self.analysis.layout;
-        let mut cols: Vec<Column> = self
+        let store = &self.store;
+        let mut cols: Vec<Column> = store
             .group_cols
             .iter()
             .map(|&g| layout.wide_schema().column(g).clone())
             .collect();
-        for (name, spec) in &self.def.aggs {
-            let ty = match spec {
-                AggSpec::CountRows | AggSpec::CountNonNull { .. } => DataType::Int,
-                AggSpec::Sum { .. } => match self.agg_cols[cols.len() - self.group_cols.len()] {
-                    AggCol::SumInt(_) => DataType::Int,
-                    _ => DataType::Float,
-                },
+        for ((name, _), col) in self.def.aggs.iter().zip(&store.agg_cols) {
+            let ty = match col {
+                AggCol::SumFloat(_) => DataType::Float,
+                _ => DataType::Int,
             };
             cols.push(Column::new("agg", name, ty, true));
         }
         let schema = Schema::shared(cols).expect("aggregate output columns are distinct");
-        let mut rows: Vec<Row> = self
+        let mut rows: Vec<Row> = store
             .groups
             .iter()
             .map(|(key, state)| {
-                let mut row = key.clone();
+                let mut row = key.to_vec();
                 for acc in &state.aggs {
                     row.push(match acc {
                         AggAcc::Count(c) => Datum::Int(*c),
@@ -390,7 +333,29 @@ impl MaterializedAggView {
     pub fn notnull_count(&self, group: &[Datum], table: &str) -> Option<i64> {
         let t = self.analysis.layout.table_id(table)?;
         let slot = self.notnull_tables.iter().position(|x| *x == t)?;
-        self.groups.get(group).map(|g| g.notnull[slot])
+        let key_cols: Vec<usize> = (0..group.len()).collect();
+        let groups = &self.store.groups;
+        let g = groups.find(key_hash(group, &key_cols), group, &key_cols)?;
+        Some(groups.value(g).notnull[slot])
+    }
+}
+
+impl Maintained for MaterializedAggView {
+    fn name(&self) -> &str {
+        &self.def.name
+    }
+
+    fn analysis(&self) -> &ViewAnalysis {
+        &self.analysis
+    }
+
+    fn parts(&mut self) -> ViewParts<'_> {
+        ViewParts {
+            name: &self.def.name,
+            analysis: &self.analysis,
+            plans: &mut self.plans,
+            sink: &mut self.store,
+        }
     }
 }
 
@@ -399,6 +364,7 @@ mod tests {
     use super::*;
     use crate::batch::maintain_batch;
     use crate::fixtures::*;
+    use crate::policy::MaintenancePolicy;
     use std::slice;
 
     fn agg_def() -> AggViewDef {

@@ -3,8 +3,9 @@
 //!
 //! Given one `Update`, [`maintain_batch`]:
 //!
-//! 1. collects the affected views and their cached
-//!    [`CompiledMaintenancePlan`]s (compiling on first use),
+//! 1. collects the affected views, plain and aggregated, into one job list
+//!    with their cached [`CompiledMaintenancePlan`]s (compiling on first
+//!    use),
 //! 2. factors shared leading subplans — the `ΔT` scan and common leftmost
 //!    join prefixes — into a trie, so shared work executes once and fans
 //!    its rows out into the per-view remainders,
@@ -44,21 +45,13 @@ use ojv_storage::{Catalog, Update};
 use crate::agg_view::MaterializedAggView;
 use crate::compile::{CompiledMaintenancePlan, PlanConfig};
 use crate::error::{CoreError, Result};
-use crate::maintain::MaintenanceReport;
+use crate::maintain::{apply_with_primary, Maintained, MaintenanceReport};
 use crate::materialize::MaterializedView;
 use crate::policy::MaintenancePolicy;
 
-/// Which view a batch job maintains.
-#[derive(Debug, Clone, Copy)]
-enum JobTarget {
-    View(usize),
-    Agg(usize),
-}
-
 /// One unit of batched maintenance: a view and its compiled plan.
-struct Job {
-    target: JobTarget,
-    name: String,
+struct Job<'v> {
+    view: &'v mut dyn Maintained,
     compiled: Arc<CompiledMaintenancePlan>,
 }
 
@@ -76,38 +69,21 @@ pub fn maintain_batch(
 
     // Phase 1: resolve plans, skip unaffected views, run the cheap per-run
     // arity check.
+    let plain = views.iter_mut().map(|v| -> &mut dyn Maintained { v });
+    let aggregated = agg_views.iter_mut().map(|v| -> &mut dyn Maintained { v });
     let mut jobs: Vec<Job> = Vec::new();
-    for (i, v) in views.iter_mut().enumerate() {
-        let Some(t) = v.analysis.layout.table_id(&update.table) else {
+    for view in plain.chain(aggregated) {
+        let Some(t) = view.analysis().layout.table_id(&update.table) else {
             continue;
         };
-        let compiled = v.compiled_plan(catalog, t, cfg)?;
+        let compiled = view.compiled_plan(catalog, t, cfg)?;
         if compiled.noop {
             continue;
         }
-        ojv_analysis::verify_delta_arity(&v.analysis.layout, t, update.rows.schema().len())
+        let layout = &view.analysis().layout;
+        ojv_analysis::verify_delta_arity(layout, t, update.rows.schema().len())
             .map_err(CoreError::Plan)?;
-        jobs.push(Job {
-            target: JobTarget::View(i),
-            name: v.name().to_string(),
-            compiled,
-        });
-    }
-    for (i, v) in agg_views.iter_mut().enumerate() {
-        let Some(t) = v.analysis.layout.table_id(&update.table) else {
-            continue;
-        };
-        let compiled = v.compiled_plan(catalog, t, cfg)?;
-        if compiled.noop {
-            continue;
-        }
-        ojv_analysis::verify_delta_arity(&v.analysis.layout, t, update.rows.schema().len())
-            .map_err(CoreError::Plan)?;
-        jobs.push(Job {
-            target: JobTarget::Agg(i),
-            name: v.name().to_string(),
-            compiled,
-        });
+        jobs.push(Job { view, compiled });
     }
     if jobs.is_empty() {
         return Ok(Vec::new());
@@ -118,47 +94,30 @@ pub fn maintain_batch(
     let stats: Vec<ExecStats> = jobs.iter().map(|_| ExecStats::default()).collect();
 
     // Phase 2: evaluate every primary delta through the tries.
-    let layouts: Vec<&ViewLayout> = jobs
-        .iter()
-        .map(|job| match job.target {
-            JobTarget::View(i) => &views[i].analysis.layout,
-            JobTarget::Agg(i) => &agg_views[i].analysis.layout,
-        })
-        .collect();
-    let shared = eval_shared(&jobs, &layouts, catalog, update, &stats)?;
+    let shared = eval_shared(&jobs, catalog, update, &stats)?;
 
     // Phase 3: apply each view's primary delta and run its secondary step.
     // One broken view cannot take down its siblings: a panic is caught at
     // the job boundary and the other jobs still complete.
-    let results = catch_each(&jobs, |k, job| -> Result<MaintenanceReport> {
+    let results = catch_each(&mut jobs, |k, job| -> Result<MaintenanceReport> {
         #[cfg(test)]
-        test_panic::maybe_panic(&job.name);
+        test_panic::maybe_panic(job.view.name());
         let mut report = MaintenanceReport {
-            view: job.name.clone(),
+            view: job.view.name().to_string(),
             table: update.table.clone(),
             update_rows: update.rows.len(),
             ..Default::default()
         };
         let primary = &shared.primaries[k];
-        match job.target {
-            JobTarget::View(i) => crate::maintain::apply_with_primary(
-                &mut views[i],
-                catalog,
-                &stats[k],
-                update,
-                &job.compiled,
-                primary,
-                &mut report,
-            )?,
-            JobTarget::Agg(i) => agg_views[i].apply_with_primary(
-                catalog,
-                &stats[k],
-                update,
-                &job.compiled,
-                primary,
-                &mut report,
-            )?,
-        }
+        apply_with_primary(
+            &mut *job.view,
+            catalog,
+            &stats[k],
+            update,
+            &job.compiled,
+            primary,
+            &mut report,
+        )?;
         report.primary_compute = shared.durations[k];
         report.shared_with = shared.shared_with[k];
         report.exec = stats[k].snapshot();
@@ -166,8 +125,11 @@ pub fn maintain_batch(
     });
     let mut reports = Vec::with_capacity(results.len());
     for (result, job) in results.into_iter().zip(&jobs) {
-        let view = job.name.clone();
-        reports.push(result.map_err(|detail| CoreError::MaintenancePanic { view, detail })??);
+        let panicked = |detail| CoreError::MaintenancePanic {
+            view: job.view.name().to_string(),
+            detail,
+        };
+        reports.push(result.map_err(panicked)??);
     }
     Ok(reports)
 }
@@ -226,16 +188,16 @@ impl TrieNode {
 }
 
 /// Everything the trie evaluation needs to build per-node executor contexts.
-struct BatchEnv<'a> {
+struct BatchEnv<'a, 'v> {
     catalog: &'a Catalog,
     layout: &'a ViewLayout,
     table: TableId,
     rows: &'a Relation,
     stats: &'a [ExecStats],
-    jobs: &'a [Job],
+    jobs: &'a [Job<'v>],
 }
 
-impl BatchEnv<'_> {
+impl BatchEnv<'_, '_> {
     fn ctx(&self, owner: usize) -> ExecCtx<'_> {
         ExecCtx::with_delta(
             self.catalog,
@@ -292,11 +254,9 @@ fn layout_tries<'a>(
     groups.into_iter().map(|(_, roots)| roots).collect()
 }
 
-/// Evaluate every job's primary delta through the layout-grouped tries;
-/// `layouts[k]` is the wide-row layout of job `k`'s view.
+/// Evaluate every job's primary delta through the layout-grouped tries.
 fn eval_shared(
     jobs: &[Job],
-    layouts: &[&ViewLayout],
     catalog: &Catalog,
     update: &Update,
     stats: &[ExecStats],
@@ -318,7 +278,7 @@ fn eval_shared(
         let lead = roots[0].owner;
         let env = BatchEnv {
             catalog,
-            layout: layouts[lead],
+            layout: &jobs[lead].view.analysis().layout,
             table: jobs[lead].compiled.table,
             rows: &update.rows,
             stats,
@@ -337,7 +297,7 @@ fn eval_shared(
 fn eval_trie_node(
     node: &TrieNode,
     handed: Option<&RowBuf>,
-    env: &BatchEnv<'_>,
+    env: &BatchEnv<'_, '_>,
     out: &mut SharedPrimaries,
 ) -> Result<()> {
     let rows = if node.materialized(handed.is_some()) {

@@ -19,7 +19,7 @@ use ojv_storage::{Catalog, Update, ValidInsert};
 use crate::agg_view::{AggViewDef, MaterializedAggView};
 use crate::compile::PlanConfig;
 use crate::error::{CoreError, Result};
-use crate::maintain::MaintenanceReport;
+use crate::maintain::{Maintained, MaintenanceReport};
 use crate::materialize::MaterializedView;
 use crate::policy::MaintenancePolicy;
 use crate::snapshot::{CommitObserver, Snapshot, SnapshotRegistry};
@@ -111,9 +111,7 @@ impl Database {
     }
 
     fn check_name_free(&self, name: &str) -> Result<()> {
-        if self.views.iter().any(|v| v.name() == name)
-            || self.agg_views.iter().any(|v| v.name() == name)
-        {
+        if self.maintained().any(|v| v.name() == name) {
             return Err(CoreError::DuplicateView {
                 view: name.to_string(),
             });
@@ -183,6 +181,13 @@ impl Database {
 
     pub fn views(&self) -> impl Iterator<Item = &MaterializedView> {
         self.views.iter()
+    }
+
+    /// Every registered view of either kind, in the batch layer's order:
+    /// plain views first.
+    fn maintained(&self) -> impl Iterator<Item = &dyn Maintained> {
+        let plain = self.views.iter().map(|v| -> &dyn Maintained { v });
+        plain.chain(self.agg_views.iter().map(|v| -> &dyn Maintained { v }))
     }
 
     /// Insert rows into a base table (constraints enforced) and maintain
@@ -424,20 +429,11 @@ impl Database {
     pub fn explain_batch(&self, table: &str) -> Result<String> {
         let cfg = PlanConfig::of(&self.policy);
         let mut plans = Vec::new();
-        for v in &self.views {
-            if let Some(t) = v.analysis.layout.table_id(table) {
-                plans.push((
-                    v.name().to_string(),
-                    crate::compile::compile_uncached(&v.analysis, &self.catalog, t, cfg)?,
-                ));
-            }
-        }
-        for v in &self.agg_views {
-            if let Some(t) = v.analysis.layout.table_id(table) {
-                plans.push((
-                    v.name().to_string(),
-                    crate::compile::compile_uncached(&v.analysis, &self.catalog, t, cfg)?,
-                ));
+        for v in self.maintained() {
+            if let Some(t) = v.analysis().layout.table_id(table) {
+                let compiled =
+                    crate::compile::compile_uncached(v.analysis(), &self.catalog, t, cfg)?;
+                plans.push((v.name().to_string(), compiled));
             }
         }
         let mut rendered = crate::batch::render_batch_plan(table, &plans);

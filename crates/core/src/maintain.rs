@@ -1,8 +1,11 @@
 //! The two steps of incremental maintenance (paper §3.2) after the primary
 //! delta is known: apply `ΔV^D`, then compute and apply each indirect term's
 //! secondary delta. [`crate::batch::maintain_batch`], the one maintenance
-//! entry, evaluates the primary deltas and runs these steps per view.
+//! entry, evaluates the primary deltas and runs these steps per view, plain
+//! or aggregated (§3.3): the two kinds differ only in the sink the rows
+//! land in.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ojv_algebra::TableId;
@@ -10,9 +13,11 @@ use ojv_exec::{eval_expr_buf, DeltaInput, ExecCtx, ExecStats, ExecStatsSnapshot,
 use ojv_rel::{Row, RowBuf};
 use ojv_storage::{Catalog, Update, UpdateOp};
 
-use crate::compile::{CompiledIndirect, CompiledMaintenancePlan};
+use crate::analyze::ViewAnalysis;
+use crate::compile::{CompiledIndirect, CompiledMaintenancePlan, PlanCache, PlanConfig};
 use crate::error::Result;
 use crate::materialize::{MaterializedView, ViewStore};
+use crate::policy::MaintenancePolicy;
 use crate::secondary::{self, SecondaryCtx};
 
 /// An indirectly affected term with its parent sets — what the secondary
@@ -101,6 +106,62 @@ pub(crate) fn delta_ctx<'a>(
     ExecCtx::with_delta(catalog, layout, delta).with_stats(stats)
 }
 
+/// Where a view's maintenance lands: a plain view's row store, or an
+/// aggregated view's group store (§3.3). Both take `ΔV^D` and each term's
+/// `∆D_i` as row batches; only a row store answers §5.2's probes.
+pub(crate) trait ViewSink {
+    /// Apply `rows` as inserts, or as deletes when `insert` is false.
+    fn apply(&mut self, rows: &RowBuf, insert: bool, view: &str) -> Result<()>;
+
+    /// The row store §5.2 computes orphans from; `None` sends every
+    /// indirect term to base tables (§5.3).
+    fn row_store(&self) -> Option<&ViewStore>;
+}
+
+/// A maintained view split into disjoint borrows, so maintenance reads the
+/// analysis and the plan cache while it mutates the sink.
+pub(crate) struct ViewParts<'a> {
+    pub name: &'a str,
+    pub analysis: &'a ViewAnalysis,
+    pub plans: &'a mut PlanCache,
+    pub sink: &'a mut dyn ViewSink,
+}
+
+/// A view the batch layer maintains, plain or aggregated. Plan lookup,
+/// warm-up and [`apply_with_primary`] are written once over its parts; the
+/// two kinds differ only in their [`ViewSink`].
+pub(crate) trait Maintained {
+    fn name(&self) -> &str;
+
+    fn analysis(&self) -> &ViewAnalysis;
+
+    fn parts(&mut self) -> ViewParts<'_>;
+
+    /// The compiled maintenance plan for updates of `t` under the policy
+    /// configuration `cfg`, compiling on first use (or after DDL / a policy
+    /// flip invalidated the cached entry).
+    fn compiled_plan(
+        &mut self,
+        catalog: &Catalog,
+        t: TableId,
+        cfg: PlanConfig,
+    ) -> Result<Arc<CompiledMaintenancePlan>> {
+        let parts = self.parts();
+        parts.plans.get_or_compile(parts.analysis, catalog, t, cfg)
+    }
+
+    /// Eagerly compile the maintenance plan for every referenced table under
+    /// `policy` — called at view creation so steady-state maintenance never
+    /// compiles (the compile counter stays flat).
+    fn warm_plans(&mut self, catalog: &Catalog, policy: &MaintenancePolicy) -> Result<()> {
+        let cfg = PlanConfig::of(policy);
+        for i in 0..self.analysis().layout.table_count() {
+            self.compiled_plan(catalog, TableId(i as u8), cfg)?;
+        }
+        Ok(())
+    }
+}
+
 /// Apply an already-computed primary delta and run the secondary step —
 /// everything in a maintenance run *after* `ΔV^D` evaluation, which the
 /// batch layer may share between several views.
@@ -108,7 +169,7 @@ pub(crate) fn delta_ctx<'a>(
 /// Fills every report field except `primary_compute` and `exec`, which
 /// depend on how the caller evaluated the primary.
 pub(crate) fn apply_with_primary(
-    view: &mut MaterializedView,
+    view: &mut dyn Maintained,
     catalog: &Catalog,
     stats: &ExecStats,
     update: &Update,
@@ -117,15 +178,21 @@ pub(crate) fn apply_with_primary(
     report: &mut MaintenanceReport,
 ) -> Result<()> {
     let t = compiled.table;
-    let (name, analysis, store) = view.parts_mut();
+    let ViewParts {
+        name,
+        analysis,
+        sink,
+        ..
+    } = view.parts();
     report.direct_terms = compiled.mgraph.direct.len();
     report.indirect_terms = compiled.indirect.len();
     report.verified_checks = compiled.verified_checks;
     report.plan_fingerprint = compiled.fingerprint;
     report.primary_rows = primary.len();
+    let insert = update.op == UpdateOp::Insert;
 
     let start = Instant::now();
-    apply_primary(store, name, primary, update.op)?;
+    sink.apply(primary, insert, name)?;
     report.primary_apply = start.elapsed();
 
     // Step 2: secondary delta (§5), applied with the inverse operation, one
@@ -140,62 +207,22 @@ pub(crate) fn apply_with_primary(
             terms: &analysis.terms,
             updated: t,
         };
-        let insert = update.op == UpdateOp::Insert;
         for ind in &compiled.indirect {
             let term = IndirectTermView::from(ind);
             // §5.2 column availability (resolved at compile time): "If a
             // view does not output the columns required by the expressions
             // above, then the expression cannot be used and ∆D_i has to be
-            // computed using base tables" (§5.3).
-            let orphans = if ind.from_view_ok {
-                secondary::from_view(&sctx, store, &term, primary, insert)
-            } else {
-                secondary::from_base(&sctx, &exec, &term, primary, insert)?
+            // computed using base tables" (§5.3). A group store never
+            // exposes its terms, so an aggregated view always takes §5.3.
+            let orphans = match sink.row_store().filter(|_| ind.from_view_ok) {
+                Some(store) => secondary::from_view(&sctx, store, &term, primary, insert),
+                None => secondary::from_base(&sctx, &exec, &term, primary, insert)?,
             };
-            report.secondary_rows += apply_orphans(store, name, &orphans, insert)?;
+            report.secondary_rows += orphans.len();
+            sink.apply(&orphans, !insert, name)?;
         }
     }
     report.secondary_time = start.elapsed();
-    Ok(())
-}
-
-/// Apply one term's `∆D_i` with the inverse of the update's operation:
-/// prior orphans uncovered by an insert are deleted, new orphans created by
-/// a delete are inserted. Returns the number of rows applied.
-pub(crate) fn apply_orphans(
-    store: &mut ViewStore,
-    name: &str,
-    orphans: &RowBuf,
-    insert: bool,
-) -> Result<usize> {
-    for row in orphans {
-        if insert {
-            store.delete(row, name)?;
-        } else {
-            store.insert(row.to_vec(), name)?;
-        }
-    }
-    Ok(orphans.len())
-}
-
-pub(crate) fn apply_primary(
-    store: &mut ViewStore,
-    name: &str,
-    primary: &RowBuf,
-    op: UpdateOp,
-) -> Result<()> {
-    match op {
-        UpdateOp::Insert => {
-            for row in primary {
-                store.insert(row.to_vec(), name)?;
-            }
-        }
-        UpdateOp::Delete => {
-            for row in primary {
-                store.delete(row, name)?;
-            }
-        }
-    }
     Ok(())
 }
 

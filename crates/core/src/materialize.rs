@@ -1,18 +1,16 @@
 //! Materialized view storage and initial materialization.
 
-use std::sync::Arc;
-
 use ojv_rel::postable::{idx, pos32};
 use ojv_rel::{
-    fx_hash_one, key_eq, key_eq_rows, key_hash, key_of, Datum, FxHashMap, PosTable, Relation, Row,
-    RowBuf,
+    fx_hash_one, key_eq, key_eq_rows, key_hash, key_of, Datum, FxHashMap, KeyArena, PosTable,
+    Relation, Row, RowBuf,
 };
 use ojv_storage::Catalog;
 
 use crate::analyze::{analyze, ViewAnalysis};
-use crate::compile::{CompiledMaintenancePlan, PlanCache, PlanConfig};
+use crate::compile::PlanCache;
 use crate::error::{CoreError, Result};
-use crate::policy::MaintenancePolicy;
+use crate::maintain::{Maintained, ViewParts, ViewSink};
 use crate::snapshot::ViewOp;
 use crate::view_def::ViewDef;
 
@@ -27,43 +25,23 @@ pub type CountIndexSnapshot = (Vec<usize>, Vec<(Vec<Datum>, usize)>);
 /// view. Rows with a null in the indexed columns are not indexed (the
 /// equijoin `eq(T_i)` is null-rejecting).
 ///
-/// Each distinct key is kept once, in a flat arena beside its count, and
-/// the [`PosTable`] verifies against that arena. The store's rows cannot be
-/// the verify target: the row a key was first counted from may be deleted
-/// while other rows keep the count positive.
+/// The keys live in a [`KeyArena`], not in the store's rows: the row a key
+/// was first counted from may be deleted while other rows keep the count
+/// positive.
 #[derive(Debug, Clone)]
 struct KeyCountIndex {
     cols: Vec<usize>,
-    /// hash(key) → slot in `keys` / `counts`.
-    slots: PosTable,
-    keys: RowBuf,
-    counts: Vec<usize>,
+    counts: KeyArena<usize>,
 }
 
 impl KeyCountIndex {
-    /// Slot of the key `row` carries in the indexed columns.
-    fn slot_of_row(&self, hash: u64, row: &[Datum]) -> Option<usize> {
-        self.slots
-            .find(hash, |s| key_eq(row, &self.cols, self.keys.row(idx(s))))
-            .map(idx)
-    }
-
     fn add(&mut self, row: &[Datum]) {
         if self.cols.iter().any(|&c| row[c].is_null()) {
             return;
         }
         let hash = key_hash(row, &self.cols);
-        match self.slot_of_row(hash, row) {
-            Some(s) => self.counts[s] += 1,
-            None => {
-                self.slots.insert(hash, pos32(self.counts.len()));
-                let key = self.keys.push_null_row();
-                for (k, &c) in key.iter_mut().zip(&self.cols) {
-                    *k = row[c].clone();
-                }
-                self.counts.push(1);
-            }
-        }
+        let s = self.counts.find_or_insert(hash, row, &self.cols, || 0);
+        *self.counts.value_mut(s) += 1;
     }
 
     fn remove(&mut self, row: &[Datum]) {
@@ -71,22 +49,15 @@ impl KeyCountIndex {
             return;
         }
         let hash = key_hash(row, &self.cols);
-        let Some(s) = self.slot_of_row(hash, row) else {
+        let Some(s) = self.counts.find(hash, row, &self.cols) else {
             debug_assert!(false, "count index out of sync");
             return;
         };
-        if self.counts[s] > 1 {
-            self.counts[s] -= 1;
-            return;
-        }
-        // Last occurrence: swap-remove the key, re-pointing the moved one.
-        let last = self.counts.len() - 1;
-        self.slots.remove(hash, pos32(s));
-        self.counts.swap_remove(s);
-        self.keys.swap_remove_row(s);
-        if s < last {
-            let moved = fx_hash_one(self.keys.row(s));
-            self.slots.replace(moved, pos32(last), pos32(s));
+        let n = self.counts.value_mut(s);
+        if *n > 1 {
+            *n -= 1;
+        } else {
+            self.counts.swap_remove(hash, s);
         }
     }
 }
@@ -167,10 +138,8 @@ impl ViewStore {
             return;
         }
         let mut idx = KeyCountIndex {
-            keys: RowBuf::new(cols.len()),
+            counts: KeyArena::new(cols.len()),
             cols,
-            slots: PosTable::default(),
-            counts: Vec::new(),
         };
         for row in &self.rows {
             idx.add(row);
@@ -184,8 +153,8 @@ impl ViewStore {
     /// none: [`ViewStore::contains_row`] answers for it).
     pub fn count_by_row(&self, cols: &[usize], row: &[Datum]) -> Option<usize> {
         let index = self.secondary.iter().find(|i| i.cols == cols)?;
-        let slot = index.slot_of_row(key_hash(row, cols), row);
-        Some(slot.map_or(0, |s| index.counts[s]))
+        let slot = index.counts.find(key_hash(row, cols), row, cols);
+        Some(slot.map_or(0, |s| *index.counts.value(s)))
     }
 
     pub fn len(&self) -> usize {
@@ -264,12 +233,8 @@ impl ViewStore {
         self.secondary
             .iter()
             .map(|idx| {
-                let mut entries: Vec<(Vec<Datum>, usize)> = idx
-                    .keys
-                    .iter()
-                    .zip(&idx.counts)
-                    .map(|(k, &c)| (k.to_vec(), c))
-                    .collect();
+                let mut entries: Vec<(Vec<Datum>, usize)> =
+                    idx.counts.iter().map(|(k, &c)| (k.to_vec(), c)).collect();
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
                 (idx.cols.clone(), entries)
             })
@@ -360,34 +325,6 @@ impl MaterializedView {
         })
     }
 
-    /// The compiled maintenance plan for updates of `t` under the policy
-    /// configuration `cfg`, compiling on first use (or after DDL / a policy
-    /// flip invalidated the cached entry).
-    pub fn compiled_plan(
-        &mut self,
-        catalog: &Catalog,
-        t: ojv_algebra::TableId,
-        cfg: PlanConfig,
-    ) -> Result<Arc<CompiledMaintenancePlan>> {
-        self.plans.get_or_compile(&self.analysis, catalog, t, cfg)
-    }
-
-    /// Eagerly compile the maintenance plan for every referenced table under
-    /// `policy` — called at view creation so steady-state maintenance never
-    /// compiles (the compile counter stays flat).
-    pub fn warm_plans(&mut self, catalog: &Catalog, policy: &MaintenancePolicy) -> Result<()> {
-        let cfg = PlanConfig::of(policy);
-        for i in 0..self.analysis.layout.table_count() {
-            self.compiled_plan(catalog, ojv_algebra::TableId(i as u8), cfg)?;
-        }
-        Ok(())
-    }
-
-    /// Number of cached compiled plans (for tests).
-    pub fn cached_plan_count(&self) -> usize {
-        self.plans.len()
-    }
-
     pub fn name(&self) -> &str {
         self.def.name()
     }
@@ -415,13 +352,6 @@ impl MaterializedView {
 
     pub(crate) fn store(&self) -> &ViewStore {
         &self.store
-    }
-
-    /// The view's name and analysis beside its mutable store: disjoint
-    /// borrows, so maintenance evaluates over the layout while it mutates
-    /// the store.
-    pub(crate) fn parts_mut(&mut self) -> (&str, &ViewAnalysis, &mut ViewStore) {
-        (self.def.name(), &self.analysis, &mut self.store)
     }
 
     /// Start journaling this view's mutations for the snapshot registry.
@@ -471,6 +401,44 @@ impl MaterializedView {
             .iter()
             .map(|t| (t.tables, by_set.get(&t.tables).copied().unwrap_or(0)))
             .collect()
+    }
+}
+
+impl Maintained for MaterializedView {
+    fn name(&self) -> &str {
+        self.def.name()
+    }
+
+    fn analysis(&self) -> &ViewAnalysis {
+        &self.analysis
+    }
+
+    fn parts(&mut self) -> ViewParts<'_> {
+        ViewParts {
+            name: self.def.name(),
+            analysis: &self.analysis,
+            plans: &mut self.plans,
+            sink: &mut self.store,
+        }
+    }
+}
+
+/// The row store takes `ΔV^D` and every term's `∆D_i` row by row, and
+/// answers §5.2's probes.
+impl ViewSink for ViewStore {
+    fn apply(&mut self, rows: &RowBuf, insert: bool, view: &str) -> Result<()> {
+        for row in rows {
+            if insert {
+                self.insert(row.to_vec(), view)?;
+            } else {
+                self.delete(row, view)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn row_store(&self) -> Option<&ViewStore> {
+        Some(self)
     }
 }
 

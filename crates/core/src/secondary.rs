@@ -354,7 +354,7 @@ mod tests {
     use super::*;
     use crate::compile::PlanConfig;
     use crate::fixtures::*;
-    use crate::maintain::{apply_orphans, apply_primary, verify_against_recompute};
+    use crate::maintain::{verify_against_recompute, Maintained, ViewSink};
     use crate::materialize::MaterializedView;
     use ojv_algebra::Atom;
     use ojv_exec::{eval_expr_buf, DeltaInput};
@@ -387,13 +387,13 @@ mod tests {
             Some(plan) => eval_expr_buf(&exec, plan).unwrap(),
         };
         let name = view.name().to_string();
-        apply_primary(view.store_mut(), &name, &primary, update.op).unwrap();
+        let insert = update.op == UpdateOp::Insert;
+        view.store_mut().apply(&primary, insert, &name).unwrap();
         let ctx = SecondaryCtx {
             layout: &analysis.layout,
             terms: &analysis.terms,
             updated: t,
         };
-        let insert = update.op == UpdateOp::Insert;
         let (mut terms, mut orphans) = (0, 0);
         for ind in &compiled.indirect {
             assert!(ind.from_view_ok, "full views pass §5.2 availability");
@@ -414,7 +414,7 @@ mod tests {
             );
             terms += 1;
             orphans += a.len();
-            apply_orphans(view.store_mut(), &name, &by_view, insert).unwrap();
+            view.store_mut().apply(&by_view, !insert, &name).unwrap();
         }
         assert!(verify_against_recompute(view, catalog));
         (terms, orphans)

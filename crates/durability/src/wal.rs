@@ -59,9 +59,6 @@ pub enum FsyncPolicy {
     /// fsync after every N appended records: bounded loss window of at most
     /// N-1 batches, amortized fsync cost.
     EveryN(u32),
-    /// fsync only when a checkpoint is taken (and on segment rotation):
-    /// everything since the last checkpoint may be lost.
-    OnCheckpoint,
     /// Never fsync on the append path (rotation still syncs). Benchmarks
     /// only — measures pure framing + write overhead.
     Never,
@@ -512,7 +509,7 @@ impl Wal {
                     self.unsynced = 0;
                 }
             }
-            FsyncPolicy::OnCheckpoint | FsyncPolicy::Never => {}
+            FsyncPolicy::Never => {}
         }
         Ok(lsn)
     }

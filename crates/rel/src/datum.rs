@@ -105,14 +105,6 @@ impl Datum {
         }
     }
 
-    /// Extract a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Datum::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Rank used to order datums of different variants (`Null` first).
     fn variant_rank(&self) -> u8 {
         match self {
@@ -173,20 +165,6 @@ impl<'a> DatumRef<'a> {
     #[inline]
     pub fn is_null(self) -> bool {
         matches!(self, DatumRef::Null)
-    }
-
-    /// Materialize an owned [`Datum`]. Strings allocate a fresh `Arc<str>`;
-    /// hot paths that need the owned datum should prefer storage-level
-    /// accessors that clone the backing `Arc` instead.
-    pub fn to_datum(self) -> Datum {
-        match self {
-            DatumRef::Null => Datum::Null,
-            DatumRef::Bool(b) => Datum::Bool(b),
-            DatumRef::Int(v) => Datum::Int(v),
-            DatumRef::Float(v) => Datum::Float(v),
-            DatumRef::Str(s) => Datum::str(s),
-            DatumRef::Date(d) => Datum::Date(d),
-        }
     }
 
     /// SQL-style three-valued comparison; mirrors [`Datum::sql_cmp`].

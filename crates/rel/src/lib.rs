@@ -45,7 +45,7 @@ pub use fxhash::{
     fx_hash_one, fx_map_with_capacity, fx_set_with_capacity, FxBuildHasher, FxHashMap, FxHashSet,
     FxHasher,
 };
-pub use postable::PosTable;
+pub use postable::{KeyArena, PosTable};
 pub use relation::Relation;
 pub use row::{all_non_null, all_null, key_into, key_of, row_display, Row};
 pub use rowbuf::{key_eq, key_eq_rows, key_hash, key_hash_with, RowBuf};

@@ -15,6 +15,12 @@
 //! hash's upper 32 bits with the payload into one `u64`; the home slot is
 //! taken from those same upper bits — the well-mixed half of the fx hash —
 //! so a resize rehashes without touching the rows.
+//!
+//! Where no held row can stand for a key (a count or a group outlives the
+//! row it was first seen in), [`KeyArena`] keeps each distinct key once in
+//! a flat arena beside its value and verifies against that.
+
+use crate::{fx_hash_one, key_eq, Datum, RowBuf};
 
 /// A free slot. No stored entry can equal it: payloads stay below
 /// `u32::MAX` ([`pos32`]).
@@ -160,6 +166,96 @@ impl PosTable {
     pub fn replace(&mut self, hash: u64, old: u32, new: u32) {
         let i = self.slot_of(hash, old);
         self.slots[i] = pack(hash, new);
+    }
+}
+
+/// Distinct keys in a flat arena, one value per key, found through a
+/// [`PosTable`] verified against the arena: the keyed map of the view
+/// store's count indexes and of the aggregate groups. A probe reads its key
+/// columns out of a wider row in place ([`crate::key_hash`]); only a new key is
+/// copied, once, into the arena. Removal swap-removes, so the arena stays
+/// dense and a slot is valid until the next removal.
+#[derive(Debug, Clone)]
+pub struct KeyArena<V> {
+    /// hash(key) → slot in `keys` / `values`.
+    slots: PosTable,
+    keys: RowBuf,
+    values: Vec<V>,
+}
+
+impl<V> KeyArena<V> {
+    /// An empty arena of `width`-column keys.
+    pub fn new(width: usize) -> Self {
+        KeyArena {
+            slots: PosTable::default(),
+            keys: RowBuf::new(width),
+            values: Vec::new(),
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Slot of the key `row` carries in `cols`, whose [`crate::key_hash`] is
+    /// `hash`.
+    #[inline]
+    pub fn find(&self, hash: u64, row: &[Datum], cols: &[usize]) -> Option<usize> {
+        self.slots
+            .find(hash, |s| key_eq(row, cols, self.keys.row(idx(s))))
+            .map(idx)
+    }
+
+    /// Slot of the key `row` carries in `cols`, adding the key with the
+    /// value `init()` when it is absent.
+    pub fn find_or_insert(
+        &mut self,
+        hash: u64,
+        row: &[Datum],
+        cols: &[usize],
+        init: impl FnOnce() -> V,
+    ) -> usize {
+        if let Some(s) = self.find(hash, row, cols) {
+            return s;
+        }
+        let s = self.values.len();
+        self.slots.insert(hash, pos32(s));
+        let key = self.keys.push_null_row();
+        for (k, &c) in key.iter_mut().zip(cols) {
+            *k = row[c].clone();
+        }
+        self.values.push(init());
+        s
+    }
+
+    pub fn value(&self, slot: usize) -> &V {
+        &self.values[slot]
+    }
+
+    pub fn value_mut(&mut self, slot: usize) -> &mut V {
+        &mut self.values[slot]
+    }
+
+    /// Remove the key at `slot`, whose hash is `hash`, and return its value.
+    /// The last key moves into `slot`.
+    pub fn swap_remove(&mut self, hash: u64, slot: usize) -> V {
+        let last = self.values.len() - 1;
+        self.slots.remove(hash, pos32(slot));
+        self.keys.swap_remove_row(slot);
+        if slot < last {
+            let moved = fx_hash_one(self.keys.row(slot));
+            self.slots.replace(moved, pos32(last), pos32(slot));
+        }
+        self.values.swap_remove(slot)
+    }
+
+    /// Every key with its value, in arena order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[Datum], &V)> {
+        self.keys.iter().zip(&self.values)
     }
 }
 

@@ -35,10 +35,6 @@ impl Relation {
         &self.rows
     }
 
-    pub fn rows_mut(&mut self) -> &mut Vec<Row> {
-        &mut self.rows
-    }
-
     pub fn into_rows(self) -> Vec<Row> {
         self.rows
     }

@@ -8,7 +8,7 @@
 
 use ojv_rel::postable::{idx, pos32, PosTable};
 use ojv_rel::{fx_hash_one, fx_set_with_capacity, key_eq_rows, key_hash, key_hash_with};
-use ojv_rel::{Datum, DatumRef, FxHashSet, Relation, Row, SchemaRef};
+use ojv_rel::{Datum, DatumRef, FxHashSet, Row, SchemaRef};
 
 use crate::error::StorageError;
 use crate::heap::{ColumnHeap, RowRef};
@@ -268,11 +268,6 @@ impl Table {
     /// (checkpoint encoding, tests); scans should use [`Self::iter_refs`].
     pub fn iter_rows(&self) -> impl ExactSizeIterator<Item = Row> + '_ {
         (0..self.heap.len()).map(move |pos| self.heap.row(pos))
-    }
-
-    /// Materialize the table contents as a relation.
-    pub fn to_relation(&self) -> Relation {
-        Relation::new(self.schema.clone(), self.iter_rows().collect())
     }
 
     /// Add a secondary index over `cols`; returns its id. Existing rows are
@@ -543,18 +538,6 @@ impl Table {
         self.validate_delete(&[key])?;
         Ok(self.remove(key))
     }
-
-    /// Delete all rows matching `pred`, returning them.
-    pub fn delete_where(&mut self, pred: impl Fn(&Row) -> bool) -> Vec<Row> {
-        let keys: Vec<Row> = self
-            .iter_rows()
-            .filter(|r| pred(r))
-            .map(|r| ojv_rel::key_of(&r, &self.key_cols))
-            .collect();
-        keys.iter()
-            .map(|k| self.delete(k).expect("key collected from live rows"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -767,17 +750,6 @@ mod tests {
         }
         assert!(t.validate_delete(&[k(1), k(2)]).is_ok());
         assert_eq!(t.iter_rows().collect::<Vec<_>>(), before);
-    }
-
-    #[test]
-    fn delete_where_returns_deleted_rows() {
-        let mut t = table();
-        for i in 0..6 {
-            t.insert(row(i, i % 2, "x")).unwrap();
-        }
-        let deleted = t.delete_where(|r| r[1] == Datum::Int(0));
-        assert_eq!(deleted.len(), 3);
-        assert_eq!(t.len(), 3);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! its batch apply allocates only when a vector doubles. A commit that a
 //! snapshot pin spans allocates per delta row too, not per stored row. A
 //! one-view commit rebuilds no maintenance plan and copies each `ΔV` row
-//! once, into the view store.
+//! once, into the view store. An aggregated rollup beside the view folds
+//! `ΔV` into its groups without building a key per row.
 
 use std::sync::Mutex;
 
@@ -17,7 +18,7 @@ use ojv::core::materialize::ViewStore;
 use ojv::prelude::*;
 use ojv::storage::IndexRef;
 use ojv::tpch::{create_tpch_catalog, TpchGen};
-use ojv_bench::views::v3_def;
+use ojv_bench::views::{v3_def, v3_rollup_def};
 use ojv_testkit::{alloc_snapshot, CountingAlloc};
 
 #[global_allocator]
@@ -336,4 +337,89 @@ fn one_view_commits_allocate_what_they_evaluate_and_store() {
         delete <= COMMIT_DELETE_ALLOCS,
         "{BATCH}-lineitem delete commit allocated {delete} times (pinned: {COMMIT_DELETE_ALLOCS})"
     );
+}
+
+/// What adding the A4 rollup of V3 (grouped by customer) to a V3 database
+/// may add to a lineitem commit beyond what V3 alone allocates: the
+/// rollup's job and report, and its §5.3 secondary delta's executor
+/// buffers and hash tables, which grow by doubling. Folding a `ΔV` row into
+/// its group allocates nothing. Measured: insert +187, delete +161 at
+/// 1 000 lineitems (94 `ΔV` rows); +204 and +174 at 4 000 (350 rows).
+/// Building a key per `ΔV` row instead adds two allocations per row.
+const ROLLUP_EXTRA_ALLOCS: u64 = 230;
+/// How much that extra may grow from the small commit to the large one.
+/// Measured: 17 and 13.
+const ROLLUP_EXTRA_GROWTH: u64 = 32;
+/// The small and the large commit, in lineitems.
+const ROLLUP_BATCHES: [usize; 2] = [BATCH, 4 * BATCH];
+
+/// Minimum allocations of an insert of `lines` lineitems from
+/// `lineitem_insert_batch(lines, 1)` and of its matching delete, committed
+/// to a warmed `Database` with V3 and, when `rollup` is set, the A4
+/// rollup of V3, with the insert's `ΔV` row count. Two warm-up rounds run
+/// first.
+fn rollup_commit_allocs(rollup: bool, lines: usize) -> ([u64; 2], usize) {
+    let mut db = Database::new(tpch());
+    db.create_view(v3_def()).unwrap();
+    if rollup {
+        db.create_agg_view(v3_rollup_def()).unwrap();
+    }
+    let rows = TpchGen::new(SF, 42).lineitem_insert_batch(lines, 1);
+    let keys: Vec<Vec<Datum>> = rows.iter().map(|r| r[..2].to_vec()).collect();
+    let (mut fewest, mut dv_rows) = ([u64::MAX; 2], 0);
+    for round in 0..2 + ATTEMPTS {
+        // The insert moves its batch into the catalog: clone it outside
+        // the window.
+        let batch = rows.clone();
+        let before = alloc_snapshot();
+        let inserted = db.insert("lineitem", batch).unwrap();
+        let after_insert = alloc_snapshot();
+        let deleted = db.delete("lineitem", &keys).unwrap();
+        let after_delete = alloc_snapshot();
+        assert_eq!(inserted.len(), 1 + usize::from(rollup));
+        assert_eq!(deleted.len(), inserted.len());
+        dv_rows = inserted[0].primary_rows;
+        if round >= 2 {
+            let counts = [
+                after_insert.since(&before).count,
+                after_delete.since(&after_insert).count,
+            ];
+            for (min, n) in fewest.iter_mut().zip(counts) {
+                *min = (*min).min(n);
+            }
+        }
+    }
+    (fewest, dv_rows)
+}
+
+/// The rollup shares V3's `ΔV` and folds each row into its group in
+/// place: beside V3 it adds a per-commit constant, not a key per `ΔV` row.
+#[test]
+fn a_rollup_beside_v3_allocates_per_commit_not_per_dv_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut extras = Vec::new();
+    for lines in ROLLUP_BATCHES {
+        let (alone, dv_rows) = rollup_commit_allocs(false, lines);
+        let (both, _) = rollup_commit_allocs(true, lines);
+        let extra = [0, 1].map(|i| both[i].saturating_sub(alone[i]));
+        println!(
+            "{lines}-lineitem commits ({dv_rows} ΔV rows): V3 alone insert {} delete {}, \
+             the rollup adds {} and {}",
+            alone[0], alone[1], extra[0], extra[1]
+        );
+        extras.push((dv_rows, extra));
+    }
+    for (i, op) in ["insert", "delete"].into_iter().enumerate() {
+        let [(small_dv, small), (large_dv, large)] = [extras[0], extras[1]].map(|(d, e)| (d, e[i]));
+        assert!(
+            large <= ROLLUP_EXTRA_ALLOCS,
+            "the rollup added {large} allocations to the {op} commit of {large_dv} ΔV rows \
+             (pinned: {ROLLUP_EXTRA_ALLOCS})"
+        );
+        assert!(
+            large.saturating_sub(small) <= ROLLUP_EXTRA_GROWTH,
+            "the rollup's extra allocations per {op} commit grew {small} -> {large} \
+             from {small_dv} to {large_dv} ΔV rows (pinned growth: {ROLLUP_EXTRA_GROWTH})"
+        );
+    }
 }

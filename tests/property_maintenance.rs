@@ -2,11 +2,13 @@
 //! maintained through randomized update sequences, must always equal a full
 //! recompute — under every maintenance policy, for a projected twin whose
 //! secondary deltas all come from base tables (§5.3), and for the GK
-//! baseline. Random views maintained together in one batch, across two
-//! layout groups, must equal each view maintained on its own, heap order
-//! included. A seeded suite per join shape (three-table inner, left, right
-//! and full outer chains, plus mixed two-kind chains) checks the same
-//! against recompute after every insert and delete batch.
+//! baseline. Each random view carries a random rollup (§3.3), maintained in
+//! the same batch, which must equal a fresh rollup after every op. Random
+//! views maintained together in one batch, across two layout groups, must
+//! equal each view maintained on its own, heap order included. A seeded
+//! suite per join shape (three-table inner, left, right and full outer
+//! chains, plus mixed two-kind chains) checks the same against recompute
+//! after every insert and delete batch.
 
 use std::slice;
 
@@ -96,6 +98,31 @@ fn projected_twin(def: &ViewDef, n_tables: usize) -> ViewDef {
         .with_projection(TABLES[..n_tables].iter().map(|t| (*t, "payload")).collect())
 }
 
+/// A random rollup of `def` (§3.3), seeded: one or two distinct group-by
+/// columns, `COUNT(*)`, `COUNT(col)` and `SUM` of an int column, each over
+/// a random column of the view's tables.
+fn random_rollup(def: &ViewDef, seed: u64, n_tables: usize) -> AggViewDef {
+    let mut rng = Rng::seed_from_u64(seed ^ 0xa99);
+    let pick = |rng: &mut Rng| {
+        let table = TABLES[rng.gen_range(0..n_tables)].to_string();
+        let column = ["id", "jc", "payload"][rng.gen_range(0..3usize)].to_string();
+        (table, column)
+    };
+    let first = pick(&mut rng);
+    let mut rollup = AggViewDef::new("rollup", def.clone()).group_by(&first.0, &first.1);
+    let second = pick(&mut rng);
+    if second != first && rng.gen_bool(0.5) {
+        rollup = rollup.group_by(&second.0, &second.1);
+    }
+    let (table, column) = pick(&mut rng);
+    let counted = AggSpec::CountNonNull { table, column };
+    let (table, column) = pick(&mut rng);
+    rollup
+        .agg("rows", AggSpec::CountRows)
+        .agg("counted", counted)
+        .agg("total", AggSpec::Sum { table, column })
+}
+
 /// Populate each table with `rows_per_table` rows (ids 1.., jc in 0..4).
 fn populate(c: &mut Catalog, n_tables: usize, rows_per_table: usize, seed: u64) {
     let mut rng = Rng::seed_from_u64(seed ^ 0xfeed);
@@ -172,10 +199,46 @@ fn policies() -> Vec<MaintenancePolicy> {
     ]
 }
 
+/// One arm of [`maintenance_equals_recompute`]: a view on a catalog of its
+/// own, maintained under `policy` (the GK baseline when `None`), and the
+/// arm's rollup with its definition, maintained in the same batch.
+struct Variant {
+    label: String,
+    catalog: Catalog,
+    view: MaterializedView,
+    rollup: Option<(AggViewDef, MaterializedAggView)>,
+    policy: Option<MaintenancePolicy>,
+}
+
+impl Variant {
+    fn new(
+        label: &str,
+        base: &Catalog,
+        def: ViewDef,
+        rollup: Option<AggViewDef>,
+        policy: Option<MaintenancePolicy>,
+    ) -> Self {
+        let catalog = base.clone();
+        let view = MaterializedView::create(&catalog, def).unwrap();
+        let rollup = rollup.map(|r| {
+            let created = MaterializedAggView::create(&catalog, r.clone()).unwrap();
+            (r, created)
+        });
+        Variant {
+            label: label.to_string(),
+            catalog,
+            view,
+            rollup,
+            policy,
+        }
+    }
+}
+
 property! {
     /// Incremental maintenance ≡ recompute for random views, random data,
     /// random update sequences, every policy, the projected twin, and the GK
-    /// baseline.
+    /// baseline; and every arm's random rollup, maintained in the same
+    /// batch as its view, ≡ a fresh rollup.
     #[cases = 48]
     fn maintenance_equals_recompute(
         view_seed in 0u64..500,
@@ -187,27 +250,26 @@ property! {
         populate(&mut base, n_tables, 6, data_seed);
         let def = random_view(view_seed, n_tables);
 
-        let mut variants: Vec<(String, Catalog, MaterializedView, Option<MaintenancePolicy>)> =
-            Vec::new();
+        let rollup = random_rollup(&def, view_seed, n_tables);
+        let mut variants: Vec<Variant> = Vec::new();
         for (i, p) in policies().into_iter().enumerate() {
-            let c = base.clone();
-            let v = MaterializedView::create(&c, def.clone()).unwrap();
-            variants.push((format!("policy{i}"), c, v, Some(p)));
+            let label = format!("policy{i}");
+            let rollup = Some(rollup.clone());
+            variants.push(Variant::new(&label, &base, def.clone(), rollup, Some(p)));
         }
         {
-            let c = base.clone();
-            let v = MaterializedView::create(&c, projected_twin(&def, n_tables)).unwrap();
+            let twin = projected_twin(&def, n_tables);
+            let rollup = AggViewDef { inner: twin.clone(), ..rollup.clone() };
+            let paper = Some(MaintenancePolicy::paper());
+            let v = Variant::new("projected", &base, twin, Some(rollup), paper);
+            let analysis = &v.view.analysis;
             assert!(
-                (0..v.analysis.terms.len()).all(|i| !v.analysis.from_view_available(i)),
+                (0..analysis.terms.len()).all(|i| !analysis.from_view_available(i)),
                 "the projected twin must take §5.3 for every term (view_seed={view_seed})"
             );
-            variants.push(("projected".into(), c, v, Some(MaintenancePolicy::paper())));
+            variants.push(v);
         }
-        {
-            let c = base.clone();
-            let v = MaterializedView::create(&c, def.clone()).unwrap();
-            variants.push(("gk".into(), c, v, None));
-        }
+        variants.push(Variant::new("gk", &base, def.clone(), None, None));
 
         let mut next_id = 1000i64;
         let mut rng = Rng::seed_from_u64(view_seed ^ data_seed);
@@ -240,15 +302,19 @@ property! {
             } else {
                 base.delete(table, &[key.clone().unwrap()]).unwrap();
             }
-            for (label, c, v, policy) in variants.iter_mut() {
+            for Variant { label, catalog: c, view: v, rollup, policy } in variants.iter_mut() {
                 let update = if is_insert {
                     c.insert(table, vec![row.clone().unwrap()]).unwrap()
                 } else {
                     c.delete(table, &[key.clone().unwrap()]).unwrap()
                 };
+                let rollups = match rollup {
+                    Some((_, r)) => slice::from_mut(r),
+                    None => &mut [],
+                };
                 match policy {
                     Some(p) => {
-                        maintain_batch(slice::from_mut(v), &mut [], c, &update, p).unwrap();
+                        maintain_batch(slice::from_mut(v), rollups, c, &update, p).unwrap();
                     }
                     None => {
                         maintain_gk(v, c, &update).unwrap();
@@ -258,6 +324,16 @@ property! {
                     verify_against_recompute(v, c),
                     "{label} diverged on view_seed={view_seed} data_seed={data_seed} op={op:?}"
                 );
+                if let Some((def, r)) = rollup {
+                    let fresh = MaterializedAggView::create(c, def.clone()).unwrap();
+                    assert!(
+                        r.output().bag_eq(&fresh.output()),
+                        "{label}'s rollup diverged on view_seed={view_seed} \
+                         data_seed={data_seed} op={op:?}:\n{}\nrecomputed:\n{}",
+                        r.output(),
+                        fresh.output()
+                    );
+                }
             }
         }
     }
