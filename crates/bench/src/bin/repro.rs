@@ -234,23 +234,26 @@ fn example1(env: &Env) {
 
 fn sql(env: &Env) {
     use ojv_core::analyze::analyze;
+    use ojv_core::compile::PlanConfig;
     use ojv_storage::UpdateOp;
     let a = analyze(&env.catalog, &v3_def()).expect("V3 analyzes");
-    println!("Maintenance script for a lineitem insert into V3 (cf. the paper's Q1–Q4):\n");
-    println!(
-        "{}",
-        ojv_core::sql::maintenance_script(&a, "V3", "lineitem", UpdateOp::Insert, true, true)
-    );
-    println!("Maintenance script for a part insert (FK fast path):\n");
-    println!(
-        "{}",
-        ojv_core::sql::maintenance_script(&a, "V3", "part", UpdateOp::Insert, true, true)
-    );
-    println!("Maintenance script for an orders insert (FK no-op):\n");
-    println!(
-        "{}",
-        ojv_core::sql::maintenance_script(&a, "V3", "orders", UpdateOp::Insert, true, true)
-    );
+    let cfg = PlanConfig {
+        use_fk: true,
+        left_deep: true,
+    };
+    for (what, table) in [
+        (
+            "a lineitem insert into V3 (cf. the paper's Q1–Q4)",
+            "lineitem",
+        ),
+        ("a part insert (FK fast path)", "part"),
+        ("an orders insert (FK no-op)", "orders"),
+    ] {
+        println!("Maintenance script for {what}:\n");
+        let script =
+            ojv_core::sql::maintenance_script(&a, &env.catalog, "V3", table, UpdateOp::Insert, cfg);
+        println!("{}", script.expect("V3's plans compile"));
+    }
 }
 
 fn graphs(env: &Env) {

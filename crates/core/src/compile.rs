@@ -3,10 +3,12 @@
 //! view.
 //!
 //! The primary delta plan (§4), the maintenance graph (§3.1), the static
-//! verifier's result and the §5.2 column-availability condition depend only
-//! on the view definition, the catalog schema and the policy, not on the
-//! update at hand. A [`CompiledMaintenancePlan`] captures them; the hot path
-//! keeps only the cheap per-run delta arity check.
+//! verifier's result and every input of the secondary delta (§5: each
+//! indirect term's key columns, parent source sets, `Q_i` null filter,
+//! §5.2 column availability and §5.3 join chains) depend only on the view
+//! definition, the catalog schema and the policy, not on the update at hand.
+//! A [`CompiledMaintenancePlan`] captures them; the hot path keeps only the
+//! cheap per-run delta arity check.
 //!
 //! Cache invalidation is by construction: every compiled plan records the
 //! [`Catalog::schema_version`] and the [`PlanConfig`] it was built under, and
@@ -15,13 +17,17 @@
 //! the config; either forces a recompile on the next maintenance run.
 //!
 //! This module is the **only** place (outside `analyze`, where the derivation
-//! primitives live) allowed to call `primary_delta_plan` or the compile-time
-//! verifiers — enforced by the `plan-compile-confined` lint in `xtask`.
+//! primitives live) allowed to call `primary_delta_plan`, `maintenance_graph`
+//! or the compile-time verifiers — enforced by the `plan-compile-confined`
+//! lint in `xtask`.
 
 use std::cell::Cell;
 use std::sync::Arc;
 
-use ojv_algebra::{fingerprint_expr, Expr, MaintenanceGraph, Spine, TableId};
+use ojv_algebra::{
+    fingerprint_expr, Atom, Expr, MaintenanceGraph, Pred, Spine, TableId, TableSet, Term,
+};
+use ojv_analysis::{Invariant, PlanViolation};
 use ojv_storage::Catalog;
 
 use crate::analyze::ViewAnalysis;
@@ -65,16 +71,59 @@ impl PlanConfig {
     }
 }
 
+/// One step of a §5.3 chain: join `table` to the rows built so far on
+/// `pred`.
+#[derive(Debug, Clone)]
+pub struct ChainStep {
+    pub table: TableId,
+    /// The parent's conjuncts connecting `table` to the tables joined
+    /// before it.
+    pub pred: Pred,
+    /// `table`'s current state under its single-table conjuncts.
+    leaf: Expr,
+    /// The updated table only: its pre-update state `T ▷ ΔT` under the same
+    /// conjuncts, which the insertion formula joins instead of `leaf`.
+    old_leaf: Option<Expr>,
+}
+
+impl ChainStep {
+    /// The leaf the insertion (`insert`) or deletion formula joins.
+    pub fn leaf(&self, insert: bool) -> &Expr {
+        match &self.old_leaf {
+            Some(old) if insert => old,
+            _ => &self.leaf,
+        }
+    }
+}
+
+/// A directly affected parent of an indirect term.
+#[derive(Debug, Clone)]
+pub struct CompiledParent {
+    /// The parent's source set (§5.2's `σ_{P_i}` keeps the `ΔV^D` rows
+    /// that cover it).
+    pub tables: TableSet,
+    /// The candidate-driven chain that evaluates `candidates ▷ E'_{ip}`
+    /// (§5.3), in join order.
+    pub chain: Vec<ChainStep>,
+}
+
 /// An indirectly affected term with everything the §5 secondary-delta
 /// strategies need, resolved at compile time.
 #[derive(Debug, Clone)]
 pub struct CompiledIndirect {
     /// Term index in the view's normal form.
     pub term: usize,
+    /// The term's tables `T_i`.
+    pub tables: TableSet,
+    /// Wide-row indexes of the term key `eq(T_i)`.
+    pub key_cols: Vec<usize>,
+    /// The tables outside `T_i`, nulled in every candidate.
+    pub nulled: TableSet,
     /// Directly affected parents.
-    pub pard: Vec<usize>,
-    /// All minimal-superset parents (for the `Q_i` null filter).
-    pub all_parents: Vec<usize>,
+    pub pard: Vec<CompiledParent>,
+    /// The tables that parents *not* directly affected add to `T_i`: §5.3's
+    /// `Q_i` requires them null.
+    pub unchanged: TableSet,
     /// §5.2 column availability, evaluated once: can this term's secondary
     /// delta be computed from the view's output?
     pub from_view_ok: bool,
@@ -111,8 +160,8 @@ pub struct CompiledMaintenancePlan {
     /// Fingerprint of the view's wide-row layout. Views can only share
     /// materialized rows when their layouts agree.
     pub layout_sig: u64,
-    /// Indirectly affected terms with compile-time-resolved parent sets and
-    /// §5.2 availability.
+    /// Indirectly affected terms with their compiled §5 inputs, in the
+    /// maintenance graph's supersets-first order.
     pub indirect: Vec<CompiledIndirect>,
     /// Static-verifier checks passed at compile time. Every compiled plan is
     /// verified, in every build, so this is never 0.
@@ -168,10 +217,31 @@ pub fn compile_uncached(
         if from_view_ok {
             verified_checks += analysis.verify_from_view(ind.term)?;
         }
+        let tables = analysis.terms[ind.term].tables;
+        let mut pard = Vec::with_capacity(ind.pard.len());
+        for &k in &ind.pard {
+            let parent = &analysis.terms[k];
+            let chain = rest_chain(tables, parent, t)?;
+            verified_checks += 1;
+            pard.push(CompiledParent {
+                tables: parent.tables,
+                chain,
+            });
+        }
+        let unchanged = analysis
+            .graph
+            .parents(ind.term)
+            .iter()
+            .filter(|p| !ind.pard.contains(p))
+            .map(|&k| analysis.terms[k].tables.difference(tables))
+            .fold(TableSet::empty(), TableSet::union);
         indirect.push(CompiledIndirect {
             term: ind.term,
-            pard: ind.pard.clone(),
-            all_parents: analysis.graph.parents(ind.term).to_vec(),
+            tables,
+            key_cols: analysis.layout.term_key_cols(tables),
+            nulled: analysis.layout.all_tables().difference(tables),
+            pard,
+            unchanged,
             from_view_ok,
         });
     }
@@ -190,10 +260,71 @@ pub fn compile_uncached(
     })
 }
 
-/// Derive just the `ΔV^D` operator tree, uncached and unverified — for the
-/// SQL script generator, which renders plans without executing them.
-pub fn derive_plan(analysis: &ViewAnalysis, t: TableId, use_fk: bool, left_deep: bool) -> Expr {
-    analysis.primary_delta_plan(t, use_fk, left_deep)
+/// Order the §5.3 chain evaluating `candidates ▷_{q_ip} E'_{ip}` for the
+/// indirect term over `ti`, its directly affected parent `parent`, and
+/// updates of `t` — the one place that decides the join order.
+///
+/// Evaluating `E'_{ip}` standalone joins base tables in full — exactly the
+/// cost the paper criticizes GK for. The chain instead drives the probe
+/// from the (small) candidate set: it joins the parent's other tables one
+/// at a time, greedily taking the first remaining table some unplaced
+/// conjunct connects to the tables joined so far, and places each conjunct
+/// of the parent's predicate (those within `T_i` already hold) at the step
+/// that joins its last table — as the join predicate, or as the leaf's
+/// filter when it touches that table alone. A conjunct no step places is a
+/// compile error.
+fn rest_chain(ti: TableSet, parent: &Term, t: TableId) -> Result<Vec<ChainStep>> {
+    let mut atoms: Vec<Atom> = parent
+        .pred
+        .atoms()
+        .iter()
+        .filter(|a| !a.tables().is_subset_of(ti))
+        .cloned()
+        .collect();
+    let mut chain = Vec::new();
+    let mut joined = ti;
+    let mut remaining: Vec<TableId> = parent.tables.difference(ti).iter().collect();
+    while !remaining.is_empty() {
+        let pick = remaining
+            .iter()
+            .position(|&x| {
+                atoms
+                    .iter()
+                    .any(|a| a.tables().contains(x) && a.tables().is_subset_of(joined.insert(x)))
+            })
+            .unwrap_or(0);
+        let x = remaining.swap_remove(pick);
+        joined = joined.insert(x);
+        let (applicable, rest): (Vec<_>, Vec<_>) = atoms
+            .into_iter()
+            .partition(|a| a.tables().is_subset_of(joined) && a.tables().contains(x));
+        atoms = rest;
+        let (on_x, cross): (Vec<_>, Vec<_>) = applicable
+            .into_iter()
+            .partition(|a| a.tables().is_subset_of(TableSet::singleton(x)));
+        let filtered = |leaf| {
+            if on_x.is_empty() {
+                leaf
+            } else {
+                Expr::select(Pred::new(on_x.clone()), leaf)
+            }
+        };
+        chain.push(ChainStep {
+            table: x,
+            pred: Pred::new(cross),
+            leaf: filtered(Expr::Table(x)),
+            old_leaf: (x == t).then(|| filtered(Expr::OldState(t))),
+        });
+    }
+    if !atoms.is_empty() {
+        return Err(PlanViolation::new(
+            Invariant::PlanPredScope,
+            format!("secondary/{ti}/{}", parent.tables),
+            format!("no step of the §5.3 chain places {}", Pred::new(atoms)),
+        )
+        .into());
+    }
+    Ok(chain)
 }
 
 /// Per-view cache of compiled maintenance plans, keyed by (updated table,
@@ -225,20 +356,6 @@ impl PlanCache {
         let compiled = Arc::new(compile_uncached(analysis, catalog, t, cfg)?);
         self.entries.push(Arc::clone(&compiled));
         Ok(compiled)
-    }
-
-    /// Number of cached plans (for tests).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop every cached plan (explicit invalidation).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -334,7 +451,7 @@ mod tests {
         };
         cache.get_or_compile(&a, &c, t, flipped).unwrap();
         assert_eq!(compile_count(), before + 1, "config flip must recompile");
-        assert_eq!(cache.len(), 2, "both configs stay cached");
+        assert_eq!(cache.entries.len(), 2, "both configs stay cached");
     }
 
     #[test]
@@ -346,7 +463,7 @@ mod tests {
         let mut cache = PlanCache::default();
         cache.get_or_compile(&a, &c, t, cfg()).unwrap();
         cache.get_or_compile(&a, &c, o, cfg()).unwrap();
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         c.create_table(
             "unrelated",
             vec![ojv_rel::Column::new(
@@ -361,7 +478,11 @@ mod tests {
         let before = compile_count();
         cache.get_or_compile(&a, &c, t, cfg()).unwrap();
         assert_eq!(compile_count(), before + 1, "schema bump must recompile");
-        assert_eq!(cache.len(), 1, "stale entries for all tables evicted");
+        assert_eq!(
+            cache.entries.len(),
+            1,
+            "stale entries for all tables evicted"
+        );
     }
 
     fn fresh_db(views: usize) -> crate::database::Database {
@@ -464,6 +585,71 @@ mod tests {
                 db.catalog()
             ));
         }
+    }
+
+    /// V1's §5.3 chains: term `{R}` under the parent `{T,U,R}` joins
+    /// `old(T)` (insert) or `T` (delete) on `p(r,t)`, then `U` on
+    /// `p(t,u)`; in the compiled plan for `T` updates, `{R}`'s one directly
+    /// affected parent `{R,T}` is the single `T` step.
+    #[test]
+    fn v1_chain_joins_old_t_then_u() {
+        let c = v1_catalog();
+        let a = analyze(&c, &v1_view_def()).unwrap();
+        let [r, t, u] = ["r", "t", "u"].map(|n| a.layout.table_id(n).unwrap());
+        let parent = a
+            .terms
+            .iter()
+            .find(|x| x.tables == TableSet::from_iter([r, t, u]))
+            .unwrap();
+        let chain = rest_chain(TableSet::singleton(r), parent, t).unwrap();
+        let steps: Vec<_> = chain
+            .iter()
+            .map(|s| (s.table, s.leaf(true), s.leaf(false), s.pred.atoms().len()))
+            .collect();
+        let (old_t, tab) = (Expr::OldState(t), |x| Expr::Table(x));
+        assert_eq!(
+            steps,
+            [(t, &old_t, &tab(t), 1), (u, &tab(u), &tab(u), 1)],
+            "{chain:?}"
+        );
+
+        let p = compile_uncached(&a, &c, t, cfg()).unwrap();
+        let ind = p
+            .indirect
+            .iter()
+            .find(|i| i.tables == TableSet::singleton(r))
+            .unwrap();
+        assert_eq!(ind.key_cols, a.layout.term_key_cols(ind.tables));
+        assert_eq!(ind.nulled, a.layout.all_tables().remove(r));
+        let [parent] = &ind.pard[..] else {
+            panic!("{:?}", ind.pard)
+        };
+        assert_eq!(parent.tables, TableSet::from_iter([r, t]));
+        let steps: Vec<_> = parent.chain.iter().map(|s| s.table).collect();
+        assert_eq!(steps, [t]);
+        assert_eq!(parent.chain[0].leaf(true), &old_t);
+    }
+
+    /// A parent conjunct over a table outside the parent's own tables fits
+    /// no step of the chain: compilation refuses it.
+    #[test]
+    fn chain_refuses_an_unplaceable_atom() {
+        let a = analyze(&v1_catalog(), &v1_view_def()).unwrap();
+        let [r, s, t] = ["r", "s", "t"].map(|n| a.layout.table_id(n).unwrap());
+        let col = |x| ojv_algebra::ColRef::new(x, 1);
+        let stray = Atom::Cols(col(t), ojv_algebra::CmpOp::Eq, col(s));
+        let parent = Term {
+            tables: TableSet::from_iter([r, t]),
+            pred: Pred::new(vec![
+                Atom::Cols(col(r), ojv_algebra::CmpOp::Eq, col(t)),
+                stray,
+            ]),
+        };
+        let err = rest_chain(TableSet::singleton(r), &parent, t).unwrap_err();
+        assert!(
+            matches!(&err, crate::error::CoreError::Plan(v) if v.invariant == Invariant::PlanPredScope),
+            "{err}"
+        );
     }
 
     #[test]

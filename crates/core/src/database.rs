@@ -137,14 +137,14 @@ impl Database {
         let v = self.view(view).ok_or_else(|| CoreError::UnknownView {
             view: view.to_string(),
         })?;
-        Ok(crate::sql::maintenance_script(
+        crate::sql::maintenance_script(
             &v.analysis,
+            &self.catalog,
             view,
             table,
             op,
-            self.policy.fk_enabled(),
-            self.policy.left_deep,
-        ))
+            PlanConfig::of(&self.policy),
+        )
     }
 
     /// Create and materialize an aggregated outer-join view.

@@ -14,33 +14,11 @@ use ojv_rel::{Row, RowBuf};
 use ojv_storage::{Catalog, Update, UpdateOp};
 
 use crate::analyze::ViewAnalysis;
-use crate::compile::{CompiledIndirect, CompiledMaintenancePlan, PlanCache, PlanConfig};
+use crate::compile::{CompiledMaintenancePlan, PlanCache, PlanConfig};
 use crate::error::Result;
 use crate::materialize::{MaterializedView, ViewStore};
 use crate::policy::MaintenancePolicy;
-use crate::secondary::{self, SecondaryCtx};
-
-/// An indirectly affected term with its parent sets — what the secondary
-/// delta computations consume.
-#[derive(Debug, Clone, Copy)]
-pub struct IndirectTermView<'a> {
-    /// Term index in the view's normal form.
-    pub term: usize,
-    /// Directly affected (minimal-superset) parents.
-    pub pard: &'a [usize],
-    /// All minimal-superset parents (for the `Q_i` null filter).
-    pub all_parents: &'a [usize],
-}
-
-impl<'a> From<&'a CompiledIndirect> for IndirectTermView<'a> {
-    fn from(ind: &'a CompiledIndirect) -> Self {
-        IndirectTermView {
-            term: ind.term,
-            pard: &ind.pard,
-            all_parents: &ind.all_parents,
-        }
-    }
-}
+use crate::secondary;
 
 /// What one maintenance run did, with per-phase wall-clock timings — the
 /// measurements behind the Figure 5 reproduction.
@@ -202,21 +180,15 @@ pub(crate) fn apply_with_primary(
     let start = Instant::now();
     if !compiled.indirect.is_empty() && !primary.is_empty() {
         let exec = delta_ctx(catalog, &analysis.layout, t, update, stats);
-        let sctx = SecondaryCtx {
-            layout: &analysis.layout,
-            terms: &analysis.terms,
-            updated: t,
-        };
         for ind in &compiled.indirect {
-            let term = IndirectTermView::from(ind);
             // §5.2 column availability (resolved at compile time): "If a
             // view does not output the columns required by the expressions
             // above, then the expression cannot be used and ∆D_i has to be
             // computed using base tables" (§5.3). A group store never
             // exposes its terms, so an aggregated view always takes §5.3.
             let orphans = match sink.row_store().filter(|_| ind.from_view_ok) {
-                Some(store) => secondary::from_view(&sctx, store, &term, primary, insert),
-                None => secondary::from_base(&sctx, &exec, &term, primary, insert)?,
+                Some(store) => secondary::from_view(&analysis.layout, store, ind, primary, insert),
+                None => secondary::from_base(&exec, ind, primary, insert)?,
             };
             report.secondary_rows += orphans.len();
             sink.apply(&orphans, !insert, name)?;

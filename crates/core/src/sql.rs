@@ -2,15 +2,18 @@
 //! procedure in (§1's oj_view statements and §7's Q1–Q4).
 //!
 //! The engine executes [`ojv_algebra::Expr`] trees directly; this module
-//! pretty-prints those trees (and the secondary-delta statements) as the SQL
-//! a trigger-based implementation would run, for inspection, documentation,
-//! and the `repro` binary.
+//! pretty-prints the compiled plan (the primary delta's tree and each
+//! indirect term's secondary-delta statements) as the SQL a trigger-based
+//! implementation would run, for inspection, documentation, and the `repro`
+//! binary.
 
-use ojv_algebra::{Atom, Expr, JoinKind, Pred, TableId, TableSet};
+use ojv_algebra::{Atom, Expr, JoinKind, Pred, TableSet};
 use ojv_exec::ViewLayout;
-use ojv_storage::UpdateOp;
+use ojv_storage::{Catalog, UpdateOp};
 
 use crate::analyze::ViewAnalysis;
+use crate::compile::{compile_uncached, ChainStep, PlanConfig};
+use crate::error::Result;
 
 /// Render a column reference as `table.column`.
 fn col_sql(layout: &ViewLayout, c: ojv_algebra::ColRef) -> String {
@@ -119,49 +122,74 @@ pub fn from_clause_sql(layout: &ViewLayout, expr: &Expr, indent: usize) -> Strin
     }
 }
 
-/// The `IS NULL` / `IS NOT NULL` pattern predicate identifying a term's rows
-/// in the view (the paper's `null(T)`/`¬null(T)` via a key column).
-pub fn term_pattern_sql(layout: &ViewLayout, tables: TableSet) -> String {
-    let mut parts = Vec::new();
-    for i in 0..layout.table_count() {
-        let t = TableId(i as u8);
-        let slot = layout.slot(t);
-        let key = &slot.schema.column(slot.key_cols[0] - slot.offset).name;
-        if tables.contains(t) {
-            parts.push(format!("{}.{key} IS NOT NULL", slot.name));
-        } else {
-            parts.push(format!("{}.{key} IS NULL", slot.name));
-        }
-    }
+/// `IS NOT NULL` on a key column of every table in `present` and `IS NULL`
+/// on one of every table in `absent`, in table order.
+fn null_pattern_sql(layout: &ViewLayout, present: TableSet, absent: TableSet) -> String {
+    let parts: Vec<String> = present
+        .union(absent)
+        .iter()
+        .map(|t| {
+            let slot = layout.slot(t);
+            let key = &slot.schema.column(slot.key_cols[0] - slot.offset).name;
+            let not = if present.contains(t) { "NOT " } else { "" };
+            format!("{}.{key} IS {not}NULL", slot.name)
+        })
+        .collect();
     parts.join(" AND ")
 }
 
+/// The `IS NULL` / `IS NOT NULL` pattern predicate identifying a term's rows
+/// in the view (the paper's `null(T)`/`¬null(T)` via a key column).
+pub fn term_pattern_sql(layout: &ViewLayout, tables: TableSet) -> String {
+    null_pattern_sql(layout, tables, layout.all_tables().difference(tables))
+}
+
+/// A compiled §5.3 chain as the subquery its anti join tests: the parent
+/// tuples of the rest expression `E'_{ip}` that join the candidate.
+fn chain_sql(layout: &ViewLayout, chain: &[ChainStep], insert: bool) -> String {
+    let leaves: Vec<String> = chain
+        .iter()
+        .map(|s| from_clause_sql(layout, s.leaf(insert), 0))
+        .collect();
+    let on = Pred::new(chain.iter().flat_map(|s| s.pred.atoms().to_vec()).collect());
+    format!(
+        "SELECT 1 FROM {} WHERE {}",
+        leaves.join(", "),
+        pred_sql(layout, &on)
+    )
+}
+
 /// Render the full maintenance script for an update of `table` — the
-/// equivalent of the paper's Q1–Q4 sequence for V3 (§7).
+/// equivalent of the paper's Q1–Q4 sequence for V3 (§7) — from the plan
+/// [`compile_uncached`] compiles for it under `cfg`, so each indirect term
+/// takes the strategy maintenance takes: §5.2 from the view when the view
+/// outputs the columns the term needs, §5.3 from base tables otherwise.
 pub fn maintenance_script(
     analysis: &ViewAnalysis,
+    catalog: &Catalog,
     view_name: &str,
     table: &str,
     op: UpdateOp,
-    use_fk: bool,
-    left_deep: bool,
-) -> String {
+    cfg: PlanConfig,
+) -> Result<String> {
     let layout = &analysis.layout;
     let Some(t) = layout.table_id(table) else {
-        return format!("-- view {view_name} does not reference {table}; nothing to do\n");
+        return Ok(format!(
+            "-- view {view_name} does not reference {table}; nothing to do\n"
+        ));
     };
-    let mgraph = analysis.maintenance_graph(t, use_fk);
-    if mgraph.is_empty() {
-        return format!(
+    let compiled = compile_uncached(analysis, catalog, t, cfg)?;
+    let Some(plan) = &compiled.plan else {
+        return Ok(format!(
             "-- maintenance graph for {view_name} / update {table} is empty\n-- (foreign keys prove the view is unaffected); nothing to do\n"
-        );
-    }
+        ));
+    };
+    let insert = op == UpdateOp::Insert;
     let mut out = String::new();
-    let plan = crate::compile::derive_plan(analysis, t, use_fk, left_deep);
 
     out.push_str("-- Q1: compute primary delta\n");
     out.push_str("INSERT INTO #delta1\nSELECT *\nFROM\n");
-    out.push_str(&from_clause_sql(layout, &plan, 1));
+    out.push_str(&from_clause_sql(layout, plan, 1));
     out.push_str(";\n\n");
 
     out.push_str("-- Q2: apply primary delta\n");
@@ -174,9 +202,9 @@ pub fn maintenance_script(
         )),
     }
 
-    for (i, ind) in mgraph.indirect.iter().enumerate() {
-        let term = &analysis.terms[ind.term];
-        let label: String = term
+    for (i, ind) in compiled.indirect.iter().enumerate() {
+        let q = i + 3;
+        let label: String = ind
             .tables
             .iter()
             .map(|x| {
@@ -189,9 +217,32 @@ pub fn maintenance_script(
                     .to_ascii_uppercase()
             })
             .collect();
-        out.push_str(&format!("-- Q{}: update term {label}\n", i + 3));
+        let names = ind
+            .tables
+            .iter()
+            .map(|x| layout.slot(x).name.clone())
+            .collect::<Vec<_>>()
+            .join(", ");
+        if !ind.from_view_ok {
+            // §5.3: anti join the candidates against every directly
+            // affected parent's rest expression, then apply the orphans.
+            out.push_str(&format!(
+                "-- Q{q}: update term {label} from base tables (§5.3)\nINSERT INTO #orphans{q}\nSELECT DISTINCT {names}.* FROM #delta1\nWHERE {}",
+                null_pattern_sql(layout, ind.tables, ind.unchanged)
+            ));
+            for parent in &ind.pard {
+                let anti = chain_sql(layout, &parent.chain, insert);
+                out.push_str(&format!("\n  AND NOT EXISTS ({anti})"));
+            }
+            out.push_str(&match op {
+                UpdateOp::Insert => format!(";\nDELETE FROM {view_name} WHERE view_key IN (SELECT view_key FROM #orphans{q});\n\n"),
+                UpdateOp::Delete => format!(";\nINSERT INTO {view_name} SELECT * FROM #orphans{q};\n\n"),
+            });
+            continue;
+        }
+        out.push_str(&format!("-- Q{q}: update term {label}\n"));
         // Key columns of the term, used for the IN (...) subqueries.
-        let keys: Vec<String> = term
+        let keys: Vec<String> = ind
             .tables
             .iter()
             .flat_map(|x| {
@@ -201,29 +252,18 @@ pub fn maintenance_script(
                 })
             })
             .collect();
+        let keys = keys.join(", ");
         match op {
-            UpdateOp::Insert => {
-                out.push_str(&format!(
-                    "DELETE FROM {view_name}\nWHERE {}\n  AND ({}) IN (SELECT {} FROM #delta1);\n\n",
-                    term_pattern_sql(layout, term.tables),
-                    keys.join(", "),
-                    keys.join(", "),
-                ));
-            }
-            UpdateOp::Delete => {
-                out.push_str(&format!(
-                    "INSERT INTO {view_name}\nSELECT DISTINCT {}.* FROM #delta1 d\nWHERE NOT EXISTS (SELECT 1 FROM {view_name} v WHERE ({}) = d.term_key);\n\n",
-                    term.tables
-                        .iter()
-                        .map(|x| layout.slot(x).name.clone())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    keys.join(", "),
-                ));
-            }
+            UpdateOp::Insert => out.push_str(&format!(
+                "DELETE FROM {view_name}\nWHERE {}\n  AND ({keys}) IN (SELECT {keys} FROM #delta1);\n\n",
+                term_pattern_sql(layout, ind.tables),
+            )),
+            UpdateOp::Delete => out.push_str(&format!(
+                "INSERT INTO {view_name}\nSELECT DISTINCT {names}.* FROM #delta1 d\nWHERE NOT EXISTS (SELECT 1 FROM {view_name} v WHERE ({keys}) = d.term_key);\n\n",
+            )),
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -231,10 +271,20 @@ mod tests {
     use super::*;
     use crate::analyze::analyze;
     use crate::fixtures::*;
+    use crate::view_def::{col_eq, ViewDef, ViewExpr};
 
     fn analysis() -> ViewAnalysis {
         let catalog = example1_catalog();
         analyze(&catalog, &oj_view_def()).unwrap()
+    }
+
+    /// `oj_view`'s script for an update of `table` under the paper policy.
+    fn script(a: &ViewAnalysis, table: &str, op: UpdateOp) -> String {
+        let cfg = PlanConfig {
+            use_fk: true,
+            left_deep: true,
+        };
+        maintenance_script(a, &example1_catalog(), "oj_view", table, op, cfg).unwrap()
     }
 
     #[test]
@@ -267,7 +317,7 @@ mod tests {
     #[test]
     fn lineitem_insert_script_has_q1_through_q4() {
         let a = analysis();
-        let sql = maintenance_script(&a, "oj_view", "lineitem", UpdateOp::Insert, true, true);
+        let sql = script(&a, "lineitem", UpdateOp::Insert);
         assert!(sql.contains("-- Q1: compute primary delta"));
         assert!(sql.contains("INSERT INTO #delta1"));
         assert!(sql.contains("delta_lineitem"));
@@ -280,7 +330,7 @@ mod tests {
     #[test]
     fn part_insert_script_collapses_to_view_insert() {
         let a = analysis();
-        let sql = maintenance_script(&a, "oj_view", "part", UpdateOp::Insert, true, true);
+        let sql = script(&a, "part", UpdateOp::Insert);
         // FK fast path: the delta expression is just the delta scan, and
         // there are no Q3/Q4 statements.
         assert!(sql.contains("delta_part"));
@@ -288,22 +338,89 @@ mod tests {
         assert!(!sql.contains("JOIN"));
     }
 
+    /// With orders inner-joined to lineitem, as in V3, every term holding
+    /// an order holds one of its lineitems, and the lineitem → orders FK
+    /// proves a new order has none: an orders insert leaves the view as it
+    /// is, and the script says so.
     #[test]
     fn orders_script_is_a_noop_with_fk() {
-        let a = analysis();
-        let catalog = crate::fixtures::example1_catalog();
-        // oj_view with an orders update IS affected (O term exists), so use
-        // V3-like semantics via the lineitem⋈orders FK on a different view:
-        // here just check the unaffected-table path.
-        let _ = catalog;
-        let sql = maintenance_script(&a, "oj_view", "nation", UpdateOp::Insert, true, true);
-        assert!(sql.contains("does not reference"));
+        let def = ViewDef::new(
+            "oj_view",
+            ViewExpr::full_outer(
+                vec![col_eq("part", "p_partkey", "lineitem", "l_partkey")],
+                ViewExpr::table("part"),
+                ViewExpr::inner(
+                    vec![col_eq("orders", "o_orderkey", "lineitem", "l_orderkey")],
+                    ViewExpr::table("orders"),
+                    ViewExpr::table("lineitem"),
+                ),
+            ),
+        );
+        let a = analyze(&example1_catalog(), &def).unwrap();
+        let sql = script(&a, "orders", UpdateOp::Insert);
+        assert!(sql.contains("is empty"), "{sql}");
+        assert!(!sql.contains("Q1"), "{sql}");
+        let sql = script(&a, "nation", UpdateOp::Insert);
+        assert!(sql.contains("does not reference"), "{sql}");
+    }
+
+    /// A projected twin of `oj_view` outputs no non-nullable lineitem
+    /// column, so §5.2 is unavailable for every term and maintenance takes
+    /// §5.3. So does the script: each term anti-joins base tables into a
+    /// temporary table, and no statement that writes the view names a
+    /// column the view does not output.
+    #[test]
+    fn projected_view_script_takes_base_tables() {
+        let a = analyze(
+            &example1_catalog(),
+            &oj_view_def().with_projection(vec![
+                ("part", "p_partkey"),
+                ("orders", "o_orderkey"),
+                ("lineitem", "l_quantity"),
+            ]),
+        )
+        .unwrap();
+        let hidden: Vec<String> = a
+            .layout
+            .slots()
+            .iter()
+            .flat_map(|slot| {
+                slot.schema
+                    .columns()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(ci, _)| !a.projection.contains(&(slot.offset + ci)))
+                    .map(|(_, c)| format!("{}.{}", slot.name, c.name))
+            })
+            .collect();
+        assert!(hidden.contains(&"lineitem.l_orderkey".to_string()));
+        for op in [UpdateOp::Insert, UpdateOp::Delete] {
+            let sql = script(&a, "lineitem", op);
+            let terms = sql.matches("-- Q").count() - 2;
+            assert!(terms > 0, "{sql}");
+            assert_eq!(
+                sql.matches("from base tables (§5.3)").count(),
+                terms,
+                "{sql}"
+            );
+            assert!(sql.contains("AND NOT EXISTS (SELECT 1 FROM"), "{sql}");
+            let writes_view = |stmt: &&str| {
+                stmt.lines().any(|l| {
+                    l.starts_with("DELETE FROM oj_view") || l.starts_with("INSERT INTO oj_view")
+                })
+            };
+            for stmt in sql.split(";\n").filter(writes_view) {
+                for col in &hidden {
+                    assert!(!stmt.contains(col.as_str()), "{col} in {stmt}");
+                }
+            }
+        }
     }
 
     #[test]
     fn delete_script_uses_inverse_operations() {
         let a = analysis();
-        let sql = maintenance_script(&a, "oj_view", "lineitem", UpdateOp::Delete, true, true);
+        let sql = script(&a, "lineitem", UpdateOp::Delete);
         assert!(sql.contains("DELETE FROM oj_view WHERE view_key IN"));
         assert!(sql.contains("INSERT INTO oj_view\nSELECT DISTINCT"));
     }

@@ -95,9 +95,9 @@ pub const LINTS: [LintDef; 16] = [
     LintDef {
         id: "plan-compile-confined",
         scope: "crates/core/src/ except {compile,analyze}.rs",
-        desc: "plan derivation/verification (primary_delta_plan, verify_static, \
-               verify_maintenance, verify_from_view) only in core's compile/analyze modules \
-               — everything else consumes CompiledMaintenancePlan",
+        desc: "plan derivation/verification (primary_delta_plan, maintenance_graph, \
+               verify_static, verify_maintenance, verify_from_view) only in core's \
+               compile/analyze modules — everything else consumes CompiledMaintenancePlan",
     },
     LintDef {
         id: "sched-seed-logged",
@@ -322,7 +322,11 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
             && !in_test(line)
             && matches!(
                 tok.text,
-                "primary_delta_plan" | "verify_static" | "verify_maintenance" | "verify_from_view"
+                "primary_delta_plan"
+                    | "maintenance_graph"
+                    | "verify_static"
+                    | "verify_maintenance"
+                    | "verify_from_view"
             )
         {
             record("plan-compile-confined", line, &mut out);
@@ -708,6 +712,13 @@ mod tests {
         let allowed =
             "fn f(a: &A) { a.primary_delta_plan(t, true, true); } // lint:allow(plan-compile-confined)\n";
         assert!(scan_file("crates/core/src/maintain.rs", allowed).is_empty());
+        // Deriving a maintenance graph is planning too (a script renderer
+        // once derived its own instead of compiling).
+        let graph = "fn s(a: &ViewAnalysis) { let g = a.maintenance_graph(t, true); }\n";
+        let v3 = scan_file("crates/core/src/sql.rs", graph);
+        assert_eq!(v3.len(), 1);
+        assert_eq!(v3[0].lint, "plan-compile-confined");
+        assert!(scan_file("crates/core/src/compile.rs", graph).is_empty());
         // Identifier boundary: verify_maintenance_graph is a different token.
         let other = "fn h() { ojv_analysis::verify_maintenance_graph(&g, &m, fks); }\n";
         assert!(scan_file("crates/core/src/maintain.rs", other).is_empty());

@@ -343,10 +343,12 @@ fn one_view_commits_allocate_what_they_evaluate_and_store() {
 /// may add to a lineitem commit beyond what V3 alone allocates: the
 /// rollup's job and report, and its §5.3 secondary delta's executor
 /// buffers and hash tables, which grow by doubling. Folding a `ΔV` row into
-/// its group allocates nothing. Measured: insert +187, delete +161 at
-/// 1 000 lineitems (94 `ΔV` rows); +204 and +174 at 4 000 (350 rows).
-/// Building a key per `ΔV` row instead adds two allocations per row.
-const ROLLUP_EXTRA_ALLOCS: u64 = 230;
+/// its group allocates nothing, and the §5.3 join chains come compiled.
+/// Measured: insert +160, delete +134 at 1 000 lineitems (94 `ΔV` rows);
+/// +177 and +147 at 4 000 (350 rows). Planning the chains on every commit
+/// instead adds 27 allocations per commit; building a key per `ΔV` row adds
+/// two per row.
+const ROLLUP_EXTRA_ALLOCS: u64 = 190;
 /// How much that extra may grow from the small commit to the large one.
 /// Measured: 17 and 13.
 const ROLLUP_EXTRA_GROWTH: u64 = 32;
