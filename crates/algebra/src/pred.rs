@@ -181,11 +181,6 @@ impl Pred {
         (Pred { atoms: yes }, Pred { atoms: no })
     }
 
-    /// Atoms whose referenced tables are entirely within `ts`.
-    pub fn restrict_to(&self, ts: TableSet) -> Pred {
-        self.partition(|a| a.tables().is_subset_of(ts)).0
-    }
-
     /// The equijoin atoms (`Cols` with `Eq`) between `left` tables and
     /// `right` tables, returned as `(left_col, right_col)` pairs; plus the
     /// remaining atoms as a residual predicate.
@@ -267,18 +262,6 @@ mod tests {
         let (keys, residual) = p.equi_split(left, right);
         assert_eq!(keys, vec![(cr(0, 2), cr(1, 3))]);
         assert_eq!(residual.atoms().len(), 1);
-    }
-
-    #[test]
-    fn restrict_to_filters_atoms() {
-        let p = Pred::new(vec![
-            Atom::eq(cr(0, 0), cr(1, 0)),
-            Atom::Const(cr(0, 1), CmpOp::Gt, Datum::Int(1)),
-        ]);
-        let r = p.restrict_to(TableSet::singleton(TableId(0)));
-        assert_eq!(r.atoms().len(), 1);
-        let r2 = p.restrict_to(TableSet::from_iter([TableId(0), TableId(1)]));
-        assert_eq!(r2.atoms().len(), 2);
     }
 
     #[test]

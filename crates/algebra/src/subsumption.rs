@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::normal_form::Term;
-use crate::table_set::TableSet;
 
 /// The DAG of subsumption relationships among the terms of a normal form.
 ///
@@ -75,11 +74,6 @@ impl SubsumptionGraph {
     pub fn children(&self, i: usize) -> &[usize] {
         &self.children[i]
     }
-
-    /// Index of the term with exactly this source set.
-    pub fn term_with_sources(&self, tables: TableSet) -> Option<usize> {
-        self.terms.iter().position(|t| t.tables == tables)
-    }
 }
 
 impl fmt::Display for SubsumptionGraph {
@@ -105,7 +99,7 @@ impl fmt::Display for SubsumptionGraph {
 mod tests {
     use super::*;
     use crate::pred::Pred;
-    use crate::table_set::TableId;
+    use crate::table_set::{TableId, TableSet};
 
     fn term(ids: &[u8]) -> Term {
         Term {
@@ -151,16 +145,6 @@ mod tests {
         let g = SubsumptionGraph::new(vec![term(&[0]), term(&[1])]);
         assert!(g.parents(0).is_empty());
         assert!(g.parents(1).is_empty());
-    }
-
-    #[test]
-    fn term_lookup_by_sources() {
-        let g = SubsumptionGraph::new(vec![term(&[0]), term(&[0, 1])]);
-        assert_eq!(
-            g.term_with_sources(TableSet::from_iter([TableId(0), TableId(1)])),
-            Some(1)
-        );
-        assert_eq!(g.term_with_sources(TableSet::singleton(TableId(1))), None);
     }
 
     fn sorted(v: &[usize]) -> Vec<usize> {

@@ -103,10 +103,6 @@ impl TableSet {
         self.is_subset_of(other) && self != other
     }
 
-    pub fn is_superset_of(self, other: TableSet) -> bool {
-        other.is_subset_of(self)
-    }
-
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
     }

@@ -1,20 +1,21 @@
-//! The shard unit — and, used alone, the unsharded in-memory engine.
+//! The shard unit, the one commit pipeline, and — used alone — the
+//! unsharded in-memory engine.
 //!
 //! A `Database` owns one catalog, the views materialized over it and their
-//! snapshot registry, and exposes the three shard-local commit stages every
-//! engine composes: **apply** ([`Database::apply_insert`] /
-//! [`Database::apply_delete`]: constraints enforced, `ΔT` returned),
-//! **maintain** (`maintain_views_only`: the paper's primary + secondary
-//! delta procedure over every registered view) and **publish**
-//! (`publish_commit`: journals → snapshot registry → commit observer, at one
-//! LSN). [`Database::insert`] / [`Database::delete`] / [`Database::update`]
-//! run them back to back under a dense local LSN, one LSN per call — an
-//! `UPDATE`'s two halves included;
-//! [`crate::shard::ShardedDatabase`] runs the same stages across N of these.
+//! snapshot registry. `commit` is the commit pipeline every engine runs,
+//! written once over a slice of these units: **validate** → **apply** the
+//! delete halves → **log** (a parameter: the next dense LSN in memory, a
+//! WAL append under a durable engine, nothing in recovery) → **maintain**
+//! (the paper's primary + secondary delta procedure; the insert half is
+//! applied between its two halves) → **publish** (journals → snapshot
+//! registry → commit observer, every unit at one LSN). [`Database::insert`]
+//! / [`Database::delete`] / [`Database::update`] run it over this unit
+//! alone, one dense local LSN per call.
 
 use ojv_durability::Lsn;
+use ojv_exec::catch_each;
 use ojv_rel::{Datum, Row};
-use ojv_storage::{Catalog, Update, ValidInsert};
+use ojv_storage::{Catalog, Update, ValidDelete, ValidInsert};
 
 use crate::agg_view::{AggViewDef, MaterializedAggView};
 use crate::compile::PlanConfig;
@@ -96,8 +97,8 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable catalog access: the sharded engine applies batches it has
-    /// validated on every shard first; tests run DDL under live views.
+    /// Mutable catalog access: tests run DDL under live views.
+    #[cfg(test)]
     pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
     }
@@ -193,20 +194,57 @@ impl Database {
     /// Insert rows into a base table (constraints enforced) and maintain
     /// every registered view. Returns one report per non-noop view.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
-        let update = self.apply_insert(table, rows)?;
-        self.maintain_update(&update)
+        self.commit_next(table, None, Some(rows))
     }
 
     /// Delete rows by unique key and maintain every registered view.
     pub fn delete(&mut self, table: &str, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
-        let update = self.apply_delete(table, keys)?;
-        self.maintain_update(&update)
+        self.commit_next(table, Some(keys), None)
     }
 
-    /// The apply stage: insert into the catalog only — no view maintenance —
-    /// and return the applied delta. Split from maintenance so a durable
-    /// engine can log the delta *before* maintenance runs (a crash
-    /// mid-maintain then replays the whole batch).
+    /// SQL-style `UPDATE`, modeled as a delete followed by an insert (paper
+    /// §3) and committed as one unit: both halves are validated before
+    /// either applies ([`Catalog::validate_update`]), so a refused `UPDATE`
+    /// changes nothing; then the halves are maintained in order and
+    /// published once, at one LSN — no snapshot reader or commit observer
+    /// sees half of it. The §6 foreign-key fast paths are disabled for the
+    /// pair, per the paper's caveat list. Returns one report per non-noop
+    /// view per half.
+    pub fn update(
+        &mut self,
+        table: &str,
+        keys: &[Vec<Datum>],
+        new_rows: Vec<Row>,
+    ) -> Result<Vec<MaintenanceReport>> {
+        self.commit_next(table, Some(keys), Some(new_rows))
+    }
+
+    /// The pipeline over this unit alone (it owns every half: nothing to
+    /// probe) with the next dense LSN as its log stage. Both halves: an
+    /// `UPDATE`, flagged *decomposed* (§6 FK shortcuts off).
+    fn commit_next(
+        &mut self,
+        table: &str,
+        keys: Option<&[Vec<Datum>]>,
+        rows: Option<Vec<Row>>,
+    ) -> Result<Vec<MaintenanceReport>> {
+        let next = self.commit_lsn + 1;
+        let decomposed = keys.is_some() && rows.is_some();
+        let units = std::slice::from_mut(self);
+        commit(
+            units,
+            table,
+            [(keys, rows)],
+            decomposed,
+            |_, _| Ok(()),
+            |_| Ok(Some(next)),
+        )
+    }
+
+    /// Apply an insert to the catalog only — no view maintenance, no
+    /// publish — and return the applied delta. With
+    /// [`Database::maintain_update`] this is [`Database::insert`] in two
+    /// calls, so a caller can time the stages apart.
     pub fn apply_insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Update> {
         Ok(self.catalog.insert(table, rows)?)
     }
@@ -219,60 +257,58 @@ impl Database {
     /// Maintain every registered view for an update that has already been
     /// applied to the catalog (via [`Database::apply_insert`] /
     /// [`Database::apply_delete`]) and publish the resulting view deltas as
-    /// one atomic commit numbered `commit_lsn + 1`. Returns one report per
-    /// non-noop view.
+    /// one atomic commit numbered `commit_lsn + 1` — even when maintenance
+    /// errored, so the registry's tips always track the working stores.
+    /// Returns one report per non-noop view.
     pub fn maintain_update(&mut self, update: &Update) -> Result<Vec<MaintenanceReport>> {
-        let result = self.maintain_views_only(update, false);
-        self.publish_next(result)
-    }
-
-    /// Publish the commit numbered `commit_lsn + 1` — even when its
-    /// maintenance errored, so the registry's tips always track the working
-    /// stores — and return the maintenance result.
-    fn publish_next(
-        &mut self,
-        maintained: Result<Vec<MaintenanceReport>>,
-    ) -> Result<Vec<MaintenanceReport>> {
+        let maintained = self.maintain_views_only(update, false);
         let published = self.publish_commit(self.commit_lsn + 1);
         let reports = maintained?;
         published?;
         Ok(reports)
     }
 
-    /// The maintain-and-apply steps of one commit on this shard, after its
+    /// The validate stage, the one place a commit's halves are checked:
+    /// this unit's delete keys and insert rows against its catalog,
+    /// changing nothing — both at once when it owns both (an `UPDATE`:
+    /// [`Catalog::validate_update`], the insert checked against the state
+    /// after the delete).
+    fn validate_halves<'k, K: AsRef<[Datum]>>(
+        &self,
+        table: &str,
+        keys: Option<&'k [K]>,
+        rows: Option<Vec<Row>>,
+    ) -> Result<Validated<'k, K>> {
+        let catalog = &self.catalog;
+        Ok(match (keys, rows) {
+            (Some(keys), Some(rows)) => {
+                let (delete, insert) = catalog.validate_update(table, keys, rows)?.into_halves();
+                (Some(delete), Some(insert))
+            }
+            (Some(keys), None) => (Some(catalog.validate_delete(table, keys)?), None),
+            (None, Some(rows)) => (None, Some(catalog.validate_insert(table, rows)?)),
+            (None, None) => (None, None),
+        })
+    }
+
+    /// The maintain-and-apply steps of one commit on this unit, after its
     /// delete half (if any) was applied and the commit logged: maintain the
     /// views for the delete half, apply the validated insert half, maintain
-    /// the views for it. Every engine's `UPDATE` and every replayed commit
-    /// runs exactly this sequence, so one commit reads the same base-table
-    /// states live and in recovery. The insert half is applied even when
-    /// the delete half's maintenance fails — the log holds both halves, so
-    /// the base tables must too — and the first error is returned.
-    /// Publishing is the caller's: one publish per commit.
-    pub(crate) fn commit_halves(
+    /// the views for it. The insert half is applied even when the delete
+    /// half's maintenance fails — the log holds both halves, so the base
+    /// tables must too — and the first error is returned.
+    fn commit_halves(
         &mut self,
         deleted: Option<&Update>,
         insert: Option<ValidInsert>,
         decomposed: bool,
     ) -> Result<Vec<MaintenanceReport>> {
-        let mut reports = Vec::new();
-        let mut first_err = None;
-        let mut keep = |result: Result<Vec<MaintenanceReport>>| match result {
-            Ok(r) => reports.extend(r),
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        };
-        if let Some(deleted) = deleted {
-            keep(self.maintain_views_only(deleted, decomposed));
-        }
-        if let Some(batch) = insert {
-            let inserted = self.catalog.apply_insert(batch);
-            keep(self.maintain_views_only(&inserted, decomposed));
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(reports),
-        }
+        let deleted = deleted.map(|d| self.maintain_views_only(d, decomposed));
+        let inserted = insert.map(|batch| self.catalog.apply_insert(batch));
+        let inserted = inserted.map(|i| self.maintain_views_only(&i, decomposed));
+        let mut reports = deleted.transpose()?.unwrap_or_default();
+        append(&mut reports, inserted.transpose()?.unwrap_or_default());
+        Ok(reports)
     }
 
     /// The maintain stage: run the maintenance procedure for every view
@@ -280,9 +316,8 @@ impl Database {
     /// `update` as one half of an SQL `UPDATE` (delete + insert, §3): the §6
     /// FK shortcuts are off for the pair. The bit travels with the commit —
     /// the effective policy is a local `Copy`, the stored one is never
-    /// touched. The sharded engine runs this per shard and publishes every
-    /// shard afterwards via [`Database::publish_commit`].
-    pub(crate) fn maintain_views_only(
+    /// touched.
+    fn maintain_views_only(
         &mut self,
         update: &Update,
         decomposed: bool,
@@ -306,7 +341,8 @@ impl Database {
     /// maintenance errored, so the registry's tips always track the working
     /// stores. Safe to call with nothing journaled — an empty commit just
     /// advances the registry to `lsn` (how untouched shards join a group
-    /// commit).
+    /// commit). Outside [`commit`], only recovery calls it, on its
+    /// topology's clock.
     pub(crate) fn publish_commit(&mut self, lsn: Lsn) -> Result<()> {
         let drained: Arc<crate::snapshot::CommitBatch> = Arc::new(
             self.views
@@ -400,29 +436,6 @@ impl Database {
             .expect("an empty commit only advances the registry LSN and cannot fail");
     }
 
-    /// SQL-style `UPDATE`, modeled as a delete followed by an insert (paper
-    /// §3) and committed as one unit: both halves are validated before
-    /// either applies ([`Catalog::validate_update`]), so a refused `UPDATE`
-    /// changes nothing; then the halves are maintained in order
-    /// (`commit_halves`) and published once, at one LSN — no snapshot
-    /// reader or commit observer sees half of it. The §6 foreign-key fast
-    /// paths are disabled for the pair, per the paper's caveat list.
-    /// Returns one report per non-noop view per half.
-    pub fn update(
-        &mut self,
-        table: &str,
-        keys: &[Vec<Datum>],
-        new_rows: Vec<Row>,
-    ) -> Result<Vec<MaintenanceReport>> {
-        let (delete, insert) = self
-            .catalog
-            .validate_update(table, keys, new_rows)?
-            .into_halves();
-        let deleted = self.catalog.apply_delete(delete);
-        let result = self.commit_halves(Some(&deleted), Some(insert), true);
-        self.publish_next(result)
-    }
-
     /// Render the batched physical maintenance plan the engine would run for
     /// an update of `table`: one line per affected view plus `shared:` lines
     /// for every subplan factored out across views.
@@ -452,6 +465,85 @@ impl Database {
         }
         rendered.push_str(&format!("  snapshot lsn={}\n", self.commit_lsn));
         Ok(rendered)
+    }
+}
+
+/// One unit's halves after the validate stage.
+pub(crate) type Validated<'k, K> = (Option<ValidDelete<'k, K>>, Option<ValidInsert>);
+
+/// One unit's halves after the apply stage — what the log stage frames: the
+/// applied delete half's delta, then the validated insert half, not yet
+/// applied. `(None, None)` for a unit the commit does not touch.
+pub(crate) type Staged = (Option<Update>, Option<ValidInsert>);
+
+/// The commit pipeline, written once: one operation on `table` —
+/// `parts[u]` is unit `u`'s delete keys and insert rows, `None` where it
+/// owns none — commits as one unit, in this order:
+///
+/// 1. **validate** every unit's halves, then `probe` (what no unit can
+///    check alone: the cross-shard FK probes) — a refused operation changes
+///    nothing and never reaches the log;
+/// 2. **apply** each unit's delete half;
+/// 3. **log** returns the commit LSN, or `None` in recovery, which publishes
+///    on its topology's clock; a log failure returns here, delete halves
+///    applied (the durable layer poisons itself);
+/// 4. per unit, behind the [`catch_each`] panic boundary: **maintain** the
+///    delete half, **apply** the insert half, **maintain** it;
+/// 5. **publish** every unit at that LSN, untouched ones with an empty
+///    commit, so all registries move in lockstep; a maintenance error or
+///    panic is returned only after.
+pub(crate) fn commit<'k, K: AsRef<[Datum]> + 'k>(
+    units: &mut [Database],
+    table: &str,
+    parts: impl IntoIterator<Item = (Option<&'k [K]>, Option<Vec<Row>>)>,
+    decomposed: bool,
+    probe: impl FnOnce(&[Database], &[Validated<'k, K>]) -> Result<()>,
+    log: impl FnOnce(&[Staged]) -> Result<Option<Lsn>>,
+) -> Result<Vec<MaintenanceReport>> {
+    let mut valid = Vec::with_capacity(units.len());
+    for (unit, (keys, rows)) in units.iter().zip(parts) {
+        valid.push(unit.validate_halves(table, keys, rows)?);
+    }
+    probe(units, &valid)?;
+    let staged: Vec<Staged> = units
+        .iter_mut()
+        .zip(valid)
+        .map(|(unit, (delete, insert))| (delete.map(|d| unit.catalog.apply_delete(d)), insert))
+        .collect();
+    let lsn = log(&staged)?;
+    let results = catch_each(
+        units.iter_mut().zip(staged),
+        |_, (unit, (deleted, insert))| {
+            (deleted.is_some() || insert.is_some())
+                .then(|| unit.commit_halves(deleted.as_ref(), insert, decomposed))
+        },
+    );
+    let mut published = Ok(());
+    if let Some(lsn) = lsn {
+        for unit in units.iter_mut() {
+            published = published.and(unit.publish_commit(lsn));
+        }
+    }
+    let mut reports = Vec::new();
+    for (unit, result) in results.into_iter().enumerate() {
+        let maintained = result.map_err(|detail| CoreError::MaintenancePanic {
+            view: format!("<shard {unit}>"),
+            detail,
+        })?;
+        if let Some(unit_reports) = maintained {
+            append(&mut reports, unit_reports?);
+        }
+    }
+    published.map(|()| reports)
+}
+
+/// `into.extend(more)`, but taking `more` whole when `into` is empty — a
+/// one-unit, one-half commit then allocates no second report vector.
+fn append<T>(into: &mut Vec<T>, more: Vec<T>) {
+    if into.is_empty() {
+        *into = more;
+    } else {
+        into.extend(more);
     }
 }
 

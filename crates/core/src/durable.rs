@@ -5,7 +5,8 @@
 //!
 //! Every base-table change — [`Durable::insert`], [`Durable::delete`],
 //! [`Durable::update`] — is one commit of the commit pipeline
-//! (`ShardedDatabase::commit_with`) with the log stage supplied here:
+//! (`database::commit`, routed by `ShardedDatabase::commit_with`)
+//! with the log stage supplied here:
 //!
 //! 1. the whole operation is validated — both halves of an `UPDATE` at
 //!    once ([`ojv_storage::Catalog::validate_update`]), so a refused
@@ -18,14 +19,15 @@
 //!    `UPDATE` — and returns the commit LSN once they are as durable as the
 //!    topology's fsync policy promises;
 //! 3. views are maintained for the delete half, the insert half is
-//!    applied and maintained (`Database::commit_halves`), and every shard's
-//!    snapshot registry publishes once, at that LSN — a snapshot LSN *is* a
-//!    log position, and an `UPDATE` takes exactly one.
+//!    applied and maintained, and every shard's snapshot registry
+//!    publishes once, at that LSN — a snapshot LSN *is* a log position, and
+//!    an `UPDATE` takes exactly one.
 //!
-//! A crash after step 2 therefore loses nothing: recovery replays the
-//! logged deltas through the same maintenance stage the live system uses
-//! (`replay_commit`), so the recovered stores are *byte-identical* to an
-//! uncrashed twin — not merely set-equal. A crash between 1 and 2 loses only
+//! A crash after step 2 therefore loses nothing: recovery decodes each
+//! logged record back into the halves it came from and replays them
+//! through the same pipeline with no log stage (`replay_record`), so the
+//! recovered stores are *byte-identical* to an uncrashed twin — not merely
+//! set-equal. A crash between 1 and 2 loses only
 //! RAM state that was never acknowledged as durable. If step 2 *fails* (I/O
 //! error, framing limit), RAM may be ahead of the log and recovery could
 //! never reproduce it: the database **poisons** itself — every later durable
@@ -47,21 +49,21 @@
 //!   shards cost K+1 fsyncs). [`ShardedDurableDatabase`] is
 //!   `Durable<GroupLog<V>>`.
 //!
-//! Their recovery halves (`open`) are genuinely different procedures and
-//! live with the topologies; everything else — usability check, poisoning,
-//! record framing and replay, DDL-then-checkpoint, the commit itself — is
-//! written once, below.
+//! Their recovery halves (`open`) differ in what they replay and in the
+//! clock they publish on, and live with the topologies; everything else —
+//! usability check, poisoning, record framing and replay,
+//! DDL-then-checkpoint, the commit itself — is written once, below.
 
 use ojv_durability::{DurabilityError, Lsn, Vfs, Wal, WalOptions, WalRecord, WalScan};
 use ojv_rel::{key_of, put_u32, ByteReader, Datum, Row};
-use ojv_storage::{decode_update, encode_update, Update, UpdateOp};
+use ojv_storage::{decode_update, encode_update, Update, UpdateOp, ValidInsert};
 
 use crate::checkpoint_state::fit_u32;
 
-use crate::database::Database;
+use crate::database::{self, Database, Staged};
 use crate::error::{CoreError, Result};
 use crate::maintain::MaintenanceReport;
-use crate::shard::{ShardedDatabase, TableOp};
+use crate::shard::ShardedDatabase;
 use crate::view_def::ViewDef;
 
 pub use crate::group_log::GroupLog;
@@ -118,6 +120,23 @@ pub(crate) fn commit_record(deltas: &[&Update], decomposed: bool) -> Result<(u8,
     Ok((REC_COMMIT, payload))
 }
 
+/// Refuse a record of any kind but [`REC_UPDATE`] and [`REC_COMMIT`] —
+/// the retired deferred-view refresh marker (kind 2) by name.
+pub(crate) fn check_commit_kind(rec: &WalRecord) -> Result<()> {
+    match rec.kind {
+        REC_UPDATE | REC_COMMIT => Ok(()),
+        2 => Err(corrupt_record(
+            rec,
+            "a deferred-view refresh marker (WAL record kind 2); deferred views are no longer \
+             supported",
+        )),
+        other => Err(corrupt_record(
+            rec,
+            format!("unknown WAL record kind {other}"),
+        )),
+    }
+}
+
 /// Decode a [`REC_UPDATE`] or [`REC_COMMIT`] record against `shard`'s
 /// schema: `(deltas in commit order, decomposed)`. A malformed
 /// [`REC_COMMIT`] frame — truncated, a length past its end, no delta,
@@ -169,10 +188,19 @@ pub(crate) fn decode_commit_record(
     }
 }
 
-/// Replay one logged commit against the shard that logged it: re-apply its
-/// deltas and re-run view maintenance exactly as the original commit did
-/// ([`Database::commit_halves`], decomposition flag included). Publishing
-/// is the caller's: the two topologies stamp recovered commits differently.
+/// The replay step of both topologies: check a record's kind, decode it and
+/// replay its deltas ([`replay_commit`]) against the shard that logged it.
+/// Publishing is the caller's, on its topology's clock.
+pub(crate) fn replay_record(shard: &mut Database, rec: &WalRecord) -> Result<()> {
+    check_commit_kind(rec)?;
+    let (deltas, decomposed) = decode_commit_record(shard, rec)?;
+    replay_commit(shard, rec, deltas, decomposed)
+}
+
+/// Replay one logged commit's deltas: turn them back into the halves the
+/// original commit had — the delete half's keys, the insert half's rows —
+/// and run them through the commit pipeline with no log stage, exactly as
+/// the original commit did (validation and decomposition flag included).
 pub(crate) fn replay_commit(
     shard: &mut Database,
     rec: &WalRecord,
@@ -180,42 +208,41 @@ pub(crate) fn replay_commit(
     decomposed: bool,
 ) -> Result<()> {
     let mut deltas = deltas.into_iter();
-    let (delete, insert) = match (deltas.next(), deltas.next(), deltas.next()) {
-        (Some(d), None, None) if d.op == UpdateOp::Delete => (Some(d), None),
-        (Some(i), None, None) => (None, Some(i)),
-        (Some(d), Some(i), None) if d.op == UpdateOp::Delete && i.op == UpdateOp::Insert => {
-            (Some(d), Some(i))
+    let (table, delete, insert) = match (deltas.next(), deltas.next(), deltas.next()) {
+        (Some(d), None, None) if d.op == UpdateOp::Delete => (d.table.clone(), Some(d), None),
+        (Some(i), None, None) => (i.table.clone(), None, Some(i)),
+        (Some(d), Some(i), None)
+            if d.op == UpdateOp::Delete && i.op == UpdateOp::Insert && d.table == i.table =>
+        {
+            (d.table.clone(), Some(d), Some(i))
         }
         _ => {
             return Err(corrupt_record(
                 rec,
-                "deltas are not a delete and/or an insert, in that order",
+                "deltas are not a delete and/or an insert of one table, in that order",
             ))
         }
     };
-    let deleted = match delete {
-        Some(d) => {
-            let key_cols = shard.catalog().table(&d.table)?.key_cols().to_vec();
-            let keys: Vec<Vec<Datum>> = d
-                .rows
-                .rows()
-                .iter()
-                .map(|row| key_of(row, &key_cols))
-                .collect();
-            Some(shard.apply_delete(&d.table, &keys)?)
-        }
-        None => None,
-    };
-    let insert = match insert {
-        Some(i) => Some(
-            shard
-                .catalog()
-                .validate_insert(&i.table, i.rows.into_rows())?,
-        ),
-        None => None,
-    };
-    shard.commit_halves(deleted.as_ref(), insert, decomposed)?;
+    let key_cols = shard.catalog().table(&table)?.key_cols();
+    let key = |row: &Row| key_of(row, key_cols);
+    let keys: Option<Vec<_>> = delete.map(|d| d.rows.rows().iter().map(key).collect());
+    let part = [(keys.as_deref(), insert.map(|i| i.rows.into_rows()))];
+    let units = std::slice::from_mut(shard);
+    database::commit(units, &table, part, decomposed, |_, _| Ok(()), |_| Ok(None))?;
     Ok(())
+}
+
+/// Each unit's deltas in commit order — its applied delete half, then its
+/// validated insert half; empty for an untouched unit — as
+/// [`CommitLog::append`] takes them.
+pub(crate) fn stream_deltas(staged: &[Staged]) -> Vec<Vec<&Update>> {
+    staged
+        .iter()
+        .map(|(deleted, insert)| {
+            let insert = insert.iter().map(ValidInsert::delta);
+            deleted.iter().chain(insert).collect()
+        })
+        .collect()
 }
 
 /// Open the WAL stream whose newest checkpoint is stamped `ckpt_lsn`.
@@ -325,23 +352,29 @@ impl<L: CommitLog> Durable<L> {
     /// The one durable commit: the shared pipeline with this engine's log
     /// as its log stage. A delete half has already been applied by the time
     /// the log runs, so a log failure poisons.
-    fn commit(&mut self, op: TableOp<'_>) -> Result<Vec<MaintenanceReport>> {
+    fn commit(
+        &mut self,
+        table: &str,
+        keys: Option<&[Vec<Datum>]>,
+        rows: Option<Vec<Row>>,
+    ) -> Result<Vec<MaintenanceReport>> {
         self.check_usable()?;
         let (log, poisoned) = (&mut self.log, &mut self.poisoned);
-        self.db.commit_with(op, |commit, decomposed| {
-            log.append(commit, decomposed)
-                .map_err(|e| Self::poison(poisoned, "log append of an applied update", e))
-        })
+        self.db
+            .commit_with(table, keys, rows, |staged, decomposed| {
+                log.append(&stream_deltas(staged), decomposed)
+                    .map_err(|e| Self::poison(poisoned, "log append of an applied update", e))
+            })
     }
 
     /// Durable insert: apply, log, maintain, publish at the log's LSN.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
-        self.commit(TableOp::Insert { table, rows })
+        self.commit(table, None, Some(rows))
     }
 
     /// Durable delete by unique key (see [`Durable::insert`]).
     pub fn delete(&mut self, table: &str, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
-        self.commit(TableOp::Delete { table, keys })
+        self.commit(table, Some(keys), None)
     }
 
     /// Durable SQL-style `UPDATE`: delete + insert as one commit — both
@@ -356,11 +389,7 @@ impl<L: CommitLog> Durable<L> {
         keys: &[Vec<Datum>],
         new_rows: Vec<Row>,
     ) -> Result<Vec<MaintenanceReport>> {
-        self.commit(TableOp::Update {
-            table,
-            keys,
-            rows: new_rows,
-        })
+        self.commit(table, Some(keys), Some(new_rows))
     }
 
     /// Create an eagerly-maintained view (on every shard, routing-aligned)

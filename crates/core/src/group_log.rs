@@ -52,8 +52,7 @@ use ojv_storage::{Catalog, Update};
 use crate::checkpoint_state::{codec_err, encode_state, fit_u32, restore_state};
 use crate::database::Database;
 use crate::durable::{
-    commit_record, decode_commit_record, open_wal_after, replay_commit, CommitLog, Durable,
-    ShardedDurableDatabase, REC_COMMIT, REC_UPDATE,
+    commit_record, open_wal_after, replay_record, CommitLog, Durable, ShardedDurableDatabase,
 };
 use crate::error::{CoreError, Result};
 use crate::policy::MaintenancePolicy;
@@ -393,14 +392,7 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
                     ));
                 }
                 next_expected += 1;
-                if rec.kind != REC_UPDATE && rec.kind != REC_COMMIT {
-                    return Err(corrupt(
-                        &label,
-                        format!("unknown record kind {} at lsn {}", rec.kind, rec.lsn),
-                    ));
-                }
-                let (deltas, decomposed) = decode_commit_record(&db, rec)?;
-                replay_commit(&mut db, rec, deltas, decomposed)?;
+                replay_record(&mut db, rec)?;
                 report.replayed_updates += 1;
             }
             if next_expected <= floor {
@@ -433,7 +425,7 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
             .truncated
             .push(coord_scan.truncated.map(|t| t.reason));
 
-        let db = ShardedDatabase::from_recovered(shard_dbs, &routing, enforce, group_lsn)?;
+        let db = ShardedDatabase::from_recovered(shard_dbs, &routing, enforce)?;
         Ok((
             Durable {
                 db,
@@ -490,6 +482,7 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
 mod tests {
     use super::*;
     use crate::checkpoint_state::old_format::{assert_refused, with_deferred_view};
+    use crate::durable::stream_deltas;
     use crate::fixtures::*;
     use crate::view_def::{col_eq, ViewDef, ViewExpr};
     use ojv_durability::MemVfs;
@@ -579,23 +572,20 @@ mod tests {
         // even an fsync, but the coordinator record never lands (crash
         // between barrier steps 2 and 3).
         let row = lineitem_row(5, 8, 1, 1, 7.0);
-        let op = crate::shard::TableOp::Insert {
-            table: "lineitem",
-            rows: vec![row],
-        };
         let log = &mut d.log;
-        let crashed = d.db.commit_with(op, |commit, decomposed| {
-            for (log, deltas) in log.shards.iter_mut().zip(commit) {
-                if !deltas.is_empty() {
-                    let (kind, payload) = commit_record(deltas, decomposed).unwrap();
-                    log.wal.append(&mut log.vfs, kind, &payload).unwrap();
-                    log.wal.sync(&mut log.vfs).unwrap();
+        let crashed =
+            d.db.commit_with("lineitem", None, Some(vec![row]), |staged, decomposed| {
+                for (log, deltas) in log.shards.iter_mut().zip(stream_deltas(staged)) {
+                    if !deltas.is_empty() {
+                        let (kind, payload) = commit_record(&deltas, decomposed).unwrap();
+                        log.wal.append(&mut log.vfs, kind, &payload).unwrap();
+                        log.wal.sync(&mut log.vfs).unwrap();
+                    }
                 }
-            }
-            Err(CoreError::Poisoned {
-                detail: "crash before the group record".to_string(),
-            })
-        });
+                Err(CoreError::Poisoned {
+                    detail: "crash before the group record".to_string(),
+                })
+            });
         assert!(crashed.is_err());
         let (shards, coord) = crash(d);
 

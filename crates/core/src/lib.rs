@@ -23,12 +23,15 @@
 //!
 //! and the one commit pipeline every engine is composed from:
 //!
-//! * [`database`] — the shard unit (catalog + views + registry: apply →
-//!   maintain → publish) and, alone, the unsharded in-memory engine,
-//! * [`shard`] — `ShardedDatabase`: validate → route → fan-out → group
-//!   publish over N shard units, taking the log stage as a parameter,
-//! * [`durable`] — `Durable<L: CommitLog>`: poisoning, `REC_UPDATE` framing
-//!   and replay, DDL-then-checkpoint and the durable commit, written once,
+//! * [`database`] — the shard unit (catalog + views + registry), the one
+//!   commit pipeline over a slice of units (validate → apply → log →
+//!   maintain → publish, with the log stage as a parameter) and, alone,
+//!   the unsharded in-memory engine,
+//! * [`shard`] — `ShardedDatabase`: routing and the cross-shard FK probes
+//!   around that pipeline over N shard units,
+//! * [`durable`] — `Durable<L: CommitLog>`: poisoning, record framing, the
+//!   replay step both topologies share, DDL-then-checkpoint and the durable
+//!   commit, written once,
 //! * [`wal_log`] / [`group_log`] — the two on-disk topologies behind
 //!   `CommitLog` (one stream; K shard streams + coordinator) with their
 //!   `create`/`open`,
@@ -65,7 +68,6 @@ pub mod compile;
 pub mod database;
 pub mod durable;
 pub mod error;
-pub mod explain;
 pub mod fixtures;
 pub mod group_log;
 pub mod maintain;
@@ -87,7 +89,6 @@ pub mod prelude {
     pub use crate::database::Database;
     pub use crate::durable::{DurableDatabase, ShardedDurableDatabase};
     pub use crate::error::{CoreError, Result};
-    pub use crate::explain::{explain_plan, render_exec_stats};
     pub use crate::group_log::ShardedRecoveryReport;
     pub use crate::maintain::{verify_against_recompute, MaintenanceReport};
     pub use crate::materialize::MaterializedView;

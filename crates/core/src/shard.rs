@@ -1,8 +1,13 @@
-//! `ShardedDatabase`: the hash-partitioned engine, and the one owner of the
-//! cross-shard commit stages — validate → route → apply → (log) → maintain
-//! fan-out → group publish (`ShardedDatabase::commit_with`). The durable
+//! `ShardedDatabase`: the hash-partitioned engine. A commit routes its
+//! halves to their owner shards and runs the commit pipeline
+//! (`database::commit`) over all N shard units, with the cross-shard FK
+//! probes as its probe stage (`ShardedDatabase::commit_with`); the durable
 //! engines ([`crate::durable::Durable`]) run the same function and only
-//! supply the log stage.
+//! supply the log stage. A panic in one shard's maintenance is caught at
+//! the shard boundary ([`ojv_exec::catch_each`]) and the other shards still
+//! run; then every shard publishes at one global commit LSN — untouched
+//! shards an empty commit — so [`ShardedDatabase::snapshot`] pins all
+//! shards at the same LSN.
 //!
 //! The engine is partitioned into N independent [`Database`] shards, each
 //! owning a hash partition of every base table and every view. Routing is
@@ -21,14 +26,6 @@
 //!   maintenance plan — primary and secondary deltas included — runs
 //!   entirely within the delta's owner shard.
 //!
-//! An update routes its delta batch to owner shards, maintains each touched
-//! shard in turn (a panic in one shard's maintenance is caught at the shard
-//! boundary, [`ojv_exec::catch_each`], and the other shards still run), and
-//! then publishes every shard's snapshot registry at one global commit LSN
-//! — untouched shards publish an empty commit — so cross-shard snapshot
-//! reads are atomic: [`ShardedDatabase::snapshot`] pins all shards at the
-//! same LSN.
-//!
 //! Because per-shard heap orders depend on the partitioning, cross-shard
 //! comparisons use the *canonical* [`ShardedDatabase::state_bytes`]: rows
 //! sorted by encoded bytes, count indexes merged by key. An N-shard façade
@@ -39,12 +36,11 @@
 use std::collections::BTreeMap;
 
 use ojv_durability::Lsn;
-use ojv_exec::catch_each;
 use ojv_rel::{put_row, put_str, put_u32, put_u64, Datum, Relation, Row};
-use ojv_storage::{Catalog, ShardId, ShardRouter, StorageError, Update, ValidInsert};
+use ojv_storage::{Catalog, ShardId, ShardRouter, StorageError};
 
 use crate::checkpoint_state::fit_u32;
-use crate::database::Database;
+use crate::database::{self, Database, Staged};
 use crate::error::{CoreError, Result};
 use crate::maintain::MaintenanceReport;
 use crate::policy::MaintenancePolicy;
@@ -152,27 +148,6 @@ fn resolve_routing(
     Ok(resolved)
 }
 
-/// One user operation on one base table — the unit the commit pipeline
-/// runs. An SQL `UPDATE` is a delete followed by an insert (paper §3) whose
-/// two halves are flagged *decomposed*: the flag rides with each half
-/// through the log record into maintenance, where it switches the §6 FK
-/// shortcuts off for the pair.
-pub(crate) enum TableOp<'a> {
-    Insert {
-        table: &'a str,
-        rows: Vec<Row>,
-    },
-    Delete {
-        table: &'a str,
-        keys: &'a [Vec<Datum>],
-    },
-    Update {
-        table: &'a str,
-        keys: &'a [Vec<Datum>],
-        rows: Vec<Row>,
-    },
-}
-
 /// The hash-partitioned engine façade (see module docs).
 #[derive(Debug)]
 pub struct ShardedDatabase {
@@ -185,8 +160,6 @@ pub struct ShardedDatabase {
     routing: Option<BTreeMap<String, TableRouting>>,
     /// Names of created views, in creation order.
     views: Vec<String>,
-    /// Global commit LSN — every shard's registry is published at this.
-    commit_lsn: Lsn,
     /// Enforce FK constraints across shards (mirrors
     /// [`Catalog::enforce_constraints`]; partitioned shard catalogs always
     /// run with enforcement off because the façade checks globally).
@@ -259,7 +232,6 @@ impl ShardedDatabase {
             router,
             routing: Some(resolved),
             views: Vec::new(),
-            commit_lsn: 0,
             enforce_constraints: template.enforce_constraints,
         })
     }
@@ -274,21 +246,20 @@ impl ShardedDatabase {
             router: ShardRouter::new(1),
             routing: None,
             views: shard.views().map(|v| v.name().to_string()).collect(),
-            commit_lsn: shard.commit_lsn(),
             enforce_constraints: false,
             shards: vec![shard],
         }
     }
 
     /// Reassemble a façade from recovered per-shard databases (the durable
-    /// layer restores each shard from its own checkpoint + WAL tail). The
-    /// shards must share one schema and one view list; `routing` is
-    /// re-resolved against it, re-running the key-alignment validation.
+    /// layer restores each shard from its own checkpoint + WAL tail and
+    /// publishes every one at the global commit LSN). The shards must share
+    /// one schema and one view list; `routing` is re-resolved against it,
+    /// re-running the key-alignment validation.
     pub(crate) fn from_recovered(
         shards: Vec<Database>,
         routing: &RoutingSpec,
         enforce_constraints: bool,
-        commit_lsn: Lsn,
     ) -> Result<Self> {
         assert!(!shards.is_empty(), "recovered shard set cannot be empty");
         let resolved = resolve_routing(shards[0].catalog(), routing)?;
@@ -302,7 +273,6 @@ impl ShardedDatabase {
             router,
             routing: Some(resolved),
             views,
-            commit_lsn,
             enforce_constraints,
         })
     }
@@ -352,9 +322,10 @@ impl ShardedDatabase {
         }
     }
 
-    /// Global commit LSN — every shard's registry has published up to this.
+    /// Global commit LSN — every shard's registry has published up to this
+    /// (every commit publishes every shard, so shard 0 holds it).
     pub fn commit_lsn(&self) -> Lsn {
-        self.commit_lsn
+        self.shards[0].commit_lsn()
     }
 
     /// Apply `policy` to every shard.
@@ -453,13 +424,13 @@ impl ShardedDatabase {
     /// rows route to their owner shards, per-shard maintenance runs, and
     /// all shards publish at one global commit LSN.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
-        self.commit(TableOp::Insert { table, rows })
+        self.commit(table, None, Some(rows))
     }
 
     /// Delete rows by unique key (checked and routed like
     /// [`ShardedDatabase::insert`]).
     pub fn delete(&mut self, table: &str, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
-        self.commit(TableOp::Delete { table, keys })
+        self.commit(table, Some(keys), None)
     }
 
     /// SQL-style `UPDATE` (delete + insert, §3): the §6 FK fast paths are
@@ -472,89 +443,52 @@ impl ShardedDatabase {
         keys: &[Vec<Datum>],
         new_rows: Vec<Row>,
     ) -> Result<Vec<MaintenanceReport>> {
-        self.commit(TableOp::Update {
-            table,
-            keys,
-            rows: new_rows,
-        })
+        self.commit(table, Some(keys), Some(new_rows))
     }
 
     /// In-memory commit: the pipeline with no log stage — every commit
     /// takes the next dense LSN.
-    fn commit(&mut self, op: TableOp<'_>) -> Result<Vec<MaintenanceReport>> {
-        let next = self.commit_lsn + 1;
-        self.commit_with(op, |_, _| Ok(next))
+    fn commit(
+        &mut self,
+        table: &str,
+        keys: Option<&[Vec<Datum>]>,
+        rows: Option<Vec<Row>>,
+    ) -> Result<Vec<MaintenanceReport>> {
+        let next = self.commit_lsn() + 1;
+        self.commit_with(table, keys, rows, |_, _| Ok(next))
     }
 
-    /// The commit pipeline, written once. `op` has a delete half, an insert
-    /// half or (`UPDATE`: both, *decomposed*) both, and commits as one unit:
-    ///
-    /// 1. **route · validate · apply the delete half** — every owner
-    ///    shard's halves are checked ([`Catalog::validate_update`] for an
-    ///    `UPDATE`), then the cross-shard FK probes run, all before the
-    ///    first mutation; a refused operation changes nothing and never
-    ///    reaches the log. Then each owner shard applies its delete half;
-    /// 2. **log** — `log(per-shard deltas in commit order, decomposed)`
-    ///    returns the commit LSN: the next dense number in memory, the LSN
-    ///    at which the deltas became durable under a
-    ///    [`crate::durable::Durable`]. The insert half's delta is the
-    ///    validated rows, not yet applied;
-    /// 3. **maintain · apply the insert half · maintain** — per shard, one
-    ///    shard after another ([`Database::commit_halves`]);
-    /// 4. **publish · observe** — every shard's registry (and observer)
-    ///    advances to that one LSN on this thread, once.
-    ///
-    /// A log failure returns before stage 3, with a delete half already
-    /// applied; what that means is the log owner's business (the durable
-    /// layer poisons itself).
+    /// One commit of a delete half, an insert half or both (an `UPDATE`,
+    /// flagged *decomposed*): route the halves, then run [`database::commit`]
+    /// over every shard with the cross-shard FK probes and `log`.
     pub(crate) fn commit_with(
         &mut self,
-        op: TableOp<'_>,
-        log: impl FnOnce(&[Vec<&Update>], bool) -> Result<Lsn>,
+        table: &str,
+        keys: Option<&[Vec<Datum>]>,
+        rows: Option<Vec<Row>>,
+        log: impl FnOnce(&[Staged], bool) -> Result<Lsn>,
     ) -> Result<Vec<MaintenanceReport>> {
-        let (table, keys, rows, decomposed) = match op {
-            TableOp::Insert { table, rows } => (table, None, Some(rows), false),
-            TableOp::Delete { table, keys } => (table, Some(keys), None, false),
-            TableOp::Update { table, keys, rows } => (table, Some(keys), Some(rows), true),
-        };
+        let decomposed = keys.is_some() && rows.is_some();
         let (key_parts, row_parts) = self.route(table, keys, rows)?;
-        let mut batches = Vec::with_capacity(self.shards.len());
-        for ((db, keys), rows) in self.shards.iter().zip(&key_parts).zip(row_parts) {
-            let catalog = db.catalog();
-            batches.push(match (keys, rows) {
-                (Some(keys), Some(rows)) => {
-                    let (delete, insert) =
-                        catalog.validate_update(table, keys, rows)?.into_halves();
-                    (Some(delete), Some(insert))
+        let parts = key_parts.iter().map(Option::as_deref).zip(row_parts);
+        let global_fk = self.routing.is_some() && self.enforce_constraints;
+        let keys = keys.unwrap_or_default();
+        database::commit(
+            &mut self.shards,
+            table,
+            parts,
+            decomposed,
+            |shards, valid| {
+                if global_fk {
+                    check_restrict(shards, table, keys)?;
+                    for insert in valid.iter().filter_map(|(_, insert)| insert.as_ref()) {
+                        check_fk_parents(shards, table, insert.delta().rows.rows(), keys)?;
+                    }
                 }
-                (Some(keys), None) => (Some(catalog.validate_delete(table, keys)?), None),
-                (None, Some(rows)) => (None, Some(catalog.validate_insert(table, rows)?)),
-                (None, None) => (None, None),
-            });
-        }
-        if self.routing.is_some() && self.enforce_constraints {
-            let keys = keys.unwrap_or_default();
-            self.check_restrict(table, keys)?;
-            for (_, insert) in &batches {
-                if let Some(insert) = insert {
-                    self.check_fk_parents(table, insert.delta().rows.rows(), keys)?;
-                }
-            }
-        }
-        let mut deleted = Vec::with_capacity(batches.len());
-        let mut inserts = Vec::with_capacity(batches.len());
-        for (db, (delete, insert)) in self.shards.iter_mut().zip(batches) {
-            deleted.push(delete.map(|b| db.catalog_mut().apply_delete(b)));
-            inserts.push(insert);
-        }
-        let commit: Vec<Vec<&Update>> = deleted
-            .iter()
-            .zip(&inserts)
-            .map(|(d, i)| d.iter().chain(i.iter().map(ValidInsert::delta)).collect())
-            .collect();
-        let lsn = log(&commit, decomposed)?;
-        drop(commit);
-        self.maintain_and_publish_at(deleted, inserts, decomposed, lsn)
+                Ok(())
+            },
+            |staged| log(staged, decomposed).map(Some),
+        )
     }
 
     /// Split `op`'s halves by owner shard: per shard, the delete keys and
@@ -601,96 +535,10 @@ impl ShardedDatabase {
         }
     }
 
-    /// Maintain every touched shard for its halves (delete half maintained,
-    /// insert half applied and maintained), then publish every shard's
-    /// registry at the global commit LSN `lsn`. Untouched shards publish an
-    /// empty commit, so all registries advance in lockstep and
-    /// [`ShardedDatabase::snapshot`] can pin them at the same LSN — also
-    /// when a shard's maintenance failed or panicked: the error is returned
-    /// only after every shard has published.
-    fn maintain_and_publish_at(
-        &mut self,
-        deleted: Vec<Option<Update>>,
-        inserts: Vec<Option<ValidInsert>>,
-        decomposed: bool,
-        lsn: Lsn,
-    ) -> Result<Vec<MaintenanceReport>> {
-        let halves = deleted.into_iter().zip(inserts);
-        let results = catch_each(self.shards.iter_mut().zip(halves), |_, (db, (del, ins))| {
-            (del.is_some() || ins.is_some())
-                .then(|| db.commit_halves(del.as_ref(), ins, decomposed))
-        });
-        // Group publish: every shard commits at `lsn`.
-        let mut publish_err = None;
-        for db in &mut self.shards {
-            if let Err(e) = db.publish_commit(lsn) {
-                publish_err.get_or_insert(e);
-            }
-        }
-        self.commit_lsn = lsn;
-        // Deterministic shard-order merge of the per-shard reports.
-        let mut reports = Vec::new();
-        for (shard, result) in results.into_iter().enumerate() {
-            let maintained = result.map_err(|detail| CoreError::MaintenancePanic {
-                view: format!("<shard {shard}>"),
-                detail,
-            })?;
-            if let Some(shard_reports) = maintained {
-                reports.extend(shard_reports?);
-            }
-        }
-        match publish_err {
-            Some(e) => Err(e),
-            None => Ok(reports),
-        }
-    }
-
-    /// The cross-shard restrict probe of a delete half: no child row on any
-    /// shard may still reference a deleted parent.
-    fn check_restrict(&self, table: &str, keys: &[Vec<Datum>]) -> Result<()> {
-        for key in keys {
-            for s in &self.shards {
-                if let Some(fk) = s.catalog().fk_restricting(table, key)? {
-                    return Err(CoreError::Storage(fk.restricts(key)));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The cross-shard half of insert validation: a parent may live on any
-    /// shard, so every shard's unique index is probed — in place, no key is
-    /// built — for each non-null foreign key value. A parent among `deleted`
-    /// (the same operation's delete half: only a self-referencing key can
-    /// name one) counts as gone.
-    fn check_fk_parents(&self, table: &str, rows: &[Row], deleted: &[Vec<Datum>]) -> Result<()> {
-        let catalog = self.shards[0].catalog();
-        for fk in catalog.fks_from(table) {
-            let deleted = if fk.parent == fk.child { deleted } else { &[] };
-            for row in rows {
-                // SQL semantics: null FK values are not checked.
-                if fk.child_cols.iter().any(|&c| row[c].is_null()) {
-                    continue;
-                }
-                let exists = self.shards.iter().any(|s| {
-                    s.catalog()
-                        .table(&fk.parent)
-                        .is_ok_and(|t| t.contains_key_of(row, &fk.child_cols))
-                }) && !deleted
-                    .iter()
-                    .any(|key| fk.child_cols.iter().zip(key).all(|(&c, k)| row[c] == *k));
-                if !exists {
-                    return Err(CoreError::Storage(fk.parent_missing(row)));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Pin a consistent cross-shard snapshot at the newest global LSN: one
     /// pinned [`Snapshot`] per shard, all at the same LSN.
     pub fn snapshot(&self) -> Result<ShardedSnapshot> {
-        self.snapshot_at(self.commit_lsn)
+        self.snapshot_at(self.commit_lsn())
     }
 
     /// Pin a consistent cross-shard snapshot as of global LSN `lsn`.
@@ -710,7 +558,7 @@ impl ShardedDatabase {
     /// count — N-shard == 1-shard == recomputed twin.
     pub fn state_bytes(&self) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
-        put_u64(&mut buf, self.commit_lsn);
+        put_u64(&mut buf, self.commit_lsn());
         // Base tables, sorted by name, rows merged + sorted canonically.
         let mut table_names: Vec<String> = self.shards[0]
             .catalog()
@@ -802,6 +650,53 @@ impl ShardedDatabase {
         }
         Ok(())
     }
+}
+
+/// The cross-shard restrict probe of a delete half: no child row on any
+/// shard may still reference a deleted parent.
+fn check_restrict(shards: &[Database], table: &str, keys: &[Vec<Datum>]) -> Result<()> {
+    for key in keys {
+        for s in shards {
+            if let Some(fk) = s.catalog().fk_restricting(table, key)? {
+                return Err(CoreError::Storage(fk.restricts(key)));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The cross-shard half of insert validation: a parent may live on any
+/// shard, so every shard's unique index is probed — in place, no key is
+/// built — for each non-null foreign key value. A parent among `deleted`
+/// (the same operation's delete half: only a self-referencing key can name
+/// one) counts as gone.
+fn check_fk_parents(
+    shards: &[Database],
+    table: &str,
+    rows: &[Row],
+    deleted: &[Vec<Datum>],
+) -> Result<()> {
+    let catalog = shards[0].catalog();
+    for fk in catalog.fks_from(table) {
+        let deleted = if fk.parent == fk.child { deleted } else { &[] };
+        for row in rows {
+            // SQL semantics: null FK values are not checked.
+            if fk.child_cols.iter().any(|&c| row[c].is_null()) {
+                continue;
+            }
+            let exists = shards.iter().any(|s| {
+                s.catalog()
+                    .table(&fk.parent)
+                    .is_ok_and(|t| t.contains_key_of(row, &fk.child_cols))
+            }) && !deleted
+                .iter()
+                .any(|key| fk.child_cols.iter().zip(key).all(|(&c, k)| row[c] == *k));
+            if !exists {
+                return Err(CoreError::Storage(fk.parent_missing(row)));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A shard's part of a half: `None` when the shard owns none of it.

@@ -57,7 +57,9 @@ fn join_kind_sql(kind: JoinKind) -> &'static str {
 
 /// Render an expression as a SQL `FROM` clause fragment.
 ///
-/// Selections over scans become inline predicates; selections over joins
+/// Every leaf — a scan, `ΔT`, the pre-insert state `T ▷ ΔT`, a filtered
+/// scan — is aliased by its table's name, so the predicates around it,
+/// which say `<table>.<column>`, resolve as written. Selections over joins
 /// become derived tables; the null-if/cleanup wrappers (which plain SQL has
 /// no operator for) are rendered as annotated derived tables, matching the
 /// paper's remark that `λ` "can be implemented using a project with the case
@@ -66,16 +68,31 @@ pub fn from_clause_sql(layout: &ViewLayout, expr: &Expr, indent: usize) -> Strin
     let pad = "  ".repeat(indent);
     match expr {
         Expr::Table(t) => format!("{pad}{}", layout.slot(*t).name),
-        Expr::Delta(t) => format!("{pad}delta_{}", layout.slot(*t).name),
-        Expr::OldState(t) => {
+        Expr::Delta(t) => {
             let name = &layout.slot(*t).name;
-            format!("{pad}(SELECT * FROM {name} WHERE key NOT IN (SELECT key FROM delta_{name})) AS old_{name}")
+            format!("{pad}delta_{name} AS {name}")
+        }
+        Expr::OldState(t) => {
+            // The pre-insert state `T ▷ ΔT`: the rows whose key no
+            // inserted row carries.
+            let slot = layout.slot(*t);
+            let keys = slot
+                .key_cols
+                .iter()
+                .map(|k| slot.schema.column(k - slot.offset).name.as_str())
+                .collect::<Vec<_>>()
+                .join(", ");
+            let name = &slot.name;
+            format!(
+                "{pad}(SELECT * FROM {name} WHERE ({keys}) NOT IN \
+                 (SELECT {keys} FROM delta_{name})) AS {name}"
+            )
         }
         Expr::Empty => format!("{pad}(SELECT * FROM (VALUES (NULL)) v WHERE 1=0) AS empty"),
         Expr::Select(p, input) => match input.as_ref() {
-            Expr::Table(t) => format!(
-                "{pad}(SELECT * FROM {} WHERE {}) AS f_{}",
-                layout.slot(*t).name,
+            Expr::Table(t) | Expr::Delta(t) | Expr::OldState(t) => format!(
+                "{pad}(SELECT * FROM {} WHERE {}) AS {}",
+                from_clause_sql(layout, input, 0),
                 pred_sql(layout, p),
                 layout.slot(*t).name
             ),
@@ -271,7 +288,8 @@ mod tests {
     use super::*;
     use crate::analyze::analyze;
     use crate::fixtures::*;
-    use crate::view_def::{col_eq, ViewDef, ViewExpr};
+    use crate::view_def::{col_cmp, col_eq, ViewDef, ViewExpr};
+    use std::collections::BTreeSet;
 
     fn analysis() -> ViewAnalysis {
         let catalog = example1_catalog();
@@ -415,6 +433,141 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Identifiers `x` of every `x.y` / `x.*` qualifier in `sql`.
+    fn qualifiers(sql: &str) -> BTreeSet<&str> {
+        let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        let mut out = BTreeSet::new();
+        for (dot, _) in sql.match_indices('.') {
+            let start = sql[..dot].rfind(|c| !ident(c)).map_or(0, |i| i + 1);
+            let word = &sql[start..dot];
+            let next = sql[dot + 1..].chars().next();
+            if word.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                && next.is_some_and(|c| ident(c) || c == '*')
+            {
+                out.insert(word);
+            }
+        }
+        out
+    }
+
+    /// Words of `sql`, with `,` kept as a word of its own.
+    fn words(sql: &str) -> Vec<&str> {
+        sql.split(|c: char| c.is_whitespace() || c == '(' || c == ')' || c == ';')
+            .flat_map(|w| w.split_inclusive(','))
+            .flat_map(|w| match w.strip_suffix(',') {
+                Some(head) => vec![head, ","],
+                None => vec![w],
+            })
+            .filter(|w| !w.is_empty())
+            .collect()
+    }
+
+    /// The names `sql` brings into scope: each leaf's alias (`AS x`) and
+    /// each bare table leaf (after `FROM`, `JOIN` or a `,`).
+    fn aliases(sql: &str) -> BTreeSet<&str> {
+        let w = words(sql);
+        w.windows(2)
+            .filter(|p| matches!(p[0], "AS" | "FROM" | "JOIN" | ","))
+            .map(|p| p[1])
+            .collect()
+    }
+
+    /// The body of each `NOT EXISTS (…)` subquery in `sql`.
+    fn not_exists_bodies(sql: &str) -> Vec<&str> {
+        let mut out = Vec::new();
+        for (at, opener) in sql.match_indices("NOT EXISTS (") {
+            let body = at + opener.len();
+            let mut depth = 1;
+            for (i, c) in sql[body..].char_indices() {
+                depth += match c {
+                    '(' => 1,
+                    ')' => -1,
+                    _ => 0,
+                };
+                if depth == 0 {
+                    out.push(&sql[body..body + i]);
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// The rendered SQL runs as written: every leaf is aliased by its
+    /// table's name, so each `x.` qualifier of Q1 names a leaf of Q1, and
+    /// each qualifier of a §5.3 `NOT EXISTS` subquery names one of its
+    /// leaves or the candidate term's tables (read from `#delta1`). No
+    /// placeholder alias (`old_`, `f_`) or key column (`key`) remains.
+    #[test]
+    fn rendered_sql_names_only_aliases_in_scope() {
+        let c = example1_catalog();
+        // A filtered scan of part, and a projection that sends every term
+        // of a lineitem update through §5.3.
+        let filtered = ViewDef::new(
+            "fv",
+            ViewExpr::full_outer(
+                vec![col_eq("part", "p_partkey", "lineitem", "l_partkey")],
+                ViewExpr::select(
+                    vec![col_cmp("part", "p_retailprice", ojv_algebra::CmpOp::Lt, 5)],
+                    ViewExpr::table("part"),
+                ),
+                ViewExpr::left_outer(
+                    vec![col_eq("orders", "o_orderkey", "lineitem", "l_orderkey")],
+                    ViewExpr::table("orders"),
+                    ViewExpr::table("lineitem"),
+                ),
+            ),
+        )
+        .with_projection(vec![
+            ("part", "p_partkey"),
+            ("orders", "o_orderkey"),
+            ("lineitem", "l_quantity"),
+        ]);
+        let (oj, fv) = (analysis(), analyze(&c, &filtered).unwrap());
+        let scripts = [
+            (&oj, "lineitem", UpdateOp::Delete),
+            (&fv, "lineitem", UpdateOp::Insert),
+            (&fv, "lineitem", UpdateOp::Delete),
+            (&fv, "part", UpdateOp::Insert),
+        ];
+        let (mut chains, mut filtered_scans) = (0, 0);
+        for (a, table, op) in scripts {
+            let sql = script(a, table, op);
+            let q1 = sql.split(";\n").next().unwrap();
+            assert!(q1.starts_with("-- Q1"), "{sql}");
+            filtered_scans += q1.matches("(SELECT * FROM").count();
+            let out_of_scope: Vec<_> = qualifiers(q1).difference(&aliases(q1)).copied().collect();
+            assert!(out_of_scope.is_empty(), "{out_of_scope:?} in\n{q1}");
+            for stmt in sql
+                .split(";\n")
+                .filter(|s| s.contains("INSERT INTO #orphans"))
+            {
+                let candidate = stmt.split("SELECT DISTINCT ").nth(1).unwrap();
+                let candidate = candidate.split(".* FROM").next().unwrap();
+                for body in not_exists_bodies(stmt) {
+                    chains += 1;
+                    let mut scope = aliases(body);
+                    scope.extend(candidate.split(", "));
+                    let out_of_scope: Vec<_> =
+                        qualifiers(body).difference(&scope).copied().collect();
+                    assert!(out_of_scope.is_empty(), "{out_of_scope:?} in\n{body}");
+                }
+            }
+            assert!(!sql.contains("old_") && !sql.contains("f_"), "{sql}");
+            assert!(!sql.contains("AS filtered"), "{sql}");
+            assert!(
+                !sql.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                    .any(|w| w == "key"),
+                "{sql}"
+            );
+        }
+        assert!(
+            chains >= 4,
+            "the lineitem scripts of fv take §5.3 for both terms"
+        );
+        assert!(filtered_scans >= 3, "part is scanned through its filter");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! segments and older checkpoints at or below it. DDL
 //! ([`Durable::create_view`]) checkpoints immediately — view definitions
 //! live in snapshots, not the log. Recovery replays every record above the
-//! checkpoint LSN through the maintenance stage the live commit runs.
+//! checkpoint LSN through the commit pipeline the live commit runs
+//! (`durable::replay_record`, shared with the sharded topology)
+//! and publishes it at the record's own LSN.
 
 use ojv_durability::{
     is_checkpoint_file, is_segment_file, prune_checkpoints, read_latest_checkpoint,
@@ -24,8 +26,8 @@ use ojv_storage::{Catalog, Update};
 use crate::checkpoint_state::{encode_state, restore_state};
 use crate::database::Database;
 use crate::durable::{
-    commit_record, decode_commit_record, open_wal_after, replay_commit, CommitLog, Durable,
-    DurableDatabase, REC_COMMIT, REC_UPDATE,
+    check_commit_kind, commit_record, open_wal_after, replay_record, CommitLog, Durable,
+    DurableDatabase,
 };
 use crate::error::{CoreError, Result};
 use crate::materialize::MaterializedView;
@@ -151,30 +153,15 @@ impl<V: Vfs> DurableDatabase<V> {
             wal_truncated: scan.truncated.map(|t| t.reason),
         };
         for rec in &scan.records {
-            // The kind first, so a record of a retired kind is refused
-            // wherever it sits; then skip what the checkpoint vouches for
-            // without decoding it.
-            if rec.kind != REC_UPDATE && rec.kind != REC_COMMIT {
-                let detail = match rec.kind {
-                    2 => format!(
-                        "deferred-view refresh marker (WAL record kind 2) at lsn {}; deferred \
-                         views are no longer supported",
-                        rec.lsn
-                    ),
-                    other => format!("unknown WAL record kind {other} at lsn {}", rec.lsn),
-                };
-                return Err(CoreError::Durability(DurabilityError::Corrupt {
-                    file: "wal".to_string(),
-                    detail,
-                }));
-            }
+            // A record of a retired kind is refused wherever it sits; what
+            // the checkpoint vouches for is skipped without decoding it.
             if rec.lsn <= ckpt.lsn {
+                check_commit_kind(rec)?;
                 continue;
             }
             // Re-apply and re-maintain exactly as the original call did, at
             // the original LSN.
-            let (deltas, decomposed) = decode_commit_record(&db, rec)?;
-            replay_commit(&mut db, rec, deltas, decomposed)?;
+            replay_record(&mut db, rec)?;
             db.publish_commit(rec.lsn)?;
             report.replayed_updates += 1;
         }
@@ -271,6 +258,7 @@ impl<V: Vfs> DurableDatabase<V> {
 mod tests {
     use super::*;
     use crate::checkpoint_state::old_format::{assert_refused, with_deferred_view};
+    use crate::durable::{decode_commit_record, replay_commit, REC_COMMIT, REC_UPDATE};
     use crate::fixtures::*;
     use ojv_durability::{FsyncPolicy, MemVfs};
     use ojv_rel::Datum;

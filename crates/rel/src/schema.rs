@@ -98,28 +98,6 @@ impl Schema {
             })
     }
 
-    /// Index of the unique column called `name` regardless of qualifier.
-    ///
-    /// Errors if the name is absent or ambiguous.
-    pub fn index_of_unqualified(&self, name: &str) -> Result<usize, RelError> {
-        let mut found = None;
-        for (i, c) in self.columns.iter().enumerate() {
-            if c.name == name {
-                if found.is_some() {
-                    return Err(RelError::UnknownColumn {
-                        qualifier: "<ambiguous>".to_string(),
-                        name: name.to_string(),
-                    });
-                }
-                found = Some(i);
-            }
-        }
-        found.ok_or_else(|| RelError::UnknownColumn {
-            qualifier: "<any>".to_string(),
-            name: name.to_string(),
-        })
-    }
-
     /// Concatenate two schemas (for join outputs).
     pub fn concat(&self, other: &Schema) -> Result<Schema, RelError> {
         let mut cols = self.columns.clone();
@@ -216,13 +194,6 @@ mod tests {
         assert_eq!(s.index_of("t", "a").unwrap(), 0);
         assert_eq!(s.index_of("u", "a").unwrap(), 2);
         assert!(s.index_of("v", "a").is_err());
-    }
-
-    #[test]
-    fn unqualified_lookup_detects_ambiguity() {
-        let s = sample();
-        assert_eq!(s.index_of_unqualified("b").unwrap(), 1);
-        assert!(s.index_of_unqualified("a").is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct LintDef {
 }
 
 /// All lints, sorted by id — the order `--list` prints them.
-pub const LINTS: [LintDef; 16] = [
+pub const LINTS: [LintDef; 17] = [
     LintDef {
         id: "atomic-ordering",
         scope: "crates/, src/ (non-test code)",
@@ -35,6 +35,14 @@ pub const LINTS: [LintDef; 16] = [
         id: "cast",
         scope: "crates/durability/src/",
         desc: "no `as u32`/`as u64` in the WAL framing (crates/durability) — use try_from",
+    },
+    LintDef {
+        id: "commit-stage-confined",
+        scope: "crates/core/src/ except database.rs; publish_commit also {group_log,wal_log}.rs",
+        desc: "no commit_halves/maintain_views_only/publish_commit call outside the commit \
+               pipeline's module (core/src/database.rs), but for the recovery publish in \
+               group_log.rs and wal_log.rs — a second copy of the stage order can commit \
+               what the pipeline would refuse, or publish what it never logged",
     },
     LintDef {
         id: "default-hasher",
@@ -195,6 +203,12 @@ fn applies(lint: &str, path: &str) -> bool {
         // Silent truncation in record framing corrupts the log; the WAL
         // code converts with try_from and handles the error.
         "cast" => path.starts_with("crates/durability/src/"),
+        // The stage order — validate, apply, log, maintain, publish — is
+        // written once, in the pipeline's module. Recovery publishes on its
+        // topology's clock, so the two log topologies may publish.
+        "commit-stage-confined" => {
+            path.starts_with("crates/core/src/") && path != "crates/core/src/database.rs"
+        }
         // Plans are compiled (and statically verified) exactly once, in the
         // compile module; analyze hosts the derivation primitives. The rest
         // of the crate must go through the cached CompiledMaintenancePlan so
@@ -330,6 +344,22 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
             )
         {
             record("plan-compile-confined", line, &mut out);
+        }
+        if applies("commit-stage-confined", &path)
+            && !in_test(line)
+            && matches!(
+                tok.text,
+                "commit_halves" | "maintain_views_only" | "publish_commit"
+            )
+            && seq(i + 1, &["("])
+            && !(i > 0 && toks[i - 1].text == "fn")
+            && !(tok.text == "publish_commit"
+                && matches!(
+                    path.as_str(),
+                    "crates/core/src/group_log.rs" | "crates/core/src/wal_log.rs"
+                ))
+        {
+            record("commit-stage-confined", line, &mut out);
         }
         if applies("view-store-mutation", &path) && !in_test(line) && tok.text == "store_mut" {
             record("view-store-mutation", line, &mut out);
@@ -722,6 +752,34 @@ mod tests {
         // Identifier boundary: verify_maintenance_graph is a different token.
         let other = "fn h() { ojv_analysis::verify_maintenance_graph(&g, &m, fks); }\n";
         assert!(scan_file("crates/core/src/maintain.rs", other).is_empty());
+    }
+
+    #[test]
+    fn commit_stage_confined_to_the_pipeline() {
+        // Seeded: a second commit loop outside the pipeline's module.
+        let loop_ = "fn update(db: &mut Database) {\n    let r = db.commit_halves(d, i, true);\n    db.publish_commit(lsn);\n}\n";
+        let v = scan_file("crates/core/src/shard.rs", loop_);
+        assert_eq!(v.len(), 2);
+        assert!(v.iter().all(|x| x.lint == "commit-stage-confined"));
+        let maintain = "fn f(db: &mut Database) { db.maintain_views_only(u, false); }\n";
+        assert_eq!(scan_file("crates/core/src/durable.rs", maintain).len(), 1);
+        // The pipeline's module is the sanctioned home, definitions included.
+        assert!(scan_file("crates/core/src/database.rs", loop_).is_empty());
+        let def = "pub(crate) fn publish_commit(&mut self, lsn: Lsn) -> Result<()> { Ok(()) }\n";
+        assert!(scan_file("crates/core/src/shard.rs", def).is_empty());
+        // Recovery publishes on its topology's clock — and only publishes.
+        for path in ["crates/core/src/group_log.rs", "crates/core/src/wal_log.rs"] {
+            let v = scan_file(path, loop_);
+            assert_eq!(v.len(), 1, "{path}");
+            assert!(v[0].excerpt.contains("commit_halves"), "{path}");
+        }
+        // Tests, other crates and the escape hatch are out of scope.
+        let tested =
+            "#[cfg(test)]\nmod tests {\n    fn f(db: &mut Database) { db.publish_commit(1); }\n}\n";
+        assert!(scan_file("crates/core/src/shard.rs", tested).is_empty());
+        assert!(scan_file("crates/feed/src/hub.rs", loop_).is_empty());
+        let allowed = "fn f(db: &mut Database) { db.publish_commit(1); } // lint:allow(commit-stage-confined)\n";
+        assert!(scan_file("crates/core/src/shard.rs", allowed).is_empty());
     }
 
     #[test]

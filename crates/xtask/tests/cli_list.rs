@@ -36,6 +36,10 @@ fn lint_list_is_sorted_and_scoped() {
     let golden = [
         ("atomic-ordering", "crates/, src/ (non-test code)"),
         ("cast", "crates/durability/src/"),
+        (
+            "commit-stage-confined",
+            "crates/core/src/ except database.rs; publish_commit also {group_log,wal_log}.rs",
+        ),
         ("default-hasher", "crates/exec/src/, crates/storage/src/"),
         (
             "engine-locks",

@@ -9,7 +9,8 @@
 //! its batch apply allocates only when a vector doubles. A commit that a
 //! snapshot pin spans allocates per delta row too, not per stored row. A
 //! one-view commit rebuilds no maintenance plan and copies each `ΔV` row
-//! once, into the view store. An aggregated rollup beside the view folds
+//! once, into the view store; through the durable engine it adds only its
+//! log record. An aggregated rollup beside the view folds
 //! `ΔV` into its groups without building a key per row.
 
 use std::sync::Mutex;
@@ -256,47 +257,71 @@ fn pinned_publish_allocates_per_delta_not_per_stored_row() {
 const COMMIT_EMPTY_DV_ALLOCS: u64 = 50;
 /// The `BATCH`-lineitem insert: what the empty commit allocates, plus the
 /// executor's batches and hash tables, one allocation per stored `ΔV` row
-/// (94 at `SF`), and the §5 candidates and orphans. Measured: 407.
+/// (94 at `SF`), and the §5 candidates and orphans. Measured: 403.
 const COMMIT_INSERT_ALLOCS: u64 = 440;
 /// The matching delete: the same, plus the one owned row per key that the
 /// base-table delete hands back (`BATCH`) and the orphans the view store
-/// gains. Measured: 1 135.
+/// gains. Measured: 1 131.
 const COMMIT_DELETE_ALLOCS: u64 = 1170;
 
-/// Minimum allocations of three commits to a warmed one-view V3 `Database`
-/// at `SF`: a 1-lineitem insert whose `ΔV` is empty, the `BATCH`-lineitem
-/// insert from `lineitem_insert_batch(BATCH, 1)`, and that insert's
-/// matching delete, with the insert's `ΔV` row count. The empty commit's
-/// lineitem is deleted again outside the windows. Two warm-up rounds run
-/// first.
-fn one_view_commit_allocs() -> ([u64; 3], usize) {
-    let mut db = Database::new(tpch());
-    db.create_view(v3_def()).unwrap();
+/// The two engines whose one-view commits are pinned: the in-memory
+/// `Database` and the single-stream `DurableDatabase`.
+trait V3Engine {
+    fn insert(&mut self, rows: Vec<Row>) -> Vec<MaintenanceReport>;
+    fn delete(&mut self, keys: &[Vec<Datum>]) -> Vec<MaintenanceReport>;
+}
+
+impl V3Engine for Database {
+    fn insert(&mut self, rows: Vec<Row>) -> Vec<MaintenanceReport> {
+        Database::insert(self, "lineitem", rows).unwrap()
+    }
+
+    fn delete(&mut self, keys: &[Vec<Datum>]) -> Vec<MaintenanceReport> {
+        Database::delete(self, "lineitem", keys).unwrap()
+    }
+}
+
+impl V3Engine for DurableDatabase<MemVfs> {
+    fn insert(&mut self, rows: Vec<Row>) -> Vec<MaintenanceReport> {
+        DurableDatabase::insert(self, "lineitem", rows).unwrap()
+    }
+
+    fn delete(&mut self, keys: &[Vec<Datum>]) -> Vec<MaintenanceReport> {
+        DurableDatabase::delete(self, "lineitem", keys).unwrap()
+    }
+}
+
+/// Minimum allocations of four commits to a warmed one-view V3 engine at
+/// `SF`: a 1-lineitem insert whose `ΔV` is empty, the 1-key delete of that
+/// lineitem, the `BATCH`-lineitem insert from
+/// `lineitem_insert_batch(BATCH, 1)`, and that insert's matching delete,
+/// with the insert's `ΔV` row count. Two warm-up rounds run first.
+fn one_view_commit_allocs(db: &mut impl V3Engine) -> ([u64; 4], usize) {
     let quiet = TpchGen::new(SF, 42)
         .lineitem_insert_batch(BATCH, 2)
         .into_iter()
         .find(|row| {
-            let reports = db.insert("lineitem", vec![row.clone()]).unwrap();
-            db.delete("lineitem", &[row[..2].to_vec()]).unwrap();
+            let reports = db.insert(vec![row.clone()]);
+            db.delete(&[row[..2].to_vec()]);
             reports[0].primary_rows == 0
         })
         .expect("some generated lineitem's order is outside V3's date window");
     let quiet_key = [quiet[..2].to_vec()];
     let rows = TpchGen::new(SF, 42).lineitem_insert_batch(BATCH, 1);
     let keys: Vec<Vec<Datum>> = rows.iter().map(|r| r[..2].to_vec()).collect();
-    let (mut fewest, mut dv_rows) = ([u64::MAX; 3], 0);
+    let (mut fewest, mut dv_rows) = ([u64::MAX; 4], 0);
     for round in 0..2 + ATTEMPTS {
         // The inserts move their batches into the catalog: clone them
         // outside the windows.
         let (one, batch) = (vec![quiet.clone()], rows.clone());
         let before = alloc_snapshot();
-        let empty = db.insert("lineitem", one).unwrap();
+        let empty = db.insert(one);
         let after_empty = alloc_snapshot();
-        db.delete("lineitem", &quiet_key).unwrap();
+        db.delete(&quiet_key);
         let before_insert = alloc_snapshot();
-        let inserted = db.insert("lineitem", batch).unwrap();
+        let inserted = db.insert(batch);
         let after_insert = alloc_snapshot();
-        let deleted = db.delete("lineitem", &keys).unwrap();
+        let deleted = db.delete(&keys);
         let after_delete = alloc_snapshot();
         assert_eq!(empty[0].primary_rows, 0);
         assert!(inserted[0].primary_rows > 0 && deleted[0].primary_rows > 0);
@@ -304,6 +329,7 @@ fn one_view_commit_allocs() -> ([u64; 3], usize) {
         if round >= 2 {
             let counts = [
                 after_empty.since(&before).count,
+                before_insert.since(&after_empty).count,
                 after_insert.since(&before_insert).count,
                 after_delete.since(&after_insert).count,
             ];
@@ -315,12 +341,18 @@ fn one_view_commit_allocs() -> ([u64; 3], usize) {
     (fewest, dv_rows)
 }
 
+fn v3_database() -> Database {
+    let mut db = Database::new(tpch());
+    db.create_view(v3_def()).unwrap();
+    db
+}
+
 /// A one-view commit allocates for what it evaluates and stores, not for
 /// re-deriving its sharing plan or re-boxing `ΔV` on the way to the store.
 #[test]
 fn one_view_commits_allocate_what_they_evaluate_and_store() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let ([empty, insert, delete], dv_rows) = one_view_commit_allocs();
+    let ([empty, _, insert, delete], dv_rows) = one_view_commit_allocs(&mut v3_database());
     println!(
         "one-view V3 commits: 1-lineitem insert with empty ΔV {empty} allocations, \
          {BATCH}-lineitem insert ({dv_rows} ΔV rows) {insert}, delete {delete}"
@@ -337,6 +369,46 @@ fn one_view_commits_allocate_what_they_evaluate_and_store() {
         delete <= COMMIT_DELETE_ALLOCS,
         "{BATCH}-lineitem delete commit allocated {delete} times (pinned: {COMMIT_DELETE_ALLOCS})"
     );
+}
+
+/// The durable commits of the same one-view V3 engine, through
+/// `DurableDatabase` over `MemVfs` with `FsyncPolicy::Never`: on top of the
+/// in-memory commit, the record's framing and its WAL append. Measured: 57
+/// (60 when the durable commit ran its own copy of the commit loop).
+const DURABLE_EMPTY_DV_ALLOCS: u64 = 63;
+/// The 1-key delete of that lineitem. Measured: 60 (63).
+const DURABLE_DELETE_ONE_ALLOCS: u64 = 66;
+/// The `BATCH`-lineitem insert. Measured: 425 (428).
+const DURABLE_INSERT_ALLOCS: u64 = 460;
+
+/// A durable commit allocates what the in-memory commit does plus a
+/// per-commit constant for the log record, not a second copy of the
+/// commit path.
+#[test]
+fn durable_one_view_commits_allocate_the_memory_commit_plus_its_record() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let policy = MaintenancePolicy {
+        fsync: FsyncPolicy::Never,
+        ..MaintenancePolicy::default()
+    };
+    let mut db = DurableDatabase::create(MemVfs::new(), tpch(), policy).unwrap();
+    db.create_view(v3_def()).unwrap();
+    let ([empty, delete_one, insert, delete], dv_rows) = one_view_commit_allocs(&mut db);
+    println!(
+        "durable one-view V3 commits: 1-lineitem insert with empty ΔV {empty} allocations, \
+         1-key delete {delete_one}, {BATCH}-lineitem insert ({dv_rows} ΔV rows) {insert}, \
+         delete {delete}"
+    );
+    for (what, n, pin) in [
+        ("empty-ΔV insert", empty, DURABLE_EMPTY_DV_ALLOCS),
+        ("1-key delete", delete_one, DURABLE_DELETE_ONE_ALLOCS),
+        ("BATCH-lineitem insert", insert, DURABLE_INSERT_ALLOCS),
+    ] {
+        assert!(
+            n <= pin,
+            "durable {what} commit allocated {n} times (pinned: {pin})"
+        );
+    }
 }
 
 /// What adding the A4 rollup of V3 (grouped by customer) to a V3 database
@@ -361,8 +433,7 @@ const ROLLUP_BATCHES: [usize; 2] = [BATCH, 4 * BATCH];
 /// rollup of V3, with the insert's `ΔV` row count. Two warm-up rounds run
 /// first.
 fn rollup_commit_allocs(rollup: bool, lines: usize) -> ([u64; 2], usize) {
-    let mut db = Database::new(tpch());
-    db.create_view(v3_def()).unwrap();
+    let mut db = v3_database();
     if rollup {
         db.create_agg_view(v3_rollup_def()).unwrap();
     }

@@ -2,7 +2,8 @@
 //! changes nothing — neither its delete half nor its insert half — and an
 //! accepted one advances the commit LSN, the snapshot registry and the
 //! change feed by exactly one commit, so no reader, subscriber or crash can
-//! observe half of it.
+//! observe half of it. Plain inserts and deletes take the same commit
+//! pipeline and keep the same promise.
 //!
 //! Three facades run the same checks: the in-memory [`Database`], a
 //! [`DurableDatabase`] over a [`MemVfs`] (its WAL length is part of the
@@ -25,6 +26,8 @@ struct Observed {
 
 /// One facade under test, with the feed subscription it carries (if any).
 trait Facade {
+    fn insert(&mut self, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>>;
+    fn delete(&mut self, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>>;
     fn update(&mut self, keys: &[Vec<Datum>], rows: Vec<Row>) -> Result<Vec<MaintenanceReport>>;
     fn observe(&self) -> Observed;
     /// Feed sets delivered since the last call (`None`: no feed attached).
@@ -79,6 +82,14 @@ impl InMemory {
 }
 
 impl Facade for InMemory {
+    fn insert(&mut self, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
+        self.db.insert("lineitem", rows)
+    }
+
+    fn delete(&mut self, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
+        self.db.delete("lineitem", keys)
+    }
+
     fn update(&mut self, keys: &[Vec<Datum>], rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
         self.db.update("lineitem", keys, rows)
     }
@@ -123,6 +134,14 @@ impl OnDisk {
 }
 
 impl Facade for OnDisk {
+    fn insert(&mut self, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
+        self.db.insert("lineitem", rows)
+    }
+
+    fn delete(&mut self, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
+        self.db.delete("lineitem", keys)
+    }
+
     fn update(&mut self, keys: &[Vec<Datum>], rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
         self.db.update("lineitem", keys, rows)
     }
@@ -164,6 +183,14 @@ impl Sharded {
 }
 
 impl Facade for Sharded {
+    fn insert(&mut self, rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
+        self.0.insert("lineitem", rows)
+    }
+
+    fn delete(&mut self, keys: &[Vec<Datum>]) -> Result<Vec<MaintenanceReport>> {
+        self.0.delete("lineitem", keys)
+    }
+
     fn update(&mut self, keys: &[Vec<Datum>], rows: Vec<Row>) -> Result<Vec<MaintenanceReport>> {
         self.0.update("lineitem", keys, rows)
     }
@@ -263,6 +290,84 @@ fn each_update_is_one_lsn_one_publish_one_feed_set() {
             assert_eq!(after.snapshot_lsn, before.snapshot_lsn + 1, "{name}");
             if let Some(sets) = f.drain_sets() {
                 assert_eq!(sets, 1, "{name}: one UPDATE, one feed set");
+            }
+        }
+    }
+}
+
+/// A refused insert — a key repeated inside the batch, or a missing FK
+/// parent — and a refused delete — a key no row carries — change nothing:
+/// no row, no LSN, no WAL byte, no feed set.
+#[test]
+fn refused_insert_or_delete_changes_nothing() {
+    for (name, mut f) in facades() {
+        let before = f.observe();
+        let inserts: [(&str, Vec<Row>); 2] = [
+            (
+                "duplicate key inside the batch",
+                vec![
+                    fixtures::lineitem_row(5, 9, 3, 99, 1.0),
+                    fixtures::lineitem_row(5, 9, 4, 98, 2.0),
+                ],
+            ),
+            (
+                "missing FK parent",
+                vec![fixtures::lineitem_row(999, 1, 3, 99, 1.0)],
+            ),
+        ];
+        for (why, rows) in inserts {
+            assert!(f.insert(rows).is_err(), "{name}: {why} must be refused");
+            assert_eq!(
+                f.observe(),
+                before,
+                "{name}: a refused insert ({why}) changed state"
+            );
+            if let Some(sets) = f.drain_sets() {
+                assert_eq!(sets, 0, "{name}: a refused insert ({why}) reached the feed");
+            }
+        }
+        // The first key exists; the second names no row.
+        assert!(
+            f.delete(&[key(2, 1), key(7, 77)]).is_err(),
+            "{name}: a missing key must be refused"
+        );
+        assert_eq!(
+            f.observe(),
+            before,
+            "{name}: a refused delete changed state"
+        );
+        if let Some(sets) = f.drain_sets() {
+            assert_eq!(sets, 0, "{name}: a refused delete reached the feed");
+        }
+    }
+}
+
+/// An accepted insert and an accepted delete each advance the commit LSN,
+/// the snapshot registry, the WAL and the feed by exactly one commit.
+#[test]
+fn each_insert_or_delete_is_one_lsn_one_publish_one_feed_set() {
+    for (name, mut f) in facades() {
+        for what in ["insert", "delete"] {
+            let before = f.observe();
+            let reports = match what {
+                "insert" => f.insert(vec![fixtures::lineitem_row(5, 9, 3, 99, 1.0)]),
+                _ => f.delete(&[key(5, 9), key(2, 1)]),
+            }
+            .unwrap();
+            assert!(!reports.is_empty(), "{name}: the view sees the {what}");
+            let after = f.observe();
+            assert_ne!(after.state, before.state, "{name}: {what}");
+            assert_eq!(after.commit_lsn, before.commit_lsn + 1, "{name}: {what}");
+            assert_eq!(
+                after.snapshot_lsn,
+                before.snapshot_lsn + 1,
+                "{name}: {what}"
+            );
+            if before.wal_len > 0 {
+                assert!(after.wal_len > before.wal_len, "{name}: {what} is logged");
+            }
+            if let Some(sets) = f.drain_sets() {
+                assert_eq!(sets, 1, "{name}: one {what}, one feed set");
             }
         }
     }
