@@ -149,12 +149,20 @@ fn run_lineitems(
     }
 }
 
-/// The run with the median time of `cfg.repetitions` runs of `run`
-/// (called with the repetition number).
-fn median<T>(cfg: &Config, time: impl Fn(&T) -> Duration, run: impl FnMut(u64) -> T) -> T {
+/// The median time of `cfg.repetitions` runs of `run` (called with the
+/// repetition number), and the first run. The counts a caller reports come
+/// from that fixed repetition, not from whichever one ran in the median
+/// time: repetitions may maintain different batches, so the counts must
+/// not depend on timing.
+fn median<T>(
+    cfg: &Config,
+    time: impl Fn(&T) -> Duration,
+    run: impl FnMut(u64) -> T,
+) -> (Duration, T) {
     let mut runs: Vec<T> = (0..cfg.repetitions.max(1) as u64).map(run).collect();
-    runs.sort_by_key(|r| time(r));
-    runs.swap_remove(runs.len() / 2)
+    let mut times: Vec<Duration> = runs.iter().map(time).collect();
+    times.sort_unstable();
+    (times[times.len() / 2], runs.swap_remove(0))
 }
 
 /// Median wall time of `cfg.repetitions` calls of `f`.
@@ -164,16 +172,18 @@ fn median_time(cfg: &Config, f: &dyn Fn()) -> Duration {
         f();
         start.elapsed()
     };
-    median(cfg, |t: &Duration| *t, run)
+    median(cfg, |t: &Duration| *t, run).0
 }
 
-/// Figure 5 series: median maintenance time per (system, batch size).
+/// Figure 5 series: median maintenance time per (system, batch size), with
+/// the counts of the first repetition.
 pub fn run_fig5(env: &Env, cfg: &Config, deletes: bool) -> Vec<Measurement> {
     let mut out = Vec::new();
     for &batch in &cfg.batch_sizes {
         for system in System::ALL {
             let run = |rep| run_lineitems(env, cfg, system, batch, rep, deletes);
-            out.push(median(cfg, |m: &Measurement| m.time, run));
+            let (time, first) = median(cfg, |m: &Measurement| m.time, run);
+            out.push(Measurement { time, ..first });
         }
     }
     out
@@ -263,7 +273,7 @@ pub struct AblationArm {
     pub ablation: &'static str,
     pub arm: String,
     pub time: Duration,
-    /// The median run's report; `None` for a materialization arm.
+    /// The first run's report; `None` for a materialization arm.
     pub report: Option<MaintenanceReport>,
 }
 
@@ -355,7 +365,7 @@ fn view_arm(
         let (time, report, _view) = maintain_fresh(env, cfg.verify, def, change, ours(&policy));
         (time, report)
     };
-    let (time, report) = median(cfg, |r| r.0, run);
+    let (time, (_, report)) = median(cfg, |r| r.0, run);
     AblationArm {
         ablation,
         arm: format!("{label}, {}", change.label()),
@@ -454,7 +464,7 @@ fn ablation_aggregate(env: &Env, cfg: &Config) -> Vec<AblationArm> {
         materialize("aggregated", &|| drop(create_rollup(&env.catalog))),
         view_arm(env, cfg, "A4", "plain V3", &v3_def(), policy, change),
     ];
-    let (time, report) = median(cfg, |r| r.0, run_rollup);
+    let (time, (_, report)) = median(cfg, |r| r.0, run_rollup);
     arms.push(AblationArm {
         ablation: "A4",
         arm: format!("aggregated, {}", change.label()),
@@ -533,6 +543,31 @@ mod tests {
                 && m.system == System::OuterJoin
                 && m.report.primary_rows > 0));
         }
+    }
+
+    /// Each repetition maintains a different lineitem batch, so the counts
+    /// must come from a fixed one: two runs agree whatever their timings.
+    #[test]
+    fn fig5_counts_do_not_depend_on_timing() {
+        let cfg = Config {
+            repetitions: 3,
+            ..tiny()
+        };
+        let env = Env::new(&cfg);
+        let counts = || {
+            run_fig5(&env, &cfg, false)
+                .into_iter()
+                .map(|m| {
+                    (
+                        m.system,
+                        m.batch,
+                        m.report.primary_rows,
+                        m.report.secondary_rows,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(), counts());
     }
 
     #[test]

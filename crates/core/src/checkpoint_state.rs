@@ -9,7 +9,7 @@
 use ojv_algebra::{CmpOp, JoinKind};
 use ojv_durability::{DurabilityError, Lsn};
 use ojv_rel::{put_row, put_str, put_u32, put_u64, ByteReader, Datum, RelError, Row};
-use ojv_storage::{decode_catalog, encode_catalog, Catalog};
+use ojv_storage::{decode_catalog, encode_catalog_into, Catalog};
 
 use crate::database::Database;
 use crate::error::{CoreError, Result};
@@ -335,10 +335,12 @@ fn read_view_section(r: &mut ByteReader<'_>) -> Result<ViewSection> {
 /// views, and keeping it keeps every checkpoint byte-identical to the
 /// format that had them.
 pub(crate) fn encode_state(db: &Database) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    let cat = encode_catalog(db.catalog())?;
-    put_u32(&mut buf, fit_u32(cat.len(), "catalog length")?);
-    buf.extend_from_slice(&cat);
+    // The catalog encodes straight into the payload behind a length slot
+    // that is patched once its size is known.
+    let mut buf = vec![0u8; 4];
+    encode_catalog_into(db.catalog(), &mut buf)?;
+    let cat_len = fit_u32(buf.len() - 4, "catalog length")?;
+    buf[..4].copy_from_slice(&cat_len.to_le_bytes());
     let views: Vec<&MaterializedView> = db.views().collect();
     put_u32(&mut buf, fit_u32(views.len(), "view count")?);
     for v in views {

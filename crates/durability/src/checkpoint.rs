@@ -22,7 +22,7 @@
 //! to the next-newest snapshot if the newest is damaged, so a corrupted
 //! checkpoint degrades recovery (longer replay) rather than breaking it.
 
-use crate::crc32c::crc32c;
+use crate::crc32c::{crc32c, crc32c_finish, crc32c_init, crc32c_update};
 use crate::error::{DurabilityError, Result};
 use crate::vfs::Vfs;
 use crate::wal::Lsn;
@@ -77,19 +77,24 @@ pub fn write_checkpoint(vfs: &mut dyn Vfs, lsn: Lsn, payload: &[u8]) -> Result<S
             payload.len()
         ),
     })?;
-    let mut buf = Vec::with_capacity(24 + payload.len() + 4);
-    buf.extend_from_slice(CHECKPOINT_MAGIC);
-    buf.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&lsn.to_le_bytes());
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(payload);
-    let crc = crc32c(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    let mut header = [0u8; 24];
+    header[0..8].copy_from_slice(CHECKPOINT_MAGIC);
+    header[8..12].copy_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    header[12..20].copy_from_slice(&lsn.to_le_bytes());
+    header[20..24].copy_from_slice(&len.to_le_bytes());
+    // The CRC runs over header and payload in place: the payload is never
+    // copied into a framing buffer.
+    let crc = crc32c_finish(crc32c_update(
+        crc32c_update(crc32c_init(), &header),
+        payload,
+    ));
 
     let tmp = tmp_name(lsn);
     let snap = snap_name(lsn);
     vfs.create(&tmp)?;
-    vfs.append(&tmp, &buf)?;
+    vfs.append(&tmp, &header)?;
+    vfs.append(&tmp, payload)?;
+    vfs.append(&tmp, &crc.to_le_bytes())?;
     vfs.sync(&tmp)?;
     vfs.rename(&tmp, &snap)?;
     Ok(snap)

@@ -1,16 +1,23 @@
-//! Table-driven CRC-32C (Castagnoli).
+//! Table-driven CRC-32C (Castagnoli), eight bytes per step.
 //!
 //! The Castagnoli polynomial (reversed form `0x82F6_3B78`) has better
 //! error-detection properties for short messages than CRC-32/ISO-HDLC and
 //! is the checksum iSCSI, ext4 and Btrfs use for exactly this job: catching
-//! torn and bit-flipped log records. The 256-entry table is built at compile
-//! time by a `const fn`, so there is no runtime init and no dependency.
+//! torn and bit-flipped log records.
+//!
+//! The update is *slice-by-8*: eight 256-entry tables, where `TABLES[k][b]`
+//! is the CRC contribution of byte `b` followed by `k` zero bytes, fold an
+//! 8-byte word into the state with eight independent lookups instead of a
+//! chain of eight dependent ones. The tail (fewer than 8 bytes) runs the
+//! classic byte-at-a-time step on `TABLES[0]`. The tables are built at
+//! compile time by a `const fn`, so there is no runtime init, no `unsafe`
+//! and no dependency.
 
 /// Reversed (LSB-first) representation of the Castagnoli polynomial.
 const POLY: u32 = 0x82F6_3B78;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32; // lint:allow(cast) — i < 256, widening
@@ -23,22 +30,45 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// Continue a CRC-32C computation. `state` must come from [`crc32c_init`]
 /// or a previous `crc32c_update` call.
 #[must_use]
 pub fn crc32c_update(state: u32, data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = state;
-    for &byte in data {
-        let idx = ((crc ^ byte as u32) & 0xFF) as usize; // lint:allow(cast) — masked to 8 bits
-        crc = (crc >> 8) ^ TABLE[idx];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     crc
 }
@@ -64,6 +94,42 @@ pub fn crc32c(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time reference: one table lookup per byte.
+    fn crc32c_bytewise(data: &[u8]) -> u32 {
+        let mut crc = crc32c_init();
+        for &byte in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        crc32c_finish(crc)
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_reference() {
+        // Every length up to 64 at every alignment offset within a word.
+        let data: Vec<u8> = (0..72u32).map(|i| (i * 37 + 11) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(
+                    crc32c(slice),
+                    crc32c_bytewise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        // One 1 MiB buffer of xorshift bytes.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let big: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[0]
+            })
+            .collect();
+        assert_eq!(crc32c(&big), crc32c_bytewise(&big));
+    }
 
     #[test]
     fn check_vector() {

@@ -60,21 +60,80 @@ pub fn eval_pred_split_ref(
     pred.atoms().iter().all(|a| eval_atom_with(a, get))
 }
 
+/// A *narrow* row — one base table's columns, not yet widened to the view
+/// layout: a delta row (`&[Datum]`) or a table's columnar [`RowRef`]. The
+/// narrow-left index join reads its probe rows through this, so delta
+/// maintenance and full evaluation share one operator.
+pub trait NarrowRow<'a>: Copy {
+    /// Borrowed view of column `col`.
+    fn dat(self, col: usize) -> DatumRef<'a>;
+    /// Owned value of column `col` (strings clone the backing `Arc`).
+    fn datum(self, col: usize) -> Datum;
+    /// Is column `col` NULL?
+    fn is_null(self, col: usize) -> bool;
+    /// Write the row into `out` (exactly its width: a wide row's slot).
+    fn copy_into(self, out: &mut [Datum]);
+}
+
+impl<'a> NarrowRow<'a> for &'a [Datum] {
+    #[inline]
+    fn dat(self, col: usize) -> DatumRef<'a> {
+        self[col].as_ref()
+    }
+
+    #[inline]
+    fn datum(self, col: usize) -> Datum {
+        self[col].clone()
+    }
+
+    #[inline]
+    fn is_null(self, col: usize) -> bool {
+        self[col].is_null()
+    }
+
+    #[inline]
+    fn copy_into(self, out: &mut [Datum]) {
+        out.clone_from_slice(self);
+    }
+}
+
+impl<'a> NarrowRow<'a> for RowRef<'a> {
+    #[inline]
+    fn dat(self, col: usize) -> DatumRef<'a> {
+        RowRef::dat(self, col)
+    }
+
+    #[inline]
+    fn datum(self, col: usize) -> Datum {
+        RowRef::datum(self, col)
+    }
+
+    #[inline]
+    fn is_null(self, col: usize) -> bool {
+        RowRef::is_null(self, col)
+    }
+
+    #[inline]
+    fn copy_into(self, out: &mut [Datum]) {
+        RowRef::copy_into(self, out);
+    }
+}
+
 /// Evaluate a conjunction over two *narrow* rows of distinct tables, the
-/// right one columnar — the shape of a delta-driven index join before any
+/// right one columnar — the shape of a narrow-left index join before any
 /// widening. Every atom must reference only `lt` and `rt` (guaranteed for
 /// the residual of an `equi_split` between the two tables' singleton source
 /// sets).
-pub fn eval_pred_two_narrow_ref(
+pub fn eval_pred_two_narrow_ref<'l>(
     pred: &Pred,
     lt: ojv_algebra::TableId,
-    left: &[Datum],
+    left: impl NarrowRow<'l>,
     rt: ojv_algebra::TableId,
     right: RowRef<'_>,
 ) -> bool {
     let get = |c: &ojv_algebra::ColRef| {
         if c.table == lt {
-            left[c.col].as_ref()
+            left.dat(c.col)
         } else {
             debug_assert_eq!(c.table, rt, "atom references a third table");
             right.dat(c.col)

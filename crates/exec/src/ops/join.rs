@@ -17,7 +17,7 @@ use ojv_algebra::{JoinKind, Pred, TableId, TableSet};
 use ojv_rel::{alloc_snapshot, key_eq_rows, key_hash_with, Datum, Row, RowBuf};
 use ojv_storage::Table;
 
-use crate::eval::{eval_pred_merged, eval_pred_split_ref};
+use crate::eval::{eval_pred_merged, eval_pred_split_ref, eval_pred_two_narrow_ref, NarrowRow};
 use crate::hashtbl::{KeyHashTable, KeySet};
 use crate::layout::ViewLayout;
 use crate::stats::ExecEnv;
@@ -414,23 +414,23 @@ pub fn index_join_excluding_buf(
     out
 }
 
-/// Index-nested-loop join whose **left side is still narrow** — the shape of
-/// the maintenance spine's first join, `ΔT ⋈ X`: delta rows probe the base
-/// table's index directly, and only rows that survive the residual are
-/// widened into the output batch. Skipping the up-front widening of the
-/// whole delta matters because most delta rows are rejected by the view's
-/// selective predicates (folded into `residual`) — those rows are never
-/// materialized at view width at all.
+/// Index-nested-loop join whose **left side is still narrow** — a base
+/// leaf's own rows, before any widening: the delta rows of the maintenance
+/// spine's first join (`ΔT ⋈ X`), or a base table's columnar rows in full
+/// evaluation. Left rows probe the base table's index directly, and only
+/// rows that survive the residual are widened into the output batch; most
+/// rows of a selective join are never materialized at view width at all.
 ///
-/// `probe_local` are *left-local* column indices (the delta rows are base
+/// `probe_local` are *left-local* column indices (the left rows are base
 /// rows of `left_id`); everything else matches
 /// [`index_join_excluding_buf`]. Output is bit-identical to widening the
-/// delta first and running the wide-probe index join.
+/// left rows first and running the wide-probe index join: left rows in
+/// order, each followed by its matches in index order.
 #[allow(clippy::too_many_arguments)]
-pub fn index_join_narrow_left_buf(
+pub fn index_join_narrow_left_buf<'l, L: NarrowRow<'l>>(
     env: &ExecEnv<'_>,
     kind: JoinKind,
-    left_rows: &[Row],
+    left_rows: impl IntoIterator<Item = L>,
     left_id: TableId,
     probe_local: &[usize],
     table: &Table,
@@ -438,7 +438,6 @@ pub fn index_join_narrow_left_buf(
     index: ojv_storage::IndexRef,
     index_perm: &[usize],
     residual: &Pred,
-    exclude: Option<&KeySet>,
 ) -> RowBuf {
     assert!(
         matches!(
@@ -448,7 +447,6 @@ pub fn index_join_narrow_left_buf(
         "index join does not support right-preserving kinds"
     );
     let layout = env.layout;
-    let key_cols = table.key_cols();
     let keep_merged = !matches!(kind, JoinKind::LeftSemi | JoinKind::LeftAnti);
     let (loffset, llen) = {
         let slot = layout.slot(left_id);
@@ -462,17 +460,16 @@ pub fn index_join_narrow_left_buf(
     let alloc0 = alloc_snapshot();
     let mut out = RowBuf::new(layout.width());
     let mut probe = vec![Datum::Null; probe_local.len()];
+    let mut rows_in = 0;
     for l in left_rows {
+        rows_in += 1;
         let mut matched = false;
-        if !probe_local.iter().any(|&c| l[c].is_null()) {
+        if !probe_local.iter().any(|&c| l.is_null(c)) {
             for (slot, &perm) in probe.iter_mut().zip(index_perm) {
-                *slot = l[probe_local[perm]].clone();
+                *slot = l.datum(probe_local[perm]);
             }
             for r in table.index_lookup(index, &probe) {
-                if exclude.is_some_and(|ex| ex.contains_ref(r, key_cols)) {
-                    continue;
-                }
-                if !crate::eval::eval_pred_two_narrow_ref(residual, left_id, l, right_id, r) {
+                if !eval_pred_two_narrow_ref(residual, left_id, l, right_id, r) {
                     continue;
                 }
                 matched = true;
@@ -480,24 +477,20 @@ pub fn index_join_narrow_left_buf(
                     break;
                 }
                 let row = out.push_null_row();
-                row[loffset..loffset + llen].clone_from_slice(l);
+                l.copy_into(&mut row[loffset..loffset + llen]);
                 r.copy_into(&mut row[roffset..roffset + rlen]);
             }
         }
-        match kind {
-            JoinKind::LeftOuter if !matched => layout.widen_into(left_id, l, &mut out),
-            JoinKind::LeftSemi if matched => layout.widen_into(left_id, l, &mut out),
-            JoinKind::LeftAnti if !matched => layout.widen_into(left_id, l, &mut out),
-            _ => {}
+        let keep_left = match kind {
+            JoinKind::LeftOuter | JoinKind::LeftAnti => !matched,
+            JoinKind::LeftSemi => matched,
+            _ => false,
+        };
+        if keep_left {
+            l.copy_into(&mut out.push_null_row()[loffset..loffset + llen]);
         }
     }
-    env.record(
-        |s| &s.index_join,
-        left_rows.len(),
-        out.len(),
-        started,
-        alloc0,
-    );
+    env.record(|s| &s.index_join, rows_in, out.len(), started, alloc0);
     out
 }
 

@@ -9,10 +9,10 @@
 //!   exactly as recovery does (the catalog at replay time is the
 //!   checkpointed catalog, which the batch was originally applied against
 //!   or after).
-//! * [`encode_catalog`] / [`decode_catalog`] — the catalog section of a
-//!   checkpoint: every table's schema, key, secondary-index column sets,
-//!   and rows in heap order, plus declared foreign keys and the
-//!   enforcement flag.
+//! * [`encode_catalog`] (or [`encode_catalog_into`]) / [`decode_catalog`] —
+//!   the catalog section of a checkpoint: every table's schema, key,
+//!   secondary-index column sets, and rows in heap order, plus declared
+//!   foreign keys and the enforcement flag.
 //!
 //! ## Restore determinism
 //!
@@ -132,52 +132,59 @@ pub fn decode_update(data: &[u8], catalog: &Catalog) -> Result<Update, StorageEr
 /// rows in heap order, foreign keys, and the enforcement flag.
 pub fn encode_catalog(catalog: &Catalog) -> Result<Vec<u8>, RelError> {
     let mut buf = Vec::new();
+    encode_catalog_into(catalog, &mut buf)?;
+    Ok(buf)
+}
+
+/// [`encode_catalog`], appended to `buf` — so a checkpoint payload holds
+/// the catalog section without a second copy of it.
+pub fn encode_catalog_into(catalog: &Catalog, buf: &mut Vec<u8>) -> Result<(), RelError> {
     let tables: Vec<_> = catalog.tables().collect();
-    put_usize(&mut buf, tables.len(), "table count")?;
+    put_usize(buf, tables.len(), "table count")?;
     for t in &tables {
-        put_str(&mut buf, t.name())?;
+        put_str(buf, t.name())?;
         let schema = t.schema();
-        put_usize(&mut buf, schema.len(), "column count")?;
+        put_usize(buf, schema.len(), "column count")?;
         for col in schema.columns() {
-            put_str(&mut buf, &col.qualifier)?;
-            put_str(&mut buf, &col.name)?;
+            put_str(buf, &col.qualifier)?;
+            put_str(buf, &col.name)?;
             buf.push(dt_tag(col.ty));
             buf.push(u8::from(col.nullable));
         }
-        put_usize(&mut buf, t.key_cols().len(), "key column count")?;
+        put_usize(buf, t.key_cols().len(), "key column count")?;
         for &c in t.key_cols() {
-            put_usize(&mut buf, c, "key column index")?;
+            put_usize(buf, c, "key column index")?;
         }
         let secondary = t.secondary_col_sets();
-        put_usize(&mut buf, secondary.len(), "secondary index count")?;
+        put_usize(buf, secondary.len(), "secondary index count")?;
         for cols in &secondary {
-            put_usize(&mut buf, cols.len(), "secondary column count")?;
+            put_usize(buf, cols.len(), "secondary column count")?;
             for &c in cols {
-                put_usize(&mut buf, c, "secondary column index")?;
+                put_usize(buf, c, "secondary column index")?;
             }
         }
-        put_usize(&mut buf, t.len(), "row count")?;
+        put_usize(buf, t.len(), "row count")?;
         let mut scratch = vec![ojv_rel::Datum::Null; t.schema().len()];
         for pos in 0..t.len() {
             t.heap().copy_row_into(pos, &mut scratch);
-            put_row(&mut buf, &scratch)?;
+            put_row(buf, &scratch)?;
         }
     }
     let fks = catalog.foreign_keys();
-    put_usize(&mut buf, fks.len(), "foreign key count")?;
+    put_usize(buf, fks.len(), "foreign key count")?;
     for fk in fks {
-        put_str(&mut buf, &fk.name)?;
-        put_str(&mut buf, &fk.child)?;
-        put_str(&mut buf, &fk.parent)?;
-        put_usize(&mut buf, fk.child_cols.len(), "fk column count")?;
+        put_str(buf, &fk.name)?;
+        put_str(buf, &fk.child)?;
+        put_str(buf, &fk.parent)?;
+        put_usize(buf, fk.child_cols.len(), "fk column count")?;
         for &c in &fk.child_cols {
-            put_usize(&mut buf, c, "fk column index")?;
+            put_usize(buf, c, "fk column index")?;
         }
         buf.push(u8::from(fk.cascade_delete));
         buf.push(u8::from(fk.deferrable));
     }
     buf.push(u8::from(catalog.enforce_constraints));
-    Ok(buf)
+    Ok(())
 }
 
 /// Rebuild a catalog from [`encode_catalog`] bytes.

@@ -26,7 +26,9 @@ pub mod shard;
 pub mod table;
 
 pub use catalog::{Catalog, ForeignKey, ValidDelete, ValidInsert, ValidUpdate};
-pub use codec::{decode_catalog, decode_update, encode_catalog, encode_update};
+pub use codec::{
+    decode_catalog, decode_update, encode_catalog, encode_catalog_into, encode_update,
+};
 pub use delta::{Update, UpdateOp};
 pub use error::StorageError;
 pub use heap::{ColumnHeap, RowRef, SEG_ROWS};
