@@ -1,7 +1,7 @@
-//! Scalar predicate evaluation over wide rows.
+//! Scalar predicate evaluation over wide rows and join row pairs.
 
-use ojv_algebra::{Atom, Pred};
-use ojv_rel::{Datum, DatumRef};
+use ojv_algebra::{Atom, ColRef, Pred, TableId, TableSet};
+use ojv_rel::{Datum, DatumRef, RowBuf};
 use ojv_storage::RowRef;
 
 use crate::layout::ViewLayout;
@@ -11,132 +11,162 @@ use crate::layout::ViewLayout;
 /// exactly the *null-rejecting* behaviour the paper requires of all view
 /// predicates.
 pub fn eval_pred(layout: &ViewLayout, pred: &Pred, row: &[Datum]) -> bool {
-    let get = |c: &ojv_algebra::ColRef| row[layout.global(*c)].as_ref();
+    let get = |c: &ColRef| row[layout.global(*c)].as_ref();
     pred.atoms().iter().all(|a| eval_atom_with(a, get))
 }
 
-/// Evaluate a conjunction on a *virtual* merged row made of two wide rows:
-/// columns of tables in `right_sources` resolve against `right`, everything
-/// else against `left`. Join probe loops use this to reject a candidate
-/// before materializing the merged row — the merge (a slot copy with
-/// possible string clones) only happens for rows that survive.
-pub fn eval_pred_merged(
-    layout: &ViewLayout,
-    pred: &Pred,
-    left: &[Datum],
-    right: &[Datum],
-    right_sources: ojv_algebra::TableSet,
-) -> bool {
-    let get = |c: &ojv_algebra::ColRef| {
-        let row = if right_sources.contains(c.table) {
-            right
-        } else {
-            left
-        };
-        row[layout.global(*c)].as_ref()
-    };
-    pred.atoms().iter().all(|a| eval_atom_with(a, get))
+/// One side of a join pair: a wide batch row ([`WideRow`]), or one base
+/// table's own row before widening ([`BaseRow`]: a delta row or a table's
+/// columnar [`RowRef`]). The join loop reads keys and residual columns
+/// through this, and writes only the pairs that survive.
+pub trait RowSide<'a>: Copy {
+    /// Does the row answer for the columns of table `t`?
+    fn holds(self, t: TableId) -> bool;
+    /// Borrowed view of column `c`.
+    fn col(self, c: ColRef) -> DatumRef<'a>;
+    /// Owned value of column `c` (strings clone the backing `Arc`).
+    fn datum(self, c: ColRef) -> Datum;
+    /// Is column `c` NULL?
+    fn is_null(self, c: ColRef) -> bool;
+    /// Write the row's table slots into the wide row `out`, leaving the
+    /// other slots as they are.
+    fn write_into(self, out: &mut [Datum]);
+    /// Append the row to `out`, null on every other table; returns its
+    /// index in `out`.
+    fn push_into(self, out: &mut RowBuf) -> usize {
+        self.write_into(out.push_null_row());
+        out.len() - 1
+    }
 }
 
-/// [`eval_pred_merged`] where the right side is a *columnar* base-table row
-/// occupying the layout slot `[offset, offset + right.width())`: right
-/// columns read straight from the table's column pages, left columns from
-/// the wide probe row — the shape index-nested-loop and narrow-build joins
-/// probe.
-pub fn eval_pred_split_ref(
-    layout: &ViewLayout,
-    pred: &Pred,
-    left: &[Datum],
-    right: RowRef<'_>,
-    offset: usize,
-) -> bool {
-    let get = |c: &ojv_algebra::ColRef| {
-        let g = layout.global(*c);
-        match g.checked_sub(offset) {
-            Some(local) if local < right.width() => right.dat(local),
-            _ => left[g].as_ref(),
+/// A row of a wide batch, carrying the tables in `sources`.
+#[derive(Clone, Copy)]
+pub struct WideRow<'a> {
+    pub layout: &'a ViewLayout,
+    pub sources: TableSet,
+    pub row: &'a [Datum],
+}
+
+impl<'a> RowSide<'a> for WideRow<'a> {
+    #[inline]
+    fn holds(self, t: TableId) -> bool {
+        self.sources.contains(t)
+    }
+
+    #[inline]
+    fn col(self, c: ColRef) -> DatumRef<'a> {
+        self.row[self.layout.global(c)].as_ref()
+    }
+
+    #[inline]
+    fn datum(self, c: ColRef) -> Datum {
+        self.row[self.layout.global(c)].clone()
+    }
+
+    #[inline]
+    fn is_null(self, c: ColRef) -> bool {
+        self.row[self.layout.global(c)].is_null()
+    }
+
+    fn write_into(self, out: &mut [Datum]) {
+        for t in self.sources.iter() {
+            let slot = self.layout.slot(t);
+            let cols = slot.offset..slot.offset + slot.len;
+            out[cols.clone()].clone_from_slice(&self.row[cols]);
         }
-    };
-    pred.atoms().iter().all(|a| eval_atom_with(a, get))
-}
-
-/// A *narrow* row — one base table's columns, not yet widened to the view
-/// layout: a delta row (`&[Datum]`) or a table's columnar [`RowRef`]. The
-/// narrow-left index join reads its probe rows through this, so delta
-/// maintenance and full evaluation share one operator.
-pub trait NarrowRow<'a>: Copy {
-    /// Borrowed view of column `col`.
-    fn dat(self, col: usize) -> DatumRef<'a>;
-    /// Owned value of column `col` (strings clone the backing `Arc`).
-    fn datum(self, col: usize) -> Datum;
-    /// Is column `col` NULL?
-    fn is_null(self, col: usize) -> bool;
-    /// Write the row into `out` (exactly its width: a wide row's slot).
-    fn copy_into(self, out: &mut [Datum]);
-}
-
-impl<'a> NarrowRow<'a> for &'a [Datum] {
-    #[inline]
-    fn dat(self, col: usize) -> DatumRef<'a> {
-        self[col].as_ref()
     }
 
-    #[inline]
-    fn datum(self, col: usize) -> Datum {
-        self[col].clone()
-    }
-
-    #[inline]
-    fn is_null(self, col: usize) -> bool {
-        self[col].is_null()
-    }
-
-    #[inline]
-    fn copy_into(self, out: &mut [Datum]) {
-        out.clone_from_slice(self);
+    /// The whole row, copied as it is.
+    fn push_into(self, out: &mut RowBuf) -> usize {
+        out.push_row(self.row);
+        out.len() - 1
     }
 }
 
-impl<'a> NarrowRow<'a> for RowRef<'a> {
+/// One base table's own row, not yet widened: a delta row (`&[Datum]`) or
+/// a table's columnar [`RowRef`], of table `table` whose layout slot starts
+/// at `offset`. Column references index the row by `col.col`.
+#[derive(Clone, Copy)]
+pub struct BaseRow<R> {
+    pub table: TableId,
+    pub offset: usize,
+    pub row: R,
+}
+
+impl<'a> RowSide<'a> for BaseRow<&'a [Datum]> {
     #[inline]
-    fn dat(self, col: usize) -> DatumRef<'a> {
-        RowRef::dat(self, col)
+    fn holds(self, t: TableId) -> bool {
+        t == self.table
     }
 
     #[inline]
-    fn datum(self, col: usize) -> Datum {
-        RowRef::datum(self, col)
+    fn col(self, c: ColRef) -> DatumRef<'a> {
+        debug_assert_eq!(c.table, self.table);
+        self.row[c.col].as_ref()
     }
 
     #[inline]
-    fn is_null(self, col: usize) -> bool {
-        RowRef::is_null(self, col)
+    fn datum(self, c: ColRef) -> Datum {
+        debug_assert_eq!(c.table, self.table);
+        self.row[c.col].clone()
     }
 
     #[inline]
-    fn copy_into(self, out: &mut [Datum]) {
-        RowRef::copy_into(self, out);
+    fn is_null(self, c: ColRef) -> bool {
+        debug_assert_eq!(c.table, self.table);
+        self.row[c.col].is_null()
+    }
+
+    fn write_into(self, out: &mut [Datum]) {
+        out[self.offset..self.offset + self.row.len()].clone_from_slice(self.row);
     }
 }
 
-/// Evaluate a conjunction over two *narrow* rows of distinct tables, the
-/// right one columnar — the shape of a narrow-left index join before any
-/// widening. Every atom must reference only `lt` and `rt` (guaranteed for
-/// the residual of an `equi_split` between the two tables' singleton source
-/// sets).
-pub fn eval_pred_two_narrow_ref<'l>(
+impl<'a> RowSide<'a> for BaseRow<RowRef<'a>> {
+    #[inline]
+    fn holds(self, t: TableId) -> bool {
+        t == self.table
+    }
+
+    #[inline]
+    fn col(self, c: ColRef) -> DatumRef<'a> {
+        debug_assert_eq!(c.table, self.table);
+        self.row.dat(c.col)
+    }
+
+    #[inline]
+    fn datum(self, c: ColRef) -> Datum {
+        debug_assert_eq!(c.table, self.table);
+        self.row.datum(c.col)
+    }
+
+    #[inline]
+    fn is_null(self, c: ColRef) -> bool {
+        debug_assert_eq!(c.table, self.table);
+        self.row.is_null(c.col)
+    }
+
+    fn write_into(self, out: &mut [Datum]) {
+        self.row
+            .copy_into(&mut out[self.offset..self.offset + self.row.width()]);
+    }
+}
+
+/// Evaluate a conjunction on the *virtual* merge of a join pair: columns
+/// of the tables `right` holds resolve against it, every other column
+/// against `left`. Join loops use this to reject a candidate before any
+/// slot is copied — only survivors are written into the output batch.
+#[inline]
+pub fn eval_pred_pair<'l, 'r>(
     pred: &Pred,
-    lt: ojv_algebra::TableId,
-    left: impl NarrowRow<'l>,
-    rt: ojv_algebra::TableId,
-    right: RowRef<'_>,
+    left: impl RowSide<'l>,
+    right: impl RowSide<'r>,
 ) -> bool {
-    let get = |c: &ojv_algebra::ColRef| {
-        if c.table == lt {
-            left.dat(c.col)
+    let get = |c: &ColRef| {
+        if right.holds(c.table) {
+            right.col(*c)
         } else {
-            debug_assert_eq!(c.table, rt, "atom references a third table");
-            right.dat(c.col)
+            left.col(*c)
         }
     };
     pred.atoms().iter().all(|a| eval_atom_with(a, get))
@@ -149,7 +179,7 @@ pub fn eval_pred_two_narrow_ref<'l>(
 /// mirrors `Datum::sql_cmp` exactly (pinned by a property test in
 /// `ojv-rel`).
 #[inline]
-fn eval_atom_with<'r>(atom: &Atom, get: impl Fn(&ojv_algebra::ColRef) -> DatumRef<'r>) -> bool {
+fn eval_atom_with<'r>(atom: &Atom, get: impl Fn(&ColRef) -> DatumRef<'r>) -> bool {
     match atom {
         Atom::Cols(a, op, b) => get(a).sql_cmp(get(b)).map(|o| op.eval(o)).unwrap_or(false),
         Atom::Const(c, op, lit) => get(c)
@@ -169,7 +199,7 @@ fn eval_atom_with<'r>(atom: &Atom, get: impl Fn(&ojv_algebra::ColRef) -> DatumRe
 /// before any widening. The caller must guarantee every atom references
 /// only the scanned table.
 pub fn eval_pred_narrow_ref(pred: &Pred, row: RowRef<'_>) -> bool {
-    let get = |c: &ojv_algebra::ColRef| row.dat(c.col);
+    let get = |c: &ColRef| row.dat(c.col);
     pred.atoms().iter().all(|a| eval_atom_with(a, get))
 }
 

@@ -10,10 +10,12 @@
 //! term extraction (§5.1) is a null-pattern filter.
 //!
 //! Operators are materialize-at-each-node: one flat [`ojv_rel::RowBuf`]
-//! batch in, one batch out, and each operator exists in that one form. Joins
-//! pick between a hash join and an index-nested-loop join (when the right
-//! operand is a base-table scan with a covering index), mirroring the plans
-//! a production optimizer would choose for small deltas.
+//! batch in, one batch out, and each operator exists in that one form.
+//! Every join runs one probe loop ([`ops::probe_join`]) over a left row
+//! side and a right access path: an index lookup when the right operand is
+//! a base-table scan with a covering index, else a hash build (or a scan of
+//! a tiny build), mirroring the plans a production optimizer would choose
+//! for small deltas.
 
 #![forbid(unsafe_code)]
 

@@ -1,15 +1,15 @@
 //! Duplicate elimination and the null-if cleanup operator.
 //!
 //! Both operators run hash-then-verify over flat [`RowBuf`] batches: rows
-//! are hashed in place with the deterministic fx hasher, equality is
-//! verified on borrowed slices, and survivors are compacted in place — no
-//! owned key vectors, no per-row `HashSet` entries.
+//! are hashed in place into a [`PosTable`] of row positions, equality is
+//! verified against the rows themselves, and survivors are compacted in
+//! place — no owned key vectors, no per-row `HashSet` entries.
 
 use std::time::Instant;
 
-use ojv_rel::{
-    alloc_snapshot, fx_map_with_capacity, key_eq_rows, key_hash, Datum, FxHashMap, RowBuf,
-};
+use ojv_algebra::TableSet;
+use ojv_rel::postable::{idx, pos32, PosTable};
+use ojv_rel::{alloc_snapshot, key_eq_rows, key_hash, FxHashMap, RowBuf};
 
 use crate::stats::ExecEnv;
 
@@ -25,27 +25,19 @@ pub fn distinct_in(env: &ExecEnv<'_>, mut rows: RowBuf) -> RowBuf {
     rows
 }
 
-/// Scan rows in increasing index order and mark the first occurrence of
-/// every distinct row — chained hash-then-verify over rows hashed in place
-/// with the seeded fx hasher, no owned keys.
+/// Mark the first occurrence of every distinct row, scanning in index
+/// order: a [`PosTable`] of the kept rows, verified against them.
 fn first_occurrences(rows: &RowBuf) -> Vec<bool> {
-    const NIL: u32 = u32::MAX;
     let cols: Vec<usize> = (0..rows.width()).collect();
+    let mut seen = PosTable::default();
+    seen.reserve(rows.len());
     let mut keep = vec![false; rows.len()];
-    let mut head: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut next = vec![NIL; rows.len()];
-    'rows: for i in 0..rows.len() {
-        let slot = head.entry(key_hash(rows.row(i), &cols)).or_insert(NIL);
-        let mut cur = *slot;
-        while cur != NIL {
-            if key_eq_rows(rows.row(i), &cols, rows.row(cur as usize), &cols) {
-                continue 'rows; // duplicate of an earlier row
-            }
-            cur = next[cur as usize];
+    for (i, row) in rows.iter().enumerate() {
+        let h = key_hash(row, &cols);
+        if seen.find(h, |j| rows.row(idx(j)) == row).is_none() {
+            seen.insert(h, pos32(i));
+            keep[i] = true;
         }
-        next[i] = *slot;
-        *slot = i as u32;
-        keep[i] = true;
     }
     keep
 }
@@ -58,74 +50,50 @@ fn first_occurrences(rows: &RowBuf) -> Vec<bool> {
 /// slot content is determined by its key. Subsumption therefore reduces to:
 /// row `r` is subsumed by `r'` iff `r'`'s source-table set strictly contains
 /// `r`'s and the two agree on all of `r`'s source slots. That is what this
-/// operator implements (grouping by source mask, then probing superset
-/// masks), and it is exact for the well-formed rows the maintenance
-/// expressions produce.
+/// operator implements, and it is exact for the well-formed rows the
+/// maintenance expressions produce.
 ///
-/// Rows are grouped by source mask, each mask is checked against the rows
-/// of its superset masks, and kept rows are compacted in input order. The
+/// Rows are grouped by source set, each set is checked against the rows of
+/// its strict supersets, and kept rows are compacted in input order. The
 /// same operator is the paper's minimum union `⊕` (§2.1) of batches
 /// concatenated into one input.
 pub fn clean_dup_buf(env: &ExecEnv<'_>, rows: RowBuf) -> RowBuf {
     let mut rows = distinct_in(env, rows);
     let layout = env.layout;
-    let n_tables = layout.table_count();
     let started = Instant::now();
     let alloc0 = alloc_snapshot();
     let n_in = rows.len();
-    let mask_of = |r: &[Datum]| -> u32 {
-        let mut m = 0u32;
-        for i in 0..n_tables {
-            if !layout.is_null_on(ojv_algebra::TableId(i as u8), r) {
-                m |= 1 << i;
-            }
-        }
-        m
-    };
-    // Columns of each mask = concatenated slots of its tables.
-    let cols_of_mask = |m: u32| -> Vec<usize> {
-        let mut cols = Vec::new();
-        for i in 0..n_tables {
-            if m & (1 << i) != 0 {
-                let slot = layout.slot(ojv_algebra::TableId(i as u8));
-                cols.extend(slot.offset..slot.offset + slot.len);
-            }
-        }
-        cols
-    };
-
-    let masks: Vec<u32> = rows.iter().map(mask_of).collect();
-    let mut by_mask: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-    for (i, &m) in masks.iter().enumerate() {
-        by_mask.entry(m).or_default().push(i);
+    let mut by_sources: FxHashMap<TableSet, Vec<usize>> = FxHashMap::default();
+    for (i, r) in rows.iter().enumerate() {
+        by_sources
+            .entry(layout.sources_of_row(r))
+            .or_default()
+            .push(i);
     }
-    let mut distinct_masks: Vec<u32> = by_mask.keys().copied().collect();
-    distinct_masks.sort_unstable();
-
     let mut keep = vec![true; rows.len()];
-    for &m in &distinct_masks {
-        let cols = cols_of_mask(m);
-        // Hash-then-verify over projections of every superset-mask row onto
-        // m's columns — the projections stay borrowed.
-        let mut super_proj: FxHashMap<u64, Vec<u32>> = fx_map_with_capacity(8);
-        for &m2 in &distinct_masks {
-            if m2 != m && m2 & m == m {
-                for &j in &by_mask[&m2] {
-                    let h = key_hash(rows.row(j), &cols);
-                    super_proj.entry(h).or_default().push(j as u32);
+    for (&m, members) in &by_sources {
+        let cols: Vec<usize> = m
+            .iter()
+            .flat_map(|t| layout.slot(t).offset..layout.slot(t).offset + layout.slot(t).len)
+            .collect();
+        let same = |i: usize, j: usize| key_eq_rows(rows.row(i), &cols, rows.row(j), &cols);
+        // The distinct projections onto m's columns of every row whose
+        // sources strictly contain m, verified against the rows themselves.
+        let mut super_proj = PosTable::default();
+        for (_, supers) in by_sources
+            .iter()
+            .filter(|(m2, _)| m.is_proper_subset_of(**m2))
+        {
+            for &j in supers {
+                let h = key_hash(rows.row(j), &cols);
+                if super_proj.find(h, |k| same(idx(k), j)).is_none() {
+                    super_proj.insert(h, pos32(j));
                 }
             }
         }
-        if super_proj.is_empty() {
-            continue;
-        }
-        for &i in &by_mask[&m] {
+        for &i in members.iter().filter(|_| !super_proj.is_empty()) {
             let h = key_hash(rows.row(i), &cols);
-            let subsumed = super_proj.get(&h).is_some_and(|js| {
-                js.iter()
-                    .any(|&j| key_eq_rows(rows.row(i), &cols, rows.row(j as usize), &cols))
-            });
-            if subsumed {
+            if super_proj.find(h, |j| same(i, idx(j))).is_some() {
                 keep[i] = false;
             }
         }
@@ -140,7 +108,7 @@ mod tests {
     use super::*;
     use crate::layout::ViewLayout;
     use ojv_algebra::TableId;
-    use ojv_rel::{Column, DataType, Row};
+    use ojv_rel::{Column, DataType, Datum, Row};
     use ojv_storage::Catalog;
 
     fn layout() -> ViewLayout {

@@ -89,11 +89,12 @@ pub const LINTS: [LintDef; 17] = [
         scope: "crates/{storage,exec,core,feed}/src/ except core/src/baseline.rs, \
                 feed/src/update_set.rs",
         desc:
-            "no FxHashMap<Vec<Datum>, _> / FxHashSet<Vec<Datum>> in storage, exec, core or feed — \
-               keyed structures are ojv_rel::PosTable (hash -> position) verified against rows \
-               already held (or ojv_rel::KeyArena, which keeps each distinct key once), so no \
-               key is owned per row. Exceptions: core/src/baseline.rs and \
-               feed/src/update_set.rs (reference implementations)",
+            "no FxHashMap<Vec<Datum>, _> / FxHashSet<Vec<Datum>> in storage, exec, core or feed, \
+               and no hand-rolled FxHashMap<u64, _> chain heads — keyed structures are \
+               ojv_rel::PosTable (hash -> position) verified against rows already held (or \
+               ojv_rel::KeyArena, which keeps each distinct key once), so no key is owned per \
+               row. Exceptions: core/src/baseline.rs and feed/src/update_set.rs (reference \
+               implementations)",
     },
     LintDef {
         id: "panic-hot-path",
@@ -298,7 +299,8 @@ pub fn scan_file(rel_path: &str, src: &str) -> Vec<Violation> {
         }
         if applies("owned-key-index", &path)
             && (seq(i, &["FxHashMap", "<", "Vec", "<", "Datum", ">"])
-                || seq(i, &["FxHashSet", "<", "Vec", "<", "Datum", ">"]))
+                || seq(i, &["FxHashSet", "<", "Vec", "<", "Datum", ">"])
+                || seq(i, &["FxHashMap", "<", "u64", ","]))
         {
             record("owned-key-index", line, &mut out);
         }
@@ -550,6 +552,13 @@ mod tests {
         // Whitespace and a multi-valued payload do not hide it.
         let spaced = "fn f() { let m: FxHashMap< Vec <Datum>, Vec<usize>> = make(); }\n";
         assert_eq!(scan_file("crates/storage/src/foo.rs", spaced).len(), 1);
+        // Nor does keying the chain heads by the hash alone.
+        let heads = "struct K { head: FxHashMap<u64, u32>, more: FxHashMap< u64 , Vec<u32>> }\n";
+        for path in ["crates/exec/src/hashtbl.rs", "crates/core/src/secondary.rs"] {
+            let v = scan_file(path, heads);
+            assert_eq!(v.len(), 2, "{path}");
+            assert!(v.iter().all(|x| x.lint == "owned-key-index"));
+        }
         // The named exceptions and other crates are out of scope.
         for path in [
             "crates/core/src/baseline.rs",
@@ -558,9 +567,11 @@ mod tests {
         ] {
             assert!(scan_file(path, src).is_empty(), "{path}");
             assert!(scan_file(path, set).is_empty(), "{path}");
+            assert!(scan_file(path, heads).is_empty(), "{path}");
         }
         // Maps and sets keyed by anything else are fine.
-        let by_name = "struct C { by_name: FxHashMap<String, usize>, ids: FxHashSet<u64> }\n";
+        let by_name = "struct C { by_name: FxHashMap<String, usize>, ids: FxHashSet<u64>, \
+                       by_mask: FxHashMap<u32, Vec<usize>> }\n";
         assert!(scan_file("crates/storage/src/catalog.rs", by_name).is_empty());
     }
 
@@ -585,6 +596,10 @@ mod tests {
                 "crates/feed/src",
                 "struct Shadow { rows: FxHashMap<Vec<Datum>, Row> }\n",
             ),
+            (
+                "crates/exec/src",
+                "struct Chains { head: FxHashMap<u64, u32>, next: Vec<u32> }\n",
+            ),
         ];
         for (dir, src) in seeded {
             fs::create_dir_all(root.join(dir)).unwrap();
@@ -592,7 +607,7 @@ mod tests {
         }
         let v = run(&root).unwrap();
         fs::remove_dir_all(&root).unwrap();
-        assert_eq!(v.len(), 4);
+        assert_eq!(v.len(), 5);
         assert!(v.iter().all(|x| x.lint == "owned-key-index"));
         let files: Vec<&str> = v.iter().map(|x| x.file.as_str()).collect();
         for (dir, _) in seeded {

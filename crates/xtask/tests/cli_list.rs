@@ -88,4 +88,10 @@ fn lint_list_is_sorted_and_scoped() {
             .collect::<Vec<_>>(),
         "lint --list drifted from the golden table:\n{listing}"
     );
+    // owned-key-index also covers hand-rolled hash -> chain-head maps.
+    let owned_key = listing.lines().find(|l| l.starts_with("owned-key-index"));
+    assert!(
+        owned_key.is_some_and(|l| l.contains("FxHashMap<u64, _>")),
+        "{listing}"
+    );
 }
