@@ -29,7 +29,7 @@ cargo test --offline --workspace -q
 # meaningful one — the skew gate compares two timed runs whose shared
 # constant work shrinks under optimization, and the allocation pins must
 # hold for the code that ships.
-echo "==> release gates: allocation pins (base-table apply, view store, view creation, one-view commits) + key-skew ratio"
+echo "==> release gates: allocation pins (base-table apply, view store, view creation and registration, one-view commits) + key-skew ratio"
 cargo test --offline --release -q --test alloc_apply --test skew_gate
 
 echo "==> crash-recovery matrix + 200-case fuzz sweep (fixed seed)"

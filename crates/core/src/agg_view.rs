@@ -349,11 +349,14 @@ impl Maintained for MaterializedAggView {
         &self.analysis
     }
 
+    fn plans(&mut self) -> (&ViewAnalysis, &mut PlanCache) {
+        (&self.analysis, &mut self.plans)
+    }
+
     fn parts(&mut self) -> ViewParts<'_> {
         ViewParts {
             name: &self.def.name,
             analysis: &self.analysis,
-            plans: &mut self.plans,
             sink: &mut self.store,
         }
     }

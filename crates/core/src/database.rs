@@ -23,7 +23,7 @@ use crate::error::{CoreError, Result};
 use crate::maintain::{Maintained, MaintenanceReport};
 use crate::materialize::MaterializedView;
 use crate::policy::MaintenancePolicy;
-use crate::snapshot::{CommitObserver, Snapshot, SnapshotRegistry};
+use crate::snapshot::{CommitBatch, CommitObserver, Snapshot, SnapshotRegistry};
 use crate::view_def::ViewDef;
 
 use std::sync::Arc;
@@ -258,14 +258,15 @@ impl Database {
     /// applied to the catalog (via [`Database::apply_insert`] /
     /// [`Database::apply_delete`]) and publish the resulting view deltas as
     /// one atomic commit numbered `commit_lsn + 1` — even when maintenance
-    /// errored, so the registry's tips always track the working stores.
+    /// errored, so the registry's tips are always the maintained images.
     /// Returns one report per non-noop view.
     pub fn maintain_update(&mut self, update: &Update) -> Result<Vec<MaintenanceReport>> {
-        let maintained = self.maintain_views_only(update, false);
-        let published = self.publish_commit(self.commit_lsn + 1);
-        let reports = maintained?;
-        published?;
-        Ok(reports)
+        let lsn = self.commit_lsn + 1;
+        let unit = InFlight::begin(std::slice::from_mut(self), &update.table);
+        let this = &mut unit.units[0];
+        let maintained = this.maintain_views_only(update, false);
+        this.publish_commit(lsn);
+        maintained
     }
 
     /// The validate stage, the one place a commit's halves are checked:
@@ -335,22 +336,40 @@ impl Database {
         )
     }
 
-    /// The publish stage: drain the view journals and publish them to the
-    /// snapshot registry as one atomic commit at `lsn`, then notify the
-    /// commit observer. Journals are drained and published even when
-    /// maintenance errored, so the registry's tips always track the working
-    /// stores. Safe to call with nothing journaled — an empty commit just
-    /// advances the registry to `lsn` (how untouched shards join a group
-    /// commit). Outside [`commit`], only recovery calls it, on its
-    /// topology's clock.
-    pub(crate) fn publish_commit(&mut self, lsn: Lsn) -> Result<()> {
-        let drained: Arc<crate::snapshot::CommitBatch> = Arc::new(
+    /// The start step, after the log stage and before maintain: the
+    /// snapshot registry gives every view `table` feeds a writable image
+    /// (see [`SnapshotRegistry::begin`]). Views the table does not feed keep
+    /// sharing their image with the registry untouched.
+    fn begin_maintenance(&mut self, table: &str) {
+        let fed = self.views.iter_mut();
+        let fed = fed.filter(|v| v.analysis.layout.table_id(table).is_some());
+        self.snapshots.begin(fed);
+    }
+
+    /// The publish stage: install the maintained images, then notify the
+    /// commit observer (see [`Database::install`] and [`Database::observe`]).
+    /// Outside [`commit`], which installs every unit before it notifies
+    /// any, only recovery calls it, on its topology's clock.
+    pub(crate) fn publish_commit(&mut self, lsn: Lsn) {
+        let drained = self.install(lsn);
+        self.observe(lsn, &drained);
+    }
+
+    /// Drain the view journals and install the maintained images in the
+    /// snapshot registry as one atomic commit at `lsn`. Journals are
+    /// drained and images installed even when maintenance errored, so the
+    /// registry's tips are always the views' images. Safe to call with
+    /// nothing journaled — an empty commit just advances the registry to
+    /// `lsn` (how untouched shards join a group commit). Returns the
+    /// drained journals, for the commit observer.
+    fn install(&mut self, lsn: Lsn) -> Arc<CommitBatch> {
+        let drained: Arc<CommitBatch> = Arc::new(
             self.views
                 .iter_mut()
                 .map(|v| (v.name().to_string(), v.take_journal()))
                 .collect(),
         );
-        let published = self.snapshots.commit(lsn, &drained);
+        self.snapshots.commit(lsn, &drained, &self.views);
         self.commit_lsn = self.commit_lsn.max(lsn);
         self.last_deltas = drained
             .iter()
@@ -360,13 +379,17 @@ impl Database {
                 (name.clone(), ins, del)
             })
             .collect();
-        // Notified even when maintenance errored: the journals above were
-        // drained and published regardless, and a feed that skipped them
-        // would drift from the registry tips it mirrors.
+        drained
+    }
+
+    /// Hand an installed commit to the commit observer. Notified even when
+    /// maintenance errored: the journals were drained and installed
+    /// regardless, and a feed that skipped them would drift from the
+    /// registry tips it mirrors.
+    fn observe(&self, lsn: Lsn, drained: &CommitBatch) {
         if let Some(obs) = &self.observer {
-            obs.on_commit(lsn, &drained);
+            obs.on_commit(lsn, drained);
         }
-        published
     }
 
     /// Attach a commit observer: from now on every commit hands its
@@ -431,9 +454,7 @@ impl Database {
     /// LSNs the original run produced.
     pub(crate) fn set_commit_lsn(&mut self, lsn: Lsn) {
         self.commit_lsn = lsn;
-        self.snapshots
-            .commit(lsn, &Arc::default())
-            .expect("an empty commit only advances the registry LSN and cannot fail");
+        self.snapshots.commit(lsn, &Arc::default(), &[]);
     }
 
     /// Render the batched physical maintenance plan the engine would run for
@@ -487,11 +508,15 @@ pub(crate) type Staged = (Option<Update>, Option<ValidInsert>);
 /// 3. **log** returns the commit LSN, or `None` in recovery, which publishes
 ///    on its topology's clock; a log failure returns here, delete halves
 ///    applied (the durable layer poisons itself);
-/// 4. per unit, behind the [`catch_each`] panic boundary: **maintain** the
+/// 4. **begin**: each unit's snapshot registry gives the views the table
+///    feeds a writable image ([`SnapshotRegistry::begin`]);
+/// 5. per unit, behind the [`catch_each`] panic boundary: **maintain** the
 ///    delete half, **apply** the insert half, **maintain** it;
-/// 5. **publish** every unit at that LSN, untouched ones with an empty
-///    commit, so all registries move in lockstep; a maintenance error or
-///    panic is returned only after.
+/// 6. **publish** every unit at that LSN, untouched ones with an empty
+///    commit, so all registries move in lockstep, and only then notify the
+///    units' commit observers: a reader that holds an observer's lock while
+///    it pins a unit never waits on a unit this commit has yet to install.
+///    A maintenance error or panic is returned only after.
 pub(crate) fn commit<'k, K: AsRef<[Datum]> + 'k>(
     units: &mut [Database],
     table: &str,
@@ -511,6 +536,8 @@ pub(crate) fn commit<'k, K: AsRef<[Datum]> + 'k>(
         .map(|(unit, (delete, insert))| (delete.map(|d| unit.catalog.apply_delete(d)), insert))
         .collect();
     let lsn = log(&staged)?;
+    let in_flight = InFlight::begin(units, table);
+    let units = &mut *in_flight.units;
     let results = catch_each(
         units.iter_mut().zip(staged),
         |_, (unit, (deleted, insert))| {
@@ -518,10 +545,10 @@ pub(crate) fn commit<'k, K: AsRef<[Datum]> + 'k>(
                 .then(|| unit.commit_halves(deleted.as_ref(), insert, decomposed))
         },
     );
-    let mut published = Ok(());
     if let Some(lsn) = lsn {
-        for unit in units.iter_mut() {
-            published = published.and(unit.publish_commit(lsn));
+        let installed: Vec<_> = units.iter_mut().map(|unit| unit.install(lsn)).collect();
+        for (unit, drained) in units.iter().zip(&installed) {
+            unit.observe(lsn, drained);
         }
     }
     let mut reports = Vec::new();
@@ -534,7 +561,35 @@ pub(crate) fn commit<'k, K: AsRef<[Datum]> + 'k>(
             append(&mut reports, unit_reports?);
         }
     }
-    published.map(|()| reports)
+    Ok(reports)
+}
+
+/// The units of a commit past its start step. If the commit unwinds before
+/// it publishes, dropping this puts back the tips it left in flight
+/// ([`SnapshotRegistry::release`]), so no pin waits forever; the images
+/// stay as maintenance left them.
+struct InFlight<'u> {
+    units: &'u mut [Database],
+}
+
+impl<'u> InFlight<'u> {
+    /// Run the start step of a commit of `table` on every unit.
+    fn begin(units: &'u mut [Database], table: &str) -> Self {
+        for unit in units.iter_mut() {
+            unit.begin_maintenance(table);
+        }
+        InFlight { units }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for unit in self.units.iter() {
+                unit.snapshots.release(&unit.views);
+            }
+        }
+    }
 }
 
 /// `into.extend(more)`, but taking `more` whole when `into` is empty — a
@@ -738,6 +793,63 @@ mod tests {
         let text = db.explain_batch("part").unwrap();
         assert!(!text.contains("delta "), "{text}");
         assert!(!text.contains("subscribers:"), "{text}");
+    }
+
+    /// Pin `registry` on another thread; fails the test unless the pin
+    /// returns within ten seconds.
+    fn pin_from_another_thread(registry: &SnapshotRegistry) -> Snapshot {
+        let registry = registry.clone();
+        let (send, recv) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || send.send(registry.pin().unwrap()).unwrap());
+        let snap = recv
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a pin returns once no chain is in flight");
+        reader.join().expect("the reader finished");
+        snap
+    }
+
+    /// A commit whose job panics still publishes, so it leaves no chain in
+    /// flight: a pin from another thread returns the whole commit — the
+    /// sibling view as a twin without the panicking view maintains it.
+    #[test]
+    fn a_panicking_job_leaves_no_chain_in_flight() {
+        let mut db = db();
+        db.create_view(oj_view_def().with_name("panic_me")).unwrap();
+        db.create_view(oj_view_def()).unwrap();
+        let mut twin = self::db();
+        twin.create_view(oj_view_def()).unwrap();
+        let armed = crate::batch::test_panic::arm();
+        let row = lineitem_row(3, 1, 2, 4, 42.0);
+        let err = db.insert("lineitem", vec![row.clone()]);
+        drop(armed);
+        assert!(matches!(err, Err(CoreError::MaintenancePanic { .. })));
+        twin.insert("lineitem", vec![row]).unwrap();
+        let snap = pin_from_another_thread(db.snapshots());
+        assert_eq!(snap.lsn(), 1);
+        let whole = twin.snapshot().unwrap();
+        assert_eq!(
+            snap.view("oj_view").unwrap().wide_rows(),
+            whole.view("oj_view").unwrap().wide_rows()
+        );
+    }
+
+    /// A commit that unwinds between its start step and its publish puts
+    /// the tips it took in flight back, so a later pin still returns.
+    #[test]
+    fn an_unwound_commit_releases_its_chains() {
+        let mut db = db();
+        db.create_view(oj_view_def()).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _in_flight = InFlight::begin(std::slice::from_mut(&mut db), "lineitem");
+            panic!("unwinds before its publish");
+        }));
+        assert!(unwound.is_err());
+        let snap = pin_from_another_thread(db.snapshots());
+        assert_eq!(snap.lsn(), 0);
+        assert_eq!(
+            snap.view("oj_view").unwrap().wide_rows(),
+            db.view("oj_view").unwrap().wide_rows()
+        );
     }
 
     #[test]

@@ -407,7 +407,7 @@ impl<V: Vfs> ShardedDurableDatabase<V> {
             // Converge the shard's registry on the global commit LSN so
             // cross-shard snapshots pin cleanly at `group_lsn`.
             if group_lsn > 0 {
-                db.publish_commit(group_lsn)?;
+                db.publish_commit(group_lsn);
             }
             db.set_commit_lsn(group_lsn);
             let mut log = ShardLog { vfs, wal };

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use ojv_algebra::TableId;
 use ojv_exec::{eval_expr_buf, DeltaInput, ExecCtx, ExecStats, ExecStatsSnapshot, ViewLayout};
-use ojv_rel::{Row, RowBuf};
+use ojv_rel::{Datum, RowBuf};
 use ojv_storage::{Catalog, Update, UpdateOp};
 
 use crate::analyze::ViewAnalysis;
@@ -97,11 +97,10 @@ pub(crate) trait ViewSink {
 }
 
 /// A maintained view split into disjoint borrows, so maintenance reads the
-/// analysis and the plan cache while it mutates the sink.
+/// analysis while it mutates the sink.
 pub(crate) struct ViewParts<'a> {
     pub name: &'a str,
     pub analysis: &'a ViewAnalysis,
-    pub plans: &'a mut PlanCache,
     pub sink: &'a mut dyn ViewSink,
 }
 
@@ -113,6 +112,13 @@ pub(crate) trait Maintained {
 
     fn analysis(&self) -> &ViewAnalysis;
 
+    /// The analysis and the plan cache. Apart from [`Maintained::parts`]:
+    /// looking a plan up must not make a plain view's shared image
+    /// writable, which would copy it.
+    fn plans(&mut self) -> (&ViewAnalysis, &mut PlanCache);
+
+    /// The parts maintenance writes through: only an affected view's job
+    /// takes them.
     fn parts(&mut self) -> ViewParts<'_>;
 
     /// The compiled maintenance plan for updates of `t` under the policy
@@ -124,8 +130,8 @@ pub(crate) trait Maintained {
         t: TableId,
         cfg: PlanConfig,
     ) -> Result<Arc<CompiledMaintenancePlan>> {
-        let parts = self.parts();
-        parts.plans.get_or_compile(parts.analysis, catalog, t, cfg)
+        let (analysis, plans) = self.plans();
+        plans.get_or_compile(analysis, catalog, t, cfg)
     }
 
     /// Eagerly compile the maintenance plan for every referenced table under
@@ -160,7 +166,6 @@ pub(crate) fn apply_with_primary(
         name,
         analysis,
         sink,
-        ..
     } = view.parts();
     report.direct_terms = compiled.mgraph.direct.len();
     report.indirect_terms = compiled.indirect.len();
@@ -199,13 +204,15 @@ pub(crate) fn apply_with_primary(
 }
 
 /// Recompute the view from scratch and verify that the maintained contents
-/// match — the correctness oracle used by tests.
+/// match — the correctness oracle used by tests. Both sides are sorted as
+/// row references: the oracle copies no stored row, so checking a view
+/// costs one recomputation of it, not two more images.
 pub fn verify_against_recompute(view: &MaterializedView, catalog: &Catalog) -> bool {
     let ctx = ExecCtx::new(catalog, &view.analysis.layout);
-    let mut fresh = eval_expr_buf(&ctx, &view.analysis.expr)
-        .expect("recompute oracle: every view table is in the catalog")
-        .into_rows();
-    let mut have: Vec<Row> = view.wide_rows().to_vec();
+    let recomputed = eval_expr_buf(&ctx, &view.analysis.expr)
+        .expect("recompute oracle: every view table is in the catalog");
+    let mut fresh: Vec<&[Datum]> = recomputed.iter().collect();
+    let mut have: Vec<&[Datum]> = view.wide_rows().iter().map(Vec::as_slice).collect();
     fresh.sort();
     have.sort();
     fresh == have
@@ -217,7 +224,7 @@ mod tests {
     use crate::fixtures::*;
     use crate::policy::MaintenancePolicy;
     use ojv_algebra::TableSet;
-    use ojv_rel::Datum;
+    use ojv_rel::Row;
 
     fn policies() -> Vec<MaintenancePolicy> {
         vec![

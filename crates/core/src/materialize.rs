@@ -1,5 +1,7 @@
 //! Materialized view storage and initial materialization.
 
+use std::sync::Arc;
+
 use ojv_rel::postable::{idx, pos32};
 use ojv_rel::{
     fx_hash_one, key_eq, key_eq_rows, key_hash, key_of, Datum, FxHashMap, KeyArena, PosTable,
@@ -96,11 +98,10 @@ impl ViewStore {
         }
     }
 
-    /// Start journaling mutations (idempotent; keeps pending ops).
+    /// Start journaling mutations afresh: an image the snapshot registry
+    /// hands to maintenance carries no op of an earlier commit.
     pub(crate) fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Vec::new());
-        }
+        self.journal = Some(Vec::new());
     }
 
     /// Drain the pending journaled ops. Empty when journaling is disabled.
@@ -111,22 +112,16 @@ impl ViewStore {
         }
     }
 
-    /// A deep copy with journaling disabled — the image the snapshot
-    /// registry replays redo ops onto (replays must not re-journal).
-    pub(crate) fn unjournaled_clone(&self) -> ViewStore {
-        let mut clone = self.clone();
-        clone.journal = None;
-        clone
-    }
-
-    /// Re-execute a journaled op. Replay goes through the same
-    /// `insert`/`delete` (swap-remove) code that produced the op, so a
-    /// replayed store is byte-identical to the original — heap order and
-    /// index contents included. A delete replays by its row's key columns.
+    /// Re-execute a journaled op, journaling nothing: a history image the
+    /// snapshot registry advances must not record its replay. Replay goes
+    /// through the same insert/delete (swap-remove) code that produced the
+    /// op, so a replayed store is byte-identical to the original — heap
+    /// order and index contents included. A delete replays by its row's key
+    /// columns.
     pub(crate) fn apply_op(&mut self, op: &ViewOp, view: &str) -> Result<()> {
         match op {
-            ViewOp::Insert(row) => self.insert(row.clone(), view),
-            ViewOp::Delete(row) => self.delete(row, view),
+            ViewOp::Insert(row) => self.insert_row(row.clone(), view),
+            ViewOp::Delete(row) => self.delete_row(row, view).map(drop),
         }
     }
 
@@ -204,6 +199,16 @@ impl ViewStore {
     /// Insert a wide row. A duplicate view key indicates a maintenance bug
     /// and is reported as an error.
     pub fn insert(&mut self, row: Row, view: &str) -> Result<()> {
+        let journaled = self.journal.is_some().then(|| row.clone());
+        self.insert_row(row, view)?;
+        if let (Some(journal), Some(row)) = (&mut self.journal, journaled) {
+            journal.push(ViewOp::Insert(row));
+        }
+        Ok(())
+    }
+
+    /// [`ViewStore::insert`] without the journal.
+    fn insert_row(&mut self, row: Row, view: &str) -> Result<()> {
         let hash = key_hash(&row, &self.key_cols);
         if self.find_row(hash, &row).is_some() {
             return Err(CoreError::InvalidView {
@@ -216,9 +221,6 @@ impl ViewStore {
         }
         for idx in &mut self.secondary {
             idx.add(&row);
-        }
-        if let Some(journal) = &mut self.journal {
-            journal.push(ViewOp::Insert(row.clone()));
         }
         self.index.insert(hash, pos32(self.rows.len()));
         self.rows.push(row);
@@ -245,6 +247,15 @@ impl ViewStore {
     /// its key columns are read). The removed row moves into the journal as
     /// the delete's pre-image. A missing key indicates a maintenance bug.
     pub fn delete(&mut self, row: &[Datum], view: &str) -> Result<()> {
+        let removed = self.delete_row(row, view)?;
+        if let Some(journal) = &mut self.journal {
+            journal.push(ViewOp::Delete(removed));
+        }
+        Ok(())
+    }
+
+    /// [`ViewStore::delete`] without the journal: returns the removed row.
+    fn delete_row(&mut self, row: &[Datum], view: &str) -> Result<Row> {
         let hash = key_hash(row, &self.key_cols);
         let pos = self
             .find_row(hash, row)
@@ -265,21 +276,39 @@ impl ViewStore {
             self.index
                 .replace(moved, pos32(self.rows.len()), pos32(pos));
         }
-        if let Some(journal) = &mut self.journal {
-            journal.push(ViewOp::Delete(removed));
-        }
-        Ok(())
+        Ok(removed)
     }
 }
 
 /// A materialized outer-join view: definition, analysis, stored rows, and
 /// the cache of compiled maintenance plans.
-#[derive(Debug, Clone)]
+///
+/// The rows are one image, shared by `Arc`: once the view is registered
+/// with a [`crate::snapshot::SnapshotRegistry`], the same `Arc` is that
+/// registry's tip, so the view is stored once however many readers pin it.
+/// Maintenance writes it through [`Arc::make_mut`], after the registry's
+/// start step (`SnapshotRegistry::begin`) made it this view's alone — in
+/// place, or by handing it a history image — so the `make_mut` copies
+/// nothing.
+#[derive(Debug)]
 pub struct MaterializedView {
     def: ViewDef,
     pub analysis: ViewAnalysis,
-    store: ViewStore,
+    store: Arc<ViewStore>,
     plans: PlanCache,
+}
+
+impl Clone for MaterializedView {
+    /// A clone owns a copy of the rows: it is a fork, and sharing the
+    /// image would make the next commit on either side copy it anyway.
+    fn clone(&self) -> Self {
+        MaterializedView {
+            def: self.def.clone(),
+            analysis: self.analysis.clone(),
+            store: Arc::new(ViewStore::clone(&self.store)),
+            plans: self.plans.clone(),
+        }
+    }
 }
 
 impl MaterializedView {
@@ -320,7 +349,7 @@ impl MaterializedView {
         Ok(MaterializedView {
             def,
             analysis,
-            store,
+            store: Arc::new(store),
             plans: PlanCache::default(),
         })
     }
@@ -347,21 +376,35 @@ impl MaterializedView {
     }
 
     pub(crate) fn store_mut(&mut self) -> &mut ViewStore {
-        &mut self.store
+        Arc::make_mut(&mut self.store)
     }
 
     pub(crate) fn store(&self) -> &ViewStore {
         &self.store
     }
 
-    /// Start journaling this view's mutations for the snapshot registry.
-    pub(crate) fn enable_journal(&mut self) {
-        self.store.enable_journal();
+    /// The shared image: the snapshot registry installs it as the tip.
+    pub(crate) fn image(&self) -> &Arc<ViewStore> {
+        &self.store
     }
 
-    /// Drain the ops journaled since the last drain.
+    /// The image slot the registry's start step swaps a writable image into.
+    pub(crate) fn image_mut(&mut self) -> &mut Arc<ViewStore> {
+        &mut self.store
+    }
+
+    /// Start journaling this view's mutations for the snapshot registry.
+    pub(crate) fn enable_journal(&mut self) {
+        self.store_mut().enable_journal();
+    }
+
+    /// Drain the ops journaled since the last drain. Copies nothing when
+    /// there are none, whoever shares the image.
     pub(crate) fn take_journal(&mut self) -> Vec<ViewOp> {
-        self.store.take_journal()
+        if self.store.journal.as_ref().is_none_or(Vec::is_empty) {
+            return Vec::new();
+        }
+        self.store_mut().take_journal()
     }
 
     /// The view's *output*: the projected relation a reader sees.
@@ -413,12 +456,15 @@ impl Maintained for MaterializedView {
         &self.analysis
     }
 
+    fn plans(&mut self) -> (&ViewAnalysis, &mut PlanCache) {
+        (&self.analysis, &mut self.plans)
+    }
+
     fn parts(&mut self) -> ViewParts<'_> {
         ViewParts {
             name: self.def.name(),
             analysis: &self.analysis,
-            plans: &mut self.plans,
-            sink: &mut self.store,
+            sink: Arc::<ViewStore>::make_mut(&mut self.store),
         }
     }
 }

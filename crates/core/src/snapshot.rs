@@ -1,27 +1,43 @@
 //! LSN-versioned view storage: consistent snapshot reads concurrent with
 //! maintenance.
 //!
-//! The working [`ViewStore`] inside each [`MaterializedView`] is still
-//! mutated in place by the maintenance commit path — that keeps the paper's
-//! delta-application hot path untouched — but every mutation is journaled as
-//! a [`ViewOp`]. When a batch commits, [`crate::database::Database`] drains
-//! the journals of *all* registered views and publishes them into a shared
-//! [`SnapshotRegistry`] under a single commit LSN, atomically: readers can
-//! never observe view A at LSN n and view B at LSN n−1.
+//! Each registered view is stored once. The [`MaterializedView`] holds its
+//! [`ViewStore`] as an `Arc`, and that `Arc` is the tip of the view's chain
+//! in the shared [`SnapshotRegistry`]: registering a view copies no row.
+//! Maintenance still writes the store through the paper's insert/delete
+//! hot path, and every mutation is journaled as a [`ViewOp`] for the
+//! history below and for the commit observer.
+//!
+//! # Commit protocol
+//!
+//! A commit talks to the registry twice.
+//!
+//! * **Start** (`SnapshotRegistry::begin`), after the log stage and before
+//!   maintenance: each view the commit's table feeds gets a writable image
+//!   at the pre-commit LSN, one of three ways. When only the view and the
+//!   chain hold the tip, the chain lets go of it and is marked *in flight*:
+//!   maintenance writes the tip **in place**, and a [`SnapshotRegistry::pin`]
+//!   from another thread waits on a `Condvar` until the publish (counted in
+//!   `SnapshotStats::pin_waits`). When a reader or the history holds the
+//!   tip, maintenance writes the **spare** instead — an older image only the
+//!   registry holds, advanced by the retained deltas above its LSN — while
+//!   readers keep pinning the old tip. With no spare, it writes a **clone**
+//!   of the tip (`SnapshotStats::tip_copies`).
+//! * **Publish** (`SnapshotRegistry::commit`): the drained journals of
+//!   *all* registered views and their images are installed under a single
+//!   commit LSN, atomically — readers can never observe view A at LSN n and
+//!   view B at LSN n−1. Nothing is replayed: the new tips are the images
+//!   maintenance wrote, so the lock is held for O(views), not O(|Δ|).
+//!
+//! A commit that unwinds between the two puts its in-flight tips back
+//! (`SnapshotRegistry::release`), so no pin waits forever.
 //!
 //! # Version-chain layout
 //!
 //! Per view the registry holds:
 //!
-//! * `tip` — an [`Arc<ViewStore>`] image at the newest committed LSN. At
-//!   commit it is advanced by replaying the journaled ops: in place when
-//!   nobody else holds the `Arc` (the pin-free steady state — zero copies,
-//!   bounded memory). When a reader holds it, the superseded tip stays in
-//!   the history at the pre-commit LSN, and the new tip is a *spare* — an
-//!   older image only the registry holds — advanced by the retained deltas
-//!   above its LSN plus this commit's ops. A publish under a pin therefore
-//!   costs O(|Δ|) per touched view, not O(|V|). The tip is cloned only when
-//!   no spare exists yet (`SnapshotStats::tip_copies`).
+//! * `tip` — the view's image at the newest committed LSN (`None` while in
+//!   flight).
 //! * `hist` — present only while pins retain older versions: a `base` image
 //!   at the oldest retained LSN, one redo delta (the journaled ops) per
 //!   later commit, and a cache of images above the base. A version at LSN
@@ -29,11 +45,11 @@
 //!   `lsn <= v` — the *same* `insert`/`delete` calls (and therefore the same
 //!   `swap_remove` heap order) a serially maintained twin would have
 //!   executed, so a snapshot at LSN `v` is byte-identical to that twin, not
-//!   merely set-equal. The same holds for a spare advanced into a tip. The
-//!   cache memoizes materializations per LSN, so repeated pins of the same
-//!   version are `Arc` clones, and it keeps the superseded tips readers
-//!   hold. A delta shares the whole commit's drained journals with the
-//!   commit observer: retaining it copies no op.
+//!   merely set-equal. The same holds for a spare advanced for maintenance.
+//!   The cache memoizes materializations per LSN, so repeated pins of the
+//!   same version are `Arc` clones, and it keeps the superseded tips
+//!   readers hold. A delta shares the whole commit's drained journals with
+//!   the commit observer: retaining it copies no op.
 //!
 //! # Epoch-based reclamation
 //!
@@ -62,7 +78,8 @@
 //! `n`" and crash recovery replays land the registry on the same LSNs the
 //! original run produced.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use ojv_durability::Lsn;
 use ojv_rel::{key_of, put_str, put_u32, put_u64, Datum, Relation, Row, SchemaRef};
@@ -166,8 +183,8 @@ struct ChainHist {
     deltas: Vec<CommitDelta>,
     /// Images at or above the base: memoized materializations, tips that a
     /// commit superseded while a reader held them, and at most one spare —
-    /// an image only the registry holds, which the next pinned publish
-    /// advances into the new tip.
+    /// an image only the registry holds, which the next pinned commit's
+    /// start step hands to maintenance as the view's new image.
     cache: Vec<(Lsn, Arc<ViewStore>)>,
 }
 
@@ -234,7 +251,7 @@ impl ChainHist {
 }
 
 const REPLAY_CANNOT_FAIL: &str = "redo replay onto a history image cannot fail: the same ops \
-                                  already applied to the tip in this order";
+                                  already applied to the view's image in this order";
 
 /// Version chain of one registered view.
 #[derive(Debug, Clone)]
@@ -244,8 +261,10 @@ struct ViewChain {
     projection: Arc<[usize]>,
     /// Schema of the projected output.
     schema: SchemaRef,
-    /// Image at the registry's current LSN.
-    tip: Arc<ViewStore>,
+    /// Image at the registry's current LSN — the same `Arc` the view
+    /// holds. `None` while a commit writes it in place: the chain is *in
+    /// flight*, and pins wait for the publish that puts it back.
+    tip: Option<Arc<ViewStore>>,
     hist: Option<ChainHist>,
 }
 
@@ -255,15 +274,21 @@ impl ViewChain {
         self.hist.as_ref().map_or(current, |h| h.base_lsn)
     }
 
+    /// The tip. Pins wait while any chain is in flight, so a reader never
+    /// finds it missing.
+    fn tip(&self) -> &Arc<ViewStore> {
+        self.tip
+            .as_ref()
+            .expect("pins wait while a chain is in flight")
+    }
+
     /// Materialize the view image at `lsn` (callers have validated
     /// `lsn >= self.floor(current)`).
     fn materialize(&mut self, lsn: Lsn, current: Lsn) -> Result<Arc<ViewStore>> {
-        if lsn >= current {
-            return Ok(Arc::clone(&self.tip));
-        }
-        let Some(hist) = &mut self.hist else {
-            // floor() == current, so a validated lsn is >= current.
-            return Ok(Arc::clone(&self.tip));
+        let Some(hist) = self.hist.as_mut().filter(|_| lsn < current) else {
+            // floor() == current without history, so a validated lsn is
+            // >= current.
+            return Ok(Arc::clone(self.tip()));
         };
         // Deltas ascend, so if the first one is already above `lsn` the base
         // image *is* the image at `lsn` — no replay, no copy (this is every
@@ -277,44 +302,59 @@ impl ViewChain {
         }
         let (from, mut store) = hist
             .take_spare(lsn)
-            .unwrap_or_else(|| (hist.base_lsn, hist.base.unjournaled_clone()));
+            .unwrap_or_else(|| (hist.base_lsn, ViewStore::clone(&hist.base)));
         replay(&mut store, hist.deltas_in(from, lsn), &self.name)?;
         let store = Arc::new(store);
         hist.cache.push((lsn, Arc::clone(&store)));
         Ok(store)
     }
 
-    /// Advance the tip from `prev` by one commit's `ops`, which the caller
-    /// has already pushed as the newest delta when history is retained. In
-    /// place when only the registry holds the tip. Otherwise a reader holds
-    /// it: it stays in the cache at `prev`, and the new tip is the spare
-    /// advanced by every retained delta above its LSN, this commit's
-    /// included. With no spare the held tip is cloned; returns whether it
-    /// was.
-    fn advance(&mut self, prev: Lsn, ops: &[ViewOp]) -> Result<bool> {
-        let copied = match (Arc::get_mut(&mut self.tip), &mut self.hist) {
-            (Some(_), _) => false,
-            // With no history, only a clone of a snapshot view that outlived
-            // its pin can hold the tip.
-            (None, None) => true,
-            (None, Some(hist)) => {
-                if !Arc::ptr_eq(&hist.base, &self.tip) && hist.cache.iter().all(|(l, _)| *l != prev)
-                {
-                    hist.cache.push((prev, Arc::clone(&self.tip)));
-                }
-                if let Some((from, mut spare)) = hist.take_spare(prev) {
-                    replay(&mut spare, hist.deltas_in(from, Lsn::MAX), &self.name)?;
-                    self.tip = Arc::new(spare);
-                    return Ok(false);
-                }
-                true
-            }
+    /// The start step for one view the commit will maintain: make `image`
+    /// (the view's `Arc`, the tip until now) writable at `prev`, the
+    /// pre-commit LSN, copying nothing a reader could see change. When only
+    /// the view and the chain hold the tip, the chain lets go of it and goes
+    /// in flight: maintenance writes the tip in place. Otherwise a reader
+    /// (or the history) holds it, and the view gets the spare advanced by
+    /// the retained deltas above its LSN, or, with no spare, a clone of the
+    /// tip; returns whether it cloned. A chain already in flight, or whose
+    /// view already writes its own image, was started earlier in this
+    /// commit (an `UPDATE`'s second half, or recovery replaying several
+    /// records before one publish).
+    fn begin(&mut self, image: &mut Arc<ViewStore>, prev: Lsn) -> bool {
+        let Some(tip) = self.tip.as_ref().filter(|tip| Arc::ptr_eq(tip, image)) else {
+            return false;
         };
-        let tip = Arc::make_mut(&mut self.tip);
-        for op in ops {
-            tip.apply_op(op, &self.name)?;
+        if Arc::strong_count(tip) == 2 {
+            self.tip = None;
+            return false;
         }
-        Ok(copied)
+        let spare = self.hist.as_mut().and_then(|hist| {
+            let (from, mut spare) = hist.take_spare(prev)?;
+            replay(&mut spare, hist.deltas_in(from, Lsn::MAX), &self.name)
+                .expect(REPLAY_CANNOT_FAIL);
+            Some(spare)
+        });
+        let copied = spare.is_none();
+        let mut store = spare.unwrap_or_else(|| ViewStore::clone(tip));
+        store.enable_journal();
+        *image = Arc::new(store);
+        copied
+    }
+
+    /// Publish `image`, which maintenance advanced from the tip at `prev`,
+    /// as the tip. When history is retained and the view wrote another
+    /// image than the tip, the old tip stays in the cache at `prev` — a
+    /// reader holds it — unless it is the base or already cached there.
+    fn install(&mut self, image: &Arc<ViewStore>, prev: Lsn) {
+        let Some(old) = self.tip.replace(Arc::clone(image)) else {
+            return; // written in place
+        };
+        if let Some(hist) = &mut self.hist {
+            let superseded = !Arc::ptr_eq(&old, image) && !Arc::ptr_eq(&old, &hist.base);
+            if superseded && hist.cache.iter().all(|(l, _)| *l != prev) {
+                hist.cache.push((prev, old));
+            }
+        }
     }
 }
 
@@ -337,6 +377,11 @@ pub struct SnapshotStats {
     /// Pinned tips a commit had to clone because no spare existed, since
     /// the registry was created. Each is an O(|V|) copy.
     pub tip_copies: u64,
+    /// Pins that waited for a commit writing a tip in place to publish,
+    /// since the registry was created.
+    pub pin_waits: u64,
+    /// Nanoseconds those pins waited, in total.
+    pub pin_wait_ns: u64,
 }
 
 #[derive(Debug)]
@@ -347,9 +392,40 @@ struct Inner {
     pins: Vec<(Lsn, usize)>,
     high_water_ops: usize,
     tip_copies: u64,
+    pin_waits: u64,
+    pin_wait_ns: u64,
 }
 
 impl Inner {
+    /// Is a commit writing some chain's tip in place?
+    fn in_flight(&self) -> bool {
+        self.chains.iter().any(|c| c.tip.is_none())
+    }
+
+    /// While pins are held, anchor every chain's history at the current
+    /// LSN — also views the commit leaves untouched: a held pin below the
+    /// next LSN must keep each view's old version materializable, and an
+    /// unanchored chain's floor would jump to the new LSN. The base is the
+    /// tip: an `Arc` clone, not a copy. A chain in flight is skipped: one
+    /// goes in flight only when no pin needs it anchored, and no pin can
+    /// be taken until it publishes.
+    fn anchor(&mut self) {
+        if self.pins.is_empty() {
+            return;
+        }
+        let lsn = self.lsn;
+        for chain in &mut self.chains {
+            if let (Some(tip), None) = (&chain.tip, &chain.hist) {
+                chain.hist = Some(ChainHist {
+                    base_lsn: lsn,
+                    base: Arc::clone(tip),
+                    deltas: Vec::new(),
+                    cache: Vec::new(),
+                });
+            }
+        }
+    }
+
     fn pin_floor(&self) -> Option<Lsn> {
         self.pins.iter().map(|&(l, _)| l).min()
     }
@@ -387,7 +463,15 @@ impl Inner {
 /// while the owning [`crate::database::Database`] commits new versions.
 #[derive(Debug, Clone)]
 pub struct SnapshotRegistry {
-    inner: Arc<Mutex<Inner>>,
+    shared: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
+    inner: Mutex<Inner>,
+    /// Signalled when a publish puts back the tips a commit wrote in place:
+    /// pins wait on it while a chain is in flight.
+    published: Condvar,
 }
 
 impl Default for SnapshotRegistry {
@@ -398,24 +482,33 @@ impl Default for SnapshotRegistry {
 
 impl SnapshotRegistry {
     pub fn new() -> Self {
+        let inner = Inner {
+            lsn: 0,
+            chains: Vec::new(),
+            pins: Vec::new(),
+            high_water_ops: 0,
+            tip_copies: 0,
+            pin_waits: 0,
+            pin_wait_ns: 0,
+        };
         SnapshotRegistry {
-            inner: Arc::new(Mutex::new(Inner {
-                lsn: 0,
-                chains: Vec::new(),
-                pins: Vec::new(),
-                high_water_ops: 0,
-                tip_copies: 0,
-            })),
+            shared: Arc::new(Shared {
+                inner: Mutex::new(inner),
+                published: Condvar::new(),
+            }),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().expect("snapshot registry mutex poisoned")
+        self.shared
+            .inner
+            .lock()
+            .expect("snapshot registry mutex poisoned")
     }
 
     /// Register a view's current image as the tip of a new chain. Called
-    /// when a view is created or installed; the store clone is the one-time
-    /// DDL cost of making the view snapshottable.
+    /// when a view is created or installed. The tip *is* the view's image,
+    /// an `Arc` clone: making a view snapshottable copies no row.
     pub(crate) fn register(&self, view: &MaterializedView, at: Lsn) -> Result<()> {
         let cols: Vec<ojv_rel::Column> = view
             .analysis
@@ -430,7 +523,7 @@ impl SnapshotRegistry {
             name: Arc::from(view.name()),
             projection: Arc::from(view.analysis.projection.as_slice()),
             schema,
-            tip: Arc::new(view.store().unjournaled_clone()),
+            tip: Some(Arc::clone(view.image())),
             hist: None,
         });
         Ok(())
@@ -443,43 +536,44 @@ impl SnapshotRegistry {
         inner.chains.retain(|c| c.name.as_ref() != name);
     }
 
-    /// Publish one commit: advance every named chain's tip by its journaled
-    /// ops and stamp the registry at `lsn` — atomically for all views. While
-    /// pins retain older versions, the pre-commit tip becomes (or extends)
-    /// the chain's history so those versions stay materializable; the
-    /// history keeps `batch` itself, not a copy of its ops.
-    pub(crate) fn commit(&self, lsn: Lsn, batch: &Arc<CommitBatch>) -> Result<()> {
+    /// The start step of a commit, after its log stage and before it
+    /// maintains `views` (those its table feeds): give each a writable
+    /// image at the current LSN, in place or from history (see
+    /// `ViewChain::begin`), anchoring every chain's history first while pins
+    /// are held. Idempotent within one commit.
+    pub(crate) fn begin<'v>(&self, views: impl IntoIterator<Item = &'v mut MaterializedView>) {
         let mut inner = self.lock();
+        inner.anchor();
         let prev = inner.lsn;
-        let retain_history = !inner.pins.is_empty();
-        if retain_history {
-            // Anchor *every* chain's history at the pre-commit LSN — also
-            // views this batch leaves untouched (empty delta): a held pin
-            // below `lsn` must keep each view's old version materializable,
-            // and an unanchored chain's floor would jump to the new LSN.
-            // The base is the pre-commit tip: an Arc clone, not a copy.
-            for chain in &mut inner.chains {
-                chain.hist.get_or_insert_with(|| ChainHist {
-                    base_lsn: prev,
-                    base: Arc::clone(&chain.tip),
-                    deltas: Vec::new(),
-                    cache: Vec::new(),
-                });
+        let mut copies = 0;
+        for view in views {
+            let name = view.name();
+            if let Some(chain) = inner.chains.iter_mut().find(|c| c.name.as_ref() == name) {
+                copies += u64::from(chain.begin(view.image_mut(), prev));
             }
         }
-        let mut copies = 0;
-        for (entry, (name, ops)) in batch.iter().enumerate() {
-            if ops.is_empty() {
+        inner.tip_copies += copies;
+    }
+
+    /// Publish one commit at `lsn`, atomically for all views: install each
+    /// view's image as its chain's tip, and stamp the registry. `batch[i]`
+    /// holds the ops that advanced `views[i]`'s image over this commit;
+    /// while pins retain older versions, each chain's history keeps `batch`
+    /// itself as the redo delta, not a copy of its ops. Nothing is replayed:
+    /// the images are the ones maintenance wrote. Wakes the pins that waited
+    /// for a chain in flight.
+    pub(crate) fn commit(&self, lsn: Lsn, batch: &Arc<CommitBatch>, views: &[MaterializedView]) {
+        let mut inner = self.lock();
+        inner.anchor();
+        let prev = inner.lsn;
+        let retain_history = !inner.pins.is_empty();
+        let woken = inner.in_flight();
+        for (entry, (view, (_, ops))) in views.iter().zip(batch.iter()).enumerate() {
+            let name = view.name();
+            let Some(chain) = inner.chains.iter_mut().find(|c| c.name.as_ref() == name) else {
                 continue;
-            }
-            let Some(chain) = inner
-                .chains
-                .iter_mut()
-                .find(|c| c.name.as_ref() == name.as_str())
-            else {
-                continue; // dropped concurrently with the batch
             };
-            if retain_history {
+            if retain_history && !ops.is_empty() {
                 let hist = chain.hist.as_mut().expect("anchored above");
                 hist.deltas.push(CommitDelta {
                     lsn,
@@ -487,12 +581,29 @@ impl SnapshotRegistry {
                     entry,
                 });
             }
-            copies += u64::from(chain.advance(prev, ops)?);
+            chain.install(view.image(), prev);
         }
-        inner.tip_copies += copies;
         inner.lsn = inner.lsn.max(lsn);
         inner.trim();
-        Ok(())
+        drop(inner);
+        if woken {
+            self.shared.published.notify_all();
+        }
+    }
+
+    /// Put back the tips of chains left in flight by a commit that unwound
+    /// before its publish: each becomes its view's image as maintenance left
+    /// it, at the unchanged LSN, so waiting and later pins return.
+    pub(crate) fn release(&self, views: &[MaterializedView]) {
+        let mut inner = self.lock();
+        for view in views {
+            let name = view.name();
+            if let Some(chain) = inner.chains.iter_mut().find(|c| c.name.as_ref() == name) {
+                chain.tip.get_or_insert_with(|| Arc::clone(view.image()));
+            }
+        }
+        drop(inner);
+        self.shared.published.notify_all();
     }
 
     /// Pin a consistent snapshot of every registered view at the newest
@@ -510,6 +621,16 @@ impl SnapshotRegistry {
 
     fn pin_inner(&self, at: Option<Lsn>) -> Result<Snapshot> {
         let mut inner = self.lock();
+        if inner.in_flight() {
+            let start = Instant::now();
+            inner = self
+                .shared
+                .published
+                .wait_while(inner, |inner| inner.in_flight())
+                .expect("snapshot registry mutex poisoned");
+            inner.pin_waits += 1;
+            inner.pin_wait_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
         let current = inner.lsn;
         let lsn = at.unwrap_or(current);
         let floor = inner
@@ -592,6 +713,8 @@ impl SnapshotRegistry {
                 .sum(),
             high_water_ops: inner.high_water_ops,
             tip_copies: inner.tip_copies,
+            pin_waits: inner.pin_waits,
+            pin_wait_ns: inner.pin_wait_ns,
         }
     }
 }
@@ -817,6 +940,25 @@ mod tests {
         assert_eq!(stats.retained_ops, 0);
         assert_eq!(stats.retained_versions, 0);
         assert_eq!(stats.high_water_ops, 0, "no pins, no history ever built");
+        assert_eq!(stats.tip_copies, 0, "every commit wrote the tip in place");
+    }
+
+    /// On one thread a pin never meets a commit in flight: nothing waits.
+    #[test]
+    fn single_threaded_pins_never_wait() {
+        let mut db = db();
+        let reg = db.snapshots().clone();
+        let mut held = Vec::new();
+        for i in 0..6i64 {
+            db.insert("lineitem", vec![lineitem_row(3, 10 + i, 2, 1, 1.0)])
+                .unwrap();
+            let snap = reg.pin().unwrap();
+            if i % 2 == 0 {
+                held.push(snap);
+            }
+        }
+        let stats = reg.stats();
+        assert_eq!((stats.pin_waits, stats.pin_wait_ns), (0, 0));
     }
 
     #[test]
@@ -853,7 +995,7 @@ mod tests {
                 .unwrap();
         }
         // The first commit cloned the pinned tip; nobody held the later
-        // ones, so they advanced in place. Only the base is retained.
+        // ones, so they were written in place. Only the base is retained.
         assert_eq!(reg.stats().tip_copies, 1);
         assert_eq!(reg.stats().retained_versions, 1);
         let mids = (reg.pin_at(1).unwrap(), reg.pin_at(2).unwrap());
@@ -870,8 +1012,8 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(twin.snapshot().unwrap().state_bytes().unwrap(), expect);
-        // The next commit spans a pin of the tip: it advances the spare
-        // into the new tip instead of cloning the pinned one.
+        // The next commit spans a pin of the tip: maintenance writes the
+        // spare, advanced to the tip's LSN, instead of a clone of the tip.
         let tip = reg.pin().unwrap();
         live.insert("lineitem", vec![lineitem_row(6, 20, 5, 1, 2.0)])
             .unwrap();

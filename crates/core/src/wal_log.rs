@@ -162,7 +162,7 @@ impl<V: Vfs> DurableDatabase<V> {
             // Re-apply and re-maintain exactly as the original call did, at
             // the original LSN.
             replay_record(&mut db, rec)?;
-            db.publish_commit(rec.lsn)?;
+            db.publish_commit(rec.lsn);
             report.replayed_updates += 1;
         }
 
@@ -382,7 +382,7 @@ mod tests {
             .collect();
         assert_eq!(encoded, expected);
         replay_commit(&mut replayed, &rec, deltas, decomposed).unwrap();
-        replayed.publish_commit(1).unwrap();
+        replayed.publish_commit(1);
 
         let mut live = Database::new(seeded());
         live.create_view(oj_view_def()).unwrap();

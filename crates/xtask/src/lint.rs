@@ -888,8 +888,8 @@ mod tests {
         let snapshot = include_str!("../../core/src/snapshot.rs");
         let batch = include_str!("../../core/src/batch.rs");
         let struct_open = "pub struct Database {\n";
-        let commit_open =
-            "pub(crate) fn commit(&self, lsn: Lsn, batch: &Arc<CommitBatch>) -> Result<()> {\n";
+        let commit_open = "pub(crate) fn commit(&self, lsn: Lsn, batch: &Arc<CommitBatch>, views: \
+                           &[MaterializedView]) {\n";
         let line_after = |src: &str, anchor: &str| {
             let at = src
                 .find(anchor)

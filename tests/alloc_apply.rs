@@ -12,7 +12,8 @@
 //! once, into the view store; through the durable engine it adds only its
 //! log record. An aggregated rollup beside the view folds
 //! `ΔV` into its groups without building a key per row. Creating a view
-//! widens only the base rows its first join keeps.
+//! widens only the base rows its first join keeps, and registering it with
+//! the snapshot registry copies none of its rows.
 
 use std::sync::Mutex;
 
@@ -258,12 +259,13 @@ fn pinned_publish_allocates_per_delta_not_per_stored_row() {
 const COMMIT_EMPTY_DV_ALLOCS: u64 = 50;
 /// The `BATCH`-lineitem insert: what the empty commit allocates, plus the
 /// executor's batches and hash tables, one allocation per stored `ΔV` row
-/// (94 at `SF`), and the §5 candidates and orphans. Measured: 403.
-const COMMIT_INSERT_ALLOCS: u64 = 440;
+/// (94 at `SF`), and the §5 candidates and orphans. Measured: 306 (402 when
+/// the publish replayed every `ΔV` row onto the registry's own image).
+const COMMIT_INSERT_ALLOCS: u64 = 345;
 /// The matching delete: the same, plus the one owned row per key that the
 /// base-table delete hands back (`BATCH`) and the orphans the view store
-/// gains. Measured: 1 131.
-const COMMIT_DELETE_ALLOCS: u64 = 1170;
+/// gains. Measured: 1 120 (1 130).
+const COMMIT_DELETE_ALLOCS: u64 = 1160;
 
 /// The two engines whose one-view commits are pinned: the in-memory
 /// `Database` and the single-stream `DurableDatabase`.
@@ -354,7 +356,8 @@ fn v3_database() -> Database {
 /// survive it are widened to the view layout; widening all of lineitem
 /// first would alone request `lineitem.len() × width × size_of::<Datum>()`
 /// bytes (11 864 088 at `SF`). Measured: 21 070 724 bytes when every
-/// lineitem was widened first, 9 206 572 now.
+/// lineitem was widened first, 9 206 572 when registering the view also
+/// copied its stored image, 7 748 196 now.
 #[test]
 fn view_creation_widens_only_the_rows_its_first_join_keeps() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -376,6 +379,45 @@ fn view_creation_widens_only_the_rows_its_first_join_keeps() {
     assert!(
         fewest < widened,
         "creating V3 requested {fewest} bytes, no fewer than widening lineitem alone ({widened})"
+    );
+}
+
+/// How many bytes `Database::create_view` may request per byte that
+/// `MaterializedView::create` requests for the same view: the rest is the
+/// plan warm-up and the registry's chain. Measured at `SF`: 7 747 230 bytes
+/// through `Database`, ×1.003 of the 7 721 008 that materializing alone
+/// requests; 9 193 390 (×1.19) when registering copied the stored image.
+const CREATE_OVER_MATERIALIZE: f64 = 1.1;
+
+/// Registering a view with the snapshot registry shares its stored image
+/// instead of copying it: creating V3 through `Database` requests little
+/// more than materializing it alone.
+#[test]
+fn registering_a_view_shares_its_image() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let catalog = tpch();
+    let (mut alone, mut registered) = (u64::MAX, u64::MAX);
+    for _ in 0..ATTEMPTS {
+        let (def, mut db) = (v3_def(), Database::new(catalog.clone()));
+        let before = alloc_snapshot();
+        let view = MaterializedView::create(&catalog, def).unwrap();
+        let after = alloc_snapshot();
+        alone = alone.min(after.since(&before).bytes);
+        drop(view);
+        let def = v3_def();
+        let before = alloc_snapshot();
+        db.create_view(def).unwrap();
+        let after = alloc_snapshot();
+        registered = registered.min(after.since(&before).bytes);
+    }
+    println!(
+        "V3 at SF {SF}: MaterializedView::create requested {alone} bytes, \
+         Database::create_view {registered}"
+    );
+    assert!(
+        registered as f64 <= CREATE_OVER_MATERIALIZE * alone as f64,
+        "Database::create_view requested {registered} bytes, over \
+         {CREATE_OVER_MATERIALIZE} × the {alone} of MaterializedView::create"
     );
 }
 
@@ -410,8 +452,9 @@ fn one_view_commits_allocate_what_they_evaluate_and_store() {
 const DURABLE_EMPTY_DV_ALLOCS: u64 = 63;
 /// The 1-key delete of that lineitem. Measured: 60 (63).
 const DURABLE_DELETE_ONE_ALLOCS: u64 = 66;
-/// The `BATCH`-lineitem insert. Measured: 425 (428).
-const DURABLE_INSERT_ALLOCS: u64 = 460;
+/// The `BATCH`-lineitem insert. Measured: 328 (424 when the publish
+/// replayed every `ΔV` row onto the registry's own image).
+const DURABLE_INSERT_ALLOCS: u64 = 365;
 
 /// A durable commit allocates what the in-memory commit does plus a
 /// per-commit constant for the log record, not a second copy of the

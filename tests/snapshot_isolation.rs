@@ -10,13 +10,17 @@
 //! read (a batch half-applied) or LSN skew (view A at LSN n, view B at
 //! n−1 in one snapshot) changes the bytes and fails the comparison.
 //!
-//! One dedicated reader additionally pins an early LSN and *holds* the pin
+//! With `hold`, the writer additionally pins LSN 0 and *holds* the pin
 //! across the whole maintenance stream, re-verifying its bytes at the end —
 //! the epoch-reclamation protocol must keep that version intact while
-//! unpinned versions are freed.
+//! unpinned versions are freed. Without it, a commit that starts while no
+//! reader holds a pin writes the tips in place, and the readers' pins race
+//! that commit: they wait for its publish (`SnapshotStats::pin_waits`,
+//! printed per run).
 //!
-//! The default test runs 8 readers on one seed; the `--ignored` sweep runs
-//! the full threads × seeds matrix (see `ci/check.sh`).
+//! The default tests run 8 readers on one seed, with and without the held
+//! pin; the `--ignored` sweep runs the full threads × seeds × hold matrix
+//! (see `ci/check.sh`).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -100,8 +104,9 @@ fn reference_bytes(twin: &mut Database, ops: &[Op]) -> Vec<Vec<u8>> {
 }
 
 /// The stress harness: `readers` threads pin-and-verify against the serial
-/// reference while the main thread streams `ops`.
-fn run_stress(seed: u64, readers: usize, batches: usize) {
+/// reference while the main thread streams `ops`, holding a pin at LSN 0
+/// throughout when `hold` is set.
+fn run_stress(seed: u64, readers: usize, batches: usize, hold: bool) {
     let ops = workload(seed, batches);
     let mut db = build_db();
     let mut twin = db.clone();
@@ -159,9 +164,12 @@ fn run_stress(seed: u64, readers: usize, batches: usize) {
         }
 
         // One long-lived pin taken at LSN 0, held across the entire stream.
-        let held = registry.pin().unwrap();
-        let held_bytes = held.state_bytes().unwrap();
-        assert_eq!(held_bytes, refs[held.lsn() as usize]);
+        let held = hold.then(|| {
+            let held = registry.pin().unwrap();
+            let bytes = held.state_bytes().unwrap();
+            assert_eq!(bytes, refs[held.lsn() as usize]);
+            (held, bytes)
+        });
 
         start.wait();
         for op in &ops {
@@ -178,8 +186,9 @@ fn run_stress(seed: u64, readers: usize, batches: usize) {
         done.store(true, Ordering::Release);
 
         // The held pin survived every commit and reclamation pass untouched.
-        assert_eq!(held.state_bytes().unwrap(), held_bytes);
-        drop(held);
+        if let Some((held, bytes)) = held {
+            assert_eq!(held.state_bytes().unwrap(), bytes);
+        }
     });
 
     assert_eq!(db.commit_lsn() as usize, batches);
@@ -193,6 +202,13 @@ fn run_stress(seed: u64, readers: usize, batches: usize) {
     );
     // Last unpin dropped: the registry must be back to tip-only storage.
     let stats = registry.stats();
+    println!(
+        "seed {seed}, {readers} readers, held pin {hold}: {} pins waited {} µs in all, \
+         {} tip copies",
+        stats.pin_waits,
+        stats.pin_wait_ns / 1_000,
+        stats.tip_copies
+    );
     assert_eq!(stats.active_pins, 0);
     assert_eq!(stats.retained_ops, 0, "history reclaimed after last unpin");
 
@@ -206,16 +222,25 @@ fn run_stress(seed: u64, readers: usize, batches: usize) {
 /// Default stress: 8 readers overlapping a 300-batch stream.
 #[test]
 fn eight_readers_see_serial_twin_bytes() {
-    run_stress(42, 8, 300);
+    run_stress(42, 8, 300, true);
 }
 
-/// Full threads × seeds matrix (CI runs this via `--ignored`).
+/// The same with no pin held across the stream: commits that start while
+/// no reader holds a pin write the tips in place, and pins wait for them.
+#[test]
+fn eight_readers_without_a_held_pin_see_serial_twin_bytes() {
+    run_stress(42, 8, 300, false);
+}
+
+/// Full threads × seeds × held-pin matrix (CI runs this via `--ignored`).
 #[test]
 #[ignore = "full sweep; run via ci/check.sh or --ignored"]
 fn reader_matrix_full_sweep() {
     for &threads in &[1usize, 8, 32] {
         for seed in [11u64, 12, 13] {
-            run_stress(seed, threads, 150);
+            for hold in [true, false] {
+                run_stress(seed, threads, 150, hold);
+            }
         }
     }
 }
